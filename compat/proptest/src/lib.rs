@@ -8,8 +8,14 @@
 //!
 //! Differences from real proptest, acceptable for this workspace's tests:
 //! cases are generated from a fixed per-test seed (deterministic across
-//! runs, no `PROPTEST_` env handling) and failures are reported by the
-//! standard panic machinery without input shrinking.
+//! runs) and failures are reported by the standard panic machinery without
+//! input shrinking.
+//!
+//! Two environment variables widen a run without touching the tests:
+//! `ASTRAL_PROPTEST_CASES` sets the case count of properties that use the
+//! default configuration (64 cases when unset; an explicit
+//! `ProptestConfig::with_cases` is left alone), and `ASTRAL_PROPTEST_SEED`
+//! is mixed into every per-test seed (unset or 0 keeps the fixed seeds).
 
 use std::collections::BTreeSet;
 use std::marker::PhantomData;
@@ -36,8 +42,24 @@ impl ProptestConfig {
 
 impl Default for ProptestConfig {
     fn default() -> Self {
-        ProptestConfig { cases: 64 }
+        ProptestConfig {
+            cases: env_override("ASTRAL_PROPTEST_CASES").map_or(64, |n| {
+                u32::try_from(n)
+                    .unwrap_or_else(|_| panic!("ASTRAL_PROPTEST_CASES={n} is too large"))
+            }),
+        }
     }
+}
+
+/// An unsigned integer read from the environment variable `var`; panics on
+/// a value that does not parse, so a typo cannot silently shrink a run.
+fn env_override(var: &str) -> Option<u64> {
+    let raw = std::env::var(var).ok()?;
+    Some(
+        raw.trim()
+            .parse()
+            .unwrap_or_else(|_| panic!("{var}={raw:?} is not an unsigned integer")),
+    )
 }
 
 /// Deterministic SplitMix64 generator driving value generation.
@@ -60,6 +82,14 @@ impl TestRng {
             h = h.wrapping_mul(0x0000_0100_0000_01B3);
         }
         TestRng::new(h)
+    }
+
+    /// The generator a property runs on: the name-derived seed, mixed with
+    /// `ASTRAL_PROPTEST_SEED` when that is set.
+    pub fn for_property(name: &str) -> Self {
+        let mut rng = TestRng::from_name(name);
+        rng.state ^= env_override("ASTRAL_PROPTEST_SEED").unwrap_or(0);
+        rng
     }
 
     /// Next raw 64-bit value.
@@ -408,7 +438,7 @@ macro_rules! __proptest_impl {
             $(#[$meta])*
             fn $name() {
                 let __cfg: $crate::ProptestConfig = $cfg;
-                let mut __rng = $crate::TestRng::from_name(concat!(module_path!(), "::", stringify!($name)));
+                let mut __rng = $crate::TestRng::for_property(concat!(module_path!(), "::", stringify!($name)));
                 for __case in 0..__cfg.cases {
                     $(let $pat = $crate::Strategy::generate(&($strat), &mut __rng);)+
                     // Property bodies may `return Ok(())` to skip a case,

@@ -35,6 +35,7 @@ mod controller;
 mod fairness;
 mod fivetuple;
 mod hash;
+mod linkset;
 mod shard;
 mod sim;
 mod solver;

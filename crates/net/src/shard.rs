@@ -29,6 +29,7 @@
 //! [`FairShareSolver`], so the sharded and global solvers share one
 //! arithmetic implementation and cannot drift.
 
+use crate::linkset::LinkSet;
 use crate::solver::{FairShareSolver, SolverCounters};
 use astral_exec::Pool;
 use astral_topo::{NodeId, NodeKind, Topology};
@@ -254,6 +255,10 @@ pub struct ShardedSolver {
     // --- global per-link mirrors ---
     link_used: Vec<f64>,
     link_nflows: Vec<u32>,
+    /// Global links whose `link_used` may be nonzero — the same tracked
+    /// zeroing the global solver's full rebuild uses, so the two drivers
+    /// stay bitwise identical.
+    used_links: LinkSet,
 
     // --- changed-set assembly ---
     changed: Vec<u32>,
@@ -301,6 +306,7 @@ impl ShardedSolver {
             global_of: vec![Vec::new(); nd],
             link_used: vec![0.0; part.nl],
             link_nflows: vec![0; part.nl],
+            used_links: LinkSet::new(part.nl),
             changed: Vec::new(),
             changed_mark: Vec::new(),
             changed_epoch: 0,
@@ -694,7 +700,17 @@ impl ShardedSolver {
                 self.rate[f as usize] = self.doms[d as usize].rate_of(lf);
             }
         }
-        self.link_used.iter_mut().for_each(|u| *u = 0.0);
+        debug_assert!(
+            self.link_used
+                .iter()
+                .enumerate()
+                .all(|(l, u)| u.to_bits() == 0 || self.used_links.contains(l as u32)),
+            "nonzero link_used on an untracked link"
+        );
+        for &gl in self.used_links.as_slice() {
+            self.link_used[gl as usize] = 0.0;
+        }
+        self.used_links.clear();
         for &f in &active {
             let r = self.rate[f as usize];
             if !r.is_finite() {
@@ -705,6 +721,7 @@ impl ShardedSolver {
                 for j in 0..self.doms[d as usize].path_of(lf).len() {
                     let ll = self.doms[d as usize].path_of(lf)[j];
                     let gl = self.part.links_of_dom[d as usize][ll as usize];
+                    self.used_links.insert(gl);
                     self.link_used[gl as usize] += r;
                 }
             }
@@ -783,6 +800,7 @@ impl ShardedSolver {
             for i in 0..self.doms[di].comp_links().len() {
                 let ll = self.doms[di].comp_links()[i];
                 let gl = self.part.links_of_dom[di][ll as usize];
+                self.used_links.insert(gl);
                 self.link_used[gl as usize] = self.doms[di].link_used()[ll as usize];
             }
         }

@@ -18,10 +18,19 @@
 //! function remains the from-scratch reference oracle that property tests
 //! compare against.
 //!
+//! A full solve is whole-*active-set*, not whole-fabric: it seeds its
+//! component from the active flows' paths (sorted, so the bottleneck scan
+//! visits links in the same ascending order a dense scan would) and
+//! re-derives `link_used` by zeroing only the links a solve has written
+//! since the last rebuild. One degraded-mode PFC fixpoint iteration
+//! therefore costs O(active-flow hops) here plus O(in-degree of the
+//! degraded links) for the simulator's head-of-line step — never O(links).
+//!
 //! All scratch (remaining capacity, per-link load, component membership,
 //! frozen marks) is held in reusable buffers with epoch stamps, so a solve
 //! allocates nothing in steady state.
 
+use crate::linkset::LinkSet;
 use serde::Serialize;
 
 /// Sentinel for "not in the active set".
@@ -120,6 +129,10 @@ pub struct FairShareSolver {
     link_used: Vec<f64>,
     /// link → active flow count (maintained incrementally).
     link_nflows: Vec<u32>,
+    /// Links whose `link_used` may be nonzero (every link a solve wrote
+    /// since the last full rebuild), so a full rebuild zeroes only these
+    /// instead of every link.
+    used_links: LinkSet,
 
     // --- dirty tracking ---
     dirty_links: Vec<u32>,
@@ -163,6 +176,7 @@ impl FairShareSolver {
             link_flows: vec![Vec::new(); nl],
             link_used: vec![0.0; nl],
             link_nflows: vec![0; nl],
+            used_links: LinkSet::new(nl),
             dirty_links: Vec::new(),
             link_dirty: vec![false; nl],
             needs_full: false,
@@ -387,12 +401,26 @@ impl FairShareSolver {
         self.fill_finish();
     }
 
+    /// Re-derive `link_used` from the active set's rates. Only tracked
+    /// links can hold a nonzero entry, so zeroing them is the same as
+    /// zeroing every link.
     fn rebuild_link_used_full(&mut self) {
-        self.link_used.iter_mut().for_each(|u| *u = 0.0);
+        debug_assert!(
+            self.link_used
+                .iter()
+                .enumerate()
+                .all(|(l, u)| u.to_bits() == 0 || self.used_links.contains(l as u32)),
+            "nonzero link_used on an untracked link"
+        );
+        for &l in self.used_links.as_slice() {
+            self.link_used[l as usize] = 0.0;
+        }
+        self.used_links.clear();
         for &f in &self.active {
             let r = self.rate[f as usize];
             if r.is_finite() {
                 for &l in self.path[f as usize].iter() {
+                    self.used_links.insert(l);
                     self.link_used[l as usize] += r;
                 }
             }
@@ -430,18 +458,29 @@ impl FairShareSolver {
 
     /// Seed the full-solve component: every link carrying flows (ascending)
     /// and every active flow, with the BFS frontier already exhausted.
+    /// Links are gathered from the active flows' paths and then sorted, so
+    /// the cost is O(active-flow hops) while the order — which `fill_min`'s
+    /// first-wins tie-break depends on — matches an ascending link scan.
     pub(crate) fn comp_seed_all(&mut self) {
-        for l in 0..self.nl {
-            if !self.link_flows[l].is_empty() {
-                self.link_mark[l] = self.epoch;
-                self.comp_links.push(l as u32);
-            }
-        }
         for i in 0..self.active.len() {
             let f = self.active[i];
             self.flow_mark[f as usize] = self.epoch;
             self.comp_flows.push(f);
+            for &l in self.path[f as usize].iter() {
+                if self.link_mark[l as usize] != self.epoch {
+                    self.link_mark[l as usize] = self.epoch;
+                    self.comp_links.push(l);
+                }
+            }
         }
+        self.comp_links.sort_unstable();
+        debug_assert!(
+            self.comp_links
+                .iter()
+                .copied()
+                .eq((0..self.nl as u32).filter(|&l| !self.link_flows[l as usize].is_empty())),
+            "gathered full-solve links differ from the non-empty link scan"
+        );
         self.comp_head = self.comp_links.len();
     }
 
@@ -633,6 +672,7 @@ impl FairShareSolver {
     pub(crate) fn fill_finish(&mut self) {
         for &l in &self.comp_links {
             self.link_used[l as usize] = 0.0;
+            self.used_links.insert(l);
         }
         for i in 0..self.comp_flows.len() {
             let f = self.comp_flows[i];

@@ -1,7 +1,8 @@
 //! End-to-end tests of the flow-level network simulator.
 
 use astral_net::{
-    EcmpController, FlowSpec, FlowState, NetConfig, NetworkSim, PlannedFlow, QpContext,
+    ip_of_nic, EcmpController, FiveTuple, FlowSpec, FlowState, NetConfig, NetworkSim, PlannedFlow,
+    QpContext, QpId,
 };
 use astral_sim::{SimDuration, SimTime};
 use astral_topo::{build_astral, AstralParams, GpuId, HostId, LinkId, Topology};
@@ -10,7 +11,7 @@ fn fixture() -> Topology {
     build_astral(&AstralParams::sim_small())
 }
 
-fn qp_between(sim: &mut NetworkSim, topo: &Topology, a: u32, b: u32) -> astral_net::QpId {
+fn qp_between(sim: &mut NetworkSim, topo: &Topology, a: u32, b: u32) -> QpId {
     sim.register_qp_auto(
         topo.gpu_nic(GpuId(a)),
         topo.gpu_nic(GpuId(b)),
@@ -541,4 +542,161 @@ fn sharded_sim_drives_controller_identically() {
         "controller moved different flow counts"
     );
     assert_eq!(global.3, sharded.3, "controller chose different sports");
+}
+
+/// A QP from GPU `a` to GPU `b` whose ECMP route ends on `last` (a ToR→NIC
+/// drain), found by trying source ports.
+fn qp_via(sim: &mut NetworkSim, topo: &Topology, a: u32, b: u32, last: LinkId) -> QpId {
+    let (src, dst) = (topo.gpu_nic(GpuId(a)), topo.gpu_nic(GpuId(b)));
+    let sport = (49_152u16..=u16::MAX)
+        .find(|&p| {
+            let tuple = FiveTuple::roce(ip_of_nic(src), ip_of_nic(dst), p);
+            sim.route(src, dst, &tuple).and_then(|r| r.last().copied()) == Some(last)
+        })
+        .expect("some source port routes over the drain");
+    sim.register_qp(src, dst, sport, QpContext::anonymous())
+}
+
+/// The ToR→NIC drain into GPU `gpu` on the NIC's first ToR.
+fn drain_into(topo: &Topology, gpu: u32) -> LinkId {
+    let nic = topo.gpu_nic(GpuId(gpu));
+    let tor = topo.link(topo.out_links(nic)[0]).dst;
+    topo.link_between(tor, nic).unwrap()
+}
+
+/// Inject a long flow from GPU `a` to GPU `b` over the drain `last`.
+fn long_flow_via(sim: &mut NetworkSim, topo: &Topology, a: u32, b: u32, last: LinkId) {
+    let qp = qp_via(sim, topo, a, b, last);
+    sim.inject(FlowSpec {
+        qp,
+        bytes: 10_000_000_000,
+        weight: 1.0,
+    })
+    .unwrap();
+}
+
+/// The pause intensity the simulator derives from a drain degraded to
+/// `factor` of its pristine capacity.
+fn severity(topo: &Topology, drain: LinkId, factor: f64) -> f64 {
+    let orig = topo.link(drain).bandwidth_bps;
+    (1.0 - orig * factor / orig) * NetConfig::default().pfc_hol_factor
+}
+
+#[test]
+fn two_degraded_drains_pause_shared_ingress_at_larger_severity() {
+    let topo = fixture();
+    let mut sim = NetworkSim::new(&topo, NetConfig::default());
+    // Two drains out of one ToR (hosts 0 and 1 on rail 0), each saturated
+    // by one flow from another block. The severer one is degraded first,
+    // so the pause is not simply the last severity written.
+    let (a, b) = (drain_into(&topo, 0), drain_into(&topo, 4));
+    let tor = topo.link(a).src;
+    assert_eq!(topo.link(b).src, tor);
+    sim.degrade_link_at(SimTime::ZERO, b, 0.2);
+    sim.degrade_link_at(SimTime::ZERO, a, 0.3);
+    long_flow_via(&mut sim, &topo, 32, 0, a);
+    long_flow_via(&mut sim, &topo, 64, 4, b);
+    sim.run_until(SimTime::from_micros(100));
+
+    let (sev_a, sev_b) = (severity(&topo, a, 0.3), severity(&topo, b, 0.2));
+    assert!(sev_b > sev_a);
+    assert!(!topo.in_links(tor).is_empty());
+    for &l in topo.in_links(tor) {
+        let pristine = topo.link(l).bandwidth_bps;
+        assert_eq!(
+            sim.effective_capacity(l).to_bits(),
+            (pristine * (1.0 - sev_b)).to_bits(),
+            "ingress {l} must be paused at the larger severity"
+        );
+    }
+    // The drains themselves feed NICs, which pause nothing.
+    for (drain, factor) in [(a, 0.3), (b, 0.2)] {
+        let pristine = topo.link(drain).bandwidth_bps;
+        assert_eq!(sim.effective_capacity(drain), pristine * factor);
+    }
+}
+
+#[test]
+fn restored_paused_link_stays_unpaused_while_another_link_is_degraded() {
+    let topo = fixture();
+    let mut sim = NetworkSim::new(&topo, NetConfig::default());
+    // Drain `a` (rail 0) pauses its ToR's ingress, including `paused`, the
+    // link its own flow arrives on. Drain `d` (rail 1, another ToR) stays
+    // degraded throughout, so every recompute keeps taking the fixpoint.
+    let (a, d) = (drain_into(&topo, 0), drain_into(&topo, 1));
+    assert_ne!(topo.link(a).src, topo.link(d).src);
+    sim.degrade_link_at(SimTime::ZERO, a, 0.3);
+    sim.degrade_link_at(SimTime::ZERO, d, 0.2);
+    long_flow_via(&mut sim, &topo, 32, 0, a);
+    long_flow_via(&mut sim, &topo, 33, 1, d);
+    sim.run_until(SimTime::from_micros(100));
+    let flow_a = sim.all_stats()[0].path.clone();
+    let paused = flow_a[flow_a.len() - 2];
+    let other = topo.in_links(topo.link(d).src)[0];
+    let pristine = topo.link(paused).bandwidth_bps;
+    assert!(sim.effective_capacity(paused) < pristine);
+    assert!(sim.effective_capacity(other) < topo.link(other).bandwidth_bps);
+
+    // Restore the paused link together with the drain that paused it.
+    let t1 = SimTime::from_micros(200);
+    sim.restore_link_at(t1, paused);
+    sim.restore_link_at(t1, a);
+    sim.run_until(t1);
+    let pause_at_restore = sim.telemetry().link[paused.index()].pfc_pause_ns;
+    let other_at_restore = sim.telemetry().link[other.index()].pfc_pause_ns;
+    assert!(pause_at_restore > 0);
+
+    // Force another fixpoint with a new flow, then let time pass.
+    let full_before = sim.solver_counters().full_solves;
+    long_flow_via(&mut sim, &topo, 64, 8, drain_into(&topo, 8));
+    sim.run_until(SimTime::from_micros(400));
+    assert!(sim.solver_counters().full_solves > full_before);
+    assert_eq!(sim.effective_capacity(paused), pristine);
+    assert_eq!(
+        sim.telemetry().link[paused.index()].pfc_pause_ns,
+        pause_at_restore,
+        "a restored link's pause time must stop growing"
+    );
+    assert!(
+        sim.telemetry().link[other.index()].pfc_pause_ns > other_at_restore,
+        "the still-degraded drain keeps pausing its own ingress"
+    );
+}
+
+#[test]
+fn restoring_last_degraded_link_returns_to_incremental_solves() {
+    let topo = fixture();
+    let mut sim = NetworkSim::new(&topo, NetConfig::default());
+    let a = drain_into(&topo, 0);
+    sim.degrade_link_at(SimTime::ZERO, a, 0.3);
+    long_flow_via(&mut sim, &topo, 32, 0, a);
+    sim.run_until(SimTime::from_micros(100));
+    let ingress = topo.in_links(topo.link(a).src);
+    assert!(ingress
+        .iter()
+        .all(|&l| sim.effective_capacity(l) < topo.link(l).bandwidth_bps));
+
+    // The restore itself still takes one fixpoint, which clears every
+    // pause.
+    sim.restore_link_at(SimTime::from_micros(200), a);
+    sim.run_until(SimTime::from_micros(200));
+    assert!(sim.degraded_links().is_empty());
+    for l in topo.links() {
+        assert_eq!(sim.effective_capacity(l.id), l.bandwidth_bps);
+    }
+
+    // With no degraded link and no pause left, the next recompute is
+    // component-local.
+    let before = sim.solver_counters();
+    let qp = qp_between(&mut sim, &topo, 64, 96);
+    sim.inject(FlowSpec {
+        qp,
+        bytes: 1_000_000,
+        weight: 1.0,
+    })
+    .unwrap();
+    sim.run_until(SimTime::from_micros(300));
+    let after = sim.solver_counters();
+    assert!(after.incremental_solves > before.incremental_solves);
+    assert_eq!(after.full_solves, before.full_solves);
 }

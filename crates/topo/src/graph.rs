@@ -86,6 +86,11 @@ pub struct Topology {
     hosts: Vec<Host>,
     /// Outgoing links per node.
     out_adj: Vec<Vec<LinkId>>,
+    /// Incoming links per node. Derived from `links`, so it is skipped on
+    /// serialization (leaving the serialized form unchanged) and rebuilt
+    /// by [`Topology::rebuild_index`].
+    #[serde(skip)]
+    in_adj: Vec<Vec<LinkId>>,
     /// `(src, dst) -> link` for fast bidirectional lookups.
     #[serde(skip)]
     link_index: HashMap<(NodeId, NodeId), LinkId>,
@@ -113,6 +118,7 @@ impl Topology {
             links: Vec::new(),
             hosts: Vec::new(),
             out_adj: Vec::new(),
+            in_adj: Vec::new(),
             link_index: HashMap::new(),
             rails,
             hb,
@@ -140,6 +146,7 @@ impl Topology {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Node { id, kind });
         self.out_adj.push(Vec::new());
+        self.in_adj.push(Vec::new());
         id
     }
 
@@ -163,6 +170,7 @@ impl Topology {
             latency,
         });
         self.out_adj[src.index()].push(id);
+        self.in_adj[dst.index()].push(id);
         self.link_index.insert((src, dst), id);
         id
     }
@@ -236,6 +244,12 @@ impl Topology {
         &self.out_adj[id.index()]
     }
 
+    /// Incoming links of a node, in ascending link order (empty on a
+    /// deserialized topology until [`Topology::rebuild_index`] runs).
+    pub fn in_links(&self, id: NodeId) -> &[LinkId] {
+        self.in_adj.get(id.index()).map_or(&[], Vec::as_slice)
+    }
+
     /// The directed link from `src` to `dst`, if one exists.
     pub fn link_between(&self, src: NodeId, dst: NodeId) -> Option<LinkId> {
         self.link_index.get(&(src, dst)).copied()
@@ -253,10 +267,15 @@ impl Topology {
             .collect()
     }
 
-    /// Rebuild the `(src,dst) -> link` index (needed after deserialization).
+    /// Rebuild the `(src,dst) -> link` index and the incoming-link
+    /// adjacency (needed after deserialization).
     pub fn rebuild_index(&mut self) {
         self.epoch += 1;
         self.link_index = self.links.iter().map(|l| ((l.src, l.dst), l.id)).collect();
+        self.in_adj = vec![Vec::new(); self.nodes.len()];
+        for l in &self.links {
+            self.in_adj[l.dst.index()].push(l.id);
+        }
     }
 
     /// Rails (GPUs / NICs) per host.
@@ -505,6 +524,8 @@ mod tests {
         let down = t.link_between(tor, nic).unwrap();
         assert_eq!(t.link(up).bandwidth_bps, t.link(down).bandwidth_bps);
         assert_eq!(t.out_links(nic).len(), 1);
+        assert_eq!(t.in_links(nic), &[down]);
+        assert_eq!(t.in_links(tor).len(), 2);
     }
 
     #[test]
@@ -567,8 +588,11 @@ mod tests {
         let json = serde_json::to_string(&t).unwrap();
         let mut back: Topology = serde_json::from_str(&json).unwrap();
         assert!(back.link_between(NodeId(2), NodeId(0)).is_none());
+        assert!(back.in_links(NodeId(0)).is_empty());
         back.rebuild_index();
         assert!(back.link_between(NodeId(2), NodeId(0)).is_some());
+        assert_eq!(back.in_links(NodeId(0)), t.in_links(NodeId(0)));
+        assert_eq!(back.fingerprint(), t.fingerprint());
         assert_eq!(back.gpu_count(), t.gpu_count());
     }
 }
