@@ -19,7 +19,7 @@ use crate::plan::{
     send_recv, Schedule, Transfer,
 };
 use astral_net::{FlowSpec, FlowState, NetConfig, NetworkSim, QpContext, QpId, SolverCounters};
-use astral_sim::SimDuration;
+use astral_sim::{MulHashMap, SimDuration};
 use astral_topo::{GpuId, NodeId, Topology};
 use std::collections::HashMap;
 
@@ -81,19 +81,47 @@ impl CollectiveResult {
 pub struct CollectiveRunner<'a> {
     sim: NetworkSim<'a>,
     cfg: RunnerConfig,
-    qp_cache: HashMap<(NodeId, NodeId), QpId>,
+    qp_cache: MulHashMap<(NodeId, NodeId), QpId>,
     group_ctr: u32,
+    nvlink: NvlinkTally,
+}
+
+/// One step's NVLink bytes per GPU port, dense over the fabric's GPUs,
+/// with the GPUs written since the last clear so clearing and the
+/// busiest-port max cost the step's size rather than the fabric's.
+#[derive(Debug)]
+struct NvlinkTally {
+    /// GPU → (bytes sent, bytes received) this step.
+    bytes: Vec<(u64, u64)>,
+    touched: Vec<u32>,
+}
+
+impl NvlinkTally {
+    fn add(&mut self, gpu: GpuId, out: u64, inc: u64) {
+        let slot = &mut self.bytes[gpu.0 as usize];
+        if *slot == (0, 0) {
+            self.touched.push(gpu.0);
+        }
+        slot.0 += out;
+        slot.1 += inc;
+    }
+
+    /// The busiest port's bytes over the touched GPUs, then reset them.
+    fn take_worst(&mut self) -> u64 {
+        let mut worst = 0;
+        for &g in &self.touched {
+            let (out, inc) = std::mem::take(&mut self.bytes[g as usize]);
+            worst = worst.max(out).max(inc);
+        }
+        self.touched.clear();
+        worst
+    }
 }
 
 impl<'a> CollectiveRunner<'a> {
     /// New runner over `topo`.
     pub fn new(topo: &'a Topology, cfg: RunnerConfig) -> Self {
-        CollectiveRunner {
-            sim: NetworkSim::new(topo, cfg.net),
-            cfg,
-            qp_cache: HashMap::new(),
-            group_ctr: 0,
-        }
+        CollectiveRunner::with_router(topo, cfg, std::sync::Arc::new(astral_topo::Router::new()))
     }
 
     /// New runner over `topo` sharing an already-warmed ECMP router — the
@@ -107,8 +135,12 @@ impl<'a> CollectiveRunner<'a> {
         CollectiveRunner {
             sim: NetworkSim::with_router(topo, cfg.net, router),
             cfg,
-            qp_cache: HashMap::new(),
+            qp_cache: MulHashMap::default(),
             group_ctr: 0,
+            nvlink: NvlinkTally {
+                bytes: vec![(0, 0); topo.gpu_count() as usize],
+                touched: Vec::new(),
+            },
         }
     }
 
@@ -253,19 +285,14 @@ impl<'a> CollectiveRunner<'a> {
         let mut nvlink_bytes = 0u64;
         let mut failed = 0usize;
 
-        // Reused across steps: one step's transfers, its flow ids, and the
-        // NVLink load tallies.
+        // Reused across steps: one step's transfers and its flow ids.
         let mut step_buf: Vec<Transfer> = Vec::new();
         let mut flow_ids: Vec<astral_net::FlowId> = Vec::new();
-        let mut nv_out: HashMap<GpuId, u64> = HashMap::new();
-        let mut nv_in: HashMap<GpuId, u64> = HashMap::new();
 
         let mut k = 0usize;
         while next_step(k, &mut step_buf) {
             k += 1;
             let step_start = virtual_now;
-            nv_out.clear();
-            nv_in.clear();
             flow_ids.clear();
 
             for &Transfer { src, dst, bytes } in &step_buf {
@@ -275,8 +302,8 @@ impl<'a> CollectiveRunner<'a> {
                 let (sg, dg) = (group[src], group[dst]);
                 let topo = self.sim.topology();
                 if topo.same_hb_domain(sg, dg) {
-                    *nv_out.entry(sg).or_insert(0) += bytes;
-                    *nv_in.entry(dg).or_insert(0) += bytes;
+                    self.nvlink.add(sg, bytes, 0);
+                    self.nvlink.add(dg, 0, bytes);
                     nvlink_bytes += bytes;
                     continue;
                 }
@@ -284,7 +311,7 @@ impl<'a> CollectiveRunner<'a> {
                 let (src_nic, dst_nic, relay_nvlink) = self.plan_nics(sg, dg);
                 if relay_nvlink {
                     // PXN forwarding consumes NVLink at the source.
-                    *nv_out.entry(sg).or_insert(0) += bytes;
+                    self.nvlink.add(sg, bytes, 0);
                     nvlink_bytes += bytes;
                 }
                 let qp = self.qp_for(src_nic, dst_nic, group_id, sg, dg);
@@ -315,23 +342,18 @@ impl<'a> CollectiveRunner<'a> {
                 flow_ids
                     .iter()
                     .map(|&id| {
-                        let st = self.sim.stats(id);
-                        if st.state == FlowState::Failed {
+                        let (state, finish) = self.sim.flow_outcome(id);
+                        if state == FlowState::Failed {
                             failed += 1;
                         }
-                        st.finish.unwrap_or(self.sim.now())
+                        finish.unwrap_or(self.sim.now())
                     })
                     .max()
                     .unwrap()
             };
 
             // NVLink time: the busiest GPU's port serializes its bytes.
-            let nv_worst = nv_out
-                .values()
-                .chain(nv_in.values())
-                .copied()
-                .max()
-                .unwrap_or(0);
+            let nv_worst = self.nvlink.take_worst();
             let nv_time = if nv_worst > 0 {
                 SimDuration::from_secs_f64(nv_worst as f64 * 8.0 / hb.bandwidth_bps) + hb.latency
             } else {
@@ -443,6 +465,7 @@ pub fn merge_parallel(parts: Vec<(Schedule, Vec<usize>)>) -> Schedule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use astral_sim::SimTime;
     use astral_topo::{build_astral, build_rail_only, AstralParams};
 
     fn topo() -> Topology {
@@ -615,6 +638,88 @@ mod tests {
         assert_eq!(streamed.network_bytes, mat.network_bytes);
         assert_eq!(streamed.nvlink_bytes, mat.nvlink_bytes);
         assert_eq!(streamed.failed_flows, mat.failed_flows);
+    }
+
+    /// `failed_flows` and `step_durations` come from the per-flow outcome
+    /// accessor; recompute both from full `stats()` and the abort events
+    /// for a ring that loses rank 0's uplinks during its first step.
+    #[test]
+    fn outcome_accounting_matches_flow_stats_under_failure() {
+        let t = topo();
+        let group = rail0_group(&t, 4);
+        let mut r = CollectiveRunner::new(&t, RunnerConfig::default());
+        for &up in t.out_links(t.gpu_nic(group[0])) {
+            r.sim_mut()
+                .fail_link_at(SimTime::ZERO + SimDuration::from_micros(1), up);
+        }
+        let res = r.all_reduce_flat(&group, 64 << 20);
+        let aborted_at: HashMap<u32, SimTime> = r
+            .sim_mut()
+            .drain_flow_events()
+            .into_iter()
+            .filter_map(|e| match e {
+                astral_net::FlowEvent::Aborted { flow, at, .. } => Some((flow.0, at)),
+                astral_net::FlowEvent::Requeued { .. } => None,
+            })
+            .collect();
+        let sim = r.sim();
+        let stats = sim.all_stats();
+        assert!(res.failed_flows > 0, "rank 0's sends must fail");
+        assert_eq!(
+            res.failed_flows,
+            stats
+                .iter()
+                .filter(|s| s.state == FlowState::Failed)
+                .count()
+        );
+        for s in &stats {
+            assert_eq!(sim.flow_outcome(s.id), (s.state, s.finish));
+        }
+
+        // Flows of one step share its start time; a step ends when its
+        // last flow completes or aborts.
+        let mut end_of_step: std::collections::BTreeMap<SimTime, SimTime> =
+            std::collections::BTreeMap::new();
+        for s in &stats {
+            let end = match s.state {
+                FlowState::Done => s.finish.unwrap(),
+                FlowState::Failed => aborted_at[&s.id.0],
+                other => panic!("flow {:?} left {other:?}", s.id),
+            };
+            let e = end_of_step.entry(s.start).or_insert(end);
+            *e = (*e).max(end);
+        }
+        let want: Vec<SimDuration> = end_of_step
+            .iter()
+            .map(|(&start, &end)| {
+                end.saturating_since(start) + RunnerConfig::default().step_overhead
+            })
+            .collect();
+        assert_eq!(res.step_durations, want);
+    }
+
+    /// A step's NVLink time is set by its busiest GPU port, counting sent
+    /// and received bytes separately, and tallies reset between steps.
+    #[test]
+    fn nvlink_time_is_the_busiest_port_of_each_step() {
+        let t = topo();
+        let group: Vec<GpuId> = (0..4).map(GpuId).collect();
+        let b = 1u64 << 20;
+        let tr = |src, dst| Transfer { src, dst, bytes: b };
+        let schedule = Schedule {
+            // Incast into rank 0, then one send out of it.
+            steps: vec![vec![tr(1, 0), tr(2, 0), tr(3, 0)], vec![tr(0, 1)]],
+        };
+        let mut r = CollectiveRunner::new(&t, RunnerConfig::default());
+        let res = r.run_schedule(&group, &schedule);
+        let hb = t.hb_domain();
+        let nv = |bytes: u64| {
+            SimDuration::from_secs_f64(bytes as f64 * 8.0 / hb.bandwidth_bps)
+                + hb.latency
+                + RunnerConfig::default().step_overhead
+        };
+        assert_eq!(res.network_bytes, 0);
+        assert_eq!(res.step_durations, vec![nv(3 * b), nv(b)]);
     }
 
     #[test]

@@ -129,7 +129,7 @@ impl Snapshot {
         let t = sim.telemetry();
         self.qp_registry = t.qp_info.values().cloned().collect();
         self.qp_registry.sort_by_key(|r| r.qp);
-        self.qp_series = t.qp_bytes.clone();
+        self.qp_series = t.qp_bytes.iter().map(|(&q, s)| (q, s.clone())).collect();
         self.err_cqe = t.err_cqe.clone();
         self.sflow = t.sflow_paths.clone();
         for (i, c) in t.link.iter().enumerate() {

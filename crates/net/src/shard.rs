@@ -244,9 +244,12 @@ pub struct ShardedSolver {
     active: Vec<u32>,
     slot_of: Vec<u32>,
     rate: Vec<f64>,
-    /// flow → its per-domain segments as `(domain, local flow id)`, in
-    /// path-first-touch order. Persists across requeues like paths do.
-    segs: Vec<Box<[(u16, u32)]>>,
+    /// flow → `(off, len)` span of its per-domain segments in `seg_arena`.
+    /// Persists across requeues like paths do.
+    seg_span: Vec<(u32, u32)>,
+    /// Append-only arena of every started flow's segments as `(domain,
+    /// local flow id)`, in path-first-touch order.
+    seg_arena: Vec<(u16, u32)>,
     /// domain → next unused local flow id.
     next_local: Vec<u32>,
     /// domain → local flow id → global flow id.
@@ -279,6 +282,13 @@ pub struct ShardedSolver {
     frozen_dom: Vec<u32>,
     frozen_all: Vec<(u16, u32)>,
     uf_parent: Vec<u16>,
+    /// Involved domains as `(group root, domain)`, sorted: each run of one
+    /// root is a fill group.
+    grouped: Vec<(u16, u16)>,
+    /// Domains filled on their own, moved out of `doms` for the pool.
+    singles: Vec<(u16, FairShareSolver)>,
+    /// One coupled group's (or the full solve's) member domains.
+    members: Vec<u16>,
 
     /// Event/solve counters owned at this level; scan/resolve work is
     /// summed from the domain solvers on read.
@@ -301,7 +311,8 @@ impl ShardedSolver {
             active: Vec::new(),
             slot_of: Vec::new(),
             rate: Vec::new(),
-            segs: Vec::new(),
+            seg_span: Vec::new(),
+            seg_arena: Vec::new(),
             next_local: vec![0; nd],
             global_of: vec![Vec::new(); nd],
             link_used: vec![0.0; part.nl],
@@ -321,6 +332,9 @@ impl ShardedSolver {
             frozen_dom: Vec::new(),
             frozen_all: Vec::new(),
             uf_parent: vec![0; nd],
+            grouped: Vec::new(),
+            singles: Vec::new(),
+            members: Vec::new(),
             base: SolverCounters::default(),
             part,
         }
@@ -385,9 +399,15 @@ impl ShardedSolver {
         if self.slot_of.len() < want {
             self.slot_of.resize(want, NONE);
             self.rate.resize(want, 0.0);
-            self.segs.resize(want, Box::from([]));
+            self.seg_span.resize(want, (0, 0));
             self.changed_mark.resize(want, 0);
         }
+    }
+
+    /// `flow`'s segments as `(domain, local flow id)`.
+    fn segs(&self, flow: u32) -> &[(u16, u32)] {
+        let (off, len) = self.seg_span[flow as usize];
+        &self.seg_arena[off as usize..(off + len) as usize]
     }
 
     fn mark_dom_dirty(&mut self, d: u16) {
@@ -411,7 +431,12 @@ impl ShardedSolver {
             }
             self.seg_links[d as usize].push(self.part.local_of_link[gl as usize]);
         }
-        let mut segs = Vec::with_capacity(touched.len());
+        let off = self.seg_arena.len();
+        assert!(
+            off + touched.len() <= NONE as usize,
+            "segment arena exceeds u32"
+        );
+        self.seg_span[flow as usize] = (off as u32, touched.len() as u32);
         for &d in &touched {
             let di = d as usize;
             let local = self.next_local[di];
@@ -422,11 +447,10 @@ impl ShardedSolver {
             self.seg_links[di].clear();
             self.global_of[di].push(flow);
             debug_assert_eq!(self.global_of[di].len() as u32, local + 1);
-            segs.push((d, local));
+            self.seg_arena.push((d, local));
             self.mark_dom_dirty(d);
         }
         self.touched = touched;
-        self.segs[flow as usize] = segs.into_boxed_slice();
         self.slot_of[flow as usize] = self.active.len() as u32;
         self.active.push(flow);
         for &gl in path {
@@ -440,8 +464,9 @@ impl ShardedSolver {
         self.base.events += 1;
         let fi = flow as usize;
         debug_assert_eq!(self.slot_of[fi], NONE, "flow already active");
-        for i in 0..self.segs[fi].len() {
-            let (d, lf) = self.segs[fi][i];
+        let (off, len) = self.seg_span[fi];
+        for i in off as usize..(off + len) as usize {
+            let (d, lf) = self.seg_arena[i];
             self.doms[d as usize].flow_requeued(lf);
             self.mark_dom_dirty(d);
             for j in 0..self.doms[d as usize].path_of(lf).len() {
@@ -470,8 +495,9 @@ impl ShardedSolver {
         } else {
             0.0
         };
-        for i in 0..self.segs[fi].len() {
-            let (d, lf) = self.segs[fi][i];
+        let (off, len) = self.seg_span[fi];
+        for i in off as usize..(off + len) as usize {
+            let (d, lf) = self.seg_arena[i];
             self.doms[d as usize].flow_removed(lf);
             self.mark_dom_dirty(d);
             for j in 0..self.doms[d as usize].path_of(lf).len() {
@@ -572,9 +598,10 @@ impl ShardedSolver {
                 self.doms[d as usize].comp_expand(Some(&mut newly));
                 for &lf in &newly {
                     let gf = self.global_of[d as usize][lf as usize] as usize;
-                    if self.segs[gf].len() > 1 {
-                        for i in 0..self.segs[gf].len() {
-                            let (d2, lf2) = self.segs[gf][i];
+                    let (off, len) = self.seg_span[gf];
+                    if len > 1 {
+                        for i in off as usize..(off + len) as usize {
+                            let (d2, lf2) = self.seg_arena[i];
                             if d2 == d {
                                 continue;
                             }
@@ -601,57 +628,55 @@ impl ShardedSolver {
             self.base.component_flows += self.doms[d].comp_flows().len() as u64;
         }
 
-        // Partition involved domains into singleton groups (independent
-        // fills) and coupled groups (cross-pod reconciliation).
+        // Partition involved domains into groups by union-find root, in
+        // ascending (root, domain) order: singleton groups fill
+        // independently, larger ones run the coupled fill.
         let involved = std::mem::take(&mut self.involved);
-        let mut singles: Vec<u16> = Vec::new();
-        let mut groups: std::collections::BTreeMap<u16, Vec<u16>> =
-            std::collections::BTreeMap::new();
+        let mut grouped = std::mem::take(&mut self.grouped);
+        grouped.clear();
         for &d in &involved {
-            let root = self.uf_find(d);
-            groups.entry(root).or_default().push(d);
+            grouped.push((self.uf_find(d), d));
         }
-        groups.retain(|_, members| {
-            if members.len() == 1 {
-                singles.push(members[0]);
-                false
-            } else {
-                true
-            }
-        });
+        grouped.sort_unstable();
 
         // Independent components: one fill per domain, fanned out on the
         // pool. Domains are temporarily moved out so `map_mut` gets a
         // contiguous mutable slice; results are deterministic because each
         // fill touches only its own domain.
+        let mut singles = std::mem::take(&mut self.singles);
+        for group in grouped.chunk_by(|a, b| a.0 == b.0) {
+            if let [(_, d)] = *group {
+                let dom = std::mem::replace(&mut self.doms[d as usize], FairShareSolver::new(0));
+                singles.push((d, dom));
+            }
+        }
         if !singles.is_empty() {
-            let mut taken: Vec<(u16, FairShareSolver)> = singles
-                .iter()
-                .map(|&d| {
-                    let dom =
-                        std::mem::replace(&mut self.doms[d as usize], FairShareSolver::new(0));
-                    (d, dom)
-                })
-                .collect();
             let part = &self.part;
-            self.pool.map_mut(&mut taken, |(d, dom)| {
+            self.pool.map_mut(&mut singles, |(d, dom)| {
                 let links = &part.links_of_dom[*d as usize];
                 dom.fill_run(|ll| cap[links[ll as usize] as usize]);
                 dom.fill_finish();
             });
-            for (d, dom) in taken {
+            for (d, dom) in singles.drain(..) {
                 self.doms[d as usize] = dom;
             }
         }
+        self.singles = singles;
 
         // Coupled groups: level-synchronous fill, ascending root order.
-        let coupled: Vec<Vec<u16>> = groups.into_values().collect();
-        for members in &coupled {
-            self.fill_group(members, cap);
-            for &d in members {
-                self.doms[d as usize].fill_finish();
+        let mut members = std::mem::take(&mut self.members);
+        for group in grouped.chunk_by(|a, b| a.0 == b.0) {
+            if group.len() > 1 {
+                members.clear();
+                members.extend(group.iter().map(|&(_, d)| d));
+                self.fill_group(&members, cap);
+                for &d in &members {
+                    self.doms[d as usize].fill_finish();
+                }
             }
         }
+        self.members = members;
+        self.grouped = grouped;
 
         self.merge_component_results(&involved);
         for &d in &involved {
@@ -675,7 +700,8 @@ impl ShardedSolver {
         self.dirty_doms = dirty;
         self.changed_epoch += 1;
 
-        let mut members: Vec<u16> = Vec::new();
+        let mut members = std::mem::take(&mut self.members);
+        members.clear();
         for d in 0..self.doms.len() {
             self.doms[d].clear_dirty();
             if !self.doms[d].active_flows().is_empty() {
@@ -688,6 +714,7 @@ impl ShardedSolver {
             dom.comp_seed_all();
         }
         self.fill_group(&members, cap);
+        self.members = members;
 
         // Mirror the global solver's full-solve epilogue: all active flows
         // changed (in active order), link_used rebuilt from scratch.
@@ -696,7 +723,7 @@ impl ShardedSolver {
         for &f in &active {
             self.changed.push(f);
             self.changed_mark[f as usize] = self.changed_epoch;
-            if let Some(&(d, lf)) = self.segs[f as usize].first() {
+            if let Some(&(d, lf)) = self.segs(f).first() {
                 self.rate[f as usize] = self.doms[d as usize].rate_of(lf);
             }
         }
@@ -716,8 +743,8 @@ impl ShardedSolver {
             if !r.is_finite() {
                 continue;
             }
-            for i in 0..self.segs[f as usize].len() {
-                let (d, lf) = self.segs[f as usize][i];
+            let (off, len) = self.seg_span[f as usize];
+            for &(d, lf) in &self.seg_arena[off as usize..(off + len) as usize] {
                 for j in 0..self.doms[d as usize].path_of(lf).len() {
                     let ll = self.doms[d as usize].path_of(lf)[j];
                     let gl = self.part.links_of_dom[d as usize][ll as usize];
@@ -769,9 +796,10 @@ impl ShardedSolver {
             // global fill).
             for &(d, lf) in &frozen_all {
                 let gf = self.global_of[d as usize][lf as usize] as usize;
-                if self.segs[gf].len() > 1 {
-                    for j in 0..self.segs[gf].len() {
-                        let (d2, lf2) = self.segs[gf][j];
+                let (off, len) = self.seg_span[gf];
+                if len > 1 {
+                    for j in off as usize..(off + len) as usize {
+                        let (d2, lf2) = self.seg_arena[j];
                         if d2 != d {
                             self.doms[d2 as usize].fill_force(lf2);
                         }
@@ -803,6 +831,28 @@ impl ShardedSolver {
                 self.used_links.insert(gl);
                 self.link_used[gl as usize] = self.doms[di].link_used()[ll as usize];
             }
+        }
+    }
+
+    /// Test hook: every domain's hop back-pointers hold, every active
+    /// flow's segments are active in their domains and map back to it, and
+    /// the global per-link flow counts equal the domains' counts.
+    #[cfg(test)]
+    pub(crate) fn check_incidence(&self) {
+        for d in &self.doms {
+            d.check_incidence();
+        }
+        for &f in &self.active {
+            for &(d, lf) in self.segs(f) {
+                let dom = &self.doms[d as usize];
+                assert!(dom.is_active(lf), "flow {f}: segment {lf} inactive");
+                assert_eq!(self.global_of[d as usize][lf as usize], f);
+            }
+        }
+        for (gl, &n) in self.link_nflows.iter().enumerate() {
+            let d = self.part.dom_of_link[gl] as usize;
+            let ll = self.part.local_of_link[gl] as usize;
+            assert_eq!(n, self.doms[d].link_nflows()[ll], "link {gl}");
         }
     }
 }
@@ -885,7 +935,7 @@ mod tests {
                     continue;
                 }
                 if sharded.rate_of(f as u32) == 0.0
-                    && sharded.segs.get(f).is_none_or(|s| s.is_empty())
+                    && sharded.seg_span.get(f).is_none_or(|s| s.1 == 0)
                 {
                     sharded.flow_started(f as u32, &paths[f], weights[f]);
                     global.flow_started(f as u32, &paths[f], weights[f]);
@@ -971,5 +1021,86 @@ mod tests {
             );
         }
         assert_eq!(sharded.changed_flows(), global.changed_flows());
+    }
+
+    /// Path of churn flow `f`: pod-local in A (links 0, 1) or B (3, 4),
+    /// or cross-pod over boundary links 2, 5 and 6, of lengths 1–4.
+    fn churn_path(f: u32) -> Vec<u32> {
+        match f % 6 {
+            0 => vec![0],
+            1 => vec![1, 0],
+            2 => vec![0, 2, 3],
+            3 => vec![4, 3],
+            4 => vec![1, 5, 6, 4],
+            _ => vec![3, 6, 0],
+        }
+    }
+
+    /// Requeue flows whose segment spans sit at the front of both arenas
+    /// after thousands of later starts and removes, in lockstep with the
+    /// global solver.
+    #[test]
+    fn arena_bookkeeping_survives_requeue_after_heavy_churn() {
+        let cap = vec![10.0, 4.0, 6.0, 8.0, 3.0, 5.0, 7.0];
+        let part = DomainPartition::try_new(7, vec![vec![0, 1], vec![3, 4]]).unwrap();
+        let mut sharded = ShardedSolver::new(part, Pool::with_threads(1));
+        let mut global = FairShareSolver::new(cap.len());
+        let check = |sharded: &ShardedSolver, global: &FairShareSolver| {
+            sharded.check_incidence();
+            global.check_incidence();
+            let live = sharded.active_flows().to_vec();
+            assert_eq!(live, global.active_flows());
+            let paths: Vec<Vec<u32>> = live.iter().map(|&f| churn_path(f)).collect();
+            let want = max_min_rates(&cap, &paths, None);
+            for (i, &f) in live.iter().enumerate() {
+                let (s, g) = (sharded.rate_of(f), global.rate_of(f));
+                assert!(
+                    (s - want[i]).abs() <= 1e-9 * want[i].max(1.0),
+                    "flow {f}: sharded {s}, oracle {}",
+                    want[i]
+                );
+                assert!((s - g).abs() <= 1e-12 * g.max(1.0), "flow {f}: {s} vs {g}");
+            }
+        };
+
+        for f in 0..12u32 {
+            sharded.flow_started(f, &churn_path(f), 1.0);
+            global.flow_started(f, &churn_path(f), 1.0);
+        }
+        let early = [2u32, 4, 0, 11, 5];
+        for f in early {
+            sharded.flow_removed(f);
+            global.flow_removed(f);
+        }
+        sharded.solve_dirty(&cap);
+        global.solve_dirty(&cap);
+        check(&sharded, &global);
+
+        for f in 12..3012u32 {
+            sharded.flow_started(f, &churn_path(f), 1.0);
+            global.flow_started(f, &churn_path(f), 1.0);
+            if f >= 30 {
+                let victim = f - 18 + (f * 5) % 4;
+                if global.is_active(victim) {
+                    sharded.flow_removed(victim);
+                    global.flow_removed(victim);
+                }
+            }
+            if f % 5 == 0 {
+                sharded.solve_dirty(&cap);
+                global.solve_dirty(&cap);
+            }
+            if f % 500 == 0 {
+                check(&sharded, &global);
+            }
+        }
+        for f in early {
+            sharded.flow_requeued(f);
+            global.flow_requeued(f);
+            sharded.check_incidence();
+        }
+        sharded.solve_dirty(&cap);
+        global.solve_dirty(&cap);
+        check(&sharded, &global);
     }
 }

@@ -28,7 +28,10 @@
 //!
 //! All scratch (remaining capacity, per-link load, component membership,
 //! frozen marks) is held in reusable buffers with epoch stamps, so a solve
-//! allocates nothing in steady state.
+//! allocates nothing in steady state. Flow paths live in two append-only
+//! flat arenas (`hops`, `hop_pos`) addressed by a per-flow span, so starting
+//! or removing a flow allocates nothing either (amortized arena growth
+//! aside).
 
 use crate::linkset::LinkSet;
 use serde::Serialize;
@@ -111,19 +114,22 @@ pub struct FairShareSolver {
     active: Vec<u32>,
     /// flow id → index in `active`, or `NONE`.
     slot_of: Vec<u32>,
-    /// flow id → links it traverses (set when the flow first starts).
-    path: Vec<Box<[u32]>>,
-    /// flow id → position of its entry in `link_flows[path[i]]`, parallel
-    /// to `path`.
-    link_pos: Vec<Box<[u32]>>,
+    /// flow id → `(off, len)` span of its path in `hops`/`hop_pos` (set
+    /// when the flow first starts; kept across requeues).
+    span: Vec<(u32, u32)>,
+    /// Append-only arena of every started flow's links, in path order.
+    hops: Vec<u32>,
+    /// Parallel to `hops`: the position of hop `k`'s entry in
+    /// `link_flows[hops[k]]` while its flow is active.
+    hop_pos: Vec<u32>,
     /// flow id → max-min weight.
     weight: Vec<f64>,
     /// flow id → last solved rate (authoritative allocation).
     rate: Vec<f64>,
-    /// link → `(flow, index-of-link-in-flow's-path)` for each active flow
+    /// link → `(flow, arena index of the hop)` for each active flow
     /// crossing it. The second element makes detach O(1) per hop: when an
-    /// entry is swap-removed, the moved entry's back-pointer is repaired
-    /// without scanning.
+    /// entry is swap-removed, the moved entry's `hop_pos` back-pointer is
+    /// repaired without scanning.
     link_flows: Vec<Vec<(u32, u32)>>,
     /// link → allocated rate at the last solve.
     link_used: Vec<f64>,
@@ -169,8 +175,9 @@ impl FairShareSolver {
             nl,
             active: Vec::new(),
             slot_of: Vec::new(),
-            path: Vec::new(),
-            link_pos: Vec::new(),
+            span: Vec::new(),
+            hops: Vec::new(),
+            hop_pos: Vec::new(),
             weight: Vec::new(),
             rate: Vec::new(),
             link_flows: vec![Vec::new(); nl],
@@ -242,8 +249,7 @@ impl FairShareSolver {
         let want = flow as usize + 1;
         if self.slot_of.len() < want {
             self.slot_of.resize(want, NONE);
-            self.path.resize(want, Box::from([]));
-            self.link_pos.resize(want, Box::from([]));
+            self.span.resize(want, (0, 0));
             self.weight.resize(want, 1.0);
             self.rate.resize(want, 0.0);
             self.flow_mark.resize(want, 0);
@@ -258,29 +264,37 @@ impl FairShareSolver {
         }
     }
 
+    /// The arena index range of `flow`'s path.
+    fn hop_range(&self, flow: u32) -> std::ops::Range<usize> {
+        let (off, len) = self.span[flow as usize];
+        off as usize..(off + len) as usize
+    }
+
     /// Attach `flow` to the active set and every link on its stored path.
     fn attach(&mut self, flow: u32) {
         let fi = flow as usize;
         debug_assert_eq!(self.slot_of[fi], NONE, "flow already active");
         self.slot_of[fi] = self.active.len() as u32;
         self.active.push(flow);
-        let hops = self.path[fi].len();
-        let mut pos = vec![0u32; hops].into_boxed_slice();
-        for (i, p) in pos.iter_mut().enumerate() {
-            let l = self.path[fi][i] as usize;
-            *p = self.link_flows[l].len() as u32;
-            self.link_flows[l].push((flow, i as u32));
+        for k in self.hop_range(flow) {
+            let l = self.hops[k] as usize;
+            self.hop_pos[k] = self.link_flows[l].len() as u32;
+            self.link_flows[l].push((flow, k as u32));
             self.link_nflows[l] += 1;
             self.mark_dirty(l as u32);
         }
-        self.link_pos[fi] = pos;
     }
 
-    /// A flow entered the active set with the given path and weight.
+    /// A flow entered the active set with the given path and weight. The
+    /// path is appended to the hop arena once; requeues reuse the span.
     pub fn flow_started(&mut self, flow: u32, path: &[u32], weight: f64) {
         self.counters.events += 1;
         self.ensure_flow(flow);
-        self.path[flow as usize] = path.into();
+        let off = self.hops.len();
+        assert!(off + path.len() <= NONE as usize, "hop arena exceeds u32");
+        self.span[flow as usize] = (off as u32, path.len() as u32);
+        self.hops.extend_from_slice(path);
+        self.hop_pos.resize(self.hops.len(), 0);
         self.weight[flow as usize] = weight;
         self.attach(flow);
     }
@@ -311,13 +325,13 @@ impl FairShareSolver {
         } else {
             0.0
         };
-        for i in 0..self.path[fi].len() {
-            let l = self.path[fi][i] as usize;
-            let p = self.link_pos[fi][i] as usize;
+        for k in self.hop_range(flow) {
+            let l = self.hops[k] as usize;
+            let p = self.hop_pos[k] as usize;
             self.link_flows[l].swap_remove(p);
             if p < self.link_flows[l].len() {
-                let (moved, j) = self.link_flows[l][p];
-                self.link_pos[moved as usize][j as usize] = p as u32;
+                let (_, moved_hop) = self.link_flows[l][p];
+                self.hop_pos[moved_hop as usize] = p as u32;
             }
             self.link_nflows[l] -= 1;
             // Keep the aggregate roughly consistent until the next solve
@@ -419,7 +433,8 @@ impl FairShareSolver {
         for &f in &self.active {
             let r = self.rate[f as usize];
             if r.is_finite() {
-                for &l in self.path[f as usize].iter() {
+                for k in self.hop_range(f) {
+                    let l = self.hops[k];
                     self.used_links.insert(l);
                     self.link_used[l as usize] += r;
                 }
@@ -466,7 +481,7 @@ impl FairShareSolver {
             let f = self.active[i];
             self.flow_mark[f as usize] = self.epoch;
             self.comp_flows.push(f);
-            for &l in self.path[f as usize].iter() {
+            for &l in &self.hops[self.hop_range(f)] {
                 if self.link_mark[l as usize] != self.epoch {
                     self.link_mark[l as usize] = self.epoch;
                     self.comp_links.push(l);
@@ -494,8 +509,7 @@ impl FairShareSolver {
         }
         self.flow_mark[fi] = self.epoch;
         self.comp_flows.push(flow);
-        for i in 0..self.path[fi].len() {
-            let l = self.path[fi][i];
+        for &l in &self.hops[self.hop_range(flow)] {
             if self.link_mark[l as usize] != self.epoch {
                 self.link_mark[l as usize] = self.epoch;
                 self.comp_links.push(l);
@@ -519,8 +533,7 @@ impl FairShareSolver {
                     if let Some(sink) = newly.as_deref_mut() {
                         sink.push(f);
                     }
-                    for j in 0..self.path[f as usize].len() {
-                        let l2 = self.path[f as usize][j];
+                    for &l2 in &self.hops[self.hop_range(f)] {
                         if self.link_mark[l2 as usize] != self.epoch {
                             self.link_mark[l2 as usize] = self.epoch;
                             self.comp_links.push(l2);
@@ -556,14 +569,14 @@ impl FairShareSolver {
         for i in 0..self.comp_flows.len() {
             let f = self.comp_flows[i];
             let fi = f as usize;
-            if self.path[fi].is_empty() {
+            if self.span[fi].1 == 0 {
                 self.rate[fi] = f64::INFINITY;
                 self.frozen[fi] = self.epoch; // nothing to fill
                 continue;
             }
             self.frozen[fi] = 0; // unfrozen this round (epoch stamps freeze)
             let w = self.weight[fi];
-            for &l in self.path[fi].iter() {
+            for &l in &self.hops[self.hop_range(f)] {
                 self.load[l as usize] += w;
             }
         }
@@ -630,7 +643,7 @@ impl FairShareSolver {
                 self.frozen[fi] = self.epoch;
                 let w = self.weight[fi];
                 self.rate[fi] = self.fill_level * w;
-                for &l2 in self.path[fi].iter() {
+                for &l2 in &self.hops[self.hop_range(f)] {
                     self.load[l2 as usize] -= w;
                 }
                 if let Some(sink) = frozen_out.as_deref_mut() {
@@ -652,7 +665,7 @@ impl FairShareSolver {
         self.frozen[fi] = self.epoch;
         let w = self.weight[fi];
         self.rate[fi] = self.fill_level * w;
-        for &l in self.path[fi].iter() {
+        for &l in &self.hops[self.hop_range(flow)] {
             self.load[l as usize] -= w;
         }
     }
@@ -678,7 +691,7 @@ impl FairShareSolver {
             let f = self.comp_flows[i];
             let r = self.rate[f as usize];
             if r.is_finite() {
-                for &l in self.path[f as usize].iter() {
+                for &l in &self.hops[self.hop_range(f)] {
                     self.link_used[l as usize] += r;
                 }
             }
@@ -689,7 +702,30 @@ impl FairShareSolver {
 
     /// Links of `flow`'s stored path (local link ids inside a domain).
     pub(crate) fn path_of(&self, flow: u32) -> &[u32] {
-        &self.path[flow as usize]
+        &self.hops[self.hop_range(flow)]
+    }
+
+    /// Test hook: every active flow's hop `k` on link `l` satisfies
+    /// `link_flows[l][hop_pos[k]] == (flow, k)`, and the per-link lists hold
+    /// nothing else.
+    #[cfg(test)]
+    pub(crate) fn check_incidence(&self) {
+        let mut entries = 0;
+        for &f in &self.active {
+            for k in self.hop_range(f) {
+                let l = self.hops[k] as usize;
+                assert_eq!(
+                    self.link_flows[l][self.hop_pos[k] as usize],
+                    (f, k as u32),
+                    "flow {f} hop {k} back-pointer broken on link {l}"
+                );
+                entries += 1;
+            }
+        }
+        for (l, list) in self.link_flows.iter().enumerate() {
+            assert_eq!(list.len(), self.link_nflows[l] as usize, "link {l}");
+        }
+        assert_eq!(entries, self.link_flows.iter().map(Vec::len).sum::<usize>());
     }
 }
 
@@ -736,7 +772,7 @@ mod tests {
                 if s.is_active(f as u32) {
                     continue;
                 }
-                if f < s.slot_of.len() && !s.path[f].is_empty() {
+                if f < s.slot_of.len() && s.span[f].1 > 0 {
                     s.flow_requeued(f as u32);
                 } else {
                     s.flow_started(f as u32, &paths[f], weights[f]);
@@ -799,35 +835,81 @@ mod tests {
         assert!((s.rate_of(2) - 1.5).abs() < 1e-12);
     }
 
+    /// Path of churn flow `f` over links 0..3: lengths 1–3 in varying
+    /// orders, so arena spans differ in length and position.
+    fn churn_path(f: u32) -> Vec<u32> {
+        match f % 4 {
+            0 => vec![0],
+            1 => vec![0, 1],
+            2 => vec![2, 1, 0],
+            _ => vec![1, 2],
+        }
+    }
+
+    /// Rates of the active flows against the oracle.
+    fn assert_matches_oracle(s: &FairShareSolver, cap: &[f64]) {
+        let live: Vec<u32> = s.active_flows().to_vec();
+        let paths: Vec<Vec<u32>> = live.iter().map(|&f| churn_path(f)).collect();
+        let want = max_min_rates(cap, &paths, None);
+        for (i, &f) in live.iter().enumerate() {
+            assert!(
+                (s.rate_of(f) - want[i]).abs() <= 1e-9 * want[i].max(1.0),
+                "flow {f}: got {}, oracle {}",
+                s.rate_of(f),
+                want[i]
+            );
+        }
+    }
+
     #[test]
     fn swap_remove_bookkeeping_survives_heavy_churn() {
-        // Many flows over one shared link, removed in arbitrary order.
-        let cap = vec![100.0, 50.0];
-        let mut s = FairShareSolver::new(2);
+        let cap = vec![100.0, 50.0, 70.0];
+        let mut s = FairShareSolver::new(cap.len());
         for f in 0..16u32 {
-            let path = if f % 2 == 0 { vec![0u32] } else { vec![0, 1] };
-            s.flow_started(f, &path, 1.0);
+            s.flow_started(f, &churn_path(f), 1.0);
         }
         s.solve_dirty(&cap);
-        for f in [3u32, 0, 15, 7, 8, 1] {
+        // Removed in arbitrary order; their spans stay at the arena front.
+        let early = [3u32, 0, 15, 7, 8, 1];
+        for f in early {
             s.flow_removed(f);
             s.solve_dirty(&cap);
         }
-        // 10 flows left; verify against oracle.
-        let live: Vec<u32> = s.active_flows().to_vec();
-        let paths: Vec<Vec<u32>> = live
-            .iter()
-            .map(|&f| if f % 2 == 0 { vec![0u32] } else { vec![0, 1] })
-            .collect();
-        let want = max_min_rates(&cap, &paths, None);
-        for (i, &f) in live.iter().enumerate() {
-            assert!(
-                (s.rate_of(f) - want[i]).abs() < 1e-9,
-                "flow {f} mismatch after churn"
-            );
+        s.check_incidence();
+        assert_matches_oracle(&s, &cap);
+
+        // Thousands of later starts and removes, a sliding window of ~24
+        // live flows, removed out of start order.
+        for f in 16..4016u32 {
+            s.flow_started(f, &churn_path(f), 1.0);
+            if f >= 40 {
+                let victim = f - 24 + (f * 7) % 5;
+                if s.is_active(victim) {
+                    s.flow_removed(victim);
+                }
+            }
+            if f % 7 == 0 {
+                s.solve_dirty(&cap);
+            }
+            if f % 500 == 0 {
+                s.check_incidence();
+            }
         }
-        // nflows bookkeeping intact.
-        assert_eq!(s.link_nflows()[0] as usize, live.len());
+        // Requeue the early flows onto links now crowded with late ones.
+        for f in early {
+            s.flow_requeued(f);
+            s.check_incidence();
+        }
+        s.solve_dirty(&cap);
+        s.check_incidence();
+        assert_matches_oracle(&s, &cap);
+        for f in early {
+            assert_eq!(s.path_of(f), churn_path(f).as_slice());
+            s.flow_removed(f);
+        }
+        s.solve_dirty(&cap);
+        s.check_incidence();
+        assert_matches_oracle(&s, &cap);
     }
 
     #[test]

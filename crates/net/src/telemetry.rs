@@ -15,7 +15,7 @@
 //!   counters, plus utilization EWMA.
 
 use crate::fivetuple::{FiveTuple, QpContext, QpId};
-use astral_sim::{SimTime, TimeSeries};
+use astral_sim::{MulHashMap, SimTime, TimeSeries};
 use astral_topo::{LinkId, NodeId};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -50,8 +50,10 @@ pub struct Telemetry {
     /// QP registry: transport identity ↔ application context.
     pub qp_info: HashMap<QpId, QpRecord>,
     /// Millisecond-level byte samples per QP (time, bytes delivered since
-    /// the previous sample).
-    pub qp_bytes: HashMap<QpId, TimeSeries>,
+    /// the previous sample). The simulator appends to it for every active
+    /// flow on every fluid step, so it hashes with [`MulHashMap`]'s
+    /// multiplicative hasher rather than SipHash.
+    pub qp_bytes: MulHashMap<QpId, TimeSeries>,
     /// CQE error events, in time order.
     pub err_cqe: Vec<ErrCqe>,
     /// sFlow-reconstructed path (node sequence) per QP, from the most recent

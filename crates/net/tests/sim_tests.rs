@@ -5,7 +5,7 @@ use astral_net::{
     QpContext, QpId,
 };
 use astral_sim::{SimDuration, SimTime};
-use astral_topo::{build_astral, AstralParams, GpuId, HostId, LinkId, Topology};
+use astral_topo::{build_astral, AstralParams, GpuId, HostId, LinkId, NodeId, Topology};
 
 fn fixture() -> Topology {
     build_astral(&AstralParams::sim_small())
@@ -365,6 +365,8 @@ fn loopback_flow_completes_instantly() {
     }]);
     assert_eq!(stats[0].state, FlowState::Done);
     assert_eq!(stats[0].fct(), Some(SimDuration::ZERO));
+    // sFlow records the one-node path.
+    assert_eq!(sim.telemetry().sflow_paths[&qp], vec![nic]);
 }
 
 #[test]
@@ -699,4 +701,88 @@ fn restoring_last_degraded_link_returns_to_incremental_solves() {
     let after = sim.solver_counters();
     assert!(after.incremental_solves > before.incremental_solves);
     assert_eq!(after.full_solves, before.full_solves);
+}
+
+/// The node sequence sFlow reports for a link path leaving `src`.
+fn nodes_of(topo: &Topology, src: NodeId, path: &[LinkId]) -> Vec<NodeId> {
+    std::iter::once(src)
+        .chain(path.iter().map(|&l| topo.link(l).dst))
+        .collect()
+}
+
+#[test]
+fn sport_reassignment_reroutes_next_flow_and_sflow_record() {
+    let topo = fixture();
+    let mut sim = NetworkSim::new(&topo, NetConfig::default());
+    let (src, dst) = (topo.gpu_nic(GpuId(0)), topo.gpu_nic(GpuId(32)));
+    let qp = sim.register_qp(src, dst, 49_153, QpContext::anonymous());
+    let flow_path = |sim: &mut NetworkSim| {
+        let id = sim
+            .inject(FlowSpec {
+                qp,
+                bytes: 1 << 20,
+                weight: 1.0,
+            })
+            .unwrap();
+        sim.run_until_idle();
+        assert_eq!(sim.stats(id).state, FlowState::Done);
+        sim.stats(id).path
+    };
+
+    // Repeated flows on an unchanged QP take one path, and the record is
+    // that path.
+    let first = flow_path(&mut sim);
+    for _ in 0..3 {
+        assert_eq!(flow_path(&mut sim), first);
+        assert_eq!(
+            sim.telemetry().sflow_paths[&qp],
+            nodes_of(&topo, src, &first)
+        );
+    }
+
+    // A source port whose walk leaves the NIC on the other uplink.
+    let tuple = |p| FiveTuple::roce(ip_of_nic(src), ip_of_nic(dst), p);
+    let moved = (49_152u16..=u16::MAX)
+        .find(|&p| sim.route(src, dst, &tuple(p)).unwrap()[0] != first[0])
+        .expect("a dual-homed NIC has a second uplink");
+    sim.reassign_sport(qp, moved);
+    assert_eq!(sim.telemetry().qp_info[&qp].tuple.src_port, moved);
+
+    let second = flow_path(&mut sim);
+    assert_ne!(second[0], first[0], "next flow must take the new uplink");
+    assert_eq!(Some(second.clone()), sim.route(src, dst, &tuple(moved)));
+    assert_eq!(
+        sim.telemetry().sflow_paths[&qp],
+        nodes_of(&topo, src, &second)
+    );
+
+    // Reassigning the port it already has changes nothing.
+    sim.reassign_sport(qp, moved);
+    assert_eq!(flow_path(&mut sim), second);
+}
+
+#[test]
+#[should_panic(expected = "unregistered QP")]
+fn inject_on_unregistered_qp_panics() {
+    let topo = fixture();
+    let mut sim = NetworkSim::new(&topo, NetConfig::default());
+    qp_between(&mut sim, &topo, 0, 32);
+    sim.inject(FlowSpec {
+        qp: QpId(2),
+        bytes: 1,
+        weight: 1.0,
+    });
+}
+
+#[test]
+#[should_panic(expected = "unregistered QP")]
+fn inject_on_qp_zero_panics() {
+    let topo = fixture();
+    let mut sim = NetworkSim::new(&topo, NetConfig::default());
+    qp_between(&mut sim, &topo, 0, 32);
+    sim.inject(FlowSpec {
+        qp: QpId(0),
+        bytes: 1,
+        weight: 1.0,
+    });
 }

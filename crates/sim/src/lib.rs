@@ -1,7 +1,7 @@
 //! # astral-sim — discrete-event simulation substrate
 //!
 //! The foundation layer of the Astral reproduction. Every other crate in the
-//! workspace builds on four primitives defined here:
+//! workspace builds on the primitives defined here:
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution simulated clocks.
 //! * [`EventQueue`] — a deterministic (FIFO tie-broken) discrete-event queue.
@@ -9,6 +9,8 @@
 //!   figure in the paper regenerates bit-identically from a seed.
 //! * statistics: [`OnlineStats`], [`Summary`], [`TimeSeries`], and the
 //!   least-squares [`polyfit`] used by Seer's self-correcting calibration.
+//! * [`MulHashMap`] — a `HashMap` with a deterministic multiplicative
+//!   hasher for hot-path maps keyed by internal ids.
 //!
 //! The engine is deliberately synchronous: the workload is CPU-bound
 //! simulation, where an async runtime adds overhead without concurrency
@@ -36,6 +38,7 @@
 
 mod event;
 mod fit;
+mod hash;
 mod rng;
 mod series;
 mod stats;
@@ -43,6 +46,7 @@ mod time;
 
 pub use event::EventQueue;
 pub use fit::{polyfit, r_squared, FitError, Polynomial};
+pub use hash::{MulHashMap, MulHasher};
 pub use rng::SimRng;
 pub use series::TimeSeries;
 pub use stats::{OnlineStats, Summary};
