@@ -44,8 +44,10 @@ struct Frontier {
     params: AstralParams,
     /// Pods driving incast traffic (all of them below 512K).
     pods_active: u32,
-    /// Weighted reduce roots per pod (each root is one distance field —
-    /// this bounds router memory at the 128K/512K scales).
+    /// Weighted reduce roots per pod. Each root adds one distance field,
+    /// two `u16` arrays over every node of the fabric (4 bytes per node),
+    /// beside the router's one shared adjacency; the root count is what
+    /// bounds router memory at the 128K/512K scales.
     roots: usize,
     /// Arrival-train length: wave *t* adds one sender per root fleet-wide
     /// at `t0 + 50µs·t`, and all flows outlive the train.
@@ -130,7 +132,7 @@ fn run_incast(
     }
 
     // Unmeasured warm-up: every QP once, drained to idle — distance
-    // fields, hop tables and the route memo are all hot before timing.
+    // fields and the QPs' cached routes are all hot before timing.
     let t0 = sim.now() + SimDuration::from_micros(1);
     for wave in &waves {
         for &(qp, weight) in wave {

@@ -10,7 +10,7 @@
 //! disturbed connected component with reused scratch buffers. Both modes
 //! produce identical trajectories (pinned by the churn property tests), so
 //! the wall-clock ratio is pure solver speedup. Each mode gets one warm-up
-//! collective on its own runner (distance fields, hop tables, QP cache)
+//! collective on its own runner (distance fields, QP cache)
 //! before the measured run.
 
 use astral_bench::Scenario;

@@ -873,7 +873,7 @@ pub fn try_run_training_battery_with(
         policy.validate()?;
     }
     // Shared-topology fast path: all runs ride one warmed ECMP router, so
-    // the per-destination Dijkstra + hop-table setup is paid once per
+    // the per-destination distance-field setup is paid once per
     // battery instead of once per run. Distance fields are a pure function
     // of the topology (failures are capacity-level inside each private
     // simulator), so results are byte-identical to per-run routers.
@@ -1434,14 +1434,7 @@ impl<'t> Engine<'t> {
                 .into_iter()
                 .map(|(l, _)| l)
                 .collect();
-            let qps: Vec<QpId> = self
-                .runner
-                .sim()
-                .telemetry()
-                .qp_info
-                .keys()
-                .copied()
-                .collect();
+            let qps: Vec<QpId> = self.runner.sim().telemetry().qp_info.keys().collect();
             for qp in qps {
                 self.steer_qp(qp, &hot);
             }
@@ -1603,14 +1596,7 @@ impl<'t> Engine<'t> {
                 .into_iter()
                 .map(|(l, _)| l)
                 .collect();
-            let qps: Vec<QpId> = self
-                .runner
-                .sim()
-                .telemetry()
-                .qp_info
-                .keys()
-                .copied()
-                .collect();
+            let qps: Vec<QpId> = self.runner.sim().telemetry().qp_info.keys().collect();
             for qp in qps {
                 self.steer_qp(qp, &hot);
             }
@@ -1841,19 +1827,13 @@ impl<'t> Engine<'t> {
     /// The uplink currently carried by traffic sourced at `nic`, per the
     /// live QP routes (lowest QP id wins, for determinism).
     fn egress_uplink_in_use(&self, nic: NodeId) -> Option<LinkId> {
-        let tel = self.runner.sim().telemetry();
-        let mut qps: Vec<(QpId, QpRecord)> = tel
+        let sim = self.runner.sim();
+        let rec = sim
+            .telemetry()
             .qp_info
-            .iter()
-            .filter(|(_, r)| r.src_nic == nic)
-            .map(|(q, r)| (*q, r.clone()))
-            .collect();
-        qps.sort_by_key(|(q, _)| *q);
-        let (_, rec) = qps.first()?;
-        let path = self
-            .runner
-            .sim()
-            .route(rec.src_nic, rec.dst_nic, &rec.tuple)?;
+            .values()
+            .find(|r| r.src_nic == nic)?;
+        let path = sim.route(rec.src_nic, rec.dst_nic, &rec.tuple)?;
         path.first().copied()
     }
 
@@ -2006,21 +1986,9 @@ impl<'t> Engine<'t> {
     /// over, chosen deterministically via the run's RNG.
     fn pick_interior_link(&mut self) -> Option<LinkId> {
         let mut candidates: Vec<LinkId> = Vec::new();
-        let mut qps: Vec<(QpId, QpRecord)> = self
-            .runner
-            .sim()
-            .telemetry()
-            .qp_info
-            .iter()
-            .map(|(q, r)| (*q, r.clone()))
-            .collect();
-        qps.sort_by_key(|(q, _)| *q);
-        for (_, rec) in &qps {
-            if let Some(path) = self
-                .runner
-                .sim()
-                .route(rec.src_nic, rec.dst_nic, &rec.tuple)
-            {
+        let sim = self.runner.sim();
+        for rec in sim.telemetry().qp_info.values() {
+            if let Some(path) = sim.route(rec.src_nic, rec.dst_nic, &rec.tuple) {
                 if path.len() >= 3 {
                     candidates.extend(&path[1..path.len() - 1]);
                 }
@@ -2380,8 +2348,7 @@ impl<'t> Engine<'t> {
 
     /// QPs whose live route crosses any of `links`, ascending.
     fn qps_on_links(&self, links: &[LinkId]) -> Vec<QpId> {
-        let mut qps: Vec<QpId> = self
-            .runner
+        self.runner
             .sim()
             .telemetry()
             .qp_info
@@ -2393,9 +2360,7 @@ impl<'t> Engine<'t> {
                     .is_some_and(|p| p.iter().any(|l| links.contains(l)))
             })
             .map(|r| r.qp)
-            .collect();
-        qps.sort_unstable();
-        qps
+            .collect()
     }
 
     /// Move iterations after the last checkpoint from useful to lost.
@@ -2408,7 +2373,7 @@ impl<'t> Engine<'t> {
     }
 
     fn qp_record(&self, qp: QpId) -> QpRecord {
-        self.runner.sim().telemetry().qp_info[&qp].clone()
+        self.runner.sim().telemetry().qp_info[qp].clone()
     }
 
     fn nic_host(&self, nic: NodeId) -> Option<HostId> {

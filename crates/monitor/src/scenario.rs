@@ -224,11 +224,12 @@ pub fn run_fault_scenario<'t>(
         if it == 1 && fault == Fault::OpticalFiberCut {
             // Cut a fabric link on an active QP's path
             // (deterministically: the lexicographically first path).
-            let mut paths: Vec<&Vec<NodeId>> = runner
+            let mut paths: Vec<&[NodeId]> = runner
                 .sim()
                 .telemetry()
                 .sflow_paths
-                .values()
+                .iter()
+                .map(|(_, p)| p)
                 .filter(|p| p.len() >= 3)
                 .collect();
             paths.sort();
@@ -247,11 +248,12 @@ pub fn run_fault_scenario<'t>(
         // counters — a single transient would log only 2).
         if matches!(fault, Fault::LinkFlap) && (1..=3).contains(&it) {
             let link = flap_link.or_else(|| {
-                let mut paths: Vec<&Vec<NodeId>> = runner
+                let mut paths: Vec<&[NodeId]> = runner
                     .sim()
                     .telemetry()
                     .sflow_paths
-                    .values()
+                    .iter()
+                    .map(|(_, p)| p)
                     .filter(|p| p.len() >= 3)
                     .collect();
                 paths.sort();

@@ -128,10 +128,9 @@ impl Snapshot {
     pub fn harvest_network(&mut self, sim: &NetworkSim<'_>) {
         let t = sim.telemetry();
         self.qp_registry = t.qp_info.values().cloned().collect();
-        self.qp_registry.sort_by_key(|r| r.qp);
-        self.qp_series = t.qp_bytes.iter().map(|(&q, s)| (q, s.clone())).collect();
+        self.qp_series = t.qp_bytes.iter().map(|(q, s)| (q, s.clone())).collect();
         self.err_cqe = t.err_cqe.clone();
-        self.sflow = t.sflow_paths.clone();
+        self.sflow = t.sflow_paths.iter().map(|(q, p)| (q, p.to_vec())).collect();
         for (i, c) in t.link.iter().enumerate() {
             if c.pfc_pause_ns > 0 {
                 self.link_pfc.insert(LinkId(i as u32), c.pfc_pause_ns);

@@ -41,10 +41,8 @@ pub fn simulate_route(
     dst: NodeId,
     sport: u16,
 ) -> Option<Vec<LinkId>> {
-    let tuple = FiveTuple::roce(ip_of_nic(src), ip_of_nic(dst), sport);
-    router.path_with(topo, src, dst, |node, hops| {
-        hasher.choose(node, &tuple, hops.len())
-    })
+    let hash = hasher.tuple_hash(&FiveTuple::roce(ip_of_nic(src), ip_of_nic(dst), sport));
+    router.path_with(topo, src, dst, |node, hops| hash.choose(node, hops.len()))
 }
 
 /// The centralized controller.

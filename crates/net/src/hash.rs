@@ -112,19 +112,7 @@ impl EcmpHasher {
     /// private amount — still linear per switch, but decorrelated across
     /// hops, as fleets with per-device hash seeds/polynomials behave.
     pub fn hash(&self, switch: NodeId, tuple: &FiveTuple) -> u64 {
-        let (salt, rot) = match self.salt {
-            SaltMode::Uniform => (0, 0),
-            SaltMode::PerSwitch => {
-                let s = mix(switch.0 as u64 ^ 0xD6E8_FEB8_6659_FD93);
-                (s, (s % 63) as u32 + 1)
-            }
-        };
-        let base = mix(self.seed
-            ^ salt
-            ^ ((tuple.src_ip as u64) << 32 | tuple.dst_ip as u64)
-                .wrapping_mul(0x2545_F491_4F6C_DD1D)
-            ^ ((tuple.dst_port as u64) << 8 | tuple.proto as u64));
-        base ^ sport_layer(tuple.src_port).rotate_left(rot)
+        self.tuple_hash(tuple).hash(switch)
     }
 
     /// Pick one of `n` equal-cost candidates, as a switch would.
@@ -139,9 +127,57 @@ impl EcmpHasher {
     /// every collective round until a source port is reassigned, which is
     /// precisely the pathology Figure 17's controller loop repairs.
     pub fn choose(&self, switch: NodeId, tuple: &FiveTuple, n: usize) -> usize {
+        self.tuple_hash(tuple).choose(switch, n)
+    }
+
+    /// The switch-independent part of hashing `tuple`, computed once for a
+    /// whole route walk: the seed and field mix and the sport layer.
+    pub(crate) fn tuple_hash(&self, tuple: &FiveTuple) -> TupleHash {
+        let fields = self.seed
+            ^ ((tuple.src_ip as u64) << 32 | tuple.dst_ip as u64)
+                .wrapping_mul(0x2545_F491_4F6C_DD1D)
+            ^ ((tuple.dst_port as u64) << 8 | tuple.proto as u64);
+        let sport = sport_layer(tuple.src_port);
+        TupleHash(match self.salt {
+            SaltMode::Uniform => TupleState::Uniform(mix(fields) ^ sport),
+            SaltMode::PerSwitch => TupleState::PerSwitch { fields, sport },
+        })
+    }
+}
+
+/// One five-tuple hashed for a route walk ([`EcmpHasher::tuple_hash`]):
+/// each hop adds only its switch's part — the selection window, plus the
+/// salt and sport rotation in [`SaltMode::PerSwitch`]. [`EcmpHasher::hash`]
+/// and [`EcmpHasher::choose`] are defined through it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TupleHash(TupleState);
+
+#[derive(Debug, Clone, Copy)]
+enum TupleState {
+    /// Every switch computes this same value.
+    Uniform(u64),
+    /// The unmixed seed/field word and `L(sport)`, before the switch salt.
+    PerSwitch { fields: u64, sport: u64 },
+}
+
+impl TupleHash {
+    /// The tuple's hash at `switch`.
+    pub(crate) fn hash(&self, switch: NodeId) -> u64 {
+        match self.0 {
+            TupleState::Uniform(h) => h,
+            TupleState::PerSwitch { fields, sport } => {
+                let salt = mix(switch.0 as u64 ^ 0xD6E8_FEB8_6659_FD93);
+                let rot = (salt % 63) as u32 + 1;
+                mix(fields ^ salt) ^ sport.rotate_left(rot)
+            }
+        }
+    }
+
+    /// The index among `n` equal-cost candidates that `switch` picks.
+    pub(crate) fn choose(&self, switch: NodeId, n: usize) -> usize {
         debug_assert!(n > 0);
         let shift = (mix(switch.0 as u64 ^ 0x9E37_79B9_7F4A_7C15) % 48) as u32;
-        (self.hash(switch, tuple).rotate_right(shift) % n as u64) as usize
+        (self.hash(switch).rotate_right(shift) % n as u64) as usize
     }
 }
 
@@ -229,5 +265,54 @@ mod tests {
         let t1 = FiveTuple::roce(ip_of_nic(NodeId(3)), ip_of_nic(NodeId(4)), 50000);
         let t2 = FiveTuple::roce(ip_of_nic(NodeId(3)), ip_of_nic(NodeId(5)), 50000);
         assert_ne!(h.hash(NodeId(1), &t1), h.hash(NodeId(1), &t2));
+    }
+
+    /// The single-shot hash as it read before walks hashed once: the
+    /// per-walk form must reproduce it bit for bit.
+    fn reference_choose(h: &EcmpHasher, switch: NodeId, tuple: &FiveTuple, n: usize) -> usize {
+        let (salt, rot) = match h.salt {
+            SaltMode::Uniform => (0, 0),
+            SaltMode::PerSwitch => {
+                let s = mix(switch.0 as u64 ^ 0xD6E8_FEB8_6659_FD93);
+                (s, (s % 63) as u32 + 1)
+            }
+        };
+        let base = mix(h.seed
+            ^ salt
+            ^ ((tuple.src_ip as u64) << 32 | tuple.dst_ip as u64)
+                .wrapping_mul(0x2545_F491_4F6C_DD1D)
+            ^ ((tuple.dst_port as u64) << 8 | tuple.proto as u64));
+        let hash = base ^ sport_layer(tuple.src_port).rotate_left(rot);
+        let shift = (mix(switch.0 as u64 ^ 0x9E37_79B9_7F4A_7C15) % 48) as u32;
+        (hash.rotate_right(shift) % n as u64) as usize
+    }
+
+    #[test]
+    fn tuple_hash_matches_single_shot_hash() {
+        let mut x = 0x1234_5678_9ABC_DEF0u64;
+        let mut next = || {
+            x = mix(x.wrapping_add(0x9E37_79B9_7F4A_7C15));
+            x
+        };
+        for salt in [SaltMode::Uniform, SaltMode::PerSwitch] {
+            for _ in 0..64 {
+                let h = EcmpHasher { salt, seed: next() };
+                let r = next();
+                let tuple = FiveTuple::roce(
+                    ip_of_nic(NodeId(r as u32 % 4096)),
+                    ip_of_nic(NodeId((r >> 32) as u32 % 4096)),
+                    (r >> 16) as u16,
+                );
+                let walk = h.tuple_hash(&tuple);
+                for _ in 0..16 {
+                    let r = next();
+                    let switch = NodeId(r as u32 % 8192);
+                    let n = 1 + (r >> 32) as usize % 64;
+                    let want = reference_choose(&h, switch, &tuple, n);
+                    assert_eq!(walk.choose(switch, n), want);
+                    assert_eq!(h.choose(switch, &tuple, n), want);
+                }
+            }
+        }
     }
 }

@@ -51,4 +51,4 @@ pub use sim::{
     DEFAULT_TRACE_CAPACITY,
 };
 pub use solver::{FairShareSolver, SolverCounters};
-pub use telemetry::{ErrCqe, LinkCounters, QpRecord, Telemetry};
+pub use telemetry::{ErrCqe, LinkCounters, QpRecord, QpTable, SflowPaths, Telemetry};

@@ -15,7 +15,7 @@
 //!   counters, plus utilization EWMA.
 
 use crate::fivetuple::{FiveTuple, QpContext, QpId};
-use astral_sim::{MulHashMap, SimTime, TimeSeries};
+use astral_sim::{SimTime, TimeSeries};
 use astral_topo::{LinkId, NodeId};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -48,17 +48,16 @@ pub struct LinkCounters {
 #[derive(Debug, Default)]
 pub struct Telemetry {
     /// QP registry: transport identity ↔ application context.
-    pub qp_info: HashMap<QpId, QpRecord>,
+    pub qp_info: QpTable<QpRecord>,
     /// Millisecond-level byte samples per QP (time, bytes delivered since
     /// the previous sample). The simulator appends to it for every active
-    /// flow on every fluid step, so it hashes with [`MulHashMap`]'s
-    /// multiplicative hasher rather than SipHash.
-    pub qp_bytes: MulHashMap<QpId, TimeSeries>,
+    /// flow on every fluid step.
+    pub qp_bytes: QpTable<TimeSeries>,
     /// CQE error events, in time order.
     pub err_cqe: Vec<ErrCqe>,
     /// sFlow-reconstructed path (node sequence) per QP, from the most recent
-    /// flow on that QP.
-    pub sflow_paths: HashMap<QpId, Vec<NodeId>>,
+    /// route of that QP.
+    pub sflow_paths: SflowPaths,
     /// Per-link counters, indexed by `LinkId`.
     pub link: Vec<LinkCounters>,
     /// Physical layer: cumulative link up/down transition counts (flap
@@ -66,6 +65,129 @@ pub struct Telemetry {
     /// link another; capacity degrades are not transitions and do not
     /// count. A healthy fabric leaves this empty.
     pub link_flaps: HashMap<LinkId, u32>,
+}
+
+/// A per-QP table indexed by the ids [`crate::NetworkSim`] hands out
+/// (1, 2, … in registration order): QP `q` owns slot `q.0 - 1`, so a
+/// lookup is an index rather than a hash, and iteration runs in ascending
+/// QP id.
+#[derive(Debug, Clone)]
+pub struct QpTable<T> {
+    slots: Vec<Option<T>>,
+}
+
+impl<T> Default for QpTable<T> {
+    fn default() -> Self {
+        QpTable { slots: Vec::new() }
+    }
+}
+
+impl<T> QpTable<T> {
+    /// The slot of `qp`; `None` for `QpId(0)`, which is never assigned.
+    fn slot(qp: QpId) -> Option<usize> {
+        usize::try_from(qp.0.checked_sub(1)?).ok()
+    }
+
+    /// The entry of `qp`, if it has one.
+    pub fn get(&self, qp: QpId) -> Option<&T> {
+        self.slots.get(Self::slot(qp)?)?.as_ref()
+    }
+
+    /// Mutable access to the entry of `qp`, if it has one.
+    pub fn get_mut(&mut self, qp: QpId) -> Option<&mut T> {
+        self.slots.get_mut(Self::slot(qp)?)?.as_mut()
+    }
+
+    /// Set the entry of `qp`.
+    pub fn insert(&mut self, qp: QpId, value: T) {
+        *self.slot_mut(qp) = Some(value);
+    }
+
+    /// The entry of `qp`, inserting `make()` first if it has none.
+    pub fn get_or_insert_with(&mut self, qp: QpId, make: impl FnOnce() -> T) -> &mut T {
+        self.slot_mut(qp).get_or_insert_with(make)
+    }
+
+    /// The slot of `qp`, growing the table to reach it. The table is as long
+    /// as the largest id it holds, so ids must be the dense ones a
+    /// simulator assigns.
+    fn slot_mut(&mut self, qp: QpId) -> &mut Option<T> {
+        let i = Self::slot(qp).unwrap_or_else(|| panic!("{qp} is not a valid QP id"));
+        if i >= self.slots.len() {
+            self.slots.resize_with(i + 1, || None);
+        }
+        &mut self.slots[i]
+    }
+
+    /// Entries in ascending QP id.
+    pub fn iter(&self) -> impl Iterator<Item = (QpId, &T)> + '_ {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, v)| Some((QpId(i as u64 + 1), v.as_ref()?)))
+    }
+
+    /// QP ids with an entry, ascending.
+    pub fn keys(&self) -> impl Iterator<Item = QpId> + '_ {
+        self.iter().map(|(q, _)| q)
+    }
+
+    /// Entries in ascending QP id.
+    pub fn values(&self) -> impl Iterator<Item = &T> + '_ {
+        self.slots.iter().flatten()
+    }
+}
+
+impl<T> std::ops::Index<QpId> for QpTable<T> {
+    type Output = T;
+
+    fn index(&self, qp: QpId) -> &T {
+        self.get(qp).unwrap_or_else(|| panic!("no entry for {qp}"))
+    }
+}
+
+/// sFlow node paths, one per routed QP, in one flat arena: a QP's first
+/// route appends to the arena, so once the arena has grown recording a
+/// route allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub struct SflowPaths {
+    /// `(offset, length)` of each QP's path in `nodes`.
+    spans: QpTable<(u32, u32)>,
+    nodes: Vec<NodeId>,
+}
+
+impl SflowPaths {
+    /// Replace the path recorded for `qp`. A path no longer than the one it
+    /// replaces is written over it in place; otherwise it goes to the end
+    /// of the arena.
+    pub fn record(&mut self, qp: QpId, path: impl IntoIterator<Item = NodeId>) {
+        let start = self.nodes.len();
+        self.nodes.extend(path);
+        let len = self.nodes.len() - start;
+        match self.spans.get_mut(qp) {
+            Some((off, old)) if *old as usize >= len => {
+                self.nodes.copy_within(start.., *off as usize);
+                self.nodes.truncate(start);
+                *old = len as u32;
+            }
+            _ => {
+                self.spans.insert(qp, (start as u32, len as u32));
+            }
+        }
+    }
+
+    /// The path recorded for `qp`.
+    pub fn get(&self, qp: QpId) -> Option<&[NodeId]> {
+        let &(off, len) = self.spans.get(qp)?;
+        Some(&self.nodes[off as usize..(off + len) as usize])
+    }
+
+    /// Recorded paths in ascending QP id.
+    pub fn iter(&self) -> impl Iterator<Item = (QpId, &[NodeId])> + '_ {
+        self.spans
+            .iter()
+            .map(|(q, &(off, len))| (q, &self.nodes[off as usize..(off + len) as usize]))
+    }
 }
 
 /// Registry entry for one queue pair.
@@ -94,20 +216,19 @@ impl Telemetry {
 
     /// Record a QP byte sample.
     pub fn sample_qp(&mut self, qp: QpId, t: SimTime, bytes: f64) {
-        self.qp_bytes.entry(qp).or_default().push(t, bytes);
+        self.qp_bytes
+            .get_or_insert_with(qp, TimeSeries::default)
+            .push(t, bytes);
     }
 
     /// QPs whose five-tuple matches `tuple` (the monitor's transport→app
     /// pivot).
     pub fn qps_by_tuple(&self, tuple: &FiveTuple) -> Vec<QpId> {
-        let mut qps: Vec<QpId> = self
-            .qp_info
+        self.qp_info
             .values()
             .filter(|r| &r.tuple == tuple)
             .map(|r| r.qp)
-            .collect();
-        qps.sort_unstable();
-        qps
+            .collect()
     }
 
     /// All errCQE events within a time window.
@@ -170,7 +291,7 @@ mod tests {
         for ms in 0..10u64 {
             t.sample_qp(QpId(7), SimTime::from_millis(ms), 125_000.0); // 1 Gbps
         }
-        let series = &t.qp_bytes[&QpId(7)];
+        let series = &t.qp_bytes[QpId(7)];
         let rates = series.rate_bps(
             SimTime::ZERO,
             SimTime::from_millis(10),
@@ -206,5 +327,35 @@ mod tests {
         let hot = t.hottest_links_by_ecn(10);
         assert_eq!(hot, vec![(LinkId(2), 9), (LinkId(0), 5)]);
         assert_eq!(t.hottest_links_by_ecn(1).len(), 1);
+    }
+
+    #[test]
+    fn qp_tables_iterate_in_ascending_id() {
+        let mut t = Telemetry::new(0);
+        for q in [3u64, 1, 2] {
+            t.qp_info.insert(QpId(q), record(q, 50_000));
+        }
+        assert_eq!(
+            t.qp_info.keys().collect::<Vec<_>>(),
+            [QpId(1), QpId(2), QpId(3)]
+        );
+        assert!(t.qp_bytes.get(QpId(9)).is_none());
+        assert!(t.qp_info.get(QpId(0)).is_none());
+    }
+
+    #[test]
+    fn sflow_paths_rewrite_in_place_when_they_fit() {
+        let mut s = SflowPaths::default();
+        s.record(QpId(2), [NodeId(1), NodeId(5), NodeId(2)]);
+        s.record(QpId(1), [NodeId(3)]);
+        s.record(QpId(2), [NodeId(1), NodeId(6), NodeId(2)]);
+        assert_eq!(s.nodes.len(), 4, "an equal-length path reuses its span");
+        s.record(QpId(1), [NodeId(3), NodeId(7)]);
+        assert_eq!(s.nodes.len(), 6, "a longer path is appended");
+        assert_eq!(s.get(QpId(1)), Some(&[NodeId(3), NodeId(7)][..]));
+        assert_eq!(s.get(QpId(2)), Some(&[NodeId(1), NodeId(6), NodeId(2)][..]));
+        assert_eq!(s.get(QpId(3)), None);
+        let qps: Vec<QpId> = s.iter().map(|(q, _)| q).collect();
+        assert_eq!(qps, [QpId(1), QpId(2)]);
     }
 }

@@ -262,7 +262,7 @@ fn int_probe_sees_congested_hops() {
     })
     .unwrap();
     sim.run_until(SimTime::from_millis(1));
-    let rec = sim.telemetry().qp_info[&qp].clone();
+    let rec = sim.telemetry().qp_info[qp].clone();
     let probe = sim.int_probe(rec.src_nic, rec.dst_nic, rec.tuple.src_port);
     assert!(probe.reached);
     assert_eq!(probe.hops.len(), 4);
@@ -291,7 +291,7 @@ fn qp_ms_rate_sampling_works() {
         bytes: 25_000_000,
         weight: 1.0,
     }]);
-    let series = &sim.telemetry().qp_bytes[&qp];
+    let series = &sim.telemetry().qp_bytes[qp];
     let total: f64 = series.points().iter().map(|&(_, v)| v).sum();
     assert!((total - 25_000_000.0).abs() < 1.0, "sampled {total}");
 }
@@ -366,7 +366,7 @@ fn loopback_flow_completes_instantly() {
     assert_eq!(stats[0].state, FlowState::Done);
     assert_eq!(stats[0].fct(), Some(SimDuration::ZERO));
     // sFlow records the one-node path.
-    assert_eq!(sim.telemetry().sflow_paths[&qp], vec![nic]);
+    assert_eq!(sim.telemetry().sflow_paths.get(qp), Some(&[nic][..]));
 }
 
 #[test]
@@ -735,8 +735,8 @@ fn sport_reassignment_reroutes_next_flow_and_sflow_record() {
     for _ in 0..3 {
         assert_eq!(flow_path(&mut sim), first);
         assert_eq!(
-            sim.telemetry().sflow_paths[&qp],
-            nodes_of(&topo, src, &first)
+            sim.telemetry().sflow_paths.get(qp),
+            Some(&nodes_of(&topo, src, &first)[..])
         );
     }
 
@@ -746,14 +746,14 @@ fn sport_reassignment_reroutes_next_flow_and_sflow_record() {
         .find(|&p| sim.route(src, dst, &tuple(p)).unwrap()[0] != first[0])
         .expect("a dual-homed NIC has a second uplink");
     sim.reassign_sport(qp, moved);
-    assert_eq!(sim.telemetry().qp_info[&qp].tuple.src_port, moved);
+    assert_eq!(sim.telemetry().qp_info[qp].tuple.src_port, moved);
 
     let second = flow_path(&mut sim);
     assert_ne!(second[0], first[0], "next flow must take the new uplink");
     assert_eq!(Some(second.clone()), sim.route(src, dst, &tuple(moved)));
     assert_eq!(
-        sim.telemetry().sflow_paths[&qp],
-        nodes_of(&topo, src, &second)
+        sim.telemetry().sflow_paths.get(qp),
+        Some(&nodes_of(&topo, src, &second)[..])
     );
 
     // Reassigning the port it already has changes nothing.

@@ -20,12 +20,17 @@
 //! Cross-datacenter gateway peering links (tier 4 ↔ tier 4) are treated as
 //! "up" moves so a path may traverse the long-haul segment while still in
 //! its climbing phase, then descend inside the remote DC.
+//!
+//! A hop's candidates are derived on the fly from the destination's two
+//! distance arrays and one adjacency shared by every destination, so a
+//! destination costs O(nodes) of memory and a walk touches a few cache
+//! lines per hop.
 
 use crate::graph::Topology;
 use crate::ids::{LinkId, NodeId, NodeKind};
-use parking_lot::RwLock;
+use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::OnceLock;
 
 const INF: u16 = u16::MAX;
 /// Hard bound on path length; anything longer indicates a routing bug.
@@ -33,7 +38,8 @@ const MAX_HOPS: usize = 64;
 
 /// Routing failures on user-supplied topologies. Well-formed Clos fabrics
 /// never produce these; hand-built [`Topology`] graphs with inconsistent
-/// tiers or adjacency can.
+/// tiers or adjacency can, and so can a [`Router`] handed a topology other
+/// than the one it was first used with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoutingError {
     /// A walk exceeded the hop bound — the link structure cycles, so
@@ -41,6 +47,19 @@ pub enum RoutingError {
     HopLimitExceeded {
         /// The hop bound that was exceeded.
         limit: usize,
+    },
+    /// The router is bound to another topology: the one it was first used
+    /// with had a different node count, or an earlier structural epoch
+    /// (see [`Topology::epoch`]). Its distance fields would be stale.
+    TopologyMismatch {
+        /// Node count of the topology the router is bound to.
+        bound_nodes: usize,
+        /// Epoch of the topology the router is bound to.
+        bound_epoch: u64,
+        /// Node count of the topology passed in.
+        nodes: usize,
+        /// Epoch of the topology passed in.
+        epoch: u64,
     },
 }
 
@@ -50,6 +69,16 @@ impl std::fmt::Display for RoutingError {
             RoutingError::HopLimitExceeded { limit } => {
                 write!(f, "routing loop: path exceeded {limit} hops")
             }
+            RoutingError::TopologyMismatch {
+                bound_nodes,
+                bound_epoch,
+                nodes,
+                epoch,
+            } => write!(
+                f,
+                "router bound to a topology of {bound_nodes} nodes at epoch \
+                 {bound_epoch}, used with one of {nodes} nodes at epoch {epoch}"
+            ),
         }
     }
 }
@@ -74,20 +103,6 @@ pub struct DistField {
     down: Vec<u16>,
     /// `dist_up[node]`: valley-free distance to the destination.
     up: Vec<u16>,
-    /// Equal-cost next hops per (node, phase), built lazily on the first
-    /// path walk (one O(links) pass); afterwards every hop of every flow
-    /// toward this destination is a slice lookup instead of an adjacency
-    /// scan — the routing half of keeping per-flow simulation work cheap.
-    hops: std::sync::OnceLock<HopTable>,
-}
-
-/// CSR next-hop candidates per node for one destination.
-#[derive(Debug)]
-struct HopTable {
-    off_up: Vec<u32>,
-    hops_up: Vec<Hop>,
-    off_down: Vec<u32>,
-    hops_down: Vec<Hop>,
 }
 
 impl DistField {
@@ -102,39 +117,6 @@ impl DistField {
         let d = self.up[node.index()];
         (d != INF).then_some(d)
     }
-
-    /// Equal-cost next hops from `node` in `phase`, from the precomputed
-    /// table (identical to [`next_hops_in`], which builds it).
-    fn next_hops(&self, topo: &Topology, node: NodeId, phase: Phase) -> &[Hop] {
-        let t = self.hops.get_or_init(|| {
-            let n = topo.nodes().len();
-            let mut table = HopTable {
-                off_up: Vec::with_capacity(n + 1),
-                hops_up: Vec::new(),
-                off_down: Vec::with_capacity(n + 1),
-                hops_down: Vec::new(),
-            };
-            table.off_up.push(0);
-            table.off_down.push(0);
-            for i in 0..n {
-                let node = NodeId(i as u32);
-                table
-                    .hops_up
-                    .extend(next_hops_in(topo, self, node, Phase::Up, self.dst));
-                table.off_up.push(table.hops_up.len() as u32);
-                table
-                    .hops_down
-                    .extend(next_hops_in(topo, self, node, Phase::Down, self.dst));
-                table.off_down.push(table.hops_down.len() as u32);
-            }
-            table
-        });
-        let i = node.index();
-        match phase {
-            Phase::Up => &t.hops_up[t.off_up[i] as usize..t.off_up[i + 1] as usize],
-            Phase::Down => &t.hops_down[t.off_down[i] as usize..t.off_down[i + 1] as usize],
-        }
-    }
 }
 
 /// A next-hop candidate: the link to take and the phase after taking it.
@@ -146,10 +128,144 @@ pub struct Hop {
     pub phase: Phase,
 }
 
-/// ECMP router with a per-destination distance-field cache.
+/// One out-link in the shared adjacency, with its far end inline.
+#[derive(Debug, Clone, Copy)]
+struct Edge {
+    link: LinkId,
+    next: NodeId,
+}
+
+/// Every node's out-links split by move class, each class in ascending
+/// link order: the topology half of candidate derivation, shared by all
+/// destinations. Links that are neither up nor down moves (same-tier
+/// links other than gateway peering) can never be candidates and are left
+/// out.
+#[derive(Debug)]
+struct Adjacency {
+    /// Node `i`'s down moves are `edges[off[2i]..off[2i + 1]]` and its up
+    /// moves (gateway peering included) `edges[off[2i + 1]..off[2i + 2]]`.
+    off: Vec<u32>,
+    edges: Vec<Edge>,
+}
+
+impl Adjacency {
+    fn new(topo: &Topology) -> Self {
+        let n = topo.nodes().len();
+        let mut off = Vec::with_capacity(2 * n + 1);
+        let mut edges = Vec::with_capacity(topo.links().len());
+        off.push(0);
+        for i in 0..n {
+            let cur = NodeId(i as u32);
+            for down in [true, false] {
+                for &l in topo.out_links(cur) {
+                    let next = topo.link(l).dst;
+                    let class_down = is_down_move(topo, cur, next);
+                    if class_down == down && (class_down || is_up_move(topo, cur, next)) {
+                        edges.push(Edge { link: l, next });
+                    }
+                }
+                off.push(edges.len() as u32);
+            }
+        }
+        Adjacency { off, edges }
+    }
+
+    fn down_moves(&self, node: NodeId) -> &[Edge] {
+        let i = 2 * node.index();
+        &self.edges[self.off[i] as usize..self.off[i + 1] as usize]
+    }
+
+    fn up_moves(&self, node: NodeId) -> &[Edge] {
+        let i = 2 * node.index();
+        &self.edges[self.off[i + 1] as usize..self.off[i + 2] as usize]
+    }
+
+    /// Writes the equal-cost next hops from `cur` in `phase` into `out`,
+    /// in ascending link order: the links whose far end is exactly one hop
+    /// closer to the destination by the distance the phase allows. This is
+    /// the single candidate rule behind walks, [`Router::next_hops`] and
+    /// [`Router::path_count`].
+    fn candidates(&self, field: &DistField, cur: NodeId, phase: Phase, out: &mut Vec<Hop>) {
+        out.clear();
+        if cur == field.dst {
+            return;
+        }
+        let (down, up) = (field.down[cur.index()], field.up[cur.index()]);
+        let target = match phase {
+            Phase::Up => up,
+            Phase::Down => down,
+        };
+        if target == INF {
+            return;
+        }
+        // A finite distance other than the destination's own is at least
+        // 1, so `target - 1` is the far end's required distance. When
+        // `down(cur)` is ∞ no downhill neighbour reaches the destination
+        // either: duplex wiring would have given `cur` a downhill distance
+        // through it (the invariant `compute_field` relies on), so the
+        // down-move scan is skipped.
+        if down != INF {
+            for e in self.down_moves(cur) {
+                if field.down[e.next.index()] == target - 1 {
+                    out.push(Hop {
+                        link: e.link,
+                        phase: Phase::Down,
+                    });
+                }
+            }
+        }
+        if phase == Phase::Up {
+            let downs = out.len();
+            for e in self.up_moves(cur) {
+                if field.up[e.next.index()] == target - 1 {
+                    out.push(Hop {
+                        link: e.link,
+                        phase: Phase::Up,
+                    });
+                }
+            }
+            // Each class is ascending; interleave them only when both
+            // contributed.
+            if downs > 0 && downs < out.len() {
+                out.sort_unstable_by_key(|h| h.link);
+            }
+        }
+    }
+}
+
+/// What a router keeps for the one topology it is bound to.
+#[derive(Debug)]
+struct Bound {
+    nodes: usize,
+    epoch: u64,
+    adj: Adjacency,
+    /// Distance fields indexed by destination node, each computed on its
+    /// first use.
+    fields: Vec<OnceLock<DistField>>,
+}
+
+impl Bound {
+    fn field(&self, topo: &Topology, dst: NodeId) -> &DistField {
+        self.fields[dst.index()].get_or_init(|| compute_field(topo, dst))
+    }
+}
+
+thread_local! {
+    /// Candidate buffer reused by every walk on this thread.
+    static HOPS: Cell<Vec<Hop>> = const { Cell::new(Vec::new()) };
+}
+
+/// ECMP router with a per-destination distance-field table.
+///
+/// A router binds to the topology it is first used with: its adjacency
+/// and field table are sized from that topology, and a later call with a
+/// topology of another node count or a later [`Topology::epoch`] fails
+/// with [`RoutingError::TopologyMismatch`] (the infallible methods panic
+/// with the same message). Lookups are lock-free, so one router can serve
+/// many simulations on many threads.
 #[derive(Debug, Default)]
 pub struct Router {
-    cache: RwLock<HashMap<NodeId, Arc<DistField>>>,
+    bound: OnceLock<Bound>,
 }
 
 /// True if traversing `src → dst` counts as an "up" move.
@@ -166,32 +282,58 @@ fn is_down_move(topo: &Topology, src: NodeId, dst: NodeId) -> bool {
 }
 
 impl Router {
-    /// A router with an empty cache.
+    /// A router bound to no topology yet.
     pub fn new() -> Self {
         Router::default()
     }
 
-    /// Drop all cached distance fields (call after mutating the topology).
-    pub fn clear(&self) {
-        self.cache.write().clear();
+    /// Drop the binding and every distance field, so the router can serve
+    /// a mutated or different topology.
+    pub fn clear(&mut self) {
+        self.bound = OnceLock::new();
     }
 
-    /// Distance fields toward `dst` (computed on first use, then cached).
-    pub fn dist_field(&self, topo: &Topology, dst: NodeId) -> Arc<DistField> {
-        if let Some(f) = self.cache.read().get(&dst) {
-            return Arc::clone(f);
+    /// The binding for `topo`, made on first use.
+    fn bind(&self, topo: &Topology) -> Result<&Bound, RoutingError> {
+        let b = self.bound.get_or_init(|| {
+            let nodes = topo.nodes().len();
+            Bound {
+                nodes,
+                epoch: topo.epoch(),
+                adj: Adjacency::new(topo),
+                fields: (0..nodes).map(|_| OnceLock::new()).collect(),
+            }
+        });
+        let (nodes, epoch) = (topo.nodes().len(), topo.epoch());
+        if nodes != b.nodes || epoch > b.epoch {
+            return Err(RoutingError::TopologyMismatch {
+                bound_nodes: b.nodes,
+                bound_epoch: b.epoch,
+                nodes,
+                epoch,
+            });
         }
-        let field = Arc::new(compute_field(topo, dst));
-        self.cache.write().insert(dst, Arc::clone(&field));
-        field
+        Ok(b)
+    }
+
+    /// [`Router::bind`], panicking on a mismatch.
+    fn bound(&self, topo: &Topology) -> &Bound {
+        self.bind(topo).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Distance fields toward `dst` (computed on first use, then kept).
+    pub fn dist_field(&self, topo: &Topology, dst: NodeId) -> &DistField {
+        self.bound(topo).field(topo, dst)
     }
 
     /// Equal-cost next hops from `cur` (in `phase`) toward `dst`, in
     /// deterministic (link-id) order. Empty when `cur == dst` or no route
     /// exists.
     pub fn next_hops(&self, topo: &Topology, cur: NodeId, phase: Phase, dst: NodeId) -> Vec<Hop> {
-        let field = self.dist_field(topo, dst);
-        next_hops_in(topo, &field, cur, phase, dst)
+        let b = self.bound(topo);
+        let mut hops = Vec::new();
+        b.adj.candidates(b.field(topo, dst), cur, phase, &mut hops);
+        hops
     }
 
     /// Walk a complete path from `src_nic` to `dst_nic`, using `choose` to
@@ -217,7 +359,8 @@ impl Router {
 
     /// Fallible variant of [`Router::path_with`] for hand-built topologies:
     /// a cyclic link structure yields [`RoutingError::HopLimitExceeded`]
-    /// instead of panicking.
+    /// and a topology other than the bound one
+    /// [`RoutingError::TopologyMismatch`], instead of panicking.
     pub fn try_path_with<F>(
         &self,
         topo: &Topology,
@@ -251,19 +394,30 @@ impl Router {
         F: FnMut(NodeId, &[Hop]) -> usize,
     {
         out.clear();
+        let b = self.bind(topo)?;
         if src_nic == dst_nic {
             return Ok(true);
         }
-        let field = self.dist_field(topo, dst_nic);
+        let field = b.field(topo, dst_nic);
+        let mut hops = HOPS.take();
         let mut cur = src_nic;
         let mut phase = Phase::Up;
-        while cur != dst_nic {
-            let hops = field.next_hops(topo, cur, phase);
+        let walked = loop {
+            if cur == dst_nic {
+                break Ok(true);
+            }
+            b.adj.candidates(field, cur, phase, &mut hops);
+            debug_assert!(
+                hops.iter()
+                    .copied()
+                    .eq(next_hops_in(topo, field, cur, phase)),
+                "derived candidates at {cur:?} ({phase:?}) toward {dst_nic:?} differ from the adjacency scan"
+            );
             if hops.is_empty() {
                 out.clear();
-                return Ok(false);
+                break Ok(false);
             }
-            let idx = choose(cur, hops);
+            let idx = choose(cur, &hops);
             debug_assert!(idx < hops.len(), "chooser returned out-of-range index");
             let hop = hops[idx.min(hops.len() - 1)];
             out.push(hop.link);
@@ -271,106 +425,91 @@ impl Router {
             phase = hop.phase;
             if out.len() > MAX_HOPS {
                 out.clear();
-                return Err(RoutingError::HopLimitExceeded { limit: MAX_HOPS });
+                break Err(RoutingError::HopLimitExceeded { limit: MAX_HOPS });
             }
-        }
-        Ok(true)
+        };
+        HOPS.set(hops);
+        walked
     }
 
     /// Shortest valley-free hop count from `src_nic` to `dst_nic`.
     pub fn distance(&self, topo: &Topology, src_nic: NodeId, dst_nic: NodeId) -> Option<u16> {
+        let b = self.bound(topo);
         if src_nic == dst_nic {
             return Some(0);
         }
-        self.dist_field(topo, dst_nic).up(src_nic)
+        b.field(topo, dst_nic).up(src_nic)
     }
 
     /// Number of distinct equal-cost shortest valley-free paths.
     pub fn path_count(&self, topo: &Topology, src_nic: NodeId, dst_nic: NodeId) -> u64 {
+        let b = self.bound(topo);
         if src_nic == dst_nic {
             return 1;
         }
-        let field = self.dist_field(topo, dst_nic);
+        let field = b.field(topo, dst_nic);
         let mut memo: HashMap<(NodeId, Phase), u64> = HashMap::new();
-        count_paths(topo, &field, src_nic, Phase::Up, dst_nic, &mut memo)
+        count_paths(topo, &b.adj, field, src_nic, Phase::Up, &mut memo)
     }
 }
 
 fn count_paths(
     topo: &Topology,
+    adj: &Adjacency,
     field: &DistField,
     cur: NodeId,
     phase: Phase,
-    dst: NodeId,
     memo: &mut HashMap<(NodeId, Phase), u64>,
 ) -> u64 {
-    if cur == dst {
+    if cur == field.dst {
         return 1;
     }
     if let Some(&c) = memo.get(&(cur, phase)) {
         return c;
     }
-    let total = next_hops_in(topo, field, cur, phase, dst)
+    let mut hops = Vec::new();
+    adj.candidates(field, cur, phase, &mut hops);
+    let total = hops
         .into_iter()
-        .map(|hop| count_paths(topo, field, topo.link(hop.link).dst, hop.phase, dst, memo))
+        .map(|hop| count_paths(topo, adj, field, topo.link(hop.link).dst, hop.phase, memo))
         .sum();
     memo.insert((cur, phase), total);
     total
 }
 
-fn next_hops_in(
-    topo: &Topology,
-    field: &DistField,
+/// The reference candidate rule: a scan of every out-link of `cur`, in
+/// ascending link order (the order [`Topology::add_link`] appends them),
+/// keeping the links that move one hop closer to the destination. Debug
+/// builds check every hop of every walk against it.
+fn next_hops_in<'a>(
+    topo: &'a Topology,
+    field: &'a DistField,
     cur: NodeId,
     phase: Phase,
-    dst: NodeId,
-) -> Vec<Hop> {
-    if cur == dst {
-        return Vec::new();
+) -> impl Iterator<Item = Hop> + 'a {
+    let target = match phase {
+        Phase::Up => field.up(cur),
+        Phase::Down => field.down(cur),
     }
-    let mut hops = Vec::new();
-    match phase {
-        Phase::Down => {
-            let Some(cur_d) = field.down(cur) else {
-                return Vec::new();
-            };
-            for &l in topo.out_links(cur) {
-                let next = topo.link(l).dst;
-                if is_down_move(topo, cur, next) && field.down(next).is_some_and(|d| d + 1 == cur_d)
-                {
-                    hops.push(Hop {
-                        link: l,
-                        phase: Phase::Down,
-                    });
-                }
-            }
-        }
-        Phase::Up => {
-            let Some(cur_u) = field.up(cur) else {
-                return Vec::new();
-            };
-            for &l in topo.out_links(cur) {
-                let next = topo.link(l).dst;
-                if is_down_move(topo, cur, next) {
-                    if field.down(next).is_some_and(|d| d + 1 == cur_u) {
-                        hops.push(Hop {
-                            link: l,
-                            phase: Phase::Down,
-                        });
-                    }
-                } else if is_up_move(topo, cur, next)
-                    && field.up(next).is_some_and(|d| d + 1 == cur_u)
-                {
-                    hops.push(Hop {
-                        link: l,
-                        phase: Phase::Up,
-                    });
-                }
-            }
-        }
-    }
-    hops.sort_by_key(|h| h.link);
-    hops
+    .filter(|_| cur != field.dst);
+    topo.out_links(cur).iter().filter_map(move |&l| {
+        let cur_d = target?;
+        let next = topo.link(l).dst;
+        let phase = if is_down_move(topo, cur, next) {
+            field
+                .down(next)
+                .is_some_and(|d| d + 1 == cur_d)
+                .then_some(Phase::Down)
+        } else if phase == Phase::Up && is_up_move(topo, cur, next) {
+            field
+                .up(next)
+                .is_some_and(|d| d + 1 == cur_d)
+                .then_some(Phase::Up)
+        } else {
+            None
+        }?;
+        Some(Hop { link: l, phase })
+    })
 }
 
 /// Compute distance fields toward `dst` with two passes:
@@ -447,18 +586,15 @@ fn compute_field(topo: &Topology, dst: NodeId) -> DistField {
         }
     }
 
-    DistField {
-        dst,
-        down,
-        up,
-        hops: std::sync::OnceLock::new(),
-    }
+    DistField { dst, down, up }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::astral::{build_astral, AstralParams};
+    use crate::baselines::{build_clos, build_rail_optimized, BaselineParams};
+    use crate::crossdc::{build_cross_dc, CrossDcParams};
     use crate::ids::GpuId;
 
     fn fixture() -> (Topology, Router) {
@@ -582,14 +718,95 @@ mod tests {
     }
 
     #[test]
-    fn cache_is_reused_and_clearable() {
+    fn fields_are_kept_per_destination() {
         let (t, r) = fixture();
         let b = t.gpu_nic(GpuId(9));
-        let f1 = r.dist_field(&t, b);
-        let f2 = r.dist_field(&t, b);
-        assert!(Arc::ptr_eq(&f1, &f2));
+        assert!(std::ptr::eq(r.dist_field(&t, b), r.dist_field(&t, b)));
+        assert!(!std::ptr::eq(
+            r.dist_field(&t, b),
+            r.dist_field(&t, t.gpu_nic(GpuId(10)))
+        ));
+    }
+
+    /// The derived candidates equal the reference adjacency scan at every
+    /// node, in both phases, toward every NIC, on fabrics covering every
+    /// move class: Astral's dual ToRs, the Clos and rail-optimized
+    /// baselines, and a cross-DC fabric whose gateways peer laterally.
+    #[test]
+    fn derived_candidates_match_reference_scan() {
+        let fabrics = [
+            build_astral(&AstralParams::sim_small()),
+            build_clos(&BaselineParams::sim_small(2.0)),
+            build_rail_optimized(&BaselineParams::sim_small(2.0)),
+            build_cross_dc(&CrossDcParams::sim_small(4.0)),
+        ];
+        for t in &fabrics {
+            let r = Router::new();
+            let b = r.bound(t);
+            let is_gate = |n: NodeId| matches!(t.node(n).kind, NodeKind::DcGate { .. });
+            let mut hops = Vec::new();
+            let (mut derived, mut lateral) = (0usize, 0usize);
+            for dst in t.hosts().iter().flat_map(|h| h.nics.iter().copied()) {
+                let field = b.field(t, dst);
+                for node in t.nodes() {
+                    for phase in [Phase::Up, Phase::Down] {
+                        b.adj.candidates(field, node.id, phase, &mut hops);
+                        let reference: Vec<Hop> = next_hops_in(t, field, node.id, phase).collect();
+                        assert_eq!(
+                            hops,
+                            reference,
+                            "{} {:?} {phase:?} -> {dst:?}",
+                            t.arch(),
+                            node.id
+                        );
+                        derived += hops.len();
+                        lateral += hops
+                            .iter()
+                            .filter(|h| is_gate(t.link(h.link).src) && is_gate(t.link(h.link).dst))
+                            .count();
+                    }
+                }
+            }
+            assert!(derived > 0);
+            assert_eq!(lateral > 0, t.arch() == "astral-crossdc", "{}", t.arch());
+        }
+    }
+
+    /// A router serves the topology it was first used with: another node
+    /// count, or the same fabric after a structural change, is a typed
+    /// error (a panic with the same message from the infallible methods)
+    /// until `clear` drops the binding.
+    #[test]
+    fn router_binds_to_its_first_topology() {
+        let (t, mut r) = fixture();
+        let (a, b) = (t.gpu_nic(GpuId(0)), t.gpu_nic(GpuId(4)));
+        assert_eq!(r.distance(&t, a, b), Some(2));
+
+        let other = build_clos(&BaselineParams::sim_small(1.0));
+        assert_ne!(other.nodes().len(), t.nodes().len());
+        assert!(matches!(
+            r.try_path_with(&other, a, b, |_, _| 0),
+            Err(RoutingError::TopologyMismatch { .. })
+        ));
+
+        let mut grown = t.clone();
+        grown.add_duplex(a, b, 1e9, astral_sim::SimDuration::from_nanos(600));
+        let err = RoutingError::TopologyMismatch {
+            bound_nodes: t.nodes().len(),
+            bound_epoch: t.epoch(),
+            nodes: t.nodes().len(),
+            epoch: grown.epoch(),
+        };
+        assert_eq!(r.try_path_with(&grown, a, b, |_, _| 0), Err(err));
+        let panic =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| r.distance(&grown, a, b)))
+                .unwrap_err();
+        assert_eq!(panic.downcast_ref::<String>(), Some(&err.to_string()));
+        // The bound topology itself still routes.
+        assert_eq!(r.distance(&t, a, b), Some(2));
+
         r.clear();
-        let f3 = r.dist_field(&t, b);
-        assert!(!Arc::ptr_eq(&f1, &f3));
+        assert_eq!(r.distance(&grown, a, b), Some(2));
+        assert!(r.try_path_with(&other, a, b, |_, _| 0).is_err());
     }
 }

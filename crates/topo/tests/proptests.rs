@@ -19,9 +19,10 @@ fn params_strategy() -> impl Strategy<Value = AstralParams> {
     })
 }
 
+// The default configuration, so `ASTRAL_PROPTEST_CASES` can widen a run:
+// with debug assertions on, every walk below also checks each hop's
+// candidates against the reference adjacency scan.
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
     /// Every generated fabric validates and satisfies P2 (identical tier
     /// bandwidth).
     #[test]
