@@ -19,8 +19,8 @@
 //!          fig_gray_failure fig_trace_correlation fig_fleet_campaign \
 //!          ablation_hash_salt ablation_rail_design \
 //!          appa_ecmp_rationale appc_monitor_overhead \
-//!          table1_llama3_operators perf_solver_alltoall \
-//!          perf_parallel_campaigns perf_frontier perf_seer_qps; do
+//!          table1_llama3_operators perf_parallel_campaigns \
+//!          perf_frontier perf_seer_qps; do
 //!   cargo run --release -p astral-bench --bin $f ;
 //! done
 //! ```
@@ -34,18 +34,14 @@
 //! and that its id is a known one, lists the canonical smoke/determinism
 //! binaries (`--list-smoke`, `--list-determinism`), and gates metric
 //! regressions against committed baselines (`--compare`);
-//! `perf_solver_alltoall` records the
-//! incremental-vs-full solver speedup, `perf_frontier` records the
-//! sharded-vs-global frontier speedup at 8K–512K GPUs,
-//! `perf_parallel_campaigns` records the serial-vs-parallel
+//! `perf_frontier` records the sharded-vs-global frontier speedup at
+//! 8K–512K GPUs, `perf_parallel_campaigns` records the serial-vs-parallel
 //! campaign-battery speedup, and `perf_seer_qps` records the what-if
 //! service's query throughput, cache hit rate, and warm-over-cold
-//! speedup — each together with
-//! the byte-identical determinism check (`ASTRAL_THREADS` sets the width).
-//!
-//! Criterion micro-benchmarks (event queue, routing, fairness, the
-//! incremental solver, collective expansion, Seer forecast latency,
-//! analyzer) live in `benches/`.
+//! speedup — each together with the byte-identical determinism check
+//! (`ASTRAL_THREADS` sets the width).
+//! The end-to-end and per-layer performance benchmark is the separate
+//! `perfbench` package at the repository root.
 
 use astral_net::SolverCounters;
 use serde::{Serialize, Value};
@@ -56,13 +52,12 @@ use std::time::Instant;
 /// source of truth both CI jobs consume via `validate_bench --list-smoke`
 /// (hand-maintained copies in the workflow file drifted before; now the
 /// workflow asks the binary).
-pub const SMOKE_BINS: [&str; 12] = [
+pub const SMOKE_BINS: [&str; 11] = [
     "fig02_alltoall_fragmentation",
     "fig10_goodput_recovery",
     "fig_cascade_ablation",
     "fig_gray_failure",
     "fig_trace_correlation",
-    "perf_solver_alltoall",
     "perf_parallel_campaigns",
     "fig_fleet_campaign",
     "perf_frontier",
@@ -157,7 +152,7 @@ impl Report {
     /// reports whose id is not on this list (a typo'd or stale id would
     /// otherwise silently pass schema validation). Keep in sync with the
     /// `Scenario::new` call of each bin.
-    pub const KNOWN_IDS: [&'static str; 30] = [
+    pub const KNOWN_IDS: [&'static str; 29] = [
         "ablation_hash_salt",
         "ablation_rail_design",
         "appa",
@@ -186,7 +181,6 @@ impl Report {
         "perf_frontier",
         "perf_parallel_campaigns",
         "perf_seer_qps",
-        "perf_solver_alltoall",
         "table1",
     ];
 
@@ -407,6 +401,18 @@ mod tests {
                 "determinism bin `{bin}` is not in SMOKE_BINS — the CI \
                  determinism gate would re-run a binary the smoke job \
                  never built"
+            );
+        }
+    }
+
+    #[test]
+    fn every_smoke_bin_has_a_source_file() {
+        let bins = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin");
+        for bin in SMOKE_BINS {
+            assert!(
+                bins.join(format!("{bin}.rs")).is_file(),
+                "smoke bin `{bin}` has no src/bin/{bin}.rs — CI would try \
+                 to run a binary that no longer exists"
             );
         }
     }

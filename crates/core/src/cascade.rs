@@ -321,8 +321,8 @@ impl CascadeReport {
 
     /// A deterministic fingerprint over every semantic field — float bits,
     /// incident sequence, attributions — but *excluding* solver counters,
-    /// which legitimately differ between incremental and full-rebuild
-    /// solver modes. Byte-identical fingerprints ⇒ identical runs.
+    /// which legitimately differ between the global and sharded rate
+    /// solvers. Byte-identical fingerprints ⇒ identical runs.
     pub fn fingerprint(&self) -> String {
         let mut s = self.recovery.fingerprint();
         for a in &self.attributions {
@@ -352,7 +352,7 @@ pub fn run_cascade(
 }
 
 /// [`run_cascade`] with an explicit runner configuration (e.g. to flip
-/// `NetConfig::incremental_solver` for determinism cross-checks), and a
+/// `NetConfig::sharded_solver` for determinism cross-checks), and a
 /// `Result` instead of a panic on invalid policies.
 pub fn try_run_cascade(
     topo: &Topology,

@@ -45,9 +45,9 @@ pub use cascade::{
 pub use infra::{AstralInfrastructure, JobEvaluation};
 pub use placement::{place_job, pods_touched, PlacementPolicy};
 pub use recovery::{
-    run_training, run_training_battery, trace_codes, try_run_training,
-    try_run_training_battery_with, try_run_training_placed, try_run_training_placed_with,
-    AbortReason, FaultClass, FaultScript, Incident, InjectedFault, InjectionRecord, JobPlacement,
-    MitigationAction, PolicyError, RecoveryPolicy, RecoveryReport, TrainingJobSpec, TrainingRun,
+    run_training, trace_codes, try_run_training, try_run_training_battery_with,
+    try_run_training_placed_with, AbortReason, FaultClass, FaultScript, Incident, InjectedFault,
+    InjectionRecord, JobPlacement, MitigationAction, PolicyError, RecoveryPolicy, RecoveryReport,
+    TrainingJobSpec, TrainingRun,
 };
 pub use replay::{ReplayDivergence, ReplayOutcome, TraceReplayer};

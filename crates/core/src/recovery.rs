@@ -724,8 +724,8 @@ impl RecoveryReport {
     /// A deterministic fingerprint over every semantic field of the run —
     /// float bits, the full incident and injection sequences — but
     /// *excluding* [`SolverCounters`], which legitimately differ between
-    /// the incremental and full-rebuild rate solvers while producing the
-    /// same rates. Byte-identical fingerprints ⇒ identical runs.
+    /// the global and sharded rate solvers while producing the same rates.
+    /// Byte-identical fingerprints ⇒ identical runs.
     pub fn fingerprint(&self) -> String {
         let mut s = format!(
             "done:{}·{}·{:?}·{:?}·q{:?}|u:{:016x}|r:{:016x}|g:{:016x}|c:{:016x}|d:{:016x}",
@@ -784,44 +784,25 @@ pub fn try_run_training(
     spec: &TrainingJobSpec,
     script: &FaultScript,
 ) -> Result<RecoveryReport, PolicyError> {
-    try_run_training_placed(
+    try_run_training_placed_with(
         topo,
         policy,
         spec,
         script,
         &JobPlacement::prefix(spec.hosts, spec.spares),
         None,
-    )
-}
-
-/// [`try_run_training`] on an explicit [`JobPlacement`] — the multi-tenant
-/// entry point: the job's hosts and its spare grant live anywhere in the
-/// fabric instead of the fleet prefix. `router` optionally shares a warmed
-/// ECMP router across independent runs on the same topology (byte-identical
-/// results, setup cost paid once).
-pub fn try_run_training_placed(
-    topo: &Topology,
-    policy: &RecoveryPolicy,
-    spec: &TrainingJobSpec,
-    script: &FaultScript,
-    placement: &JobPlacement,
-    router: Option<Arc<Router>>,
-) -> Result<RecoveryReport, PolicyError> {
-    try_run_training_placed_with(
-        topo,
-        policy,
-        spec,
-        script,
-        placement,
-        router,
         RunnerConfig::default(),
     )
 }
 
-/// [`try_run_training_placed`] with an explicit [`RunnerConfig`] — the
-/// hook that threads simulator configuration through a full training run,
-/// e.g. `NetConfig::sharded_solver` to run the job on the per-pod sharded
-/// rate solver instead of the global one.
+/// [`try_run_training`] on an explicit [`JobPlacement`] and
+/// [`RunnerConfig`] — the multi-tenant entry point: the job's hosts and its
+/// spare grant live anywhere in the fabric instead of the fleet prefix.
+/// `router` optionally shares a warmed ECMP router across independent runs
+/// on the same topology (byte-identical results, setup cost paid once).
+/// `runner_cfg` threads simulator configuration through the run, e.g.
+/// `NetConfig::sharded_solver` to run the job on the per-pod sharded rate
+/// solver instead of the global one.
 pub fn try_run_training_placed_with(
     topo: &Topology,
     policy: &RecoveryPolicy,
@@ -850,20 +831,12 @@ pub fn try_run_training_placed_with(
 /// fault script) triple.
 pub type TrainingRun = (RecoveryPolicy, TrainingJobSpec, FaultScript);
 
-/// Run a battery of independent training jobs on the `ASTRAL_THREADS`-sized
-/// pool. Reports come back in submission order and each run is an isolated
-/// simulation, so the output — fingerprints included — is byte-identical
-/// to a serial loop at any thread count. Panics on an invalid policy.
-pub fn run_training_battery(topo: &Topology, runs: &[TrainingRun]) -> Vec<RecoveryReport> {
-    match try_run_training_battery_with(&astral_exec::Pool::from_env(), topo, runs) {
-        Ok(r) => r,
-        Err(e) => panic!("run_training_battery: invalid policy: {e}"),
-    }
-}
-
-/// [`run_training_battery`] on an explicit pool, surfacing policy errors.
-/// Policies are validated up front (serially, in submission order) so the
-/// first invalid one is reported deterministically regardless of width.
+/// Run a battery of independent training jobs on `pool`. Reports come back
+/// in submission order and each run is an isolated simulation, so the
+/// output — fingerprints included — is byte-identical to a serial loop at
+/// any thread count. Policies are validated up front (serially, in
+/// submission order) so the first invalid one is reported deterministically
+/// regardless of width.
 pub fn try_run_training_battery_with(
     pool: &astral_exec::Pool,
     topo: &Topology,
@@ -879,13 +852,14 @@ pub fn try_run_training_battery_with(
     // simulator), so results are byte-identical to per-run routers.
     let router = Arc::new(Router::new());
     Ok(pool.map(runs, |(policy, spec, script)| {
-        try_run_training_placed(
+        try_run_training_placed_with(
             topo,
             policy,
             spec,
             script,
             &JobPlacement::prefix(spec.hosts, spec.spares),
             Some(router.clone()),
+            RunnerConfig::default(),
         )
         .expect("battery policies validated up front")
     }))

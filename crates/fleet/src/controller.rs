@@ -260,33 +260,19 @@ struct Running {
     report: CascadeReport,
 }
 
-/// Run a fleet campaign, panicking on an invalid policy or campaign. Use
-/// [`try_run_fleet_campaign`] to handle the error instead.
+/// Run a fleet campaign on the `ASTRAL_THREADS` pool and the default
+/// runner configuration, panicking on an invalid policy or campaign. Use
+/// [`try_run_fleet_campaign_with`] to handle the error instead.
 pub fn run_fleet_campaign(
     topo: &Topology,
     policy: &FleetPolicy,
     campaign: &FleetCampaign,
 ) -> FleetReport {
-    match try_run_fleet_campaign(topo, policy, campaign) {
+    let pool = Pool::from_env();
+    match try_run_fleet_campaign_with(&pool, topo, policy, campaign, RunnerConfig::default()) {
         Ok(r) => r,
         Err(e) => panic!("run_fleet_campaign: {e}"),
     }
-}
-
-/// [`run_fleet_campaign`] with a `Result`, on the `ASTRAL_THREADS` pool
-/// and the default runner configuration.
-pub fn try_run_fleet_campaign(
-    topo: &Topology,
-    policy: &FleetPolicy,
-    campaign: &FleetCampaign,
-) -> Result<FleetReport, FleetError> {
-    try_run_fleet_campaign_with(
-        &Pool::from_env(),
-        topo,
-        policy,
-        campaign,
-        RunnerConfig::default(),
-    )
 }
 
 /// Run a fleet campaign on an explicit [`Pool`] and runner configuration.

@@ -36,9 +36,8 @@ mod report;
 mod workload;
 
 pub use controller::{
-    run_fleet_campaign, try_run_fleet_campaign, try_run_fleet_campaign_traced,
-    try_run_fleet_campaign_with, FleetCampaign, FleetFault, FleetFaultConfig, FleetFaultKind,
-    EST_ITER_OVERHEAD,
+    run_fleet_campaign, try_run_fleet_campaign_traced, try_run_fleet_campaign_with, FleetCampaign,
+    FleetFault, FleetFaultConfig, FleetFaultKind, EST_ITER_OVERHEAD,
 };
 pub use placement::{PlacementEngine, PlacementError, ROWS_PER_CDU_LOOP};
 pub use policy::{FleetError, FleetPolicy, PlacementStrategy};

@@ -176,9 +176,8 @@ fn fleet_fingerprint_is_pool_width_and_solver_invariant() {
     .unwrap()
     .fingerprint();
     for threads in [1, 2, 8] {
-        for (incremental, sharded) in [(true, false), (true, true), (false, false)] {
+        for sharded in [false, true] {
             let mut cfg = RunnerConfig::default();
-            cfg.net.incremental_solver = incremental;
             cfg.net.sharded_solver = sharded;
             let fp = try_run_fleet_campaign_with(
                 &Pool::with_threads(threads),
@@ -191,8 +190,7 @@ fn fleet_fingerprint_is_pool_width_and_solver_invariant() {
             .fingerprint();
             assert_eq!(
                 baseline, fp,
-                "fingerprint diverged at {threads} threads, \
-                 incremental={incremental}, sharded={sharded}"
+                "fingerprint diverged at {threads} threads, sharded={sharded}"
             );
         }
     }

@@ -2,10 +2,11 @@
 //!
 //! The fluid model of RDMA transport under DCQCN at equilibrium: flows
 //! sharing a link get equal shares, and every flow is bottlenecked by at
-//! least one saturated link. Rates are recomputed from scratch on every flow
-//! arrival/departure — the classic water-filling algorithm. This module is
-//! pure (no simulator state) so its invariants are directly property-testable:
-//! work conservation, bottleneck consistency, and per-link capacity respect.
+//! least one saturated link. [`max_min_rates`] is the classic from-scratch
+//! water-filling algorithm and the oracle the simulator's incremental and
+//! sharded solvers are tested against. This module is pure (no simulator
+//! state) so its invariants are directly property-testable: work
+//! conservation, bottleneck consistency, and per-link capacity respect.
 
 /// Allocate max-min fair rates.
 ///
@@ -96,97 +97,6 @@ pub fn max_min_rates(
             load[l] = load[l].max(0.0);
         }
         loaded.retain(|&l| load[l] > 1e-12);
-    }
-
-    rate
-}
-
-/// The original from-scratch water-filling, preserved verbatim: every
-/// filling round scans **all** `nl` links, loaded or not. Produces the same
-/// allocation as [`max_min_rates`]; kept only so the full-rebuild simulator
-/// mode (`NetConfig::incremental_solver == false`) reproduces the original
-/// per-event cost for honest before/after benchmarking.
-///
-/// Paths are accepted as anything slice-shaped (`Vec<u32>`, `&[u32]`, or a
-/// view into the simulator's path arena) so the caller never has to clone
-/// per-flow link lists just to call the reference solver.
-pub fn max_min_rates_seed<P: AsRef<[u32]>>(
-    capacity: &[f64],
-    flow_links: &[P],
-    weight: Option<&[f64]>,
-) -> Vec<f64> {
-    let nf = flow_links.len();
-    let nl = capacity.len();
-    let mut rate = vec![f64::INFINITY; nf];
-    if nf == 0 {
-        return rate;
-    }
-
-    // Remaining capacity and unfrozen weighted flow count per link.
-    let mut remaining = capacity.to_vec();
-    let mut load = vec![0.0f64; nl]; // sum of unfrozen weights per link
-    let mut link_flows: Vec<Vec<u32>> = vec![Vec::new(); nl];
-    for (f, links) in flow_links.iter().enumerate() {
-        let w = weight.map_or(1.0, |ws| ws[f]);
-        debug_assert!(w > 0.0, "flow weights must be positive");
-        for &l in links.as_ref() {
-            load[l as usize] += w;
-            link_flows[l as usize].push(f as u32);
-        }
-    }
-
-    let mut frozen = vec![false; nf];
-    let mut level = 0.0f64; // current water level (rate per unit weight)
-
-    loop {
-        // Bottleneck link: the one whose remaining capacity per unit of
-        // unfrozen weight is smallest.
-        let mut best: Option<(usize, f64)> = None;
-        for l in 0..nl {
-            if load[l] > 1e-12 {
-                let fill = remaining[l] / load[l];
-                if best.is_none_or(|(_, b)| fill < b) {
-                    best = Some((l, fill));
-                }
-            }
-        }
-        let Some((bottleneck, delta)) = best else {
-            break;
-        };
-        let delta = delta.max(0.0);
-        level += delta;
-
-        // Drain every loaded link by the level increase.
-        for l in 0..nl {
-            if load[l] > 1e-12 {
-                remaining[l] = (remaining[l] - delta * load[l]).max(0.0);
-            }
-        }
-
-        // Freeze the flows on all links that just saturated. The bottleneck
-        // link is always included explicitly so floating-point noise can
-        // never stall the loop.
-        let mut saturated: Vec<usize> = (0..nl)
-            .filter(|&l| load[l] > 1e-12 && remaining[l] <= 1e-6 * capacity[l].max(1.0))
-            .collect();
-        if !saturated.contains(&bottleneck) {
-            saturated.push(bottleneck);
-        }
-        for l in saturated {
-            for &f in &link_flows[l] {
-                let f = f as usize;
-                if !frozen[f] {
-                    frozen[f] = true;
-                    let w = weight.map_or(1.0, |ws| ws[f]);
-                    rate[f] = level * w;
-                    // Remove its weight from every other link it crosses.
-                    for &l2 in flow_links[f].as_ref() {
-                        load[l2 as usize] -= w;
-                    }
-                }
-            }
-            load[l] = load[l].max(0.0);
-        }
     }
 
     rate

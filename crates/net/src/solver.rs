@@ -354,29 +354,14 @@ impl FairShareSolver {
         self.needs_full = true;
     }
 
-    /// Drop all pending dirty state without solving (used by the
-    /// full-rebuild reference mode, which re-derives everything itself).
+    /// Drop all pending dirty state without solving (a full solve
+    /// re-derives everything, so it starts from a clean slate).
     pub fn clear_dirty(&mut self) {
         for &l in &self.dirty_links {
             self.link_dirty[l as usize] = false;
         }
         self.dirty_links.clear();
         self.needs_full = false;
-    }
-
-    /// Adopt rates computed by an external from-scratch solve (the
-    /// full-rebuild reference mode): `rates[i]` belongs to `flows[i]`.
-    /// Counted as one full solve that scanned every link, so before/after
-    /// bench reports show the work contrast between the two modes.
-    pub fn adopt_rates(&mut self, flows: &[u32], rates: &[f64]) {
-        self.counters.full_solves += 1;
-        self.counters.links_scanned += self.nl as u64;
-        self.counters.flows_resolved += flows.len() as u64;
-        for (&f, &r) in flows.iter().zip(rates) {
-            self.rate[f as usize] = r;
-        }
-        self.rebuild_link_used_full();
-        self.clear_dirty();
     }
 
     /// Full water-filling over every active flow, against `cap` (effective

@@ -256,18 +256,24 @@ fn churn_script() -> impl Strategy<Value = Vec<Churn>> {
 }
 
 /// Apply one churn script to a simulator; returns the injected flow ids.
+///
+/// After every settled step `after_advance` sees the simulator, the flows
+/// injected so far, and every link's capacity as the script's own
+/// fail/degrade/restore ops set it (bits/s, before any PFC pause).
 fn apply_churn(
     sim: &mut astral_net::NetworkSim<'_>,
     topo: &astral_topo::Topology,
     script: &[Churn],
     allow_degrade: bool,
-    mut after_advance: impl FnMut(&astral_net::NetworkSim<'_>, &[astral_net::FlowId]),
+    mut after_advance: impl FnMut(&astral_net::NetworkSim<'_>, &[astral_net::FlowId], &[f64]),
 ) -> Vec<astral_net::FlowId> {
     use astral_net::{FlowSpec, QpContext};
     use astral_sim::{SimDuration, SimTime};
 
     let mut ids = Vec::new();
     let mut touched: Vec<astral_topo::LinkId> = Vec::new();
+    let orig: Vec<f64> = topo.links().iter().map(|l| l.bandwidth_bps).collect();
+    let mut caps = orig.clone();
     let mut now = SimTime::ZERO;
     for &op in script {
         match op {
@@ -294,7 +300,7 @@ fn apply_churn(
             Churn::Advance { us } => {
                 now += SimDuration::from_micros(us);
                 sim.run_until(now);
-                after_advance(sim, &ids);
+                after_advance(sim, &ids, &caps);
             }
             Churn::Fail { pick } => {
                 if ids.is_empty() {
@@ -303,6 +309,7 @@ fn apply_churn(
                 let st = sim.stats(ids[pick % ids.len()]);
                 if let Some(&l) = st.path.first() {
                     sim.fail_link_at(now, l);
+                    caps[l.index()] = 0.0;
                     touched.push(l);
                 }
             }
@@ -314,12 +321,14 @@ fn apply_churn(
                 // Mid-path fabric link, away from the NIC drains.
                 if let Some(&l) = st.path.get(1) {
                     sim.degrade_link_at(now, l, pct as f64 / 100.0);
+                    caps[l.index()] = orig[l.index()] * (pct as f64 / 100.0);
                     touched.push(l);
                 }
             }
             Churn::Restore => {
                 if let Some(l) = touched.pop() {
                     sim.restore_link_at(now, l);
+                    caps[l.index()] = orig[l.index()];
                 }
             }
         }
@@ -335,25 +344,13 @@ proptest! {
     /// current active set and effective capacities.
     #[test]
     fn incremental_rates_match_oracle_under_churn(script in churn_script()) {
-        use astral_net::{max_min_rates, FlowState, NetConfig, NetworkSim};
+        use astral_net::{max_min_rates, NetConfig, NetworkSim};
 
         let topo = build_astral(&AstralParams::sim_small());
         let mut sim = NetworkSim::new(&topo, NetConfig::default());
-        let nl = topo.links().len();
-        apply_churn(&mut sim, &topo, &script, false, |sim, ids| {
-            let caps: Vec<f64> = (0..nl)
-                .map(|l| sim.effective_capacity(astral_topo::LinkId(l as u32)))
-                .collect();
-            let live: Vec<_> = ids
-                .iter()
-                .filter(|&&id| sim.stats(id).state == FlowState::Active)
-                .copied()
-                .collect();
-            let paths: Vec<Vec<u32>> = live
-                .iter()
-                .map(|&id| sim.stats(id).path.iter().map(|l| l.0).collect())
-                .collect();
-            let want = max_min_rates(&caps, &paths, None);
+        apply_churn(&mut sim, &topo, &script, false, |sim, ids, caps| {
+            let (live, paths) = active_paths(sim, ids);
+            let want = max_min_rates(caps, &paths, None);
             for (i, &id) in live.iter().enumerate() {
                 let got = sim.current_rate(id);
                 let expect = if want[i].is_finite() { want[i] } else { 0.0 };
@@ -365,52 +362,111 @@ proptest! {
         });
     }
 
-    /// The incremental solver and the full-rebuild reference path produce
-    /// the same trajectory — same per-flow rates at every settled step and
-    /// the same final deliveries — across churn including degrade/restore
-    /// (which exercises the PFC fixpoint path).
+    /// Under churn including degrade/restore (the PFC fixpoint path),
+    /// every settled step matches a dense from-scratch reference: the
+    /// simulator's fixpoint recomputed in the test over all links with
+    /// `max_min_rates`, from the script's own link capacities.
     #[test]
-    fn incremental_equals_full_rebuild_trajectory(script in churn_script()) {
-        use astral_net::{FlowState, NetConfig, NetworkSim};
+    fn pfc_fixpoint_matches_dense_reference_under_churn(script in churn_script()) {
+        use astral_net::{NetConfig, NetworkSim};
 
         let topo = build_astral(&AstralParams::sim_small());
-        let mut inc = NetworkSim::new(&topo, NetConfig::default());
-        let ids_inc = apply_churn(&mut inc, &topo, &script, true, |_, _| {});
-
-        let mut reference = NetworkSim::new(
-            &topo,
-            NetConfig {
-                incremental_solver: false,
-                ..NetConfig::default()
-            },
-        );
-        let ids_ref = apply_churn(&mut reference, &topo, &script, true, |_, _| {});
-
-        prop_assert_eq!(ids_inc.len(), ids_ref.len());
-        for (&a, &b) in ids_inc.iter().zip(&ids_ref) {
-            let (sa, sb) = (inc.stats(a), reference.stats(b));
-            prop_assert_eq!(sa.state, sb.state, "flow {:?} state diverged", a);
-            prop_assert!(
-                (sa.delivered - sb.delivered).abs() <= 1e-6 * sb.delivered.max(1.0),
-                "flow {:?} delivered {} vs {}", a, sa.delivered, sb.delivered
-            );
-            if sa.state == FlowState::Done {
-                let (fa, fb) = (sa.fct().unwrap(), sb.fct().unwrap());
-                let (fa, fb) = (fa.as_secs_f64(), fb.as_secs_f64());
-                prop_assert!(
-                    (fa - fb).abs() <= 1e-6 * fb.max(1e-6),
-                    "flow {:?} fct {} vs {}", a, fa, fb
+        let cfg = NetConfig::default();
+        let mut sim = NetworkSim::new(&topo, cfg);
+        let orig: Vec<f64> = topo.links().iter().map(|l| l.bandwidth_bps).collect();
+        let ids = apply_churn(&mut sim, &topo, &script, true, |sim, ids, caps| {
+            let (live, paths) = active_paths(sim, ids);
+            let (rates, pause) = dense_pfc_fixpoint(&topo, caps, &orig, cfg.pfc_hol_factor, &paths);
+            for (i, &id) in live.iter().enumerate() {
+                let got = sim.current_rate(id);
+                let expect = if rates[i].is_finite() { rates[i] } else { 0.0 };
+                assert!(
+                    (got - expect).abs() <= 1e-9 * expect.abs().max(1.0),
+                    "flow {id:?}: simulator {got} vs dense reference {expect}"
                 );
             }
-        }
-        // The incremental run must actually have exercised the solver.
-        if !ids_inc.is_empty() {
-            prop_assert!(
-                inc.solver_counters().incremental_solves > 0
-                    || inc.solver_counters().full_solves > 0
-            );
+            for (li, (&cap, &p)) in caps.iter().zip(&pause).enumerate() {
+                let got = sim.effective_capacity(astral_topo::LinkId(li as u32));
+                let expect = cap * (1.0 - p);
+                assert!(
+                    (got - expect).abs() <= 1e-9 * expect.abs().max(1.0),
+                    "link {li}: effective capacity {got} vs dense reference {expect}"
+                );
+            }
+        });
+        // The run must actually have exercised the solver.
+        if !ids.is_empty() {
+            let c = sim.solver_counters();
+            prop_assert!(c.incremental_solves > 0 || c.full_solves > 0);
         }
     }
+}
+
+/// The flows the simulator reports `Active`, with their paths as link ids.
+fn active_paths(
+    sim: &astral_net::NetworkSim<'_>,
+    ids: &[astral_net::FlowId],
+) -> (Vec<astral_net::FlowId>, Vec<Vec<u32>>) {
+    use astral_net::FlowState;
+    ids.iter()
+        .map(|&id| sim.stats(id))
+        .filter(|st| st.state == FlowState::Active)
+        .map(|st| (st.id, st.path.iter().map(|l| l.0).collect()))
+        .unzip()
+}
+
+/// Dense reference for the simulator's PFC fixpoint: up to four rounds of
+/// `max_min_rates` over capacities scaled by the current pauses, each
+/// followed by the head-of-line rule over every link. A degraded
+/// (`0 < cap < 0.9·orig`), saturated (`used ≥ 0.98·cap`) drain pauses
+/// each in-link of its source switch with severity
+/// `(1 − cap/orig)·hol_factor`; a link keeps the largest severity it is
+/// given. Returns the last round's rates and the pauses it produced.
+fn dense_pfc_fixpoint(
+    topo: &astral_topo::Topology,
+    caps: &[f64],
+    orig: &[f64],
+    hol_factor: f64,
+    paths: &[Vec<u32>],
+) -> (Vec<f64>, Vec<f64>) {
+    let nl = caps.len();
+    let mut pause = vec![0.0f64; nl];
+    let mut rates = Vec::new();
+    for _ in 0..4 {
+        let eff: Vec<f64> = caps
+            .iter()
+            .zip(&pause)
+            .map(|(&c, &p)| if p > 0.0 { c * (1.0 - p) } else { c })
+            .collect();
+        rates = max_min_rates(&eff, paths, None);
+        let mut used = vec![0.0f64; nl];
+        for (path, &r) in paths.iter().zip(&rates) {
+            if r.is_finite() {
+                for &l in path {
+                    used[l as usize] += r;
+                }
+            }
+        }
+        let mut next = vec![0.0f64; nl];
+        for (ei, link) in topo.links().iter().enumerate() {
+            let (cap, full) = (caps[ei], orig[ei]);
+            let degraded = cap > 0.0 && cap < 0.9 * full;
+            let saturated = cap > 0.0 && used[ei] >= 0.98 * cap;
+            if degraded && saturated {
+                let severity = (1.0 - cap / full) * hol_factor;
+                for other in topo.links().iter().filter(|o| o.dst == link.src) {
+                    let slot = &mut next[other.id.index()];
+                    *slot = slot.max(severity);
+                }
+            }
+        }
+        let converged = next.iter().zip(&pause).all(|(a, b)| (a - b).abs() < 1e-9);
+        pause = next;
+        if converged {
+            break;
+        }
+    }
+    (rates, pause)
 }
 
 // ---------------------------------------------------------------------
@@ -424,7 +480,7 @@ proptest! {
     /// from-scratch `max_min_rates` run over the current active set.
     #[test]
     fn sharded_rates_match_oracle_under_churn(script in churn_script()) {
-        use astral_net::{max_min_rates, FlowState, NetConfig, NetworkSim};
+        use astral_net::{max_min_rates, NetConfig, NetworkSim};
 
         let topo = build_astral(&AstralParams::sim_small());
         let mut sim = NetworkSim::new(
@@ -439,21 +495,9 @@ proptest! {
             sim.solver_is_sharded(),
             "sim_small must partition into pod domains"
         );
-        let nl = topo.links().len();
-        apply_churn(&mut sim, &topo, &script, false, |sim, ids| {
-            let caps: Vec<f64> = (0..nl)
-                .map(|l| sim.effective_capacity(astral_topo::LinkId(l as u32)))
-                .collect();
-            let live: Vec<_> = ids
-                .iter()
-                .filter(|&&id| sim.stats(id).state == FlowState::Active)
-                .copied()
-                .collect();
-            let paths: Vec<Vec<u32>> = live
-                .iter()
-                .map(|&id| sim.stats(id).path.iter().map(|l| l.0).collect())
-                .collect();
-            let want = max_min_rates(&caps, &paths, None);
+        apply_churn(&mut sim, &topo, &script, false, |sim, ids, caps| {
+            let (live, paths) = active_paths(sim, ids);
+            let want = max_min_rates(caps, &paths, None);
             for (i, &id) in live.iter().enumerate() {
                 let got = sim.current_rate(id);
                 let expect = if want[i].is_finite() { want[i] } else { 0.0 };
@@ -481,7 +525,7 @@ proptest! {
         let topo = build_astral(&AstralParams::sim_small());
         let mut global_steps: Vec<Vec<f64>> = Vec::new();
         let mut global = NetworkSim::new(&topo, NetConfig::default());
-        let ids_g = apply_churn(&mut global, &topo, &script, true, |sim, ids| {
+        let ids_g = apply_churn(&mut global, &topo, &script, true, |sim, ids, _| {
             global_steps.push(snapshot(sim, ids));
         });
 
@@ -494,7 +538,7 @@ proptest! {
                 ..NetConfig::default()
             },
         );
-        let ids_s = apply_churn(&mut sharded, &topo, &script, true, |sim, ids| {
+        let ids_s = apply_churn(&mut sharded, &topo, &script, true, |sim, ids, _| {
             sharded_steps.push(snapshot(sim, ids));
         });
 
