@@ -18,56 +18,33 @@
 //!   ±5-15% scheduling and memory-bandwidth regimes, an order of
 //!   magnitude above the signal, so it is reported but not gated.
 
-use astral_bench::Scenario;
-use astral_core::{
-    try_run_training_placed_with, FaultScript, InjectedFault, JobPlacement, RecoveryPolicy,
-    TrainingJobSpec,
-};
+use astral_bench::{fig10_job, Scenario};
+use astral_core::{try_run_cascade_placed, CascadeScript, JobPlacement, RecoveryPolicy};
 use astral_monitor::overhead::OverheadModel;
 use astral_net::DEFAULT_TRACE_CAPACITY;
-use astral_sim::SimDuration;
 use astral_topo::{build_astral, AstralParams, Topology};
 use astral_trace::{TraceRecord, TraceRing};
 
-/// The Figure-10 fault script: transient flap, optical outage, host death.
-fn fig10_script() -> FaultScript {
-    FaultScript {
-        faults: vec![
-            InjectedFault::TransientLink {
-                at_iter: 3,
-                heal_after: SimDuration::from_millis(30),
-            },
-            InjectedFault::OpticalUplink {
-                at_iter: 12,
-                host_index: 5,
-            },
-            InjectedFault::HostFailure {
-                at_iter: 21,
-                host_index: 2,
-            },
-        ],
-    }
-}
-
 /// One Figure-10 run with tracing on or off, returning the report.
 fn fig10_run(topo: &Topology, trace: bool) -> astral_core::RecoveryReport {
-    let spec = TrainingJobSpec {
-        iters: 30,
-        comp_s: 1.0,
-        ..TrainingJobSpec::default()
+    let (spec, script) = fig10_job();
+    let script = CascadeScript {
+        faults: Vec::new(),
+        net_faults: script.faults,
     };
     let mut cfg = astral_collectives::RunnerConfig::default();
     cfg.net.trace = trace;
-    try_run_training_placed_with(
+    try_run_cascade_placed(
         topo,
         &RecoveryPolicy::default(),
         &spec,
-        &fig10_script(),
+        &script,
+        cfg,
         &JobPlacement::prefix(spec.hosts, spec.spares),
         None,
-        cfg,
     )
     .expect("default policy validates")
+    .recovery
 }
 
 /// One timed Figure-10 run with tracing on or off. The report (and its

@@ -7,29 +7,9 @@
 //! paper's shape: recovery keeps the effective-training-time ratio high,
 //! and over-frequent checkpointing trades goodput for smaller rollbacks.
 
-use astral_bench::Scenario;
-use astral_core::{run_training, FaultScript, InjectedFault, RecoveryPolicy, TrainingJobSpec};
-use astral_sim::SimDuration;
+use astral_bench::{fig10_job, Scenario};
+use astral_core::{try_run_training, RecoveryPolicy};
 use astral_topo::{build_astral, AstralParams};
-
-fn script() -> FaultScript {
-    FaultScript {
-        faults: vec![
-            InjectedFault::TransientLink {
-                at_iter: 3,
-                heal_after: SimDuration::from_millis(30),
-            },
-            InjectedFault::OpticalUplink {
-                at_iter: 12,
-                host_index: 5,
-            },
-            InjectedFault::HostFailure {
-                at_iter: 21,
-                host_index: 2,
-            },
-        ],
-    }
-}
 
 fn main() {
     let mut sc = Scenario::new(
@@ -40,11 +20,7 @@ fn main() {
     );
 
     let topo = build_astral(&AstralParams::sim_small());
-    let spec = TrainingJobSpec {
-        iters: 30,
-        comp_s: 1.0,
-        ..TrainingJobSpec::default()
-    };
+    let (spec, script) = fig10_job();
 
     println!(
         "{:>10} {:>9} {:>9} {:>10} {:>10} {:>9} {:>9} {:>10}",
@@ -59,7 +35,7 @@ fn main() {
             checkpoint_interval: interval,
             ..RecoveryPolicy::default()
         };
-        let r = run_training(&topo, &policy, &spec, &script());
+        let r = try_run_training(&topo, &policy, &spec, &script).expect("valid policy");
         let counters = r.solver;
         (r, counters)
     });
@@ -80,7 +56,8 @@ fn main() {
     }
 
     // Ablation: the same script with recovery switched off.
-    let r = run_training(&topo, &RecoveryPolicy::disabled(), &spec, &script());
+    let r =
+        try_run_training(&topo, &RecoveryPolicy::disabled(), &spec, &script).expect("valid policy");
     println!(
         "{:>10} {:>9} {:>9.3} {:>10.2} {:>10.2} {:>9.2} {:>9.3} {:>10}",
         "disabled",

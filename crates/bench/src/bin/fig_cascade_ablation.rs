@@ -17,9 +17,11 @@
 use astral_bench::Scenario;
 use astral_collectives::RunnerConfig;
 use astral_core::{
-    run_campaign_battery, CampaignRun, CascadeClass, CascadeReport, CascadeScript, FaultCampaign,
-    RecoveryPolicy, SubstrateFault, TrainingJobSpec,
+    try_run_campaign_battery_with, CampaignRun, CascadeClass, CascadeReport, CascadeScript,
+    FaultCampaign, RecoveryPolicy, SubstrateFault, TrainingJobSpec,
 };
+use astral_exec::Pool;
+use astral_monitor::CorrelationPrior;
 use astral_sim::SimRng;
 use astral_topo::{build_astral, AstralParams, Topology};
 
@@ -93,6 +95,14 @@ fn row(name: &str, r: &CascadeReport) {
     );
 }
 
+/// A campaign battery on the `ASTRAL_THREADS` pool with the baseline
+/// analyzer.
+fn battery(topo: &Topology, runs: &[CampaignRun]) -> Vec<CascadeReport> {
+    let (pool, prior) = (Pool::from_env(), CorrelationPrior::default());
+    try_run_campaign_battery_with(&pool, topo, runs, RunnerConfig::default(), prior)
+        .expect("campaign policies validate")
+}
+
 fn main() {
     let mut sc = Scenario::new(
         "cascade_ablation",
@@ -132,7 +142,7 @@ fn main() {
         .iter()
         .map(|&(_, policy)| (policy, spec(11), FaultCampaign::scripted(pump_script(), 11)))
         .collect();
-    let ablation = run_campaign_battery(&topo, &ablation_runs, RunnerConfig::default());
+    let ablation = battery(&topo, &ablation_runs);
     let mut goodputs: Vec<(String, f64)> = Vec::new();
     for ((name, _), r) in policies.iter().zip(&ablation) {
         row(name, r);
@@ -164,7 +174,7 @@ fn main() {
             sweep_runs.push((full, spec(seed), FaultCampaign::scripted(script, seed)));
         }
     }
-    let sweep_reports = run_campaign_battery(&topo, &sweep_runs, RunnerConfig::default());
+    let sweep_reports = battery(&topo, &sweep_runs);
 
     let mut attributed = 0usize;
     let mut correct = 0usize;

@@ -19,20 +19,22 @@
 use astral_bench::{dump_trace_artifact, Scenario};
 use astral_collectives::RunnerConfig;
 use astral_core::{
-    try_run_training_battery_with, try_run_training_placed_with, FaultScript, InjectedFault,
-    JobPlacement, MitigationAction, RecoveryPolicy, RecoveryReport, TraceReplayer, TrainingJobSpec,
-    TrainingRun,
+    try_run_campaign_battery_with, try_run_cascade_placed, CampaignRun, CascadeScript,
+    FaultCampaign, InjectedFault, JobPlacement, MitigationAction, RecoveryPolicy, RecoveryReport,
+    TraceReplayer, TrainingJobSpec,
 };
 use astral_exec::Pool;
+use astral_monitor::CorrelationPrior;
 use astral_sim::SimDuration;
 use astral_topo::{build_astral, AstralParams, Topology};
 
 /// The pinned mixed campaign: three gray faults interleaved with two
 /// fail-stop faults, on a communication-significant job so partial
 /// capacity loss is visible in iteration time.
-fn campaign_script() -> FaultScript {
-    FaultScript {
-        faults: vec![
+fn campaign_script() -> CascadeScript {
+    CascadeScript {
+        faults: Vec::new(),
+        net_faults: vec![
             InjectedFault::FlappingLink {
                 at_iter: 3,
                 period: 3,
@@ -89,17 +91,23 @@ fn gray_actions(r: &RecoveryReport) -> usize {
         .count()
 }
 
-fn run(topo: &Topology, policy: &RecoveryPolicy, script: &FaultScript) -> RecoveryReport {
-    try_run_training_placed_with(
+fn run(
+    topo: &Topology,
+    policy: &RecoveryPolicy,
+    script: &CascadeScript,
+    cfg: RunnerConfig,
+) -> RecoveryReport {
+    try_run_cascade_placed(
         topo,
         policy,
         &spec(),
         script,
+        cfg,
         &JobPlacement::prefix(spec().hosts, spec().spares),
         None,
-        RunnerConfig::default(),
     )
     .expect("gray policy validates")
+    .recovery
 }
 
 fn row(name: &str, r: &RecoveryReport) {
@@ -131,16 +139,17 @@ fn main() {
 
     let topo: Topology = build_astral(&AstralParams::sim_small());
     let script = campaign_script();
-    let clean = FaultScript::default();
+    let clean = CascadeScript::default();
+    let cfg = RunnerConfig::default();
 
     println!(
         "{:>14} {:>8} {:>9} {:>9} {:>9} {:>7} {:>7} {:>7} {:>7}",
         "policy", "goodput", "mttlf_s", "down_s", "degr_s", "incid", "gray", "quar", "spares"
     );
 
-    let reactive = run(&topo, &RecoveryPolicy::reactive_only(), &script);
-    let gray = run(&topo, &RecoveryPolicy::gray_aware(), &script);
-    let gray_clean = run(&topo, &RecoveryPolicy::gray_aware(), &clean);
+    let reactive = run(&topo, &RecoveryPolicy::reactive_only(), &script, cfg);
+    let gray = run(&topo, &RecoveryPolicy::gray_aware(), &script, cfg);
+    let gray_clean = run(&topo, &RecoveryPolicy::gray_aware(), &clean, cfg);
     row("reactive_only", &reactive);
     row("gray_aware", &gray);
     row("gray/clean", &gray_clean);
@@ -195,10 +204,11 @@ fn main() {
     // Determinism: the same three runs through the battery pool at 1, 2
     // and 8 threads, and the faulty pair on the sharded per-pod solver,
     // must fingerprint byte-identically.
-    let runs: Vec<TrainingRun> = vec![
-        (RecoveryPolicy::reactive_only(), spec(), script.clone()),
-        (RecoveryPolicy::gray_aware(), spec(), script.clone()),
-        (RecoveryPolicy::gray_aware(), spec(), clean.clone()),
+    let scripted = |s: &CascadeScript| FaultCampaign::scripted(s.clone(), spec().seed);
+    let runs: Vec<CampaignRun> = vec![
+        (RecoveryPolicy::reactive_only(), spec(), scripted(&script)),
+        (RecoveryPolicy::gray_aware(), spec(), scripted(&script)),
+        (RecoveryPolicy::gray_aware(), spec(), scripted(&clean)),
     ];
     let want = [
         reactive.fingerprint(),
@@ -206,11 +216,12 @@ fn main() {
         gray_clean.fingerprint(),
     ];
     for threads in [1usize, 2, 8] {
-        let got = try_run_training_battery_with(&Pool::with_threads(threads), &topo, &runs)
+        let (pool, prior) = (Pool::with_threads(threads), CorrelationPrior::default());
+        let got = try_run_campaign_battery_with(&pool, &topo, &runs, cfg, prior)
             .expect("battery policies validate");
         for (g, w) in got.iter().zip(&want) {
             assert_eq!(
-                &g.fingerprint(),
+                &g.recovery.fingerprint(),
                 w,
                 "fingerprint diverged on the {threads}-thread pool"
             );
@@ -223,16 +234,7 @@ fn main() {
     // exact timeline that diverged as an artifact.
     let mut traced_cfg = RunnerConfig::default();
     traced_cfg.net.trace = true;
-    let recorded = try_run_training_placed_with(
-        &topo,
-        &RecoveryPolicy::gray_aware(),
-        &spec(),
-        &script,
-        &JobPlacement::prefix(spec().hosts, spec().spares),
-        None,
-        traced_cfg,
-    )
-    .expect("gray policy validates");
+    let recorded = run(&topo, &RecoveryPolicy::gray_aware(), &script, traced_cfg);
     assert_eq!(
         recorded.fingerprint(),
         gray.fingerprint(),
@@ -260,16 +262,7 @@ fn main() {
         (RecoveryPolicy::reactive_only(), &want[0]),
         (RecoveryPolicy::gray_aware(), &want[1]),
     ] {
-        let r = try_run_training_placed_with(
-            &topo,
-            &policy,
-            &spec(),
-            &script,
-            &JobPlacement::prefix(spec().hosts, spec().spares),
-            None,
-            sharded_cfg,
-        )
-        .expect("gray policy validates");
+        let r = run(&topo, &policy, &script, sharded_cfg);
         assert_eq!(
             &r.fingerprint(),
             want,

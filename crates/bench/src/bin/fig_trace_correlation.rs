@@ -22,7 +22,7 @@
 use astral_bench::{dump_trace_artifact, Scenario};
 use astral_collectives::RunnerConfig;
 use astral_core::{
-    try_run_campaign_battery_prior_with, CampaignRun, CascadeClass, CascadeReport, CascadeScript,
+    try_run_campaign_battery_with, CampaignRun, CascadeClass, CascadeReport, CascadeScript,
     FaultCampaign, HazardRates, InjectedFault, RecoveryPolicy, SubstrateFault, TraceReplayer,
     TrainingJobSpec,
 };
@@ -140,7 +140,7 @@ fn batch(
     runs: &[CampaignRun],
     prior: CorrelationPrior,
 ) -> Vec<CascadeReport> {
-    try_run_campaign_battery_prior_with(pool, topo, runs, traced_cfg(), prior)
+    try_run_campaign_battery_with(pool, topo, runs, traced_cfg(), prior)
         .expect("campaign policies validate")
 }
 

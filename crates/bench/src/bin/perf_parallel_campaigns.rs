@@ -17,6 +17,7 @@ use astral_core::{
     RecoveryPolicy, TrainingJobSpec,
 };
 use astral_exec::Pool;
+use astral_monitor::CorrelationPrior;
 use astral_topo::{build_astral, AstralParams};
 use std::time::Instant;
 
@@ -100,33 +101,20 @@ fn main() {
         par_threads
     );
 
+    let run_battery = |threads: usize, runs: &[CampaignRun]| {
+        let (cfg, prior) = (RunnerConfig::default(), CorrelationPrior::default());
+        try_run_campaign_battery_with(&Pool::with_threads(threads), &topo, runs, cfg, prior)
+            .expect("valid policy")
+    };
     // Warm-up (allocator, distance fields) outside the timed region.
-    let _ = try_run_campaign_battery_with(
-        &Pool::with_threads(1),
-        &topo,
-        &runs[..3],
-        RunnerConfig::default(),
-    )
-    .expect("valid policy");
+    let _ = run_battery(1, &runs[..3]);
 
     let t0 = Instant::now();
-    let serial = try_run_campaign_battery_with(
-        &Pool::with_threads(1),
-        &topo,
-        &runs,
-        RunnerConfig::default(),
-    )
-    .expect("valid policy");
+    let serial = run_battery(1, &runs);
     let wall_serial = t0.elapsed().as_secs_f64();
 
     let t1 = Instant::now();
-    let parallel = try_run_campaign_battery_with(
-        &Pool::with_threads(par_threads),
-        &topo,
-        &runs,
-        RunnerConfig::default(),
-    )
-    .expect("valid policy");
+    let parallel = run_battery(par_threads, &runs);
     let wall_parallel = t1.elapsed().as_secs_f64();
 
     for r in &parallel {

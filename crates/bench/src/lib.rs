@@ -84,6 +84,34 @@ pub const DETERMINISM_BINS: [&str; 9] = [
     "perf_seer_qps",
 ];
 
+/// The Figure-10 job: 30 iterations of 1 s compute, hit by one transient
+/// mid-fabric flap, one optical dual-ToR outage and one hard host death.
+/// `fig10_goodput_recovery` sweeps recovery policies over it and
+/// `appc_monitor_overhead` times it traced and untraced.
+pub fn fig10_job() -> (astral_core::TrainingJobSpec, astral_core::FaultScript) {
+    use astral_core::InjectedFault;
+    let spec = astral_core::TrainingJobSpec {
+        iters: 30,
+        comp_s: 1.0,
+        ..Default::default()
+    };
+    let faults = vec![
+        InjectedFault::TransientLink {
+            at_iter: 3,
+            heal_after: astral_sim::SimDuration::from_millis(30),
+        },
+        InjectedFault::OpticalUplink {
+            at_iter: 12,
+            host_index: 5,
+        },
+        InjectedFault::HostFailure {
+            at_iter: 21,
+            host_index: 2,
+        },
+    ];
+    (spec, astral_core::FaultScript { faults })
+}
+
 /// Dump a recorded trace as JSON-lines under
 /// `$ASTRAL_TRACE_DIR/<name>.trace.jsonl`, for CI to upload as a
 /// divergence artifact. A no-op returning `None` when `ASTRAL_TRACE_DIR`

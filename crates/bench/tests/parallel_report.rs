@@ -4,7 +4,7 @@
 //! count, because results and counters are folded in submission order.
 
 use astral_bench::Scenario;
-use astral_core::{run_training, FaultScript, RecoveryPolicy, TrainingJobSpec};
+use astral_core::{try_run_training, FaultScript, RecoveryPolicy, TrainingJobSpec};
 use astral_exec::Pool;
 use astral_topo::{build_astral, AstralParams, Topology};
 use proptest::prelude::*;
@@ -32,7 +32,8 @@ fn sweep_report_json(pool: &Pool, seed: u64) -> String {
             seed,
             ..TrainingJobSpec::default()
         };
-        let r = run_training(&topo, &policy, &spec, &FaultScript::default());
+        let r =
+            try_run_training(&topo, &policy, &spec, &FaultScript::default()).expect("valid policy");
         let counters = r.solver;
         (r.fingerprint(), counters)
     });

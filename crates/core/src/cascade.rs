@@ -35,8 +35,8 @@
 //! against the PR-1 reactive ladder inside seeded [`FaultCampaign`]s.
 
 use crate::recovery::{
-    run_engine_with_substrate, FaultClass, FaultScript, InjectedFault, JobPlacement,
-    RecoveryPolicy, RecoveryReport, TrainingJobSpec,
+    Engine, FaultClass, InjectedFault, JobPlacement, PolicyError, RecoveryPolicy, RecoveryReport,
+    TrainingJobSpec,
 };
 use astral_collectives::RunnerConfig;
 use astral_cooling::{Airflow, RackRow};
@@ -45,7 +45,7 @@ use astral_power::{HvdcUnit, RackPower};
 use astral_seer::HazardForecaster;
 use astral_sim::SimRng;
 use astral_topo::{HostId, Router, Topology};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// Rack inlet temperature at which GPUs begin thermally throttling, °C.
@@ -336,47 +336,13 @@ impl CascadeReport {
 }
 
 /// Run one training job with `script`'s cascades flowing through the
-/// recovery lifecycle. Panics on an invalid policy (see
-/// [`RecoveryPolicy::validate`]); use [`try_run_cascade`] to handle the
-/// error instead.
-pub fn run_cascade(
-    topo: &Topology,
-    policy: &RecoveryPolicy,
-    spec: &TrainingJobSpec,
-    script: &CascadeScript,
-) -> CascadeReport {
-    match try_run_cascade(topo, policy, spec, script, RunnerConfig::default()) {
-        Ok(r) => r,
-        Err(e) => panic!("run_cascade: invalid policy: {e}"),
-    }
-}
-
-/// [`run_cascade`] with an explicit runner configuration (e.g. to flip
-/// `NetConfig::sharded_solver` for determinism cross-checks), and a
-/// `Result` instead of a panic on invalid policies.
-pub fn try_run_cascade(
-    topo: &Topology,
-    policy: &RecoveryPolicy,
-    spec: &TrainingJobSpec,
-    script: &CascadeScript,
-    runner_cfg: RunnerConfig,
-) -> Result<CascadeReport, crate::recovery::PolicyError> {
-    try_run_cascade_placed(
-        topo,
-        policy,
-        spec,
-        script,
-        runner_cfg,
-        &JobPlacement::prefix(spec.hosts, spec.spares),
-        None,
-    )
-}
-
-/// [`try_run_cascade`] on an explicit [`JobPlacement`] — the multi-tenant
-/// entry point: the tenant's hosts and its spare grant live anywhere in
-/// the fabric. `router` optionally shares a warmed ECMP router across
-/// independent runs on the same topology (byte-identical results, setup
-/// paid once).
+/// recovery lifecycle — the single run path; a plain training run
+/// ([`crate::try_run_training`]) has no substrate faults. `runner_cfg`
+/// carries simulator settings (e.g. `NetConfig::sharded_solver` or
+/// `NetConfig::trace`); `placement` puts the job and its spare grant
+/// anywhere in the fabric; `router` optionally shares a warmed ECMP router
+/// across runs on one topology (byte-identical results, setup paid once).
+/// An invalid policy or job shape is rejected before anything runs.
 pub fn try_run_cascade_placed(
     topo: &Topology,
     policy: &RecoveryPolicy,
@@ -385,8 +351,9 @@ pub fn try_run_cascade_placed(
     runner_cfg: RunnerConfig,
     placement: &JobPlacement,
     router: Option<Arc<Router>>,
-) -> Result<CascadeReport, crate::recovery::PolicyError> {
-    try_run_cascade_placed_prior(
+) -> Result<CascadeReport, PolicyError> {
+    validate(topo, policy, spec, placement)?;
+    Ok(run_validated(
         topo,
         policy,
         spec,
@@ -395,17 +362,45 @@ pub fn try_run_cascade_placed(
         placement,
         router,
         CorrelationPrior::default(),
-    )
+    ))
 }
 
-/// [`try_run_cascade_placed`] with a mined [`CorrelationPrior`] ordering
-/// the analyzer's substrate drill-down. The default (inert) prior is
-/// byte-identical to the baseline entry point; an active prior consults
-/// substrate telemetry before cumulative errCQE evidence, fixing the
-/// misattribution of cooling/power cascades that land after any comm
-/// fault in the same run.
+/// Reject an invalid policy or job shape: no hosts, a placement that does
+/// not cover exactly `spec.hosts` ranks, or a host outside the fabric or
+/// listed twice.
+fn validate(
+    topo: &Topology,
+    policy: &RecoveryPolicy,
+    spec: &TrainingJobSpec,
+    placement: &JobPlacement,
+) -> Result<(), PolicyError> {
+    policy.validate()?;
+    if spec.hosts == 0 {
+        return Err(PolicyError::EmptyJob);
+    }
+    if placement.hosts.len() != spec.hosts {
+        return Err(PolicyError::PlacementSize {
+            spec_hosts: spec.hosts,
+            placed: placement.hosts.len(),
+        });
+    }
+    let mut seen = BTreeSet::new();
+    for &host in placement.hosts.iter().chain(&placement.spares) {
+        if host.0 as usize >= topo.hosts().len() {
+            return Err(PolicyError::HostOutsideFabric { host });
+        }
+        if !seen.insert(host) {
+            return Err(PolicyError::DuplicateHost { host });
+        }
+    }
+    Ok(())
+}
+
+/// One run on an already validated policy and job shape. `prior` orders
+/// the analyzer's substrate drill-down; the default (inert) prior is the
+/// baseline analyzer.
 #[allow(clippy::too_many_arguments)]
-pub fn try_run_cascade_placed_prior(
+fn run_validated(
     topo: &Topology,
     policy: &RecoveryPolicy,
     spec: &TrainingJobSpec,
@@ -414,91 +409,52 @@ pub fn try_run_cascade_placed_prior(
     placement: &JobPlacement,
     router: Option<Arc<Router>>,
     prior: CorrelationPrior,
-) -> Result<CascadeReport, crate::recovery::PolicyError> {
-    policy.validate()?;
-    let substrate = SubstrateState::new(topo, spec.seed, script.clone());
-    let net_script = FaultScript {
-        faults: script.net_faults.clone(),
-    };
-    let (recovery, substrate) = run_engine_with_substrate(
-        topo,
-        policy,
-        spec,
-        net_script,
-        runner_cfg,
-        substrate,
-        placement.clone(),
-        router,
-        prior,
-    );
-    Ok(CascadeReport {
-        recovery,
-        attributions: substrate.attributions,
-    })
+) -> CascadeReport {
+    Engine::new(
+        topo, *policy, *spec, script, runner_cfg, placement, router, prior,
+    )
+    .run_parts()
 }
 
 /// One entry of a campaign battery: an independent (policy, job spec,
-/// campaign) triple.
+/// campaign) triple. A training battery passes
+/// [`FaultCampaign::scripted`] campaigns.
 pub type CampaignRun = (RecoveryPolicy, TrainingJobSpec, FaultCampaign);
 
-/// Run a battery of independent cascade campaigns on the
-/// `ASTRAL_THREADS`-sized pool. Reports come back in submission order and
-/// every run is an isolated simulation, so the output — fingerprints
-/// included — is byte-identical to a serial loop at any thread count.
-/// Panics on an invalid policy.
-pub fn run_campaign_battery(
-    topo: &Topology,
-    runs: &[CampaignRun],
-    runner_cfg: RunnerConfig,
-) -> Vec<CascadeReport> {
-    match try_run_campaign_battery_with(&astral_exec::Pool::from_env(), topo, runs, runner_cfg) {
-        Ok(r) => r,
-        Err(e) => panic!("run_campaign_battery: invalid policy: {e}"),
-    }
-}
-
-/// [`run_campaign_battery`] on an explicit pool, surfacing policy errors.
-/// Policies are validated up front (serially, in submission order) so the
-/// first invalid one is reported deterministically regardless of width.
+/// Run a battery of independent cascade campaigns on `pool`, each on the
+/// fleet-prefix placement, with one mined [`CorrelationPrior`] (plain
+/// `Copy` data) shared by every run. Reports come back in submission order
+/// and each run is an isolated simulation, so the output is byte-identical
+/// to a serial loop at any thread count. Runs are validated up front in
+/// submission order, so the first invalid one is reported at any width.
 pub fn try_run_campaign_battery_with(
     pool: &astral_exec::Pool,
     topo: &Topology,
     runs: &[CampaignRun],
     runner_cfg: RunnerConfig,
-) -> Result<Vec<CascadeReport>, crate::recovery::PolicyError> {
-    try_run_campaign_battery_prior_with(pool, topo, runs, runner_cfg, CorrelationPrior::default())
-}
-
-/// [`try_run_campaign_battery_with`] with one mined [`CorrelationPrior`]
-/// shared by every run — the with/without-prior comparison harness of the
-/// `fig_trace_correlation` bench. The prior is plain `Copy` data, so the
-/// parallel fan-out stays byte-identical to a serial loop at any width.
-pub fn try_run_campaign_battery_prior_with(
-    pool: &astral_exec::Pool,
-    topo: &Topology,
-    runs: &[CampaignRun],
-    runner_cfg: RunnerConfig,
     prior: CorrelationPrior,
-) -> Result<Vec<CascadeReport>, crate::recovery::PolicyError> {
-    for (policy, _, _) in runs {
-        policy.validate()?;
+) -> Result<Vec<CascadeReport>, PolicyError> {
+    let prefix = |spec: &TrainingJobSpec| JobPlacement::prefix(spec.hosts, spec.spares);
+    for (policy, spec, _) in runs {
+        validate(topo, policy, spec, &prefix(spec))?;
     }
-    // Shared-topology fast path: one warmed ECMP router serves every run
-    // (see `try_run_training_battery_with` for the soundness argument).
+    // Shared-topology fast path: all runs ride one warmed ECMP router, so
+    // the per-destination setup is paid once per battery instead of once
+    // per run. Routing state is a pure function of the topology (failures
+    // are capacity-level inside each private simulator), so results are
+    // byte-identical to per-run routers.
     let router = Arc::new(Router::new());
     Ok(pool.map(runs, |(policy, spec, campaign)| {
-        let script = campaign.materialize();
-        try_run_cascade_placed_prior(
+        run_validated(
             topo,
             policy,
             spec,
-            &script,
+            &campaign.materialize(),
             runner_cfg,
-            &JobPlacement::prefix(spec.hosts, spec.spares),
+            &prefix(spec),
             Some(router.clone()),
             prior,
         )
-        .expect("battery policies validated up front")
     }))
 }
 
@@ -544,16 +500,6 @@ pub(crate) struct HostSubstrate {
     pub inlet_temp_c: f64,
     pub power_cap_frac: f64,
     pub thermal_throttle: bool,
-}
-
-impl HostSubstrate {
-    fn healthy() -> Self {
-        HostSubstrate {
-            inlet_temp_c: INLET_C,
-            power_cap_frac: 1.0,
-            thermal_throttle: false,
-        }
-    }
 }
 
 struct SagState {
@@ -668,7 +614,7 @@ pub(crate) struct SubstrateState {
 }
 
 impl SubstrateState {
-    pub(crate) fn new(topo: &Topology, seed: u64, script: CascadeScript) -> Self {
+    pub(crate) fn new(topo: &Topology, seed: u64, script: &CascadeScript) -> Self {
         // Rack row = one (pod, block) group, pod-major, matching the
         // physical deployment of a row of racks behind one HVDC unit and
         // one CDU loop (see [`rack_rows`]).
@@ -683,7 +629,7 @@ impl SubstrateState {
         SubstrateState {
             rows,
             host_row,
-            script: script.faults,
+            script: script.faults.clone(),
             injected,
             rng: SimRng::new(seed ^ 0x5ca5_cade),
             rebalance: false,
@@ -846,9 +792,7 @@ impl SubstrateState {
 
     /// Substrate telemetry of one host, for the monitoring snapshot.
     pub(crate) fn telemetry(&self, host: HostId) -> HostSubstrate {
-        let Some(&(ri, hi)) = self.host_row.get(&host) else {
-            return HostSubstrate::healthy();
-        };
+        let (ri, hi) = self.host_row[&host];
         let row = &self.rows[ri];
         let t = row.temps[hi];
         HostSubstrate {
@@ -858,12 +802,11 @@ impl SubstrateState {
         }
     }
 
-    /// Compute-time multiplier of one host (1.0 = nominal).
+    /// Compute-time multiplier of one host (1.0 = nominal). Every fabric
+    /// host sits in a rack row.
     pub(crate) fn host_multiplier(&self, host: HostId) -> f64 {
-        match self.host_row.get(&host) {
-            Some(&(ri, hi)) => self.rows[ri].multiplier(hi),
-            None => 1.0,
-        }
+        let (ri, hi) = self.host_row[&host];
+        self.rows[ri].multiplier(hi)
     }
 
     /// Job-level compute multiplier. Without micro-batch rebalancing the
@@ -871,9 +814,6 @@ impl SubstrateState {
     /// the max); with it, work shifts toward the healthy hosts and the
     /// job runs at the harmonic mean.
     pub(crate) fn aggregate_multiplier(&self, job_hosts: &[HostId]) -> f64 {
-        if job_hosts.is_empty() {
-            return 1.0;
-        }
         let ms = job_hosts.iter().map(|&h| self.host_multiplier(h));
         if self.rebalance {
             let inv: f64 = ms.map(|m| 1.0 / m).sum();
@@ -883,21 +823,29 @@ impl SubstrateState {
         }
     }
 
+    /// Attributions of the active, stressed cascades not yet diagnosed,
+    /// row by row (a pumping row's cooling cascade before its capped sag).
+    fn undiagnosed_stress(&self) -> Vec<usize> {
+        let hot = |r: &RowState| r.pump_active && r.temps.iter().any(|&t| t > INLET_C + 10.0);
+        self.rows
+            .iter()
+            .flat_map(|r| {
+                let sag = r
+                    .sag
+                    .as_ref()
+                    .filter(|s| s.cap_active())
+                    .and_then(|s| s.attr);
+                [r.cooling_attr.filter(|_| hot(r)), sag]
+            })
+            .flatten()
+            .filter(|&a| self.attributions[a].diagnosed.is_none())
+            .collect()
+    }
+
     /// Is there an active, stressed cascade the engine has not yet
     /// diagnosed? (The physical-layer DCIM alarm.)
     pub(crate) fn stress_pending(&self) -> bool {
-        self.rows.iter().any(|r| {
-            let cooling_pending = r.pump_active
-                && r.cooling_attr
-                    .is_some_and(|a| self.attributions[a].diagnosed.is_none())
-                && r.temps.iter().any(|&t| t > INLET_C + 10.0);
-            let sag_pending = r.sag.as_ref().is_some_and(|s| {
-                s.cap_active()
-                    && s.attr
-                        .is_some_and(|a| self.attributions[a].diagnosed.is_none())
-            });
-            cooling_pending || sag_pending
-        })
+        !self.undiagnosed_stress().is_empty()
     }
 
     /// Record the analyzer's verdict against every pending stressed
@@ -905,25 +853,7 @@ impl SubstrateState {
     /// ladder for the *diagnosed* substrate. Returns true when any
     /// graceful lever newly engaged.
     pub(crate) fn attend(&mut self, it: u32, cause: CauseClass, graceful: bool) -> bool {
-        let mut resolve: Vec<usize> = Vec::new();
-        for r in &self.rows {
-            if let Some(a) = r.cooling_attr {
-                if r.pump_active
-                    && self.attributions[a].diagnosed.is_none()
-                    && r.temps.iter().any(|&t| t > INLET_C + 10.0)
-                {
-                    resolve.push(a);
-                }
-            }
-            if let Some(s) = &r.sag {
-                if let Some(a) = s.attr {
-                    if s.cap_active() && self.attributions[a].diagnosed.is_none() {
-                        resolve.push(a);
-                    }
-                }
-            }
-        }
-        for a in resolve {
+        for a in self.undiagnosed_stress() {
             self.attributions[a].diagnosed = Some(cause);
             self.attributions[a].diagnosed_iter = Some(it);
         }
@@ -999,7 +929,19 @@ mod tests {
 
     fn state(script: CascadeScript) -> SubstrateState {
         let topo = build_astral(&AstralParams::sim_small());
-        SubstrateState::new(&topo, 7, script)
+        SubstrateState::new(&topo, 7, &script)
+    }
+
+    /// Rack row 0 starved to 40% airflow from iteration 0.
+    fn pump_state() -> SubstrateState {
+        state(CascadeScript {
+            faults: vec![SubstrateFault::CoolingPumpFault {
+                at_iter: 0,
+                row: 0,
+                flow_frac: 0.4,
+            }],
+            net_faults: Vec::new(),
+        })
     }
 
     fn job_hosts(n: u32) -> Vec<HostId> {
@@ -1018,15 +960,7 @@ mod tests {
 
     #[test]
     fn pump_fault_ramps_temps_until_forced_cordon() {
-        let script = CascadeScript {
-            faults: vec![SubstrateFault::CoolingPumpFault {
-                at_iter: 0,
-                row: 0,
-                flow_frac: 0.4,
-            }],
-            net_faults: Vec::new(),
-        };
-        let mut s = state(script);
+        let mut s = pump_state();
         let hosts = job_hosts(16);
         let mut cordoned = None;
         for it in 0..20 {
@@ -1046,15 +980,7 @@ mod tests {
 
     #[test]
     fn graceful_cooling_mitigation_holds_the_row_below_critical() {
-        let script = CascadeScript {
-            faults: vec![SubstrateFault::CoolingPumpFault {
-                at_iter: 0,
-                row: 0,
-                flow_frac: 0.4,
-            }],
-            net_faults: Vec::new(),
-        };
-        let mut s = state(script);
+        let mut s = pump_state();
         let hosts = job_hosts(16);
         for it in 0..30 {
             let tick = s.begin_iter(it, 0.8, &hosts);
@@ -1161,15 +1087,7 @@ mod tests {
 
     #[test]
     fn hazard_forecast_is_imminent_before_the_cordon() {
-        let script = CascadeScript {
-            faults: vec![SubstrateFault::CoolingPumpFault {
-                at_iter: 0,
-                row: 0,
-                flow_frac: 0.4,
-            }],
-            net_faults: Vec::new(),
-        };
-        let mut s = state(script);
+        let mut s = pump_state();
         let hosts = job_hosts(16);
         let mut warned_at = None;
         for it in 0..20 {

@@ -9,14 +9,15 @@
 //!   testbed, calibrate a Seer against it, and run fault-diagnosis
 //!   pipelines.
 //! * [`PlacementPolicy`] / [`place_job`] — the flexibility axis of §2.
-//! * [`run_training`] / [`RecoveryPolicy`] — the closed-loop failure
-//!   lifecycle engine (detect → localize → mitigate → resume) with
-//!   goodput/MTTR accounting (§5, Figure 10).
-//! * [`run_cascade`] / [`FaultCampaign`] — the cross-substrate cascade
-//!   engine: correlated power/cooling/optics fault campaigns flowing
-//!   through the same lifecycle, with graceful degradation and
-//!   Seer-gated proactive mitigation competing against the reactive
-//!   ladder.
+//! * [`try_run_cascade_placed`] / [`RecoveryPolicy`] — the closed-loop
+//!   failure lifecycle engine (detect → localize → mitigate → resume)
+//!   with goodput/MTTR accounting (§5, Figure 10), on one run path:
+//!   correlated power/cooling/optics cascades ([`CascadeScript`]) and
+//!   network faults flow through the same lifecycle, with graceful
+//!   degradation and Seer-gated proactive mitigation competing against
+//!   the reactive ladder. [`try_run_training`] is the network-faults-only
+//!   shorthand, and [`try_run_campaign_battery_with`] runs seeded
+//!   [`FaultCampaign`]s in parallel.
 //!
 //! ```
 //! use astral_core::{AstralInfrastructure, PlacementPolicy};
@@ -37,17 +38,15 @@ pub mod recovery;
 pub mod replay;
 
 pub use cascade::{
-    rack_rows, run_campaign_battery, run_cascade, try_run_campaign_battery_prior_with,
-    try_run_campaign_battery_with, try_run_cascade, try_run_cascade_placed,
-    try_run_cascade_placed_prior, CampaignRun, CascadeAttribution, CascadeClass, CascadeReport,
-    CascadeScript, FaultCampaign, HazardRates, SubstrateFault,
+    rack_rows, try_run_campaign_battery_with, try_run_cascade_placed, CampaignRun,
+    CascadeAttribution, CascadeClass, CascadeReport, CascadeScript, FaultCampaign, HazardRates,
+    SubstrateFault,
 };
 pub use infra::{AstralInfrastructure, JobEvaluation};
 pub use placement::{place_job, pods_touched, PlacementPolicy};
 pub use recovery::{
-    run_training, trace_codes, try_run_training, try_run_training_battery_with,
-    try_run_training_placed_with, AbortReason, FaultClass, FaultScript, Incident, InjectedFault,
+    trace_codes, try_run_training, AbortReason, FaultClass, FaultScript, Incident, InjectedFault,
     InjectionRecord, JobPlacement, MitigationAction, PolicyError, RecoveryPolicy, RecoveryReport,
-    TrainingJobSpec, TrainingRun,
+    TrainingJobSpec,
 };
 pub use replay::{ReplayDivergence, ReplayOutcome, TraceReplayer};

@@ -1,9 +1,12 @@
 //! Closed-loop failure lifecycle engine: detect → localize → mitigate →
 //! resume (paper §3, §5; Figure 7 fault classes, Figure 10 goodput).
 //!
-//! [`run_training`] drives a training job iteration by iteration on the
+//! The engine drives a training job iteration by iteration on the
 //! flow-level network simulator, with faults injected mid-run from a
-//! [`FaultScript`]. Detection is *online* — the monitor's
+//! [`FaultScript`]. Every run goes through the one cascade path
+//! ([`crate::try_run_cascade_placed`]); a plain training run
+//! ([`try_run_training`]) is a cascade run with no substrate faults, whose
+//! substrate stays at nominal and never acts. Detection is *online* — the monitor's
 //! [`OnlineDetector`] sees only per-iteration observables (duration, flow
 //! aborts) — and localization is *observational*: the engine walks INT
 //! probes hop by hop to find the dead link, exactly as the analyzer's
@@ -27,11 +30,11 @@
 //! overhead, and downtime (detection, backoff, restart), yielding an
 //! effective-training-time ratio plus MTTR/MTTLF per incident.
 
-use crate::cascade::SubstrateState;
+use crate::cascade::{try_run_cascade_placed, CascadeReport, CascadeScript, SubstrateState};
 use astral_collectives::{CollectiveRunner, RunnerConfig};
 use astral_monitor::{
     Analyzer, CauseClass, CorrelationPrior, GrayDetector, GrayDetectorConfig, GrayEdge, GrayEvent,
-    GrayPattern, GraySample, GrayVerdict, HostHealth, JobDesc, OnlineAlarm, OnlineDetector,
+    GrayPattern, GraySample, GrayVerdict, HostHealth, JobDesc, OnlineDetector,
     OnlineDetectorConfig, RankProgress, RootCause, Snapshot,
 };
 use astral_net::{FlowEvent, QpId, QpRecord, SolverCounters, EPHEMERAL_BASE};
@@ -152,6 +155,28 @@ pub enum PolicyError {
         /// The offending threshold.
         value: f64,
     },
+    /// The job has no hosts: fault targets index the host list and
+    /// hard-host localization probes toward a job host.
+    EmptyJob,
+    /// The placement does not cover exactly `TrainingJobSpec::hosts`
+    /// ranks.
+    PlacementSize {
+        /// Hosts the job spec asks for.
+        spec_hosts: usize,
+        /// Hosts the placement lists.
+        placed: usize,
+    },
+    /// A placed or spare host does not exist in the fabric.
+    HostOutsideFabric {
+        /// The first such host, job hosts before spares.
+        host: HostId,
+    },
+    /// A host is listed twice among the job's hosts and spares, so a
+    /// cordon could claim a host the job already runs on.
+    DuplicateHost {
+        /// The first repeat, job hosts before spares.
+        host: HostId,
+    },
 }
 
 impl std::fmt::Display for PolicyError {
@@ -198,6 +223,16 @@ impl std::fmt::Display for PolicyError {
                     f,
                     "gray_suspicion_threshold must lie in (0, 1], got {value}"
                 )
+            }
+            PolicyError::EmptyJob => write!(f, "a job needs at least one host"),
+            PolicyError::PlacementSize { spec_hosts, placed } => {
+                write!(f, "placement has {placed} hosts, the job spec {spec_hosts}")
+            }
+            PolicyError::HostOutsideFabric { host } => {
+                write!(f, "placement references host {} outside the fabric", host.0)
+            }
+            PolicyError::DuplicateHost { host } => {
+                write!(f, "placement lists host {} twice", host.0)
             }
         }
     }
@@ -459,26 +494,27 @@ pub struct FaultScript {
     pub faults: Vec<InjectedFault>,
 }
 
-/// What the engine concluded a fault was (from observables only).
+/// What the engine concluded a fault was (from observables only). The
+/// discriminant is the class's trace code ([`trace_codes::fault_class`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultClass {
     /// A link that aborted flows but healed / was steerable mid-fabric.
-    TransientLink,
+    TransientLink = 0,
     /// A dead host-edge uplink with a surviving dual-ToR sibling.
-    OpticalDualTor,
+    OpticalDualTor = 1,
     /// A host no probe can reach.
-    HardHost,
+    HardHost = 2,
     /// A persistent slowdown without aborts.
-    FailSlow,
+    FailSlow = 3,
     /// A link with recurrent up/down transitions — gray, not a one-off
     /// transient (the suspicion detector's flapping verdict).
-    FlappingLink,
+    FlappingLink = 4,
     /// An optic whose capacity decays monotonically while staying up —
     /// the BER-creep signature the proactive failover preempts.
-    DegradingOptic,
+    DegradingOptic = 5,
     /// A host whose ingress drains persistently or intermittently slowly —
     /// the soft-quarantine target.
-    GrayStraggler,
+    GrayStraggler = 6,
 }
 
 impl FaultClass {
@@ -494,43 +530,44 @@ impl FaultClass {
     }
 }
 
-/// How an incident was resolved.
+/// How an incident was resolved. The discriminant is the action's trace
+/// code ([`trace_codes::action`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MitigationAction {
     /// Victim QPs steered to new source ports; iteration retried.
-    EcmpReroute,
+    EcmpReroute = 0,
     /// Traffic moved to the surviving ToR port (degraded bandwidth).
-    TorFailover,
+    TorFailover = 1,
     /// Host(s) cordoned / drained, spare placed, job rolled back to the
     /// last checkpoint.
-    RestartFromCheckpoint,
+    RestartFromCheckpoint = 2,
     /// Cooling cascade: louvers/valves steered the surviving airflow
     /// toward the hot racks and a thermal power cap sized the heat to it.
-    FlowReroute,
+    FlowReroute = 3,
     /// Power cascade: the rack power cap was accepted and ridden through
     /// instead of draining the row.
-    PowerCapRideThrough,
+    PowerCapRideThrough = 4,
     /// Straggler-aware micro-batch rebalancing: work shifted off the
     /// throttled hosts so the job runs at the harmonic-mean slowdown
     /// instead of the max.
-    MicroBatchRebalance,
+    MicroBatchRebalance = 5,
     /// A checkpoint taken because the Seer hazard forecast predicted a
     /// forced cordon (or battery exhaustion) within the lead window.
-    ProactiveCheckpoint,
+    ProactiveCheckpoint = 6,
     /// A flapping link was steered around and placed under probation:
     /// traffic stays off it until a quiet probe window readmits it.
-    LinkProbation,
+    LinkProbation = 7,
     /// A probation probe found no fresh flap edges: the link rejoined the
     /// steerable fabric.
-    ProbeReadmit,
+    ProbeReadmit = 8,
     /// A degrading optic was failed over to the sibling ToR *before* it
     /// tripped the fail-stop ladder.
-    ProactiveTorFailover,
+    ProactiveTorFailover = 9,
     /// A gray straggler was soft-cordoned: checkpoint at the iteration
     /// boundary, spare swapped in, no rollback.
-    Quarantine,
+    Quarantine = 10,
     /// Recovery gave up (or was disabled).
-    Abort,
+    Abort = 11,
 }
 
 /// Stable numeric codes for trace-record payloads. These are part of the
@@ -542,33 +579,12 @@ pub mod trace_codes {
 
     /// Code of a mitigation action (`LadderDecision` records, `aux`).
     pub fn action(a: MitigationAction) -> u16 {
-        match a {
-            MitigationAction::EcmpReroute => 0,
-            MitigationAction::TorFailover => 1,
-            MitigationAction::RestartFromCheckpoint => 2,
-            MitigationAction::FlowReroute => 3,
-            MitigationAction::PowerCapRideThrough => 4,
-            MitigationAction::MicroBatchRebalance => 5,
-            MitigationAction::ProactiveCheckpoint => 6,
-            MitigationAction::LinkProbation => 7,
-            MitigationAction::ProbeReadmit => 8,
-            MitigationAction::ProactiveTorFailover => 9,
-            MitigationAction::Quarantine => 10,
-            MitigationAction::Abort => 11,
-        }
+        a as u16
     }
 
     /// Code of a diagnosed fault class (`LadderDecision` records, `b`).
     pub fn fault_class(c: FaultClass) -> u16 {
-        match c {
-            FaultClass::TransientLink => 0,
-            FaultClass::OpticalDualTor => 1,
-            FaultClass::HardHost => 2,
-            FaultClass::FailSlow => 3,
-            FaultClass::FlappingLink => 4,
-            FaultClass::DegradingOptic => 5,
-            FaultClass::GrayStraggler => 6,
-        }
+        c as u16
     }
 
     /// Code of an analyzer cause (`SubstrateDiagnosis` records, `aux`).
@@ -622,6 +638,23 @@ pub struct Incident {
     pub cordoned: Vec<HostId>,
 }
 
+impl Incident {
+    /// A first-attempt incident that charges no time and blames and
+    /// cordons nothing; callers set the rest with struct-update syntax.
+    fn new(iter: u32, class: FaultClass, action: MitigationAction) -> Self {
+        Incident {
+            iter,
+            class,
+            action,
+            retries: 0,
+            locate_s: 0.0,
+            repair_s: 0.0,
+            blamed: Vec::new(),
+            cordoned: Vec::new(),
+        }
+    }
+}
+
 /// Ground truth of one injection, for reporting (never used by recovery).
 #[derive(Debug, Clone)]
 pub struct InjectionRecord {
@@ -653,9 +686,9 @@ pub struct RecoveryReport {
     pub useful_s: f64,
     /// Wall-clock of iterations discarded by checkpoint rollbacks.
     pub lost_rollback_s: f64,
-    /// Excess compute wall-clock lost to substrate throttling (power
-    /// caps, thermal throttle): the straggler tax of a cascade. Zero when
-    /// no substrate is attached.
+    /// Straggler tax: excess compute wall-clock lost to substrate
+    /// throttling (power caps, thermal throttle), plus a slow-but-complete
+    /// iteration's excess over the detector's healthy baseline.
     pub degraded_s: f64,
     /// Wall-clock spent writing checkpoints.
     pub checkpoint_s: f64,
@@ -760,140 +793,31 @@ impl RecoveryReport {
     }
 }
 
-/// Run a training job under `policy` with `script`'s faults injected.
-/// Deterministic for a fixed (topology, policy, spec, script) tuple.
-/// Panics on an invalid policy (see [`RecoveryPolicy::validate`]); use
-/// [`try_run_training`] to handle the error instead.
-pub fn run_training(
-    topo: &Topology,
-    policy: &RecoveryPolicy,
-    spec: &TrainingJobSpec,
-    script: &FaultScript,
-) -> RecoveryReport {
-    match try_run_training(topo, policy, spec, script) {
-        Ok(r) => r,
-        Err(e) => panic!("run_training: invalid policy: {e}"),
-    }
-}
-
-/// [`run_training`] that surfaces policy-validation failures instead of
-/// panicking.
+/// Run a training job under `policy` with `script`'s faults injected, on
+/// the fleet-prefix placement ([`JobPlacement::prefix`]) and the default
+/// runner configuration. This is a cascade run with no substrate faults:
+/// [`try_run_cascade_placed`] takes every other option. Deterministic for
+/// a fixed (topology, policy, spec, script) tuple.
 pub fn try_run_training(
     topo: &Topology,
     policy: &RecoveryPolicy,
     spec: &TrainingJobSpec,
     script: &FaultScript,
 ) -> Result<RecoveryReport, PolicyError> {
-    try_run_training_placed_with(
+    let script = CascadeScript {
+        faults: Vec::new(),
+        net_faults: script.faults.clone(),
+    };
+    try_run_cascade_placed(
         topo,
         policy,
         spec,
-        script,
+        &script,
+        RunnerConfig::default(),
         &JobPlacement::prefix(spec.hosts, spec.spares),
         None,
-        RunnerConfig::default(),
     )
-}
-
-/// [`try_run_training`] on an explicit [`JobPlacement`] and
-/// [`RunnerConfig`] — the multi-tenant entry point: the job's hosts and its
-/// spare grant live anywhere in the fabric instead of the fleet prefix.
-/// `router` optionally shares a warmed ECMP router across independent runs
-/// on the same topology (byte-identical results, setup cost paid once).
-/// `runner_cfg` threads simulator configuration through the run, e.g.
-/// `NetConfig::sharded_solver` to run the job on the per-pod sharded rate
-/// solver instead of the global one.
-pub fn try_run_training_placed_with(
-    topo: &Topology,
-    policy: &RecoveryPolicy,
-    spec: &TrainingJobSpec,
-    script: &FaultScript,
-    placement: &JobPlacement,
-    router: Option<Arc<Router>>,
-    runner_cfg: RunnerConfig,
-) -> Result<RecoveryReport, PolicyError> {
-    policy.validate()?;
-    let engine = Engine::new(
-        topo,
-        *policy,
-        *spec,
-        script.clone(),
-        runner_cfg,
-        None,
-        placement.clone(),
-        router,
-        CorrelationPrior::default(),
-    );
-    Ok(engine.run_parts().0)
-}
-
-/// One entry of a training battery: an independent (policy, job spec,
-/// fault script) triple.
-pub type TrainingRun = (RecoveryPolicy, TrainingJobSpec, FaultScript);
-
-/// Run a battery of independent training jobs on `pool`. Reports come back
-/// in submission order and each run is an isolated simulation, so the
-/// output — fingerprints included — is byte-identical to a serial loop at
-/// any thread count. Policies are validated up front (serially, in
-/// submission order) so the first invalid one is reported deterministically
-/// regardless of width.
-pub fn try_run_training_battery_with(
-    pool: &astral_exec::Pool,
-    topo: &Topology,
-    runs: &[TrainingRun],
-) -> Result<Vec<RecoveryReport>, PolicyError> {
-    for (policy, _, _) in runs {
-        policy.validate()?;
-    }
-    // Shared-topology fast path: all runs ride one warmed ECMP router, so
-    // the per-destination distance-field setup is paid once per
-    // battery instead of once per run. Distance fields are a pure function
-    // of the topology (failures are capacity-level inside each private
-    // simulator), so results are byte-identical to per-run routers.
-    let router = Arc::new(Router::new());
-    Ok(pool.map(runs, |(policy, spec, script)| {
-        try_run_training_placed_with(
-            topo,
-            policy,
-            spec,
-            script,
-            &JobPlacement::prefix(spec.hosts, spec.spares),
-            Some(router.clone()),
-            RunnerConfig::default(),
-        )
-        .expect("battery policies validated up front")
-    }))
-}
-
-/// Run the engine with a cascade substrate attached (the
-/// [`crate::cascade`] entry point). `script` carries any network-level
-/// faults the cascade scenario schedules alongside its substrate faults.
-/// The caller has already validated the policy.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_engine_with_substrate(
-    topo: &Topology,
-    policy: &RecoveryPolicy,
-    spec: &TrainingJobSpec,
-    script: FaultScript,
-    runner_cfg: RunnerConfig,
-    substrate: SubstrateState,
-    placement: JobPlacement,
-    router: Option<Arc<Router>>,
-    prior: CorrelationPrior,
-) -> (RecoveryReport, SubstrateState) {
-    let engine = Engine::new(
-        topo,
-        *policy,
-        *spec,
-        script,
-        runner_cfg,
-        Some(substrate),
-        placement,
-        router,
-        prior,
-    );
-    let (report, sub) = engine.run_parts();
-    (report, sub.expect("substrate passes through the run"))
+    .map(|r| r.recovery)
 }
 
 /// Live state of one activated gray fault. Each driver resolves its
@@ -944,21 +868,27 @@ struct Probation {
     edges_at_entry: u32,
 }
 
-struct Engine<'t> {
+/// The recovery engine of one run. The cascade entry points build it on a
+/// validated job shape (see [`PolicyError`]); [`Engine::run_parts`] consumes
+/// it.
+pub(crate) struct Engine<'t> {
     topo: &'t Topology,
     policy: RecoveryPolicy,
     spec: TrainingJobSpec,
-    script: FaultScript,
+    /// Scripted network faults, any order.
+    net_faults: Vec<InjectedFault>,
     runner: CollectiveRunner<'t>,
     detector: OnlineDetector,
     rng: SimRng,
     hosts: Vec<HostId>,
     group: Vec<GpuId>,
     spares: Vec<HostId>,
+    /// Spares granted at placement (claimed + unclaimed, for the ledger).
+    spare_grant: usize,
     injected: Vec<bool>,
     /// Transient links awaiting their heal, restored during backoff.
     pending_restores: Vec<LinkId>,
-    /// Live gray-fault drivers, parallel to `script.faults` (None for
+    /// Live gray-fault drivers, parallel to `net_faults` (None for
     /// fail-stop entries and not-yet-activated gray entries). The driver
     /// acts only at iteration tops, so faults replay byte-for-byte.
     gray_drives: Vec<Option<GrayDrive>>,
@@ -974,8 +904,10 @@ struct Engine<'t> {
     pending_verdicts: Vec<GrayVerdict>,
     /// Hosts soft-quarantined by the gray ladder, in verdict order.
     quarantined: Vec<HostId>,
-    /// Substrate cascade driver (power/cooling/optics), when attached.
-    substrate: Option<SubstrateState>,
+    /// Substrate cascade driver (power/cooling/optics). Without substrate
+    /// faults it stays at nominal: multiplier 1.0, no forecast samples, no
+    /// trace records.
+    substrate: SubstrateState,
     /// A Seer hazard warning is currently live (one proactive checkpoint
     /// per hazard episode).
     hazard_latched: bool,
@@ -1002,36 +934,18 @@ struct Engine<'t> {
 
 impl<'t> Engine<'t> {
     #[allow(clippy::too_many_arguments)]
-    fn new(
+    pub(crate) fn new(
         topo: &'t Topology,
         policy: RecoveryPolicy,
         spec: TrainingJobSpec,
-        script: FaultScript,
+        script: &CascadeScript,
         runner_cfg: RunnerConfig,
-        substrate: Option<SubstrateState>,
-        placement: JobPlacement,
+        placement: &JobPlacement,
         router: Option<Arc<Router>>,
         prior: CorrelationPrior,
     ) -> Self {
         let rails = topo.rails() as u32;
-        assert_eq!(
-            spec.hosts,
-            placement.hosts.len(),
-            "placement must cover every rank"
-        );
-        assert!(
-            placement
-                .hosts
-                .iter()
-                .chain(&placement.spares)
-                .all(|h| (h.0 as usize) < topo.hosts().len()),
-            "placement references hosts outside the fabric"
-        );
-        let hosts = placement.hosts;
-        let spares = placement.spares;
-        let group: Vec<GpuId> = hosts.iter().map(|h| GpuId(h.0 * rails)).collect();
-        let injected = vec![false; script.faults.len()];
-        let gray_drives = vec![None; script.faults.len()];
+        let faults = script.net_faults.len();
         let gray_detector = policy.gray_detection.then(|| {
             GrayDetector::new(GrayDetectorConfig {
                 suspect_on: policy.gray_suspicion_threshold,
@@ -1046,22 +960,23 @@ impl<'t> Engine<'t> {
             topo,
             policy,
             spec,
-            script,
+            net_faults: script.net_faults.clone(),
             runner,
             detector: OnlineDetector::new(OnlineDetectorConfig::default()),
             rng: SimRng::new(spec.seed),
-            hosts,
-            group,
-            spares,
-            injected,
+            hosts: placement.hosts.clone(),
+            group: placement.hosts.iter().map(|h| GpuId(h.0 * rails)).collect(),
+            spares: placement.spares.clone(),
+            spare_grant: placement.spares.len(),
+            injected: vec![false; faults],
             pending_restores: Vec::new(),
-            gray_drives,
+            gray_drives: vec![None; faults],
             gray_detector,
             avoided_links: BTreeSet::new(),
             probations: BTreeMap::new(),
             pending_verdicts: Vec::new(),
             quarantined: Vec::new(),
-            substrate,
+            substrate: SubstrateState::new(topo, spec.seed, script),
             hazard_latched: false,
             last_checkpoint: 0,
             last_iter_s: spec.comp_s,
@@ -1096,7 +1011,8 @@ impl<'t> Engine<'t> {
         self.incidents.push(inc);
     }
 
-    fn run_parts(mut self) -> (RecoveryReport, Option<SubstrateState>) {
+    /// Drive the job to completion or abort.
+    pub(crate) fn run_parts(mut self) -> CascadeReport {
         let mut it = 0u32;
         let mut attempt = 0u32;
         let mut completed = true;
@@ -1115,14 +1031,12 @@ impl<'t> Engine<'t> {
                     let locate_s = self.policy.detection_overhead_s;
                     self.downtime_s += locate_s;
                     let base = Incident {
-                        iter: it,
-                        class: FaultClass::FailSlow,
-                        action: MitigationAction::RestartFromCheckpoint,
-                        retries: 0,
                         locate_s,
-                        repair_s: 0.0,
-                        blamed: Vec::new(),
-                        cordoned: Vec::new(),
+                        ..Incident::new(
+                            it,
+                            FaultClass::FailSlow,
+                            MitigationAction::RestartFromCheckpoint,
+                        )
                     };
                     let incident = self.restart_with_replacement(base, forced);
                     let action = incident.action;
@@ -1161,25 +1075,21 @@ impl<'t> Engine<'t> {
 
             let alarm = self.detector.observe_iteration(iter_s, aborted.len());
             self.gray_observe(it);
-            let Some(alarm) = alarm else {
+            if alarm.is_none() {
                 // Healthy from the network's perspective — but the
                 // physical-layer DCIM may still be alarming on substrate
                 // telemetry (a straggler cascade never aborts a flow).
-                for inc in self.substrate_attend(it) {
-                    self.push_incident(inc);
-                }
+                self.substrate_attend(it);
                 // Gray verdicts also land here: a gray fault, by
                 // definition, degrades iterations that still complete.
-                for inc in self.gray_attend(it) {
-                    self.push_incident(inc);
-                }
+                self.gray_attend(it);
                 self.iter_useful[it as usize] = useful_part;
                 self.useful_s += useful_part;
                 self.degraded_s += degraded_part;
                 it += 1;
                 attempt = 0;
                 continue;
-            };
+            }
 
             // The anomalous attempt's wall-clock: a collective that still
             // delivered (flaky link healed mid-step) retains its progress;
@@ -1203,32 +1113,25 @@ impl<'t> Engine<'t> {
 
             if !self.policy.enabled {
                 self.abort_reason = Some(AbortReason::RecoveryDisabled);
+                let class = if aborted.is_empty() {
+                    FaultClass::FailSlow
+                } else {
+                    FaultClass::TransientLink
+                };
                 self.push_incident(Incident {
-                    iter: it,
-                    class: if aborted.is_empty() {
-                        FaultClass::FailSlow
-                    } else {
-                        FaultClass::TransientLink
-                    },
-                    action: MitigationAction::Abort,
                     retries: attempt,
-                    locate_s: 0.0,
-                    repair_s: 0.0,
-                    blamed: Vec::new(),
-                    cordoned: Vec::new(),
+                    ..Incident::new(it, class, MitigationAction::Abort)
                 });
                 completed = false;
                 break;
             }
 
-            let incident = self.recover(it, &alarm, &aborted, attempt);
+            let incident = self.recover(it, &aborted, attempt);
             let action = incident.action;
             let class = incident.class;
             let rolled_back_to = self.last_checkpoint;
             self.push_incident(incident);
-            if let Some(sub) = self.substrate.as_mut() {
-                sub.note_incident(it, class);
-            }
+            self.substrate.note_incident(it, class);
             match action {
                 MitigationAction::Abort => {
                     completed = false;
@@ -1246,9 +1149,7 @@ impl<'t> Engine<'t> {
                         // partial fault alarms the reactive detector every
                         // iteration, and waiting for a clean one would
                         // postpone quarantine forever.
-                        for inc in self.gray_attend(it) {
-                            self.push_incident(inc);
-                        }
+                        self.gray_attend(it);
                         it += 1;
                         attempt = 0;
                     } else {
@@ -1269,8 +1170,9 @@ impl<'t> Engine<'t> {
             }
         }
 
+        self.check_ledger();
         let trace = self.runner.sim_mut().take_trace();
-        let report = RecoveryReport {
+        let recovery = RecoveryReport {
             completed,
             iters_done: if completed {
                 self.spec.iters
@@ -1290,7 +1192,34 @@ impl<'t> Engine<'t> {
             solver: self.runner.sim().solver_counters(),
             trace,
         };
-        (report, self.substrate)
+        CascadeReport {
+            recovery,
+            attributions: self.substrate.attributions,
+        }
+    }
+
+    /// The run ledger, checked in debug builds only: per-iteration useful
+    /// time sums to the useful total, no incident cordons a host twice,
+    /// and every granted spare is claimed at most once or still unclaimed.
+    fn check_ledger(&self) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        let total_s = self.useful_s
+            + self.lost_rollback_s
+            + self.degraded_s
+            + self.checkpoint_s
+            + self.downtime_s;
+        let iter_sum: f64 = self.iter_useful.iter().sum();
+        let drift = (self.useful_s - iter_sum).abs();
+        assert!(drift <= 1e-9 * total_s.max(1.0), "useful_s drifts {drift}");
+        let distinct = |hs: &[HostId]| hs.iter().collect::<BTreeSet<_>>().len() == hs.len();
+        for inc in &self.incidents {
+            assert!(distinct(&inc.cordoned), "double cordon: {inc:?}");
+        }
+        let claimed = &self.spares_claimed;
+        assert!(distinct(claimed), "spare claimed twice: {claimed:?}");
+        assert_eq!(claimed.len() + self.spares.len(), self.spare_grant);
     }
 
     /// Advance the substrate one iteration: inject due faults, kill
@@ -1298,12 +1227,11 @@ impl<'t> Engine<'t> {
     /// hazard forecast, and surface any forced cordon (a rack past the
     /// critical inlet temperature that the DCIM pulls out of service).
     fn substrate_begin_iter(&mut self, it: u32) -> Option<Vec<HostId>> {
-        let mut sub = self.substrate.take()?;
-        let attrs_before = sub.attributions.len();
-        let tick = sub.begin_iter(it, self.last_iter_s, &self.hosts);
+        let attrs_before = self.substrate.attributions.len();
+        let tick = self.substrate.begin_iter(it, self.last_iter_s, &self.hosts);
         // Every cascade that manifested this tick is one SubstrateOnset
         // record; every DCIM trip is one ForcedCordon record.
-        for attr in &sub.attributions[attrs_before..] {
+        for attr in &self.substrate.attributions[attrs_before..] {
             self.runner.sim_mut().trace_record(
                 TraceKind::SubstrateOnset,
                 attr.class.code(),
@@ -1319,7 +1247,9 @@ impl<'t> Engine<'t> {
                 .trace_record(TraceKind::ForcedCordon, 0, host.0, it, 0, 0);
         }
         self.fail_optics_batch(&tick.kill_uplinks);
-        let imminent = sub.hazard_imminent(self.policy.seer_lead_iters, self.last_iter_s);
+        let imminent = self
+            .substrate
+            .hazard_imminent(self.policy.seer_lead_iters, self.last_iter_s);
         if imminent
             && !self.hazard_latched
             && self.policy.proactive_checkpoint
@@ -1329,18 +1259,15 @@ impl<'t> Engine<'t> {
             self.checkpoint_s += self.policy.checkpoint_cost_s;
             self.last_checkpoint = it;
             self.push_incident(Incident {
-                iter: it,
-                class: FaultClass::FailSlow,
-                action: MitigationAction::ProactiveCheckpoint,
-                retries: 0,
-                locate_s: 0.0,
                 repair_s: self.policy.checkpoint_cost_s,
-                blamed: Vec::new(),
-                cordoned: Vec::new(),
+                ..Incident::new(
+                    it,
+                    FaultClass::FailSlow,
+                    MitigationAction::ProactiveCheckpoint,
+                )
             });
         }
         self.hazard_latched = imminent;
-        self.substrate = Some(sub);
         (!tick.forced_cordon.is_empty()).then_some(tick.forced_cordon)
     }
 
@@ -1349,12 +1276,11 @@ impl<'t> Engine<'t> {
     /// multipliers never cross the network detector's 2× threshold), build
     /// a full snapshot, let the [`Analyzer`] name the originating
     /// substrate, and apply the policy's mitigation.
-    fn substrate_attend(&mut self, it: u32) -> Vec<Incident> {
-        if !self.substrate.as_ref().is_some_and(|s| s.stress_pending()) {
-            return Vec::new();
+    fn substrate_attend(&mut self, it: u32) {
+        if !self.substrate.stress_pending() {
+            return;
         }
-        let sub = self.substrate.take().expect("checked above");
-        let snap = self.build_snapshot(it, &sub);
+        let snap = self.build_snapshot(it);
         let diag = Analyzer::new().diagnose_with_prior(&snap, self.runner.sim(), &self.prior);
         self.runner.sim_mut().trace_record(
             TraceKind::SubstrateDiagnosis,
@@ -1366,71 +1292,37 @@ impl<'t> Engine<'t> {
         );
         let locate_s = self.policy.detection_overhead_s;
         self.downtime_s += locate_s;
-        let mut sub = sub;
-        let engaged = sub.attend(it, diag.cause, self.policy.graceful_degradation);
-        let mut incidents = Vec::new();
-        if self.policy.graceful_degradation && engaged {
+        let graceful = self.policy.graceful_degradation;
+        if self.substrate.attend(it, diag.cause, graceful) && graceful {
             let action = match diag.cause {
                 CauseClass::Cooling => MitigationAction::FlowReroute,
                 CauseClass::PowerDelivery => MitigationAction::PowerCapRideThrough,
                 _ => MitigationAction::EcmpReroute,
             };
-            incidents.push(Incident {
-                iter: it,
-                class: FaultClass::FailSlow,
-                action,
-                retries: 0,
+            self.push_incident(Incident {
                 locate_s,
-                repair_s: 0.0,
-                blamed: Vec::new(),
-                cordoned: Vec::new(),
+                ..Incident::new(it, FaultClass::FailSlow, action)
             });
-            incidents.push(Incident {
-                iter: it,
-                class: FaultClass::FailSlow,
-                action: MitigationAction::MicroBatchRebalance,
-                retries: 0,
-                locate_s: 0.0,
-                repair_s: 0.0,
-                blamed: Vec::new(),
-                cordoned: Vec::new(),
-            });
-        } else {
-            // Reactive policies have no substrate levers: the only knob is
-            // symptom-level ECMP steering off the hottest links (the
-            // FailSlow ladder), which does nothing for a compute-side
-            // straggler cascade.
-            let hot: Vec<LinkId> = self
-                .runner
-                .sim()
-                .telemetry()
-                .hottest_links_by_ecn(2)
-                .into_iter()
-                .map(|(l, _)| l)
-                .collect();
-            let qps: Vec<QpId> = self.runner.sim().telemetry().qp_info.keys().collect();
-            for qp in qps {
-                self.steer_qp(qp, &hot);
-            }
-            incidents.push(Incident {
-                iter: it,
-                class: FaultClass::FailSlow,
-                action: MitigationAction::EcmpReroute,
-                retries: 0,
-                locate_s,
-                repair_s: 0.0,
-                blamed: hot,
-                cordoned: Vec::new(),
-            });
+            let rebalance = MitigationAction::MicroBatchRebalance;
+            self.push_incident(Incident::new(it, FaultClass::FailSlow, rebalance));
+            return;
         }
-        self.substrate = Some(sub);
-        incidents
+        // Reactive policies have no substrate levers: the only knob is
+        // symptom-level ECMP steering off the hottest links (the FailSlow
+        // ladder), which does nothing for a compute-side straggler
+        // cascade.
+        let hot = self.steer_off_hottest();
+        self.push_incident(Incident {
+            locate_s,
+            blamed: hot,
+            ..Incident::new(it, FaultClass::FailSlow, MitigationAction::EcmpReroute)
+        });
     }
 
     /// A full monitoring snapshot of the job: per-rank progress with the
     /// substrate's compute multipliers folded in, per-host substrate
     /// telemetry, and harvested network counters.
-    fn build_snapshot(&self, it: u32, sub: &SubstrateState) -> Snapshot {
+    fn build_snapshot(&self, it: u32) -> Snapshot {
         let job = JobDesc {
             job: 0,
             hosts: self.hosts.clone(),
@@ -1448,11 +1340,11 @@ impl<'t> Engine<'t> {
                 host: h,
                 iters_done: it,
                 ops_done: it as u64 * 100,
-                comp_time_s: self.spec.comp_s * sub.host_multiplier(h),
+                comp_time_s: self.spec.comp_s * self.substrate.host_multiplier(h),
                 comm_time_s: comm_s,
                 error_log: None,
             });
-            let telemetry = sub.telemetry(h);
+            let telemetry = self.substrate.telemetry(h);
             let mut health = HostHealth::healthy(h);
             health.inlet_temp_c = telemetry.inlet_temp_c;
             health.power_cap_frac = telemetry.power_cap_frac;
@@ -1464,32 +1356,62 @@ impl<'t> Engine<'t> {
     }
 
     /// Per-iteration compute time with the substrate's aggregate
-    /// straggler multiplier applied (1.0 when no substrate is attached).
+    /// straggler multiplier applied (exactly 1.0 at nominal).
     fn effective_comp_s(&self) -> f64 {
-        match &self.substrate {
-            Some(sub) => self.spec.comp_s * sub.aggregate_multiplier(&self.hosts),
-            None => self.spec.comp_s,
+        self.spec.comp_s * self.substrate.aggregate_multiplier(&self.hosts)
+    }
+
+    /// The job's host for a scripted `host_index` (wrapping).
+    fn job_host(&self, host_index: usize) -> HostId {
+        self.hosts[host_index % self.hosts.len()]
+    }
+
+    /// Hard-fail `links` now, in order.
+    fn fail_now(&mut self, links: &[LinkId]) {
+        let now = self.runner.sim().now();
+        for &l in links {
+            self.runner.sim_mut().fail_link_at(now, l);
         }
     }
 
-    /// Hard-fail the uplink `host`'s traffic currently rides (both
-    /// directions) — the optics-burst kill primitive, shared with the
-    /// scripted [`InjectedFault::OpticalUplink`]. Returns the blast
-    /// radius.
-    fn fail_live_uplink(&mut self, host: HostId) -> usize {
-        let now = self.runner.sim().now();
+    /// The (uplink, downlink) pair of `host`'s first NIC: toward `tor` when
+    /// that NIC is wired to it, else the uplink its traffic currently rides
+    /// (the lowest-id live QP sourced there decides), else its first uplink.
+    fn live_uplink_pair(&self, host: HostId, tor: Option<NodeId>) -> [LinkId; 2] {
         let nic = self.topo.host(host).nics[0];
-        let up = self
-            .egress_uplink_in_use(nic)
+        let sim = self.runner.sim();
+        let in_use = || {
+            let rec = sim
+                .telemetry()
+                .qp_info
+                .values()
+                .find(|r| r.src_nic == nic)?;
+            sim.route(rec.src_nic, rec.dst_nic, &rec.tuple)?
+                .first()
+                .copied()
+        };
+        let up = tor
+            .and_then(|tor| self.topo.link_between(nic, tor))
+            .or_else(in_use)
             .unwrap_or_else(|| self.topo.out_links(nic)[0]);
         let down = self
             .topo
             .link_between(self.topo.link(up).dst, nic)
             .expect("duplex");
-        let blast = self.qps_crossing(&[up, down]);
-        self.runner.sim_mut().fail_link_at(now, up);
-        self.runner.sim_mut().fail_link_at(now, down);
-        blast
+        [up, down]
+    }
+
+    /// Every edge link of `host`: each NIC uplink followed by its reverse
+    /// downlink, NIC by NIC.
+    fn host_edge_links(&self, host: HostId) -> Vec<LinkId> {
+        let mut edges = Vec::new();
+        for &nic in &self.topo.host(host).nics {
+            for &up in self.topo.out_links(nic) {
+                edges.push(up);
+                edges.extend(self.topo.link_between(self.topo.link(up).dst, nic));
+            }
+        }
+        edges
     }
 
     /// Kill a correlated optics batch: the failed modules share one
@@ -1500,81 +1422,40 @@ impl<'t> Engine<'t> {
     /// adjacent hosts and leave a host pair unroutable under up–down
     /// routing.
     fn fail_optics_batch(&mut self, victims: &[HostId]) {
-        let now = self.runner.sim().now();
         let mut batch_tor: Option<NodeId> = None;
         for &host in victims {
-            let nic = self.topo.host(host).nics[0];
-            let up = batch_tor
-                .and_then(|tor| self.topo.link_between(nic, tor))
-                .unwrap_or_else(|| {
-                    self.egress_uplink_in_use(nic)
-                        .unwrap_or_else(|| self.topo.out_links(nic)[0])
-                });
-            batch_tor.get_or_insert(self.topo.link(up).dst);
-            let down = self
-                .topo
-                .link_between(self.topo.link(up).dst, nic)
-                .expect("duplex");
-            self.runner.sim_mut().fail_link_at(now, up);
-            self.runner.sim_mut().fail_link_at(now, down);
+            let pair = self.live_uplink_pair(host, batch_tor);
+            batch_tor.get_or_insert(self.topo.link(pair[0]).dst);
+            self.fail_now(&pair);
         }
     }
 
     /// The closed loop for one alarm: localize via probes, pick a
     /// mitigation, apply it, charge its cost.
-    fn recover(
-        &mut self,
-        it: u32,
-        alarm: &OnlineAlarm,
-        aborted: &[QpId],
-        attempt: u32,
-    ) -> Incident {
+    fn recover(&mut self, it: u32, aborted: &[QpId], attempt: u32) -> Incident {
         let locate_s = self.policy.detection_overhead_s;
         self.downtime_s += locate_s;
 
         let mut incident = Incident {
-            iter: it,
-            class: FaultClass::TransientLink,
-            action: MitigationAction::EcmpReroute,
             retries: attempt,
             locate_s,
-            repair_s: 0.0,
-            blamed: Vec::new(),
-            cordoned: Vec::new(),
+            ..Incident::new(it, FaultClass::TransientLink, MitigationAction::EcmpReroute)
         };
 
-        // Escalation ladder: past the retry budget, restart; past the
-        // restart budget, give up.
+        // Escalation ladder: past the retry budget, restart (cordoning
+        // nothing); past the restart budget, give up.
         if attempt > self.policy.retry_budget {
-            if self.restarts >= self.policy.max_restarts {
-                self.abort_reason = Some(AbortReason::RestartBudgetExhausted);
-                incident.action = MitigationAction::Abort;
-                return incident;
-            }
-            self.restarts += 1;
-            incident.action = MitigationAction::RestartFromCheckpoint;
-            incident.repair_s = self.policy.restart_overhead_s;
-            self.downtime_s += self.policy.restart_overhead_s;
-            return incident;
+            let class = incident.class;
+            return Incident {
+                class,
+                ..self.restart_with_replacement(incident, Vec::new())
+            };
         }
 
         // Pure slowdown: steer flows off the hottest (ECN-marked) links.
         if aborted.is_empty() {
-            let _ = alarm;
             incident.class = FaultClass::FailSlow;
-            let hot: Vec<LinkId> = self
-                .runner
-                .sim()
-                .telemetry()
-                .hottest_links_by_ecn(2)
-                .into_iter()
-                .map(|(l, _)| l)
-                .collect();
-            let qps: Vec<QpId> = self.runner.sim().telemetry().qp_info.keys().collect();
-            for qp in qps {
-                self.steer_qp(qp, &hot);
-            }
-            incident.blamed = hot;
+            incident.blamed = self.steer_off_hottest();
             return incident;
         }
 
@@ -1602,7 +1483,7 @@ impl<'t> Engine<'t> {
             }
             unreachable.push(qp);
         }
-        incident.blamed = blamed.iter().copied().collect();
+        incident.blamed = blamed.into_iter().collect();
 
         if unreachable.is_empty() {
             // Transient, self-healed: move the victims off the flaky path
@@ -1610,16 +1491,13 @@ impl<'t> Engine<'t> {
             for &qp in aborted {
                 self.steer_qp(qp, &incident.blamed);
             }
-            incident.class = FaultClass::TransientLink;
-            incident.action = MitigationAction::EcmpReroute;
             return incident;
         }
 
         // Try source-port steering around the blamed links.
-        let avoid: Vec<LinkId> = blamed.iter().copied().collect();
         let mut dead_qps: Vec<QpId> = Vec::new();
         for &qp in &unreachable {
-            if !self.steer_qp(qp, &avoid) {
+            if !self.steer_qp(qp, &incident.blamed) {
                 dead_qps.push(qp);
             }
         }
@@ -1628,14 +1506,12 @@ impl<'t> Engine<'t> {
             // Every victim found a live path. Host-edge culprit → optical
             // failover onto the surviving ToR port; otherwise a fabric
             // link → plain reroute.
-            let edge_nics: Vec<(NodeId, LinkId)> = avoid
+            let edge_nics: Vec<(NodeId, LinkId)> = incident
+                .blamed
                 .iter()
                 .filter_map(|&l| self.host_edge_nic(l).map(|n| (n, l)))
                 .collect();
-            if edge_nics.is_empty() {
-                incident.class = FaultClass::TransientLink;
-                incident.action = MitigationAction::EcmpReroute;
-            } else {
+            if !edge_nics.is_empty() {
                 let min_frac = edge_nics
                     .iter()
                     .map(|&(nic, l)| {
@@ -1645,11 +1521,13 @@ impl<'t> Engine<'t> {
                     .fold(1.0_f64, f64::min);
                 if min_frac < self.policy.degraded_bw_floor {
                     // Too degraded to keep: drain the host and re-place.
-                    let drained: Vec<HostId> = edge_nics
-                        .iter()
-                        .filter_map(|&(nic, _)| self.nic_host(nic))
-                        .filter(|h| self.hosts.contains(h))
-                        .collect();
+                    // A host with several blamed edge links drains once.
+                    let mut drained: Vec<HostId> = Vec::new();
+                    for h in edge_nics.iter().filter_map(|&(nic, _)| self.nic_host(nic)) {
+                        if self.hosts.contains(&h) && !drained.contains(&h) {
+                            drained.push(h);
+                        }
+                    }
                     return self.restart_with_replacement(incident, drained);
                 }
                 incident.class = FaultClass::OpticalDualTor;
@@ -1697,7 +1575,6 @@ impl<'t> Engine<'t> {
             // Unsteerable yet both ends alive: the fabric is partitioned
             // beyond what ECMP can route around.
             self.abort_reason = Some(AbortReason::FabricPartitioned);
-            incident.class = FaultClass::TransientLink;
             incident.action = MitigationAction::Abort;
             return incident;
         }
@@ -1705,8 +1582,9 @@ impl<'t> Engine<'t> {
         self.restart_with_replacement(incident, dead)
     }
 
-    /// Cordon `drained` hosts, pull spares into the group, and convert the
-    /// incident into a checkpoint restart.
+    /// Cordon `drained` hosts (possibly none), pull spares into the group,
+    /// and convert the incident into a hard-host checkpoint restart —
+    /// or an abort once the restart budget or the spare grant is spent.
     fn restart_with_replacement(
         &mut self,
         mut incident: Incident,
@@ -1717,20 +1595,16 @@ impl<'t> Engine<'t> {
             incident.action = MitigationAction::Abort;
             return incident;
         }
-        let rails = self.topo.rails() as u32;
         for &h in &drained {
             let Some(slot) = self.hosts.iter().position(|&x| x == h) else {
                 continue;
             };
-            let Some(spare) = self.spares.pop() else {
+            if !self.swap_in_spare(slot) {
                 self.abort_reason = Some(AbortReason::SparesExhausted);
                 incident.action = MitigationAction::Abort;
-                incident.cordoned = drained.clone();
+                incident.cordoned = drained;
                 return incident;
-            };
-            self.spares_claimed.push(spare);
-            self.hosts[slot] = spare;
-            self.group[slot] = GpuId(spare.0 * rails);
+            }
         }
         self.restarts += 1;
         incident.class = FaultClass::HardHost;
@@ -1739,6 +1613,36 @@ impl<'t> Engine<'t> {
         incident.repair_s = self.policy.restart_overhead_s;
         self.downtime_s += self.policy.restart_overhead_s;
         incident
+    }
+
+    /// Put the next granted spare (claims pop from the back) into job
+    /// slot `slot`. Returns false when the grant is spent.
+    fn swap_in_spare(&mut self, slot: usize) -> bool {
+        let Some(spare) = self.spares.pop() else {
+            return false;
+        };
+        self.spares_claimed.push(spare);
+        self.hosts[slot] = spare;
+        self.group[slot] = GpuId(spare.0 * self.topo.rails() as u32);
+        true
+    }
+
+    /// Symptom-level slowdown mitigation: steer every live QP off the two
+    /// ECN-hottest links, which are returned as the blamed set.
+    fn steer_off_hottest(&mut self) -> Vec<LinkId> {
+        let hot: Vec<LinkId> = self
+            .runner
+            .sim()
+            .telemetry()
+            .hottest_links_by_ecn(2)
+            .into_iter()
+            .map(|(l, _)| l)
+            .collect();
+        let qps: Vec<QpId> = self.runner.sim().telemetry().qp_info.keys().collect();
+        for qp in qps {
+            self.steer_qp(qp, &hot);
+        }
+        hot
     }
 
     /// Steer one QP to a source port whose path is alive and avoids
@@ -1781,44 +1685,14 @@ impl<'t> Engine<'t> {
         false
     }
 
-    /// How many live QPs currently route across any of `links` — the
-    /// ground-truth blast radius recorded per injection.
-    fn qps_crossing(&self, links: &[LinkId]) -> usize {
-        self.runner
-            .sim()
-            .telemetry()
-            .qp_info
-            .values()
-            .filter(|r| {
-                self.runner
-                    .sim()
-                    .route(r.src_nic, r.dst_nic, &r.tuple)
-                    .is_some_and(|p| p.iter().any(|l| links.contains(l)))
-            })
-            .count()
-    }
-
-    /// The uplink currently carried by traffic sourced at `nic`, per the
-    /// live QP routes (lowest QP id wins, for determinism).
-    fn egress_uplink_in_use(&self, nic: NodeId) -> Option<LinkId> {
-        let sim = self.runner.sim();
-        let rec = sim
-            .telemetry()
-            .qp_info
-            .values()
-            .find(|r| r.src_nic == nic)?;
-        let path = sim.route(rec.src_nic, rec.dst_nic, &rec.tuple)?;
-        path.first().copied()
-    }
-
     /// Inject the script's faults that are due at iteration `it`.
     fn inject_due(&mut self, it: u32) {
-        for i in 0..self.script.faults.len() {
-            if self.injected[i] || self.script.faults[i].at_iter() != it {
+        for i in 0..self.net_faults.len() {
+            if self.injected[i] || self.net_faults[i].at_iter() != it {
                 continue;
             }
             self.injected[i] = true;
-            let fault = self.script.faults[i];
+            let fault = self.net_faults[i];
             let blast = self.inject(i, fault);
             self.runner.sim_mut().trace_record(
                 TraceKind::FaultInject,
@@ -1835,8 +1709,9 @@ impl<'t> Engine<'t> {
         }
     }
 
+    /// Apply one scripted fault; returns its blast radius (the live QPs
+    /// routed across the links it hits).
     fn inject(&mut self, idx: usize, fault: InjectedFault) -> usize {
-        let now = self.runner.sim().now();
         match fault {
             InjectedFault::TransientLink { .. } => {
                 // A mid-fabric link some live QP currently routes over
@@ -1848,33 +1723,23 @@ impl<'t> Engine<'t> {
                 let Some(l) = self.pick_interior_link() else {
                     return 0;
                 };
-                let blast = self.qps_crossing(&[l]);
-                self.runner.sim_mut().fail_link_at(now, l);
+                let blast = self.qps_on_links(&[l]).len();
+                self.fail_now(&[l]);
                 self.pending_restores.push(l);
                 blast
             }
             InjectedFault::OpticalUplink { host_index, .. } => {
                 // Kill the side the host's traffic is actually riding, so
                 // the fault manifests regardless of how the QPs hashed.
-                let host = self.hosts[host_index % self.hosts.len()];
-                self.fail_live_uplink(host)
+                let pair = self.live_uplink_pair(self.job_host(host_index), None);
+                let blast = self.qps_on_links(&pair).len();
+                self.fail_now(&pair);
+                blast
             }
             InjectedFault::HostFailure { host_index, .. } => {
-                let host = self.hosts[host_index % self.hosts.len()];
-                let nics = self.topo.host(host).nics.clone();
-                let mut dead: Vec<LinkId> = Vec::new();
-                for nic in nics {
-                    for &up in self.topo.out_links(nic) {
-                        dead.push(up);
-                        if let Some(down) = self.topo.link_between(self.topo.link(up).dst, nic) {
-                            dead.push(down);
-                        }
-                    }
-                }
-                let blast = self.qps_crossing(&dead);
-                for l in dead {
-                    self.runner.sim_mut().fail_link_at(now, l);
-                }
+                let dead = self.host_edge_links(self.job_host(host_index));
+                let blast = self.qps_on_links(&dead).len();
+                self.fail_now(&dead);
                 blast
             }
             InjectedFault::FlappingLink {
@@ -1900,7 +1765,7 @@ impl<'t> Engine<'t> {
                     flap_count,
                     next_edge_iter: at_iter,
                 });
-                self.qps_crossing(&[l])
+                self.qps_on_links(&[l]).len()
             }
             InjectedFault::DegradingOptic {
                 at_iter,
@@ -1910,23 +1775,15 @@ impl<'t> Engine<'t> {
             } => {
                 // Resolve the host's in-use dual-ToR uplink pair once; the
                 // creep acts on these concrete links forever after.
-                let host = self.hosts[host_index % self.hosts.len()];
-                let nic = self.topo.host(host).nics[0];
-                let up = self
-                    .egress_uplink_in_use(nic)
-                    .unwrap_or_else(|| self.topo.out_links(nic)[0]);
-                let down = self
-                    .topo
-                    .link_between(self.topo.link(up).dst, nic)
-                    .expect("duplex");
+                let links = self.live_uplink_pair(self.job_host(host_index), None);
                 self.gray_drives[idx] = Some(GrayDrive::Optic {
-                    links: [up, down],
+                    links,
                     frac: 1.0,
                     decay: decay_per_iter.clamp(0.01, 0.999),
                     floor: floor.clamp(0.01, 0.99),
                     next_it: at_iter,
                 });
-                self.qps_crossing(&[up, down])
+                self.qps_on_links(&links).len()
             }
             InjectedFault::SlowHost {
                 at_iter,
@@ -1934,15 +1791,13 @@ impl<'t> Engine<'t> {
                 factor,
                 intermittent,
             } => {
-                let host = self.hosts[host_index % self.hosts.len()];
-                let mut edges: Vec<LinkId> = Vec::new();
-                for &nic in &self.topo.host(host).nics {
-                    for &up in self.topo.out_links(nic) {
-                        if let Some(down) = self.topo.link_between(self.topo.link(up).dst, nic) {
-                            edges.push(down);
-                        }
-                    }
-                }
+                let host = self.job_host(host_index);
+                // The slowdown drains the host's ingress: its downlinks.
+                let ingress: Vec<LinkId> = self
+                    .host_edge_links(host)
+                    .into_iter()
+                    .filter(|&l| self.topo.host(host).nics.contains(&self.topo.link(l).dst))
+                    .collect();
                 self.gray_drives[idx] = Some(GrayDrive::Slow {
                     host,
                     factor: factor.clamp(0.01, 0.99),
@@ -1951,7 +1806,7 @@ impl<'t> Engine<'t> {
                     degraded: false,
                     next_it: at_iter,
                 });
-                self.qps_crossing(&edges)
+                self.qps_on_links(&ingress).len()
             }
         }
     }
@@ -2109,12 +1964,10 @@ impl<'t> Engine<'t> {
     /// Called at the end of every iteration that completed (healthy or
     /// alarmed-but-produced): a gray fault, by definition, degrades
     /// iterations that still finish.
-    fn gray_attend(&mut self, it: u32) -> Vec<Incident> {
+    fn gray_attend(&mut self, it: u32) {
         if self.gray_detector.is_none() {
-            return Vec::new();
+            return;
         }
-        let mut incidents = Vec::new();
-
         // Probation probes due this iteration: a quiet link readmits;
         // fresh flap edges double the next window (exponential backoff).
         let due: Vec<LinkId> = self
@@ -2124,14 +1977,7 @@ impl<'t> Engine<'t> {
             .map(|(&l, _)| l)
             .collect();
         for l in due {
-            let edges_now = self
-                .runner
-                .sim()
-                .telemetry()
-                .link_flaps
-                .get(&l)
-                .copied()
-                .unwrap_or(0);
+            let edges_now = self.flap_edges(l);
             let p = self.probations.get_mut(&l).expect("due came from the map");
             if edges_now == p.edges_at_entry {
                 self.probations.remove(&l);
@@ -2139,15 +1985,9 @@ impl<'t> Engine<'t> {
                 if let Some(d) = self.gray_detector.as_mut() {
                     d.unmute(l);
                 }
-                incidents.push(Incident {
-                    iter: it,
-                    class: FaultClass::FlappingLink,
-                    action: MitigationAction::ProbeReadmit,
-                    retries: 0,
-                    locate_s: 0.0,
-                    repair_s: 0.0,
+                self.push_incident(Incident {
                     blamed: vec![l],
-                    cordoned: Vec::new(),
+                    ..Incident::new(it, FaultClass::FlappingLink, MitigationAction::ProbeReadmit)
                 });
             } else {
                 p.edges_at_entry = edges_now;
@@ -2162,97 +2002,58 @@ impl<'t> Engine<'t> {
                 continue; // its pair already handled this batch
             }
             match v.pattern {
-                GrayPattern::Degrading if v.host_edge => {
-                    incidents.push(self.proactive_failover(it, v.link));
-                }
+                GrayPattern::Degrading if v.host_edge => self.proactive_failover(it, v.link),
                 GrayPattern::Steady | GrayPattern::Intermittent if v.host_edge => {
-                    if let Some(inc) = self.quarantine_host(it, v.link) {
-                        incidents.push(inc);
-                    }
+                    self.quarantine_host(it, v.link)
                 }
                 // Flapping — or any recurrent misbehavior on a fabric
                 // link, where there is no host to quarantine and no
                 // sibling ToR to fail over to: steer around it and let the
                 // probation probe readmit it if it recovers.
-                _ => incidents.push(self.begin_probation(it, v.link)),
+                _ => self.begin_probation(it, v.link),
             }
         }
-        incidents
     }
 
     /// Steer every crossing QP off a suspect link and open its probation
     /// window. Detection is passive (the suspicion score rides telemetry
     /// the monitor already collects), so no localization time is charged.
-    fn begin_probation(&mut self, it: u32, link: LinkId) -> Incident {
-        self.avoided_links.insert(link);
-        if let Some(d) = self.gray_detector.as_mut() {
-            d.mute(link);
-        }
-        for qp in self.qps_on_links(&[link]) {
-            self.steer_qp(qp, &[link]);
-        }
-        let edges = self
-            .runner
-            .sim()
-            .telemetry()
-            .link_flaps
-            .get(&link)
-            .copied()
-            .unwrap_or(0);
-        self.probations.insert(
-            link,
-            Probation {
-                until_iter: it + self.policy.gray_probation_iters,
-                level: 0,
-                edges_at_entry: edges,
-            },
-        );
-        Incident {
-            iter: it,
-            class: FaultClass::FlappingLink,
-            action: MitigationAction::LinkProbation,
-            retries: 0,
-            locate_s: 0.0,
-            repair_s: 0.0,
+    fn begin_probation(&mut self, it: u32, link: LinkId) {
+        self.steer_around(&[link]);
+        let probation = Probation {
+            until_iter: it + self.policy.gray_probation_iters,
+            level: 0,
+            edges_at_entry: self.flap_edges(link),
+        };
+        self.probations.insert(link, probation);
+        self.push_incident(Incident {
             blamed: vec![link],
-            cordoned: Vec::new(),
-        }
+            ..Incident::new(
+                it,
+                FaultClass::FlappingLink,
+                MitigationAction::LinkProbation,
+            )
+        });
     }
 
     /// Fail a degrading optic's uplink pair over to the sibling ToR before
     /// it trips the fail-stop ladder. The pair never readmits: BER creep
     /// is monotone, so the module gets replaced off the critical path.
-    fn proactive_failover(&mut self, it: u32, link: LinkId) -> Incident {
-        let (src, dst) = {
-            let l = self.topo.link(link);
-            (l.src, l.dst)
-        };
-        let mut pair = vec![link];
-        if let Some(rev) = self.topo.link_between(dst, src) {
-            pair.push(rev);
-        }
+    fn proactive_failover(&mut self, it: u32, link: LinkId) {
+        let l = self.topo.link(link);
+        let mut pair: Vec<LinkId> = std::iter::once(link)
+            .chain(self.topo.link_between(l.dst, l.src))
+            .collect();
         pair.sort_unstable();
         pair.dedup();
-        for &p in &pair {
-            self.avoided_links.insert(p);
-            if let Some(d) = self.gray_detector.as_mut() {
-                d.mute(p);
-            }
-        }
-        for qp in self.qps_on_links(&pair) {
-            self.steer_qp(qp, &pair);
-        }
+        self.steer_around(&pair);
         self.downtime_s += self.policy.detection_overhead_s;
-        Incident {
-            iter: it,
-            class: FaultClass::DegradingOptic,
-            action: MitigationAction::ProactiveTorFailover,
-            retries: 0,
+        let action = MitigationAction::ProactiveTorFailover;
+        self.push_incident(Incident {
             locate_s: self.policy.detection_overhead_s,
-            repair_s: 0.0,
             blamed: pair,
-            cordoned: Vec::new(),
-        }
+            ..Incident::new(it, FaultClass::DegradingOptic, action)
+        });
     }
 
     /// Soft-cordon the host behind a suspect edge link: checkpoint at this
@@ -2260,64 +2061,63 @@ impl<'t> Engine<'t> {
     /// (no rollback — the difference from the hard-cordon restart path).
     /// Without a free spare the job notes the suspect host and rides out
     /// the slowdown.
-    fn quarantine_host(&mut self, it: u32, link: LinkId) -> Option<Incident> {
-        let host = self.host_edge_nic(link).and_then(|n| self.nic_host(n))?;
+    fn quarantine_host(&mut self, it: u32, link: LinkId) {
+        let Some(host) = self.host_edge_nic(link).and_then(|n| self.nic_host(n)) else {
+            return;
+        };
         // Mute every edge link of this host: further evidence from a host
         // already under quarantine is expected and uninformative.
-        let mut edges: Vec<LinkId> = Vec::new();
-        for &nic in &self.topo.host(host).nics {
-            for &up in self.topo.out_links(nic) {
-                edges.push(up);
-                if let Some(down) = self.topo.link_between(self.topo.link(up).dst, nic) {
-                    edges.push(down);
-                }
-            }
-        }
+        let edges = self.host_edge_links(host);
         if let Some(d) = self.gray_detector.as_mut() {
             for &e in &edges {
                 d.mute(e);
             }
         }
         if self.quarantined.contains(&host) {
-            return None;
+            return;
         }
-        let slot = self.hosts.iter().position(|&h| h == host)?;
-        self.downtime_s += self.policy.detection_overhead_s;
-        let Some(spare) = self.spares.pop() else {
-            // No replacement capacity: flag the host for the fleet's
-            // avoid list and keep running degraded.
-            self.quarantined.push(host);
-            return Some(Incident {
-                iter: it,
-                class: FaultClass::GrayStraggler,
-                action: MitigationAction::Quarantine,
-                retries: 0,
-                locate_s: self.policy.detection_overhead_s,
-                repair_s: 0.0,
-                blamed: vec![link],
-                cordoned: vec![host],
-            });
+        let Some(slot) = self.hosts.iter().position(|&h| h == host) else {
+            return;
         };
-        // Soft cordon: the boundary checkpoint retains everything done so
-        // far, the spare takes over from here.
-        self.checkpoint_s += self.policy.checkpoint_cost_s;
-        self.last_checkpoint = it + 1;
-        self.downtime_s += self.policy.restart_overhead_s;
-        self.spares_claimed.push(spare);
-        let rails = self.topo.rails() as u32;
-        self.hosts[slot] = spare;
-        self.group[slot] = GpuId(spare.0 * rails);
+        self.downtime_s += self.policy.detection_overhead_s;
         self.quarantined.push(host);
-        Some(Incident {
-            iter: it,
-            class: FaultClass::GrayStraggler,
-            action: MitigationAction::Quarantine,
-            retries: 0,
+        let mut incident = Incident {
             locate_s: self.policy.detection_overhead_s,
-            repair_s: self.policy.restart_overhead_s + self.policy.checkpoint_cost_s,
             blamed: vec![link],
             cordoned: vec![host],
-        })
+            ..Incident::new(it, FaultClass::GrayStraggler, MitigationAction::Quarantine)
+        };
+        // Without replacement capacity the host is only flagged for the
+        // fleet's avoid list and the job keeps running degraded.
+        if self.swap_in_spare(slot) {
+            // Soft cordon: the boundary checkpoint retains everything done
+            // so far, the spare takes over from here.
+            self.checkpoint_s += self.policy.checkpoint_cost_s;
+            self.last_checkpoint = it + 1;
+            self.downtime_s += self.policy.restart_overhead_s;
+            incident.repair_s = self.policy.restart_overhead_s + self.policy.checkpoint_cost_s;
+        }
+        self.push_incident(incident);
+    }
+
+    /// Put `links` on the avoid list, mute their gray evidence, and steer
+    /// every QP crossing them onto another path.
+    fn steer_around(&mut self, links: &[LinkId]) {
+        for &l in links {
+            self.avoided_links.insert(l);
+            if let Some(d) = self.gray_detector.as_mut() {
+                d.mute(l);
+            }
+        }
+        for qp in self.qps_on_links(links) {
+            self.steer_qp(qp, links);
+        }
+    }
+
+    /// Flap edges the telemetry has counted on `link`.
+    fn flap_edges(&self, link: LinkId) -> u32 {
+        let flaps = &self.runner.sim().telemetry().link_flaps;
+        flaps.get(&link).copied().unwrap_or(0)
     }
 
     /// QPs whose live route crosses any of `links`, ascending.
@@ -2405,6 +2205,22 @@ mod tests {
         build_astral(&AstralParams::sim_small())
     }
 
+    fn run(p: &RecoveryPolicy, s: &TrainingJobSpec, f: &FaultScript) -> RecoveryReport {
+        try_run_training(&topo(), p, s, f).expect("valid policy and job")
+    }
+
+    /// A script of one fault.
+    fn one(fault: InjectedFault) -> FaultScript {
+        FaultScript {
+            faults: vec![fault],
+        }
+    }
+
+    /// The incidents resolved with `action`, in detection order.
+    fn with_action(r: &RecoveryReport, action: MitigationAction) -> Vec<&Incident> {
+        r.incidents.iter().filter(|i| i.action == action).collect()
+    }
+
     fn quick_spec() -> TrainingJobSpec {
         TrainingJobSpec {
             iters: 10,
@@ -2416,9 +2232,7 @@ mod tests {
 
     #[test]
     fn healthy_run_has_full_goodput_minus_checkpoints() {
-        let t = topo();
-        let r = run_training(
-            &t,
+        let r = run(
             &RecoveryPolicy::default(),
             &quick_spec(),
             &FaultScript::default(),
@@ -2436,14 +2250,11 @@ mod tests {
 
     #[test]
     fn transient_link_is_rerouted_without_rollback() {
-        let t = topo();
-        let script = FaultScript {
-            faults: vec![InjectedFault::TransientLink {
-                at_iter: 3,
-                heal_after: SimDuration::from_millis(30),
-            }],
-        };
-        let r = run_training(&t, &RecoveryPolicy::default(), &quick_spec(), &script);
+        let script = one(InjectedFault::TransientLink {
+            at_iter: 3,
+            heal_after: SimDuration::from_millis(30),
+        });
+        let r = run(&RecoveryPolicy::default(), &quick_spec(), &script);
         assert!(r.completed, "incidents: {:?}", r.incidents);
         assert_eq!(r.lost_rollback_s, 0.0);
         assert!(!r.incidents.is_empty());
@@ -2458,14 +2269,11 @@ mod tests {
 
     #[test]
     fn optical_fault_fails_over_to_surviving_tor() {
-        let t = topo();
-        let script = FaultScript {
-            faults: vec![InjectedFault::OpticalUplink {
-                at_iter: 3,
-                host_index: 2,
-            }],
-        };
-        let r = run_training(&t, &RecoveryPolicy::default(), &quick_spec(), &script);
+        let script = one(InjectedFault::OpticalUplink {
+            at_iter: 3,
+            host_index: 2,
+        });
+        let r = run(&RecoveryPolicy::default(), &quick_spec(), &script);
         assert!(r.completed, "incidents: {:?}", r.incidents);
         assert!(r
             .incidents
@@ -2479,37 +2287,31 @@ mod tests {
 
     #[test]
     fn degraded_floor_forces_replacement_instead_of_failover() {
-        let t = topo();
-        let script = FaultScript {
-            faults: vec![InjectedFault::OpticalUplink {
-                at_iter: 3,
-                host_index: 2,
-            }],
-        };
+        let script = one(InjectedFault::OpticalUplink {
+            at_iter: 3,
+            host_index: 2,
+        });
         let policy = RecoveryPolicy {
             degraded_bw_floor: 0.9, // half bandwidth unacceptable
             ..RecoveryPolicy::default()
         };
-        let r = run_training(&t, &policy, &quick_spec(), &script);
+        let r = run(&policy, &quick_spec(), &script);
         assert!(r.completed, "incidents: {:?}", r.incidents);
-        assert!(
-            r.incidents
-                .iter()
-                .any(|i| i.action == MitigationAction::RestartFromCheckpoint
-                    && !i.cordoned.is_empty())
-        );
+        let restarts = with_action(&r, MitigationAction::RestartFromCheckpoint);
+        assert_eq!(restarts.len(), 1, "incidents: {:?}", r.incidents);
+        // Both directions of the dead uplink are blamed, but the host is
+        // drained once and claims exactly one spare.
+        assert_eq!(restarts[0].cordoned, vec![HostId(2)]);
+        assert_eq!(r.spares_claimed.len(), 1);
     }
 
     #[test]
     fn hard_host_fault_is_cordoned_and_restarted() {
-        let t = topo();
-        let script = FaultScript {
-            faults: vec![InjectedFault::HostFailure {
-                at_iter: 6,
-                host_index: 1,
-            }],
-        };
-        let r = run_training(&t, &RecoveryPolicy::default(), &quick_spec(), &script);
+        let script = one(InjectedFault::HostFailure {
+            at_iter: 6,
+            host_index: 1,
+        });
+        let r = run(&RecoveryPolicy::default(), &quick_spec(), &script);
         assert!(r.completed, "incidents: {:?}", r.incidents);
         let hard: Vec<&Incident> = r
             .incidents
@@ -2525,49 +2327,35 @@ mod tests {
 
     #[test]
     fn disabled_policy_aborts_on_first_fault() {
-        let t = topo();
-        let script = FaultScript {
-            faults: vec![InjectedFault::HostFailure {
-                at_iter: 2,
-                host_index: 1,
-            }],
-        };
-        let r = run_training(&t, &RecoveryPolicy::disabled(), &quick_spec(), &script);
+        let script = one(InjectedFault::HostFailure {
+            at_iter: 2,
+            host_index: 1,
+        });
+        let r = run(&RecoveryPolicy::disabled(), &quick_spec(), &script);
         assert!(!r.completed);
         assert_eq!(r.incidents.last().unwrap().action, MitigationAction::Abort);
     }
 
     #[test]
     fn flapping_link_enters_probation_and_readmits() {
-        let t = topo();
-        let script = FaultScript {
-            faults: vec![InjectedFault::FlappingLink {
-                at_iter: 3,
-                period: 3,
-                duty_cycle: 0.34,
-                flap_count: 3,
-            }],
-        };
+        let script = one(InjectedFault::FlappingLink {
+            at_iter: 3,
+            period: 3,
+            duty_cycle: 0.34,
+            flap_count: 3,
+        });
         let spec = TrainingJobSpec {
             iters: 24,
             ..quick_spec()
         };
-        let r = run_training(&t, &RecoveryPolicy::gray_aware(), &spec, &script);
+        let r = run(&RecoveryPolicy::gray_aware(), &spec, &script);
         assert!(r.completed, "incidents: {:?}", r.incidents);
-        let probation: Vec<&Incident> = r
-            .incidents
-            .iter()
-            .filter(|i| i.action == MitigationAction::LinkProbation)
-            .collect();
+        let probation = with_action(&r, MitigationAction::LinkProbation);
         assert_eq!(probation.len(), 1, "incidents: {:?}", r.incidents);
         assert_eq!(probation[0].class, FaultClass::FlappingLink);
         // The probe readmits the link once a full probation window passes
         // with no fresh flap edges; a mid-probation flap extends it first.
-        let readmit: Vec<&Incident> = r
-            .incidents
-            .iter()
-            .filter(|i| i.action == MitigationAction::ProbeReadmit)
-            .collect();
+        let readmit = with_action(&r, MitigationAction::ProbeReadmit);
         assert_eq!(readmit.len(), 1, "incidents: {:?}", r.incidents);
         assert!(readmit[0].iter > probation[0].iter);
         assert_eq!(readmit[0].blamed, probation[0].blamed);
@@ -2580,26 +2368,19 @@ mod tests {
 
     #[test]
     fn degrading_optic_fails_over_proactively() {
-        let t = topo();
-        let script = FaultScript {
-            faults: vec![InjectedFault::DegradingOptic {
-                at_iter: 3,
-                host_index: 2,
-                decay_per_iter: 0.8,
-                floor: 0.3,
-            }],
-        };
+        let script = one(InjectedFault::DegradingOptic {
+            at_iter: 3,
+            host_index: 2,
+            decay_per_iter: 0.8,
+            floor: 0.3,
+        });
         let spec = TrainingJobSpec {
             iters: 14,
             ..quick_spec()
         };
-        let r = run_training(&t, &RecoveryPolicy::gray_aware(), &spec, &script);
+        let r = run(&RecoveryPolicy::gray_aware(), &spec, &script);
         assert!(r.completed, "incidents: {:?}", r.incidents);
-        let failover: Vec<&Incident> = r
-            .incidents
-            .iter()
-            .filter(|i| i.action == MitigationAction::ProactiveTorFailover)
-            .collect();
+        let failover = with_action(&r, MitigationAction::ProactiveTorFailover);
         assert_eq!(failover.len(), 1, "incidents: {:?}", r.incidents);
         assert_eq!(failover[0].class, FaultClass::DegradingOptic);
         // Both directions of the uplink get retired together.
@@ -2616,15 +2397,12 @@ mod tests {
 
     #[test]
     fn slow_host_is_quarantined_without_rollback() {
-        let t = topo();
-        let script = FaultScript {
-            faults: vec![InjectedFault::SlowHost {
-                at_iter: 4,
-                host_index: 2,
-                factor: 0.1,
-                intermittent: false,
-            }],
-        };
+        let script = one(InjectedFault::SlowHost {
+            at_iter: 4,
+            host_index: 2,
+            factor: 0.1,
+            intermittent: false,
+        });
         // Communication-significant: the 10x-slower host edge must push
         // the iteration past the online detector's 2x slowdown alarm.
         let spec = TrainingJobSpec {
@@ -2633,13 +2411,9 @@ mod tests {
             comp_s: 0.01,
             ..TrainingJobSpec::default()
         };
-        let gray = run_training(&t, &RecoveryPolicy::gray_aware(), &spec, &script);
+        let gray = run(&RecoveryPolicy::gray_aware(), &spec, &script);
         assert!(gray.completed, "incidents: {:?}", gray.incidents);
-        let quarantine: Vec<&Incident> = gray
-            .incidents
-            .iter()
-            .filter(|i| i.action == MitigationAction::Quarantine)
-            .collect();
+        let quarantine = with_action(&gray, MitigationAction::Quarantine);
         assert_eq!(quarantine.len(), 1, "incidents: {:?}", gray.incidents);
         assert_eq!(quarantine[0].class, FaultClass::GrayStraggler);
         assert_eq!(quarantine[0].cordoned, vec![HostId(2)]);
@@ -2650,7 +2424,7 @@ mod tests {
 
         // The reactive-only baseline keeps paying the blind-steer alarm
         // every slow iteration; quarantining once is strictly better.
-        let reactive = run_training(&t, &RecoveryPolicy::reactive_only(), &spec, &script);
+        let reactive = run(&RecoveryPolicy::reactive_only(), &spec, &script);
         assert!(reactive.completed);
         assert!(reactive.quarantined.is_empty());
         assert!(
@@ -2663,7 +2437,6 @@ mod tests {
 
     #[test]
     fn fail_stop_faults_never_trip_gray_mitigations() {
-        let t = topo();
         // A transient (2 flap edges) and a hard host failure (1 edge per
         // link, never restored) are fail-stop vocabulary: the gray
         // detector must stay quiet and the run must match the
@@ -2680,7 +2453,7 @@ mod tests {
                 },
             ],
         };
-        let gray = run_training(&t, &RecoveryPolicy::gray_aware(), &quick_spec(), &script);
+        let gray = run(&RecoveryPolicy::gray_aware(), &quick_spec(), &script);
         assert!(gray.completed, "incidents: {:?}", gray.incidents);
         assert!(gray.incidents.iter().all(|i| !matches!(
             i.action,
@@ -2690,13 +2463,12 @@ mod tests {
                 | MitigationAction::Quarantine
         )));
         assert!(gray.quarantined.is_empty());
-        let reactive = run_training(&t, &RecoveryPolicy::reactive_only(), &quick_spec(), &script);
+        let reactive = run(&RecoveryPolicy::reactive_only(), &quick_spec(), &script);
         assert_eq!(gray.fingerprint(), reactive.fingerprint());
     }
 
     #[test]
     fn gray_campaigns_are_deterministic() {
-        let t = topo();
         let script = FaultScript {
             faults: vec![
                 InjectedFault::FlappingLink {
@@ -2723,8 +2495,8 @@ mod tests {
             comp_s: 0.01,
             ..TrainingJobSpec::default()
         };
-        let a = run_training(&t, &RecoveryPolicy::gray_aware(), &spec, &script);
-        let b = run_training(&t, &RecoveryPolicy::gray_aware(), &spec, &script);
+        let a = run(&RecoveryPolicy::gray_aware(), &spec, &script);
+        let b = run(&RecoveryPolicy::gray_aware(), &spec, &script);
         assert_eq!(a.fingerprint(), b.fingerprint());
         assert!(a.completed, "incidents: {:?}", a.incidents);
     }
@@ -2751,7 +2523,6 @@ mod tests {
 
     #[test]
     fn runs_are_deterministic() {
-        let t = topo();
         let script = FaultScript {
             faults: vec![
                 InjectedFault::TransientLink {
@@ -2764,8 +2535,8 @@ mod tests {
                 },
             ],
         };
-        let a = run_training(&t, &RecoveryPolicy::default(), &quick_spec(), &script);
-        let b = run_training(&t, &RecoveryPolicy::default(), &quick_spec(), &script);
+        let a = run(&RecoveryPolicy::default(), &quick_spec(), &script);
+        let b = run(&RecoveryPolicy::default(), &quick_spec(), &script);
         assert_eq!(a.goodput(), b.goodput());
         assert_eq!(a.incidents.len(), b.incidents.len());
         assert_eq!(a.useful_s, b.useful_s);

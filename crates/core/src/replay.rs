@@ -27,10 +27,8 @@
 //! re-runs with the caller-supplied [`RunnerConfig`], so the contract
 //! holds as long as the recording and the replay use the same one.
 
-use crate::recovery::{
-    try_run_training_placed_with, FaultScript, JobPlacement, PolicyError, RecoveryPolicy,
-    RecoveryReport, TrainingJobSpec,
-};
+use crate::cascade::{try_run_cascade_placed, CascadeScript};
+use crate::recovery::{JobPlacement, PolicyError, RecoveryPolicy, RecoveryReport, TrainingJobSpec};
 use astral_collectives::RunnerConfig;
 use astral_net::DEFAULT_TRACE_CAPACITY;
 use astral_topo::{Router, Topology};
@@ -99,7 +97,7 @@ impl TraceReplayer {
         topo: &Topology,
         policy: &RecoveryPolicy,
         spec: &TrainingJobSpec,
-        script: &FaultScript,
+        script: &CascadeScript,
         placement: &JobPlacement,
         router: Option<Arc<Router>>,
         mut runner_cfg: RunnerConfig,
@@ -111,9 +109,9 @@ impl TraceReplayer {
             // manufacture a spurious divergence.
             runner_cfg.net.trace_capacity = DEFAULT_TRACE_CAPACITY.max(self.trace.len());
         }
-        let rerun = try_run_training_placed_with(
-            topo, policy, spec, script, placement, router, runner_cfg,
-        )?;
+        let rerun =
+            try_run_cascade_placed(topo, policy, spec, script, runner_cfg, placement, router)?
+                .recovery;
         Ok((self.verify(&rerun), rerun))
     }
 
@@ -233,9 +231,10 @@ mod tests {
 
     /// The pinned `fig_gray_failure` campaign: three gray faults
     /// interleaved with two fail-stop faults (see the bench binary).
-    fn gray_campaign() -> FaultScript {
-        FaultScript {
-            faults: vec![
+    fn gray_campaign() -> CascadeScript {
+        CascadeScript {
+            faults: Vec::new(),
+            net_faults: vec![
                 InjectedFault::FlappingLink {
                     at_iter: 3,
                     period: 3,
@@ -282,16 +281,17 @@ mod tests {
     }
 
     fn record(policy: &RecoveryPolicy, cfg: RunnerConfig) -> RecoveryReport {
-        try_run_training_placed_with(
+        try_run_cascade_placed(
             &topo(),
             policy,
             &spec(),
             &gray_campaign(),
+            cfg,
             &JobPlacement::prefix(spec().hosts, spec().spares),
             None,
-            cfg,
         )
         .expect("policy validates")
+        .recovery
     }
 
     /// The acceptance-criteria e2e: record the gray-failure campaign,

@@ -4,17 +4,33 @@
 
 use astral_collectives::RunnerConfig;
 use astral_core::{
-    run_cascade, try_run_campaign_battery_with, try_run_cascade, try_run_training,
-    try_run_training_battery_with, CascadeClass, CascadeScript, FaultCampaign, FaultScript,
-    HazardRates, InjectedFault, MitigationAction, PolicyError, RecoveryPolicy, SubstrateFault,
+    try_run_campaign_battery_with, try_run_cascade_placed, try_run_training, CampaignRun,
+    CascadeClass, CascadeReport, CascadeScript, FaultCampaign, FaultScript, HazardRates,
+    InjectedFault, JobPlacement, MitigationAction, PolicyError, RecoveryPolicy, SubstrateFault,
     TrainingJobSpec,
 };
-use astral_monitor::CauseClass;
-use astral_topo::{build_astral, AstralParams, Topology};
+use astral_monitor::{CauseClass, CorrelationPrior};
+use astral_topo::{build_astral, AstralParams, HostId, Topology};
 use proptest::prelude::*;
 
 fn topo() -> Topology {
     build_astral(&AstralParams::sim_small())
+}
+
+/// One cascade run on the fleet-prefix placement with a private router.
+fn try_cascade(
+    t: &Topology,
+    policy: &RecoveryPolicy,
+    spec: &TrainingJobSpec,
+    script: &CascadeScript,
+    cfg: RunnerConfig,
+) -> Result<CascadeReport, PolicyError> {
+    let placement = JobPlacement::prefix(spec.hosts, spec.spares);
+    try_run_cascade_placed(t, policy, spec, script, cfg, &placement, None)
+}
+
+fn cascade(p: &RecoveryPolicy, s: &TrainingJobSpec, c: &CascadeScript) -> CascadeReport {
+    try_cascade(&topo(), p, s, c, RunnerConfig::default()).expect("valid policy")
 }
 
 fn cascade_spec() -> TrainingJobSpec {
@@ -50,13 +66,12 @@ fn pump_script() -> CascadeScript {
 
 #[test]
 fn unmitigated_cooling_cascade_ends_in_cordon_and_restart() {
-    let t = topo();
     let policy = RecoveryPolicy {
         graceful_degradation: false,
         proactive_checkpoint: false,
         ..contrast_policy()
     };
-    let r = run_cascade(&t, &policy, &cascade_spec(), &pump_script());
+    let r = cascade(&policy, &cascade_spec(), &pump_script());
     assert!(
         r.recovery.completed,
         "incidents: {:?}",
@@ -91,8 +106,7 @@ fn unmitigated_cooling_cascade_ends_in_cordon_and_restart() {
 
 #[test]
 fn graceful_degradation_rides_out_the_cooling_cascade() {
-    let t = topo();
-    let r = run_cascade(&t, &contrast_policy(), &cascade_spec(), &pump_script());
+    let r = cascade(&contrast_policy(), &cascade_spec(), &pump_script());
     assert!(
         r.recovery.completed,
         "incidents: {:?}",
@@ -121,14 +135,13 @@ fn graceful_degradation_rides_out_the_cooling_cascade() {
 
 #[test]
 fn graceful_beats_reactive_on_the_same_cascade() {
-    let t = topo();
     let reactive = RecoveryPolicy {
         graceful_degradation: false,
         proactive_checkpoint: false,
         ..contrast_policy()
     };
-    let a = run_cascade(&t, &reactive, &cascade_spec(), &pump_script());
-    let b = run_cascade(&t, &contrast_policy(), &cascade_spec(), &pump_script());
+    let a = cascade(&reactive, &cascade_spec(), &pump_script());
+    let b = cascade(&contrast_policy(), &cascade_spec(), &pump_script());
     assert!(
         b.recovery.goodput() > a.recovery.goodput(),
         "graceful {} ≤ reactive {}",
@@ -139,7 +152,6 @@ fn graceful_beats_reactive_on_the_same_cascade() {
 
 #[test]
 fn power_cascade_caps_after_ride_through_and_is_attributed() {
-    let t = topo();
     let script = CascadeScript {
         faults: vec![SubstrateFault::GridSag {
             at_iter: 4,
@@ -150,7 +162,7 @@ fn power_cascade_caps_after_ride_through_and_is_attributed() {
         }],
         net_faults: Vec::new(),
     };
-    let r = run_cascade(&t, &contrast_policy(), &cascade_spec(), &script);
+    let r = cascade(&contrast_policy(), &cascade_spec(), &script);
     assert!(
         r.recovery.completed,
         "incidents: {:?}",
@@ -172,7 +184,6 @@ fn power_cascade_caps_after_ride_through_and_is_attributed() {
 
 #[test]
 fn a_generous_battery_absorbs_the_sag_without_a_trace() {
-    let t = topo();
     let script = CascadeScript {
         faults: vec![SubstrateFault::GridSag {
             at_iter: 4,
@@ -183,7 +194,7 @@ fn a_generous_battery_absorbs_the_sag_without_a_trace() {
         }],
         net_faults: Vec::new(),
     };
-    let r = run_cascade(&t, &contrast_policy(), &cascade_spec(), &script);
+    let r = cascade(&contrast_policy(), &cascade_spec(), &script);
     assert!(r.recovery.completed);
     // The battery rode the whole deficit: the cap never engaged, compute
     // never slowed, and there was nothing to diagnose.
@@ -198,7 +209,6 @@ fn a_generous_battery_absorbs_the_sag_without_a_trace() {
 
 #[test]
 fn optics_burst_flows_through_the_abort_path() {
-    let t = topo();
     let script = CascadeScript {
         faults: vec![SubstrateFault::OpticsBurst {
             at_iter: 5,
@@ -206,7 +216,7 @@ fn optics_burst_flows_through_the_abort_path() {
         }],
         net_faults: Vec::new(),
     };
-    let r = run_cascade(&t, &contrast_policy(), &cascade_spec(), &script);
+    let r = cascade(&contrast_policy(), &cascade_spec(), &script);
     assert!(
         r.recovery.completed,
         "incidents: {:?}",
@@ -220,7 +230,6 @@ fn optics_burst_flows_through_the_abort_path() {
 
 #[test]
 fn seer_gate_takes_a_proactive_checkpoint_during_the_ramp() {
-    let t = topo();
     // Reactive mitigation ladder, but with the Seer gate on: the forecast
     // fires during the temperature ramp, so the eventual forced cordon
     // rolls back to a checkpoint taken iterations — not tens of
@@ -229,7 +238,7 @@ fn seer_gate_takes_a_proactive_checkpoint_during_the_ramp() {
         graceful_degradation: false,
         ..contrast_policy()
     };
-    let r = run_cascade(&t, &policy, &cascade_spec(), &pump_script());
+    let r = cascade(&policy, &cascade_spec(), &pump_script());
     assert!(
         r.recovery.completed,
         "incidents: {:?}",
@@ -256,7 +265,7 @@ fn seer_gate_takes_a_proactive_checkpoint_during_the_ramp() {
         proactive_checkpoint: false,
         ..policy
     };
-    let r0 = run_cascade(&t, &gateless, &cascade_spec(), &pump_script());
+    let r0 = cascade(&gateless, &cascade_spec(), &pump_script());
     assert!(
         r.recovery.lost_rollback_s < r0.recovery.lost_rollback_s,
         "proactive {} ≥ gateless {}",
@@ -273,7 +282,9 @@ fn shared_router_battery_is_byte_identical_to_private_router_runs() {
     // router must reproduce the private-router results byte for byte —
     // including runs whose faults force reroutes and failovers.
     let t = topo();
-    let runs: Vec<(RecoveryPolicy, TrainingJobSpec, FaultScript)> = (0..4u64)
+    // A training battery is a battery of scripted campaigns without
+    // substrate faults.
+    let runs: Vec<CampaignRun> = (0..4u64)
         .map(|i| {
             let spec = TrainingJobSpec {
                 iters: 16,
@@ -282,8 +293,9 @@ fn shared_router_battery_is_byte_identical_to_private_router_runs() {
                 seed: 31 + i,
                 ..TrainingJobSpec::default()
             };
-            let script = FaultScript {
-                faults: vec![
+            let script = CascadeScript {
+                faults: Vec::new(),
+                net_faults: vec![
                     InjectedFault::TransientLink {
                         at_iter: 3 + i as u32,
                         heal_after: astral_sim::SimDuration::from_millis(40),
@@ -294,13 +306,19 @@ fn shared_router_battery_is_byte_identical_to_private_router_runs() {
                     },
                 ],
             };
-            (RecoveryPolicy::default(), spec, script)
+            let campaign = FaultCampaign::scripted(script, spec.seed);
+            (RecoveryPolicy::default(), spec, campaign)
         })
         .collect();
+    let pool = astral_exec::Pool::with_threads(4);
+    let prior = CorrelationPrior::default();
     let battery =
-        try_run_training_battery_with(&astral_exec::Pool::with_threads(4), &t, &runs).unwrap();
-    for ((policy, spec, script), shared) in runs.iter().zip(&battery) {
-        let private = try_run_training(&t, policy, spec, script).unwrap();
+        try_run_campaign_battery_with(&pool, &t, &runs, RunnerConfig::default(), prior).unwrap();
+    for ((policy, spec, campaign), shared) in runs.iter().zip(&battery) {
+        let script = FaultScript {
+            faults: campaign.scripted.net_faults.clone(),
+        };
+        let private = try_run_training(&t, policy, spec, &script).unwrap();
         assert_eq!(
             shared.fingerprint(),
             private.fingerprint(),
@@ -365,7 +383,7 @@ fn invalid_policies_are_rejected_up_front() {
         let err = try_run_training(&t, &policy, &spec, &FaultScript::default())
             .expect_err("policy must be rejected");
         same(err, expected);
-        let err = try_run_cascade(
+        let err = try_cascade(
             &t,
             &policy,
             &spec,
@@ -375,6 +393,63 @@ fn invalid_policies_are_rejected_up_front() {
         .expect_err("cascade runner shares the validation");
         same(err, expected);
     }
+}
+
+/// Run a host fault on a bad job shape, which must be rejected before
+/// anything runs.
+fn rejection(spec: &TrainingJobSpec, placement: &JobPlacement) -> PolicyError {
+    let script = CascadeScript {
+        faults: Vec::new(),
+        net_faults: vec![InjectedFault::HostFailure {
+            at_iter: 2,
+            host_index: 0,
+        }],
+    };
+    let (t, policy, cfg) = (topo(), RecoveryPolicy::default(), RunnerConfig::default());
+    try_run_cascade_placed(&t, &policy, spec, &script, cfg, placement, None)
+        .expect_err("a bad job shape must be rejected")
+}
+
+#[test]
+fn zero_host_job_is_rejected() {
+    let spec = TrainingJobSpec {
+        hosts: 0,
+        ..cascade_spec()
+    };
+    let err = rejection(&spec, &JobPlacement::prefix(0, spec.spares));
+    assert_eq!(err, PolicyError::EmptyJob);
+}
+
+#[test]
+fn placement_size_mismatch_is_rejected() {
+    let spec = cascade_spec();
+    let err = rejection(&spec, &JobPlacement::prefix(spec.hosts - 1, spec.spares));
+    let (spec_hosts, placed) = (spec.hosts, spec.hosts - 1);
+    assert_eq!(err, PolicyError::PlacementSize { spec_hosts, placed });
+}
+
+#[test]
+fn duplicate_host_is_rejected() {
+    let spec = cascade_spec();
+    let mut placement = JobPlacement::prefix(spec.hosts, spec.spares);
+    let host = placement.hosts[0];
+    placement.spares.push(host);
+    assert_eq!(
+        rejection(&spec, &placement),
+        PolicyError::DuplicateHost { host }
+    );
+}
+
+#[test]
+fn host_outside_fabric_is_rejected() {
+    let spec = cascade_spec();
+    let host = HostId(topo().hosts().len() as u32);
+    let mut placement = JobPlacement::prefix(spec.hosts, spec.spares);
+    placement.spares.push(host);
+    assert_eq!(
+        rejection(&spec, &placement),
+        PolicyError::HostOutsideFabric { host }
+    );
 }
 
 proptest! {
@@ -399,12 +474,12 @@ proptest! {
             format!("{:?}", campaign.materialize().faults)
         );
         let policy = RecoveryPolicy::default();
-        let a = try_run_cascade(&t, &policy, &spec, &script, RunnerConfig::default()).unwrap();
-        let b = try_run_cascade(&t, &policy, &spec, &script, RunnerConfig::default()).unwrap();
+        let a = try_cascade(&t, &policy, &spec, &script, RunnerConfig::default()).unwrap();
+        let b = try_cascade(&t, &policy, &spec, &script, RunnerConfig::default()).unwrap();
         prop_assert_eq!(a.fingerprint(), b.fingerprint());
         let mut sharded = RunnerConfig::default();
         sharded.net.sharded_solver = true;
-        let c = try_run_cascade(&t, &policy, &spec, &script, sharded).unwrap();
+        let c = try_cascade(&t, &policy, &spec, &script, sharded).unwrap();
         prop_assert_eq!(a.fingerprint(), c.fingerprint());
     }
 }
@@ -440,12 +515,13 @@ proptest! {
         let fp = |reports: &[astral_core::CascadeReport]| -> Vec<String> {
             reports.iter().map(|r| r.fingerprint()).collect()
         };
+        let prior = CorrelationPrior::default();
         let serial = try_run_campaign_battery_with(
-            &astral_exec::Pool::with_threads(1), &t, &runs, RunnerConfig::default(),
+            &astral_exec::Pool::with_threads(1), &t, &runs, RunnerConfig::default(), prior,
         ).unwrap();
         for threads in [2, 8] {
             let par = try_run_campaign_battery_with(
-                &astral_exec::Pool::with_threads(threads), &t, &runs, RunnerConfig::default(),
+                &astral_exec::Pool::with_threads(threads), &t, &runs, RunnerConfig::default(), prior,
             ).unwrap();
             prop_assert_eq!(fp(&serial), fp(&par), "pool width {} diverged", threads);
         }

@@ -8,7 +8,7 @@
 
 use astral_collectives::RunnerConfig;
 use astral_core::{
-    try_run_training_placed_with, FaultScript, InjectedFault, JobPlacement, RecoveryPolicy,
+    try_run_cascade_placed, CascadeScript, InjectedFault, JobPlacement, RecoveryPolicy,
     RecoveryReport, TraceReplayer, TrainingJobSpec,
 };
 use astral_exec::Pool;
@@ -23,9 +23,10 @@ fn topo() -> Topology {
 /// A seed-parameterized mixed campaign: one gray fault, one fail-stop
 /// fault, offsets jittered by the seed so every case replays a
 /// different timeline.
-fn script(seed: u64) -> FaultScript {
-    FaultScript {
-        faults: vec![
+fn script(seed: u64) -> CascadeScript {
+    CascadeScript {
+        faults: Vec::new(),
+        net_faults: vec![
             InjectedFault::FlappingLink {
                 at_iter: 3 + (seed % 4) as u32,
                 period: 3,
@@ -58,16 +59,17 @@ fn traced_cfg(sharded: bool) -> RunnerConfig {
 }
 
 fn run(topo: &Topology, seed: u64, cfg: RunnerConfig) -> RecoveryReport {
-    try_run_training_placed_with(
+    try_run_cascade_placed(
         topo,
         &RecoveryPolicy::gray_aware(),
         &spec(seed),
         &script(seed),
+        cfg,
         &JobPlacement::prefix(spec(seed).hosts, spec(seed).spares),
         None,
-        cfg,
     )
     .expect("policy validates")
+    .recovery
 }
 
 proptest! {

@@ -260,21 +260,6 @@ struct Running {
     report: CascadeReport,
 }
 
-/// Run a fleet campaign on the `ASTRAL_THREADS` pool and the default
-/// runner configuration, panicking on an invalid policy or campaign. Use
-/// [`try_run_fleet_campaign_with`] to handle the error instead.
-pub fn run_fleet_campaign(
-    topo: &Topology,
-    policy: &FleetPolicy,
-    campaign: &FleetCampaign,
-) -> FleetReport {
-    let pool = Pool::from_env();
-    match try_run_fleet_campaign_with(&pool, topo, policy, campaign, RunnerConfig::default()) {
-        Ok(r) => r,
-        Err(e) => panic!("run_fleet_campaign: {e}"),
-    }
-}
-
 /// Run a fleet campaign on an explicit [`Pool`] and runner configuration.
 /// Same-instant admissions simulate concurrently; every scheduling
 /// decision is made serially first, so the report — fingerprint included —

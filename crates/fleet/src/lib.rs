@@ -4,7 +4,7 @@
 //! ([`generate_workload`]) is admitted onto one fabric by a placement
 //! engine with pluggable policies ([`PlacementStrategy`]: first-fit,
 //! rail-affine, blast-radius-aware spreading across the power/cooling
-//! failure domains), and a fleet controller ([`run_fleet_campaign`])
+//! failure domains), and a fleet controller ([`try_run_fleet_campaign_with`])
 //! drives every admitted segment through the cascade engine with
 //! queueing, priority preemption, requeue-on-abort under bounded retry
 //! budgets, and a shared spare pool with fleet-wide claim competition.
@@ -15,7 +15,9 @@
 //! segment simulations fan out.
 //!
 //! ```
-//! use astral_fleet::{run_fleet_campaign, FleetCampaign, FleetPolicy, WorkloadConfig};
+//! use astral_collectives::RunnerConfig;
+//! use astral_exec::Pool;
+//! use astral_fleet::{try_run_fleet_campaign_with, FleetCampaign, FleetPolicy, WorkloadConfig};
 //! use astral_topo::{build_astral, AstralParams};
 //!
 //! let topo = build_astral(&AstralParams::sim_small());
@@ -23,7 +25,10 @@
 //!     workload: WorkloadConfig { jobs: 3, ..WorkloadConfig::default() },
 //!     ..FleetCampaign::default()
 //! };
-//! let report = run_fleet_campaign(&topo, &FleetPolicy::default(), &campaign);
+//! let policy = FleetPolicy::default();
+//! let report =
+//!     try_run_fleet_campaign_with(&Pool::from_env(), &topo, &policy, &campaign, RunnerConfig::default())
+//!         .expect("valid policy and campaign");
 //! assert_eq!(report.jobs.len(), 3);
 //! ```
 
@@ -36,8 +41,8 @@ mod report;
 mod workload;
 
 pub use controller::{
-    run_fleet_campaign, try_run_fleet_campaign_traced, try_run_fleet_campaign_with, FleetCampaign,
-    FleetFault, FleetFaultConfig, FleetFaultKind, EST_ITER_OVERHEAD,
+    try_run_fleet_campaign_traced, try_run_fleet_campaign_with, FleetCampaign, FleetFault,
+    FleetFaultConfig, FleetFaultKind, EST_ITER_OVERHEAD,
 };
 pub use placement::{PlacementEngine, PlacementError, ROWS_PER_CDU_LOOP};
 pub use policy::{FleetError, FleetPolicy, PlacementStrategy};

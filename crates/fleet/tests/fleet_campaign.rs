@@ -6,8 +6,8 @@ use astral_collectives::RunnerConfig;
 use astral_core::{AbortReason, RecoveryPolicy};
 use astral_exec::Pool;
 use astral_fleet::{
-    run_fleet_campaign, try_run_fleet_campaign_traced, try_run_fleet_campaign_with, FleetCampaign,
-    FleetFault, FleetFaultConfig, FleetFaultKind, FleetPolicy, JobStatus, PlacementStrategy,
+    try_run_fleet_campaign_traced, try_run_fleet_campaign_with, FleetCampaign, FleetFault,
+    FleetFaultConfig, FleetFaultKind, FleetPolicy, FleetReport, JobStatus, PlacementStrategy,
     WorkloadConfig,
 };
 use astral_topo::{build_astral, AstralParams, Topology};
@@ -15,6 +15,13 @@ use proptest::prelude::*;
 
 fn topo() -> Topology {
     build_astral(&AstralParams::sim_small())
+}
+
+/// A campaign on the `ASTRAL_THREADS` pool and the default runner
+/// configuration.
+fn run_campaign(t: &Topology, policy: &FleetPolicy, campaign: &FleetCampaign) -> FleetReport {
+    let (pool, cfg) = (Pool::from_env(), RunnerConfig::default());
+    try_run_fleet_campaign_with(&pool, t, policy, campaign, cfg).expect("valid policy and campaign")
 }
 
 /// The headline contrast scenario: 8-host tenants arriving onto a 64-host
@@ -47,8 +54,8 @@ fn naive_packing_strands_tenants_where_blast_radius_spreading_survives() {
     let t = topo();
     let campaign = cascade_campaign();
     // Same seeds, same fault timeline — only the policy differs.
-    let naive = run_fleet_campaign(&t, &FleetPolicy::naive_packing(), &campaign);
-    let blast = run_fleet_campaign(&t, &FleetPolicy::default(), &campaign);
+    let naive = run_campaign(&t, &FleetPolicy::naive_packing(), &campaign);
+    let blast = run_campaign(&t, &FleetPolicy::default(), &campaign);
 
     // First-fit packs whole tenants into the dying CDU loop with no spare
     // pool behind them: each cordon exhausts the (empty) spare set, each
@@ -129,7 +136,7 @@ fn gray_quarantines_feed_the_fleet_avoid_list() {
         recovery: RecoveryPolicy::gray_aware(),
         ..FleetPolicy::default()
     };
-    let report = run_fleet_campaign(&t, &gray, &campaign);
+    let report = run_campaign(&t, &gray, &campaign);
     assert!(
         report.gray_avoided > 0,
         "no quarantine verdict reached the fleet avoid list: {report:?}"
@@ -148,7 +155,7 @@ fn gray_quarantines_feed_the_fleet_avoid_list() {
         gray_avoidance: false,
         ..gray
     };
-    let blind = run_fleet_campaign(&t, &no_harvest, &campaign);
+    let blind = run_campaign(&t, &no_harvest, &campaign);
     assert_eq!(
         blind.gray_avoided, 0,
         "avoid-list harvest must be gated by the policy toggle"
@@ -206,7 +213,7 @@ fn traced_campaign_records_scheduling_decisions_without_perturbing_them() {
     let t = topo();
     let campaign = cascade_campaign();
     let policy = FleetPolicy::default();
-    let untraced = run_fleet_campaign(&t, &policy, &campaign);
+    let untraced = run_campaign(&t, &policy, &campaign);
     let (traced, records) = try_run_fleet_campaign_traced(
         &Pool::with_threads(2),
         &t,

@@ -17,7 +17,7 @@
 //! ```
 
 use astral::core::{
-    run_training, FaultScript, InjectedFault, MitigationAction, RecoveryPolicy, TrainingJobSpec,
+    try_run_training, FaultScript, InjectedFault, MitigationAction, RecoveryPolicy, TrainingJobSpec,
 };
 use astral::monitor::{run_fault_scenario, Analyzer, Fault, ScenarioConfig};
 use astral::topo::{build_astral, AstralParams, HostId};
@@ -117,7 +117,8 @@ fn main() {
         comp_s: 0.01,
         ..TrainingJobSpec::default()
     };
-    let report = run_training(&topo, &RecoveryPolicy::gray_aware(), &spec, &script);
+    let report = try_run_training(&topo, &RecoveryPolicy::gray_aware(), &spec, &script)
+        .expect("the gray-aware policy validates");
     println!("--- incident log ---");
     for inc in &report.incidents {
         println!(

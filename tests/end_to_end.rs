@@ -278,7 +278,7 @@ fn analyzer_is_total_on_degenerate_input() {
 #[test]
 fn failure_lifecycle_recovers_three_fault_classes() {
     use astral::core::{
-        run_training, FaultClass, FaultScript, InjectedFault, MitigationAction, RecoveryPolicy,
+        try_run_training, FaultClass, FaultScript, InjectedFault, MitigationAction, RecoveryPolicy,
         TrainingJobSpec,
     };
     use astral::sim::SimDuration;
@@ -306,7 +306,8 @@ fn failure_lifecycle_recovers_three_fault_classes() {
         ],
     };
 
-    let r = run_training(&topo, &RecoveryPolicy::default(), &spec, &script);
+    let r =
+        try_run_training(&topo, &RecoveryPolicy::default(), &spec, &script).expect("valid policy");
     assert!(r.completed, "incidents: {:?}", r.incidents);
     assert_eq!(r.iters_done, 30);
     assert!(r.goodput() > 0.8, "goodput {}", r.goodput());
@@ -334,7 +335,8 @@ fn failure_lifecycle_recovers_three_fault_classes() {
     assert!(r.mttlf_s().unwrap() > 0.0);
 
     // Same seed, recovery disabled: the first fault ends the job.
-    let ablation = run_training(&topo, &RecoveryPolicy::disabled(), &spec, &script);
+    let ablation =
+        try_run_training(&topo, &RecoveryPolicy::disabled(), &spec, &script).expect("valid policy");
     assert!(!ablation.completed);
     assert_eq!(
         ablation.incidents.last().unwrap().action,
@@ -343,7 +345,8 @@ fn failure_lifecycle_recovers_three_fault_classes() {
     assert!(ablation.useful_s < r.useful_s);
 
     // Determinism: the exact same tuple reproduces the exact same report.
-    let again = run_training(&topo, &RecoveryPolicy::default(), &spec, &script);
+    let again =
+        try_run_training(&topo, &RecoveryPolicy::default(), &spec, &script).expect("valid policy");
     assert_eq!(again.goodput(), r.goodput());
     assert_eq!(again.incidents.len(), r.incidents.len());
 }
