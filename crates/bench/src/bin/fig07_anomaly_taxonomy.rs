@@ -12,7 +12,7 @@ use astral_monitor::{
 };
 use astral_sim::SimRng;
 use astral_topo::{build_astral, AstralParams, HostId};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Map a sampled root cause to an injectable fault instance.
 fn fault_for(cause: RootCause, rng: &mut SimRng) -> Fault {
@@ -73,7 +73,9 @@ fn main() {
     let topo = build_astral(&AstralParams::sim_small());
     let mut rng = SimRng::new(2024);
     let trials = 60usize;
-    let mut by_manifestation: HashMap<String, usize> = HashMap::new();
+    // Ordered by manifestation name, so the printed table and the report
+    // series come out the same on every run.
+    let mut by_manifestation: BTreeMap<String, usize> = BTreeMap::new();
     let mut localized = 0usize;
     let mut class_correct = 0usize;
     let analyzer = Analyzer::new();

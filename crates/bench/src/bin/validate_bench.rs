@@ -16,9 +16,10 @@
 //!   every committed `BENCH_<id>.json` baseline must have a fresh
 //!   counterpart whose metrics match within per-metric tolerance
 //!   (relative 1e-6 — deterministic metrics reproduce exactly; the slack
-//!   only absorbs cross-machine libm drift). Keys prefixed `wall_clock`
-//!   and keys containing `speedup` or `qps` are timing, not semantics,
-//!   and are exempt. Exits non-zero on any drift or missing report.
+//!   only absorbs cross-machine libm drift), and every fresh metric must
+//!   have a baseline value. Keys prefixed `wall_clock` are timing, not
+//!   semantics, and are exempt both ways. Exits non-zero on any drift,
+//!   missing report, or missing or unbaselined metric.
 
 use astral_bench::Report;
 use serde::Value;
@@ -83,7 +84,7 @@ const COMPARE_REL_TOL: f64 = 1e-6;
 
 /// Timing-derived metric keys the `--compare` gate must not pin.
 fn compare_exempt(key: &str) -> bool {
-    key.starts_with("wall_clock") || key.contains("speedup") || key.contains("qps")
+    key.starts_with("wall_clock")
 }
 
 fn numeric(v: &Value) -> Option<f64> {
@@ -111,7 +112,8 @@ fn metrics_of(text: &str) -> Result<Vec<(String, Value)>, String> {
 }
 
 /// One baseline report vs its fresh counterpart. Returns the list of
-/// drift complaints (empty = pass).
+/// complaints (empty = pass): drifted or missing baseline metrics, and
+/// fresh metrics the baseline does not pin.
 fn compare_reports(fresh: &str, baseline: &str) -> Result<Vec<String>, String> {
     let fresh = metrics_of(fresh)?;
     let baseline = metrics_of(baseline)?;
@@ -138,6 +140,11 @@ fn compare_reports(fresh: &str, baseline: &str) -> Result<Vec<String>, String> {
                     ));
                 }
             }
+        }
+    }
+    for (key, _) in &fresh {
+        if !compare_exempt(key) && !baseline.iter().any(|(k, _)| k == key) {
+            complaints.push(format!("metric `{key}` has no baseline value"));
         }
     }
     Ok(complaints)
@@ -293,5 +300,33 @@ fn main() {
     }
     if failed > 0 {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::compare_reports;
+
+    fn report(metrics: &str) -> String {
+        format!("{{\"metrics\": {{{metrics}}}}}")
+    }
+
+    #[test]
+    fn compare_flags_drift_and_unbaselined_keys() {
+        let base = report(r#""a": 1.0, "wall_clock_s": 3.0"#);
+        let same = report(r#""a": 1.0, "wall_clock_s": 9.0, "wall_clock_x": 1.0"#);
+        assert_eq!(compare_reports(&same, &base).unwrap(), Vec::<String>::new());
+        let drift = report(r#""a": 2.0"#);
+        assert_eq!(compare_reports(&drift, &base).unwrap().len(), 1);
+        for key in ["b", "speedup", "seer_qps"] {
+            let extra = report(&format!(r#""a": 1.0, "{key}": 1.0"#));
+            let complaints = compare_reports(&extra, &base).unwrap();
+            assert_eq!(
+                complaints,
+                [format!("metric `{key}` has no baseline value")]
+            );
+        }
+        let missing = report(r#""wall_clock_s": 3.0"#);
+        assert_eq!(compare_reports(&missing, &base).unwrap().len(), 1);
     }
 }

@@ -52,8 +52,11 @@ use std::time::Instant;
 /// source of truth both CI jobs consume via `validate_bench --list-smoke`
 /// (hand-maintained copies in the workflow file drifted before; now the
 /// workflow asks the binary).
-pub const SMOKE_BINS: [&str; 11] = [
+pub const SMOKE_BINS: [&str; 14] = [
     "fig02_alltoall_fragmentation",
+    "fig07_anomaly_taxonomy",
+    "fig09_anomaly_localization",
+    "fig10_mttlf",
     "fig10_goodput_recovery",
     "fig_cascade_ablation",
     "fig_gray_failure",

@@ -566,7 +566,7 @@ mod tests {
         assert!(res.network_bytes > 0);
         // With PXN every network flow is rail-aligned: src/dst NIC rails
         // match for every registered QP.
-        for rec in r.sim().telemetry().qp_info.values() {
+        for rec in r.sim().qp_records() {
             let (s, d) = (rec.src_nic, rec.dst_nic);
             let topo = r.sim().topology();
             let rail_of = |nic| match topo.node(nic).kind {

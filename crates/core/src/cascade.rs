@@ -462,21 +462,19 @@ pub fn try_run_campaign_battery_with(
 /// row, pod-major, each behind one HVDC unit and one CDU loop. This is the
 /// failure-domain unit every substrate cascade blasts — fleet placement
 /// policies spread tenants across these rows to bound the blast radius.
+///
+/// One pass in host-id order: a row opens at its first host, so rows come
+/// out ordered by their lowest host id.
 pub fn rack_rows(topo: &Topology) -> Vec<Vec<HostId>> {
-    let mut keys: Vec<(u16, u16)> = topo.hosts().iter().map(|h| (h.pod, h.block)).collect();
-    keys.sort_unstable();
-    keys.dedup();
-    let mut rows: Vec<Vec<HostId>> = keys
-        .iter()
-        .map(|&(pod, block)| {
-            topo.hosts()
-                .iter()
-                .filter(|h| (h.pod, h.block) == (pod, block))
-                .map(|h| h.id)
-                .collect()
-        })
-        .collect();
-    rows.sort_by_key(|r| r[0]);
+    let mut row_of: HashMap<(u16, u16), usize> = HashMap::new();
+    let mut rows: Vec<Vec<HostId>> = Vec::new();
+    for h in topo.hosts() {
+        let r = *row_of.entry((h.pod, h.block)).or_insert_with(|| {
+            rows.push(Vec::new());
+            rows.len() - 1
+        });
+        rows[r].push(h.id);
+    }
     rows
 }
 
@@ -956,6 +954,33 @@ mod tests {
         assert!(s.rows.iter().all(|r| r.hosts.len() == 8));
         assert_eq!(s.rows[0].hosts[0], HostId(0));
         assert_eq!(s.host_row[&HostId(9)], (1, 1));
+    }
+
+    #[test]
+    fn rack_rows_match_the_per_row_filter_on_sim_medium() {
+        let topo = astral_topo::build_astral(&astral_topo::AstralParams::sim_medium());
+        let rows = rack_rows(&topo);
+        // sim_medium: 2 pods × 8 blocks × 16 hosts.
+        assert_eq!(rows.len(), 16);
+        // The rows partition the fleet: every host exactly once.
+        let mut all = rows.concat();
+        all.sort();
+        let ids: Vec<HostId> = topo.hosts().iter().map(|h| h.id).collect();
+        assert_eq!(all, ids);
+        // Same rows in the same order as filtering the fleet once per
+        // sorted (pod, block) key and ordering rows by their first host.
+        let mut keys: Vec<(u16, u16)> = topo.hosts().iter().map(|h| (h.pod, h.block)).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        let mut want: Vec<Vec<HostId>> = keys
+            .iter()
+            .map(|&k| {
+                let in_row = topo.hosts().iter().filter(|h| (h.pod, h.block) == k);
+                in_row.map(|h| h.id).collect()
+            })
+            .collect();
+        want.sort_by_key(|r| r[0]);
+        assert_eq!(rows, want);
     }
 
     #[test]

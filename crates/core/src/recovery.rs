@@ -37,7 +37,7 @@ use astral_monitor::{
     GrayPattern, GraySample, GrayVerdict, HostHealth, JobDesc, OnlineDetector,
     OnlineDetectorConfig, RankProgress, RootCause, Snapshot,
 };
-use astral_net::{FlowEvent, QpId, QpRecord, SolverCounters, EPHEMERAL_BASE};
+use astral_net::{FlowEvent, QpId, SolverCounters, EPHEMERAL_BASE};
 use astral_sim::{SimDuration, SimRng};
 use astral_topo::{GpuId, HostId, LinkId, NodeId, NodeKind, Router, Topology};
 use astral_trace::{TraceKind, TraceRecord};
@@ -1381,14 +1381,8 @@ impl<'t> Engine<'t> {
         let nic = self.topo.host(host).nics[0];
         let sim = self.runner.sim();
         let in_use = || {
-            let rec = sim
-                .telemetry()
-                .qp_info
-                .values()
-                .find(|r| r.src_nic == nic)?;
-            sim.route(rec.src_nic, rec.dst_nic, &rec.tuple)?
-                .first()
-                .copied()
+            let rec = sim.qp_records().find(|r| r.src_nic == nic)?;
+            sim.qp_route(rec.qp)?.first().copied()
         };
         let up = tor
             .and_then(|tor| self.topo.link_between(nic, tor))
@@ -1401,17 +1395,13 @@ impl<'t> Engine<'t> {
         [up, down]
     }
 
-    /// Every edge link of `host`: each NIC uplink followed by its reverse
-    /// downlink, NIC by NIC.
-    fn host_edge_links(&self, host: HostId) -> Vec<LinkId> {
-        let mut edges = Vec::new();
-        for &nic in &self.topo.host(host).nics {
-            for &up in self.topo.out_links(nic) {
-                edges.push(up);
-                edges.extend(self.topo.link_between(self.topo.link(up).dst, nic));
-            }
-        }
-        edges
+    /// Every edge link of `host` as `(uplink, downlink)` pairs, NIC by NIC.
+    fn host_edges(&self, host: HostId) -> impl Iterator<Item = (LinkId, LinkId)> + 't {
+        let topo = self.topo;
+        topo.host(host)
+            .nics
+            .iter()
+            .flat_map(|&nic| topo.nic_edges(nic))
     }
 
     /// Kill a correlated optics batch: the failed modules share one
@@ -1464,19 +1454,13 @@ impl<'t> Engine<'t> {
         let mut blamed: BTreeSet<LinkId> = BTreeSet::new();
         let mut unreachable: Vec<QpId> = Vec::new();
         for &qp in aborted {
-            let rec = self.qp_record(qp);
-            let probe = self
-                .runner
-                .sim()
-                .int_probe(rec.src_nic, rec.dst_nic, rec.tuple.src_port);
+            let sim = self.runner.sim();
+            let rec = sim.qp_record(qp).expect("registered QP");
+            let probe = sim.int_probe(rec.src_nic, rec.dst_nic, rec.tuple.src_port);
             if probe.reached {
                 continue; // healed (transient outage already over)
             }
-            if let Some(path) = self
-                .runner
-                .sim()
-                .route(rec.src_nic, rec.dst_nic, &rec.tuple)
-            {
+            if let Some(path) = sim.qp_route(qp) {
                 if let Some(&dead) = path.get(probe.hops.len()) {
                     blamed.insert(dead);
                 }
@@ -1562,7 +1546,7 @@ impl<'t> Engine<'t> {
         let witness = self.witness_nic();
         let mut dead_hosts: BTreeSet<HostId> = BTreeSet::new();
         for &qp in &dead_qps {
-            let rec = self.qp_record(qp);
+            let rec = self.runner.sim().qp_record(qp).expect("registered QP");
             for nic in [rec.src_nic, rec.dst_nic] {
                 if let Some(h) = self.nic_host(nic) {
                     if self.hosts.contains(&h) && !self.nic_reaches(nic, witness) {
@@ -1638,7 +1622,7 @@ impl<'t> Engine<'t> {
             .into_iter()
             .map(|(l, _)| l)
             .collect();
-        let qps: Vec<QpId> = self.runner.sim().telemetry().qp_info.keys().collect();
+        let qps: Vec<QpId> = self.runner.sim().qp_records().map(|r| r.qp).collect();
         for qp in qps {
             self.steer_qp(qp, &hot);
         }
@@ -1649,11 +1633,8 @@ impl<'t> Engine<'t> {
     /// `avoid`; falls back to any alive path, then to any *different*
     /// path. Returns false when no candidate reaches the destination.
     fn steer_qp(&mut self, qp: QpId, avoid: &[LinkId]) -> bool {
-        let rec = self.qp_record(qp);
-        let cur = self
-            .runner
-            .sim()
-            .route(rec.src_nic, rec.dst_nic, &rec.tuple);
+        let rec = self.runner.sim().qp_record(qp).expect("registered QP");
+        let cur = self.runner.sim().qp_route(qp);
         let base = rec.tuple.src_port.wrapping_sub(EPHEMERAL_BASE);
         let mut fallback: Option<u16> = None;
         for c in 1..=128u16 {
@@ -1723,7 +1704,7 @@ impl<'t> Engine<'t> {
                 let Some(l) = self.pick_interior_link() else {
                     return 0;
                 };
-                let blast = self.qps_on_links(&[l]).len();
+                let blast = self.runner.sim().qps_crossing(&[l]).len();
                 self.fail_now(&[l]);
                 self.pending_restores.push(l);
                 blast
@@ -1732,13 +1713,16 @@ impl<'t> Engine<'t> {
                 // Kill the side the host's traffic is actually riding, so
                 // the fault manifests regardless of how the QPs hashed.
                 let pair = self.live_uplink_pair(self.job_host(host_index), None);
-                let blast = self.qps_on_links(&pair).len();
+                let blast = self.runner.sim().qps_crossing(&pair).len();
                 self.fail_now(&pair);
                 blast
             }
             InjectedFault::HostFailure { host_index, .. } => {
-                let dead = self.host_edge_links(self.job_host(host_index));
-                let blast = self.qps_on_links(&dead).len();
+                let dead: Vec<LinkId> = self
+                    .host_edges(self.job_host(host_index))
+                    .flat_map(|(up, down)| [up, down])
+                    .collect();
+                let blast = self.runner.sim().qps_crossing(&dead).len();
                 self.fail_now(&dead);
                 blast
             }
@@ -1765,7 +1749,7 @@ impl<'t> Engine<'t> {
                     flap_count,
                     next_edge_iter: at_iter,
                 });
-                self.qps_on_links(&[l]).len()
+                self.runner.sim().qps_crossing(&[l]).len()
             }
             InjectedFault::DegradingOptic {
                 at_iter,
@@ -1783,7 +1767,7 @@ impl<'t> Engine<'t> {
                     floor: floor.clamp(0.01, 0.99),
                     next_it: at_iter,
                 });
-                self.qps_on_links(&links).len()
+                self.runner.sim().qps_crossing(&links).len()
             }
             InjectedFault::SlowHost {
                 at_iter,
@@ -1793,11 +1777,7 @@ impl<'t> Engine<'t> {
             } => {
                 let host = self.job_host(host_index);
                 // The slowdown drains the host's ingress: its downlinks.
-                let ingress: Vec<LinkId> = self
-                    .host_edge_links(host)
-                    .into_iter()
-                    .filter(|&l| self.topo.host(host).nics.contains(&self.topo.link(l).dst))
-                    .collect();
+                let ingress: Vec<LinkId> = self.host_edges(host).map(|(_, down)| down).collect();
                 self.gray_drives[idx] = Some(GrayDrive::Slow {
                     host,
                     factor: factor.clamp(0.01, 0.99),
@@ -1806,7 +1786,7 @@ impl<'t> Engine<'t> {
                     degraded: false,
                     next_it: at_iter,
                 });
-                self.qps_on_links(&ingress).len()
+                self.runner.sim().qps_crossing(&ingress).len()
             }
         }
     }
@@ -1816,8 +1796,8 @@ impl<'t> Engine<'t> {
     fn pick_interior_link(&mut self) -> Option<LinkId> {
         let mut candidates: Vec<LinkId> = Vec::new();
         let sim = self.runner.sim();
-        for rec in sim.telemetry().qp_info.values() {
-            if let Some(path) = sim.route(rec.src_nic, rec.dst_nic, &rec.tuple) {
+        for rec in sim.qp_records() {
+            if let Some(path) = sim.qp_route(rec.qp) {
                 if path.len() >= 3 {
                     candidates.extend(&path[1..path.len() - 1]);
                 }
@@ -1900,10 +1880,10 @@ impl<'t> Engine<'t> {
                     *next_it = it + 1;
                     let want = !*intermittent || (it - *start_iter).is_multiple_of(2);
                     if want && !*degraded {
-                        let _ = self.runner.sim_mut().degrade_host_at(now, *host, *factor);
+                        self.runner.sim_mut().degrade_host_at(now, *host, *factor);
                         *degraded = true;
                     } else if !want && *degraded {
-                        let _ = self.runner.sim_mut().restore_host_at(now, *host);
+                        self.runner.sim_mut().restore_host_at(now, *host);
                         *degraded = false;
                     }
                     touched = true;
@@ -2067,10 +2047,11 @@ impl<'t> Engine<'t> {
         };
         // Mute every edge link of this host: further evidence from a host
         // already under quarantine is expected and uninformative.
-        let edges = self.host_edge_links(host);
+        let edges = self.host_edges(host);
         if let Some(d) = self.gray_detector.as_mut() {
-            for &e in &edges {
-                d.mute(e);
+            for (up, down) in edges {
+                d.mute(up);
+                d.mute(down);
             }
         }
         if self.quarantined.contains(&host) {
@@ -2109,7 +2090,7 @@ impl<'t> Engine<'t> {
                 d.mute(l);
             }
         }
-        for qp in self.qps_on_links(links) {
+        for qp in self.runner.sim().qps_crossing(links) {
             self.steer_qp(qp, links);
         }
     }
@@ -2120,23 +2101,6 @@ impl<'t> Engine<'t> {
         flaps.get(&link).copied().unwrap_or(0)
     }
 
-    /// QPs whose live route crosses any of `links`, ascending.
-    fn qps_on_links(&self, links: &[LinkId]) -> Vec<QpId> {
-        self.runner
-            .sim()
-            .telemetry()
-            .qp_info
-            .values()
-            .filter(|r| {
-                self.runner
-                    .sim()
-                    .route(r.src_nic, r.dst_nic, &r.tuple)
-                    .is_some_and(|p| p.iter().any(|l| links.contains(l)))
-            })
-            .map(|r| r.qp)
-            .collect()
-    }
-
     /// Move iterations after the last checkpoint from useful to lost.
     fn rollback(&mut self, to: u32, current: u32) {
         for i in to..current {
@@ -2144,10 +2108,6 @@ impl<'t> Engine<'t> {
             self.useful_s -= s;
             self.lost_rollback_s += s;
         }
-    }
-
-    fn qp_record(&self, qp: QpId) -> QpRecord {
-        self.runner.sim().telemetry().qp_info[qp].clone()
     }
 
     fn nic_host(&self, nic: NodeId) -> Option<HostId> {

@@ -10,7 +10,7 @@
 use crate::snapshot::{HostHealth, JobDesc, RankProgress, Snapshot};
 use crate::taxonomy::RootCause;
 use astral_collectives::{CollectiveRunner, RunnerConfig};
-use astral_net::QpId;
+use astral_net::{NetworkSim, QpId};
 use astral_sim::{SimRng, SimTime};
 use astral_topo::{GpuId, HostId, LinkId, NodeId, Topology};
 
@@ -150,6 +150,18 @@ pub struct ScenarioOutcome<'t> {
     pub runner: CollectiveRunner<'t>,
 }
 
+/// Every QP's sFlow node path with a link beyond the NIC uplink (three or
+/// more nodes), sorted: the deterministic pool the link faults pick from.
+fn fabric_paths(sim: &NetworkSim<'_>) -> Vec<Vec<NodeId>> {
+    let mut paths: Vec<Vec<NodeId>> = sim
+        .qp_records()
+        .filter_map(|r| sim.sflow_path(r.qp))
+        .filter(|p| p.len() >= 3)
+        .collect();
+    paths.sort();
+    paths
+}
+
 /// Execute one fault scenario on `topo`.
 pub fn run_fault_scenario<'t>(
     topo: &'t Topology,
@@ -182,11 +194,9 @@ pub fn run_fault_scenario<'t>(
             truth = TruthCulprit::Host(host);
         }
         Fault::NicError { host } => {
-            let nic = topo.host(host).nics[0];
-            for &l in topo.out_links(nic) {
-                runner.sim_mut().fail_link_at(SimTime::ZERO, l);
-                let rev = topo.link_between(topo.link(l).dst, nic).expect("duplex");
-                runner.sim_mut().fail_link_at(SimTime::ZERO, rev);
+            for (up, down) in topo.nic_edges(topo.host(host).nics[0]) {
+                runner.sim_mut().fail_link_at(SimTime::ZERO, up);
+                runner.sim_mut().fail_link_at(SimTime::ZERO, down);
             }
             truth = TruthCulprit::Host(host);
         }
@@ -224,15 +234,7 @@ pub fn run_fault_scenario<'t>(
         if it == 1 && fault == Fault::OpticalFiberCut {
             // Cut a fabric link on an active QP's path
             // (deterministically: the lexicographically first path).
-            let mut paths: Vec<&[NodeId]> = runner
-                .sim()
-                .telemetry()
-                .sflow_paths
-                .iter()
-                .map(|(_, p)| p)
-                .filter(|p| p.len() >= 3)
-                .collect();
-            paths.sort();
+            let paths = fabric_paths(runner.sim());
             let link = paths
                 .get(rng.below(paths.len().max(1) as u64) as usize)
                 .and_then(|p| topo.link_between(p[1], p[2]));
@@ -248,15 +250,7 @@ pub fn run_fault_scenario<'t>(
         // counters — a single transient would log only 2).
         if matches!(fault, Fault::LinkFlap) && (1..=3).contains(&it) {
             let link = flap_link.or_else(|| {
-                let mut paths: Vec<&[NodeId]> = runner
-                    .sim()
-                    .telemetry()
-                    .sflow_paths
-                    .iter()
-                    .map(|(_, p)| p)
-                    .filter(|p| p.len() >= 3)
-                    .collect();
-                paths.sort();
+                let paths = fabric_paths(runner.sim());
                 paths.first().and_then(|p| topo.link_between(p[1], p[2]))
             });
             if let Some(l) = link {
@@ -283,9 +277,7 @@ pub fn run_fault_scenario<'t>(
     {
         let qps: Vec<(astral_net::QpId, NodeId, NodeId, u16)> = runner
             .sim()
-            .telemetry()
-            .qp_info
-            .values()
+            .qp_records()
             .map(|r| (r.qp, r.src_nic, r.dst_nic, r.tuple.src_port))
             .collect();
         let now = runner.sim().now();

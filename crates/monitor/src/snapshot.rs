@@ -127,10 +127,14 @@ impl Snapshot {
     /// Copy the network-side layers out of a simulation's telemetry.
     pub fn harvest_network(&mut self, sim: &NetworkSim<'_>) {
         let t = sim.telemetry();
-        self.qp_registry = t.qp_info.values().cloned().collect();
+        self.qp_registry = sim.qp_records().collect();
         self.qp_series = t.qp_bytes.iter().map(|(q, s)| (q, s.clone())).collect();
         self.err_cqe = t.err_cqe.clone();
-        self.sflow = t.sflow_paths.iter().map(|(q, p)| (q, p.to_vec())).collect();
+        self.sflow = self
+            .qp_registry
+            .iter()
+            .filter_map(|r| Some((r.qp, sim.sflow_path(r.qp)?)))
+            .collect();
         for (i, c) in t.link.iter().enumerate() {
             if c.pfc_pause_ns > 0 {
                 self.link_pfc.insert(LinkId(i as u32), c.pfc_pause_ns);

@@ -14,8 +14,9 @@
 //! * **Failure injection** — dead links (errCQE after RTO) and degraded
 //!   drains (PCIe-limited hosts) that trigger PFC pauses and head-of-line
 //!   victims (§5's incidents).
-//! * **Telemetry taps** ([`Telemetry`]) — QP registry, ms-level QP byte
-//!   samples, sFlow paths, INT per-hop probes, ECN/PFC counters, feeding the
+//! * **Telemetry taps** ([`Telemetry`]) — ms-level QP byte samples and
+//!   ECN/PFC counters, plus the QP registry, sFlow paths and INT per-hop
+//!   probes read straight off the simulator's QP table, feeding the
 //!   `astral-monitor` analyzer.
 //!
 //! ```
@@ -51,4 +52,4 @@ pub use sim::{
     DEFAULT_TRACE_CAPACITY,
 };
 pub use solver::{FairShareSolver, SolverCounters};
-pub use telemetry::{ErrCqe, LinkCounters, QpRecord, QpTable, SflowPaths, Telemetry};
+pub use telemetry::{ErrCqe, LinkCounters, QpRecord, QpTable, Telemetry};

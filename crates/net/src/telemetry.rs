@@ -5,14 +5,18 @@
 //! crate consumes them exactly as the production analyzer consumes its
 //! collectors:
 //!
-//! * **Transport layer** — a QP registry mapping [`QpId`] ↔ five-tuple ↔
-//!   application context, millisecond-resolution per-QP byte samples (the
-//!   ACL-mirrored RETH DMA-length trick), and `errCQE` events.
-//! * **Network layer** — per-QP sFlow path records and an INT-style
-//!   hop-by-hop probe (implemented on the simulator in
-//!   [`crate::NetworkSim::int_probe`]).
+//! * **Transport layer** — millisecond-resolution per-QP byte samples (the
+//!   ACL-mirrored RETH DMA-length trick) and `errCQE` events.
 //! * **Physical layer** — per-link cumulative ECN mark, PFC pause, and byte
-//!   counters, plus utilization EWMA.
+//!   counters, utilization EWMA, and link flap counts.
+//!
+//! Per-QP identity is not copied here. The simulator's QP table is the one
+//! record of each queue pair, and it answers the rest of the transport and
+//! network layers as views: the QP registry mapping [`QpId`] ↔ five-tuple ↔
+//! application context ([`crate::NetworkSim::qp_records`], as
+//! [`QpRecord`]s), the per-QP sFlow path
+//! ([`crate::NetworkSim::sflow_path`]), and the INT-style hop-by-hop probe
+//! ([`crate::NetworkSim::int_probe`]).
 
 use crate::fivetuple::{FiveTuple, QpContext, QpId};
 use astral_sim::{SimTime, TimeSeries};
@@ -47,17 +51,12 @@ pub struct LinkCounters {
 /// All telemetry captured by one simulation.
 #[derive(Debug, Default)]
 pub struct Telemetry {
-    /// QP registry: transport identity ↔ application context.
-    pub qp_info: QpTable<QpRecord>,
     /// Millisecond-level byte samples per QP (time, bytes delivered since
     /// the previous sample). The simulator appends to it for every active
     /// flow on every fluid step.
     pub qp_bytes: QpTable<TimeSeries>,
     /// CQE error events, in time order.
     pub err_cqe: Vec<ErrCqe>,
-    /// sFlow-reconstructed path (node sequence) per QP, from the most recent
-    /// route of that QP.
-    pub sflow_paths: SflowPaths,
     /// Per-link counters, indexed by `LinkId`.
     pub link: Vec<LinkCounters>,
     /// Physical layer: cumulative link up/down transition counts (flap
@@ -93,16 +92,6 @@ impl<T> QpTable<T> {
         self.slots.get(Self::slot(qp)?)?.as_ref()
     }
 
-    /// Mutable access to the entry of `qp`, if it has one.
-    pub fn get_mut(&mut self, qp: QpId) -> Option<&mut T> {
-        self.slots.get_mut(Self::slot(qp)?)?.as_mut()
-    }
-
-    /// Set the entry of `qp`.
-    pub fn insert(&mut self, qp: QpId, value: T) {
-        *self.slot_mut(qp) = Some(value);
-    }
-
     /// The entry of `qp`, inserting `make()` first if it has none.
     pub fn get_or_insert_with(&mut self, qp: QpId, make: impl FnOnce() -> T) -> &mut T {
         self.slot_mut(qp).get_or_insert_with(make)
@@ -126,16 +115,6 @@ impl<T> QpTable<T> {
             .enumerate()
             .filter_map(|(i, v)| Some((QpId(i as u64 + 1), v.as_ref()?)))
     }
-
-    /// QP ids with an entry, ascending.
-    pub fn keys(&self) -> impl Iterator<Item = QpId> + '_ {
-        self.iter().map(|(q, _)| q)
-    }
-
-    /// Entries in ascending QP id.
-    pub fn values(&self) -> impl Iterator<Item = &T> + '_ {
-        self.slots.iter().flatten()
-    }
 }
 
 impl<T> std::ops::Index<QpId> for QpTable<T> {
@@ -146,52 +125,8 @@ impl<T> std::ops::Index<QpId> for QpTable<T> {
     }
 }
 
-/// sFlow node paths, one per routed QP, in one flat arena: a QP's first
-/// route appends to the arena, so once the arena has grown recording a
-/// route allocates nothing.
-#[derive(Debug, Clone, Default)]
-pub struct SflowPaths {
-    /// `(offset, length)` of each QP's path in `nodes`.
-    spans: QpTable<(u32, u32)>,
-    nodes: Vec<NodeId>,
-}
-
-impl SflowPaths {
-    /// Replace the path recorded for `qp`. A path no longer than the one it
-    /// replaces is written over it in place; otherwise it goes to the end
-    /// of the arena.
-    pub fn record(&mut self, qp: QpId, path: impl IntoIterator<Item = NodeId>) {
-        let start = self.nodes.len();
-        self.nodes.extend(path);
-        let len = self.nodes.len() - start;
-        match self.spans.get_mut(qp) {
-            Some((off, old)) if *old as usize >= len => {
-                self.nodes.copy_within(start.., *off as usize);
-                self.nodes.truncate(start);
-                *old = len as u32;
-            }
-            _ => {
-                self.spans.insert(qp, (start as u32, len as u32));
-            }
-        }
-    }
-
-    /// The path recorded for `qp`.
-    pub fn get(&self, qp: QpId) -> Option<&[NodeId]> {
-        let &(off, len) = self.spans.get(qp)?;
-        Some(&self.nodes[off as usize..(off + len) as usize])
-    }
-
-    /// Recorded paths in ascending QP id.
-    pub fn iter(&self) -> impl Iterator<Item = (QpId, &[NodeId])> + '_ {
-        self.spans
-            .iter()
-            .map(|(q, &(off, len))| (q, &self.nodes[off as usize..(off + len) as usize]))
-    }
-}
-
 /// Registry entry for one queue pair.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct QpRecord {
     /// The QP id.
     pub qp: QpId,
@@ -221,24 +156,6 @@ impl Telemetry {
             .push(t, bytes);
     }
 
-    /// QPs whose five-tuple matches `tuple` (the monitor's transport→app
-    /// pivot).
-    pub fn qps_by_tuple(&self, tuple: &FiveTuple) -> Vec<QpId> {
-        self.qp_info
-            .values()
-            .filter(|r| &r.tuple == tuple)
-            .map(|r| r.qp)
-            .collect()
-    }
-
-    /// All errCQE events within a time window.
-    pub fn err_cqe_in(&self, start: SimTime, end: SimTime) -> Vec<&ErrCqe> {
-        self.err_cqe
-            .iter()
-            .filter(|e| e.time >= start && e.time < end)
-            .collect()
-    }
-
     /// Links ordered by ECN marks, hottest first.
     pub fn hottest_links_by_ecn(&self, top: usize) -> Vec<(LinkId, u64)> {
         let mut v: Vec<(LinkId, u64)> = self
@@ -262,28 +179,7 @@ impl Telemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fivetuple::ip_of_nic;
     use astral_sim::SimDuration;
-
-    fn record(qp: u64, sport: u16) -> QpRecord {
-        QpRecord {
-            qp: QpId(qp),
-            tuple: FiveTuple::roce(ip_of_nic(NodeId(1)), ip_of_nic(NodeId(2)), sport),
-            src_nic: NodeId(1),
-            dst_nic: NodeId(2),
-            ctx: QpContext::anonymous(),
-        }
-    }
-
-    #[test]
-    fn tuple_pivot_finds_qps() {
-        let mut t = Telemetry::new(4);
-        t.qp_info.insert(QpId(1), record(1, 50_000));
-        t.qp_info.insert(QpId(2), record(2, 50_001));
-        t.qp_info.insert(QpId(3), record(3, 50_000));
-        let tuple = FiveTuple::roce(ip_of_nic(NodeId(1)), ip_of_nic(NodeId(2)), 50_000);
-        assert_eq!(t.qps_by_tuple(&tuple), vec![QpId(1), QpId(3)]);
-    }
 
     #[test]
     fn qp_rate_series_resamples_to_ms() {
@@ -303,23 +199,6 @@ mod tests {
     }
 
     #[test]
-    fn err_cqe_window_filter() {
-        let mut t = Telemetry::new(0);
-        for ms in [1u64, 5, 9] {
-            t.err_cqe.push(ErrCqe {
-                time: SimTime::from_millis(ms),
-                qp: QpId(ms),
-                tuple: record(ms, 50_000).tuple,
-            });
-        }
-        assert_eq!(
-            t.err_cqe_in(SimTime::from_millis(2), SimTime::from_millis(9))
-                .len(),
-            1
-        );
-    }
-
-    #[test]
     fn hottest_links_sorted_desc() {
         let mut t = Telemetry::new(3);
         t.link[0].ecn_marks = 5;
@@ -331,31 +210,13 @@ mod tests {
 
     #[test]
     fn qp_tables_iterate_in_ascending_id() {
-        let mut t = Telemetry::new(0);
+        let mut t: QpTable<u32> = QpTable::default();
         for q in [3u64, 1, 2] {
-            t.qp_info.insert(QpId(q), record(q, 50_000));
+            *t.get_or_insert_with(QpId(q), || 0) += q as u32;
         }
-        assert_eq!(
-            t.qp_info.keys().collect::<Vec<_>>(),
-            [QpId(1), QpId(2), QpId(3)]
-        );
-        assert!(t.qp_bytes.get(QpId(9)).is_none());
-        assert!(t.qp_info.get(QpId(0)).is_none());
-    }
-
-    #[test]
-    fn sflow_paths_rewrite_in_place_when_they_fit() {
-        let mut s = SflowPaths::default();
-        s.record(QpId(2), [NodeId(1), NodeId(5), NodeId(2)]);
-        s.record(QpId(1), [NodeId(3)]);
-        s.record(QpId(2), [NodeId(1), NodeId(6), NodeId(2)]);
-        assert_eq!(s.nodes.len(), 4, "an equal-length path reuses its span");
-        s.record(QpId(1), [NodeId(3), NodeId(7)]);
-        assert_eq!(s.nodes.len(), 6, "a longer path is appended");
-        assert_eq!(s.get(QpId(1)), Some(&[NodeId(3), NodeId(7)][..]));
-        assert_eq!(s.get(QpId(2)), Some(&[NodeId(1), NodeId(6), NodeId(2)][..]));
-        assert_eq!(s.get(QpId(3)), None);
-        let qps: Vec<QpId> = s.iter().map(|(q, _)| q).collect();
-        assert_eq!(qps, [QpId(1), QpId(2)]);
+        let entries: Vec<(QpId, u32)> = t.iter().map(|(q, &v)| (q, v)).collect();
+        assert_eq!(entries, [(QpId(1), 1), (QpId(2), 2), (QpId(3), 3)]);
+        assert!(t.get(QpId(9)).is_none());
+        assert!(t.get(QpId(0)).is_none());
     }
 }

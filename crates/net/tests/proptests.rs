@@ -576,3 +576,244 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// The simulator's QP views ≡ a test-side model under churn
+// ---------------------------------------------------------------------
+
+/// One step of a QP-view churn script.
+#[derive(Debug, Clone, Copy)]
+enum QpChurn {
+    /// Register a QP between two GPUs' NICs (possibly a loopback).
+    Register {
+        src: u32,
+        dst: u32,
+        sport: u16,
+        job: u32,
+    },
+    /// Move a registered QP to another source port.
+    Reassign { pick: usize, sport: u16 },
+    /// Inject a flow on a registered QP.
+    Inject { pick: usize, mb: u64 },
+    /// Advance simulated time.
+    Advance { us: u64 },
+    /// Hard-fail one hop of a registered QP's current route.
+    Fail { pick: usize, hop: usize },
+    /// Restore the most recently failed link.
+    Restore,
+}
+
+fn qp_churn_script() -> impl Strategy<Value = Vec<QpChurn>> {
+    let op = (
+        0u32..12,
+        (0u32..64, 0u32..64),
+        (49_152u16.., 0u32..4),
+        (0usize..16, 0usize..8),
+        (1u64..32, 50u64..3_000),
+    )
+        .prop_map(
+            |(kind, (src, dst), (sport, job), (pick, hop), (mb, us))| match kind {
+                0..=2 => QpChurn::Register {
+                    src,
+                    dst,
+                    sport,
+                    job,
+                },
+                3 | 4 => QpChurn::Reassign { pick, sport },
+                5..=7 => QpChurn::Inject { pick, mb },
+                8 | 9 => QpChurn::Advance { us },
+                10 => QpChurn::Fail { pick, hop },
+                _ => QpChurn::Restore,
+            },
+        );
+    prop::collection::vec(op, 4..32)
+}
+
+/// The test's own record of one QP: what was registered, its current
+/// source port, and the route its last routed flow was given.
+struct ModelQp {
+    src: astral_topo::NodeId,
+    dst: astral_topo::NodeId,
+    sport: u16,
+    ctx: astral_net::QpContext,
+    last_routed: Option<Vec<astral_topo::LinkId>>,
+}
+
+impl ModelQp {
+    fn tuple(&self) -> astral_net::FiveTuple {
+        use astral_net::{ip_of_nic, FiveTuple};
+        FiveTuple::roce(ip_of_nic(self.src), ip_of_nic(self.dst), self.sport)
+    }
+}
+
+/// Compare every QP view of `sim` with the model and with brute force:
+/// the registry, each route view against a fresh `route()` walk, each
+/// sFlow path against the last routed path, and the QPs crossing `probe`
+/// against a filter over fresh walks.
+fn check_qp_views(
+    sim: &astral_net::NetworkSim<'_>,
+    topo: &astral_topo::Topology,
+    model: &[ModelQp],
+    probe: &[astral_topo::LinkId],
+) {
+    use astral_net::{QpId, QpRecord};
+
+    let records: Vec<QpRecord> = sim.qp_records().collect();
+    assert_eq!(records.len(), model.len());
+    let mut crossing = Vec::new();
+    for (i, (rec, m)) in records.iter().zip(model).enumerate() {
+        let qp = QpId(i as u64 + 1);
+        let want = QpRecord {
+            qp,
+            tuple: m.tuple(),
+            src_nic: m.src,
+            dst_nic: m.dst,
+            ctx: m.ctx,
+        };
+        assert_eq!(rec, &want);
+        assert_eq!(sim.qp_record(qp).as_ref(), Some(&want));
+        let fresh = sim.route(m.src, m.dst, &want.tuple);
+        assert_eq!(sim.qp_route(qp), fresh, "route view of {qp}");
+        let sflow = m.last_routed.as_ref().map(|p| {
+            std::iter::once(m.src)
+                .chain(p.iter().map(|&l| topo.link(l).dst))
+                .collect::<Vec<_>>()
+        });
+        assert_eq!(sim.sflow_path(qp), sflow, "sFlow view of {qp}");
+        if fresh.is_some_and(|p| p.iter().any(|l| probe.contains(l))) {
+            crossing.push(qp);
+        }
+    }
+    assert_eq!(sim.qps_crossing(probe), crossing);
+    let unknown = QpId(model.len() as u64 + 1);
+    assert!(sim.qp_record(unknown).is_none() && sim.qp_route(unknown).is_none());
+    assert!(sim.sflow_path(unknown).is_none());
+}
+
+/// Drive one QP churn script on `sim`, keeping the model. Every choice
+/// the script makes reads the model and fresh `route()` walks, never a
+/// view, so a run with `check` off calls no view at all.
+fn drive_qp_churn(
+    sim: &mut astral_net::NetworkSim<'_>,
+    topo: &astral_topo::Topology,
+    script: &[QpChurn],
+    check: bool,
+) {
+    use astral_net::{FlowSpec, QpContext, QpId};
+    use astral_sim::{SimDuration, SimTime};
+
+    let mut model: Vec<ModelQp> = Vec::new();
+    let mut failed: Vec<astral_topo::LinkId> = Vec::new();
+    let mut now = SimTime::ZERO;
+    for (step, &op) in script.iter().enumerate() {
+        match op {
+            QpChurn::Register {
+                src,
+                dst,
+                sport,
+                job,
+            } => {
+                let (sg, dg) = (GpuId(src), GpuId(dst));
+                let ctx = QpContext::for_job(job, step as u32, sg, dg);
+                let (src, dst) = (topo.gpu_nic(sg), topo.gpu_nic(dg));
+                let qp = sim.register_qp(src, dst, sport, ctx);
+                assert_eq!(qp, QpId(model.len() as u64 + 1));
+                model.push(ModelQp {
+                    src,
+                    dst,
+                    sport,
+                    ctx,
+                    last_routed: None,
+                });
+            }
+            QpChurn::Reassign { pick, sport } if !model.is_empty() => {
+                let i = pick % model.len();
+                sim.reassign_sport(QpId(i as u64 + 1), sport);
+                model[i].sport = sport;
+            }
+            QpChurn::Inject { pick, mb } if !model.is_empty() => {
+                let i = pick % model.len();
+                let spec = FlowSpec {
+                    qp: QpId(i as u64 + 1),
+                    bytes: mb * 1_000_000,
+                    weight: 1.0,
+                };
+                let route = sim.route(model[i].src, model[i].dst, &model[i].tuple());
+                let id = sim.inject_at(now, spec);
+                assert_eq!(id.is_some(), route.is_some());
+                if route.is_some() {
+                    model[i].last_routed = route;
+                }
+            }
+            QpChurn::Advance { us } => {
+                now += SimDuration::from_micros(us);
+                sim.run_until(now);
+            }
+            QpChurn::Fail { pick, hop } if !model.is_empty() => {
+                let m = &model[pick % model.len()];
+                let route = sim.route(m.src, m.dst, &m.tuple()).unwrap_or_default();
+                if !route.is_empty() {
+                    let l = route[hop % route.len()];
+                    sim.fail_link_at(now, l);
+                    failed.push(l);
+                }
+            }
+            QpChurn::Restore => {
+                if let Some(l) = failed.pop() {
+                    sim.restore_link_at(now, l);
+                }
+            }
+            _ => {}
+        }
+        if check && !model.is_empty() {
+            // Probe the failed links plus one hop of one QP's route.
+            let m = &model[step % model.len()];
+            let mut probe = failed.clone();
+            let route = sim.route(m.src, m.dst, &m.tuple()).unwrap_or_default();
+            probe.extend(route.get(step % route.len().max(1)));
+            check_qp_views(sim, topo, &model, &probe);
+        }
+    }
+    sim.run_until_idle();
+    if check {
+        check_qp_views(sim, topo, &model, &failed);
+    }
+}
+
+proptest! {
+    /// The QP registry, route, sFlow and blast-radius views read the
+    /// simulator's one QP table and agree, after every step of random
+    /// register / reassign / inject / fail / restore churn, with a
+    /// test-side model and with fresh ECMP walks — on Astral, where every
+    /// pair routes, and on a rail-only fabric, where cross-rail QPs have
+    /// no route. Reading the views changes nothing: a twin run that never
+    /// calls them ends with the same solver counters (arena high-water
+    /// mark included) and the same trace.
+    #[test]
+    fn qp_views_match_model_and_leave_the_sim_untouched(
+        script in qp_churn_script(),
+        rail_only in any::<bool>(),
+    ) {
+        use astral_net::{NetConfig, NetworkSim};
+
+        let topo = if rail_only {
+            let mut p = AstralParams::sim_small();
+            p.pods = 1;
+            astral_topo::build_rail_only(&p)
+        } else {
+            build_astral(&AstralParams::sim_small())
+        };
+        let cfg = NetConfig {
+            trace: true,
+            ..NetConfig::default()
+        };
+        let mut viewed = NetworkSim::new(&topo, cfg);
+        drive_qp_churn(&mut viewed, &topo, &script, true);
+        let mut twin = NetworkSim::new(&topo, cfg);
+        drive_qp_churn(&mut twin, &topo, &script, false);
+        prop_assert_eq!(viewed.solver_counters(), twin.solver_counters());
+        let (a, b) = (viewed.take_trace(), twin.take_trace());
+        prop_assert_eq!(a.len(), b.len());
+        prop_assert_eq!(astral_trace::fingerprint(&a), astral_trace::fingerprint(&b));
+    }
+}

@@ -167,9 +167,9 @@ fn restore_readmits_aborted_flows() {
     sim.run_until(SimTime::from_micros(10));
     let first_link = sim.stats(id).path[0];
 
-    // The blast radius of the scheduled failure is exactly our flow.
-    let affected = sim.fail_link_at(SimTime::from_micros(20), first_link);
-    assert_eq!(affected, vec![id]);
+    // The blast radius of the scheduled failure is exactly our QP.
+    sim.fail_link_at(SimTime::from_micros(20), first_link);
+    assert_eq!(sim.qps_crossing(&[first_link]), vec![qp]);
 
     // Let the abort land (one RTO after the failure), then restore the
     // link mid-run.
@@ -216,8 +216,7 @@ fn degraded_host_triggers_pfc_and_slows_victims() {
     }
     let victim_qp = qp_between(&mut sim, &topo, 32, 4);
     // Degrade the sick host's ingress to 20%.
-    let affected = sim.degrade_host_at(SimTime::ZERO, HostId(0), 0.2);
-    assert!(!affected.is_empty());
+    sim.degrade_host_at(SimTime::ZERO, HostId(0), 0.2);
 
     for s in &specs {
         sim.inject(*s).unwrap();
@@ -232,6 +231,23 @@ fn degraded_host_triggers_pfc_and_slows_victims() {
     sim.run_until_idle();
 
     // PFC pause counters must have accumulated somewhere.
+    // Exactly the sick host's ToR→NIC links were degraded.
+    let mut downlinks: Vec<LinkId> = topo
+        .host(HostId(0))
+        .nics
+        .iter()
+        .flat_map(|&nic| topo.nic_edges(nic))
+        .map(|(_, down)| down)
+        .collect();
+    downlinks.sort();
+    assert!(!downlinks.is_empty());
+    let degraded = sim.degraded_links();
+    assert_eq!(
+        degraded.iter().map(|&(l, _)| l).collect::<Vec<_>>(),
+        downlinks
+    );
+    assert!(degraded.iter().all(|&(_, f)| (f - 0.2).abs() < 1e-9));
+
     let pfc_total: u64 = sim.telemetry().link.iter().map(|c| c.pfc_pause_ns).sum();
     assert!(
         pfc_total > 0,
@@ -262,7 +278,7 @@ fn int_probe_sees_congested_hops() {
     })
     .unwrap();
     sim.run_until(SimTime::from_millis(1));
-    let rec = sim.telemetry().qp_info[qp].clone();
+    let rec = sim.qp_record(qp).unwrap();
     let probe = sim.int_probe(rec.src_nic, rec.dst_nic, rec.tuple.src_port);
     assert!(probe.reached);
     assert_eq!(probe.hops.len(), 4);
@@ -366,7 +382,7 @@ fn loopback_flow_completes_instantly() {
     assert_eq!(stats[0].state, FlowState::Done);
     assert_eq!(stats[0].fct(), Some(SimDuration::ZERO));
     // sFlow records the one-node path.
-    assert_eq!(sim.telemetry().sflow_paths.get(qp), Some(&[nic][..]));
+    assert_eq!(sim.sflow_path(qp), Some(vec![nic]));
 }
 
 #[test]
@@ -734,10 +750,7 @@ fn sport_reassignment_reroutes_next_flow_and_sflow_record() {
     let first = flow_path(&mut sim);
     for _ in 0..3 {
         assert_eq!(flow_path(&mut sim), first);
-        assert_eq!(
-            sim.telemetry().sflow_paths.get(qp),
-            Some(&nodes_of(&topo, src, &first)[..])
-        );
+        assert_eq!(sim.sflow_path(qp), Some(nodes_of(&topo, src, &first)));
     }
 
     // A source port whose walk leaves the NIC on the other uplink.
@@ -746,15 +759,16 @@ fn sport_reassignment_reroutes_next_flow_and_sflow_record() {
         .find(|&p| sim.route(src, dst, &tuple(p)).unwrap()[0] != first[0])
         .expect("a dual-homed NIC has a second uplink");
     sim.reassign_sport(qp, moved);
-    assert_eq!(sim.telemetry().qp_info[qp].tuple.src_port, moved);
+    assert_eq!(sim.qp_record(qp).unwrap().tuple.src_port, moved);
+    // The port change reroutes the route view at once; sFlow keeps the
+    // old path until a flow takes the new one.
+    assert_eq!(sim.qp_route(qp), sim.route(src, dst, &tuple(moved)));
+    assert_eq!(sim.sflow_path(qp), Some(nodes_of(&topo, src, &first)));
 
     let second = flow_path(&mut sim);
     assert_ne!(second[0], first[0], "next flow must take the new uplink");
     assert_eq!(Some(second.clone()), sim.route(src, dst, &tuple(moved)));
-    assert_eq!(
-        sim.telemetry().sflow_paths.get(qp),
-        Some(&nodes_of(&topo, src, &second)[..])
-    );
+    assert_eq!(sim.sflow_path(qp), Some(nodes_of(&topo, src, &second)));
 
     // Reassigning the port it already has changes nothing.
     sim.reassign_sport(qp, moved);

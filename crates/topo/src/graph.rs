@@ -267,6 +267,16 @@ impl Topology {
             .collect()
     }
 
+    /// A NIC's edge links as `(uplink, downlink)` pairs in `out_links`
+    /// order: each uplink to a ToR and that ToR's link back to the NIC.
+    /// An uplink without a reverse link is skipped.
+    pub fn nic_edges(&self, nic: NodeId) -> impl Iterator<Item = (LinkId, LinkId)> + '_ {
+        self.out_links(nic).iter().filter_map(move |&up| {
+            let down = self.link_between(self.link(up).dst, nic)?;
+            Some((up, down))
+        })
+    }
+
     /// Rebuild the `(src,dst) -> link` index and the incoming-link
     /// adjacency (needed after deserialization).
     pub fn rebuild_index(&mut self) {
