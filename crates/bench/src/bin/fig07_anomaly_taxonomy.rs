@@ -88,6 +88,7 @@ fn main() {
             ..ScenarioConfig::default()
         };
         let outcome = run_fault_scenario(&topo, fault, &cfg);
+        sc.solver(&outcome.runner.sim().solver_counters());
         let d = analyzer.diagnose(&outcome.snapshot, &outcome.prober);
         *by_manifestation
             .entry(d.manifestation.to_string())

@@ -32,6 +32,7 @@ fn main() {
             ..ScenarioConfig::default()
         },
     );
+    sc.solver(&outcome.runner.sim().solver_counters());
     let snap = &outcome.snapshot;
 
     // (a) NCCL timeline.

@@ -55,6 +55,7 @@ fn main() {
     let mut results = Vec::new();
     for (label, fault, manifestation) in cases {
         let outcome = run_fault_scenario(&topo, fault, &ScenarioConfig::default());
+        sc.solver(&outcome.runner.sim().solver_counters());
         let d = analyzer.diagnose(&outcome.snapshot, &outcome.prober);
         assert_eq!(d.manifestation, manifestation, "{label} misclassified");
         let t_manual = manual_locate_time_s(&manual, manifestation, fleet_hosts);

@@ -27,9 +27,7 @@ use astral_core::{
     TrainingJobSpec,
 };
 use astral_exec::Pool;
-use astral_monitor::{
-    mttlf::AnalyzerCostModel, CorrelationConfig, CorrelationMiner, CorrelationPrior,
-};
+use astral_monitor::{mttlf::AnalyzerCostModel, CorrelationMiner, CorrelationPrior};
 use astral_sim::SimDuration;
 use astral_topo::{build_astral, AstralParams, Topology};
 use astral_trace::{fingerprint, TraceKind};
@@ -165,7 +163,7 @@ fn main() {
     let baseline = batch(&pool, &topo, &runs, CorrelationPrior::default());
 
     // Mine the recorded timelines into the prior.
-    let mut miner = CorrelationMiner::new(CorrelationConfig::default());
+    let mut miner = CorrelationMiner::new();
     for r in &baseline {
         miner.ingest(&r.recovery.trace);
     }

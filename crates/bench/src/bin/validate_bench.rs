@@ -14,12 +14,13 @@
 //!   consume one source of truth instead of hand-maintained copies.
 //! * `--compare <fresh-dir> <baseline-dir>` — the bench-regression gate:
 //!   every committed `BENCH_<id>.json` baseline must have a fresh
-//!   counterpart whose metrics match within per-metric tolerance
-//!   (relative 1e-6 — deterministic metrics reproduce exactly; the slack
-//!   only absorbs cross-machine libm drift), and every fresh metric must
-//!   have a baseline value. Keys prefixed `wall_clock` are timing, not
-//!   semantics, and are exempt both ways. Exits non-zero on any drift,
-//!   missing report, or missing or unbaselined metric.
+//!   counterpart whose metrics and series match within relative 1e-6
+//!   (deterministic values reproduce exactly; the slack only absorbs
+//!   cross-machine libm drift) and whose solver work counters match
+//!   exactly, and every fresh metric, series and counter must have a
+//!   baseline value. Keys prefixed `wall_clock` are timing, not semantics,
+//!   and are exempt both ways. Exits non-zero on any drift, missing
+//!   report, or missing or unbaselined key.
 
 use astral_bench::Report;
 use serde::Value;
@@ -77,12 +78,21 @@ fn validate(text: &str) -> Result<String, String> {
     Ok(id)
 }
 
-/// Relative tolerance of the `--compare` gate. Deterministic metrics
-/// reproduce bit-exactly on one machine; the slack absorbs last-ulp
-/// drift of transcendental libm calls across OS images.
+/// Relative tolerance of the `--compare` gate on metrics and series.
+/// Deterministic values reproduce bit-exactly on one machine; the slack
+/// absorbs last-ulp drift of transcendental libm calls across OS images.
 const COMPARE_REL_TOL: f64 = 1e-6;
 
-/// Timing-derived metric keys the `--compare` gate must not pin.
+/// The report sections the `--compare` gate checks: the noun its
+/// complaints use, and whether values must match exactly (work counters
+/// are integers that no libm call touches) or within [`COMPARE_REL_TOL`].
+const COMPARED: [(&str, &str, bool); 3] = [
+    ("metrics", "metric", false),
+    ("series", "series", false),
+    ("solver", "solver counter", true),
+];
+
+/// Timing-derived keys the `--compare` gate must not pin.
 fn compare_exempt(key: &str) -> bool {
     key.starts_with("wall_clock")
 }
@@ -96,55 +106,75 @@ fn numeric(v: &Value) -> Option<f64> {
     }
 }
 
-/// Flatten a report's `metrics` map to `(key, value)` pairs.
-fn metrics_of(text: &str) -> Result<Vec<(String, Value)>, String> {
-    let value: Value = serde_json::from_str(text).map_err(|e| format!("parse error: {e}"))?;
-    let Value::Map(pairs) = &value else {
+/// Flatten one top-level map of a report to `(key, value)` pairs.
+fn section_of(report: &Value, name: &str) -> Result<Vec<(String, Value)>, String> {
+    let Value::Map(pairs) = report else {
         return Err("top level is not an object".into());
     };
-    let Some(Value::Map(metrics)) = field(pairs, "metrics") else {
-        return Err("missing `metrics` object".into());
+    let Some(Value::Map(entries)) = field(pairs, name) else {
+        return Err(format!("missing `{name}` object"));
     };
-    Ok(metrics
+    Ok(entries
         .iter()
         .filter_map(|(k, v)| k.as_str().map(|k| (k.to_string(), v.clone())))
         .collect())
 }
 
-/// One baseline report vs its fresh counterpart. Returns the list of
-/// complaints (empty = pass): drifted or missing baseline metrics, and
-/// fresh metrics the baseline does not pin.
-fn compare_reports(fresh: &str, baseline: &str) -> Result<Vec<String>, String> {
-    let fresh = metrics_of(fresh)?;
-    let baseline = metrics_of(baseline)?;
-    let mut complaints = Vec::new();
-    for (key, want) in &baseline {
-        if compare_exempt(key) {
-            continue;
+/// Where `got` first departs from `want` (a path into nested sequences
+/// and maps, then both values), or `None` when they agree. Numbers agree
+/// within [`COMPARE_REL_TOL`] unless `exact`.
+fn drift(want: &Value, got: &Value, exact: bool) -> Option<String> {
+    match (want, got) {
+        (Value::Seq(w), Value::Seq(g)) if w.len() == g.len() => w
+            .iter()
+            .zip(g)
+            .enumerate()
+            .find_map(|(i, (w, g))| drift(w, g, exact).map(|d| format!("[{i}]{d}"))),
+        (Value::Map(w), Value::Map(g))
+            if w.len() == g.len() && w.iter().zip(g).all(|((a, _), (b, _))| a == b) =>
+        {
+            w.iter().zip(g).find_map(|((k, w), (_, g))| {
+                let k = k.as_str().unwrap_or("?");
+                drift(w, g, exact).map(|d| format!(".{k}{d}"))
+            })
         }
-        let Some(got) = fresh.iter().find(|(k, _)| k == key).map(|(_, v)| v) else {
-            complaints.push(format!("metric `{key}` missing from the fresh report"));
-            continue;
-        };
-        match (numeric(want), numeric(got)) {
-            (Some(w), Some(g)) => {
+        _ => match (numeric(want), numeric(got)) {
+            (Some(w), Some(g)) if !exact => {
                 let tol = COMPARE_REL_TOL * w.abs().max(g.abs()).max(1e-12);
-                if (w - g).abs() > tol {
-                    complaints.push(format!("metric `{key}` drifted: baseline {w}, fresh {g}"));
-                }
+                ((w - g).abs() > tol).then(|| format!(": baseline {w}, fresh {g}"))
             }
-            _ => {
-                if format!("{want:?}") != format!("{got:?}") {
-                    complaints.push(format!(
-                        "metric `{key}` changed shape: baseline {want:?}, fresh {got:?}"
-                    ));
+            _ => (want != got).then(|| format!(": baseline {want:?}, fresh {got:?}")),
+        },
+    }
+}
+
+/// One baseline report vs its fresh counterpart. Returns the list of
+/// complaints (empty = pass): drifted or missing baseline metrics, series
+/// and solver counters, and fresh ones the baseline does not pin.
+fn compare_reports(fresh: &str, baseline: &str) -> Result<Vec<String>, String> {
+    let parse = |text| serde_json::from_str(text).map_err(|e| format!("parse error: {e}"));
+    let (fresh, baseline): (Value, Value) = (parse(fresh)?, parse(baseline)?);
+    let mut complaints = Vec::new();
+    for (name, noun, exact) in COMPARED {
+        let fresh = section_of(&fresh, name)?;
+        let baseline = section_of(&baseline, name)?;
+        for (key, want) in &baseline {
+            if compare_exempt(key) {
+                continue;
+            }
+            match fresh.iter().find(|(k, _)| k == key) {
+                None => complaints.push(format!("{noun} `{key}` missing from the fresh report")),
+                Some((_, got)) => {
+                    if let Some(d) = drift(want, got, exact) {
+                        complaints.push(format!("{noun} `{key}` drifted{d}"));
+                    }
                 }
             }
         }
-    }
-    for (key, _) in &fresh {
-        if !compare_exempt(key) && !baseline.iter().any(|(k, _)| k == key) {
-            complaints.push(format!("metric `{key}` has no baseline value"));
+        for (key, _) in &fresh {
+            if !compare_exempt(key) && !baseline.iter().any(|(k, _)| k == key) {
+                complaints.push(format!("{noun} `{key}` has no baseline value"));
+            }
         }
     }
     Ok(complaints)
@@ -308,7 +338,13 @@ mod tests {
     use super::compare_reports;
 
     fn report(metrics: &str) -> String {
-        format!("{{\"metrics\": {{{metrics}}}}}")
+        full(metrics, r#""s": [[1, 0.5], [2, 0.25]]"#, r#""events": 7"#)
+    }
+
+    fn full(metrics: &str, series: &str, solver: &str) -> String {
+        format!(
+            "{{\"metrics\": {{{metrics}}}, \"series\": {{{series}}}, \"solver\": {{{solver}}}}}"
+        )
     }
 
     #[test]
@@ -328,5 +364,47 @@ mod tests {
         }
         let missing = report(r#""wall_clock_s": 3.0"#);
         assert_eq!(compare_reports(&missing, &base).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn compare_gates_series_and_solver_counters() {
+        let (metrics, series, solver) = (
+            r#""a": 1.0"#,
+            r#""s": [[1, 0.5], [2, 0.25]]"#,
+            r#""events": 7"#,
+        );
+        let base = full(metrics, series, solver);
+        // Series points get the metric tolerance: last-ulp drift passes.
+        let ulp = full(
+            metrics,
+            r#""s": [[1, 0.5000000000000001], [2, 0.25]]"#,
+            solver,
+        );
+        assert_eq!(compare_reports(&ulp, &base).unwrap(), Vec::<String>::new());
+        let point = full(metrics, r#""s": [[1, 0.5], [2, 0.26]]"#, solver);
+        assert_eq!(
+            compare_reports(&point, &base).unwrap(),
+            ["series `s` drifted[1][1]: baseline 0.25, fresh 0.26"]
+        );
+        let short = full(metrics, r#""s": [[1, 0.5]]"#, solver);
+        assert_eq!(compare_reports(&short, &base).unwrap().len(), 1);
+        let gone = full(metrics, "", solver);
+        assert_eq!(
+            compare_reports(&gone, &base).unwrap(),
+            ["series `s` missing from the fresh report"]
+        );
+        let extra = full(metrics, r#""s": [[1, 0.5], [2, 0.25]], "t": []"#, solver);
+        assert_eq!(
+            compare_reports(&extra, &base).unwrap(),
+            ["series `t` has no baseline value"]
+        );
+        // Work counters match exactly.
+        let counter = full(metrics, series, r#""events": 8"#);
+        assert_eq!(
+            compare_reports(&counter, &base).unwrap(),
+            ["solver counter `events` drifted: baseline U64(7), fresh U64(8)"]
+        );
+        let uncounted = full(metrics, series, "");
+        assert_eq!(compare_reports(&uncounted, &base).unwrap().len(), 1);
     }
 }

@@ -28,8 +28,6 @@ use std::collections::HashMap;
 pub struct RunnerConfig {
     /// Network simulator configuration.
     pub net: NetConfig,
-    /// Enable PXN rail-aligned forwarding through NVLink.
-    pub pxn: bool,
     /// Per-step launch overhead (kernel + proxy scheduling).
     pub step_overhead: SimDuration,
     /// Job id recorded in QP contexts (for the monitor's correlation).
@@ -40,7 +38,6 @@ impl Default for RunnerConfig {
     fn default() -> Self {
         RunnerConfig {
             net: NetConfig::default(),
-            pxn: true,
             step_overhead: SimDuration::from_micros(8),
             job: 0,
         }
@@ -377,35 +374,18 @@ impl<'a> CollectiveRunner<'a> {
     }
 
     /// Decide injection NICs for a cross-domain transfer; returns
-    /// `(src_nic, dst_nic, used_pxn_relay)`.
+    /// `(src_nic, dst_nic, used_pxn_relay)`. PXN is always on: a
+    /// cross-rail transfer is relayed over NVLink to the source host's NIC
+    /// on the destination's rail.
     fn plan_nics(&self, sg: GpuId, dg: GpuId) -> (NodeId, NodeId, bool) {
         let topo = self.sim.topology();
         let dst_nic = topo.gpu_nic(dg);
-        let (sr, dr) = (topo.gpu_rail(sg), topo.gpu_rail(dg));
-        let direct = topo.gpu_nic(sg);
-        if sr == dr {
-            return (direct, dst_nic, false);
+        let dr = topo.gpu_rail(dg);
+        if topo.gpu_rail(sg) == dr {
+            return (topo.gpu_nic(sg), dst_nic, false);
         }
-        let relay = {
-            // NIC of the source *host* on the destination's rail.
-            let host = topo.gpu_host(sg);
-            topo.host(host).nics[dr as usize]
-        };
-        if self.cfg.pxn {
-            return (relay, dst_nic, true);
-        }
-        // PXN off: go direct if the fabric can route cross-rail; otherwise
-        // fall back to the relay (rail-only has no choice).
-        let tuple = astral_net::FiveTuple::roce(
-            astral_net::ip_of_nic(direct),
-            astral_net::ip_of_nic(dst_nic),
-            49152,
-        );
-        if self.sim.route(direct, dst_nic, &tuple).is_some() {
-            (direct, dst_nic, false)
-        } else {
-            (relay, dst_nic, true)
-        }
+        let host = topo.gpu_host(sg);
+        (topo.host(host).nics[dr as usize], dst_nic, true)
     }
 
     fn qp_for(
@@ -583,15 +563,9 @@ mod tests {
         p.pods = 1;
         let t = build_rail_only(&p);
         let group = vec![GpuId(0), GpuId(1), GpuId(4), GpuId(5)];
-        // Even with PXN "off", the runner must fall back to NVLink relays
-        // because the fabric cannot route cross-rail.
-        let mut r = CollectiveRunner::new(
-            &t,
-            RunnerConfig {
-                pxn: false,
-                ..RunnerConfig::default()
-            },
-        );
+        // The fabric cannot route cross-rail, so cross-rail transfers
+        // must ride NVLink relays.
+        let mut r = CollectiveRunner::new(&t, RunnerConfig::default());
         let res = r.all_to_all(&group, 8 << 20);
         assert_eq!(res.failed_flows, 0);
         assert!(res.nvlink_bytes > 0, "relay traffic must ride NVLink");

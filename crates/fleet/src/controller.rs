@@ -39,6 +39,18 @@ use std::sync::Arc;
 /// communication-overhead ratio.
 pub const EST_ITER_OVERHEAD: f64 = 1.25;
 
+/// Requeues allowed per job after aborts before it is declared failed
+/// (preemption requeues are free).
+const RETRY_BUDGET: u32 = 2;
+
+/// Wall-clock to repair a cordoned host before it rejoins the fleet,
+/// seconds.
+const HOST_REPAIR_S: f64 = 600.0;
+
+/// Wall-clock after which a gray-quarantined host drops off the avoid
+/// list and is scheduled normally again, seconds.
+const AVOID_CLEAR_S: f64 = 900.0;
+
 /// Seer-backed admission estimator ([`FleetPolicy::seer_admission`]): one
 /// what-if service over the campaign fabric whose content-addressed
 /// forecast cache collapses repeat admissions of the same (model, scale)
@@ -446,11 +458,9 @@ fn run_campaign_inner(
                             );
                         }
                     }
-                    if policy.gray_avoidance {
-                        for &h in &rec.quarantined {
-                            avoid_until.insert(h, now + policy.avoid_clear_s);
-                            gray_avoided_total += 1;
-                        }
+                    for &h in &rec.quarantined {
+                        avoid_until.insert(h, now + AVOID_CLEAR_S);
+                        gray_avoided_total += 1;
                     }
                     // Cordoned hosts are dead from (estimated) cordon time
                     // until repairs finish; everything else returns now.
@@ -464,12 +474,8 @@ fn run_campaign_inner(
                                     1.0
                                 };
                                 let t_cordon = run.t_start + frac * (run.t_end - run.t_start);
-                                stranded_hs += (now - t_cordon).max(0.0) + policy.host_repair_s;
-                                events.insert((
-                                    (now + policy.host_repair_s).to_bits(),
-                                    EVT_REPAIR,
-                                    h.0,
-                                ));
+                                stranded_hs += (now - t_cordon).max(0.0) + HOST_REPAIR_S;
+                                events.insert(((now + HOST_REPAIR_S).to_bits(), EVT_REPAIR, h.0));
                             }
                         }
                     }
@@ -491,7 +497,7 @@ fn run_campaign_inner(
                         });
                     } else {
                         t.remaining = t.remaining.saturating_sub(rec.iters_done).max(1);
-                        if policy.requeue && t.retries < policy.retry_budget {
+                        if t.retries < RETRY_BUDGET {
                             t.retries += 1;
                             t.ready_s = now;
                             queue.insert(id);
@@ -537,9 +543,7 @@ fn run_campaign_inner(
                 continue;
             }
             let mut placed = engine.place_avoiding(need, policy.placement, &free, &avoid);
-            if matches!(placed, Err(PlacementError::InsufficientCapacity { .. }))
-                && policy.preemption
-            {
+            if matches!(placed, Err(PlacementError::InsufficientCapacity { .. })) {
                 // Victims: strictly lower class, youngest segments first.
                 let mut victims: Vec<u32> = running
                     .keys()

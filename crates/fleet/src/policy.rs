@@ -30,7 +30,14 @@ impl std::fmt::Display for PlacementStrategy {
     }
 }
 
-/// The fleet controller's knobs.
+/// The fleet controller's knobs. The rest of its playbook is fixed:
+/// a higher-priority job that cannot place preempts lower-priority
+/// running jobs, aborted and preempted jobs are requeued with their
+/// remaining iterations (aborts within a retry budget), cordoned hosts
+/// rejoin the fleet after a repair time, and per-job gray-failure
+/// quarantine verdicts feed a fleet-wide avoid list that new placements
+/// deprioritize (soft — a job still places on a suspect host when nothing
+/// else is free) until the verdict clears.
 #[derive(Debug, Clone, Copy)]
 pub struct FleetPolicy {
     /// Placement strategy for every tenant.
@@ -41,23 +48,6 @@ pub struct FleetPolicy {
     /// Spares granted to each admitted job from the pool (claims compete:
     /// a grant is capped by what is left in the pool at admission).
     pub spares_per_job: usize,
-    /// Preempt lower-priority running jobs when a higher-priority job
-    /// cannot place.
-    pub preemption: bool,
-    /// Requeue aborted (or preempted) jobs with their remaining
-    /// iterations.
-    pub requeue: bool,
-    /// Requeues allowed per job before it is declared failed.
-    pub retry_budget: u32,
-    /// Wall-clock to repair a cordoned host before it rejoins the fleet.
-    pub host_repair_s: f64,
-    /// Harvest per-job gray-failure quarantine verdicts into a fleet-wide
-    /// avoid list: new placements deprioritize suspect hosts (soft — a job
-    /// still places on them when nothing else is free).
-    pub gray_avoidance: bool,
-    /// Wall-clock after which a suspect host drops off the avoid list and
-    /// is scheduled normally again, seconds.
-    pub avoid_clear_s: f64,
     /// Estimate each admitted job's iteration time from a cached Seer
     /// what-if forecast (communication-overhead ratio of the job's model at
     /// its admitted scale) instead of the fixed
@@ -74,31 +64,18 @@ impl Default for FleetPolicy {
             placement: PlacementStrategy::BlastRadiusSpread,
             spare_pool: 4,
             spares_per_job: 2,
-            preemption: true,
-            requeue: true,
-            retry_budget: 2,
-            host_repair_s: 600.0,
-            gray_avoidance: true,
-            avoid_clear_s: 900.0,
             seer_admission: false,
             recovery: RecoveryPolicy::default(),
         }
     }
 }
 
-/// A nonsensical [`FleetPolicy`] knob combination, rejected before a
-/// campaign starts (mirroring [`RecoveryPolicy::validate`]): silently
-/// running a fleet with no recovery lever, or a requeue loop that can
-/// never fire, wastes an entire campaign before anyone notices.
+/// A [`FleetPolicy`] or campaign the controller rejects before it starts
+/// (mirroring [`RecoveryPolicy::validate`]): a nonsensical spare grant or
+/// job policy, or a campaign that cannot run on the fabric, would
+/// otherwise waste an entire campaign before anyone notices.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FleetError {
-    /// `spare_pool` is 0 while preemption is disabled: a cordon has no
-    /// spare to claim and no capacity can be preempted to make one — the
-    /// first hard fault strands its tenant with no fleet-level recourse.
-    NoRecoveryLever,
-    /// Requeue is enabled but `retry_budget` is 0: every abort is final
-    /// and the requeue path can never fire.
-    ZeroRetryBudget,
     /// `spares_per_job` exceeds `spare_pool`: no job could ever receive
     /// its nominal grant.
     GrantExceedsPool {
@@ -106,18 +83,6 @@ pub enum FleetError {
         grant: usize,
         /// Spares the pool holds.
         pool: usize,
-    },
-    /// `host_repair_s` is negative or non-finite.
-    BadRepairCost {
-        /// The offending value, seconds.
-        value: f64,
-    },
-    /// `avoid_clear_s` is negative or non-finite while gray avoidance is
-    /// enabled: a suspect host would either never clear deterministically
-    /// or clear before the verdict lands.
-    BadAvoidClear {
-        /// The offending value, seconds.
-        value: f64,
     },
     /// The inner per-job recovery policy is invalid.
     Recovery(PolicyError),
@@ -136,29 +101,10 @@ pub enum FleetError {
 impl std::fmt::Display for FleetError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            FleetError::NoRecoveryLever => write!(
-                f,
-                "spare_pool is 0 with preemption disabled: no fleet-level recovery lever"
-            ),
-            FleetError::ZeroRetryBudget => {
-                write!(f, "retry_budget must be at least 1 when requeue is enabled")
-            }
             FleetError::GrantExceedsPool { grant, pool } => write!(
                 f,
                 "spares_per_job {grant} exceeds the {pool}-host spare pool"
             ),
-            FleetError::BadRepairCost { value } => {
-                write!(
-                    f,
-                    "host_repair_s must be finite and non-negative, got {value}"
-                )
-            }
-            FleetError::BadAvoidClear { value } => {
-                write!(
-                    f,
-                    "avoid_clear_s must be finite and non-negative, got {value}"
-                )
-            }
             FleetError::Recovery(e) => write!(f, "recovery policy: {e}"),
             FleetError::PoolExceedsFleet { pool, fleet } => {
                 write!(
@@ -181,14 +127,12 @@ impl From<PolicyError> for FleetError {
 
 impl FleetPolicy {
     /// The naive baseline the headline bench contrasts against: first-fit
-    /// packing, no spares, no preemption-free — preemption stays on so the
-    /// policy is valid, but there is nothing blast-radius-aware about it.
+    /// packing and no spares — nothing blast-radius-aware about it.
     pub fn naive_packing() -> Self {
         FleetPolicy {
             placement: PlacementStrategy::FirstFit,
             spare_pool: 0,
             spares_per_job: 0,
-            preemption: true,
             ..FleetPolicy::default()
         }
     }
@@ -196,26 +140,10 @@ impl FleetPolicy {
     /// Reject nonsensical knob combinations at construction time instead
     /// of letting them waste (or silently skew) a whole campaign.
     pub fn validate(&self) -> Result<(), FleetError> {
-        if self.spare_pool == 0 && !self.preemption {
-            return Err(FleetError::NoRecoveryLever);
-        }
-        if self.requeue && self.retry_budget == 0 {
-            return Err(FleetError::ZeroRetryBudget);
-        }
         if self.spare_pool > 0 && self.spares_per_job > self.spare_pool {
             return Err(FleetError::GrantExceedsPool {
                 grant: self.spares_per_job,
                 pool: self.spare_pool,
-            });
-        }
-        if !self.host_repair_s.is_finite() || self.host_repair_s < 0.0 {
-            return Err(FleetError::BadRepairCost {
-                value: self.host_repair_s,
-            });
-        }
-        if self.gray_avoidance && (!self.avoid_clear_s.is_finite() || self.avoid_clear_s < 0.0) {
-            return Err(FleetError::BadAvoidClear {
-                value: self.avoid_clear_s,
             });
         }
         self.recovery.validate()?;
@@ -231,26 +159,6 @@ mod tests {
     fn default_policy_is_valid() {
         assert_eq!(FleetPolicy::default().validate(), Ok(()));
         assert_eq!(FleetPolicy::naive_packing().validate(), Ok(()));
-    }
-
-    #[test]
-    fn zero_spares_without_preemption_is_rejected() {
-        let p = FleetPolicy {
-            spare_pool: 0,
-            preemption: false,
-            ..FleetPolicy::default()
-        };
-        assert_eq!(p.validate(), Err(FleetError::NoRecoveryLever));
-    }
-
-    #[test]
-    fn zero_retry_budget_with_requeue_is_rejected() {
-        let p = FleetPolicy {
-            requeue: true,
-            retry_budget: 0,
-            ..FleetPolicy::default()
-        };
-        assert_eq!(p.validate(), Err(FleetError::ZeroRetryBudget));
     }
 
     #[test]
@@ -279,33 +187,5 @@ mod tests {
             p.validate(),
             Err(FleetError::Recovery(PolicyError::ZeroCheckpointInterval))
         );
-    }
-
-    #[test]
-    fn bad_avoid_clear_is_rejected() {
-        let p = FleetPolicy {
-            avoid_clear_s: -1.0,
-            ..FleetPolicy::default()
-        };
-        assert_eq!(p.validate(), Err(FleetError::BadAvoidClear { value: -1.0 }));
-        // With avoidance off, the knob is inert and not validated.
-        let p = FleetPolicy {
-            gray_avoidance: false,
-            avoid_clear_s: f64::NAN,
-            ..FleetPolicy::default()
-        };
-        assert_eq!(p.validate(), Ok(()));
-    }
-
-    #[test]
-    fn bad_repair_cost_is_rejected() {
-        let p = FleetPolicy {
-            host_repair_s: f64::NAN,
-            ..FleetPolicy::default()
-        };
-        assert!(matches!(
-            p.validate(),
-            Err(FleetError::BadRepairCost { .. })
-        ));
     }
 }

@@ -6,9 +6,9 @@ use astral_collectives::RunnerConfig;
 use astral_core::{AbortReason, RecoveryPolicy};
 use astral_exec::Pool;
 use astral_fleet::{
-    try_run_fleet_campaign_traced, try_run_fleet_campaign_with, FleetCampaign, FleetFault,
-    FleetFaultConfig, FleetFaultKind, FleetPolicy, FleetReport, JobStatus, PlacementStrategy,
-    WorkloadConfig,
+    try_run_fleet_campaign_traced, try_run_fleet_campaign_with, FleetCampaign, FleetError,
+    FleetFault, FleetFaultConfig, FleetFaultKind, FleetPolicy, FleetReport, JobStatus,
+    PlacementStrategy, WorkloadConfig,
 };
 use astral_topo::{build_astral, AstralParams, Topology};
 use proptest::prelude::*;
@@ -104,10 +104,9 @@ fn naive_packing_strands_tenants_where_blast_radius_spreading_survives() {
 }
 
 /// A fail-slow host keeps afflicting rack row 0: gray-aware recovery soft-
-/// quarantines it inside each segment (spare swap, no abort), and with
-/// fleet gray avoidance the quarantine verdicts land on the fleet avoid
-/// list so later placements deprioritize the suspect capacity. The
-/// `gray_avoidance` toggle gates only the harvest.
+/// quarantines it inside each segment (spare swap, no abort), and the
+/// quarantine verdicts land on the fleet avoid list so later placements
+/// deprioritize the suspect capacity.
 #[test]
 fn gray_quarantines_feed_the_fleet_avoid_list() {
     let t = topo();
@@ -150,16 +149,41 @@ fn gray_quarantines_feed_the_fleet_avoid_list() {
         "soft quarantine never kills a tenant: {:?}",
         report.jobs
     );
+}
 
-    let no_harvest = FleetPolicy {
-        gray_avoidance: false,
-        ..gray
+/// Why the controller rejects `campaign` under `policy`; it must do so
+/// before simulating anything.
+fn rejection(t: &Topology, policy: &FleetPolicy, campaign: &FleetCampaign) -> FleetError {
+    let (pool, cfg) = (Pool::with_threads(1), RunnerConfig::default());
+    match try_run_fleet_campaign_with(&pool, t, policy, campaign, cfg) {
+        Ok(r) => panic!("campaign was not rejected: {r:?}"),
+        Err(e) => e,
+    }
+}
+
+#[test]
+fn campaign_without_jobs_is_rejected() {
+    let empty = FleetCampaign {
+        workload: WorkloadConfig {
+            jobs: 0,
+            ..WorkloadConfig::default()
+        },
+        ..FleetCampaign::default()
     };
-    let blind = run_campaign(&t, &no_harvest, &campaign);
-    assert_eq!(
-        blind.gray_avoided, 0,
-        "avoid-list harvest must be gated by the policy toggle"
-    );
+    let err = rejection(&topo(), &FleetPolicy::default(), &empty);
+    assert_eq!(err, FleetError::EmptyWorkload);
+}
+
+#[test]
+fn spare_pool_of_the_whole_fleet_is_rejected() {
+    let t = topo();
+    let fleet = t.hosts().len();
+    let policy = FleetPolicy {
+        spare_pool: fleet,
+        ..FleetPolicy::default()
+    };
+    let err = rejection(&t, &policy, &FleetCampaign::default());
+    assert_eq!(err, FleetError::PoolExceedsFleet { pool: fleet, fleet });
 }
 
 #[test]

@@ -52,36 +52,24 @@ pub struct Diagnosis {
     pub queries: u32,
 }
 
-/// Tunables for the analyzer.
-#[derive(Debug, Clone, Copy)]
-pub struct AnalyzerConfig {
-    /// Robust z-score beyond which a rank is an outlier.
-    pub outlier_z: f64,
-    /// QP rate fraction below which a flow is "slow" (paper: 50%).
-    pub slow_qp_frac: f64,
-    /// Per-hop delay above which a hop is congested.
-    pub hop_delay_threshold_us: f64,
-    /// Iteration time above `expected × this` counts as slow.
-    pub slow_iter_factor: f64,
-    /// Rack inlet temperature above which the cooling substrate is
-    /// suspect (supply air should sit near the low twenties).
-    pub inlet_alarm_c: f64,
-    /// Power cap fraction below which the power substrate is suspect.
-    pub power_cap_alarm_frac: f64,
-}
+/// Robust z-score beyond which a rank is an outlier.
+const OUTLIER_Z: f64 = 3.5;
 
-impl Default for AnalyzerConfig {
-    fn default() -> Self {
-        AnalyzerConfig {
-            outlier_z: 3.5,
-            slow_qp_frac: 0.5,
-            hop_delay_threshold_us: 100.0,
-            slow_iter_factor: 1.15,
-            inlet_alarm_c: 32.0,
-            power_cap_alarm_frac: 0.995,
-        }
-    }
-}
+/// QP rate fraction below which a flow is "slow" (paper: 50%).
+const SLOW_QP_FRAC: f64 = 0.5;
+
+/// Per-hop delay above which a hop is congested.
+const HOP_DELAY_THRESHOLD_US: f64 = 100.0;
+
+/// Iteration time above `expected × this` counts as slow.
+const SLOW_ITER_FACTOR: f64 = 1.15;
+
+/// Rack inlet temperature above which the cooling substrate is suspect
+/// (supply air should sit near the low twenties).
+const INLET_ALARM_C: f64 = 32.0;
+
+/// Power cap fraction below which the power substrate is suspect.
+const POWER_CAP_ALARM_FRAC: f64 = 0.995;
 
 /// Up/down transition count at which a link counts as *flapping* rather
 /// than transiently failed: one hard fail + one restore is 2 edges; a
@@ -90,17 +78,12 @@ pub const FLAP_EDGES_MIN: u32 = 3;
 
 /// The hierarchical correlation analyzer.
 #[derive(Debug, Clone, Default)]
-pub struct Analyzer {
-    /// Configuration.
-    pub cfg: AnalyzerConfig,
-}
+pub struct Analyzer;
 
 impl Analyzer {
-    /// An analyzer with default thresholds.
+    /// The analyzer (its thresholds are the module's constants).
     pub fn new() -> Self {
-        Analyzer {
-            cfg: AnalyzerConfig::default(),
-        }
+        Analyzer
     }
 
     /// Run the full hierarchical correlation over one snapshot.
@@ -140,15 +123,15 @@ impl Analyzer {
         // ---- Step 2: cross-host horizontal comparison ----
         let comp_outliers = outliers(
             snap.ranks.iter().map(|r| (r.host, r.comp_time_s)),
-            self.cfg.outlier_z,
+            OUTLIER_Z,
         );
         let comm_outliers = outliers(
             snap.ranks.iter().map(|r| (r.host, r.comm_time_s)),
-            self.cfg.outlier_z,
+            OUTLIER_Z,
         );
         let progress_laggards = outliers(
             snap.ranks.iter().map(|r| (r.host, -(r.ops_done as f64))),
-            self.cfg.outlier_z,
+            OUTLIER_Z,
         );
         queries += 3;
 
@@ -191,7 +174,7 @@ impl Analyzer {
         let slow_qps: Vec<_> = snap
             .qp_rate_frac
             .iter()
-            .filter(|&(_, &f)| f < self.cfg.slow_qp_frac)
+            .filter(|&(_, &f)| f < SLOW_QP_FRAC)
             .map(|(&qp, &f)| (qp, f))
             .collect();
         queries += 1;
@@ -318,13 +301,13 @@ impl Analyzer {
         let mut hot: Vec<(HostId, f64)> = snap
             .health
             .iter()
-            .filter(|h| h.thermal_throttle || h.inlet_temp_c > self.cfg.inlet_alarm_c)
+            .filter(|h| h.thermal_throttle || h.inlet_temp_c > INLET_ALARM_C)
             .map(|h| (h.host, h.inlet_temp_c))
             .collect();
         let mut capped: Vec<(HostId, f64)> = snap
             .health
             .iter()
-            .filter(|h| h.power_cap_frac < self.cfg.power_cap_alarm_frac)
+            .filter(|h| h.power_cap_frac < POWER_CAP_ALARM_FRAC)
             .map(|h| (h.host, h.power_cap_frac))
             .collect();
         if hot.is_empty() && capped.is_empty() {
@@ -339,7 +322,7 @@ impl Analyzer {
                  (hottest {hottest} at {temp:.1} °C) — shared cooling substrate, \
                  not per-host compute",
                 hot.len(),
-                self.cfg.inlet_alarm_c,
+                INLET_ALARM_C,
             ));
             return Some(Diagnosis {
                 manifestation,
@@ -392,7 +375,7 @@ impl Analyzer {
             .iter()
             .map(|r| r.comp_time_s + r.comm_time_s)
             .fold(0.0f64, f64::max);
-        if expected_t > 0.0 && mean_iter > expected_t * self.cfg.slow_iter_factor {
+        if expected_t > 0.0 && mean_iter > expected_t * SLOW_ITER_FACTOR {
             evidence.push(format!(
                 "app layer: iteration {mean_iter:.3}s exceeds Seer expectation {expected_t:.3}s"
             ));
@@ -548,7 +531,7 @@ impl Analyzer {
         evidence.push(format!(
             "transport layer: {} QPs below {:.0}% of link rate",
             slow_qps.len(),
-            self.cfg.slow_qp_frac * 100.0
+            SLOW_QP_FRAC * 100.0
         ));
 
         // Probe the slowest QP's path hop by hop.
@@ -562,7 +545,7 @@ impl Analyzer {
                 continue;
             };
             let worst_us = worst.delay.as_nanos() as f64 / 1e3;
-            if worst_us < self.cfg.hop_delay_threshold_us {
+            if worst_us < HOP_DELAY_THRESHOLD_US {
                 continue;
             }
             evidence.push(format!(

@@ -79,36 +79,22 @@ impl Signal {
     }
 }
 
-/// Tuning for the sliding-window miner.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct CorrelationConfig {
-    /// Window width in trace-timestamp nanoseconds. Signals landing in
-    /// the same window co-occur. Values below 1 are clamped to 1.
-    pub window_ns: u64,
-    /// Minimum substrate-onset windows before the prior activates —
-    /// below this, there is no evidence to learn from.
-    pub min_support: u32,
-    /// Minimum fraction of substrate-onset windows free of comm faults
-    /// for the prior to call the processes independent.
-    pub min_confidence: f64,
-}
+/// Window width in trace-timestamp nanoseconds: signals landing in the
+/// same window co-occur. Ten milliseconds of simulated *network* time. The
+/// trace clock advances only through comm phases (compute time is not
+/// materialized on the net-sim clock), so a full training iteration spans
+/// ~10–20 ms and a whole run often fits in under a second. 10 ms co-locates
+/// a fault with its same-iteration symptoms without merging the distinct
+/// iterations an independent cascade lands several of later.
+const WINDOW_NS: u64 = 10_000_000;
 
-impl Default for CorrelationConfig {
-    fn default() -> Self {
-        CorrelationConfig {
-            // Ten milliseconds of simulated *network* time. The trace
-            // clock advances only through comm phases (compute time is
-            // not materialized on the net-sim clock), so a full training
-            // iteration spans ~10–20 ms and a whole run often fits in
-            // under a second. 10 ms co-locates a fault with its
-            // same-iteration symptoms without merging the distinct
-            // iterations an independent cascade lands several of later.
-            window_ns: 10_000_000,
-            min_support: 1,
-            min_confidence: 0.5,
-        }
-    }
-}
+/// Minimum substrate-onset windows before the prior activates — below
+/// this, there is no evidence to learn from.
+const MIN_SUPPORT: u32 = 1;
+
+/// Minimum fraction of substrate-onset windows free of comm faults for the
+/// prior to call the processes independent.
+const MIN_CONFIDENCE: f64 = 0.5;
 
 /// Pairwise co-occurrence counts over sliding windows.
 #[derive(Debug, Clone, Default)]
@@ -134,42 +120,36 @@ impl CorrelationMatrix {
 /// Mines recorded timelines into a co-occurrence matrix and a learned
 /// drill-down prior. Each [`CorrelationMiner::ingest`] call is one
 /// *timeline* (one run's trace): every seeded run restarts its clock at
-/// `t = 0`, so windows are keyed by `(timeline, t_ns / window_ns)` —
+/// `t = 0`, so windows are keyed by `(timeline, t_ns / WINDOW_NS)` —
 /// signals co-occur only when they landed in the same window of the
 /// *same* run, never across runs that merely share the time axis.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CorrelationMiner {
-    cfg: CorrelationConfig,
     /// Timeline counter: bumped once per non-empty `ingest` call.
     timeline: u64,
     /// Per-window signal presence bitmasks, keyed by
-    /// `(timeline, t_ns / window_ns)`. Sorted map for deterministic
+    /// `(timeline, t_ns / WINDOW_NS)`. Sorted map for deterministic
     /// iteration.
     windows: std::collections::BTreeMap<(u64, u64), u8>,
 }
 
 impl CorrelationMiner {
-    /// A miner with the given window configuration.
-    pub fn new(cfg: CorrelationConfig) -> Self {
-        CorrelationMiner {
-            cfg,
-            timeline: 0,
-            windows: std::collections::BTreeMap::new(),
-        }
+    /// A miner with no timeline ingested.
+    pub fn new() -> Self {
+        CorrelationMiner::default()
     }
 
     /// Fold one run's trace into the per-window signal sets. The whole
     /// call is one timeline: records co-occur with each other (same
     /// window) but never with records from other `ingest` calls.
     pub fn ingest(&mut self, records: &[TraceRecord]) {
-        let width = self.cfg.window_ns.max(1);
         let timeline = self.timeline;
         self.timeline += 1;
         for rec in records {
             if let Some(sig) = Signal::of_record(rec) {
                 *self
                     .windows
-                    .entry((timeline, rec.t_ns / width))
+                    .entry((timeline, rec.t_ns / WINDOW_NS))
                     .or_insert(0) |= 1 << (sig as usize);
             }
         }
@@ -223,8 +203,6 @@ impl CorrelationMiner {
             } else {
                 0.0
             },
-            min_support: self.cfg.min_support,
-            min_confidence: self.cfg.min_confidence,
         }
     }
 }
@@ -243,17 +221,13 @@ pub struct CorrelationPrior {
     /// Fraction of those windows free of comm faults — the evidence that
     /// the substrate and comm fault processes are independent.
     pub independence: f64,
-    /// Threshold copied from [`CorrelationConfig::min_support`].
-    pub min_support: u32,
-    /// Threshold copied from [`CorrelationConfig::min_confidence`].
-    pub min_confidence: f64,
 }
 
 impl CorrelationPrior {
     /// Should the analyzer check substrate telemetry before comm-error
     /// evidence?
     pub fn suggests_substrate_first(&self) -> bool {
-        self.support >= self.min_support.max(1) && self.independence >= self.min_confidence
+        self.support >= MIN_SUPPORT && self.independence >= MIN_CONFIDENCE
     }
 }
 
@@ -261,13 +235,17 @@ impl CorrelationPrior {
 mod tests {
     use super::*;
 
+    /// One millisecond of trace time: the tests place records at multiples
+    /// of it, so the 10 ms window spans ten units.
+    const MS: u64 = 1_000_000;
+
     fn rec(t_ns: u64, kind: TraceKind, aux: u16) -> TraceRecord {
         TraceRecord::new(t_ns, kind, aux, 0, 0, 0, 0)
     }
 
     #[test]
     fn empty_trace_yields_inert_prior() {
-        let miner = CorrelationMiner::new(CorrelationConfig::default());
+        let miner = CorrelationMiner::new();
         let prior = miner.prior();
         assert!(!prior.suggests_substrate_first());
         assert_eq!(miner.matrix().windows, 0);
@@ -276,16 +254,12 @@ mod tests {
 
     #[test]
     fn window_boundaries_split_cooccurrence() {
-        let cfg = CorrelationConfig {
-            window_ns: 100,
-            ..CorrelationConfig::default()
-        };
-        let mut miner = CorrelationMiner::new(cfg);
-        // Abort at t=99 and cooling onset at t=100 are adjacent but land
-        // in different windows: no co-occurrence.
+        let mut miner = CorrelationMiner::new();
+        // Abort just before 10 ms and cooling onset at 10 ms are adjacent
+        // but land in different windows: no co-occurrence.
         miner.ingest(&[
-            rec(99, TraceKind::FlowAbort, 0),
-            rec(100, TraceKind::SubstrateOnset, 1),
+            rec(10 * MS - 1, TraceKind::FlowAbort, 0),
+            rec(10 * MS, TraceKind::SubstrateOnset, 1),
         ]);
         let m = miner.matrix();
         assert_eq!(m.windows, 2);
@@ -297,11 +271,11 @@ mod tests {
             m.confidence(Signal::CoolingOnset, Signal::FlowAbort),
             Some(0.0)
         );
-        // Same window (t=100..199): they co-occur.
-        let mut miner2 = CorrelationMiner::new(cfg);
+        // Same window (10 ms up to 20 ms): they co-occur.
+        let mut miner2 = CorrelationMiner::new();
         miner2.ingest(&[
-            rec(100, TraceKind::FlowAbort, 0),
-            rec(199, TraceKind::SubstrateOnset, 1),
+            rec(10 * MS, TraceKind::FlowAbort, 0),
+            rec(20 * MS - 1, TraceKind::SubstrateOnset, 1),
         ]);
         let m2 = miner2.matrix();
         assert_eq!(m2.windows, 1);
@@ -313,17 +287,13 @@ mod tests {
 
     #[test]
     fn prior_fires_on_independent_substrate_onsets() {
-        let mut miner = CorrelationMiner::new(CorrelationConfig {
-            window_ns: 100,
-            min_support: 1,
-            min_confidence: 0.5,
-        });
+        let mut miner = CorrelationMiner::new();
         // An early link fault + aborts, then a cooling onset in a clean
         // later window — the exact stale-errCQE shape.
         miner.ingest(&[
-            rec(10, TraceKind::LinkFail, 0),
-            rec(20, TraceKind::FlowAbort, 0),
-            rec(500, TraceKind::SubstrateOnset, 1),
+            rec(MS, TraceKind::LinkFail, 0),
+            rec(2 * MS, TraceKind::FlowAbort, 0),
+            rec(50 * MS, TraceKind::SubstrateOnset, 1),
         ]);
         let prior = miner.prior();
         assert_eq!(prior.support, 1);
@@ -333,18 +303,14 @@ mod tests {
 
     #[test]
     fn prior_stays_off_when_substrate_tracks_comm_faults() {
-        let mut miner = CorrelationMiner::new(CorrelationConfig {
-            window_ns: 1_000,
-            min_support: 1,
-            min_confidence: 0.5,
-        });
+        let mut miner = CorrelationMiner::new();
         // Substrate onsets always inside comm-fault windows: dependent
         // processes, comm-first drill-down stays correct.
         miner.ingest(&[
-            rec(10, TraceKind::LinkFail, 0),
-            rec(20, TraceKind::SubstrateOnset, 0),
-            rec(2_010, TraceKind::FlowAbort, 0),
-            rec(2_020, TraceKind::SubstrateOnset, 1),
+            rec(MS / 10, TraceKind::LinkFail, 0),
+            rec(MS / 5, TraceKind::SubstrateOnset, 0),
+            rec(20 * MS + MS / 10, TraceKind::FlowAbort, 0),
+            rec(20 * MS + MS / 5, TraceKind::SubstrateOnset, 1),
         ]);
         let prior = miner.prior();
         assert_eq!(prior.support, 2);
@@ -354,59 +320,30 @@ mod tests {
 
     #[test]
     fn optics_onsets_do_not_activate_the_prior() {
-        let mut miner = CorrelationMiner::new(CorrelationConfig {
-            window_ns: 100,
-            min_support: 1,
-            min_confidence: 0.5,
-        });
-        miner.ingest(&[rec(500, TraceKind::SubstrateOnset, 2)]);
+        let mut miner = CorrelationMiner::new();
+        miner.ingest(&[rec(50 * MS, TraceKind::SubstrateOnset, 2)]);
         assert_eq!(miner.prior().support, 0);
         assert!(!miner.prior().suggests_substrate_first());
         assert_eq!(miner.matrix().singles[Signal::OpticsOnset as usize], 1);
     }
 
     #[test]
-    fn zero_width_window_is_clamped() {
-        let mut miner = CorrelationMiner::new(CorrelationConfig {
-            window_ns: 0,
-            min_support: 1,
-            min_confidence: 0.5,
-        });
-        miner.ingest(&[
-            rec(7, TraceKind::FlowAbort, 0),
-            rec(7, TraceKind::SubstrateOnset, 1),
-        ]);
-        // Width clamps to 1ns: same-timestamp records still co-occur.
-        let m = miner.matrix();
-        assert_eq!(m.windows, 1);
-        assert_eq!(
-            m.confidence(Signal::CoolingOnset, Signal::FlowAbort),
-            Some(1.0)
-        );
-    }
-
-    #[test]
     fn ingest_calls_are_isolated_timelines() {
-        let cfg = CorrelationConfig {
-            window_ns: 100,
-            min_support: 1,
-            min_confidence: 0.5,
-        };
         // Two runs both start at t = 0. In the same run, abort and onset
-        // at t=10/t=20 co-occur; split across runs they must not, even
+        // at 1 ms/2 ms co-occur; split across runs they must not, even
         // though the raw timestamps land in the same window index.
-        let mut joint = CorrelationMiner::new(cfg);
+        let mut joint = CorrelationMiner::new();
         joint.ingest(&[
-            rec(10, TraceKind::FlowAbort, 0),
-            rec(20, TraceKind::SubstrateOnset, 1),
+            rec(MS, TraceKind::FlowAbort, 0),
+            rec(2 * MS, TraceKind::SubstrateOnset, 1),
         ]);
         assert_eq!(joint.matrix().windows, 1);
         assert_eq!(joint.prior().independence, 0.0);
         assert!(!joint.prior().suggests_substrate_first());
 
-        let mut split = CorrelationMiner::new(cfg);
-        split.ingest(&[rec(10, TraceKind::FlowAbort, 0)]);
-        split.ingest(&[rec(20, TraceKind::SubstrateOnset, 1)]);
+        let mut split = CorrelationMiner::new();
+        split.ingest(&[rec(MS, TraceKind::FlowAbort, 0)]);
+        split.ingest(&[rec(2 * MS, TraceKind::SubstrateOnset, 1)]);
         let m = split.matrix();
         assert_eq!(m.windows, 2);
         assert_eq!(

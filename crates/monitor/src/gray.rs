@@ -25,42 +25,25 @@ use astral_topo::LinkId;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Tuning knobs for the gray-failure detector.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct GrayDetectorConfig {
-    /// EWMA weight of fresh evidence when a link shows evidence this
-    /// iteration.
-    pub ewma_alpha: f64,
-    /// Multiplicative suspicion decay for an iteration *without* evidence.
-    /// Deliberately gentle (close to 1): intermittent faults hide in the
-    /// gaps, so one quiet iteration should barely lower suspicion.
-    pub gap_decay: f64,
-    /// Cumulative up/down edges on one link before the episode counts as
-    /// flapping (mirrors [`FLAP_EDGES_MIN`]: a single transient
-    /// fail+restore is 2 edges and must stay below this).
-    pub flap_edges_min: u32,
-    /// Consecutive capacity fractions to inspect for a monotone decline
-    /// (the degrading-optic signature).
-    pub trend_window: usize,
-    /// Suspicion at or above this emits a [`GrayVerdict`].
-    pub suspect_on: f64,
-    /// A suspect link clears (and may later open a fresh episode) only
-    /// when suspicion falls below this — hysteresis against re-alarms.
-    pub clear_below: f64,
-}
+/// EWMA weight of fresh evidence when a link shows evidence this
+/// iteration.
+const EWMA_ALPHA: f64 = 0.4;
 
-impl Default for GrayDetectorConfig {
-    fn default() -> Self {
-        GrayDetectorConfig {
-            ewma_alpha: 0.4,
-            gap_decay: 0.9,
-            flap_edges_min: FLAP_EDGES_MIN,
-            trend_window: 3,
-            suspect_on: 0.5,
-            clear_below: 0.2,
-        }
-    }
-}
+/// Multiplicative suspicion decay for an iteration *without* evidence.
+/// Deliberately gentle (close to 1): intermittent faults hide in the gaps,
+/// so one quiet iteration should barely lower suspicion.
+const GAP_DECAY: f64 = 0.9;
+
+/// Consecutive capacity fractions to inspect for a monotone decline (the
+/// degrading-optic signature).
+const TREND_WINDOW: usize = 3;
+
+/// Suspicion at or above this emits a [`GrayVerdict`].
+const SUSPECT_ON: f64 = 0.5;
+
+/// A suspect link clears (and may later open a fresh episode) only when
+/// suspicion falls below this — hysteresis against re-alarms.
+const CLEAR_BELOW: f64 = 0.2;
 
 /// One capacity-degraded link observed this iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -137,7 +120,7 @@ struct LinkState {
     edges_at_last: u32,
     /// Edges attributed to the current episode.
     episode_edges: u32,
-    /// Last `trend_window` capacity fractions, oldest first.
+    /// Last `TREND_WINDOW` capacity fractions, oldest first.
     fracs: Vec<f64>,
     /// Iterations inside this episode that brought no evidence.
     gaps: u32,
@@ -150,19 +133,14 @@ struct LinkState {
 /// stream.
 #[derive(Debug, Default)]
 pub struct GrayDetector {
-    cfg: GrayDetectorConfig,
     links: BTreeMap<LinkId, LinkState>,
     muted: BTreeSet<LinkId>,
 }
 
 impl GrayDetector {
-    /// Detector with the given tuning.
-    pub fn new(cfg: GrayDetectorConfig) -> Self {
-        GrayDetector {
-            cfg,
-            links: BTreeMap::new(),
-            muted: BTreeSet::new(),
-        }
+    /// A detector with no link under suspicion.
+    pub fn new() -> Self {
+        GrayDetector::default()
     }
 
     /// Stop scoring a link (it is already under probation or its host is
@@ -199,11 +177,11 @@ impl GrayDetector {
     pub fn observe(&mut self, sample: &GraySample) -> Vec<GrayEvent> {
         // Merge this sample's evidence per link. Degradation scores the
         // lost capacity fraction. Flap edges score sub-threshold until the
-        // episode reaches `flap_edges_min`, full strength after: a single
+        // episode reaches `FLAP_EDGES_MIN`, full strength after: a single
         // transient (fail + restore = 2 edges, possibly split across the
         // samples of a retried iteration) must never reach the alarm
         // threshold, while a genuine flapper keeps accruing edges and
-        // crosses at its `flap_edges_min`-th.
+        // crosses at its `FLAP_EDGES_MIN`-th.
         let mut evidence: BTreeMap<LinkId, f64> = BTreeMap::new();
         for &(l, cum) in &sample.flap_edges {
             let st = self.links.entry(l).or_default();
@@ -211,7 +189,7 @@ impl GrayDetector {
             st.edges_at_last = cum;
             if fresh > 0 && !self.muted.contains(&l) {
                 st.episode_edges += fresh;
-                let strength = if st.episode_edges >= self.cfg.flap_edges_min {
+                let strength = if st.episode_edges >= FLAP_EDGES_MIN {
                     1.0
                 } else {
                     0.25
@@ -227,7 +205,7 @@ impl GrayDetector {
             let st = self.links.entry(edge.link).or_default();
             st.host_edge |= edge.host_edge;
             st.fracs.push(edge.frac);
-            let over = st.fracs.len().saturating_sub(self.cfg.trend_window);
+            let over = st.fracs.len().saturating_sub(TREND_WINDOW);
             if over > 0 {
                 st.fracs.drain(..over);
             }
@@ -243,24 +221,23 @@ impl GrayDetector {
             }
             match evidence.get(&l) {
                 Some(&e) => {
-                    st.suspicion =
-                        (1.0 - self.cfg.ewma_alpha) * st.suspicion + self.cfg.ewma_alpha * e;
+                    st.suspicion = (1.0 - EWMA_ALPHA) * st.suspicion + EWMA_ALPHA * e;
                 }
                 None => {
-                    st.suspicion *= self.cfg.gap_decay;
+                    st.suspicion *= GAP_DECAY;
                     st.gaps += 1;
                 }
             }
-            if !st.suspect && st.suspicion >= self.cfg.suspect_on {
+            if !st.suspect && st.suspicion >= SUSPECT_ON {
                 st.suspect = true;
                 events.push(GrayEvent::Suspect(GrayVerdict {
                     link: l,
-                    pattern: classify(st, &self.cfg),
+                    pattern: classify(st),
                     suspicion: st.suspicion,
                     iter: sample.iter,
                     host_edge: st.host_edge,
                 }));
-            } else if st.suspect && st.suspicion < self.cfg.clear_below {
+            } else if st.suspect && st.suspicion < CLEAR_BELOW {
                 st.suspect = false;
                 st.episode_edges = 0;
                 st.gaps = 0;
@@ -281,11 +258,11 @@ impl GrayDetector {
 }
 
 /// Classify a threshold-crossing episode, most specific signature first.
-fn classify(st: &LinkState, cfg: &GrayDetectorConfig) -> GrayPattern {
-    if st.episode_edges >= cfg.flap_edges_min {
+fn classify(st: &LinkState) -> GrayPattern {
+    if st.episode_edges >= FLAP_EDGES_MIN {
         return GrayPattern::Flapping;
     }
-    if st.fracs.len() >= cfg.trend_window && st.fracs.windows(2).all(|w| w[1] < w[0] - 1e-9) {
+    if st.fracs.len() >= TREND_WINDOW && st.fracs.windows(2).all(|w| w[1] < w[0] - 1e-9) {
         return GrayPattern::Degrading;
     }
     if st.gaps > 0 {
@@ -299,7 +276,7 @@ mod tests {
     use super::*;
 
     fn det() -> GrayDetector {
-        GrayDetector::new(GrayDetectorConfig::default())
+        GrayDetector::new()
     }
 
     fn flap_sample(iter: u32, link: LinkId, cum: u32) -> GraySample {

@@ -42,14 +42,10 @@ mod scenario;
 mod snapshot;
 mod taxonomy;
 
-pub use analyzer::{Analyzer, AnalyzerConfig, Culprit, Diagnosis, FLAP_EDGES_MIN};
-pub use correlate::{
-    CorrelationConfig, CorrelationMatrix, CorrelationMiner, CorrelationPrior, Signal, SIGNALS,
-};
-pub use gray::{
-    GrayDetector, GrayDetectorConfig, GrayEdge, GrayEvent, GrayPattern, GraySample, GrayVerdict,
-};
-pub use online::{OnlineAlarm, OnlineDetector, OnlineDetectorConfig};
+pub use analyzer::{Analyzer, Culprit, Diagnosis, FLAP_EDGES_MIN};
+pub use correlate::{CorrelationMatrix, CorrelationMiner, CorrelationPrior, Signal, SIGNALS};
+pub use gray::{GrayDetector, GrayEdge, GrayEvent, GrayPattern, GraySample, GrayVerdict};
+pub use online::{OnlineAlarm, OnlineDetector};
 pub use scenario::{run_fault_scenario, Fault, ScenarioConfig, ScenarioOutcome, TruthCulprit};
 pub use snapshot::{CannedProber, HostHealth, IntProber, JobDesc, RankProgress, Snapshot};
 pub use taxonomy::{

@@ -5,32 +5,21 @@
 //! recovery controller cannot wait for one. [`OnlineDetector`] keeps a
 //! rolling baseline of healthy iteration durations and raises an alarm the
 //! moment an iteration either (a) reports flow aborts (errCQE — a
-//! fail-stop manifestation) or (b) runs slower than the baseline by the
-//! configured factor (fail-slow). Healthy iterations feed the baseline;
-//! anomalous ones do not, so a fault cannot poison its own detection.
+//! fail-stop manifestation) or (b) runs more than `SLOWDOWN_FACTOR` (2×)
+//! slower than the baseline (fail-slow). Healthy iterations feed the
+//! baseline; anomalous ones do not, so a fault cannot poison its own
+//! detection.
 
 use std::collections::VecDeque;
 
-/// Detection thresholds.
-#[derive(Debug, Clone, Copy)]
-pub struct OnlineDetectorConfig {
-    /// Healthy iterations kept in the rolling baseline.
-    pub window: usize,
-    /// Minimum healthy samples before slowdown detection activates.
-    pub warmup: usize,
-    /// An iteration slower than `slowdown_factor` × baseline mean alarms.
-    pub slowdown_factor: f64,
-}
+/// Healthy iterations kept in the rolling baseline.
+const BASELINE_WINDOW: usize = 16;
 
-impl Default for OnlineDetectorConfig {
-    fn default() -> Self {
-        OnlineDetectorConfig {
-            window: 16,
-            warmup: 2,
-            slowdown_factor: 2.0,
-        }
-    }
-}
+/// Minimum healthy samples before slowdown detection activates.
+const BASELINE_WARMUP: usize = 2;
+
+/// An iteration slower than `SLOWDOWN_FACTOR` × baseline mean alarms.
+const SLOWDOWN_FACTOR: f64 = 2.0;
 
 /// What the detector saw in one iteration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -51,22 +40,26 @@ pub enum OnlineAlarm {
 /// Rolling per-iteration anomaly detector.
 #[derive(Debug, Clone)]
 pub struct OnlineDetector {
-    cfg: OnlineDetectorConfig,
     baseline: VecDeque<f64>,
 }
 
+impl Default for OnlineDetector {
+    fn default() -> Self {
+        OnlineDetector::new()
+    }
+}
+
 impl OnlineDetector {
-    /// A detector with the given thresholds.
-    pub fn new(cfg: OnlineDetectorConfig) -> Self {
+    /// A detector with an empty baseline.
+    pub fn new() -> Self {
         OnlineDetector {
-            cfg,
-            baseline: VecDeque::with_capacity(cfg.window),
+            baseline: VecDeque::with_capacity(BASELINE_WINDOW),
         }
     }
 
     /// Mean of the healthy baseline, if warmed up.
     pub fn baseline_s(&self) -> Option<f64> {
-        if self.baseline.len() < self.cfg.warmup {
+        if self.baseline.len() < BASELINE_WARMUP {
             return None;
         }
         Some(self.baseline.iter().sum::<f64>() / self.baseline.len() as f64)
@@ -82,11 +75,11 @@ impl OnlineDetector {
         }
         if let Some(mean) = self.baseline_s() {
             let factor = iter_s / mean;
-            if factor > self.cfg.slowdown_factor {
+            if factor > SLOWDOWN_FACTOR {
                 return Some(OnlineAlarm::Slowdown { factor });
             }
         }
-        if self.baseline.len() == self.cfg.window {
+        if self.baseline.len() == BASELINE_WINDOW {
             self.baseline.pop_front();
         }
         self.baseline.push_back(iter_s);
@@ -100,7 +93,7 @@ mod tests {
 
     #[test]
     fn aborts_alarm_immediately_even_without_baseline() {
-        let mut d = OnlineDetector::new(OnlineDetectorConfig::default());
+        let mut d = OnlineDetector::new();
         assert_eq!(
             d.observe_iteration(1.0, 3),
             Some(OnlineAlarm::FlowAborts { count: 3 })
@@ -109,7 +102,7 @@ mod tests {
 
     #[test]
     fn slowdown_needs_warmup_then_fires() {
-        let mut d = OnlineDetector::new(OnlineDetectorConfig::default());
+        let mut d = OnlineDetector::new();
         // No baseline yet: even a huge duration passes.
         assert_eq!(d.observe_iteration(100.0, 0), None);
         assert_eq!(d.observe_iteration(1.0, 0), None);
@@ -127,7 +120,7 @@ mod tests {
 
     #[test]
     fn anomalies_do_not_poison_the_baseline() {
-        let mut d = OnlineDetector::new(OnlineDetectorConfig::default());
+        let mut d = OnlineDetector::new();
         for _ in 0..4 {
             d.observe_iteration(1.0, 0);
         }

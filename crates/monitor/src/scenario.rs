@@ -184,7 +184,6 @@ pub fn run_fault_scenario<'t>(
 
     // --- Inject network-level faults ---
     let mut truth = TruthCulprit::None;
-    let mut cut_link: Option<LinkId> = None;
     let mut flap_link: Option<LinkId> = None;
     match fault {
         Fault::PcieDegrade { host, factor } => {
@@ -241,7 +240,6 @@ pub fn run_fault_scenario<'t>(
             if let Some(l) = link {
                 let now = runner.sim().now();
                 runner.sim_mut().fail_link_at(now, l);
-                cut_link = Some(l);
                 truth = TruthCulprit::Link(l);
             }
         }
@@ -313,7 +311,6 @@ pub fn run_fault_scenario<'t>(
         ..Snapshot::default()
     };
     snap.harvest_network(runner.sim());
-    let _ = (cut_link, flap_link);
 
     // QP rate fractions from the ms-level series.
     let port_rate = 200e9;

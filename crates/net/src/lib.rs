@@ -49,7 +49,8 @@ pub use hash::{sport_layer, EcmpHasher, SaltMode};
 pub use shard::{DomainPartition, ShardError, ShardedSolver};
 pub use sim::{
     FlowEvent, FlowId, FlowSpec, FlowState, FlowStats, IntHop, IntProbe, NetConfig, NetworkSim,
-    DEFAULT_TRACE_CAPACITY,
+    BASE_QUEUE_DELAY, DEFAULT_TRACE_CAPACITY, ECN_UTIL_THRESHOLD, MAX_QUEUE_DELAY, PFC_HOL_FACTOR,
+    RTO,
 };
 pub use solver::{FairShareSolver, SolverCounters};
 pub use telemetry::{ErrCqe, LinkCounters, QpRecord, QpTable, Telemetry};

@@ -368,15 +368,14 @@ proptest! {
     /// `max_min_rates`, from the script's own link capacities.
     #[test]
     fn pfc_fixpoint_matches_dense_reference_under_churn(script in churn_script()) {
-        use astral_net::{NetConfig, NetworkSim};
+        use astral_net::{NetConfig, NetworkSim, PFC_HOL_FACTOR};
 
         let topo = build_astral(&AstralParams::sim_small());
-        let cfg = NetConfig::default();
-        let mut sim = NetworkSim::new(&topo, cfg);
+        let mut sim = NetworkSim::new(&topo, NetConfig::default());
         let orig: Vec<f64> = topo.links().iter().map(|l| l.bandwidth_bps).collect();
         let ids = apply_churn(&mut sim, &topo, &script, true, |sim, ids, caps| {
             let (live, paths) = active_paths(sim, ids);
-            let (rates, pause) = dense_pfc_fixpoint(&topo, caps, &orig, cfg.pfc_hol_factor, &paths);
+            let (rates, pause) = dense_pfc_fixpoint(&topo, caps, &orig, PFC_HOL_FACTOR, &paths);
             for (i, &id) in live.iter().enumerate() {
                 let got = sim.current_rate(id);
                 let expect = if rates[i].is_finite() { rates[i] } else { 0.0 };

@@ -2,7 +2,7 @@
 
 use astral_net::{
     ip_of_nic, EcmpController, FiveTuple, FlowSpec, FlowState, NetConfig, NetworkSim, PlannedFlow,
-    QpContext, QpId,
+    QpContext, QpId, PFC_HOL_FACTOR, RTO,
 };
 use astral_sim::{SimDuration, SimTime};
 use astral_topo::{build_astral, AstralParams, GpuId, HostId, LinkId, NodeId, Topology};
@@ -125,7 +125,7 @@ fn link_failure_raises_err_cqe_and_aborts() {
     assert_eq!(errs.len(), 1);
     assert_eq!(errs[0].qp, qp);
     // errCQE surfaces one RTO after the failure.
-    let expect = SimTime::from_micros(20) + sim.config().rto;
+    let expect = SimTime::from_micros(20) + RTO;
     assert_eq!(errs[0].time, expect);
 }
 
@@ -597,7 +597,7 @@ fn long_flow_via(sim: &mut NetworkSim, topo: &Topology, a: u32, b: u32, last: Li
 /// `factor` of its pristine capacity.
 fn severity(topo: &Topology, drain: LinkId, factor: f64) -> f64 {
     let orig = topo.link(drain).bandwidth_bps;
-    (1.0 - orig * factor / orig) * NetConfig::default().pfc_hol_factor
+    (1.0 - orig * factor / orig) * PFC_HOL_FACTOR
 }
 
 #[test]
