@@ -34,7 +34,7 @@
 //! and that its id is a known one, lists the canonical smoke/determinism
 //! binaries (`--list-smoke`, `--list-determinism`), and gates metric
 //! regressions against committed baselines (`--compare`);
-//! `perf_frontier` records the sharded-vs-global frontier speedup at
+//! `perf_frontier` records the pod-grouped-vs-joint frontier speedup at
 //! 8K–512K GPUs, `perf_parallel_campaigns` records the serial-vs-parallel
 //! campaign-battery speedup, and `perf_seer_qps` records the what-if
 //! service's query throughput, cache hit rate, and warm-over-cold

@@ -321,8 +321,9 @@ impl CascadeReport {
 
     /// A deterministic fingerprint over every semantic field — float bits,
     /// incident sequence, attributions — but *excluding* solver counters,
-    /// which legitimately differ between the global and sharded rate
-    /// solvers. Byte-identical fingerprints ⇒ identical runs.
+    /// which legitimately differ between joint and pod-grouped fills
+    /// (`NetConfig::sharded_solver`). Byte-identical fingerprints ⇒
+    /// identical runs.
     pub fn fingerprint(&self) -> String {
         let mut s = self.recovery.fingerprint();
         for a in &self.attributions {

@@ -675,7 +675,7 @@ impl RecoveryReport {
     /// A deterministic fingerprint over every semantic field of the run —
     /// float bits, the full incident and injection sequences — but
     /// *excluding* [`SolverCounters`], which legitimately differ between
-    /// the global and sharded rate solvers while producing the same rates.
+    /// joint and pod-grouped fills while producing the same rates.
     /// Byte-identical fingerprints ⇒ identical runs.
     pub fn fingerprint(&self) -> String {
         let mut s = format!(

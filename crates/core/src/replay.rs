@@ -21,8 +21,8 @@
 //!
 //! The trace fingerprint is only comparable across runs with the same
 //! solver configuration: `SolverRecompute` records carry work-counter
-//! deltas, which legitimately differ between the incremental, full-
-//! rebuild, and per-pod sharded solvers even though the solved rates —
+//! deltas, which legitimately differ between joint and pod-grouped
+//! fills (`NetConfig::sharded_solver`) even though the solved rates —
 //! and therefore the report fingerprint — are identical. The replayer
 //! re-runs with the caller-supplied [`RunnerConfig`], so the contract
 //! holds as long as the recording and the replay use the same one.

@@ -150,43 +150,6 @@ impl Pool {
     {
         self.run(items.len(), |i| f(&items[i]))
     }
-
-    /// Parallel map with **exclusive mutable access** to each item —
-    /// the sharded-solver fan-out: every per-pod domain is solved in place
-    /// by exactly one worker. Results come back in submission order and a
-    /// width of 1 runs inline, so the mutations and returned vector are
-    /// identical to a serial `iter_mut` loop at any thread count.
-    pub fn map_mut<T, R, F>(&self, items: &mut [T], f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(&mut T) -> R + Sync,
-    {
-        let n = items.len();
-        if self.threads.min(n) <= 1 {
-            return items.iter_mut().map(f).collect();
-        }
-        // Hand each worker a raw base pointer; `run` claims every index
-        // exactly once (atomic fetch-add), so the derived `&mut` references
-        // are disjoint, and the caller's `&mut [T]` guarantees exclusivity
-        // for the whole slice while the scope runs.
-        struct SendPtr<T>(*mut T);
-        unsafe impl<T: Send> Sync for SendPtr<T> {}
-        impl<T> SendPtr<T> {
-            // A method (rather than field access) so closures capture the
-            // Sync wrapper as a whole, not the bare raw pointer.
-            fn add(&self, i: usize) -> *mut T {
-                unsafe { self.0.add(i) }
-            }
-        }
-        let base = SendPtr(items.as_mut_ptr());
-        self.run(n, move |i| {
-            // SAFETY: i < n is guaranteed by `run`, and each index is
-            // claimed by exactly one worker, so no two `&mut` overlap.
-            let item = unsafe { &mut *base.add(i) };
-            f(item)
-        })
-    }
 }
 
 impl Default for Pool {
@@ -279,21 +242,6 @@ mod tests {
             .cloned()
             .unwrap_or_default();
         assert_eq!(msg, "boom at 3", "lowest panicked index wins");
-    }
-
-    #[test]
-    fn map_mut_mutates_in_place_at_any_width() {
-        let serial: Vec<u64> = (0..257).map(|x: u64| x * 3 + 7).collect();
-        for threads in [1, 2, 3, 8] {
-            let mut items: Vec<u64> = (0..257).collect();
-            let returned = Pool::with_threads(threads).map_mut(&mut items, |x| {
-                *x = *x * 3 + 7;
-                *x + 1
-            });
-            assert_eq!(items, serial, "mutations at threads={threads}");
-            let want: Vec<u64> = serial.iter().map(|&x| x + 1).collect();
-            assert_eq!(returned, want, "results at threads={threads}");
-        }
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! The fluid model of RDMA transport under DCQCN at equilibrium: flows
 //! sharing a link get equal shares, and every flow is bottlenecked by at
 //! least one saturated link. [`max_min_rates`] is the classic from-scratch
-//! water-filling algorithm and the oracle the simulator's incremental and
-//! sharded solvers are tested against. This module is pure (no simulator
+//! water-filling algorithm and the oracle the simulator's incremental
+//! solver is tested against. This module is pure (no simulator
 //! state) so its invariants are directly property-testable: work
 //! conservation, bottleneck consistency, and per-link capacity respect.
 
@@ -78,7 +78,7 @@ pub fn max_min_rates(
         // link is always included explicitly so floating-point noise can
         // never stall the loop.
         for &l in &loaded {
-            let saturated = load[l] > 1e-12 && remaining[l] <= 1e-6 * capacity[l].max(1.0);
+            let saturated = load[l] > 1e-12 && remaining[l] <= saturation_threshold(capacity[l]);
             if !(saturated || l == bottleneck) {
                 continue;
             }
@@ -102,50 +102,91 @@ pub fn max_min_rates(
     rate
 }
 
-/// Check the max-min bottleneck property of an allocation: every flow with a
-/// finite rate crosses at least one link that is (a) saturated and (b) on
-/// which the flow's share is maximal. Returns the first violating flow.
+/// Remaining capacity at or below which the water-fill counts a link of
+/// capacity `cap` as saturated. [`max_min_rates`], the simulator's solver
+/// and the max-min certificate share it.
+pub(crate) fn saturation_threshold(cap: f64) -> f64 {
+    1e-6 * cap.max(1.0)
+}
+
+/// Check the max-min bottleneck property of an allocation: no link carries
+/// more than its capacity plus the saturation threshold, and every flow
+/// with a finite rate crosses at least one link that is (a) saturated and
+/// (b) one on which the flow's rate per unit weight is maximal. `weight`
+/// is as for [`max_min_rates`]. Returns the first violating flow, or
+/// `usize::MAX` for a capacity violation. Linear in the total path length.
 pub fn check_bottleneck_property(
     capacity: &[f64],
     flow_links: &[Vec<u32>],
+    weight: Option<&[f64]>,
     rates: &[f64],
 ) -> Option<usize> {
-    let nl = capacity.len();
-    let mut used = vec![0.0; nl];
+    let mut used = vec![0.0; capacity.len()];
     for (f, links) in flow_links.iter().enumerate() {
         for &l in links {
             used[l as usize] += rates[f];
         }
     }
-    // Capacity respected?
-    for l in 0..nl {
-        if used[l] > capacity[l] * (1.0 + 1e-6) + 1e-6 {
-            return Some(usize::MAX); // sentinel: capacity violation
+    let mut top = vec![0.0; capacity.len()];
+    certificate_violation(
+        capacity,
+        &used,
+        &mut top,
+        flow_links.len(),
+        |f| &flow_links[f],
+        |f| rates[f] / weight.map_or(1.0, |w| w[f]),
+    )
+}
+
+/// The max-min certificate over `n` flows, where flow `i` crosses
+/// `path(i)` at `level(i)`, its rate per unit weight, and `used[l]` is the
+/// total rate on link `l`:
+///
+/// * no link on any path carries more than its capacity plus the
+///   saturation threshold;
+/// * every flow with a finite level and a nonempty path crosses a
+///   saturated link on which its level is the largest. A link counts as
+///   saturated within twice the threshold, because the fill's running
+///   remainder and the summed rates round differently.
+///
+/// `top` is per-link scratch (the largest level seen on each link). Returns
+/// the first violating flow, or `usize::MAX` for a link over capacity.
+pub(crate) fn certificate_violation<'p>(
+    cap: &[f64],
+    used: &[f64],
+    top: &mut [f64],
+    n: usize,
+    path: impl Fn(usize) -> &'p [u32],
+    level: impl Fn(usize) -> f64,
+) -> Option<usize> {
+    for i in 0..n {
+        for &l in path(i) {
+            let l = l as usize;
+            if used[l] > cap[l] + saturation_threshold(cap[l]) {
+                return Some(usize::MAX);
+            }
+            top[l] = 0.0;
         }
     }
-    'flows: for (f, links) in flow_links.iter().enumerate() {
-        if links.is_empty() || !rates[f].is_finite() {
-            continue;
-        }
-        for &l in links {
-            let l = l as usize;
-            let saturated = used[l] >= capacity[l] * (1.0 - 1e-6) - 1e-6;
-            if saturated {
-                let max_share = links.iter().map(|&_l2| rates[f]).fold(0.0f64, f64::max);
-                let is_max_on_l = flow_links
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, ls)| ls.contains(&(l as u32)))
-                    .all(|(g, _)| rates[g] <= rates[f] * (1.0 + 1e-6) + 1e-6);
-                let _ = max_share;
-                if is_max_on_l {
-                    continue 'flows;
-                }
+    for i in 0..n {
+        let lv = level(i);
+        if lv.is_finite() {
+            for &l in path(i) {
+                top[l as usize] = top[l as usize].max(lv);
             }
         }
-        return Some(f);
     }
-    None
+    (0..n).find(|&i| {
+        let lv = level(i);
+        let links = path(i);
+        lv.is_finite()
+            && !links.is_empty()
+            && !links.iter().any(|&l| {
+                let l = l as usize;
+                cap[l] - used[l] <= 2.0 * saturation_threshold(cap[l])
+                    && lv >= top[l] * (1.0 - 1e-9)
+            })
+    })
 }
 
 #[cfg(test)]
@@ -182,7 +223,30 @@ mod tests {
         assert!((r[2] - 2.0).abs() < 1e-9);
         assert!((r[1] - 2.0).abs() < 1e-9);
         assert!((r[0] - 8.0).abs() < 1e-9);
-        assert_eq!(check_bottleneck_property(&caps, &flows, &r), None);
+        assert_eq!(check_bottleneck_property(&caps, &flows, None, &r), None);
+    }
+
+    #[test]
+    fn bottleneck_check_compares_rate_per_weight() {
+        let caps = [90.0];
+        let flows = vec![vec![0u32], vec![0]];
+        let w = [1.0, 2.0];
+        let r = max_min_rates(&caps, &flows, Some(&w));
+        assert_eq!(check_bottleneck_property(&caps, &flows, Some(&w), &r), None);
+        // Equal rates starve the weight-2 flow; unweighted, the weighted
+        // split looks unfair to the weight-1 flow.
+        let even = [45.0, 45.0];
+        assert_eq!(
+            check_bottleneck_property(&caps, &flows, Some(&w), &even),
+            Some(1)
+        );
+        assert_eq!(check_bottleneck_property(&caps, &flows, None, &r), Some(0));
+        // Over capacity by more than the saturation threshold.
+        let over = [30.0, 60.1];
+        assert_eq!(
+            check_bottleneck_property(&caps, &flows, Some(&w), &over),
+            Some(usize::MAX)
+        );
     }
 
     #[test]

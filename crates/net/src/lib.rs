@@ -8,7 +8,12 @@
 //!   exactly as commodity ASICs do it, including the polarization that
 //!   uniform hash fleets exhibit.
 //! * **Max-min fair rate allocation** ([`max_min_rates`]) — the DCQCN
-//!   equilibrium, recomputed event by event.
+//!   equilibrium, recomputed event by event by one incremental solver
+//!   over just the component a change touches. With
+//!   [`NetConfig::sharded_solver`] it fills each group of pods the
+//!   component's flows join on its own, which keeps fleet-wide waves at
+//!   O(pods) work; [`check_bottleneck_property`] states the max-min
+//!   certificate debug builds check after every solve.
 //! * **The centralized ECMP controller** ([`EcmpController`]) — initial
 //!   source-port spreading plus ECN-counter-driven reassignment (Figure 17).
 //! * **Failure injection** — dead links (errCQE after RTO) and degraded
@@ -37,7 +42,6 @@ mod fairness;
 mod fivetuple;
 mod hash;
 mod linkset;
-mod shard;
 mod sim;
 mod solver;
 mod telemetry;
@@ -46,11 +50,10 @@ pub use controller::{simulate_route, EcmpController, PlannedFlow};
 pub use fairness::{check_bottleneck_property, max_min_rates};
 pub use fivetuple::{ip_of_nic, FiveTuple, QpContext, QpId, EPHEMERAL_BASE, ROCE_PORT};
 pub use hash::{sport_layer, EcmpHasher, SaltMode};
-pub use shard::{DomainPartition, ShardError, ShardedSolver};
 pub use sim::{
     FlowEvent, FlowId, FlowSpec, FlowState, FlowStats, IntHop, IntProbe, NetConfig, NetworkSim,
     BASE_QUEUE_DELAY, DEFAULT_TRACE_CAPACITY, ECN_UTIL_THRESHOLD, MAX_QUEUE_DELAY, PFC_HOL_FACTOR,
     RTO,
 };
-pub use solver::{FairShareSolver, SolverCounters};
+pub use solver::SolverCounters;
 pub use telemetry::{ErrCqe, LinkCounters, QpRecord, QpTable, Telemetry};

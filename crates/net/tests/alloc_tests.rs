@@ -103,7 +103,6 @@ fn flow_lifecycle_allocates_only_amortized_store_growth() {
         let cfg = NetConfig {
             qp_sampling: false,
             sharded_solver: sharded,
-            shard_threads: 1,
             ..NetConfig::default()
         };
         let per_flow = allocs_per_flow(cfg, 64);
@@ -118,10 +117,7 @@ fn flow_lifecycle_allocates_only_amortized_store_growth() {
 /// per-QP series grow by doubling too.
 #[test]
 fn qp_sampling_allocates_only_amortized_series_growth() {
-    let cfg = NetConfig {
-        shard_threads: 1,
-        ..NetConfig::default()
-    };
+    let cfg = NetConfig::default();
     assert!(cfg.qp_sampling);
     let per_flow = allocs_per_flow(cfg, 64);
     assert!(per_flow < 0.25, "{per_flow} allocations per flow");
@@ -142,10 +138,7 @@ fn opening_a_qp_allocates_only_amortized_store_growth() {
     for g in 0..n {
         let _ = router.try_path_with(&topo, nic(g + rails), nic(g), |_, _| 0);
     }
-    let cfg = NetConfig {
-        shard_threads: 1,
-        ..NetConfig::default()
-    };
+    let cfg = NetConfig::default();
     let mut sim = NetworkSim::with_router(&topo, cfg, router);
     let pairs: Vec<_> = (0..n)
         .flat_map(|g| (1..=7).map(move |k| (g, g + k * rails)))

@@ -22,19 +22,24 @@ fn fairness_problem() -> impl Strategy<Value = (Vec<f64>, Vec<Vec<u32>>)> {
 }
 
 proptest! {
-    /// Max-min allocations never violate capacity and satisfy the
-    /// bottleneck property (every flow is maximal on some saturated link).
+    /// Weighted max-min allocations never violate capacity and satisfy
+    /// the bottleneck property (every flow's rate per weight is maximal on
+    /// some saturated link).
     #[test]
-    fn max_min_is_feasible_and_bottlenecked((caps, flows) in fairness_problem()) {
-        let rates = max_min_rates(&caps, &flows, None);
+    fn max_min_is_feasible_and_bottlenecked(
+        (caps, flows) in fairness_problem(),
+        weights in prop::collection::vec(0.25f64..4.0, 12),
+    ) {
+        let w = &weights[..flows.len()];
+        let rates = max_min_rates(&caps, &flows, Some(w));
         prop_assert_eq!(rates.len(), flows.len());
         for &r in &rates {
             prop_assert!(r >= 0.0);
         }
         prop_assert_eq!(
-            check_bottleneck_property(&caps, &flows, &rates),
+            check_bottleneck_property(&caps, &flows, Some(w), &rates),
             None,
-            "caps={:?} flows={:?} rates={:?}", caps, flows, rates
+            "caps={:?} flows={:?} weights={:?} rates={:?}", caps, flows, w, rates
         );
     }
 
@@ -469,14 +474,15 @@ fn dense_pfc_fixpoint(
 }
 
 // ---------------------------------------------------------------------
-// Sharded per-pod solver ≡ oracle ≡ global incremental under churn
+// Pod-grouped fills ≡ oracle ≡ joint fills under churn
 // ---------------------------------------------------------------------
 
 proptest! {
     /// After every settled step of a churn sequence on the multi-pod
-    /// fabric — injections spanning pods (boundary reconciliation) and
-    /// fail/restore churn — the sharded solver's per-flow rates equal a
-    /// from-scratch `max_min_rates` run over the current active set.
+    /// fabric — injections spanning pods (joined through the boundary
+    /// links) and fail/restore churn — the pod-grouped per-flow rates
+    /// equal a from-scratch `max_min_rates` run over the current active
+    /// set.
     #[test]
     fn sharded_rates_match_oracle_under_churn(script in churn_script()) {
         use astral_net::{max_min_rates, NetConfig, NetworkSim};
@@ -486,7 +492,6 @@ proptest! {
             &topo,
             NetConfig {
                 sharded_solver: true,
-                shard_threads: 2,
                 ..NetConfig::default()
             },
         );
@@ -508,11 +513,10 @@ proptest! {
         });
     }
 
-    /// The sharded solver and the global incremental solver produce the
-    /// same trajectory: identical per-flow rates at every settled step and
-    /// identical final deliveries/FCTs, across churn including
-    /// degrade/restore (which exercises the coupled full-solve under the
-    /// PFC fixpoint).
+    /// Pod-grouped and joint fills produce the same trajectory: identical
+    /// per-flow rates at every settled step and identical final
+    /// deliveries/FCTs, across churn including degrade/restore (whose PFC
+    /// fixpoint runs joint full solves in both modes).
     #[test]
     fn sharded_equals_incremental_trajectory(script in churn_script()) {
         use astral_net::{FlowState, NetConfig, NetworkSim};
@@ -533,7 +537,6 @@ proptest! {
             &topo,
             NetConfig {
                 sharded_solver: true,
-                shard_threads: 2,
                 ..NetConfig::default()
             },
         );

@@ -496,7 +496,7 @@ fn dual_tor_failover_halves_bandwidth_but_completes() {
     }
 }
 
-/// The sharded per-pod solver is a drop-in for the global one: the same
+/// Pod-grouped fills are a drop-in for the joint fill: the same
 /// congested cross-pod workload produces identical flow outcomes and ECN
 /// telemetry, so the counter-driven controller loop (Figure 17) makes
 /// identical rebalancing decisions against either simulator.
@@ -524,7 +524,6 @@ fn sharded_sim_drives_controller_identically() {
     let run = |sharded: bool| {
         let cfg = NetConfig {
             sharded_solver: sharded,
-            shard_threads: 2,
             ..NetConfig::default()
         };
         let mut sim = NetworkSim::new(&topo, cfg);
