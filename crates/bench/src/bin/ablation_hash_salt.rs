@@ -65,7 +65,7 @@ fn main() {
         "{:<26}{:>14}{:>16}",
         "hashing", "ECN marks", "worst FCT (ms)"
     );
-    let ctl = EcmpController::default();
+    let ctl = EcmpController;
     let mut results = Vec::new();
     for (label, salt) in [
         ("uniform fleet", SaltMode::Uniform),

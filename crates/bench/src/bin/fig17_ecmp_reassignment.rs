@@ -20,7 +20,7 @@ fn main() {
     let params = AstralParams::sim_medium();
     let topo = build_astral(&params);
     let gpb = params.hosts_per_block as u32 * params.rails as u32;
-    let ctl = EcmpController::default();
+    let ctl = EcmpController;
 
     // Same-rail cross-block traffic with deliberately colliding sports
     // (a tenant that never ran the sport-selection step).

@@ -75,14 +75,13 @@ pub const SMOKE_BINS: [&str; 14] = [
 /// at 1 vs 2 threads (`validate_bench --list-determinism`): every binary
 /// whose scenario sweeps on the pool, so a width-dependent divergence
 /// would show up as a report diff.
-pub const DETERMINISM_BINS: [&str; 9] = [
+pub const DETERMINISM_BINS: [&str; 8] = [
     "fig10_goodput_recovery",
     "fig_cascade_ablation",
     "fig_gray_failure",
     "fig_trace_correlation",
     "perf_parallel_campaigns",
     "fig_fleet_campaign",
-    "perf_frontier",
     "fig12_seer_accuracy",
     "perf_seer_qps",
 ];
@@ -349,7 +348,8 @@ impl Scenario {
 
     /// Print the paper-vs-measured footer, stamp the wall clock, write
     /// `BENCH_<id>.json`, and return the report (for tests / callers that
-    /// post-process).
+    /// post-process). A report that cannot be written ends the process
+    /// with status 1: a bench run that leaves no report has failed.
     pub fn finish(mut self, rows: &[(&str, String)]) -> Report {
         println!("\n--- paper vs reproduction ---");
         for (k, v) in rows {
@@ -361,10 +361,13 @@ impl Scenario {
         self.report.wall_clock_secs = self.started.elapsed().as_secs_f64();
         match self.report.write() {
             Ok(path) => println!("\nreport: {}", path.display()),
-            Err(e) => eprintln!(
-                "warning: could not write {}: {e}",
-                self.report.path().display()
-            ),
+            Err(e) => {
+                eprintln!(
+                    "error: could not write {}: {e}",
+                    self.report.path().display()
+                );
+                std::process::exit(1);
+            }
         }
         self.report
     }

@@ -354,16 +354,11 @@ pub fn try_run_cascade_placed(
     router: Option<Arc<Router>>,
 ) -> Result<CascadeReport, PolicyError> {
     validate(topo, policy, spec, placement)?;
-    Ok(run_validated(
-        topo,
-        policy,
-        spec,
-        script,
-        runner_cfg,
-        placement,
-        router,
-        CorrelationPrior::default(),
-    ))
+    let prior = CorrelationPrior::default();
+    let engine = Engine::new(
+        topo, *policy, *spec, script, runner_cfg, placement, router, prior,
+    );
+    Ok(engine.run_parts())
 }
 
 /// Reject an invalid policy or job shape: no hosts, a placement that does
@@ -397,26 +392,6 @@ fn validate(
     Ok(())
 }
 
-/// One run on an already validated policy and job shape. `prior` orders
-/// the analyzer's substrate drill-down; the default (inert) prior is the
-/// baseline analyzer.
-#[allow(clippy::too_many_arguments)]
-fn run_validated(
-    topo: &Topology,
-    policy: &RecoveryPolicy,
-    spec: &TrainingJobSpec,
-    script: &CascadeScript,
-    runner_cfg: RunnerConfig,
-    placement: &JobPlacement,
-    router: Option<Arc<Router>>,
-    prior: CorrelationPrior,
-) -> CascadeReport {
-    Engine::new(
-        topo, *policy, *spec, script, runner_cfg, placement, router, prior,
-    )
-    .run_parts()
-}
-
 /// One entry of a campaign battery: an independent (policy, job spec,
 /// campaign) triple. A training battery passes
 /// [`FaultCampaign::scripted`] campaigns.
@@ -446,16 +421,12 @@ pub fn try_run_campaign_battery_with(
     // byte-identical to per-run routers.
     let router = Arc::new(Router::new());
     Ok(pool.map(runs, |(policy, spec, campaign)| {
-        run_validated(
-            topo,
-            policy,
-            spec,
-            &campaign.materialize(),
-            runner_cfg,
-            &prefix(spec),
-            Some(router.clone()),
-            prior,
+        let (script, placement) = (campaign.materialize(), prefix(spec));
+        let router = Some(router.clone());
+        Engine::new(
+            topo, *policy, *spec, &script, runner_cfg, &placement, router, prior,
         )
+        .run_parts()
     }))
 }
 

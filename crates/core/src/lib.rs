@@ -11,7 +11,10 @@
 //! * [`PlacementPolicy`] / [`place_job`] — the flexibility axis of §2.
 //! * [`try_run_cascade_placed`] / [`RecoveryPolicy`] — the closed-loop
 //!   failure lifecycle engine (detect → localize → mitigate → resume)
-//!   with goodput/MTTR accounting (§5, Figure 10), on one run path:
+//!   with goodput/MTTR accounting (§5, Figure 10). It is an explicit
+//!   state machine — each iteration advances, retries, rolls back to the
+//!   last checkpoint, or aborts, and one ledger books its wall clock —
+//!   on one run path:
 //!   correlated power/cooling/optics cascades ([`CascadeScript`]) and
 //!   network faults flow through the same lifecycle, with graceful
 //!   degradation and Seer-gated proactive mitigation competing against

@@ -10,7 +10,9 @@ use astral_core::{
     TrainingJobSpec,
 };
 use astral_monitor::{CauseClass, CorrelationPrior};
+use astral_sim::SimDuration;
 use astral_topo::{build_astral, AstralParams, HostId, Topology};
+use astral_trace::TraceKind;
 use proptest::prelude::*;
 
 fn topo() -> Topology {
@@ -350,13 +352,6 @@ fn invalid_policies_are_rejected_up_front() {
                 value: f64::NAN,
             },
         ),
-        (
-            RecoveryPolicy {
-                degraded_bw_floor: 1.5,
-                ..RecoveryPolicy::default()
-            },
-            PolicyError::BwFloorOutOfRange { value: 1.5 },
-        ),
     ];
     let same = |got: PolicyError, want: PolicyError| match (got, want) {
         // NaN costs never compare equal by value; match on the field.
@@ -510,6 +505,66 @@ proptest! {
                 &astral_exec::Pool::with_threads(threads), &t, &runs, RunnerConfig::default(), prior,
             ).unwrap();
             prop_assert_eq!(fp(&serial), fp(&par), "pool width {} diverged", threads);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// A script whose every fault is due at or after the last iteration
+    /// never fires: the report (fingerprint, attributions, solver work) is
+    /// the fault-free run's, for a training script and a cascade script.
+    #[test]
+    fn faults_after_the_last_iteration_change_nothing(seed in 0u64..1000, late in 0u32..3, p in 0usize..4) {
+        let t = topo();
+        let spec = TrainingJobSpec { iters: 8, bytes: 2 << 20, comp_s: 0.2, seed, ..TrainingJobSpec::default() };
+        let policy = [RecoveryPolicy::default(), RecoveryPolicy::reactive_only(), RecoveryPolicy::gray_aware(), RecoveryPolicy::disabled()][p];
+        let at_iter = spec.iters + late;
+        let net_faults = vec![
+            InjectedFault::TransientLink { at_iter, heal_after: SimDuration::from_millis(30) },
+            InjectedFault::OpticalUplink { at_iter, host_index: 2 },
+            InjectedFault::HostFailure { at_iter, host_index: 1 },
+            InjectedFault::FlappingLink { at_iter, period: 3, duty_cycle: 0.34, flap_count: 3 },
+            InjectedFault::DegradingOptic { at_iter, host_index: 3, decay_per_iter: 0.8, floor: 0.3 },
+            InjectedFault::SlowHost { at_iter, host_index: 4, factor: 0.1, intermittent: false },
+        ];
+        let faults = vec![
+            SubstrateFault::GridSag { at_iter, row: 0, supply_frac: 0.55, duration_iters: 8, battery_wh_per_rack: 6.0 },
+            SubstrateFault::CoolingPumpFault { at_iter, row: 1, flow_frac: 0.4 },
+            SubstrateFault::OpticsBurst { at_iter, links: 2 },
+        ];
+        let run = |script: &CascadeScript| try_cascade(&t, &policy, &spec, script, RunnerConfig::default()).unwrap();
+        let clean = run(&CascadeScript::default());
+        let training = CascadeScript { faults: Vec::new(), net_faults: net_faults.clone() };
+        for late_run in [run(&training), run(&CascadeScript { faults, net_faults })] {
+            prop_assert_eq!(late_run.fingerprint(), clean.fingerprint());
+            prop_assert_eq!(late_run.recovery.solver, clean.recovery.solver);
+        }
+    }
+
+    /// Every incident is recorded with its one `LadderDecision` trace
+    /// record, on a traced gray campaign and a traced cascade campaign.
+    #[test]
+    fn every_incident_emits_one_ladder_decision(seed in 0u64..1000, p in 0usize..3) {
+        let t = topo();
+        let mut cfg = RunnerConfig::default();
+        (cfg.net.trace, cfg.net.trace_capacity) = (true, 1 << 18);
+        let policy = [RecoveryPolicy::default(), RecoveryPolicy::reactive_only(), RecoveryPolicy::gray_aware()][p];
+        let gray = CascadeScript { faults: Vec::new(), net_faults: vec![
+            InjectedFault::FlappingLink { at_iter: 3, period: 3, duty_cycle: 0.34, flap_count: 3 },
+            InjectedFault::SlowHost { at_iter: 10, host_index: 5, factor: 0.1, intermittent: true },
+            InjectedFault::TransientLink { at_iter: 15, heal_after: SimDuration::from_millis(30) },
+        ] };
+        let slow_comm = TrainingJobSpec { iters: 26, bytes: 256 << 20, comp_s: 0.01, seed, ..TrainingJobSpec::default() };
+        let hazards = HazardRates { grid_sag: 0.08, pump: 0.05, optics: 0.06 };
+        let campaign = FaultCampaign { scripted: pump_script(), hazards, horizon_iters: 24, seed };
+        for (spec, script) in [(slow_comm, gray), (cascade_spec(), campaign.materialize())] {
+            let r = try_cascade(&t, &policy, &spec, &script, cfg).unwrap().recovery;
+            prop_assert!(r.trace.len() < 1 << 18, "the trace ring wrapped");
+            prop_assert!(!r.incidents.is_empty());
+            let decisions = r.trace.iter().filter(|x| x.kind() == Some(TraceKind::LadderDecision));
+            prop_assert_eq!(decisions.count(), r.incidents.len());
         }
     }
 }

@@ -45,23 +45,24 @@ pub fn simulate_route(
     router.path_with(topo, src, dst, |node, hops| hash.choose(node, hops.len()))
 }
 
-/// The centralized controller.
-#[derive(Debug, Clone)]
-pub struct EcmpController {
-    /// Source-port candidates examined per flow during rebalancing.
-    pub candidates_per_flow: usize,
-    /// Source-port search space examined during initial spreading.
-    pub spread_search: usize,
+/// Source-port candidates examined per flow during rebalancing.
+const REBALANCE_CANDIDATES: u16 = 128;
+
+/// Source-port search space examined during initial spreading.
+const SPREAD_SEARCH: u16 = 2048;
+
+/// The source ports a flow on `sport` may move to, in the order a
+/// rebalance (or the recovery engine's steering) tries them: 128
+/// candidates strided by 197 through the ephemeral range from the current
+/// port, so successive candidates hash far apart.
+pub fn candidate_sports(sport: u16) -> impl Iterator<Item = u16> {
+    let base = sport.wrapping_sub(EPHEMERAL_BASE);
+    (1..=REBALANCE_CANDIDATES).map(move |c| EPHEMERAL_BASE.wrapping_add(base.wrapping_add(c * 197)))
 }
 
-impl Default for EcmpController {
-    fn default() -> Self {
-        EcmpController {
-            candidates_per_flow: 128,
-            spread_search: 2048,
-        }
-    }
-}
+/// The centralized controller.
+#[derive(Debug, Clone, Default)]
+pub struct EcmpController;
 
 impl EcmpController {
     /// Choose `n` source ports for a src→dst pair so its flows spread as
@@ -76,8 +77,8 @@ impl EcmpController {
         n: usize,
     ) -> Vec<u16> {
         let mut by_path: HashMap<Vec<LinkId>, Vec<u16>> = HashMap::new();
-        for off in 0..self.spread_search as u32 {
-            let sport = EPHEMERAL_BASE.wrapping_add(off as u16);
+        for off in 0..SPREAD_SEARCH {
+            let sport = EPHEMERAL_BASE.wrapping_add(off);
             if let Some(path) = simulate_route(topo, router, hasher, src, dst, sport) {
                 by_path.entry(path).or_default().push(sport);
             }
@@ -189,9 +190,7 @@ impl EcmpController {
             let mut best_sport = f.sport;
             let mut best_path = cur_path.clone();
             let mut best_score = score(&cur_path, &load);
-            for c in 1..=self.candidates_per_flow as u16 {
-                let sport = EPHEMERAL_BASE
-                    .wrapping_add(f.sport.wrapping_sub(EPHEMERAL_BASE).wrapping_add(c * 197));
+            for sport in candidate_sports(f.sport) {
                 if let Some(path) = simulate_route(topo, router, hasher, f.src, f.dst, sport) {
                     let s = score(&path, &load);
                     if s < best_score {
@@ -260,7 +259,7 @@ mod tests {
             salt: crate::hash::SaltMode::PerSwitch,
             ..EcmpHasher::default()
         };
-        let ctl = EcmpController::default();
+        let ctl = EcmpController;
         let p = AstralParams::sim_small();
         let gpb = p.hosts_per_block as u32 * p.rails as u32;
         let (a, b) = (t.gpu_nic(GpuId(0)), t.gpu_nic(GpuId(gpb)));
@@ -297,7 +296,7 @@ mod tests {
                 sport: 50_000,
             })
             .collect();
-        let ctl = EcmpController::default();
+        let ctl = EcmpController;
         let round1 = ctl.project_load(&t, &r, &h, &flows);
         let round2 = ctl.project_load(&t, &r, &h, &flows);
         assert_eq!(round1, round2, "per-flow ECMP must be deterministic");
@@ -314,7 +313,7 @@ mod tests {
     #[test]
     fn rebalance_reduces_max_link_load() {
         let (t, r, h) = fixture();
-        let ctl = EcmpController::default();
+        let ctl = EcmpController;
         let p = AstralParams::sim_small();
         let gpb = p.hosts_per_block as u32 * p.rails as u32;
         // Eight flows from distinct sources to distinct destinations, all
@@ -347,7 +346,7 @@ mod tests {
     #[test]
     fn rebalance_without_hot_links_is_a_noop() {
         let (t, r, h) = fixture();
-        let ctl = EcmpController::default();
+        let ctl = EcmpController;
         let mut flows = vec![PlannedFlow {
             src: t.gpu_nic(GpuId(0)),
             dst: t.gpu_nic(GpuId(32)),

@@ -46,7 +46,7 @@ mod sim;
 mod solver;
 mod telemetry;
 
-pub use controller::{simulate_route, EcmpController, PlannedFlow};
+pub use controller::{candidate_sports, simulate_route, EcmpController, PlannedFlow};
 pub use fairness::{check_bottleneck_property, max_min_rates};
 pub use fivetuple::{ip_of_nic, FiveTuple, QpContext, QpId, EPHEMERAL_BASE, ROCE_PORT};
 pub use hash::{sport_layer, EcmpHasher, SaltMode};

@@ -320,7 +320,7 @@ fn controller_loop_reduces_ecn_rounds() {
     let topo = fixture();
     let p = AstralParams::sim_small();
     let gpb = p.hosts_per_block as u32 * p.rails as u32;
-    let ctl = EcmpController::default();
+    let ctl = EcmpController;
 
     // Traffic: 8 same-rail cross-block pairs, all with one sport (worst
     // case collision).
@@ -506,7 +506,7 @@ fn sharded_sim_drives_controller_identically() {
     let p = AstralParams::sim_small();
     let gpb = p.hosts_per_block as u32 * p.rails as u32;
     let pod_gpus = p.blocks_per_pod as u32 * gpb;
-    let ctl = EcmpController::default();
+    let ctl = EcmpController;
 
     // Colliding same-sport pairs, half cross-block and half cross-pod, so
     // both pod-internal domains and the boundary reconciliation run.

@@ -255,18 +255,6 @@ impl Topology {
         self.link_index.get(&(src, dst)).copied()
     }
 
-    /// The surviving uplinks of a NIC once `failed` dies — on a dual-ToR
-    /// fabric these are the ports to the other side's ToR that a failover
-    /// can steer traffic onto (paper P3). Empty when the NIC is
-    /// single-homed, i.e. the failure severs the host from the fabric.
-    pub fn alternate_uplinks(&self, nic: NodeId, failed: LinkId) -> Vec<LinkId> {
-        self.out_links(nic)
-            .iter()
-            .copied()
-            .filter(|&l| l != failed)
-            .collect()
-    }
-
     /// A NIC's edge links as `(uplink, downlink)` pairs in `out_links`
     /// order: each uplink to a ToR and that ToR's link back to the NIC.
     /// An uplink without a reverse link is skipped.

@@ -221,7 +221,7 @@ fn controller_drains_persistent_collisions() {
     let params = AstralParams::sim_small();
     let topo = build_astral(&params);
     let gpb = params.hosts_per_block as u32 * params.rails as u32;
-    let ctl = EcmpController::default();
+    let ctl = EcmpController;
     let mut flows: Vec<PlannedFlow> = (0..8)
         .map(|i| PlannedFlow {
             src: topo.gpu_nic(GpuId(i * params.rails as u32)),
