@@ -20,7 +20,10 @@
 
 use astral_bench::{fig10_job, Scenario};
 use astral_core::{try_run_cascade_placed, CascadeScript, JobPlacement, RecoveryPolicy};
-use astral_monitor::overhead::OverheadModel;
+use astral_monitor::overhead::{
+    int_storage_per_day_bytes, int_storage_retained_bytes, mirror_bps_per_node, mirror_fraction,
+    mirror_total_bps, RETENTION_DAYS,
+};
 use astral_net::DEFAULT_TRACE_CAPACITY;
 use astral_topo::{build_astral, AstralParams, Topology};
 use astral_trace::{TraceRecord, TraceRing};
@@ -151,10 +154,9 @@ fn main() {
          storage ~173 GB/day at 10K GPUs, 15-day retention",
     );
 
-    let m = OverheadModel::default();
     println!(
         "per-node mirroring      : {:.3} Mbit/s",
-        m.mirror_bps_per_node() / 1e6
+        mirror_bps_per_node() / 1e6
     );
     println!(
         "{:<14}{:>18}{:>22}{:>20}",
@@ -164,15 +166,15 @@ fn main() {
         println!(
             "{:<14}{:>13.2} Gb/s{:>21.7}%{:>17.1} GB",
             format!("{gpus} GPUs"),
-            m.mirror_total_bps(gpus) / 1e9,
-            m.mirror_fraction(gpus) * 100.0,
-            m.int_storage_per_day_bytes(gpus) / 1e9
+            mirror_total_bps(gpus) / 1e9,
+            mirror_fraction(gpus) * 100.0,
+            int_storage_per_day_bytes(gpus) / 1e9
         );
     }
     println!(
         "\nINT retained at 10K GPUs over {} days: {:.1} TB",
-        m.retention_days,
-        m.int_storage_retained_bytes(10_000) / 1e12
+        RETENTION_DAYS,
+        int_storage_retained_bytes(10_000) / 1e12
     );
 
     let rows: Vec<(u64, f64, f64)> = [1_000u64, 10_000, 100_000, 500_000]
@@ -180,17 +182,17 @@ fn main() {
         .map(|&g| {
             (
                 g,
-                m.mirror_total_bps(g) / 1e9,
-                m.int_storage_per_day_bytes(g) / 1e9,
+                mirror_total_bps(g) / 1e9,
+                int_storage_per_day_bytes(g) / 1e9,
             )
         })
         .collect();
     sc.series("gpus_mirror_gbps_int_gb_per_day", &rows);
-    sc.metric("mirror_mbps_per_node", m.mirror_bps_per_node() / 1e6);
-    sc.metric("mirror_gbps_100k", m.mirror_total_bps(100_000) / 1e9);
+    sc.metric("mirror_mbps_per_node", mirror_bps_per_node() / 1e6);
+    sc.metric("mirror_gbps_100k", mirror_total_bps(100_000) / 1e9);
     sc.metric(
         "int_gb_per_day_10k",
-        m.int_storage_per_day_bytes(10_000) / 1e9,
+        int_storage_per_day_bytes(10_000) / 1e9,
     );
 
     // Our own observability tax on the Figure-10 recovery scenario. Warm
@@ -235,21 +237,21 @@ fn main() {
             "per-node mirroring",
             format!(
                 "paper ~0.8 Mbps | modeled {:.2} Mbps",
-                m.mirror_bps_per_node() / 1e6
+                mirror_bps_per_node() / 1e6
             ),
         ),
         (
             "100K-GPU total",
             format!(
                 "paper ~10 Gbps | modeled {:.1} Gbps",
-                m.mirror_total_bps(100_000) / 1e9
+                mirror_total_bps(100_000) / 1e9
             ),
         ),
         (
             "INT storage",
             format!(
                 "paper 173 GB/day at 10K | modeled {:.0} GB/day",
-                m.int_storage_per_day_bytes(10_000) / 1e9
+                int_storage_per_day_bytes(10_000) / 1e9
             ),
         ),
         (

@@ -5,9 +5,7 @@
 //! and 25× — and fail-slow location shortened by nearly 5×.
 
 use astral_bench::Scenario;
-use astral_monitor::mttlf::{
-    analyzer_locate_time_s, manual_locate_time_s, AnalyzerCostModel, ManualCostModel,
-};
+use astral_monitor::mttlf::{analyzer_locate_time_s, manual_locate_time_s};
 use astral_monitor::{run_fault_scenario, Analyzer, Fault, Manifestation, ScenarioConfig};
 use astral_topo::{build_astral, AstralParams, HostId};
 
@@ -21,8 +19,6 @@ fn main() {
 
     let topo = build_astral(&AstralParams::sim_small());
     let analyzer = Analyzer::new();
-    let manual = ManualCostModel::default();
-    let auto = AnalyzerCostModel::default();
     // The paper's bisection anecdote ran on an 8K-GPU (1K-host) job.
     let fleet_hosts = 1024usize;
 
@@ -58,8 +54,8 @@ fn main() {
         sc.solver(&outcome.runner.sim().solver_counters());
         let d = analyzer.diagnose(&outcome.snapshot, &outcome.prober);
         assert_eq!(d.manifestation, manifestation, "{label} misclassified");
-        let t_manual = manual_locate_time_s(&manual, manifestation, fleet_hosts);
-        let t_auto = analyzer_locate_time_s(&auto, &d);
+        let t_manual = manual_locate_time_s(manifestation, fleet_hosts);
+        let t_auto = analyzer_locate_time_s(&d);
         let speedup = t_manual / t_auto;
         println!(
             "{:<12}{:>16.1}{:>16.1}{:>11.0}x",

@@ -5,6 +5,7 @@
 //! deviate more due to unpredictable expert selection.
 
 use astral_bench::Scenario;
+use astral_exec::Pool;
 use astral_model::{ModelConfig, ParallelismConfig};
 use astral_seer::{run_grid, GpuSpec, GridPoint, NetworkSpec, Testbed};
 use astral_topo::{build_astral, AstralParams};
@@ -96,7 +97,14 @@ fn main() {
             }
         })
         .collect();
-    let outcomes = run_grid(&topo, &GpuSpec::h100(), &net, &cal, &points);
+    let outcomes = run_grid(
+        &Pool::from_env(),
+        &topo,
+        &GpuSpec::h100(),
+        &net,
+        &cal,
+        &points,
+    );
     let mut rows = Vec::new();
     for o in &outcomes {
         let dev_b = o.basic_dev * 100.0;

@@ -6,7 +6,7 @@
 
 use astral_bench::Scenario;
 use astral_model::{InferencePhase, ModelConfig, ParallelismConfig};
-use astral_power::{peak_over_tdp, power_trace, PowerIntensity};
+use astral_power::{peak_over_tdp, power_trace};
 use astral_seer::{GpuSpec, Seer, SeerConfig};
 use astral_sim::SimDuration;
 
@@ -30,7 +30,7 @@ fn main() {
 
     // (a) Training: one iteration's trace sampled at 50 µs.
     let train = seer.forecast_training(&model, &par).timeline;
-    let trace = power_trace(&train, 0, &gpu, &PowerIntensity::default(), 5e-5);
+    let trace = power_trace(&train, 0, &gpu, 5e-5);
     let peak = peak_over_tdp(&trace, &gpu);
     let min_w = trace
         .points()
@@ -79,8 +79,8 @@ fn main() {
             InferencePhase::Decode { context_len: 2048 },
         )
         .timeline;
-    let p_trace = power_trace(&prefill, 0, &gpu, &PowerIntensity::default(), 5e-5);
-    let d_trace = power_trace(&decode, 0, &gpu, &PowerIntensity::default(), 5e-5);
+    let p_trace = power_trace(&prefill, 0, &gpu, 5e-5);
+    let d_trace = power_trace(&decode, 0, &gpu, 5e-5);
     let mean = |t: &astral_sim::TimeSeries| {
         t.points().iter().map(|&(_, w)| w).sum::<f64>() / t.points().len() as f64
     };

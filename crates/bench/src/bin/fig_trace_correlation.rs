@@ -27,7 +27,8 @@ use astral_core::{
     TrainingJobSpec,
 };
 use astral_exec::Pool;
-use astral_monitor::{mttlf::AnalyzerCostModel, CorrelationMiner, CorrelationPrior};
+use astral_monitor::mttlf::{ANALYZER_BASE_S, ANALYZER_QUERY_S};
+use astral_monitor::{CorrelationMiner, CorrelationPrior};
 use astral_sim::SimDuration;
 use astral_topo::{build_astral, AstralParams, Topology};
 use astral_trace::{fingerprint, TraceKind};
@@ -114,13 +115,13 @@ fn class_accuracy(reports: &[CascadeReport], class: CascadeClass) -> (usize, usi
 /// timelines, priced by the Figure-10 analyzer cost model: each
 /// `SubstrateDiagnosis` record carries the drill-down's query count in
 /// `v`.
-fn mttlf_from_traces(reports: &[CascadeReport], model: &AnalyzerCostModel) -> f64 {
+fn mttlf_from_traces(reports: &[CascadeReport]) -> f64 {
     let mut total = 0.0;
     let mut n = 0u32;
     for r in reports {
         for rec in &r.recovery.trace {
             if rec.kind == TraceKind::SubstrateDiagnosis as u16 {
-                total += model.base_s + rec.v as f64 * model.query_s;
+                total += ANALYZER_BASE_S + rec.v as f64 * ANALYZER_QUERY_S;
                 n += 1;
             }
         }
@@ -179,7 +180,6 @@ fn main() {
     // Pass 2 — the same seeds under the mined prior.
     let with_prior = batch(&pool, &topo, &runs, prior);
 
-    let model = AnalyzerCostModel::default();
     let classes = [
         CascadeClass::Cooling,
         CascadeClass::Power,
@@ -219,10 +219,7 @@ fn main() {
         c as f64 / t.max(1) as f64
     };
     let (acc_base, acc_prior) = (acc(&baseline), acc(&with_prior));
-    let (mttlf_base, mttlf_prior) = (
-        mttlf_from_traces(&baseline, &model),
-        mttlf_from_traces(&with_prior, &model),
-    );
+    let (mttlf_base, mttlf_prior) = (mttlf_from_traces(&baseline), mttlf_from_traces(&with_prior));
     let records_total: usize = baseline.iter().map(|r| r.recovery.trace.len()).sum();
     println!(
         "\noverall accuracy: {acc_base:.3} baseline → {acc_prior:.3} with prior\n\

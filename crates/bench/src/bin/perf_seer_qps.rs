@@ -26,18 +26,13 @@ use astral_seer::{
     Calibration, CommCalibration, CommKind, CommScope, EfficiencyCurve, GpuSpec, LinkClass,
     NetworkSpec, ScenarioSpec, SeerConfig, SeerService, WhatIf, WhatIfQuery,
 };
-use astral_sim::SimRng;
+use astral_sim::{Digest, SimRng};
 use std::time::Instant;
 
 /// Queries in the headline stream.
 const QUERIES: usize = 2048;
 /// Batch size the stream is served in (matches an interactive burst).
 const BATCH: usize = 256;
-
-/// FNV-1a fold for the cross-width answer fingerprint.
-fn fnv(acc: u64, x: u64) -> u64 {
-    (acc ^ x).wrapping_mul(0x100_0000_01b3)
-}
 
 /// A small-but-real calibration: constant sub-unity efficiency curves plus
 /// per-scope comm entries, so pricing exercises the full calibrated path
@@ -131,14 +126,14 @@ fn stream(mix: &[WhatIfQuery]) -> Vec<WhatIfQuery> {
 /// answers' FNV fingerprint and the wall-clock.
 fn serve(svc: &mut SeerService, pool: &Pool, queries: &[WhatIfQuery]) -> (u64, f64) {
     let start = Instant::now();
-    let mut fp = 0xcbf2_9ce4_8422_2325u64;
+    let mut fp = Digest::new();
     for batch in queries.chunks(BATCH) {
         for a in svc.answer_batch(pool, batch) {
-            fp = fnv(fp, a.digest);
-            fp = fnv(fp, a.forecast.bits_fingerprint());
+            fp.fold_word(a.digest);
+            fp.fold_word(a.forecast.bits_fingerprint());
         }
     }
-    (fp, start.elapsed().as_secs_f64())
+    (fp.finish(), start.elapsed().as_secs_f64())
 }
 
 fn main() {

@@ -215,7 +215,7 @@ impl Report {
     ];
 
     /// The report as a JSON value (string-keyed maps throughout).
-    pub fn to_value(&self) -> Value {
+    fn to_value(&self) -> Value {
         fn obj(pairs: Vec<(String, Value)>) -> Value {
             Value::Map(pairs.into_iter().map(|(k, v)| (Value::Str(k), v)).collect())
         }

@@ -31,4 +31,4 @@ pub use plan::{
     halving_doubling_all_reduce, pairwise_all_to_all, ring_all_gather, ring_all_reduce,
     ring_all_reduce_step_into, ring_broadcast, ring_reduce_scatter, send_recv, Schedule, Transfer,
 };
-pub use runner::{merge_parallel, CollectiveResult, CollectiveRunner, RunnerConfig};
+pub use runner::{merge_parallel, CollectiveResult, CollectiveRunner, RunnerConfig, STEP_OVERHEAD};

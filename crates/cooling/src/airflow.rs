@@ -152,38 +152,12 @@ impl RackRow {
         })
     }
 
-    /// Validated [`RackRow::uniform`].
-    pub fn try_uniform(
-        racks: usize,
-        heat_w: f64,
-        inlet_c: f64,
-        total_flow_m3s: f64,
-    ) -> Result<Self, CoolingError> {
-        RackRow::try_new(vec![heat_w; racks], inlet_c, total_flow_m3s)
-    }
-
-    /// The same row with its supply flow scaled by `frac` — a degraded
-    /// pump/CDU delivers only part of the design airflow, raising every
-    /// steady-state rack temperature by `1/frac`-ish over inlet.
-    pub fn with_flow_fraction(&self, frac: f64) -> Result<Self, CoolingError> {
-        if frac <= 0.0 || !frac.is_finite() {
-            return Err(CoolingError::NonPositiveFlow {
-                flow_m3s: self.total_flow_m3s * frac,
-            });
-        }
-        Ok(RackRow {
-            heat_w: self.heat_w.clone(),
-            inlet_c: self.inlet_c,
-            total_flow_m3s: self.total_flow_m3s * frac,
-        })
-    }
-
     /// Per-rack airflow share under the given geometry.
     ///
     /// Side intake: velocity is highest at the two row ends (the outlets of
     /// the supply ducts); the entrainment loss reduces effective flow into
     /// racks near the ends. Bottom-up: uniform.
-    pub fn flow_share(&self, mode: Airflow) -> Vec<f64> {
+    fn flow_share(&self, mode: Airflow) -> Vec<f64> {
         let n = self.heat_w.len();
         // Entrainment deficit decays with distance from the nearer row
         // end; its magnitude is the geometry's defect. Side intake: strong
@@ -337,32 +311,21 @@ mod tests {
             Err(CoolingError::NegativeHeat { .. })
         ));
         assert!(matches!(
-            RackRow::try_uniform(4, 1000.0, 22.0, 0.0),
+            RackRow::try_new(vec![1000.0; 4], 22.0, 0.0),
             Err(CoolingError::NonPositiveFlow { .. })
         ));
         assert!(matches!(
-            RackRow::try_uniform(4, 1000.0, f64::INFINITY, 1.0),
+            RackRow::try_new(vec![1000.0; 4], f64::INFINITY, 1.0),
             Err(CoolingError::NonFiniteInlet { .. })
         ));
-        assert!(RackRow::try_uniform(4, 1000.0, 22.0, 1.0).is_ok());
-    }
-
-    #[test]
-    fn degraded_pump_raises_every_rack_temperature() {
-        let row = paper_row();
-        let degraded = row.with_flow_fraction(0.5).unwrap();
-        let healthy = row.temperatures(Airflow::BottomUp);
-        let hot = degraded.temperatures(Airflow::BottomUp);
-        for (h, d) in healthy.iter().zip(&hot) {
-            assert!(d > h, "half flow must run hotter: {h} vs {d}");
-        }
-        assert!(row.with_flow_fraction(0.0).is_err());
-        assert!(row.with_flow_fraction(-0.5).is_err());
+        assert!(RackRow::try_new(vec![1000.0; 4], 22.0, 1.0).is_ok());
     }
 
     #[test]
     fn flow_reroute_collapses_the_spread_without_extra_flow() {
-        let row = paper_row().with_flow_fraction(0.6).unwrap();
+        // A degraded pump: the paper row at 60% of its design flow.
+        let p = paper_row();
+        let row = RackRow::try_new(p.heat_w, p.inlet_c, p.total_flow_m3s * 0.6).unwrap();
         let raw = row.temperatures(Airflow::SideIntake);
         let rerouted = row.temperatures_rerouted(Airflow::SideIntake, 0.9).unwrap();
         let spread = |t: &[f64]| {

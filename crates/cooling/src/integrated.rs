@@ -5,46 +5,32 @@
 //! both share one primary cold source sized for 100% of the heat so the
 //! liquid:air split can follow the workload. Liquid loops move heat far
 //! more efficiently (higher COP) than air handlers, so PUE falls as the
-//! liquid fraction rises.
+//! liquid fraction rises. Both paths' COPs and the bad-airflow fan
+//! penalty are the constants [`AIR_COP`], [`LIQUID_COP`] and
+//! [`BAD_AIRFLOW_PENALTY`], shared by every facility generation.
 
 use crate::airflow::Airflow;
 use astral_power::PowerChain;
 use serde::{Deserialize, Serialize};
 
-/// Cooling efficiency constants.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct CoolingPlant {
-    /// Coefficient of performance of the air path (CRAH + chiller).
-    pub air_cop: f64,
-    /// COP of the cold-plate liquid path.
-    pub liquid_cop: f64,
-    /// Extra fan power penalty of a *badly organized* airflow (fraction of
-    /// air-side cooling power) — removed by the bottom-up optimization.
-    pub bad_airflow_penalty: f64,
-}
+/// Coefficient of performance of the air path (CRAH + chiller).
+pub const AIR_COP: f64 = 3.2;
+/// COP of the cold-plate liquid path.
+pub const LIQUID_COP: f64 = 9.0;
+/// Extra fan power penalty of a *badly organized* airflow (fraction of
+/// air-side cooling power) — removed by the bottom-up optimization.
+pub const BAD_AIRFLOW_PENALTY: f64 = 0.18;
 
-impl Default for CoolingPlant {
-    fn default() -> Self {
-        CoolingPlant {
-            air_cop: 3.2,
-            liquid_cop: 9.0,
-            bad_airflow_penalty: 0.18,
-        }
+/// Cooling power to remove `heat_w` with `liquid_frac` of the heat on cold
+/// plates under the given airflow geometry.
+fn cooling_power_w(heat_w: f64, liquid_frac: f64, airflow: Airflow) -> f64 {
+    assert!((0.0..=1.0).contains(&liquid_frac));
+    let liquid = heat_w * liquid_frac / LIQUID_COP;
+    let mut air = heat_w * (1.0 - liquid_frac) / AIR_COP;
+    if airflow == Airflow::SideIntake {
+        air *= 1.0 + BAD_AIRFLOW_PENALTY;
     }
-}
-
-impl CoolingPlant {
-    /// Cooling power to remove `heat_w` with `liquid_frac` of the heat on
-    /// cold plates under the given airflow geometry.
-    pub fn cooling_power_w(&self, heat_w: f64, liquid_frac: f64, airflow: Airflow) -> f64 {
-        assert!((0.0..=1.0).contains(&liquid_frac));
-        let liquid = heat_w * liquid_frac / self.liquid_cop;
-        let mut air = heat_w * (1.0 - liquid_frac) / self.air_cop;
-        if airflow == Airflow::SideIntake {
-            air *= 1.0 + self.bad_airflow_penalty;
-        }
-        liquid + air
-    }
+    liquid + air
 }
 
 /// A datacenter generation: power chain + cooling configuration.
@@ -52,8 +38,6 @@ impl CoolingPlant {
 pub struct FacilityConfig {
     /// Power delivery chain.
     pub power: PowerChain,
-    /// Cooling plant constants.
-    pub plant: CoolingPlant,
     /// Fraction of IT heat on cold plates.
     pub liquid_frac: f64,
     /// Airflow geometry for the air-cooled remainder.
@@ -69,7 +53,6 @@ impl FacilityConfig {
     pub fn traditional() -> Self {
         FacilityConfig {
             power: PowerChain::traditional_ac(),
-            plant: CoolingPlant::default(),
             liquid_frac: 0.0,
             airflow: Airflow::SideIntake,
             misc_frac: 0.03,
@@ -81,7 +64,6 @@ impl FacilityConfig {
     pub fn astral() -> Self {
         FacilityConfig {
             power: PowerChain::hvdc(),
-            plant: CoolingPlant::default(),
             liquid_frac: 0.70,
             airflow: Airflow::BottomUp,
             misc_frac: 0.02,
@@ -92,9 +74,7 @@ impl FacilityConfig {
     pub fn pue(&self) -> f64 {
         let it = 1.0f64;
         let power_loss = 1.0 / self.power.efficiency() - 1.0;
-        let cooling = self
-            .plant
-            .cooling_power_w(it, self.liquid_frac, self.airflow);
+        let cooling = cooling_power_w(it, self.liquid_frac, self.airflow);
         (it + power_loss + cooling + self.misc_frac) / it
     }
 }
@@ -179,17 +159,15 @@ mod tests {
 
     #[test]
     fn liquid_fraction_drives_cooling_power_down() {
-        let p = CoolingPlant::default();
-        let all_air = p.cooling_power_w(1.0, 0.0, Airflow::BottomUp);
-        let mostly_liquid = p.cooling_power_w(1.0, 0.8, Airflow::BottomUp);
+        let all_air = cooling_power_w(1.0, 0.0, Airflow::BottomUp);
+        let mostly_liquid = cooling_power_w(1.0, 0.8, Airflow::BottomUp);
         assert!(mostly_liquid < all_air / 2.0);
     }
 
     #[test]
     fn airflow_geometry_taxes_the_air_path_only() {
-        let p = CoolingPlant::default();
-        let side = p.cooling_power_w(1.0, 1.0, Airflow::SideIntake);
-        let bottom = p.cooling_power_w(1.0, 1.0, Airflow::BottomUp);
+        let side = cooling_power_w(1.0, 1.0, Airflow::SideIntake);
+        let bottom = cooling_power_w(1.0, 1.0, Airflow::BottomUp);
         assert!((side - bottom).abs() < 1e-12, "pure-liquid is unaffected");
     }
 }

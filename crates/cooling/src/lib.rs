@@ -5,9 +5,10 @@
 //! * [`RackRow`] — a steady-state rack-row thermal model showing how
 //!   side-intake airflow spreads inter-rack temperature by ~1 °C while the
 //!   bottom-up optimization collapses it to ~0.1 °C (Figure 5).
-//! * [`CoolingPlant`] / [`FacilityConfig`] — the air–liquid integrated
-//!   cooling system with a shared primary cold source, and the PUE
-//!   accounting behind Figure 6's 16.34% average improvement.
+//! * [`FacilityConfig`] — the air–liquid integrated cooling system with a
+//!   shared primary cold source, and the PUE accounting behind Figure 6's
+//!   16.34% average improvement; the cooling plant's COPs are the
+//!   constants [`AIR_COP`] and [`LIQUID_COP`].
 //! * [`CoolingDomains`] — which hosts share one CDU loop: the cooling
 //!   failure-domain query a blast-radius-aware fleet placement asks.
 
@@ -19,4 +20,6 @@ mod integrated;
 
 pub use airflow::{paper_row, Airflow, CoolingError, RackRow};
 pub use domains::CoolingDomains;
-pub use integrated::{mean_pue_improvement, pue_evolution, CoolingPlant, FacilityConfig};
+pub use integrated::{
+    mean_pue_improvement, pue_evolution, FacilityConfig, AIR_COP, BAD_AIRFLOW_PENALTY, LIQUID_COP,
+};

@@ -154,7 +154,7 @@ impl CascadeClass {
     }
 
     /// The analyzer cause a correct attribution names for this class.
-    pub fn expected_cause(self) -> CauseClass {
+    fn expected_cause(self) -> CauseClass {
         match self {
             CascadeClass::Power => CauseClass::PowerDelivery,
             CascadeClass::Cooling => CauseClass::Cooling,

@@ -14,7 +14,6 @@ pub struct AstralInfrastructure {
     params: AstralParams,
     topo: Topology,
     facility: FacilityConfig,
-    gpu: GpuSpec,
 }
 
 /// Result of evaluating a training job on the infrastructure's testbed.
@@ -37,14 +36,7 @@ impl AstralInfrastructure {
             params,
             topo,
             facility: FacilityConfig::astral(),
-            gpu: GpuSpec::h100(),
         }
-    }
-
-    /// Use a different GPU model (e.g. the low-tier H20).
-    pub fn with_gpu(mut self, gpu: GpuSpec) -> Self {
-        self.gpu = gpu;
-        self
     }
 
     /// The fabric.
@@ -74,13 +66,13 @@ impl AstralInfrastructure {
 
     /// A Seer calibrated against this infrastructure's testbed.
     pub fn calibrated_seer(&self, par: &ParallelismConfig, seed: u64) -> Seer {
-        let testbed = Testbed::new(&self.topo, self.gpu.clone());
+        let testbed = Testbed::new(&self.topo, GpuSpec::h100());
         let cal: Calibration = testbed.calibrate(par, seed);
         let mut net = NetworkSpec::astral();
         net.hb_domain = self.topo.hb_domain().gpus_per_domain;
         net.rails = self.topo.rails() as u32;
         Seer::new(SeerConfig {
-            gpu: self.gpu.clone(),
+            gpu: GpuSpec::h100(),
             net,
             calibration: cal,
         })
@@ -96,7 +88,7 @@ impl AstralInfrastructure {
     ) -> JobEvaluation {
         assert_eq!(placement.len() as u32, par.world());
         let pods = crate::placement::pods_touched(&self.topo, &placement);
-        let testbed = Testbed::new(&self.topo, self.gpu.clone()).with_placement(placement);
+        let testbed = Testbed::new(&self.topo, GpuSpec::h100()).with_placement(placement);
         let graph = build_training_iteration(model, par);
         let timeline = testbed.execute(&graph, par);
         let iteration_s = timeline.total.as_secs_f64();

@@ -74,11 +74,6 @@ impl TraceReplayer {
         &self.report_fingerprint
     }
 
-    /// FNV-1a fingerprint of the recorded timeline.
-    pub fn trace_fingerprint(&self) -> u64 {
-        fingerprint(&self.trace)
-    }
-
     /// Serialize the recording back to JSON-lines (the CI artifact
     /// format; lossless — parsing it back reproduces the same records
     /// and therefore the same fingerprint).
@@ -322,7 +317,10 @@ mod tests {
         let rehydrated =
             TraceReplayer::from_jsonl(replayer.report_fingerprint(), &replayer.to_jsonl())
                 .expect("own JSONL parses");
-        assert_eq!(rehydrated.trace_fingerprint(), replayer.trace_fingerprint());
+        assert_eq!(
+            fingerprint(rehydrated.recorded()),
+            fingerprint(replayer.recorded())
+        );
         let (outcome, _) = rehydrated
             .replay(
                 &topo(),

@@ -158,16 +158,6 @@ impl Default for Pool {
     }
 }
 
-/// Convenience: [`Pool::from_env`]`.map(items, f)`.
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    Pool::from_env().map(items, f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

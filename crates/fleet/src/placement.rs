@@ -1,10 +1,10 @@
 //! The placement engine: maps tenants onto free hosts under a pluggable
-//! [`PlacementStrategy`], with blast-radius accounting against the
-//! power/cooling failure domains.
+//! [`PlacementStrategy`]. Rack rows are the failure-domain unit: one row
+//! per HVDC power domain, [`ROWS_PER_CDU_LOOP`] rows per cooling loop, so
+//! striping a tenant across rows bounds its power and cooling blast
+//! radius.
 
 use crate::policy::PlacementStrategy;
-use astral_cooling::CoolingDomains;
-use astral_power::PowerDomains;
 use astral_topo::{HostId, Topology};
 use std::collections::{BTreeSet, HashMap};
 
@@ -50,20 +50,18 @@ impl std::fmt::Display for PlacementError {
 
 impl std::error::Error for PlacementError {}
 
-/// The placement engine: rack-row topology plus the power/cooling failure
-/// domain maps, shared by every admission decision of a campaign.
+/// The placement engine: the rack-row topology (each row one HVDC power
+/// domain, [`ROWS_PER_CDU_LOOP`] rows one CDU cooling loop), shared by
+/// every admission decision of a campaign.
 #[derive(Debug, Clone)]
 pub struct PlacementEngine {
     rows: Vec<Vec<HostId>>,
     host_row: HashMap<HostId, usize>,
-    power: PowerDomains,
-    cooling: CoolingDomains,
 }
 
 impl PlacementEngine {
     /// Build the engine for one fabric: rack rows from the cascade
-    /// engine's pod-major (pod, block) grouping, power domains one row per
-    /// HVDC unit, cooling domains [`ROWS_PER_CDU_LOOP`] rows per loop.
+    /// engine's pod-major (pod, block) grouping.
     pub fn new(topo: &Topology) -> Self {
         let rows = astral_core::rack_rows(topo);
         let mut host_row = HashMap::new();
@@ -72,19 +70,7 @@ impl PlacementEngine {
                 host_row.insert(h, ri);
             }
         }
-        let raw: Vec<Vec<u32>> = rows
-            .iter()
-            .map(|r| r.iter().map(|h| h.0).collect())
-            .collect();
-        let power = PowerDomains::try_new(raw.clone()).expect("rack rows are disjoint");
-        let cooling =
-            CoolingDomains::try_grouped(raw, ROWS_PER_CDU_LOOP).expect("rack rows are disjoint");
-        PlacementEngine {
-            rows,
-            host_row,
-            power,
-            cooling,
-        }
+        PlacementEngine { rows, host_row }
     }
 
     /// The rack rows (failure-domain unit) of the fabric.
@@ -95,30 +81,6 @@ impl PlacementEngine {
     /// The row `host` lives in.
     pub fn row_of(&self, host: HostId) -> Option<usize> {
         self.host_row.get(&host).copied()
-    }
-
-    /// The power failure-domain map.
-    pub fn power_domains(&self) -> &PowerDomains {
-        &self.power
-    }
-
-    /// The cooling failure-domain map.
-    pub fn cooling_domains(&self) -> &CoolingDomains {
-        &self.cooling
-    }
-
-    /// Worst-case fraction of `hosts` lost to a single substrate failure
-    /// domain (the max over power and cooling co-location).
-    pub fn blast_fraction(&self, hosts: &[HostId]) -> f64 {
-        if hosts.is_empty() {
-            return 0.0;
-        }
-        let raw: Vec<u32> = hosts.iter().map(|h| h.0).collect();
-        let worst = self
-            .power
-            .max_colocated(&raw)
-            .max(self.cooling.max_colocated(&raw));
-        worst as f64 / hosts.len() as f64
     }
 
     /// Place a `need`-host tenant on the `free` set under `strategy`.
@@ -214,6 +176,8 @@ impl PlacementEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use astral_cooling::CoolingDomains;
+    use astral_power::PowerDomains;
     use astral_topo::{build_astral, AstralParams};
 
     fn engine() -> PlacementEngine {
@@ -224,6 +188,29 @@ mod tests {
         engine.rows.iter().flatten().copied().collect()
     }
 
+    /// The fabric's power domains (one rack row per HVDC unit) and
+    /// cooling domains ([`ROWS_PER_CDU_LOOP`] rows per CDU loop).
+    fn domains(e: &PlacementEngine) -> (PowerDomains, CoolingDomains) {
+        let raw: Vec<Vec<u32>> = e
+            .rows
+            .iter()
+            .map(|r| r.iter().map(|h| h.0).collect())
+            .collect();
+        let power = PowerDomains::try_new(raw.clone()).expect("rack rows are disjoint");
+        let cooling =
+            CoolingDomains::try_grouped(raw, ROWS_PER_CDU_LOOP).expect("rack rows are disjoint");
+        (power, cooling)
+    }
+
+    /// Worst-case fraction of `hosts` lost to a single substrate failure
+    /// domain (the max over power and cooling co-location).
+    fn blast_fraction(e: &PlacementEngine, hosts: &[HostId]) -> f64 {
+        let (power, cooling) = domains(e);
+        let raw: Vec<u32> = hosts.iter().map(|h| h.0).collect();
+        let worst = power.max_colocated(&raw).max(cooling.max_colocated(&raw));
+        worst as f64 / hosts.len() as f64
+    }
+
     #[test]
     fn first_fit_packs_one_row() {
         let e = engine();
@@ -231,7 +218,7 @@ mod tests {
             .place(8, PlacementStrategy::FirstFit, &all_free(&e))
             .unwrap();
         // sim_small rows hold 8 hosts: a packed 8-host job sits in one row.
-        assert_eq!(e.blast_fraction(&placed), 1.0);
+        assert_eq!(blast_fraction(&e, &placed), 1.0);
     }
 
     #[test]
@@ -242,11 +229,12 @@ mod tests {
             .unwrap();
         // 8 hosts across 8 rows: one per power domain, two per CDU loop.
         assert_eq!(
-            e.power_domains()
+            domains(&e)
+                .0
                 .spread(&placed.iter().map(|h| h.0).collect::<Vec<_>>()),
             8
         );
-        assert!(e.blast_fraction(&placed) <= 0.25);
+        assert!(blast_fraction(&e, &placed) <= 0.25);
     }
 
     #[test]

@@ -255,7 +255,7 @@ impl ModelConfig {
     }
 
     /// Forward FLOPs per token for the whole model (+ logit).
-    pub fn fwd_flops_per_token(&self, seq: u64) -> f64 {
+    fn fwd_flops_per_token(&self, seq: u64) -> f64 {
         self.layers as f64 * self.fwd_flops_per_token_layer(seq)
             + 2.0 * self.hidden as f64 * self.vocab as f64
     }

@@ -128,17 +128,6 @@ impl ParallelismConfig {
         }
         out
     }
-
-    /// All EP groups: each DP group split into `dp/ep` chunks of `ep` ranks.
-    pub fn ep_groups(&self) -> Vec<Vec<u32>> {
-        let mut out = Vec::new();
-        for group in self.dp_groups() {
-            for chunk in group.chunks(self.ep as usize) {
-                out.push(chunk.to_vec());
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -193,19 +182,10 @@ mod tests {
     }
 
     #[test]
-    fn ep_subdivides_dp() {
-        let mut c = ParallelismConfig::new(2, 2, 4);
-        c.ep = 2;
-        assert!(c.validate().is_ok());
-        let eps = c.ep_groups();
-        assert_eq!(eps.len(), c.pp as usize * c.tp as usize * 2);
-        for g in eps {
-            assert_eq!(g.len(), 2);
-        }
-    }
-
-    #[test]
     fn validation_catches_bad_layouts() {
+        let mut c = ParallelismConfig::new(2, 2, 4);
+        c.ep = 2; // divides dp=4
+        assert!(c.validate().is_ok());
         let mut c = ParallelismConfig::new(2, 2, 3);
         c.ep = 2; // does not divide dp=3
         assert!(c.validate().is_err());

@@ -108,15 +108,6 @@ pub struct CorrelationMatrix {
     pub pairs: [[u32; SIGNALS]; SIGNALS],
 }
 
-impl CorrelationMatrix {
-    /// Conditional co-occurrence `P(b | a)` — the fraction of `a`'s
-    /// windows that also contained `b`. `None` when `a` never fired.
-    pub fn confidence(&self, a: Signal, b: Signal) -> Option<f64> {
-        let na = self.singles[a as usize];
-        (na > 0).then(|| self.pairs[a as usize][b as usize] as f64 / na as f64)
-    }
-}
-
 /// Mines recorded timelines into a co-occurrence matrix and a learned
 /// drill-down prior. Each [`CorrelationMiner::ingest`] call is one
 /// *timeline* (one run's trace): every seeded run restarts its clock at
@@ -267,9 +258,10 @@ mod tests {
             m.pairs[Signal::FlowAbort as usize][Signal::CoolingOnset as usize],
             0
         );
+        assert_eq!(m.singles[Signal::CoolingOnset as usize], 1);
         assert_eq!(
-            m.confidence(Signal::CoolingOnset, Signal::FlowAbort),
-            Some(0.0)
+            m.pairs[Signal::CoolingOnset as usize][Signal::FlowAbort as usize],
+            0
         );
         // Same window (10 ms up to 20 ms): they co-occur.
         let mut miner2 = CorrelationMiner::new();
@@ -279,9 +271,10 @@ mod tests {
         ]);
         let m2 = miner2.matrix();
         assert_eq!(m2.windows, 1);
+        assert_eq!(m2.singles[Signal::CoolingOnset as usize], 1);
         assert_eq!(
-            m2.confidence(Signal::CoolingOnset, Signal::FlowAbort),
-            Some(1.0)
+            m2.pairs[Signal::CoolingOnset as usize][Signal::FlowAbort as usize],
+            1
         );
     }
 

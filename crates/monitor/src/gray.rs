@@ -167,11 +167,6 @@ impl GrayDetector {
         self.links.get(&link).map_or(0.0, |s| s.suspicion)
     }
 
-    /// Whether a link is currently in a suspect episode.
-    pub fn is_suspect(&self, link: LinkId) -> bool {
-        self.links.get(&link).is_some_and(|s| s.suspect)
-    }
-
     /// Feed one iteration of evidence; returns threshold crossings in
     /// ascending link order.
     pub fn observe(&mut self, sample: &GraySample) -> Vec<GrayEvent> {
@@ -279,6 +274,11 @@ mod tests {
         GrayDetector::new()
     }
 
+    /// Whether `link` is inside a suspect episode.
+    fn in_episode(d: &GrayDetector, link: LinkId) -> bool {
+        d.links.get(&link).is_some_and(|s| s.suspect)
+    }
+
     fn flap_sample(iter: u32, link: LinkId, cum: u32) -> GraySample {
         GraySample {
             iter,
@@ -323,7 +323,7 @@ mod tests {
         for it in 2..30 {
             assert!(d.observe(&flap_sample(it, LinkId(7), 2)).is_empty());
         }
-        assert!(!d.is_suspect(LinkId(7)));
+        assert!(!in_episode(&d, LinkId(7)));
     }
 
     #[test]
@@ -345,7 +345,7 @@ mod tests {
         }
         // Still suspect: no duplicate verdict while the episode holds.
         assert!(d.observe(&flap_sample(4, LinkId(7), 8)).is_empty());
-        assert!(d.is_suspect(LinkId(7)));
+        assert!(in_episode(&d, LinkId(7)));
     }
 
     #[test]
@@ -435,7 +435,7 @@ mod tests {
             }
         }
         let cleared = cleared_at.expect("suspect link never cleared");
-        assert!(!d.is_suspect(LinkId(2)));
+        assert!(!in_episode(&d, LinkId(2)));
         // A fresh burst (two full cycles = 4 new edges) opens a new episode
         // and alarms again — episode edge counts reset at clear, so the old
         // episode's edges do not leak into the new classification.
@@ -458,7 +458,7 @@ mod tests {
         // After unmuting, differencing resumes from the baseline kept while
         // muted: only the 2 new edges count, not the 20 accrued under mute.
         assert!(d.observe(&flap_sample(11, LinkId(4), 22)).is_empty());
-        assert!(!d.is_suspect(LinkId(4)));
+        assert!(!in_episode(&d, LinkId(4)));
         assert!(d.suspicion(LinkId(4)) < 0.5);
     }
 }

@@ -12,45 +12,30 @@
 //!   needs long observation windows per round.
 //! * **Analyzer (after)** — localization cost is the telemetry queries the
 //!   hierarchical drill-down actually issued, each priced at seconds.
+//!
+//! Each regime's costs are the paper-calibrated constants below
+//! (`MANUAL_*` and `ANALYZER_*`); every caller prices with the same values.
 
 use crate::analyzer::Diagnosis;
 use crate::taxonomy::Manifestation;
-use serde::{Deserialize, Serialize};
 
-/// Cost model for manual bisection diagnosis.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct ManualCostModel {
-    /// Restart-and-observe cycle per bisection round, seconds (the paper's
-    /// batch-replacement incident: ≈1 hour).
-    pub round_s: f64,
-    /// Extra observation time per round for fail-slow (must re-measure
-    /// throughput) in seconds.
-    pub slow_observe_s: f64,
-    /// Extra timeout per round for fail-hang (no logs; wait for watchdog).
-    pub hang_timeout_s: f64,
-}
-
-impl Default for ManualCostModel {
-    fn default() -> Self {
-        ManualCostModel {
-            round_s: 900.0,
-            slow_observe_s: 2700.0,
-            hang_timeout_s: 2700.0,
-        }
-    }
-}
+/// Manual bisection: restart-and-observe cycle per round, seconds (the
+/// paper's batch-replacement incident: ≈1 hour).
+pub const MANUAL_ROUND_S: f64 = 900.0;
+/// Manual bisection: extra observation per round for fail-slow (throughput
+/// must be re-measured), seconds.
+pub const MANUAL_SLOW_OBSERVE_S: f64 = 2700.0;
+/// Manual bisection: extra timeout per round for fail-hang (no logs; wait
+/// for the watchdog), seconds.
+pub const MANUAL_HANG_TIMEOUT_S: f64 = 2700.0;
 
 /// Time for manual bisection over `hosts` machines.
-pub fn manual_locate_time_s(
-    model: &ManualCostModel,
-    manifestation: Manifestation,
-    hosts: usize,
-) -> f64 {
+pub fn manual_locate_time_s(manifestation: Manifestation, hosts: usize) -> f64 {
     let rounds = (hosts.max(2) as f64).log2().ceil();
-    let per_round = model.round_s
+    let per_round = MANUAL_ROUND_S
         + match manifestation {
-            Manifestation::FailSlow => model.slow_observe_s,
-            Manifestation::FailHang => model.hang_timeout_s,
+            Manifestation::FailSlow => MANUAL_SLOW_OBSERVE_S,
+            Manifestation::FailHang => MANUAL_HANG_TIMEOUT_S,
             _ => 0.0,
         };
     // Fail-on-start at least reproduces instantly; others need a run per
@@ -63,40 +48,27 @@ pub fn manual_locate_time_s(
     rounds * per_round * startup_discount
 }
 
-/// Cost model for analyzer-driven diagnosis.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct AnalyzerCostModel {
-    /// Seconds per telemetry query (collector round-trip + correlation).
-    pub query_s: f64,
-    /// Fixed alerting/triage latency in seconds (a human still confirms).
-    pub base_s: f64,
-    /// Extra observation window needed for fail-slow (rates must be
-    /// watched long enough to separate congestion from noise).
-    pub slow_observe_s: f64,
-    /// Extra watchdog wait to confirm a fail-hang (nothing is in the logs
-    /// until timeouts fire).
-    pub hang_observe_s: f64,
-}
-
-impl Default for AnalyzerCostModel {
-    fn default() -> Self {
-        AnalyzerCostModel {
-            query_s: 10.0,
-            base_s: 600.0,
-            slow_observe_s: 6000.0,
-            hang_observe_s: 720.0,
-        }
-    }
-}
+/// Analyzer: seconds per telemetry query (collector round-trip +
+/// correlation).
+pub const ANALYZER_QUERY_S: f64 = 10.0;
+/// Analyzer: fixed alerting/triage latency in seconds (a human still
+/// confirms).
+pub const ANALYZER_BASE_S: f64 = 600.0;
+/// Analyzer: extra observation window for fail-slow (rates must be watched
+/// long enough to separate congestion from noise), seconds.
+pub const ANALYZER_SLOW_OBSERVE_S: f64 = 6000.0;
+/// Analyzer: extra watchdog wait to confirm a fail-hang (nothing is in the
+/// logs until timeouts fire), seconds.
+pub const ANALYZER_HANG_OBSERVE_S: f64 = 720.0;
 
 /// Time for the analyzer to locate, given its executed drill-down.
-pub fn analyzer_locate_time_s(model: &AnalyzerCostModel, diagnosis: &Diagnosis) -> f64 {
+pub fn analyzer_locate_time_s(diagnosis: &Diagnosis) -> f64 {
     let observe = match diagnosis.manifestation {
-        Manifestation::FailSlow => model.slow_observe_s,
-        Manifestation::FailHang => model.hang_observe_s,
+        Manifestation::FailSlow => ANALYZER_SLOW_OBSERVE_S,
+        Manifestation::FailHang => ANALYZER_HANG_OBSERVE_S,
         _ => 0.0,
     };
-    model.base_s + observe + diagnosis.queries as f64 * model.query_s
+    ANALYZER_BASE_S + observe + diagnosis.queries as f64 * ANALYZER_QUERY_S
 }
 
 #[cfg(test)]
@@ -117,33 +89,29 @@ mod tests {
 
     #[test]
     fn manual_scales_with_log_hosts() {
-        let m = ManualCostModel::default();
-        let t1k = manual_locate_time_s(&m, Manifestation::FailStop, 1024);
-        let t8k = manual_locate_time_s(&m, Manifestation::FailStop, 8192);
+        let t1k = manual_locate_time_s(Manifestation::FailStop, 1024);
+        let t8k = manual_locate_time_s(Manifestation::FailStop, 8192);
         assert!(t8k > t1k);
         assert!((t8k / 900.0 - 13.0).abs() < 0.01, "8K hosts ≈ 13 rounds");
     }
 
     #[test]
     fn hang_is_the_most_expensive_manually() {
-        let m = ManualCostModel::default();
-        let stop = manual_locate_time_s(&m, Manifestation::FailStop, 1024);
-        let hang = manual_locate_time_s(&m, Manifestation::FailHang, 1024);
-        let slow = manual_locate_time_s(&m, Manifestation::FailSlow, 1024);
+        let stop = manual_locate_time_s(Manifestation::FailStop, 1024);
+        let hang = manual_locate_time_s(Manifestation::FailHang, 1024);
+        let slow = manual_locate_time_s(Manifestation::FailSlow, 1024);
         assert!(hang > stop);
         assert!(slow > stop);
     }
 
     #[test]
     fn analyzer_is_minutes_not_hours() {
-        let a = AnalyzerCostModel::default();
         let d = diag(40, Manifestation::FailStop);
-        let t = analyzer_locate_time_s(&a, &d);
+        let t = analyzer_locate_time_s(&d);
         assert!(t < 1800.0, "analyzer should locate within minutes: {t}s");
         // The improvement factor over manual bisection lands in the
         // paper's order of magnitude (×12 for fail-stop).
-        let manual =
-            manual_locate_time_s(&ManualCostModel::default(), Manifestation::FailStop, 1024);
+        let manual = manual_locate_time_s(Manifestation::FailStop, 1024);
         let factor = manual / t;
         assert!((5.0..40.0).contains(&factor), "factor {factor}");
     }
@@ -152,10 +120,8 @@ mod tests {
     fn fail_slow_improves_least() {
         // The paper: fail-slow only shortens ~5× (observation windows are
         // irreducible), vs 12×/25× for stop/hang.
-        let a = AnalyzerCostModel::default();
-        let m = ManualCostModel::default();
         let f = |mani: Manifestation| {
-            manual_locate_time_s(&m, mani, 1024) / analyzer_locate_time_s(&a, &diag(40, mani))
+            manual_locate_time_s(mani, 1024) / analyzer_locate_time_s(&diag(40, mani))
         };
         let stop = f(Manifestation::FailStop);
         let hang = f(Manifestation::FailHang);

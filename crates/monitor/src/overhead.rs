@@ -4,71 +4,51 @@
 //! each RDMA message: ~0.8 Mbit/s per node, ~10 Gbit/s for a 100K-GPU
 //! cluster — about 0.00005% of total link bandwidth. INT pings add storage:
 //! ~173 GB/day for a 10K-GPU cluster, retained 15 days.
+//!
+//! The model is the paper's constants below and five free functions over
+//! them; a cluster's size in GPUs is the only input.
 
-use serde::{Deserialize, Serialize};
+/// Mirrored bytes per RDMA message: the first packet's headers, a ≈128-byte
+/// slice (Eth+IP+UDP+BTH+RETH + padding)…
+pub const MIRROR_BYTES_PER_MESSAGE: u64 = 128;
+/// …at ~780 RDMA messages per second per node under training load ⇒
+/// ≈0.8 Mbit/s per node, matching Appendix C.
+pub const MESSAGES_PER_S_PER_NODE: f64 = 780.0;
+/// Bytes of INT metadata per probe.
+pub const INT_BYTES_PER_PROBE: u64 = 100;
+/// INT probes per second per GPU.
+pub const INT_PROBES_PER_S_PER_GPU: f64 = 2.0;
+/// Per-GPU link bandwidth in bits/s.
+pub const LINK_BW_BPS: f64 = 400e9;
+/// GPUs (and NICs) per monitored node — the paper's per-node figure is per
+/// *server*.
+pub const GPUS_PER_NODE: u64 = 8;
+/// Days of INT retention.
+pub const RETENTION_DAYS: u32 = 15;
 
-/// Overhead model constants (paper values as defaults).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct OverheadModel {
-    /// Mirrored bytes per RDMA message (first packet's headers).
-    pub mirror_bytes_per_message: u64,
-    /// RDMA messages per second per node under training load.
-    pub messages_per_s_per_node: f64,
-    /// Bytes of INT metadata per probe.
-    pub int_bytes_per_probe: u64,
-    /// Probes per second per GPU pair sampled.
-    pub int_probes_per_s_per_gpu: f64,
-    /// Per-GPU link bandwidth in bits/s.
-    pub link_bw_bps: f64,
-    /// GPUs (and NICs) per monitored node — the paper's per-node figure is
-    /// per *server*.
-    pub gpus_per_node: u64,
-    /// Days of INT retention.
-    pub retention_days: u32,
+/// Mirroring overhead per node, bits/s.
+pub fn mirror_bps_per_node() -> f64 {
+    MIRROR_BYTES_PER_MESSAGE as f64 * 8.0 * MESSAGES_PER_S_PER_NODE
 }
 
-impl Default for OverheadModel {
-    fn default() -> Self {
-        OverheadModel {
-            // ≈128-byte mirrored slice (Eth+IP+UDP+BTH+RETH + padding)…
-            mirror_bytes_per_message: 128,
-            // …at ~780 msgs/s/node ⇒ ≈0.8 Mbit/s per node, matching
-            // Appendix C.
-            messages_per_s_per_node: 780.0,
-            int_bytes_per_probe: 100,
-            int_probes_per_s_per_gpu: 2.0,
-            link_bw_bps: 400e9,
-            gpus_per_node: 8,
-            retention_days: 15,
-        }
-    }
+/// Total mirroring traffic for a cluster of `gpus`, bits/s.
+pub fn mirror_total_bps(gpus: u64) -> f64 {
+    mirror_bps_per_node() * (gpus / GPUS_PER_NODE) as f64
 }
 
-impl OverheadModel {
-    /// Mirroring overhead per node, bits/s.
-    pub fn mirror_bps_per_node(&self) -> f64 {
-        self.mirror_bytes_per_message as f64 * 8.0 * self.messages_per_s_per_node
-    }
+/// Mirroring overhead as a fraction of total link bandwidth.
+pub fn mirror_fraction(gpus: u64) -> f64 {
+    mirror_total_bps(gpus) / (LINK_BW_BPS * gpus as f64)
+}
 
-    /// Total mirroring traffic for a cluster of `gpus`, bits/s.
-    pub fn mirror_total_bps(&self, gpus: u64) -> f64 {
-        self.mirror_bps_per_node() * (gpus / self.gpus_per_node) as f64
-    }
+/// INT storage per day for a cluster of `gpus`, in bytes.
+pub fn int_storage_per_day_bytes(gpus: u64) -> f64 {
+    INT_BYTES_PER_PROBE as f64 * INT_PROBES_PER_S_PER_GPU * gpus as f64 * 86_400.0
+}
 
-    /// Mirroring overhead as a fraction of total link bandwidth.
-    pub fn mirror_fraction(&self, gpus: u64) -> f64 {
-        self.mirror_total_bps(gpus) / (self.link_bw_bps * gpus as f64)
-    }
-
-    /// INT storage per day for a cluster of `gpus`, in bytes.
-    pub fn int_storage_per_day_bytes(&self, gpus: u64) -> f64 {
-        self.int_bytes_per_probe as f64 * self.int_probes_per_s_per_gpu * gpus as f64 * 86_400.0
-    }
-
-    /// INT storage retained at steady state, bytes.
-    pub fn int_storage_retained_bytes(&self, gpus: u64) -> f64 {
-        self.int_storage_per_day_bytes(gpus) * self.retention_days as f64
-    }
+/// INT storage retained at steady state, bytes.
+pub fn int_storage_retained_bytes(gpus: u64) -> f64 {
+    int_storage_per_day_bytes(gpus) * RETENTION_DAYS as f64
 }
 
 #[cfg(test)]
@@ -77,8 +57,7 @@ mod tests {
 
     #[test]
     fn per_node_overhead_matches_appendix_c() {
-        let m = OverheadModel::default();
-        let bps = m.mirror_bps_per_node();
+        let bps = mirror_bps_per_node();
         assert!(
             (bps - 0.8e6).abs() / 0.8e6 < 0.01,
             "≈0.8 Mbps per node, got {bps:.3e}"
@@ -87,25 +66,23 @@ mod tests {
 
     #[test]
     fn cluster_overhead_matches_appendix_c() {
-        let m = OverheadModel::default();
         // "For a cluster with 100K GPUs, the total monitoring traffic is
         // about 10 Gbps."
-        let total = m.mirror_total_bps(100_000);
+        let total = mirror_total_bps(100_000);
         assert!((total - 10e9).abs() / 10e9 < 0.01, "got {total:.3e}");
         // "only about 0.00005% of the total link bandwidth": negligible.
-        assert!(m.mirror_fraction(100_000) < 1e-5);
+        assert!(mirror_fraction(100_000) < 1e-5);
     }
 
     #[test]
     fn int_storage_matches_appendix_c() {
-        let m = OverheadModel::default();
         // "in a 10K-GPU cluster … 173 GB of storage usage per day".
-        let per_day = m.int_storage_per_day_bytes(10_000);
+        let per_day = int_storage_per_day_bytes(10_000);
         assert!(
             (per_day - 173e9).abs() / 173e9 < 0.01,
             "got {per_day:.3e} bytes/day"
         );
-        let retained = m.int_storage_retained_bytes(10_000);
+        let retained = int_storage_retained_bytes(10_000);
         assert!((retained - 15.0 * 173e9).abs() / (15.0 * 173e9) < 0.01);
     }
 }

@@ -127,47 +127,6 @@ impl RootCause {
         dist[rng.weighted_index(&weights).expect("weights sum > 0")].0
     }
 
-    /// The manifestation this cause typically produces (used by the
-    /// injection campaign; ties to how each fault actually behaves).
-    pub fn typical_manifestation(&self, rng: &mut SimRng) -> Manifestation {
-        match self {
-            RootCause::HostEnvConfig | RootCause::WireConnection => {
-                if rng.chance(0.6) {
-                    Manifestation::FailOnStart
-                } else {
-                    Manifestation::FailStop
-                }
-            }
-            RootCause::NicError | RootCause::OpticalFiber => Manifestation::FailStop,
-            RootCause::UserCode => {
-                if rng.chance(0.7) {
-                    Manifestation::FailStop
-                } else {
-                    Manifestation::FailHang
-                }
-            }
-            RootCause::SwitchConfig | RootCause::SwitchBug => {
-                if rng.chance(0.5) {
-                    Manifestation::FailSlow
-                } else {
-                    Manifestation::FailStop
-                }
-            }
-            RootCause::CclBug => Manifestation::FailHang,
-            RootCause::GpuHardware | RootCause::Memory => Manifestation::FailStop,
-            RootCause::LinkFlap => {
-                if rng.chance(0.5) {
-                    Manifestation::FailSlow
-                } else {
-                    Manifestation::FailHang
-                }
-            }
-            // Substrate faults degrade before they kill: power caps and
-            // thermal throttles surface as stragglers first.
-            RootCause::PowerDelivery | RootCause::CoolingSystem => Manifestation::FailSlow,
-        }
-    }
-
     /// Coarse diagnosis class this cause belongs to (what the analyzer can
     /// actually pin down from telemetry).
     pub fn class(&self) -> CauseClass {
@@ -276,27 +235,12 @@ mod tests {
         assert!(!root_cause_distribution()
             .iter()
             .any(|&(c, _)| c == RootCause::PowerDelivery || c == RootCause::CoolingSystem));
-        let mut rng = SimRng::new(3);
-        assert_eq!(
-            RootCause::PowerDelivery.typical_manifestation(&mut rng),
-            Manifestation::FailSlow
-        );
     }
 
     #[test]
     fn every_cause_has_a_class() {
         for (cause, _) in root_cause_distribution() {
             let _ = cause.class(); // must not panic; exhaustive match
-        }
-    }
-
-    #[test]
-    fn manifestation_sampling_is_total() {
-        let mut rng = SimRng::new(5);
-        for (cause, _) in root_cause_distribution() {
-            for _ in 0..10 {
-                let _ = cause.typical_manifestation(&mut rng);
-            }
         }
     }
 }

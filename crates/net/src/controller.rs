@@ -1,16 +1,15 @@
 //! The centralized ECMP controller (paper §2.1, footnote 1; Figure 17).
 //!
-//! Astral keeps per-flow ECMP but makes it *managed*:
-//!
-//! 1. **Initial spreading** — for each source–destination pair, UDP source
-//!    ports are chosen so the pair's flows land evenly across its equal-cost
-//!    paths. This exploits hash linearity: the controller can predict every
-//!    switch's choice for a candidate port by running the same hash the
-//!    ASICs use (a *hash simulator*).
-//! 2. **Counter-driven rebalancing** — switches report ECN counters every
-//!    five seconds; flows crossing hot links are re-pointed by reassigning
-//!    their source ports to paths that minimize the maximum projected link
-//!    load. Reassignments take effect at the next collective round.
+//! Astral keeps per-flow ECMP but makes it *managed*. The controller can
+//! predict every switch's choice for a candidate UDP source port by running
+//! the same hash the ASICs use (a *hash simulator*, [`simulate_route`]),
+//! and uses it for **counter-driven rebalancing**: switches report ECN
+//! counters every five seconds; flows crossing hot links are re-pointed by
+//! reassigning their source ports to paths that minimize the maximum
+//! projected link load. Reassignments take effect at the next collective
+//! round. (The paper's initial per-pair port spreading is not modelled:
+//! flows start on the ports their QPs were registered with, and
+//! rebalancing moves the ones that collide.)
 
 use crate::fivetuple::{ip_of_nic, FiveTuple, EPHEMERAL_BASE};
 use crate::hash::EcmpHasher;
@@ -48,9 +47,6 @@ pub fn simulate_route(
 /// Source-port candidates examined per flow during rebalancing.
 const REBALANCE_CANDIDATES: u16 = 128;
 
-/// Source-port search space examined during initial spreading.
-const SPREAD_SEARCH: u16 = 2048;
-
 /// The source ports a flow on `sport` may move to, in the order a
 /// rebalance (or the recovery engine's steering) tries them: 128
 /// candidates strided by 197 through the ephemeral range from the current
@@ -65,58 +61,6 @@ pub fn candidate_sports(sport: u16) -> impl Iterator<Item = u16> {
 pub struct EcmpController;
 
 impl EcmpController {
-    /// Choose `n` source ports for a src→dst pair so its flows spread as
-    /// evenly as possible over distinct paths (step 1 of the optimized ECMP).
-    pub fn spread_sports(
-        &self,
-        topo: &Topology,
-        router: &Router,
-        hasher: &EcmpHasher,
-        src: NodeId,
-        dst: NodeId,
-        n: usize,
-    ) -> Vec<u16> {
-        let mut by_path: HashMap<Vec<LinkId>, Vec<u16>> = HashMap::new();
-        for off in 0..SPREAD_SEARCH {
-            let sport = EPHEMERAL_BASE.wrapping_add(off);
-            if let Some(path) = simulate_route(topo, router, hasher, src, dst, sport) {
-                by_path.entry(path).or_default().push(sport);
-            }
-        }
-        // Deterministic path order, then round-robin over paths.
-        let mut paths: Vec<Vec<u16>> = {
-            let mut entries: Vec<(Vec<LinkId>, Vec<u16>)> = by_path.into_iter().collect();
-            entries.sort_by(|a, b| a.0.cmp(&b.0));
-            entries.into_iter().map(|(_, sports)| sports).collect()
-        };
-        let mut out = Vec::with_capacity(n);
-        let mut round = 0usize;
-        while out.len() < n && !paths.is_empty() {
-            let mut progressed = false;
-            for sports in paths.iter_mut() {
-                if out.len() >= n {
-                    break;
-                }
-                if round < sports.len() {
-                    out.push(sports[round]);
-                    progressed = true;
-                }
-            }
-            round += 1;
-            if !progressed {
-                break;
-            }
-        }
-        // Degenerate topologies (single path, tiny search) fall back to
-        // arbitrary ephemeral ports.
-        let mut filler = 0u16;
-        while out.len() < n {
-            out.push(EPHEMERAL_BASE.wrapping_add(filler));
-            filler = filler.wrapping_add(1);
-        }
-        out
-    }
-
     /// Project the per-link byte load of a flow plan.
     pub fn project_load(
         &self,
@@ -250,32 +194,6 @@ mod tests {
             Router::new(),
             EcmpHasher::default(),
         )
-    }
-
-    #[test]
-    fn spread_sports_cover_all_paths_with_salted_switches() {
-        let (t, r, _) = fixture();
-        let h = EcmpHasher {
-            salt: crate::hash::SaltMode::PerSwitch,
-            ..EcmpHasher::default()
-        };
-        let ctl = EcmpController;
-        let p = AstralParams::sim_small();
-        let gpb = p.hosts_per_block as u32 * p.rails as u32;
-        let (a, b) = (t.gpu_nic(GpuId(0)), t.gpu_nic(GpuId(gpb)));
-        let total_paths = r.path_count(&t, a, b) as usize; // 8 in sim_small
-        let sports = ctl.spread_sports(&t, &r, &h, a, b, total_paths);
-        let mut paths: Vec<Vec<LinkId>> = sports
-            .iter()
-            .map(|&s| simulate_route(&t, &r, &h, a, b, s).unwrap())
-            .collect();
-        paths.sort();
-        paths.dedup();
-        assert_eq!(
-            paths.len(),
-            total_paths,
-            "salted hashing should make every equal-cost path reachable"
-        );
     }
 
     /// Per-flow ECMP is deterministic: the same tuples collide on the same

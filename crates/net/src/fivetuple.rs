@@ -42,12 +42,6 @@ impl FiveTuple {
             proto: 17,
         }
     }
-
-    /// Same tuple with a different source port (the controller's only knob).
-    pub fn with_src_port(mut self, src_port: u16) -> Self {
-        self.src_port = src_port;
-        self
-    }
 }
 
 impl fmt::Display for FiveTuple {
@@ -130,7 +124,6 @@ mod tests {
         let t = FiveTuple::roce(0x0A000001, 0x0A000002, 50000);
         assert_eq!(t.dst_port, ROCE_PORT);
         assert_eq!(t.proto, 17);
-        assert_eq!(t.with_src_port(51111).src_port, 51111);
     }
 
     #[test]

@@ -58,13 +58,12 @@ pub const BASE_QUEUE_DELAY: SimDuration = SimDuration::from_micros(4);
 /// Queue-delay ceiling for INT estimates at full congestion.
 pub const MAX_QUEUE_DELAY: SimDuration = SimDuration::from_micros(280);
 
-/// Simulator configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+/// Simulator configuration. Per-QP byte sampling (the ms-level rate
+/// monitoring) is always on.
+#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct NetConfig {
     /// ECMP hash function shared by the fabric's switches.
     pub hasher: EcmpHasher,
-    /// Record per-QP byte samples (ms-level rate monitoring).
-    pub qp_sampling: bool,
     /// Water-fill each pod group of a dirty component on its own: one
     /// group per set of pods that the component's flows join, boundary
     /// links included. A fleet-synchronized wave then costs O(pods) link
@@ -91,19 +90,6 @@ pub struct NetConfig {
 
 /// Ring capacity used when `trace` is on and `trace_capacity` is 0.
 pub const DEFAULT_TRACE_CAPACITY: usize = 65_536;
-
-impl Default for NetConfig {
-    fn default() -> Self {
-        NetConfig {
-            hasher: EcmpHasher::default(),
-            qp_sampling: true,
-            sharded_solver: false,
-            shard_threads: 0,
-            trace: false,
-            trace_capacity: 0,
-        }
-    }
-}
 
 /// Specification of one flow (an RDMA message train on a QP).
 #[derive(Debug, Clone, Copy)]
@@ -750,7 +736,7 @@ impl<'a> NetworkSim<'a> {
     }
 
     /// Effective utilization of a link at the last rate recompute.
-    pub fn link_utilization(&self, link: LinkId) -> f64 {
+    fn link_utilization(&self, link: LinkId) -> f64 {
         let cap = self.link_cap[link.index()];
         if cap <= 0.0 {
             return 0.0;
@@ -952,7 +938,7 @@ impl<'a> NetworkSim<'a> {
             f.remaining -= delta;
             f.delivered += delta;
             let (qp, off, len) = (f.qp, f.path_off as usize, f.path_len as usize);
-            if self.cfg.qp_sampling && delta > 0.0 {
+            if delta > 0.0 {
                 self.telemetry.sample_qp(qp, t, delta);
             }
             for &l in &arena[off..off + len] {

@@ -393,7 +393,7 @@ pub(crate) struct FairShareSolver {
 
 impl FairShareSolver {
     /// New solver over `nl` links that fills each dirty component jointly.
-    pub fn new(nl: usize) -> Self {
+    pub(crate) fn new(nl: usize) -> Self {
         FairShareSolver {
             nl,
             active: Vec::new(),
@@ -431,7 +431,7 @@ impl FairShareSolver {
     /// New solver over `key.len()` links whose incremental solves fill
     /// each pod group of the dirty component on its own (`key[l]` is link
     /// `l`'s pod; see [`pod_key`]).
-    pub fn with_pod_key(key: Vec<u16>) -> Self {
+    pub(crate) fn with_pod_key(key: Vec<u16>) -> Self {
         let nl = key.len();
         FairShareSolver {
             pods: Some(PodGroups::new(key)),
@@ -440,49 +440,49 @@ impl FairShareSolver {
     }
 
     /// Whether incremental solves fill pod groups separately.
-    pub fn pod_grouped(&self) -> bool {
+    pub(crate) fn pod_grouped(&self) -> bool {
         self.pods.is_some()
     }
 
     /// Counter snapshot.
-    pub fn counters(&self) -> SolverCounters {
+    pub(crate) fn counters(&self) -> SolverCounters {
         self.counters
     }
 
     /// Flow ids currently active.
-    pub fn active_flows(&self) -> &[u32] {
+    pub(crate) fn active_flows(&self) -> &[u32] {
         &self.active
     }
 
     /// Whether `flow` is in the active set.
     #[cfg(test)]
-    pub fn is_active(&self, flow: u32) -> bool {
+    pub(crate) fn is_active(&self, flow: u32) -> bool {
         (flow as usize) < self.slot_of.len() && self.slot_of[flow as usize] != NONE
     }
 
     /// Last solved rate of `flow` (0 until first solved).
-    pub fn rate_of(&self, flow: u32) -> f64 {
+    pub(crate) fn rate_of(&self, flow: u32) -> f64 {
         self.rate.get(flow as usize).copied().unwrap_or(0.0)
     }
 
     /// Per-link allocated rate at the last solve.
-    pub fn link_used(&self) -> &[f64] {
+    pub(crate) fn link_used(&self) -> &[f64] {
         &self.link_used
     }
 
     /// Per-link active-flow counts.
-    pub fn link_nflows(&self) -> &[u32] {
+    pub(crate) fn link_nflows(&self) -> &[u32] {
         &self.link_nflows
     }
 
     /// Flows whose rate was (re)assigned by the last solve. The simulator
     /// bumps completion epochs and reschedules only these.
-    pub fn changed_flows(&self) -> &[u32] {
+    pub(crate) fn changed_flows(&self) -> &[u32] {
         &self.changed
     }
 
     /// True when a full (non-component) solve has been requested.
-    pub fn needs_full(&self) -> bool {
+    pub(crate) fn needs_full(&self) -> bool {
         self.needs_full
     }
 
@@ -528,7 +528,7 @@ impl FairShareSolver {
 
     /// A flow entered the active set with the given path and weight. The
     /// path is appended to the hop arena once; requeues reuse the span.
-    pub fn flow_started(&mut self, flow: u32, path: &[u32], weight: f64) {
+    pub(crate) fn flow_started(&mut self, flow: u32, path: &[u32], weight: f64) {
         self.counters.events += 1;
         self.ensure_flow(flow);
         let off = self.hops.len();
@@ -542,7 +542,7 @@ impl FairShareSolver {
 
     /// A previously-seen flow (aborted on a failed path) re-entered the
     /// active set on its original path.
-    pub fn flow_requeued(&mut self, flow: u32) {
+    pub(crate) fn flow_requeued(&mut self, flow: u32) {
         self.counters.events += 1;
         self.ensure_flow(flow);
         self.attach(flow);
@@ -551,7 +551,7 @@ impl FairShareSolver {
     /// A flow left the active set (completed or aborted). O(hops):
     /// swap-remove from the active list and from every per-link flow list,
     /// repairing the moved entries' back-pointers.
-    pub fn flow_removed(&mut self, flow: u32) {
+    pub(crate) fn flow_removed(&mut self, flow: u32) {
         self.counters.events += 1;
         let fi = flow as usize;
         let slot = self.slot_of[fi];
@@ -585,13 +585,13 @@ impl FairShareSolver {
 
     /// A link's capacity changed (failure or restore on a healthy fabric);
     /// its component must be re-solved.
-    pub fn capacity_changed(&mut self, link: u32) {
+    pub(crate) fn capacity_changed(&mut self, link: u32) {
         self.mark_dirty(link);
     }
 
     /// Request that the next solve be a full one (topology events whose
     /// effects cross component boundaries, e.g. PFC pause coupling).
-    pub fn request_full(&mut self) {
+    pub(crate) fn request_full(&mut self) {
         self.needs_full = true;
     }
 
@@ -608,7 +608,7 @@ impl FairShareSolver {
     /// Full water-filling over every active flow, against `cap` (effective
     /// capacities — the simulator applies PFC pause factors before calling).
     /// Always one joint fill. All active flows are reported as changed.
-    pub fn solve_full(&mut self, cap: &[f64]) {
+    pub(crate) fn solve_full(&mut self, cap: &[f64]) {
         debug_assert_eq!(cap.len(), self.nl);
         self.counters.full_solves += 1;
         self.clear_dirty();
@@ -627,7 +627,7 @@ impl FairShareSolver {
     /// just those, and leave every other flow's rate untouched. With a pod
     /// key, each pod group of the gathered component fills on its own;
     /// `link_used` and the changed-flow order are those of the joint fill.
-    pub fn solve_dirty(&mut self, cap: &[f64]) {
+    pub(crate) fn solve_dirty(&mut self, cap: &[f64]) {
         debug_assert_eq!(cap.len(), self.nl);
         debug_assert!(!self.needs_full, "full solve pending");
         if self.dirty_links.is_empty() {

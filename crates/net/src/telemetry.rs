@@ -93,7 +93,7 @@ impl<T> QpTable<T> {
     }
 
     /// The entry of `qp`, inserting `make()` first if it has none.
-    pub fn get_or_insert_with(&mut self, qp: QpId, make: impl FnOnce() -> T) -> &mut T {
+    fn get_or_insert_with(&mut self, qp: QpId, make: impl FnOnce() -> T) -> &mut T {
         self.slot_mut(qp).get_or_insert_with(make)
     }
 

@@ -96,12 +96,12 @@ fn allocs_per_flow(cfg: NetConfig, rounds: usize) -> f64 {
 
 /// Both solvers start and finish flows without allocating: what is left
 /// is amortized doubling of append-only stores, well under one allocation
-/// per ten flows.
+/// per ten flows. That includes the QP byte samples, one per active flow
+/// per fluid step, whose per-QP series grow by doubling too.
 #[test]
 fn flow_lifecycle_allocates_only_amortized_store_growth() {
     for sharded in [false, true] {
         let cfg = NetConfig {
-            qp_sampling: false,
             sharded_solver: sharded,
             ..NetConfig::default()
         };
@@ -111,16 +111,6 @@ fn flow_lifecycle_allocates_only_amortized_store_growth() {
             "sharded={sharded}: {per_flow} allocations per flow"
         );
     }
-}
-
-/// QP byte sampling adds one sample per active flow per fluid step; its
-/// per-QP series grow by doubling too.
-#[test]
-fn qp_sampling_allocates_only_amortized_series_growth() {
-    let cfg = NetConfig::default();
-    assert!(cfg.qp_sampling);
-    let per_flow = allocs_per_flow(cfg, 64);
-    assert!(per_flow < 0.25, "{per_flow} allocations per flow");
 }
 
 /// Registering a QP and injecting its first flow, on a router whose

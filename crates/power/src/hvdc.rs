@@ -128,11 +128,6 @@ impl PowerChain {
     pub fn efficiency(&self) -> f64 {
         self.stages.iter().map(|&(_, e)| e).product()
     }
-
-    /// Grid watts needed to deliver `it_watts` to the racks.
-    pub fn grid_draw_w(&self, it_watts: f64) -> f64 {
-        it_watts / self.efficiency()
-    }
 }
 
 /// One rack's power envelope.
@@ -318,13 +313,6 @@ mod tests {
         assert!(dc > ac);
         assert!(ac > 0.85 && ac < 0.90, "AC ≈ 0.87: {ac}");
         assert!(dc > 0.93 && dc < 0.96, "HVDC ≈ 0.945: {dc}");
-    }
-
-    #[test]
-    fn grid_draw_inverts_efficiency() {
-        let c = PowerChain::hvdc();
-        let draw = c.grid_draw_w(1_000_000.0);
-        assert!((draw * c.efficiency() - 1_000_000.0).abs() < 1.0);
     }
 
     #[test]

@@ -42,21 +42,6 @@ impl RenewableFleet {
             .map(|h| self.solar_w(h) + self.wind_w(h, &mut rng))
             .sum()
     }
-
-    /// Size a fleet so renewables cover `frac` of `daily_load_wh`.
-    pub fn sized_for(daily_load_wh: f64, frac: f64, seed: u64) -> Self {
-        // Start from an even split and scale to hit the target.
-        let probe = RenewableFleet {
-            solar_wp: 1e6,
-            wind_wp: 1e6,
-        };
-        let probe_wh = probe.daily_wh(seed);
-        let scale = daily_load_wh * frac / probe_wh;
-        RenewableFleet {
-            solar_wp: 1e6 * scale,
-            wind_wp: 1e6 * scale,
-        }
-    }
 }
 
 /// CO₂ avoided by `renewable_kwh` of generation, kilograms.
@@ -86,11 +71,25 @@ mod tests {
     }
 
     #[test]
-    fn sizing_hits_target_fraction() {
-        let load_wh = 2.4e9; // 100 MW × 24 h
-        let fleet = RenewableFleet::sized_for(load_wh, 0.22, 7);
-        let frac = fleet.daily_wh(7) / load_wh;
-        assert!((frac - 0.22).abs() < 0.01, "got {frac}");
+    fn daily_energy_is_seeded_and_bounded_by_the_hourly_models() {
+        let f = RenewableFleet {
+            solar_wp: 1e6,
+            wind_wp: 1e6,
+        };
+        assert_eq!(f.daily_wh(7).to_bits(), f.daily_wh(7).to_bits());
+        // Solar's daytime bell, 1 − ((h − 12)/6)² over h = 6..=18, sums to
+        // 13 − 182/36 nameplate-hours; wind blows at 25–60% of nameplate
+        // every hour.
+        let solar: f64 = (0..24).map(|h| f.solar_w(h)).sum();
+        assert!(
+            (solar - 1e6 * (13.0 - 182.0 / 36.0)).abs() < 1.0,
+            "solar {solar}"
+        );
+        let wind = f.daily_wh(7) - solar;
+        assert!(
+            (24.0 * 0.25e6..=24.0 * 0.6e6).contains(&wind),
+            "wind {wind}"
+        );
     }
 
     #[test]

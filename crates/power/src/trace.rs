@@ -12,39 +12,20 @@ use astral_seer::{GpuSpec, Stream, Timeline};
 use astral_sim::TimeSeries;
 use serde::{Deserialize, Serialize};
 
-/// Power intensity (fraction of the TDP-to-idle band) by activity.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct PowerIntensity {
-    /// Dense compute kernels (fwd/bwd matmuls): can exceed TDP briefly.
-    pub compute: f64,
-    /// HBM-bound phases.
-    pub memory: f64,
-    /// Communication phases.
-    pub comm: f64,
-    /// No activity.
-    pub idle: f64,
-}
-
-impl Default for PowerIntensity {
-    fn default() -> Self {
-        PowerIntensity {
-            compute: 1.05,
-            memory: 0.70,
-            comm: 0.30,
-            idle: 0.0,
-        }
-    }
-}
+/// Power intensity (fraction of the TDP-to-idle band) of dense compute
+/// kernels (fwd/bwd matmuls): can exceed TDP briefly.
+pub const COMPUTE_INTENSITY: f64 = 1.05;
+/// Power intensity of HBM-bound phases.
+pub const MEMORY_INTENSITY: f64 = 0.70;
+/// Power intensity of communication phases.
+pub const COMM_INTENSITY: f64 = 0.30;
+/// Power intensity with no activity.
+pub const IDLE_INTENSITY: f64 = 0.0;
 
 /// Sampled per-GPU power for one device of a timeline, watts at `dt_s`
-/// intervals.
-pub fn power_trace(
-    timeline: &Timeline,
-    device: u32,
-    gpu: &GpuSpec,
-    intensity: &PowerIntensity,
-    dt_s: f64,
-) -> TimeSeries {
+/// intervals: each sample is the busiest active stream's `*_INTENSITY`
+/// share of the GPU's TDP-to-idle band.
+pub fn power_trace(timeline: &Timeline, device: u32, gpu: &GpuSpec, dt_s: f64) -> TimeSeries {
     let total = timeline.total.as_secs_f64();
     let entries = timeline.device_entries(device);
     let mut ts = TimeSeries::new();
@@ -53,7 +34,7 @@ pub fn power_trace(
     for k in 0..=steps {
         let t = k as f64 * dt_s;
         // Activity at time t: compute stream dominates; comm adds a little.
-        let mut frac = intensity.idle;
+        let mut frac = IDLE_INTENSITY;
         for e in &entries {
             let (s, en) = (e.start.as_secs_f64(), e.end.as_secs_f64());
             if t >= s && t < en {
@@ -61,12 +42,12 @@ pub fn power_trace(
                     Stream::Compute => {
                         // Memory-named ops draw less than matmuls.
                         if e.name.contains("LoadWeight") || e.name.contains("KVCache") {
-                            intensity.memory
+                            MEMORY_INTENSITY
                         } else {
-                            intensity.compute
+                            COMPUTE_INTENSITY
                         }
                     }
-                    Stream::Comm => intensity.comm,
+                    Stream::Comm => COMM_INTENSITY,
                 };
                 frac = frac.max(f);
             }
@@ -119,7 +100,7 @@ impl Default for DailyLoadModel {
 impl DailyLoadModel {
     /// Inference demand fraction at hour `h` (0–23): high through the day,
     /// declining from 22:00 to a trough, recovering from 08:00.
-    pub fn inference_frac(&self, h: u32) -> f64 {
+    fn inference_frac(&self, h: u32) -> f64 {
         let h = h % 24;
         let day = match h {
             8..=9 => 0.6,
@@ -185,7 +166,7 @@ mod tests {
     fn training_power_peaks_near_tdp_and_dips_in_comm() {
         let tl = timeline();
         let gpu = GpuSpec::h100();
-        let trace = power_trace(&tl, 0, &gpu, &PowerIntensity::default(), 1e-4);
+        let trace = power_trace(&tl, 0, &gpu, 1e-4);
         let peak = peak_over_tdp(&trace, &gpu);
         assert!(peak >= 1.0, "compute phases reach/exceed TDP: {peak}");
         let min = trace

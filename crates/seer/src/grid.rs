@@ -48,26 +48,15 @@ pub struct GridOutcome {
     pub calibrated_dev: f64,
 }
 
-/// Run a forecast-accuracy grid on the `ASTRAL_THREADS`-sized pool: for
-/// every point, execute the graph on the testbed and forecast it with an
-/// ideal and a calibrated Seer. Outcomes come back in point order.
-pub fn run_grid(
-    topo: &Topology,
-    gpu: &GpuSpec,
-    net: &NetworkSpec,
-    cal: &Calibration,
-    points: &[GridPoint],
-) -> Vec<GridOutcome> {
-    run_grid_with(&Pool::from_env(), topo, gpu, net, cal, points)
-}
-
-/// [`run_grid`] on an explicit pool.
+/// Run a forecast-accuracy grid on `pool`: for every point, execute the
+/// graph on the testbed and forecast it with an ideal and a calibrated
+/// Seer. Outcomes come back in point order.
 ///
 /// The two Seers and the ground-truth laws are built **once** and shared by
 /// reference across the pool closure — per point only the (deliberately
 /// single-threaded) testbed measurement cache is private, seeded from the
 /// shared laws.
-pub fn run_grid_with(
+pub fn run_grid(
     pool: &Pool,
     topo: &Topology,
     gpu: &GpuSpec,

@@ -14,7 +14,15 @@
 //! The crate also contains the **testbed** ([`Testbed`]): the ground-truth
 //! executor (hidden hardware laws + flow-level-simulated collectives) that
 //! stands in for the production fleet — Seer calibrates against its
-//! measurements and is verified against its timelines (Figure 12).
+//! measurements and is verified against its timelines (Figure 12). Its
+//! collectives pay the runner's fixed per-step launch cost,
+//! `astral_collectives::STEP_OVERHEAD`, which the protocol-efficiency law
+//! leaves untaxed; [`run_grid`] fans testbed × forecast points out on a
+//! caller's pool.
+//!
+//! The what-if [`service`] keys its forecast cache with the workspace's
+//! FNV-1a writer, `astral_sim::Digest`, and its cached forecasts use the
+//! same tokens/s and MFU formula as [`Seer::forecast_training`].
 //!
 //! ```
 //! use astral_seer::{Seer, SeerConfig};
@@ -46,11 +54,11 @@ pub use basic::{t_addition, t_dp_comm, t_mem, t_multiplication, t_pp_comm, t_tp_
 pub use calibrate::{
     fit_curve, Calibration, CommCalibration, CommKind, CommScope, EfficiencyCurve,
 };
-pub use grid::{run_grid, run_grid_with, GridOutcome, GridPoint};
+pub use grid::{run_grid, GridOutcome, GridPoint};
 pub use hazard::HazardForecaster;
 pub use pricer::{scope_of, span_of, ModelPricer, OpClass, SeerConfig};
 pub use service::{
-    CacheStats, CachedForecast, Digest, LinkClass, ScenarioSpec, SeerService, WhatIf, WhatIfAnswer,
+    CacheStats, CachedForecast, LinkClass, ScenarioSpec, SeerService, WhatIf, WhatIfAnswer,
     WhatIfQuery,
 };
 pub use suites::{CrossDcSpec, GpuSpec, NetworkSpec};
@@ -92,12 +100,6 @@ impl Seer {
         &self.cfg
     }
 
-    /// Replace the calibration (after a [`Testbed::calibrate`] run).
-    pub fn with_calibration(mut self, cal: Calibration) -> Self {
-        self.cfg.calibration = cal;
-        self
-    }
-
     /// Forecast a prebuilt operator graph.
     pub fn forecast_graph(
         &self,
@@ -113,22 +115,12 @@ impl Seer {
         let graph = build_training_iteration(model, par);
         let timeline = self.forecast_graph(&graph, par);
         let iteration_s = timeline.total.as_secs_f64();
-        let tokens = par.global_batch() * model.seq_len;
-        let useful_flops = model.train_flops_per_token(model.seq_len) * tokens as f64;
-        let mfu = if iteration_s > 0.0 {
-            useful_flops / (self.cfg.gpu.peak_flops * par.world() as f64 * iteration_s)
-        } else {
-            0.0
-        };
+        let (tokens_per_s, mfu) = training_rates(model, par, &self.cfg.gpu, iteration_s);
         Forecast {
             timeline,
             iteration_s,
-            tokens_per_s: if iteration_s > 0.0 {
-                tokens as f64 / iteration_s
-            } else {
-                0.0
-            },
-            mfu: mfu.min(1.0),
+            tokens_per_s,
+            mfu,
         }
     }
 
@@ -157,6 +149,26 @@ impl Seer {
             },
             mfu: 0.0,
         }
+    }
+}
+
+/// Tokens per second and MFU (capped at 1) of one training iteration of
+/// `model` under `par` on `gpu` that takes `iteration_s`; both are 0 for
+/// an empty iteration. The one formula behind [`Seer::forecast_training`]
+/// and the what-if service's cached forecasts.
+fn training_rates(
+    model: &ModelConfig,
+    par: &ParallelismConfig,
+    gpu: &GpuSpec,
+    iteration_s: f64,
+) -> (f64, f64) {
+    if iteration_s > 0.0 {
+        let tokens = par.global_batch() * model.seq_len;
+        let useful_flops = model.train_flops_per_token(model.seq_len) * tokens as f64;
+        let mfu = (useful_flops / (gpu.peak_flops * par.world() as f64 * iteration_s)).min(1.0);
+        (tokens as f64 / iteration_s, mfu)
+    } else {
+        (0.0, 0.0)
     }
 }
 

@@ -40,78 +40,10 @@ use astral_model::{
     build_training_iteration, Collective, DpSync, GroupKind, ModelConfig, OpKind, Operator,
     ParallelismConfig,
 };
+use astral_sim::Digest;
 use serde::{Deserialize, Serialize};
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
-
-/// FNV-1a offset basis (64-bit).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime (64-bit).
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-/// An incremental FNV-1a 64-bit digest over a canonical byte encoding:
-/// integers little-endian, floats via [`f64::to_bits`], strings as length
-/// then bytes, options as a presence tag then the payload. Everything the
-/// forecast cache keys on funnels through this writer, so the cache key is
-/// a pure function of scenario *content*.
-#[derive(Debug, Clone)]
-pub struct Digest(u64);
-
-impl Default for Digest {
-    fn default() -> Self {
-        Digest::new()
-    }
-}
-
-impl Digest {
-    /// A fresh digest at the FNV-1a offset basis.
-    pub fn new() -> Self {
-        Digest(FNV_OFFSET)
-    }
-
-    /// Feed raw bytes.
-    pub fn write_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    /// Feed one byte.
-    pub fn write_u8(&mut self, x: u8) {
-        self.write_bytes(&[x]);
-    }
-
-    /// Feed a `u32`, little-endian.
-    pub fn write_u32(&mut self, x: u32) {
-        self.write_bytes(&x.to_le_bytes());
-    }
-
-    /// Feed a `u64`, little-endian.
-    pub fn write_u64(&mut self, x: u64) {
-        self.write_bytes(&x.to_le_bytes());
-    }
-
-    /// Feed an `f64` as its exact bit pattern.
-    pub fn write_f64(&mut self, x: f64) {
-        self.write_u64(x.to_bits());
-    }
-
-    /// Feed a bool as one byte.
-    pub fn write_bool(&mut self, x: bool) {
-        self.write_u8(x as u8);
-    }
-
-    /// Feed a string as length then bytes (prefix-free).
-    pub fn write_str(&mut self, s: &str) {
-        self.write_u64(s.len() as u64);
-        self.write_bytes(s.as_bytes());
-    }
-
-    /// The digest value accumulated so far.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
 
 fn group_tag(g: GroupKind) -> u8 {
     match g {
@@ -593,22 +525,12 @@ struct Priced {
     op_misses: u64,
 }
 
-/// Summarize a scheduled timeline into the compact cached forecast, using
-/// the same token/MFU arithmetic as [`crate::Seer::forecast_training`].
+/// Summarize a scheduled timeline into the compact cached forecast, with
+/// [`crate::Seer::forecast_training`]'s tokens/s and MFU formula.
 fn summarize(spec: &ScenarioSpec, timeline: &Timeline) -> CachedForecast {
     let iteration_s = timeline.total.as_secs_f64();
-    let tokens = spec.par.global_batch() * spec.model.seq_len;
-    let useful_flops = spec.model.train_flops_per_token(spec.model.seq_len) * tokens as f64;
-    let mfu = if iteration_s > 0.0 {
-        (useful_flops / (spec.cfg.gpu.peak_flops * spec.par.world() as f64 * iteration_s)).min(1.0)
-    } else {
-        0.0
-    };
-    let tokens_per_s = if iteration_s > 0.0 {
-        tokens as f64 / iteration_s
-    } else {
-        0.0
-    };
+    let (tokens_per_s, mfu) =
+        crate::training_rates(&spec.model, &spec.par, &spec.cfg.gpu, iteration_s);
     let max_compute = timeline
         .compute_busy
         .iter()
@@ -698,16 +620,6 @@ impl SeerService {
     /// Cache counters accumulated so far.
     pub fn stats(&self) -> CacheStats {
         self.stats
-    }
-
-    /// Cached forecasts currently held.
-    pub fn cached_forecasts(&self) -> usize {
-        self.forecasts.len()
-    }
-
-    /// Memoized operator entries currently held.
-    pub fn cached_ops(&self) -> usize {
-        self.op_memo.len()
     }
 
     /// Resolve a query into the full scenario it asks about.
@@ -1093,10 +1005,15 @@ mod tests {
     #[test]
     fn forecast_cache_evicts_fifo_past_capacity() {
         let mut svc = SeerService::new(base_spec()).with_capacities(1, 1 << 20);
+        let dp2 = WhatIfQuery::one(WhatIf::ScaleDp { factor: 2 });
         svc.answer(&WhatIfQuery::baseline());
-        svc.answer(&WhatIfQuery::one(WhatIf::ScaleDp { factor: 2 }));
-        assert_eq!(svc.cached_forecasts(), 1);
-        assert_eq!(svc.stats().forecast_evictions, 1);
+        svc.answer(&dp2);
+        let s = svc.stats();
+        assert_eq!(s.forecast_evictions, 1);
+        // One forecast is held: each miss inserted one, each eviction
+        // dropped one, and the newest survived.
+        assert_eq!(s.forecast_misses - s.forecast_evictions, 1);
+        assert!(svc.answer(&dp2).cache_hit);
         // The baseline was evicted: querying it again is a miss.
         svc.answer(&WhatIfQuery::baseline());
         assert_eq!(svc.stats().forecast_misses, 3);

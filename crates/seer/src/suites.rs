@@ -47,31 +47,6 @@ impl GpuSpec {
             idle_w: 60.0,
         }
     }
-
-    /// A China-market low-tier part (H20-class): high memory bandwidth,
-    /// sharply reduced compute — the paper's motivation (ii).
-    pub fn h20() -> Self {
-        GpuSpec {
-            name: "H20".into(),
-            peak_flops: 148e12,
-            hbm_bw: 4.0e12,
-            hbm_bytes: 96 << 30,
-            tdp_w: 400.0,
-            idle_w: 60.0,
-        }
-    }
-
-    /// NVIDIA V100 SXM (FP16).
-    pub fn v100() -> Self {
-        GpuSpec {
-            name: "V100-SXM".into(),
-            peak_flops: 125e12,
-            hbm_bw: 0.9e12,
-            hbm_bytes: 32 << 30,
-            tdp_w: 300.0,
-            idle_w: 50.0,
-        }
-    }
 }
 
 /// Cross-datacenter traffic assignment: which communicator crosses the
@@ -142,21 +117,6 @@ impl NetworkSpec {
         self
     }
 
-    /// The bandwidth and α a communicator of `kind` sees, given how many
-    /// consecutive GPUs its groups span (`span`).
-    pub fn link_for(&self, kind: GroupKind, span: u32) -> (f64, f64) {
-        if let Some(x) = self.crossdc {
-            if x.affected == kind {
-                return (x.per_gpu_bw_bps, self.alpha_s + x.latency_s);
-            }
-        }
-        if span <= self.hb_domain {
-            (self.nvlink_bw_bps, self.nvlink_alpha_s)
-        } else {
-            (self.rail_bw_bps, self.alpha_s)
-        }
-    }
-
     /// Blended bandwidth/α for a communicator whose members stride the GPU
     /// order by `stride`: the fraction of each rank's peers inside its
     /// NVLink domain rides NVLink; the rest rides the rail (hierarchical
@@ -186,47 +146,23 @@ mod tests {
 
     #[test]
     fn gpu_templates_are_distinct_and_sane() {
-        for g in [
-            GpuSpec::h100(),
-            GpuSpec::a100(),
-            GpuSpec::h20(),
-            GpuSpec::v100(),
-        ] {
+        for g in [GpuSpec::h100(), GpuSpec::a100()] {
             assert!(g.peak_flops > 1e14);
             assert!(g.hbm_bw > 1e11);
             assert!(g.tdp_w > g.idle_w);
         }
-        // The low-tier motivation: H20 ≈ 3.3× less compute than H100.
-        assert!(GpuSpec::h100().peak_flops / GpuSpec::h20().peak_flops > 3.0);
-    }
-
-    #[test]
-    fn groups_inside_hb_domain_get_nvlink() {
-        let n = NetworkSpec::astral();
-        let (bw, a) = n.link_for(GroupKind::Tp, 8);
-        assert_eq!(bw, n.nvlink_bw_bps);
-        assert_eq!(a, n.nvlink_alpha_s);
-        let (bw, _) = n.link_for(GroupKind::Tp, 16);
-        assert_eq!(bw, n.rail_bw_bps);
+        assert_ne!(GpuSpec::h100(), GpuSpec::a100());
     }
 
     #[test]
     fn crossdc_overrides_affected_group_only() {
         let n = NetworkSpec::astral().with_crossdc(GroupKind::Dp, 8.0, 300.0);
-        let (bw, a) = n.link_for(GroupKind::Dp, 1024);
+        let (bw, a) = n.blended_link_for(GroupKind::Dp, 1024, 8);
         assert_eq!(bw, 400e9 / 8.0);
         assert!(a > 1e-3, "300 km must add ≥1.5 ms");
         // PP unaffected.
-        let (bw, _) = n.link_for(GroupKind::Pp, 1024);
+        let (bw, _) = n.blended_link_for(GroupKind::Pp, 1024, 8);
         assert_eq!(bw, 400e9);
-    }
-
-    #[test]
-    fn bigger_hb_domain_swallows_bigger_groups() {
-        let n8 = NetworkSpec::astral_with_hb_domain(8);
-        let n64 = NetworkSpec::astral_with_hb_domain(64);
-        assert_eq!(n8.link_for(GroupKind::Ep, 32).0, n8.rail_bw_bps);
-        assert_eq!(n64.link_for(GroupKind::Ep, 32).0, n64.nvlink_bw_bps);
     }
 
     #[test]

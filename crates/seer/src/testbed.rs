@@ -14,7 +14,7 @@ use crate::calibrate::{fit_curve, Calibration, CommCalibration, CommKind, CommSc
 use crate::suites::GpuSpec;
 use crate::timeline::{schedule, OpPricer, Timeline};
 use crate::truth::GroundTruth;
-use astral_collectives::{CollectiveRunner, RunnerConfig};
+use astral_collectives::{CollectiveRunner, RunnerConfig, STEP_OVERHEAD};
 use astral_model::{Collective, GroupKind, OpKind, Operator, OperatorGraph, ParallelismConfig};
 use astral_sim::SimRng;
 use astral_topo::{GpuId, Topology};
@@ -28,7 +28,6 @@ type CommKey = (Collective, GroupKind, u32, u64);
 pub struct Testbed<'a> {
     topo: &'a Topology,
     truth: GroundTruth,
-    runner_cfg: RunnerConfig,
     /// Rank → GPU mapping; identity (rank r → GPU r) by default.
     placement: Option<Vec<GpuId>>,
     comm_cache: RefCell<HashMap<CommKey, f64>>,
@@ -40,7 +39,6 @@ impl<'a> Testbed<'a> {
         Testbed {
             topo,
             truth: GroundTruth::for_gpu(gpu),
-            runner_cfg: RunnerConfig::default(),
             placement: None,
             comm_cache: RefCell::new(HashMap::new()),
         }
@@ -53,7 +51,6 @@ impl<'a> Testbed<'a> {
         Testbed {
             topo,
             truth,
-            runner_cfg: RunnerConfig::default(),
             placement: None,
             comm_cache: RefCell::new(HashMap::new()),
         }
@@ -74,7 +71,7 @@ impl<'a> Testbed<'a> {
 
     /// Representative GPU group for a communicator of `kind`/`size` under
     /// contiguous placement (rank *r* → GPU *r*).
-    pub fn group_gpus(&self, par: &ParallelismConfig, kind: GroupKind, size: u32) -> Vec<GpuId> {
+    fn group_gpus(&self, par: &ParallelismConfig, kind: GroupKind, size: u32) -> Vec<GpuId> {
         if let Some(map) = &self.placement {
             assert!(
                 map.len() as u32 >= par.world(),
@@ -144,7 +141,7 @@ impl<'a> Testbed<'a> {
         }
         let gpus = self.group_gpus(par, kind, group_size);
         let scope = self.scope_of_group(&gpus);
-        let mut runner = CollectiveRunner::new(self.topo, self.runner_cfg);
+        let mut runner = CollectiveRunner::new(self.topo, RunnerConfig::default());
         let fluid = match coll {
             Collective::AllReduce => runner.all_reduce(&gpus, bytes),
             Collective::ReduceScatter => runner.reduce_scatter(&gpus, bytes),
@@ -153,7 +150,7 @@ impl<'a> Testbed<'a> {
             Collective::Broadcast => runner.broadcast(&gpus, bytes),
             Collective::Send => runner.send(gpus[0], gpus[1 % gpus.len()], bytes),
             Collective::Recv => {
-                let d = self.runner_cfg.step_overhead.as_secs_f64();
+                let d = STEP_OVERHEAD.as_secs_f64();
                 self.comm_cache.borrow_mut().insert(key, d);
                 return d;
             }
@@ -161,7 +158,7 @@ impl<'a> Testbed<'a> {
         // The protocol-efficiency law taxes the wire time only; per-step
         // launch overheads are already real time, not lost bandwidth.
         let steps = fluid.step_durations.len() as f64;
-        let overhead = steps * self.runner_cfg.step_overhead.as_secs_f64();
+        let overhead = steps * STEP_OVERHEAD.as_secs_f64();
         let wire = (fluid.duration.as_secs_f64() - overhead).max(0.0);
         let secs = overhead + wire / self.truth.comm_protocol_eff(scope, bytes as f64);
         self.comm_cache.borrow_mut().insert(key, secs);

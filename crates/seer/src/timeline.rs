@@ -11,7 +11,7 @@
 //! replay (ground-truth durations).
 
 use astral_model::{OpId, OpKind, Operator, OperatorGraph, ParallelismConfig};
-use astral_sim::{SimDuration, SimTime};
+use astral_sim::{Digest, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -26,7 +26,7 @@ pub enum Stream {
 }
 
 /// Which stream an operator occupies.
-pub fn stream_of(op: &Operator) -> Stream {
+fn stream_of(op: &Operator) -> Stream {
     match op.kind {
         OpKind::Comm { .. } => Stream::Comm,
         _ => Stream::Compute,
@@ -105,21 +105,19 @@ impl Timeline {
     /// end) plus the makespan — the bitwise identity of the timeline, used
     /// to pin cached ≡ uncached forecasts and cross-width determinism.
     pub fn fingerprint(&self) -> u64 {
-        const PRIME: u64 = 0x100_0000_01b3;
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut mix = |x: u64| h = (h ^ x).wrapping_mul(PRIME);
+        let mut d = Digest::new();
         for e in &self.entries {
-            mix(e.op.0 as u64);
-            mix(e.device as u64);
-            mix(match e.stream {
+            d.fold_word(e.op.0 as u64);
+            d.fold_word(e.device as u64);
+            d.fold_word(match e.stream {
                 Stream::Compute => 0,
                 Stream::Comm => 1,
             });
-            mix(e.start.as_nanos());
-            mix(e.end.as_nanos());
+            d.fold_word(e.start.as_nanos());
+            d.fold_word(e.end.as_nanos());
         }
-        mix(self.total.as_nanos());
-        h
+        d.fold_word(self.total.as_nanos());
+        d.finish()
     }
 
     /// Per-operator-family total durations (for timeline comparisons like

@@ -11,6 +11,8 @@
 //!   least-squares [`polyfit`] used by Seer's self-correcting calibration.
 //! * [`MulHashMap`] — a `HashMap` with a deterministic multiplicative
 //!   hasher for hot-path maps keyed by internal ids.
+//! * [`Digest`] — the FNV-1a 64-bit digest behind every content
+//!   fingerprint (topology, Seer scenarios and timelines, rng splits).
 //!
 //! The engine is deliberately synchronous: the workload is CPU-bound
 //! simulation, where an async runtime adds overhead without concurrency
@@ -36,6 +38,7 @@
 
 #![warn(missing_docs)]
 
+mod digest;
 mod event;
 mod fit;
 mod hash;
@@ -44,6 +47,7 @@ mod series;
 mod stats;
 mod time;
 
+pub use digest::Digest;
 pub use event::EventQueue;
 pub use fit::{polyfit, r_squared, FitError, Polynomial};
 pub use hash::{MulHashMap, MulHasher};

@@ -11,6 +11,7 @@
 //! lets subsystems (network jitter vs. failure injection) consume randomness
 //! without perturbing each other's sequences when one of them changes.
 
+use crate::Digest;
 use rand::{Error, RngCore};
 
 /// Splittable deterministic RNG (xoshiro256++ core, SplitMix64 seeding).
@@ -48,12 +49,9 @@ impl SimRng {
     /// deriving it advances the parent by exactly one step regardless of how
     /// much the child is later used.
     pub fn split(&mut self, label: &str) -> SimRng {
-        let mut h: u64 = 0xcbf29ce484222325; // FNV-1a offset basis
-        for b in label.as_bytes() {
-            h ^= *b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        SimRng::new(self.next_u64() ^ h)
+        let mut h = Digest::new();
+        h.write_bytes(label.as_bytes());
+        SimRng::new(self.next_u64() ^ h.finish())
     }
 
     /// Next value in [0, 1).

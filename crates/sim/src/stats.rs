@@ -77,19 +77,6 @@ impl OnlineStats {
         self.max
     }
 
-    /// Z-score of `x` against this distribution, or 0 if degenerate.
-    ///
-    /// The cross-host analyzer uses this for threshold-agnostic outlier
-    /// detection across ranks (paper §3.1).
-    pub fn zscore(&self, x: f64) -> f64 {
-        let sd = self.stddev();
-        if sd <= f64::EPSILON {
-            0.0
-        } else {
-            (x - self.mean()) / sd
-        }
-    }
-
     /// Merge another accumulator into this one (parallel Welford).
     pub fn merge(&mut self, other: &OnlineStats) {
         if other.n == 0 {
@@ -212,7 +199,6 @@ mod tests {
         let st = OnlineStats::new();
         assert_eq!(st.mean(), 0.0);
         assert_eq!(st.variance(), 0.0);
-        assert_eq!(st.zscore(10.0), 0.0);
     }
 
     #[test]
@@ -234,18 +220,6 @@ mod tests {
         assert_eq!(left.count(), all.count());
         assert!((left.mean() - all.mean()).abs() < 1e-9);
         assert!((left.variance() - all.variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn zscore_flags_outliers() {
-        let mut st = OnlineStats::new();
-        for _ in 0..100 {
-            st.push(10.0);
-        }
-        st.push(10.5);
-        st.push(9.5);
-        assert!(st.zscore(20.0) > 3.0);
-        assert!(st.zscore(st.mean()).abs() < 1e-9);
     }
 
     #[test]

@@ -80,11 +80,6 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked difference between two instants.
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
 }
 
 impl SimDuration {
@@ -149,12 +144,6 @@ impl SimDuration {
     /// Saturating subtraction.
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
-    }
-
-    /// Multiply by a non-negative float, rounding to the nearest nanosecond.
-    pub fn mul_f64(self, k: f64) -> SimDuration {
-        debug_assert!(k >= 0.0, "duration scale factor must be non-negative");
-        SimDuration((self.0 as f64 * k).round() as u64)
     }
 }
 
@@ -278,8 +267,6 @@ mod tests {
         let b = SimTime::from_millis(4);
         assert_eq!(a - b, SimDuration::from_millis(6));
         assert_eq!(b.saturating_since(a), SimDuration::ZERO);
-        assert_eq!(a.checked_since(b), Some(SimDuration::from_millis(6)));
-        assert_eq!(b.checked_since(a), None);
     }
 
     #[test]
@@ -298,7 +285,6 @@ mod tests {
     #[test]
     fn duration_scaling() {
         let d = SimDuration::from_secs(2);
-        assert_eq!(d.mul_f64(0.5), SimDuration::from_secs(1));
         assert_eq!(d * 3, SimDuration::from_secs(6));
         assert_eq!(d / 4, SimDuration::from_millis(500));
     }

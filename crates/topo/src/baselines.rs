@@ -41,7 +41,7 @@ impl BaselineParams {
     }
 }
 
-/// Build a rail-agnostic 3-tier CLOS (Meta [20] / ByteDance [27] style).
+/// Build a rail-agnostic 3-tier CLOS (Meta \[20\] / ByteDance \[27\] style).
 ///
 /// Block hosts are partitioned into `rails` host groups; each host group is
 /// served by a dual-ToR pair that carries **all** rails of its hosts. Every
@@ -153,7 +153,7 @@ pub fn build_clos(p: &BaselineParams) -> Topology {
     topo
 }
 
-/// Build a rail-optimized fabric (Alibaba HPN [39] style): same-rail dual
+/// Build a rail-optimized fabric (Alibaba HPN \[39\] style): same-rail dual
 /// ToRs like Astral, but tier 2 is fully interconnected — every ToR uplinks
 /// to every Agg of its pod — and tier 3 is oversubscribed.
 pub fn build_rail_optimized(p: &BaselineParams) -> Topology {
@@ -248,7 +248,7 @@ pub fn build_rail_optimized(p: &BaselineParams) -> Topology {
     topo
 }
 
-/// Build a rail-only fabric (Meta HOTI'24 [46]): one independent two-tier
+/// Build a rail-only fabric (Meta HOTI'24 \[46\]): one independent two-tier
 /// fabric per rail, no Core switches. Cross-rail NICs have **no network
 /// route** — traffic must transit the NVLink domain, which is exactly the
 /// scalability limit the paper calls out for MoE all-to-all.

@@ -7,7 +7,7 @@
 //! between Agg and ToR.
 
 use crate::ids::{DcId, GpuId, HostId, LinkId, NodeId, NodeKind};
-use astral_sim::SimDuration;
+use astral_sim::{Digest, SimDuration};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -286,18 +286,6 @@ impl Topology {
         self.hb
     }
 
-    /// Override the HB-domain spec (used by the Figure 14 sweep).
-    pub fn set_hb_domain(&mut self, hb: HbDomainSpec) {
-        assert!(hb.gpus_per_domain >= self.rails as u32);
-        assert_eq!(
-            hb.gpus_per_domain % self.rails as u32,
-            0,
-            "HB domain must span whole hosts"
-        );
-        self.epoch += 1;
-        self.hb = hb;
-    }
-
     /// Total GPU count (hosts × rails).
     pub fn gpu_count(&self) -> u32 {
         self.hosts.len() as u32 * self.rails as u32
@@ -311,32 +299,26 @@ impl Topology {
     /// so it can serve as a content-addressed cache key (e.g. the what-if
     /// service's scenario digest).
     pub fn fingerprint(&self) -> u64 {
-        const PRIME: u64 = 0x100_0000_01b3;
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mix_bytes = |h: &mut u64, bytes: &[u8]| {
-            for &b in bytes {
-                *h = (*h ^ b as u64).wrapping_mul(PRIME);
-            }
-        };
-        mix_bytes(&mut h, self.arch.as_bytes());
-        mix_bytes(&mut h, &[self.rails]);
-        mix_bytes(&mut h, &self.hb.gpus_per_domain.to_le_bytes());
-        mix_bytes(&mut h, &self.hb.bandwidth_bps.to_bits().to_le_bytes());
-        mix_bytes(&mut h, &self.hb.latency.as_nanos().to_le_bytes());
-        mix_bytes(&mut h, &(self.links.len() as u64).to_le_bytes());
+        let mut d = Digest::new();
+        d.write_bytes(self.arch.as_bytes());
+        d.write_u8(self.rails);
+        d.write_u32(self.hb.gpus_per_domain);
+        d.write_f64(self.hb.bandwidth_bps);
+        d.write_u64(self.hb.latency.as_nanos());
+        d.write_u64(self.links.len() as u64);
         for l in &self.links {
-            mix_bytes(&mut h, &l.src.0.to_le_bytes());
-            mix_bytes(&mut h, &l.dst.0.to_le_bytes());
-            mix_bytes(&mut h, &l.bandwidth_bps.to_bits().to_le_bytes());
-            mix_bytes(&mut h, &l.latency.as_nanos().to_le_bytes());
+            d.write_u32(l.src.0);
+            d.write_u32(l.dst.0);
+            d.write_f64(l.bandwidth_bps);
+            d.write_u64(l.latency.as_nanos());
         }
-        mix_bytes(&mut h, &(self.hosts.len() as u64).to_le_bytes());
+        d.write_u64(self.hosts.len() as u64);
         for host in &self.hosts {
-            mix_bytes(&mut h, &host.dc.0.to_le_bytes());
-            mix_bytes(&mut h, &host.pod.to_le_bytes());
-            mix_bytes(&mut h, &host.block.to_le_bytes());
+            d.write_u32(host.dc.0);
+            d.write_bytes(&host.pod.to_le_bytes());
+            d.write_bytes(&host.block.to_le_bytes());
         }
-        h
+        d.finish()
     }
 
     /// Host a GPU lives on. GPUs are numbered host-major:

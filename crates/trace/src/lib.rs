@@ -208,7 +208,10 @@ impl TraceRecord {
     }
 }
 
-/// FNV-1a offset basis (the empty-trace fingerprint).
+/// FNV-1a offset basis (the empty-trace fingerprint). This crate folds
+/// its own FNV-1a rather than use `astral_sim::Digest`: it depends on no
+/// workspace crate, and a new dependency edge would change the separately
+/// locked perfbench package's lock file.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Deterministic 64-bit FNV-1a fingerprint over a record sequence. Equal
@@ -216,12 +219,6 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// hash collisions); byte-identical across serialize/parse round trips.
 pub fn fingerprint(records: &[TraceRecord]) -> u64 {
     records.iter().fold(FNV_OFFSET, |h, r| r.fnv_fold(h))
-}
-
-/// [`fingerprint`] formatted as a fixed-width hex string (for report
-/// metrics and CI diffs).
-pub fn fingerprint_hex(records: &[TraceRecord]) -> String {
-    format!("{:016x}", fingerprint(records))
 }
 
 thread_local! {
@@ -290,8 +287,8 @@ impl Drop for TraceRing {
 impl TraceRing {
     /// A ring holding at most `capacity` records. Capacity 0 is a valid
     /// disabled ring: every push is counted as dropped. The backing
-    /// store is adopted from [`RING_POOL`] when a prior ring on this
-    /// thread left one (pages warm, no growth copies), and otherwise
+    /// store is adopted from this thread's pool of recycled ring buffers
+    /// when a prior ring on this thread left one (pages warm, no growth copies), and otherwise
     /// grows on demand — a 64 Ki-record default would touch 2.6 MB of
     /// fresh pages per construction if reserved eagerly.
     pub fn with_capacity(capacity: usize) -> Self {

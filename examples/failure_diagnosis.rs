@@ -83,15 +83,8 @@ fn main() {
     }
 
     // Time-to-locate comparison (Figure 10's axis).
-    let manual = astral::monitor::mttlf::manual_locate_time_s(
-        &astral::monitor::mttlf::ManualCostModel::default(),
-        diagnosis.manifestation,
-        1024,
-    );
-    let auto = astral::monitor::mttlf::analyzer_locate_time_s(
-        &astral::monitor::mttlf::AnalyzerCostModel::default(),
-        &diagnosis,
-    );
+    let manual = astral::monitor::mttlf::manual_locate_time_s(diagnosis.manifestation, 1024);
+    let auto = astral::monitor::mttlf::analyzer_locate_time_s(&diagnosis);
     println!(
         "\nMTTLF: manual bisection ≈ {:.1} h; analyzer ≈ {:.1} min ({}× faster)",
         manual / 3600.0,
