@@ -53,12 +53,6 @@ pub enum CoolingError {
         /// The offending fraction.
         frac: f64,
     },
-    /// A failure-domain map claimed one host for two CDU loops (a rack
-    /// sits on exactly one loop).
-    DuplicateHost {
-        /// The doubly-claimed host id.
-        host: u32,
-    },
 }
 
 impl std::fmt::Display for CoolingError {
@@ -79,9 +73,6 @@ impl std::fmt::Display for CoolingError {
             CoolingError::EmptyRow => write!(f, "a rack row needs at least one rack"),
             CoolingError::FracOutOfRange { frac } => {
                 write!(f, "fraction must lie in [0, 1], got {frac}")
-            }
-            CoolingError::DuplicateHost { host } => {
-                write!(f, "host {host} is claimed by two CDU loops")
             }
         }
     }

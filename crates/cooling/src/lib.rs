@@ -9,17 +9,13 @@
 //!   shared primary cold source, and the PUE accounting behind Figure 6's
 //!   16.34% average improvement; the cooling plant's COPs are the
 //!   constants [`AIR_COP`] and [`LIQUID_COP`].
-//! * [`CoolingDomains`] — which hosts share one CDU loop: the cooling
-//!   failure-domain query a blast-radius-aware fleet placement asks.
 
 #![warn(missing_docs)]
 
 mod airflow;
-mod domains;
 mod integrated;
 
 pub use airflow::{paper_row, Airflow, CoolingError, RackRow};
-pub use domains::CoolingDomains;
 pub use integrated::{
     mean_pue_improvement, pue_evolution, FacilityConfig, AIR_COP, BAD_AIRFLOW_PENALTY, LIQUID_COP,
 };

@@ -7,7 +7,7 @@
 //! ## Determinism
 //!
 //! Everything the controller decides is a pure function of the campaign:
-//! events are drained from a `BTreeSet` keyed by `(time_bits, kind, id)`
+//! typed events are drained from a `BTreeSet` keyed by `(time_bits, Event)`
 //! (all event times are non-negative, so the `f64` bit pattern orders
 //! like the value), admission and spare grants are decided serially, and
 //! only then are the same-instant segment simulations fanned out on the
@@ -237,29 +237,132 @@ pub struct FleetCampaign {
     pub faults: FleetFaultConfig,
 }
 
-// Event kinds, drained in key order at equal timestamps: repairs free
-// capacity before completions, completions before arrivals, and the
-// admission pass runs once everything at the instant has been applied.
-const EVT_REPAIR: u8 = 0;
-const EVT_COMPLETE: u8 = 1;
-const EVT_ARRIVAL: u8 = 2;
+/// One scheduled campaign event. The variants are declared in drain order:
+/// at equal timestamps repairs free capacity before completions,
+/// completions come before arrivals, and the admission pass runs once
+/// everything at the instant has been applied. Inside one variant the
+/// derived order is by host or tenant id.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Event {
+    /// A cordoned host's repair finishes.
+    Repair(HostId),
+    /// A tenant's running segment ends.
+    Complete(u32),
+    /// A tenant arrives.
+    Arrival(u32),
+}
 
-/// Per-tenant scheduler state.
+/// Where every idle host sits: the schedulable free set or the shared
+/// spare pool. Pool membership is fixed for the campaign, so a host that
+/// comes back (repaired, completed or preempted) always rejoins the set it
+/// was taken from.
+struct HostLedger {
+    /// Schedulable hosts free now.
+    free: BTreeSet<HostId>,
+    /// Pool hosts not granted to a running segment.
+    spares: BTreeSet<HostId>,
+    /// Every pool host, granted or not.
+    spare_members: BTreeSet<HostId>,
+}
+
+impl HostLedger {
+    /// The spare pool is striped across rack rows, highest ids first, so a
+    /// single rack-row cascade cannot take out the whole pool; every other
+    /// host starts free.
+    fn new(topo: &Topology, engine: &PlacementEngine, spare_pool: usize) -> Self {
+        // Round k takes the k-th host from the end of every row that deep.
+        let rows = engine.rows();
+        let depth = rows.iter().map(Vec::len).max().unwrap_or(0);
+        let spare_members: BTreeSet<HostId> = (1..=depth)
+            .flat_map(|k| {
+                rows.iter()
+                    .filter_map(move |r| r.len().checked_sub(k).map(|i| r[i]))
+            })
+            .take(spare_pool)
+            .collect();
+        let free = topo
+            .hosts()
+            .iter()
+            .map(|h| h.id)
+            .filter(|h| !spare_members.contains(h))
+            .collect();
+        HostLedger {
+            free,
+            spares: spare_members.clone(),
+            spare_members,
+        }
+    }
+
+    fn is_spare(&self, h: &HostId) -> bool {
+        self.spare_members.contains(h)
+    }
+
+    /// Return a host to the set it came from.
+    fn release(&mut self, h: HostId) {
+        if self.is_spare(&h) {
+            self.spares.insert(h);
+        } else {
+            self.free.insert(h);
+        }
+    }
+
+    /// Fleet-wide claim competition: a grant is whatever is left in the
+    /// pool, up to `n`, lowest ids first.
+    fn grant(&mut self, n: usize) -> Vec<HostId> {
+        let granted: Vec<HostId> = self.spares.iter().copied().take(n).collect();
+        for h in &granted {
+            self.spares.remove(h);
+        }
+        granted
+    }
+}
+
+/// Per-tenant scheduler state. `outcome` is the tenant's report row, kept
+/// current as the campaign runs; it starts `Starved`, which is where a
+/// tenant still queued when the events run out stays.
 struct Tenant {
     req: JobRequest,
     /// Iterations still to train (checkpoint-retained progress subtracted
     /// at every requeue).
     remaining: u32,
-    retries: u32,
-    preemptions: u32,
     segments: u32,
-    first_admit_s: Option<f64>,
     /// When the tenant last became schedulable (arrival or requeue).
     ready_s: f64,
-    useful_hs: f64,
-    alloc_hs: f64,
-    spares_claimed: u32,
-    status: Option<JobStatus>,
+    outcome: JobOutcome,
+}
+
+impl Tenant {
+    fn new(req: JobRequest) -> Self {
+        let outcome = JobOutcome {
+            id: req.id,
+            model: req.model.clone(),
+            hosts: req.hosts,
+            class: req.class.to_string(),
+            arrival_s: req.arrival_s,
+            first_admit_s: None,
+            status: JobStatus::Starved,
+            retries: 0,
+            preemptions: 0,
+            useful_hs: 0.0,
+            alloc_hs: 0.0,
+            spares_claimed: 0,
+        };
+        Tenant {
+            remaining: req.iters,
+            segments: 0,
+            ready_s: req.arrival_s,
+            outcome,
+            req,
+        }
+    }
+}
+
+/// A segment admitted at the current instant, awaiting its simulation.
+struct Admitted {
+    id: u32,
+    placement: JobPlacement,
+    iters: u32,
+    script: CascadeScript,
 }
 
 /// One in-flight admitted segment (the spare grant is
@@ -317,7 +420,7 @@ fn run_campaign_inner(
     policy: &FleetPolicy,
     campaign: &FleetCampaign,
     runner_cfg: RunnerConfig,
-    mut trace: Option<&mut TraceRing>,
+    ring: Option<&mut TraceRing>,
 ) -> Result<FleetReport, FleetError> {
     policy.validate()?;
     if campaign.workload.jobs == 0 {
@@ -330,426 +433,464 @@ fn run_campaign_inner(
             fleet: n_hosts,
         });
     }
-
-    let engine = PlacementEngine::new(topo);
-    let fleet_faults = campaign.faults.materialize(engine.rows().len());
-    let workload = generate_workload(&campaign.workload);
-    // Admission-time iteration estimator: Seer-backed when the policy asks
-    // for it (decisions stay serial — the service's caches make repeats
-    // cheap), the fixed planning margin otherwise.
-    let mut seer_admission = policy.seer_admission.then(|| SeerAdmission::new(topo));
-    // One warmed router shared by every segment of the campaign: routing
-    // is a pure function of the topology (failures are capacity-level in
-    // each segment's private simulator), so sharing is byte-identical to
-    // per-segment routers while paying path setup once.
-    let router = Arc::new(Router::new());
-
-    // The spare pool is striped across rack rows, highest ids first, so a
-    // single rack-row cascade cannot take out the whole pool.
-    let mut spare_members: BTreeSet<HostId> = BTreeSet::new();
-    {
-        let mut per_row: Vec<Vec<HostId>> = engine.rows().to_vec();
-        'fill: loop {
-            let mut took = false;
-            for row in per_row.iter_mut() {
-                if spare_members.len() == policy.spare_pool {
-                    break 'fill;
-                }
-                if let Some(h) = row.pop() {
-                    spare_members.insert(h);
-                    took = true;
-                }
-            }
-            if !took {
-                break;
-            }
-        }
-    }
-    let mut pool_spares = spare_members.clone();
-    let mut free: BTreeSet<HostId> = topo
-        .hosts()
-        .iter()
-        .map(|h| h.id)
-        .filter(|h| !spare_members.contains(h))
-        .collect();
-    let schedulable = free.len();
-
-    let mut tenants: BTreeMap<u32, Tenant> = workload
-        .into_iter()
-        .map(|req| {
-            let ready_s = req.arrival_s;
-            let remaining = req.iters;
-            (
-                req.id,
-                Tenant {
-                    req,
-                    remaining,
-                    retries: 0,
-                    preemptions: 0,
-                    segments: 0,
-                    first_admit_s: None,
-                    ready_s,
-                    useful_hs: 0.0,
-                    alloc_hs: 0.0,
-                    spares_claimed: 0,
-                    status: None,
-                },
-            )
-        })
-        .collect();
-
-    let mut events: BTreeSet<(u64, u8, u32)> = tenants
-        .values()
-        .map(|t| (t.req.arrival_s.to_bits(), EVT_ARRIVAL, t.req.id))
-        .collect();
-    let mut queue: BTreeSet<u32> = BTreeSet::new();
-    let mut running: BTreeMap<u32, Running> = BTreeMap::new();
-    // Gray-quarantine verdicts harvested from completed segments: suspect
-    // hosts are deprioritized (not banned) by placement until they clear.
-    let mut avoid_until: BTreeMap<HostId, f64> = BTreeMap::new();
-    let mut waits: Vec<f64> = Vec::new();
-    let mut preemptions_total = 0u32;
-    let mut spare_claims_total = 0u32;
-    let mut gray_avoided_total = 0u32;
-    let mut stranded_hs = 0.0_f64;
-    let mut makespan = 0.0_f64;
-
-    while let Some(&(t_bits, _, _)) = events.iter().next() {
-        let now = f64::from_bits(t_bits);
-        makespan = makespan.max(now);
-        // Drain every event at this instant before admitting.
-        while let Some(&key @ (bits, kind, id)) = events.iter().next() {
-            if bits != t_bits {
-                break;
-            }
-            events.remove(&key);
-            match kind {
-                EVT_ARRIVAL => {
-                    queue.insert(id);
-                }
-                EVT_REPAIR => {
-                    // A repaired host rejoins whichever set it came from.
-                    let h = HostId(id);
-                    if spare_members.contains(&h) {
-                        pool_spares.insert(h);
-                    } else {
-                        free.insert(h);
-                    }
-                }
-                EVT_COMPLETE => {
-                    let run = running.remove(&id).expect("completion for unknown job");
-                    let t = tenants.get_mut(&id).expect("unknown tenant");
-                    let nh = run.placement.hosts.len() as f64;
-                    let rec = &run.report.recovery;
-                    t.alloc_hs += rec.total_s() * nh;
-                    t.useful_hs += rec.useful_s * nh;
-                    t.spares_claimed += rec.spares_claimed.len() as u32;
-                    spare_claims_total += rec.spares_claimed.len() as u32;
-                    if !rec.spares_claimed.is_empty() {
-                        if let Some(ring) = trace.as_deref_mut() {
-                            ring.record(
-                                SimTime::from_secs_f64(now).as_nanos(),
-                                TraceKind::SpareClaim,
-                                t.req.class as u16,
-                                id,
-                                rec.spares_claimed.len() as u32,
-                                u64::from(t.spares_claimed),
-                                0,
-                            );
-                        }
-                    }
-                    for &h in &rec.quarantined {
-                        avoid_until.insert(h, now + AVOID_CLEAR_S);
-                        gray_avoided_total += 1;
-                    }
-                    // Cordoned hosts are dead from (estimated) cordon time
-                    // until repairs finish; everything else returns now.
-                    let mut dead: BTreeSet<HostId> = BTreeSet::new();
-                    for inc in &rec.incidents {
-                        for &h in &inc.cordoned {
-                            if dead.insert(h) {
-                                let frac = if run.sim_iters > 0 {
-                                    inc.iter as f64 / run.sim_iters as f64
-                                } else {
-                                    1.0
-                                };
-                                let t_cordon = run.t_start + frac * (run.t_end - run.t_start);
-                                stranded_hs += (now - t_cordon).max(0.0) + HOST_REPAIR_S;
-                                events.insert(((now + HOST_REPAIR_S).to_bits(), EVT_REPAIR, h.0));
-                            }
-                        }
-                    }
-                    for &h in run.placement.hosts.iter().chain(&run.placement.spares) {
-                        if dead.contains(&h) {
-                            continue;
-                        }
-                        if spare_members.contains(&h) {
-                            pool_spares.insert(h);
-                        } else {
-                            free.insert(h);
-                        }
-                    }
-                    if rec.completed {
-                        t.remaining = 0;
-                        t.status = Some(JobStatus::Completed {
-                            at_s: now,
-                            deadline_met: t.req.deadline_s.map(|d| now <= d),
-                        });
-                    } else {
-                        t.remaining = t.remaining.saturating_sub(rec.iters_done).max(1);
-                        if t.retries < RETRY_BUDGET {
-                            t.retries += 1;
-                            t.ready_s = now;
-                            queue.insert(id);
-                        } else {
-                            t.status = Some(JobStatus::Failed {
-                                at_s: now,
-                                reason: rec.abort,
-                            });
-                        }
-                    }
-                }
-                _ => unreachable!("unknown event kind"),
-            }
-        }
-
-        // Admission pass: highest class first, FIFO inside a class. The
-        // snapshot is fixed before any placement, so preemption victims
-        // requeued mid-pass wait for the next event.
-        avoid_until.retain(|_, until| *until > now);
-        let avoid: BTreeSet<HostId> = avoid_until.keys().copied().collect();
-        let mut order: Vec<u32> = queue.iter().copied().collect();
-        order.sort_by_key(|id| {
-            let t = &tenants[id];
-            (
-                std::cmp::Reverse(t.req.class),
-                t.req.arrival_s.to_bits(),
-                t.req.id,
-            )
-        });
-        let mut batch: Vec<(u32, JobPlacement, u32, CascadeScript)> = Vec::new();
-        for id in order {
-            let (need, class) = {
-                let t = &tenants[&id];
-                (t.req.hosts, t.req.class)
-            };
-            if need > schedulable {
-                queue.remove(&id);
-                let t = tenants.get_mut(&id).expect("unknown tenant");
-                t.status = Some(JobStatus::Failed {
-                    at_s: now,
-                    reason: None,
-                });
-                continue;
-            }
-            let mut placed = engine.place_avoiding(need, policy.placement, &free, &avoid);
-            if matches!(placed, Err(PlacementError::InsufficientCapacity { .. })) {
-                // Victims: strictly lower class, youngest segments first.
-                let mut victims: Vec<u32> = running
-                    .keys()
-                    .copied()
-                    .filter(|v| tenants[v].req.class < class)
-                    .collect();
-                victims.sort_by_key(|v| {
-                    let t = &tenants[v];
-                    (
-                        t.req.class,
-                        std::cmp::Reverse(running[v].t_start.to_bits()),
-                        std::cmp::Reverse(t.req.id),
-                    )
-                });
-                let mut gain = 0usize;
-                let mut chosen: Vec<u32> = Vec::new();
-                for v in victims {
-                    if free.len() + gain >= need {
-                        break;
-                    }
-                    gain += running[&v]
-                        .placement
-                        .hosts
-                        .iter()
-                        .chain(&running[&v].placement.spares)
-                        .filter(|h| !spare_members.contains(h))
-                        .count();
-                    chosen.push(v);
-                }
-                if free.len() + gain >= need {
-                    for v in chosen {
-                        preempt(
-                            v,
-                            now,
-                            &mut running,
-                            &mut tenants,
-                            &mut free,
-                            &mut pool_spares,
-                            &spare_members,
-                            &mut events,
-                            &mut queue,
-                        );
-                        preemptions_total += 1;
-                        if let Some(ring) = trace.as_deref_mut() {
-                            ring.record(
-                                SimTime::from_secs_f64(now).as_nanos(),
-                                TraceKind::Preemption,
-                                class as u16,
-                                v,
-                                id,
-                                0,
-                                0,
-                            );
-                        }
-                    }
-                    placed = engine.place_avoiding(need, policy.placement, &free, &avoid);
-                }
-            }
-            let hosts = match placed {
-                Ok(h) => h,
-                Err(_) => continue, // stays queued
-            };
-            queue.remove(&id);
-            for h in &hosts {
-                free.remove(h);
-            }
-            // Fleet-wide claim competition: the grant is whatever is left
-            // in the pool, lowest ids first.
-            let grant_n = policy.spares_per_job.min(pool_spares.len());
-            let granted: Vec<HostId> = pool_spares.iter().copied().take(grant_n).collect();
-            for h in &granted {
-                pool_spares.remove(h);
-            }
-            let t = tenants.get_mut(&id).expect("unknown tenant");
-            t.first_admit_s.get_or_insert(now);
-            waits.push(now - t.ready_s);
-            t.segments += 1;
-            let est_iter_s = match seer_admission.as_mut() {
-                Some(seer) => seer.est_iter_s(&t.req),
-                None => t.req.comp_s * EST_ITER_OVERHEAD,
-            };
-            let script = project_faults(&engine, &fleet_faults, &hosts, t, now, est_iter_s);
-            let placement = JobPlacement {
-                hosts,
-                spares: granted,
-            };
-            if let Some(ring) = trace.as_deref_mut() {
-                ring.record(
-                    SimTime::from_secs_f64(now).as_nanos(),
-                    TraceKind::Admission,
-                    t.req.class as u16,
-                    id,
-                    placement.hosts.len() as u32,
-                    placement.spares.len() as u64,
-                    astral_sim::SimDuration::from_secs_f64(now - t.ready_s).as_nanos(),
-                );
-            }
-            // Hosts and spare grant are committed now; the `Running`
-            // entry is inserted once the batch has simulated. Safe:
-            // admission order is class-descending, so nothing admitted
-            // in this pass can be a preemption victim of a later entry
-            // (victims need a strictly lower class).
-            batch.push((id, placement, t.remaining, script));
-        }
-
-        if !batch.is_empty() {
-            // All decisions above were serial; the segment simulations are
-            // independent, so fan out. Result slots return in submission
-            // order at any pool width.
-            let reports: Vec<CascadeReport> = pool.map(&batch, |(id, placement, iters, script)| {
-                let t = &tenants[id];
-                let spec = astral_core::TrainingJobSpec {
-                    hosts: placement.hosts.len(),
-                    spares: placement.spares.len(),
-                    iters: *iters,
-                    bytes: t.req.bytes,
-                    comp_s: t.req.comp_s,
-                    seed: t.req.seed ^ ((t.segments as u64) << 32),
-                };
-                try_run_cascade_placed(
-                    topo,
-                    &policy.recovery,
-                    &spec,
-                    script,
-                    runner_cfg,
-                    placement,
-                    Some(router.clone()),
-                )
-                .expect("recovery policy validated with the fleet policy")
-            });
-            for ((id, placement, iters, _), report) in batch.into_iter().zip(reports) {
-                let t_end = now + report.recovery.total_s();
-                events.insert((t_end.to_bits(), EVT_COMPLETE, id));
-                running.insert(
-                    id,
-                    Running {
-                        placement,
-                        t_start: now,
-                        t_end,
-                        sim_iters: iters,
-                        report,
-                    },
-                );
-            }
-        }
-    }
-
-    // Anything still queued can never be unblocked: no events remain.
-    for id in queue {
-        tenants.get_mut(&id).expect("unknown tenant").status = Some(JobStatus::Starved);
-    }
-
-    finalize(
-        tenants,
-        schedulable,
-        n_hosts,
-        makespan,
-        stranded_hs,
-        waits,
-        preemptions_total,
-        spare_claims_total,
-        gray_avoided_total,
-    )
+    Ok(Controller::new(topo, policy, campaign, runner_cfg, ring).run(pool))
 }
 
-/// Preempt one running segment at `now`: cancel its completion, pro-rate
-/// its progress to the elapsed fraction, return every host (mid-segment
-/// cordons are dropped — the segment's incidents never complete), and
-/// requeue the remainder. Victims are requeued unconditionally and do not
-/// consume a retry: preemption is the fleet's decision, not the job's
-/// failure.
-#[allow(clippy::too_many_arguments)]
-fn preempt(
-    id: u32,
-    now: f64,
-    running: &mut BTreeMap<u32, Running>,
-    tenants: &mut BTreeMap<u32, Tenant>,
-    free: &mut BTreeSet<HostId>,
-    pool_spares: &mut BTreeSet<HostId>,
-    spare_members: &BTreeSet<HostId>,
-    events: &mut BTreeSet<(u64, u8, u32)>,
-    queue: &mut BTreeSet<u32>,
-) {
-    let run = running.remove(&id).expect("preempting a job not running");
-    events.remove(&(run.t_end.to_bits(), EVT_COMPLETE, id));
-    let t = tenants.get_mut(&id).expect("unknown tenant");
-    let dur = run.t_end - run.t_start;
-    let elapsed = (now - run.t_start).max(0.0);
-    let frac = if dur > 0.0 {
-        (elapsed / dur).clamp(0.0, 1.0)
-    } else {
-        1.0
-    };
-    let nh = run.placement.hosts.len() as f64;
-    t.alloc_hs += elapsed * nh;
-    t.useful_hs += frac * run.report.recovery.useful_s * nh;
-    let retained = ((frac * run.sim_iters as f64) as u32).min(run.sim_iters);
-    t.remaining = t.remaining.saturating_sub(retained).max(1);
-    t.preemptions += 1;
-    t.ready_s = now;
-    queue.insert(id);
-    for &h in run.placement.hosts.iter().chain(&run.placement.spares) {
-        if spare_members.contains(&h) {
-            pool_spares.insert(h);
+/// The controller's whole state for one campaign: one event queue, one
+/// host ledger, the tenants and their running segments, and the
+/// campaign-wide tallies.
+struct Controller<'a> {
+    topo: &'a Topology,
+    policy: &'a FleetPolicy,
+    runner_cfg: RunnerConfig,
+    engine: PlacementEngine,
+    fleet_faults: Vec<FleetFault>,
+    /// Admission-time iteration estimator: Seer-backed when the policy
+    /// asks for it (decisions stay serial — the service's caches make
+    /// repeats cheap), the fixed planning margin otherwise.
+    seer: Option<SeerAdmission>,
+    /// One warmed router shared by every segment of the campaign: routing
+    /// is a pure function of the topology (failures are capacity-level in
+    /// each segment's private simulator), so sharing is byte-identical to
+    /// per-segment routers while paying path setup once.
+    router: Arc<Router>,
+    hosts: HostLedger,
+    /// Hosts outside the spare pool: a larger job can never place.
+    schedulable: usize,
+    tenants: BTreeMap<u32, Tenant>,
+    /// Keyed by `(time_bits, event)`: event times are non-negative, so
+    /// the `f64` bit pattern orders like the value.
+    events: BTreeSet<(u64, Event)>,
+    queue: BTreeSet<u32>,
+    running: BTreeMap<u32, Running>,
+    /// Gray-quarantine verdicts harvested from completed segments: suspect
+    /// hosts are deprioritized (not banned) by placement until they clear.
+    avoid_until: BTreeMap<HostId, f64>,
+    waits: Vec<f64>,
+    preemptions: u32,
+    spare_claims: u32,
+    gray_avoided: u32,
+    stranded_hs: f64,
+    makespan: f64,
+    ring: Option<&'a mut TraceRing>,
+}
+
+impl<'a> Controller<'a> {
+    fn new(
+        topo: &'a Topology,
+        policy: &'a FleetPolicy,
+        campaign: &FleetCampaign,
+        runner_cfg: RunnerConfig,
+        ring: Option<&'a mut TraceRing>,
+    ) -> Self {
+        let engine = PlacementEngine::new(topo);
+        let fleet_faults = campaign.faults.materialize(engine.rows().len());
+        let hosts = HostLedger::new(topo, &engine, policy.spare_pool);
+        let tenants: BTreeMap<u32, Tenant> = generate_workload(&campaign.workload)
+            .into_iter()
+            .map(|req| (req.id, Tenant::new(req)))
+            .collect();
+        let events = tenants
+            .values()
+            .map(|t| (t.req.arrival_s.to_bits(), Event::Arrival(t.req.id)))
+            .collect();
+        Controller {
+            topo,
+            policy,
+            runner_cfg,
+            seer: policy.seer_admission.then(|| SeerAdmission::new(topo)),
+            router: Arc::new(Router::new()),
+            schedulable: hosts.free.len(),
+            engine,
+            fleet_faults,
+            hosts,
+            tenants,
+            events,
+            queue: BTreeSet::new(),
+            running: BTreeMap::new(),
+            avoid_until: BTreeMap::new(),
+            waits: Vec::new(),
+            preemptions: 0,
+            spare_claims: 0,
+            gray_avoided: 0,
+            stranded_hs: 0.0,
+            makespan: 0.0,
+            ring,
+        }
+    }
+
+    /// The event loop: apply every event at the earliest instant, run one
+    /// admission pass, simulate what it admitted, repeat until no event is
+    /// left.
+    fn run(mut self, pool: &Pool) -> FleetReport {
+        while let Some(&(t_bits, _)) = self.events.first() {
+            let now = f64::from_bits(t_bits);
+            self.makespan = self.makespan.max(now);
+            while let Some(&(bits, event)) = self.events.first() {
+                if bits != t_bits {
+                    break;
+                }
+                self.events.pop_first();
+                match event {
+                    Event::Repair(h) => self.hosts.release(h),
+                    Event::Complete(id) => self.complete(id, now),
+                    Event::Arrival(id) => {
+                        self.queue.insert(id);
+                    }
+                }
+            }
+            let batch = self.admit(now);
+            self.start(pool, batch, now);
+            if cfg!(debug_assertions) {
+                self.check_ledger();
+            }
+        }
+        self.finish()
+    }
+
+    /// Record one scheduling decision at wall-clock `now` when the
+    /// campaign is traced.
+    fn record(&mut self, now: f64, kind: TraceKind, aux: u16, a_b: (u32, u32), v_w: (u64, u64)) {
+        if let Some(ring) = self.ring.as_deref_mut() {
+            let t_ns = SimTime::from_secs_f64(now).as_nanos();
+            ring.record(t_ns, kind, aux, a_b.0, a_b.1, v_w.0, v_w.1);
+        }
+    }
+
+    /// A segment ended: account its host-seconds and spare claims, put its
+    /// gray verdicts on the avoid list, send cordoned hosts to repair and
+    /// return the rest, then finish the tenant or requeue it within its
+    /// retry budget.
+    fn complete(&mut self, id: u32, now: f64) {
+        let run = self
+            .running
+            .remove(&id)
+            .expect("completion for unknown job");
+        let rec = &run.report.recovery;
+        let t = self.tenants.get_mut(&id).expect("unknown tenant");
+        let nh = run.placement.hosts.len() as f64;
+        t.outcome.alloc_hs += rec.total_s() * nh;
+        t.outcome.useful_hs += rec.useful_s * nh;
+        let claimed = rec.spares_claimed.len() as u32;
+        t.outcome.spares_claimed += claimed;
+        self.spare_claims += claimed;
+        if rec.completed {
+            t.outcome.status = JobStatus::Completed {
+                at_s: now,
+                deadline_met: t.req.deadline_s.map(|d| now <= d),
+            };
         } else {
-            free.insert(h);
+            t.remaining = t.remaining.saturating_sub(rec.iters_done).max(1);
+            if t.outcome.retries < RETRY_BUDGET {
+                t.outcome.retries += 1;
+                t.ready_s = now;
+                self.queue.insert(id);
+            } else {
+                t.outcome.status = JobStatus::Failed {
+                    at_s: now,
+                    reason: rec.abort,
+                };
+            }
+        }
+        if claimed > 0 {
+            let (class, total) = (t.req.class as u16, u64::from(t.outcome.spares_claimed));
+            self.record(now, TraceKind::SpareClaim, class, (id, claimed), (total, 0));
+        }
+        for &h in &rec.quarantined {
+            self.avoid_until.insert(h, now + AVOID_CLEAR_S);
+            self.gray_avoided += 1;
+        }
+        // Cordoned hosts are dead from (estimated) cordon time until
+        // repairs finish; everything else returns now.
+        let mut dead: BTreeSet<HostId> = BTreeSet::new();
+        for inc in &rec.incidents {
+            for &h in &inc.cordoned {
+                if dead.insert(h) {
+                    let frac = if run.sim_iters > 0 {
+                        inc.iter as f64 / run.sim_iters as f64
+                    } else {
+                        1.0
+                    };
+                    let t_cordon = run.t_start + frac * (run.t_end - run.t_start);
+                    self.stranded_hs += (now - t_cordon).max(0.0) + HOST_REPAIR_S;
+                    let repaired = now + HOST_REPAIR_S;
+                    self.events.insert((repaired.to_bits(), Event::Repair(h)));
+                }
+            }
+        }
+        for &h in run.placement.hosts.iter().chain(&run.placement.spares) {
+            if !dead.contains(&h) {
+                self.hosts.release(h);
+            }
+        }
+    }
+
+    /// The admission pass: highest class first, FIFO inside a class. The
+    /// order is fixed before any placement, so preemption victims requeued
+    /// mid-pass wait for the next event. A job larger than the schedulable
+    /// fleet fails; one that does not fit even after preemption stays
+    /// queued.
+    fn admit(&mut self, now: f64) -> Vec<Admitted> {
+        self.avoid_until.retain(|_, until| *until > now);
+        let avoid: BTreeSet<HostId> = self.avoid_until.keys().copied().collect();
+        let mut order: Vec<u32> = self.queue.iter().copied().collect();
+        order.sort_by_key(|id| {
+            let req = &self.tenants[id].req;
+            (
+                std::cmp::Reverse(req.class),
+                req.arrival_s.to_bits(),
+                req.id,
+            )
+        });
+        let mut batch = Vec::new();
+        for id in order {
+            let need = self.tenants[&id].req.hosts;
+            if need > self.schedulable {
+                self.queue.remove(&id);
+                let t = self.tenants.get_mut(&id).expect("unknown tenant");
+                t.outcome.status = JobStatus::Failed {
+                    at_s: now,
+                    reason: None,
+                };
+                continue;
+            }
+            let strategy = self.policy.placement;
+            let mut placed = self.engine.place(need, strategy, &self.hosts.free, &avoid);
+            if matches!(placed, Err(PlacementError::InsufficientCapacity { .. }))
+                && self.make_room(id, need, now)
+            {
+                placed = self.engine.place(need, strategy, &self.hosts.free, &avoid);
+            }
+            if let Ok(hosts) = placed {
+                batch.push(self.commit(id, hosts, now));
+            }
+        }
+        batch
+    }
+
+    /// Preempt strictly lower-class segments, youngest first, until `need`
+    /// hosts would be free. Preempts nothing, and returns false, when even
+    /// every candidate victim would not make room for tenant `id`.
+    fn make_room(&mut self, id: u32, need: usize, now: f64) -> bool {
+        let class = self.tenants[&id].req.class;
+        let mut victims: Vec<u32> = self
+            .running
+            .keys()
+            .copied()
+            .filter(|v| self.tenants[v].req.class < class)
+            .collect();
+        victims.sort_by_key(|v| {
+            let req = &self.tenants[v].req;
+            (
+                req.class,
+                std::cmp::Reverse(self.running[v].t_start.to_bits()),
+                std::cmp::Reverse(req.id),
+            )
+        });
+        let mut gain = 0usize;
+        let mut chosen = 0usize;
+        for v in &victims {
+            if self.hosts.free.len() + gain >= need {
+                break;
+            }
+            let held = &self.running[v].placement;
+            gain += held
+                .hosts
+                .iter()
+                .chain(&held.spares)
+                .filter(|h| !self.hosts.is_spare(h))
+                .count();
+            chosen += 1;
+        }
+        if self.hosts.free.len() + gain < need {
+            return false;
+        }
+        for &v in &victims[..chosen] {
+            self.preempt(v, now);
+            self.preemptions += 1;
+            self.record(now, TraceKind::Preemption, class as u16, (v, id), (0, 0));
+        }
+        true
+    }
+
+    /// Preempt one running segment at `now`: cancel its completion,
+    /// pro-rate its progress to the elapsed fraction, return every host
+    /// (mid-segment cordons are dropped — the segment's incidents never
+    /// complete), and requeue the remainder. Victims are requeued
+    /// unconditionally and do not consume a retry: preemption is the
+    /// fleet's decision, not the job's failure.
+    fn preempt(&mut self, id: u32, now: f64) {
+        let run = self
+            .running
+            .remove(&id)
+            .expect("preempting a job not running");
+        self.events
+            .remove(&(run.t_end.to_bits(), Event::Complete(id)));
+        let t = self.tenants.get_mut(&id).expect("unknown tenant");
+        let dur = run.t_end - run.t_start;
+        let elapsed = (now - run.t_start).max(0.0);
+        let frac = if dur > 0.0 {
+            (elapsed / dur).clamp(0.0, 1.0)
+        } else {
+            1.0
+        };
+        let nh = run.placement.hosts.len() as f64;
+        t.outcome.alloc_hs += elapsed * nh;
+        t.outcome.useful_hs += frac * run.report.recovery.useful_s * nh;
+        let retained = ((frac * run.sim_iters as f64) as u32).min(run.sim_iters);
+        t.remaining = t.remaining.saturating_sub(retained).max(1);
+        t.outcome.preemptions += 1;
+        t.ready_s = now;
+        self.queue.insert(id);
+        for &h in run.placement.hosts.iter().chain(&run.placement.spares) {
+            self.hosts.release(h);
+        }
+    }
+
+    /// Commit an admission: take the hosts and the spare grant, and project
+    /// the fleet faults onto the segment's iteration clock. The `Running`
+    /// entry is inserted once the batch has simulated. Safe: admission
+    /// order is class-descending, so nothing admitted in this pass can be
+    /// a preemption victim of a later entry (victims need a strictly lower
+    /// class).
+    fn commit(&mut self, id: u32, hosts: Vec<HostId>, now: f64) -> Admitted {
+        self.queue.remove(&id);
+        for h in &hosts {
+            self.hosts.free.remove(h);
+        }
+        let spares = self.hosts.grant(self.policy.spares_per_job);
+        let t = self.tenants.get_mut(&id).expect("unknown tenant");
+        t.outcome.first_admit_s.get_or_insert(now);
+        let wait = now - t.ready_s;
+        self.waits.push(wait);
+        t.segments += 1;
+        let est_iter_s = match self.seer.as_mut() {
+            Some(seer) => seer.est_iter_s(&t.req),
+            None => t.req.comp_s * EST_ITER_OVERHEAD,
+        };
+        let script = project_faults(&self.engine, &self.fleet_faults, &hosts, t, now, est_iter_s);
+        let (class, iters) = (t.req.class as u16, t.remaining);
+        let placement = JobPlacement { hosts, spares };
+        let n_hosts = placement.hosts.len() as u32;
+        let n_spares = placement.spares.len() as u64;
+        let wait_ns = astral_sim::SimDuration::from_secs_f64(wait).as_nanos();
+        self.record(
+            now,
+            TraceKind::Admission,
+            class,
+            (id, n_hosts),
+            (n_spares, wait_ns),
+        );
+        Admitted {
+            id,
+            placement,
+            iters,
+            script,
+        }
+    }
+
+    /// Simulate this instant's admissions and schedule their completions.
+    /// Every decision above was serial; the segment simulations are
+    /// independent, so they fan out, and result slots return in
+    /// submission order at any pool width.
+    fn start(&mut self, pool: &Pool, batch: Vec<Admitted>, now: f64) {
+        if batch.is_empty() {
+            return;
+        }
+        let reports: Vec<CascadeReport> = pool.map(&batch, |seg| {
+            let req = &self.tenants[&seg.id].req;
+            let spec = astral_core::TrainingJobSpec {
+                hosts: seg.placement.hosts.len(),
+                spares: seg.placement.spares.len(),
+                iters: seg.iters,
+                bytes: req.bytes,
+                comp_s: req.comp_s,
+                seed: req.seed ^ ((self.tenants[&seg.id].segments as u64) << 32),
+            };
+            try_run_cascade_placed(
+                self.topo,
+                &self.policy.recovery,
+                &spec,
+                &seg.script,
+                self.runner_cfg,
+                &seg.placement,
+                Some(self.router.clone()),
+            )
+            .expect("recovery policy validated with the fleet policy")
+        });
+        for (seg, report) in batch.into_iter().zip(reports) {
+            let t_end = now + report.recovery.total_s();
+            self.events
+                .insert((t_end.to_bits(), Event::Complete(seg.id)));
+            let run = Running {
+                placement: seg.placement,
+                t_start: now,
+                t_end,
+                sim_iters: seg.iters,
+                report,
+            };
+            self.running.insert(seg.id, run);
+        }
+    }
+
+    /// Debug-build host ledger, checked once per instant: every fabric host
+    /// sits in exactly one place — the free set, the pool's free spares,
+    /// one running segment's hosts or spares, or one pending repair.
+    fn check_ledger(&self) {
+        let mut places: BTreeMap<HostId, u32> =
+            self.topo.hosts().iter().map(|h| (h.id, 0)).collect();
+        let held = self
+            .running
+            .values()
+            .flat_map(|r| r.placement.hosts.iter().chain(&r.placement.spares));
+        let repairing = self.events.iter().filter_map(|(_, e)| match e {
+            Event::Repair(h) => Some(h),
+            _ => None,
+        });
+        let idle = self.hosts.free.iter().chain(&self.hosts.spares);
+        for h in idle.chain(held).chain(repairing) {
+            *places.get_mut(h).expect("ledger host outside the fabric") += 1;
+        }
+        let misplaced: Vec<(&HostId, &u32)> = places.iter().filter(|&(_, &n)| n != 1).collect();
+        assert!(
+            misplaced.is_empty(),
+            "host ledger out of balance, (host, places held): {misplaced:?}"
+        );
+    }
+
+    /// Fold the terminal tenant outcomes into the cluster-level report.
+    fn finish(self) -> FleetReport {
+        let mut jobs = Vec::with_capacity(self.tenants.len());
+        let mut useful_completed = 0.0_f64;
+        let mut alloc_total = 0.0_f64;
+        let mut completed = 0usize;
+        for t in self.tenants.into_values() {
+            if t.outcome.status.completed() {
+                completed += 1;
+                useful_completed += t.outcome.useful_hs;
+            }
+            alloc_total += t.outcome.alloc_hs;
+            jobs.push(t.outcome);
+        }
+        let useful: Vec<f64> = jobs.iter().map(|j| j.useful_hs).collect();
+        let capacity_hs = self.topo.hosts().len() as f64 * self.makespan;
+        let ratio = |x: f64, total: f64| if total > 0.0 { x / total } else { 0.0 };
+        let wait = Summary::from_samples(self.waits);
+        FleetReport {
+            stranded_tenants: jobs.len() - completed,
+            jobs,
+            makespan_s: self.makespan,
+            fleet_hosts: self.schedulable,
+            cluster_goodput: ratio(useful_completed, alloc_total),
+            utilization: ratio(alloc_total, capacity_hs),
+            stranded_frac: ratio(self.stranded_hs, capacity_hs),
+            fairness: FleetReport::jain(&useful),
+            queue_wait_p50_s: wait.percentile(50.0).unwrap_or(0.0),
+            queue_wait_p99_s: wait.percentile(99.0).unwrap_or(0.0),
+            preemptions: self.preemptions,
+            spare_claims: self.spare_claims,
+            gray_avoided: self.gray_avoided,
+            completed,
         }
     }
 }
@@ -832,80 +973,4 @@ fn project_faults(
     }
     faults.sort_by_key(|f| f.at_iter());
     CascadeScript { faults, net_faults }
-}
-
-/// Fold the terminal tenant states into the cluster-level report.
-#[allow(clippy::too_many_arguments)]
-fn finalize(
-    tenants: BTreeMap<u32, Tenant>,
-    schedulable: usize,
-    n_hosts: usize,
-    makespan: f64,
-    stranded_hs: f64,
-    waits: Vec<f64>,
-    preemptions: u32,
-    spare_claims: u32,
-    gray_avoided: u32,
-) -> Result<FleetReport, FleetError> {
-    let mut jobs = Vec::with_capacity(tenants.len());
-    let mut useful_completed = 0.0_f64;
-    let mut alloc_total = 0.0_f64;
-    let mut fairness_samples = Vec::with_capacity(tenants.len());
-    let mut completed = 0usize;
-    let mut stranded_tenants = 0usize;
-    for (_, t) in tenants {
-        let status = t.status.unwrap_or(JobStatus::Starved);
-        if status.completed() {
-            completed += 1;
-            useful_completed += t.useful_hs;
-        } else {
-            stranded_tenants += 1;
-        }
-        alloc_total += t.alloc_hs;
-        fairness_samples.push(t.useful_hs);
-        jobs.push(JobOutcome {
-            id: t.req.id,
-            model: t.req.model,
-            hosts: t.req.hosts,
-            class: t.req.class.to_string(),
-            arrival_s: t.req.arrival_s,
-            first_admit_s: t.first_admit_s,
-            status,
-            retries: t.retries,
-            preemptions: t.preemptions,
-            useful_hs: t.useful_hs,
-            alloc_hs: t.alloc_hs,
-            spares_claimed: t.spares_claimed,
-        });
-    }
-    let capacity_hs = n_hosts as f64 * makespan;
-    let wait = Summary::from_samples(waits);
-    Ok(FleetReport {
-        jobs,
-        makespan_s: makespan,
-        fleet_hosts: schedulable,
-        cluster_goodput: if alloc_total > 0.0 {
-            useful_completed / alloc_total
-        } else {
-            0.0
-        },
-        utilization: if capacity_hs > 0.0 {
-            alloc_total / capacity_hs
-        } else {
-            0.0
-        },
-        stranded_frac: if capacity_hs > 0.0 {
-            stranded_hs / capacity_hs
-        } else {
-            0.0
-        },
-        fairness: FleetReport::jain(&fairness_samples),
-        queue_wait_p50_s: wait.percentile(50.0).unwrap_or(0.0),
-        queue_wait_p99_s: wait.percentile(99.0).unwrap_or(0.0),
-        preemptions,
-        spare_claims,
-        gray_avoided,
-        completed,
-        stranded_tenants,
-    })
 }

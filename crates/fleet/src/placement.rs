@@ -24,14 +24,6 @@ pub enum PlacementError {
         /// Hosts currently free.
         free: usize,
     },
-    /// The job can never fit: it asks for more hosts than the fleet has
-    /// (minus the spare pool) — admission fails permanently.
-    JobLargerThanFleet {
-        /// Hosts the job needs.
-        need: usize,
-        /// Schedulable hosts in the fleet.
-        fleet: usize,
-    },
 }
 
 impl std::fmt::Display for PlacementError {
@@ -40,9 +32,6 @@ impl std::fmt::Display for PlacementError {
             PlacementError::ZeroHosts => write!(f, "a job needs at least one host"),
             PlacementError::InsufficientCapacity { need, free } => {
                 write!(f, "need {need} hosts, only {free} free")
-            }
-            PlacementError::JobLargerThanFleet { need, fleet } => {
-                write!(f, "job of {need} hosts can never fit a {fleet}-host fleet")
             }
         }
     }
@@ -84,12 +73,17 @@ impl PlacementEngine {
     }
 
     /// Place a `need`-host tenant on the `free` set under `strategy`.
-    /// Deterministic: identical inputs yield identical host lists.
+    /// Suspect (gray-quarantined) hosts in `avoid` are deprioritized, not
+    /// banned: placement first tries the free set minus `avoid`, and falls
+    /// back to the full free set rather than leaving a job queued behind
+    /// suspect capacity. Deterministic: identical inputs yield identical
+    /// host lists.
     pub fn place(
         &self,
         need: usize,
         strategy: PlacementStrategy,
         free: &BTreeSet<HostId>,
+        avoid: &BTreeSet<HostId>,
     ) -> Result<Vec<HostId>, PlacementError> {
         if need == 0 {
             return Err(PlacementError::ZeroHosts);
@@ -100,32 +94,27 @@ impl PlacementEngine {
                 free: free.len(),
             });
         }
-        let placed = match strategy {
-            PlacementStrategy::FirstFit => free.iter().copied().take(need).collect(),
-            PlacementStrategy::RailAffine => self.place_rail_affine(need, free),
-            PlacementStrategy::BlastRadiusSpread => self.place_spread(need, free),
-        };
-        Ok(placed)
+        if !avoid.is_empty() {
+            let clean: BTreeSet<HostId> = free.difference(avoid).copied().collect();
+            if clean.len() >= need {
+                return Ok(self.pick(need, strategy, &clean));
+            }
+        }
+        Ok(self.pick(need, strategy, free))
     }
 
-    /// [`PlacementEngine::place`] with a fleet avoid list: suspect
-    /// (gray-quarantined) hosts are deprioritized, not banned — placement
-    /// first tries the free set minus `avoid`, and falls back to the full
-    /// free set rather than leaving a job queued behind suspect capacity.
-    pub fn place_avoiding(
+    /// `need` hosts out of `free` (which holds at least that many).
+    fn pick(
         &self,
         need: usize,
         strategy: PlacementStrategy,
         free: &BTreeSet<HostId>,
-        avoid: &BTreeSet<HostId>,
-    ) -> Result<Vec<HostId>, PlacementError> {
-        if !avoid.is_empty() {
-            let clean: BTreeSet<HostId> = free.difference(avoid).copied().collect();
-            if clean.len() >= need {
-                return self.place(need, strategy, &clean);
-            }
+    ) -> Vec<HostId> {
+        match strategy {
+            PlacementStrategy::FirstFit => free.iter().copied().take(need).collect(),
+            PlacementStrategy::RailAffine => self.place_rail_affine(need, free),
+            PlacementStrategy::BlastRadiusSpread => self.place_spread(need, free),
         }
-        self.place(need, strategy, free)
     }
 
     /// One block if any fits (rail-affine collectives), else first-fit.
@@ -176,9 +165,8 @@ impl PlacementEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use astral_cooling::CoolingDomains;
-    use astral_power::PowerDomains;
     use astral_topo::{build_astral, AstralParams};
+    use std::collections::BTreeMap;
 
     fn engine() -> PlacementEngine {
         PlacementEngine::new(&build_astral(&AstralParams::sim_small()))
@@ -188,26 +176,27 @@ mod tests {
         engine.rows.iter().flatten().copied().collect()
     }
 
-    /// The fabric's power domains (one rack row per HVDC unit) and
-    /// cooling domains ([`ROWS_PER_CDU_LOOP`] rows per CDU loop).
-    fn domains(e: &PlacementEngine) -> (PowerDomains, CoolingDomains) {
-        let raw: Vec<Vec<u32>> = e
-            .rows
-            .iter()
-            .map(|r| r.iter().map(|h| h.0).collect())
-            .collect();
-        let power = PowerDomains::try_new(raw.clone()).expect("rack rows are disjoint");
-        let cooling =
-            CoolingDomains::try_grouped(raw, ROWS_PER_CDU_LOOP).expect("rack rows are disjoint");
-        (power, cooling)
+    fn no_avoid() -> BTreeSet<HostId> {
+        BTreeSet::new()
+    }
+
+    /// Hosts of `hosts` per failure domain, where `domain` maps a host's
+    /// rack row to its domain.
+    fn per_domain(e: &PlacementEngine, hosts: &[HostId], domain: fn(usize) -> usize) -> Vec<usize> {
+        let mut counts: BTreeMap<usize, usize> = BTreeMap::new();
+        for &h in hosts {
+            *counts.entry(domain(e.row_of(h).unwrap())).or_default() += 1;
+        }
+        counts.into_values().collect()
     }
 
     /// Worst-case fraction of `hosts` lost to a single substrate failure
-    /// domain (the max over power and cooling co-location).
+    /// domain: the max over rack-row (power) and CDU-loop (cooling)
+    /// co-location.
     fn blast_fraction(e: &PlacementEngine, hosts: &[HostId]) -> f64 {
-        let (power, cooling) = domains(e);
-        let raw: Vec<u32> = hosts.iter().map(|h| h.0).collect();
-        let worst = power.max_colocated(&raw).max(cooling.max_colocated(&raw));
+        let power = per_domain(e, hosts, |row| row);
+        let cooling = per_domain(e, hosts, |row| row / ROWS_PER_CDU_LOOP);
+        let worst = power.into_iter().chain(cooling).max().unwrap_or(0);
         worst as f64 / hosts.len() as f64
     }
 
@@ -215,7 +204,7 @@ mod tests {
     fn first_fit_packs_one_row() {
         let e = engine();
         let placed = e
-            .place(8, PlacementStrategy::FirstFit, &all_free(&e))
+            .place(8, PlacementStrategy::FirstFit, &all_free(&e), &no_avoid())
             .unwrap();
         // sim_small rows hold 8 hosts: a packed 8-host job sits in one row.
         assert_eq!(blast_fraction(&e, &placed), 1.0);
@@ -224,16 +213,10 @@ mod tests {
     #[test]
     fn spread_minimizes_blast_fraction() {
         let e = engine();
-        let placed = e
-            .place(8, PlacementStrategy::BlastRadiusSpread, &all_free(&e))
-            .unwrap();
+        let strategy = PlacementStrategy::BlastRadiusSpread;
+        let placed = e.place(8, strategy, &all_free(&e), &no_avoid()).unwrap();
         // 8 hosts across 8 rows: one per power domain, two per CDU loop.
-        assert_eq!(
-            domains(&e)
-                .0
-                .spread(&placed.iter().map(|h| h.0).collect::<Vec<_>>()),
-            8
-        );
+        assert_eq!(per_domain(&e, &placed, |row| row).len(), 8);
         assert!(blast_fraction(&e, &placed) <= 0.25);
     }
 
@@ -241,7 +224,7 @@ mod tests {
     fn rail_affine_stays_in_one_row_when_possible() {
         let e = engine();
         let placed = e
-            .place(6, PlacementStrategy::RailAffine, &all_free(&e))
+            .place(6, PlacementStrategy::RailAffine, &all_free(&e), &no_avoid())
             .unwrap();
         let rows: BTreeSet<usize> = placed.iter().map(|&h| e.row_of(h).unwrap()).collect();
         assert_eq!(rows.len(), 1);
@@ -252,11 +235,11 @@ mod tests {
         let e = engine();
         let free = all_free(&e);
         assert_eq!(
-            e.place(0, PlacementStrategy::FirstFit, &free),
+            e.place(0, PlacementStrategy::FirstFit, &free, &no_avoid()),
             Err(PlacementError::ZeroHosts)
         );
         assert_eq!(
-            e.place(1000, PlacementStrategy::FirstFit, &free),
+            e.place(1000, PlacementStrategy::FirstFit, &free, &no_avoid()),
             Err(PlacementError::InsufficientCapacity {
                 need: 1000,
                 free: free.len()
@@ -270,14 +253,14 @@ mod tests {
         let free = all_free(&e);
         let avoid: BTreeSet<HostId> = [HostId(0), HostId(1)].into_iter().collect();
         let placed = e
-            .place_avoiding(8, PlacementStrategy::FirstFit, &free, &avoid)
+            .place(8, PlacementStrategy::FirstFit, &free, &avoid)
             .unwrap();
         assert!(placed.iter().all(|h| !avoid.contains(h)));
         // When only suspect capacity remains, the job still places.
         let tight: BTreeSet<HostId> = free.iter().copied().take(3).collect();
         let avoid_all: BTreeSet<HostId> = tight.clone();
         let placed = e
-            .place_avoiding(3, PlacementStrategy::FirstFit, &tight, &avoid_all)
+            .place(3, PlacementStrategy::FirstFit, &tight, &avoid_all)
             .unwrap();
         assert_eq!(placed.len(), 3);
     }
@@ -292,8 +275,8 @@ mod tests {
             PlacementStrategy::BlastRadiusSpread,
         ] {
             assert_eq!(
-                e.place(10, strat, &free).unwrap(),
-                e.place(10, strat, &free).unwrap()
+                e.place(10, strat, &free, &no_avoid()).unwrap(),
+                e.place(10, strat, &free, &no_avoid()).unwrap()
             );
         }
     }

@@ -316,3 +316,58 @@ proptest! {
         prop_assert_eq!(&a, &run(2), "2-thread pool diverged");
     }
 }
+
+/// A seeded campaign shaped like the benchmark's: Poisson arrivals of
+/// 8-24-host tenants, a hazard fault every 40 s, a fail-slow host sweeping
+/// the rack rows, Seer admission and gray-aware recovery. Seed 3 drives
+/// every controller path at once: a preemption, spare claims, gray
+/// verdicts on the avoid list and abort requeues.
+#[test]
+fn pinned_campaign_keeps_its_decisions() {
+    let t = topo();
+    let scripted: Vec<FleetFault> = (0..8)
+        .map(|i| FleetFault {
+            at_s: 10.0 + 25.0 * i as f64,
+            row: i % 8,
+            kind: FleetFaultKind::SlowHost { factor: 0.25 },
+        })
+        .collect();
+    let campaign = FleetCampaign {
+        workload: WorkloadConfig {
+            jobs: 10,
+            mean_interarrival_s: 6.0,
+            min_hosts: 8,
+            max_hosts: 24,
+            iters: (10, 20),
+            seed: 3,
+        },
+        faults: FleetFaultConfig {
+            scripted,
+            mean_interarrival_s: 40.0,
+            horizon_s: 400.0,
+            seed: 103,
+        },
+    };
+    let policy = FleetPolicy {
+        seer_admission: true,
+        recovery: RecoveryPolicy::gray_aware(),
+        ..FleetPolicy::default()
+    };
+    let report = run_campaign(&t, &policy, &campaign);
+    assert_eq!(report.preemptions, 1);
+    assert_eq!(report.spare_claims, 3);
+    assert_eq!(report.gray_avoided, 3);
+    let retried = report.jobs.iter().filter(|j| j.retries > 0).count();
+    assert_eq!(retried, 2);
+    let fp = report.fingerprint();
+    let mut digest = astral_sim::Digest::new();
+    digest.write_str(&fp);
+    assert_eq!(
+        digest.finish(),
+        PINNED_FINGERPRINT_DIGEST,
+        "campaign decisions changed: {fp}"
+    );
+}
+
+/// Digest of [`pinned_campaign_keeps_its_decisions`]'s report fingerprint.
+const PINNED_FINGERPRINT_DIGEST: u64 = 0xfa7f_e5f0_27db_0b71;

@@ -103,17 +103,23 @@ pub enum TruthCulprit {
     None,
 }
 
-/// Scenario parameters.
+/// Hosts allocated to a scenario's job (one rank on rail 0 of each).
+const SCENARIO_HOSTS: u32 = 8;
+
+/// Iterations in a scenario's observation window.
+const SCENARIO_ITERS: u32 = 5;
+
+/// AllReduce payload per iteration, bytes.
+const ALLREDUCE_BYTES: u64 = 64 << 20;
+
+/// Per-iteration computation time, seconds.
+const COMP_BASE_S: f64 = 0.5;
+
+/// Scenario parameters. The job itself is fixed: `SCENARIO_HOSTS` (8)
+/// hosts train `SCENARIO_ITERS` (5) iterations, each `COMP_BASE_S`
+/// (0.5 s) of compute and one `ALLREDUCE_BYTES` (64 MiB) AllReduce.
 #[derive(Debug, Clone, Copy)]
 pub struct ScenarioConfig {
-    /// Hosts allocated to the job (one rank on rail 0 of each).
-    pub hosts: usize,
-    /// Iterations in the observation window.
-    pub iters: u32,
-    /// AllReduce payload per iteration.
-    pub bytes: u64,
-    /// Per-iteration computation time.
-    pub comp_base_s: f64,
     /// Host index stride: 1 = contiguous (one block); larger strides spread
     /// the job across blocks/pods so paths have more hops.
     pub host_stride: u32,
@@ -124,10 +130,6 @@ pub struct ScenarioConfig {
 impl Default for ScenarioConfig {
     fn default() -> Self {
         ScenarioConfig {
-            hosts: 8,
-            iters: 5,
-            bytes: 64 << 20,
-            comp_base_s: 0.5,
             host_stride: 1,
             seed: 1,
         }
@@ -171,10 +173,11 @@ pub fn run_fault_scenario<'t>(
     let mut rng = SimRng::new(cfg.seed);
     let mut runner = CollectiveRunner::new(topo, RunnerConfig::default());
     assert!(
-        cfg.hosts * (cfg.host_stride as usize) < topo.hosts().len() + cfg.host_stride as usize,
+        SCENARIO_HOSTS as usize * (cfg.host_stride as usize)
+            < topo.hosts().len() + cfg.host_stride as usize,
         "strided job exceeds the fleet"
     );
-    let hosts: Vec<HostId> = (0..cfg.hosts as u32)
+    let hosts: Vec<HostId> = (0..SCENARIO_HOSTS)
         .map(|i| HostId(i * cfg.host_stride))
         .collect();
     let group: Vec<GpuId> = hosts
@@ -228,7 +231,7 @@ pub fn run_fault_scenario<'t>(
     // --- Run the iterations ---
     let mut iter_durations: Vec<f64> = Vec::new();
     let mut failed_at: Option<u32> = None;
-    for it in 0..cfg.iters {
+    for it in 0..SCENARIO_ITERS {
         // Mid-window hard faults land after the first healthy iteration.
         if it == 1 && fault == Fault::OpticalFiberCut {
             // Cut a fabric link on an active QP's path
@@ -261,7 +264,7 @@ pub fn run_fault_scenario<'t>(
                 truth = TruthCulprit::Link(l);
             }
         }
-        let res = runner.all_reduce_flat(&group, cfg.bytes);
+        let res = runner.all_reduce_flat(&group, ALLREDUCE_BYTES);
         iter_durations.push(res.duration.as_secs_f64());
         if res.failed_flows > 0 && failed_at.is_none() {
             failed_at = Some(it);
@@ -305,8 +308,8 @@ pub fn run_fault_scenario<'t>(
         job: Some(JobDesc {
             job: 0,
             hosts: hosts.clone(),
-            expected_iters: cfg.iters,
-            expected_iter_s: cfg.comp_base_s + healthy_comm,
+            expected_iters: SCENARIO_ITERS,
+            expected_iter_s: COMP_BASE_S + healthy_comm,
         }),
         ..Snapshot::default()
     };
@@ -347,10 +350,10 @@ pub fn run_fault_scenario<'t>(
 
     let mean_comm = iter_durations.iter().sum::<f64>() / iter_durations.len().max(1) as f64;
     for (i, &h) in hosts.iter().enumerate() {
-        let mut comp = cfg.comp_base_s * (1.0 + 0.002 * (i % 5) as f64);
+        let mut comp = COMP_BASE_S * (1.0 + 0.002 * (i % 5) as f64);
         let mut comm = mean_comm;
-        let mut iters_done = cfg.iters;
-        let mut ops_done = 1000 * cfg.iters as u64;
+        let mut iters_done = SCENARIO_ITERS;
+        let mut ops_done = 1000 * SCENARIO_ITERS as u64;
         let mut error_log = None;
         let mut health = HostHealth::healthy(h);
 

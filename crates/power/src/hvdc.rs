@@ -43,17 +43,6 @@ pub enum PowerError {
         /// Racks on the unit.
         racks: usize,
     },
-    /// A failure-domain map listed an HVDC unit with no hosts behind it.
-    EmptyDomain {
-        /// Index of the empty domain.
-        domain: usize,
-    },
-    /// A failure-domain map claimed one host for two HVDC units (a host
-    /// has exactly one power feed).
-    DuplicateHost {
-        /// The doubly-claimed host id.
-        host: u32,
-    },
 }
 
 impl std::fmt::Display for PowerError {
@@ -70,12 +59,6 @@ impl std::fmt::Display for PowerError {
             }
             PowerError::DemandMismatch { demand, racks } => {
                 write!(f, "demand vector has {demand} entries for {racks} racks")
-            }
-            PowerError::EmptyDomain { domain } => {
-                write!(f, "power domain {domain} has no hosts behind it")
-            }
-            PowerError::DuplicateHost { host } => {
-                write!(f, "host {host} is claimed by two HVDC units")
             }
         }
     }

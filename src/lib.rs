@@ -21,7 +21,7 @@
 //! | [`model`] | LLM configs, parallelism, operator graphs |
 //! | [`seer`] | forecasting, calibration, the cached what-if service |
 //! | [`monitor`] | layered telemetry, analyzer, failure injection |
-//! | [`power`] | HVDC, power traces, renewables |
+//! | [`power`] | HVDC, power traces |
 //! | [`cooling`] | airflow thermal model, PUE |
 //! | [`core`] | the orchestration facade |
 //! | [`fleet`] | multi-tenant fleet scheduler: workloads, placement, spare pool |
