@@ -7,8 +7,8 @@
 
 use astral_bench::Scenario;
 use astral_monitor::{
-    manifestation_distribution, root_cause_distribution, run_fault_scenario, Analyzer, CauseClass,
-    Culprit, Fault, RootCause, ScenarioConfig, TruthCulprit,
+    diagnose, manifestation_distribution, root_cause_distribution, run_fault_scenario, CauseClass,
+    CorrelationPrior, Fault, RootCause, ScenarioConfig,
 };
 use astral_sim::SimRng;
 use astral_topo::{build_astral, AstralParams, HostId};
@@ -78,7 +78,6 @@ fn main() {
     let mut by_manifestation: BTreeMap<String, usize> = BTreeMap::new();
     let mut localized = 0usize;
     let mut class_correct = 0usize;
-    let analyzer = Analyzer::new();
 
     for t in 0..trials {
         let cause = RootCause::sample(&mut rng);
@@ -88,28 +87,19 @@ fn main() {
             ..ScenarioConfig::default()
         };
         let outcome = run_fault_scenario(&topo, fault, &cfg);
-        sc.solver(&outcome.runner.sim().solver_counters());
-        let d = analyzer.diagnose(&outcome.snapshot, &outcome.prober);
+        sc.solver(&outcome.solver);
+        let d = diagnose(
+            &outcome.snapshot,
+            &outcome.prober,
+            &CorrelationPrior::default(),
+        );
         *by_manifestation
             .entry(d.manifestation.to_string())
             .or_insert(0) += 1;
 
         // Localization: the culprit device (or software) matches ground
         // truth, accepting a link's endpoint switch for link faults.
-        let hit = match (&d.culprit, &outcome.truth) {
-            (Culprit::Host(a), TruthCulprit::Host(b)) => a == b,
-            (Culprit::Software, TruthCulprit::Software) => true,
-            (Culprit::Link(a), TruthCulprit::Link(b)) => a == b,
-            (Culprit::Switch(s), TruthCulprit::Link(l)) => {
-                topo.link(*l).src == *s || topo.link(*l).dst == *s
-            }
-            (Culprit::Switch(a), TruthCulprit::Switch(b)) => a == b,
-            (Culprit::Link(l), TruthCulprit::Switch(s)) => {
-                topo.link(*l).src == *s || topo.link(*l).dst == *s
-            }
-            (Culprit::Host(_), TruthCulprit::Link(_)) => true, // NIC-side link
-            _ => false,
-        };
+        let hit = d.culprit.localizes(&outcome.truth, &topo);
         if hit {
             localized += 1;
         }

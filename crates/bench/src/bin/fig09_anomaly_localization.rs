@@ -7,7 +7,9 @@
 //! downstream congestion.
 
 use astral_bench::Scenario;
-use astral_monitor::{run_fault_scenario, Analyzer, Fault, IntProber, ScenarioConfig};
+use astral_monitor::{
+    diagnose, run_fault_scenario, CorrelationPrior, Fault, IntProber, ScenarioConfig,
+};
 use astral_topo::{build_astral, AstralParams, HostId};
 
 fn main() {
@@ -32,7 +34,7 @@ fn main() {
             ..ScenarioConfig::default()
         },
     );
-    sc.solver(&outcome.runner.sim().solver_counters());
+    sc.solver(&outcome.solver);
     let snap = &outcome.snapshot;
 
     // (a) NCCL timeline.
@@ -95,7 +97,7 @@ fn main() {
     }
 
     // The verdict.
-    let d = Analyzer::new().diagnose(snap, &outcome.prober);
+    let d = diagnose(snap, &outcome.prober, &CorrelationPrior::default());
     println!(
         "\nanalyzer verdict: {} / {} / {:?}",
         d.manifestation, d.cause, d.culprit

@@ -6,7 +6,9 @@
 
 use astral_bench::Scenario;
 use astral_monitor::mttlf::{analyzer_locate_time_s, manual_locate_time_s};
-use astral_monitor::{run_fault_scenario, Analyzer, Fault, Manifestation, ScenarioConfig};
+use astral_monitor::{
+    diagnose, run_fault_scenario, CorrelationPrior, Fault, Manifestation, ScenarioConfig,
+};
 use astral_topo::{build_astral, AstralParams, HostId};
 
 fn main() {
@@ -18,7 +20,7 @@ fn main() {
     );
 
     let topo = build_astral(&AstralParams::sim_small());
-    let analyzer = Analyzer::new();
+    let prior = CorrelationPrior::default();
     // The paper's bisection anecdote ran on an 8K-GPU (1K-host) job.
     let fleet_hosts = 1024usize;
 
@@ -51,8 +53,8 @@ fn main() {
     let mut results = Vec::new();
     for (label, fault, manifestation) in cases {
         let outcome = run_fault_scenario(&topo, fault, &ScenarioConfig::default());
-        sc.solver(&outcome.runner.sim().solver_counters());
-        let d = analyzer.diagnose(&outcome.snapshot, &outcome.prober);
+        sc.solver(&outcome.solver);
+        let d = diagnose(&outcome.snapshot, &outcome.prober, &prior);
         assert_eq!(d.manifestation, manifestation, "{label} misclassified");
         let t_manual = manual_locate_time_s(manifestation, fleet_hosts);
         let t_auto = analyzer_locate_time_s(&d);

@@ -10,7 +10,8 @@
 //!   content-addressed cache) and warm (second pass: pure cache hits).
 //! * **Cache hit rate** and the full hit/miss/evict counter set of both
 //!   the forecast cache and the operator memo.
-//! * **Warm-over-cold speedup**, hard-gated at ≥5×.
+//! * **Warm-over-cold speedup**, hard-gated at ≥5× on the median of five
+//!   fresh cold/warm pairs.
 //!
 //! Hard determinism gates: answers fingerprint byte-identically at pool
 //! widths 1, 2 and 8; every distinct query's cached answer is bitwise
@@ -33,6 +34,8 @@ use std::time::Instant;
 const QUERIES: usize = 2048;
 /// Batch size the stream is served in (matches an interactive burst).
 const BATCH: usize = 256;
+/// Fresh cold/warm pass pairs the headline timings take the median of.
+const HEADLINE_PAIRS: usize = 5;
 
 /// A small-but-real calibration: constant sub-unity efficiency curves plus
 /// per-scope comm entries, so pricing exercises the full calibrated path
@@ -184,24 +187,37 @@ fn main() {
     }
 
     // Headline passes: cold (fresh service) then warm (same service, same
-    // stream — pure hits).
-    let mut svc = SeerService::new(baseline());
-    let (fp_cold, wall_cold) = serve(&mut svc, &pool, &queries);
-    let cold_stats = svc.stats();
-    let (fp_warm, wall_warm) = serve(&mut svc, &pool, &queries);
-    let warm_stats = svc.stats();
-    assert_eq!(
-        fp_cold, fp_warm,
-        "warm pass answers diverged from the cold pass"
-    );
-    assert_eq!(
-        fp_cold, fp_by_width[0],
-        "headline pass diverged from the width gate"
-    );
-    assert_eq!(
-        warm_stats.forecast_misses, cold_stats.forecast_misses,
-        "the warm pass must price nothing new"
-    );
+    // stream — pure hits), repeated on `HEADLINE_PAIRS` fresh services.
+    // The timings come from the pair with the median warm-over-cold
+    // speedup, so one descheduled pass on a shared machine cannot decide
+    // the gate below on its own.
+    let mut timed = Vec::with_capacity(HEADLINE_PAIRS);
+    let mut cold_stats = None;
+    for _ in 0..HEADLINE_PAIRS {
+        let mut svc = SeerService::new(baseline());
+        let (fp_cold, wall_cold) = serve(&mut svc, &pool, &queries);
+        let cold = svc.stats();
+        let (fp_warm, wall_warm) = serve(&mut svc, &pool, &queries);
+        let warm = svc.stats();
+        assert_eq!(
+            fp_cold, fp_warm,
+            "warm pass answers diverged from the cold pass"
+        );
+        assert_eq!(
+            fp_cold, fp_by_width[0],
+            "headline pass diverged from the width gate"
+        );
+        assert_eq!(
+            warm.forecast_misses, cold.forecast_misses,
+            "the warm pass must price nothing new"
+        );
+        timed.push((wall_cold, wall_warm));
+        cold_stats.get_or_insert(cold);
+    }
+    let (fp_cold, cold_stats) = (fp_by_width[0], cold_stats.expect("one pair at least"));
+    let speedup_of = |&(cold, warm): &(f64, f64)| cold / warm.max(1e-12);
+    timed.sort_by(|a, b| speedup_of(a).total_cmp(&speedup_of(b)));
+    let (wall_cold, wall_warm) = timed[HEADLINE_PAIRS / 2];
 
     let qps_cold = queries.len() as f64 / wall_cold.max(1e-12);
     let qps_warm = queries.len() as f64 / wall_warm.max(1e-12);

@@ -4,7 +4,9 @@
 use crate::placement::{place_job, PlacementPolicy};
 use astral_cooling::FacilityConfig;
 use astral_model::{build_training_iteration, ModelConfig, ParallelismConfig};
-use astral_monitor::{run_fault_scenario, Analyzer, Diagnosis, Fault, ScenarioConfig};
+use astral_monitor::{
+    diagnose, run_fault_scenario, CorrelationPrior, Diagnosis, Fault, ScenarioConfig,
+};
 use astral_seer::{Calibration, GpuSpec, NetworkSpec, Seer, SeerConfig, Testbed};
 use astral_topo::{build_astral, AstralParams, AstralScale, GpuId, Topology};
 
@@ -108,7 +110,8 @@ impl AstralInfrastructure {
     /// analyzer — the end-to-end §3 pipeline.
     pub fn diagnose_fault(&self, fault: Fault, cfg: &ScenarioConfig) -> Diagnosis {
         let outcome = run_fault_scenario(&self.topo, fault, cfg);
-        Analyzer::new().diagnose(&outcome.snapshot, &outcome.prober)
+        let prior = CorrelationPrior::default();
+        diagnose(&outcome.snapshot, &outcome.prober, &prior)
     }
 }
 

@@ -47,9 +47,6 @@ pub fn place_job(topo: &Topology, gpus: u32, policy: PlacementPolicy) -> Vec<Gpu
             let mut by_pod: Vec<Vec<usize>> = Vec::new();
             for (i, h) in topo.hosts().iter().enumerate() {
                 let key = (h.dc.0 as usize) << 16 | h.pod as usize;
-                if by_pod.len() <= key % pods as usize || by_pod.is_empty() {
-                    // allocate buckets lazily below instead
-                }
                 let bucket = key % pods as usize;
                 while by_pod.len() <= bucket {
                     by_pod.push(Vec::new());

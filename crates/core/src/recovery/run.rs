@@ -5,7 +5,7 @@ use super::{
     trace_codes, AbortReason, Engine, FaultClass, Incident, MitigationAction, RecoveryReport,
 };
 use crate::cascade::CascadeReport;
-use astral_monitor::{Analyzer, CauseClass, HostHealth, JobDesc, RankProgress, Snapshot};
+use astral_monitor::{diagnose, CauseClass, HostHealth, JobDesc, RankProgress, Snapshot};
 use astral_net::{FlowEvent, QpId};
 use astral_topo::HostId;
 use astral_trace::TraceKind;
@@ -248,14 +248,14 @@ impl Engine<'_> {
     /// The DCIM attend path, on a healthy-looking iteration with substrate
     /// stress pending (throttled or power-capped racks whose multipliers
     /// stay under the network detector's 2× threshold): snapshot the job,
-    /// let the [`Analyzer`] name the originating substrate, and apply the
+    /// let [`diagnose`] name the originating substrate, and apply the
     /// policy's mitigation.
     fn substrate_attend(&mut self, it: u32) {
         if !self.substrate.stress_pending() {
             return;
         }
         let snap = self.build_snapshot(it);
-        let diag = Analyzer::new().diagnose_with_prior(&snap, self.runner.sim(), &self.prior);
+        let diag = diagnose(&snap, self.runner.sim(), &self.prior);
         let (cause, queries) = (trace_codes::cause(diag.cause), diag.queries as u64);
         let sim = self.runner.sim_mut();
         sim.trace_record(TraceKind::SubstrateDiagnosis, cause, it, 0, queries, 0);

@@ -14,15 +14,22 @@
 //!   trigger INT hop-by-hop probes; the congested hop's switch counters
 //!   (PFC pauses) and the drain host's PCIe state separate hardware drain
 //!   bottlenecks from plain ECMP congestion.
+//!
+//! [`diagnose`] runs the layers as steps of one [`DrillDown`]: each step
+//! appends its evidence and query count and either names a
+//! `(cause, culprit)` finding or hands over to the next, and the one
+//! finding becomes the [`Diagnosis`] in [`DrillDown::verdict`].
 
 use crate::correlate::CorrelationPrior;
 use crate::snapshot::{IntProber, Snapshot};
 use crate::taxonomy::{CauseClass, Manifestation};
+use astral_net::QpId;
 use astral_sim::Summary;
-use astral_topo::{HostId, LinkId, NodeId};
+use astral_topo::{HostId, LinkId, NodeId, Topology};
 use serde::{Deserialize, Serialize};
 
-/// What the analyzer pinned the fault on.
+/// What the analyzer pinned the fault on — and, for an injected scenario,
+/// where the fault really was.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Culprit {
     /// A specific host (or its GPU/NIC/PCIe).
@@ -33,8 +40,29 @@ pub enum Culprit {
     Switch(NodeId),
     /// Software — no single device.
     Software,
-    /// Could not be localized.
+    /// Could not be localized (as ground truth: nothing was injected).
     Unknown,
+}
+
+impl Culprit {
+    /// Does this verdict localize the fault whose ground truth is `truth`?
+    /// The device (or software) must match, except that a link and either
+    /// of its endpoint switches localize each other, and a host localizes a
+    /// link fault (the NIC side of the link). Nothing localizes `Unknown`.
+    pub fn localizes(&self, truth: &Culprit, topo: &Topology) -> bool {
+        let touches = |l: LinkId, s: NodeId| topo.link(l).src == s || topo.link(l).dst == s;
+        match (*self, *truth) {
+            (Culprit::Host(a), Culprit::Host(b)) => a == b,
+            (Culprit::Software, Culprit::Software) => true,
+            (Culprit::Link(a), Culprit::Link(b)) => a == b,
+            (Culprit::Switch(a), Culprit::Switch(b)) => a == b,
+            (Culprit::Switch(s), Culprit::Link(l)) | (Culprit::Link(l), Culprit::Switch(s)) => {
+                touches(l, s)
+            }
+            (Culprit::Host(_), Culprit::Link(_)) => true,
+            _ => false,
+        }
+    }
 }
 
 /// The analyzer's verdict.
@@ -76,236 +104,103 @@ const POWER_CAP_ALARM_FRAC: f64 = 0.995;
 /// second fail on the same link makes the evidence recurrent.
 pub const FLAP_EDGES_MIN: u32 = 3;
 
-/// The hierarchical correlation analyzer.
-#[derive(Debug, Clone, Default)]
-pub struct Analyzer;
+/// A step's conclusion: the cause family and where it sits.
+type Finding = (CauseClass, Culprit);
 
-impl Analyzer {
-    /// The analyzer (its thresholds are the module's constants).
-    pub fn new() -> Self {
-        Analyzer
-    }
+/// A drill-down step that may conclude or hand over to the next one.
+type Step<'s> = fn(&mut DrillDown<'s>) -> Option<Finding>;
 
-    /// Run the full hierarchical correlation over one snapshot.
-    pub fn diagnose(&self, snap: &Snapshot, prober: &dyn IntProber) -> Diagnosis {
-        self.diagnose_inner(snap, prober, false)
-    }
+/// Run the full hierarchical correlation over one snapshot.
+///
+/// The mined `prior` orders the substrate and errCQE steps. When it says
+/// substrate onsets are independent of comm faults, substrate telemetry is
+/// consulted *before* errCQE evidence — errCQE counters are cumulative, so
+/// a link fault early in a run would otherwise shadow every later
+/// cooling/power cascade as `NicOrLink`. Callers with nothing mined pass
+/// `&CorrelationPrior::default()`, which keeps errCQE evidence first.
+pub fn diagnose(snap: &Snapshot, prober: &dyn IntProber, prior: &CorrelationPrior) -> Diagnosis {
+    let mut dd = DrillDown::start(snap);
+    let (comm_outliers, focus) = dd.compare_hosts();
+    let pair: [Step<'_>; 2] = if prior.suggests_substrate_first() {
+        [DrillDown::substrate, DrillDown::err_cqe]
+    } else {
+        [DrillDown::err_cqe, DrillDown::substrate]
+    };
+    let (cause, culprit) = pair
+        .into_iter()
+        .find_map(|step| step(&mut dd))
+        .or_else(|| dd.slow_qps(prober, &comm_outliers))
+        .unwrap_or_else(|| dd.compute(&focus));
+    dd.verdict(cause, culprit)
+}
 
-    /// [`Analyzer::diagnose`] with a mined [`CorrelationPrior`] ordering
-    /// the drill-down. When the prior says substrate onsets are
-    /// independent of comm faults, substrate telemetry is consulted
-    /// *before* errCQE evidence — errCQE counters are cumulative, so a
-    /// link fault early in a run would otherwise shadow every later
-    /// cooling/power cascade as `NicOrLink`. An inert (default) prior
-    /// reproduces [`Analyzer::diagnose`] byte for byte.
-    pub fn diagnose_with_prior(
-        &self,
-        snap: &Snapshot,
-        prober: &dyn IntProber,
-        prior: &CorrelationPrior,
-    ) -> Diagnosis {
-        self.diagnose_inner(snap, prober, prior.suggests_substrate_first())
-    }
+/// One drill-down in progress: the manifestation found at the application
+/// layer, the evidence trail so far and the telemetry queries issued.
+struct DrillDown<'s> {
+    snap: &'s Snapshot,
+    manifestation: Manifestation,
+    evidence: Vec<String>,
+    queries: u32,
+}
 
-    fn diagnose_inner(
-        &self,
-        snap: &Snapshot,
-        prober: &dyn IntProber,
-        substrate_first: bool,
-    ) -> Diagnosis {
-        let mut evidence = Vec::new();
-        let mut queries = 0u32;
-
-        // ---- Step 1: application layer — manifestation ----
-        queries += snap.ranks.len() as u32;
-        let manifestation = self.detect_manifestation(snap, &mut evidence);
-
-        // ---- Step 2: cross-host horizontal comparison ----
-        let comp_outliers = outliers(
-            snap.ranks.iter().map(|r| (r.host, r.comp_time_s)),
-            OUTLIER_Z,
-        );
-        let comm_outliers = outliers(
-            snap.ranks.iter().map(|r| (r.host, r.comm_time_s)),
-            OUTLIER_Z,
-        );
-        let progress_laggards = outliers(
-            snap.ranks.iter().map(|r| (r.host, -(r.ops_done as f64))),
-            OUTLIER_Z,
-        );
-        queries += 3;
-
-        // The mined prior reorders the next two branches: when substrate
-        // onsets were observed independent of comm faults, the (cheap,
-        // per-host) substrate telemetry check runs before the errCQE
-        // branch, so stale cumulative comm errors cannot shadow a live
-        // cooling/power cascade.
-        if substrate_first {
-            queries += snap.health.len() as u32;
-            if let Some(d) = self.branch_substrate(snap, manifestation, &mut evidence, &mut queries)
-            {
-                return d;
-            }
-            if !snap.err_cqe.is_empty() {
-                return self.branch_comm_errcqe(snap, manifestation, evidence, queries);
-            }
-        } else {
-            // Communication evidence takes priority when present: errCQEs
-            // and slow QPs point at the network even when the app-layer
-            // symptom is a hang or stop.
-            if !snap.err_cqe.is_empty() {
-                return self.branch_comm_errcqe(snap, manifestation, evidence, queries);
-            }
-
-            // ---- Substrate drill-down: correlated power/cooling evidence ----
-            // A substrate cascade manifests as stragglers on *every* host
-            // of one rack row; horizontal comparison alone would blame
-            // "software" (many hosts anomalous at once) or the straggler
-            // itself. The physical layer disambiguates: shared thermal or
-            // power-cap telemetry names the originating substrate, not the
-            // symptom.
-            queries += snap.health.len() as u32;
-            if let Some(d) = self.branch_substrate(snap, manifestation, &mut evidence, &mut queries)
-            {
-                return d;
-            }
-        }
-
-        let slow_qps: Vec<_> = snap
-            .qp_rate_frac
-            .iter()
-            .filter(|&(_, &f)| f < SLOW_QP_FRAC)
-            .map(|(&qp, &f)| (qp, f))
-            .collect();
-        queries += 1;
-        if !slow_qps.is_empty()
-            && (manifestation == Manifestation::FailSlow || !comm_outliers.is_empty())
-        {
-            return self.branch_comm_slow(snap, prober, manifestation, slow_qps, evidence, queries);
-        }
-
-        // ---- Branch #1: computation anomalies ----
-        let focus: Vec<HostId> = if !comp_outliers.is_empty() {
-            comp_outliers
-        } else {
-            progress_laggards
-        };
-        match focus.as_slice() {
-            [single] => {
-                evidence.push(format!(
-                    "app layer: host {single} deviates from the fleet; descending to its physical logs"
-                ));
-                queries += 1;
-                if let Some(h) = snap.health_of(*single) {
-                    if let Some(xid) = h.gpu_xid {
-                        evidence.push(format!("physical layer: fatal GPU Xid {xid} on {single}"));
-                        return Diagnosis {
-                            manifestation,
-                            cause: CauseClass::GpuHardware,
-                            culprit: Culprit::Host(*single),
-                            evidence,
-                            queries,
-                        };
-                    }
-                    if h.ecc_errors > 0 {
-                        evidence.push(format!(
-                            "physical layer: {} ECC errors on {single}",
-                            h.ecc_errors
-                        ));
-                        return Diagnosis {
-                            manifestation,
-                            cause: CauseClass::GpuHardware,
-                            culprit: Culprit::Host(*single),
-                            evidence,
-                            queries,
-                        };
-                    }
-                    if !h.env_ok {
-                        evidence.push(format!(
-                            "physical layer: environment check failed on {single}"
-                        ));
-                        return Diagnosis {
-                            manifestation,
-                            cause: CauseClass::HostEnvironment,
-                            culprit: Culprit::Host(*single),
-                            evidence,
-                            queries,
-                        };
-                    }
-                }
-                evidence.push("physical layer: no fatal log matched; isolating host".into());
-                Diagnosis {
-                    manifestation,
-                    cause: CauseClass::Unknown,
-                    culprit: Culprit::Host(*single),
-                    evidence,
-                    queries,
-                }
-            }
-            [] => {
-                // No outlier: if the job is globally broken with error logs,
-                // check env on every host; otherwise unknown.
-                if let Some(h) = snap.health.iter().find(|h| !h.env_ok) {
-                    evidence.push(format!(
-                        "physical layer: environment check failed on {}",
-                        h.host
-                    ));
-                    queries += snap.health.len() as u32;
-                    return Diagnosis {
-                        manifestation,
-                        cause: CauseClass::HostEnvironment,
-                        culprit: Culprit::Host(h.host),
-                        evidence,
-                        queries,
-                    };
-                }
-                evidence.push("no outlier host and no device-level log matched".into());
-                Diagnosis {
-                    manifestation,
-                    cause: CauseClass::Unknown,
-                    culprit: Culprit::Unknown,
-                    evidence,
-                    queries,
-                }
-            }
-            many => {
-                evidence.push(format!(
-                    "app layer: {} hosts anomalous simultaneously — software/user code suspected; raising alarm",
-                    many.len()
-                ));
-                Diagnosis {
-                    manifestation,
-                    cause: CauseClass::SoftwareOrUserCode,
-                    culprit: Culprit::Software,
-                    evidence,
-                    queries,
-                }
-            }
+impl<'s> DrillDown<'s> {
+    /// Step 1, the application layer: one progress query per rank, and the
+    /// manifestation they show.
+    fn start(snap: &'s Snapshot) -> Self {
+        let (manifestation, line) = manifestation(snap);
+        DrillDown {
+            snap,
+            manifestation,
+            evidence: vec![line],
+            queries: snap.ranks.len() as u32,
         }
     }
 
-    /// The power/cooling drill-down: when hosts carry substrate telemetry
-    /// (elevated inlets / thermal throttle / power caps), the diagnosis is
-    /// the substrate itself. Cooling wins over power when both fire on the
-    /// same window with more hosts affected (a pump fault heats the whole
-    /// row; a grid sag caps the whole row — ties go to the hotter signal,
-    /// thermal throttle, because caps are often *consequences* of thermal
+    fn note(&mut self, line: impl Into<String>) {
+        self.evidence.push(line.into());
+    }
+
+    /// The drill-down's one verdict.
+    fn verdict(self, cause: CauseClass, culprit: Culprit) -> Diagnosis {
+        Diagnosis {
+            manifestation: self.manifestation,
+            cause,
+            culprit,
+            evidence: self.evidence,
+            queries: self.queries,
+        }
+    }
+
+    /// Step 2, cross-host horizontal comparison: the hosts whose comm time
+    /// stands out, and the computation focus — hosts whose compute time
+    /// stands out, else those whose progress lags.
+    fn compare_hosts(&mut self) -> (Vec<HostId>, Vec<HostId>) {
+        let ranks = &self.snap.ranks;
+        let comp = outliers(ranks.iter().map(|r| (r.host, r.comp_time_s)));
+        let comm = outliers(ranks.iter().map(|r| (r.host, r.comm_time_s)));
+        let laggards = outliers(ranks.iter().map(|r| (r.host, -(r.ops_done as f64))));
+        self.queries += 3;
+        (comm, if comp.is_empty() { laggards } else { comp })
+    }
+
+    /// The power/cooling drill-down. A substrate cascade manifests as
+    /// stragglers on *every* host of one rack row; horizontal comparison
+    /// alone would blame "software" (many hosts anomalous at once) or the
+    /// straggler itself. Shared thermal or power-cap telemetry names the
+    /// originating substrate instead. Cooling wins over power when it
+    /// affects at least as many hosts (a pump fault heats the whole row; a
+    /// grid sag caps the whole row — ties go to the hotter signal, thermal
+    /// throttle, because caps are often *consequences* of thermal
     /// mitigation elsewhere).
-    fn branch_substrate(
-        &self,
-        snap: &Snapshot,
-        manifestation: Manifestation,
-        evidence: &mut Vec<String>,
-        queries: &mut u32,
-    ) -> Option<Diagnosis> {
-        let mut hot: Vec<(HostId, f64)> = snap
-            .health
+    fn substrate(&mut self) -> Option<Finding> {
+        let health = &self.snap.health;
+        self.queries += health.len() as u32;
+        let mut hot: Vec<(HostId, f64)> = health
             .iter()
             .filter(|h| h.thermal_throttle || h.inlet_temp_c > INLET_ALARM_C)
             .map(|h| (h.host, h.inlet_temp_c))
             .collect();
-        let mut capped: Vec<(HostId, f64)> = snap
-            .health
+        let mut capped: Vec<(HostId, f64)> = health
             .iter()
             .filter(|h| h.power_cap_frac < POWER_CAP_ALARM_FRAC)
             .map(|h| (h.host, h.power_cap_frac))
@@ -313,234 +208,146 @@ impl Analyzer {
         if hot.is_empty() && capped.is_empty() {
             return None;
         }
-        *queries += 1;
-        if hot.len() >= capped.len() && !hot.is_empty() {
+        self.queries += 1;
+        if hot.len() >= capped.len() {
             hot.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
             let (hottest, temp) = hot[0];
-            evidence.push(format!(
+            self.note(format!(
                 "physical layer: {} host(s) with inlet above {:.0} °C or thermal throttle engaged \
                  (hottest {hottest} at {temp:.1} °C) — shared cooling substrate, \
                  not per-host compute",
                 hot.len(),
                 INLET_ALARM_C,
             ));
-            return Some(Diagnosis {
-                manifestation,
-                cause: CauseClass::Cooling,
-                culprit: Culprit::Host(hottest),
-                evidence: std::mem::take(evidence),
-                queries: *queries,
-            });
+            return Some((CauseClass::Cooling, Culprit::Host(hottest)));
         }
         capped.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
         let (deepest, cap) = capped[0];
-        evidence.push(format!(
+        self.note(format!(
             "physical layer: {} host(s) power-capped (deepest {deepest} at {:.0}% of nominal) — \
              HVDC row supply-limited past its battery ride-through",
             capped.len(),
             cap * 100.0,
         ));
-        Some(Diagnosis {
-            manifestation,
-            cause: CauseClass::PowerDelivery,
-            culprit: Culprit::Host(deepest),
-            evidence: std::mem::take(evidence),
-            queries: *queries,
-        })
+        Some((CauseClass::PowerDelivery, Culprit::Host(deepest)))
     }
 
-    fn detect_manifestation(&self, snap: &Snapshot, evidence: &mut Vec<String>) -> Manifestation {
-        let errored = snap.ranks.iter().filter(|r| r.error_log.is_some()).count();
-        let max_iters = snap.ranks.iter().map(|r| r.iters_done).max().unwrap_or(0);
-        let min_iters = snap.ranks.iter().map(|r| r.iters_done).min().unwrap_or(0);
-        let expected = snap.job.as_ref().map(|j| j.expected_iters).unwrap_or(0);
-        let expected_t = snap.job.as_ref().map(|j| j.expected_iter_s).unwrap_or(0.0);
-
-        if errored > 0 && max_iters == 0 {
-            evidence.push("app layer: error logs with zero completed iterations".into());
-            return Manifestation::FailOnStart;
+    /// Branch #2a, errCQE events: resolve the failed QPs to their sFlow
+    /// paths, then consult the flap counters and the paths' overlap.
+    fn err_cqe(&mut self) -> Option<Finding> {
+        let snap = self.snap;
+        if snap.err_cqe.is_empty() {
+            return None;
         }
-        if errored > 0 {
-            evidence.push(format!("app layer: {errored} ranks logged fatal errors"));
-            return Manifestation::FailStop;
-        }
-        if expected > 0 && min_iters < expected {
-            evidence.push(format!(
-                "app layer: progress stagnant at iteration {min_iters}/{expected} with no error logs"
-            ));
-            return Manifestation::FailHang;
-        }
-        let mean_iter = snap
-            .ranks
-            .iter()
-            .map(|r| r.comp_time_s + r.comm_time_s)
-            .fold(0.0f64, f64::max);
-        if expected_t > 0.0 && mean_iter > expected_t * SLOW_ITER_FACTOR {
-            evidence.push(format!(
-                "app layer: iteration {mean_iter:.3}s exceeds Seer expectation {expected_t:.3}s"
-            ));
-            return Manifestation::FailSlow;
-        }
-        evidence.push("app layer: progress within Seer thresholds".into());
-        Manifestation::FailSlow
-    }
-
-    /// Branch #2a: errCQE events — localization via path overlap.
-    fn branch_comm_errcqe(
-        &self,
-        snap: &Snapshot,
-        manifestation: Manifestation,
-        mut evidence: Vec<String>,
-        mut queries: u32,
-    ) -> Diagnosis {
-        evidence.push(format!(
+        self.note(format!(
             "transport layer: {} errCQE events; resolving QPs to paths",
             snap.err_cqe.len()
         ));
-        queries += snap.err_cqe.len() as u32;
-
-        // Collect the sFlow path of every failed QP.
-        let mut paths: Vec<&Vec<NodeId>> = Vec::new();
-        for e in &snap.err_cqe {
-            if let Some(p) = snap.sflow.get(&e.qp) {
-                paths.push(p);
-            }
-        }
-        queries += paths.len() as u32;
-
+        self.queries += snap.err_cqe.len() as u32;
+        let paths: Vec<&[NodeId]> = snap
+            .err_cqe
+            .iter()
+            .filter_map(|e| snap.sflow.get(&e.qp))
+            .map(Vec::as_slice)
+            .collect();
+        self.queries += paths.len() as u32;
         if paths.is_empty() {
-            evidence.push("network layer: no path records for failed QPs".into());
-            return Diagnosis {
-                manifestation,
-                cause: CauseClass::NicOrLink,
-                culprit: Culprit::Unknown,
-                evidence,
-                queries,
-            };
+            self.note("network layer: no path records for failed QPs");
+            return Some((CauseClass::NicOrLink, Culprit::Unknown));
         }
+        self.queries += 1;
+        let culprit = match self.flapping_link() {
+            Some(link) => Culprit::Link(link),
+            None => self.failure_point(&paths),
+        };
+        Some((CauseClass::NicOrLink, culprit))
+    }
 
-        // Physical layer first: the link flap counters. Recurrent up/down
-        // transitions on one link (≥ 3 edges: a fail + restore is only 2)
-        // separate a *flapping* link from a one-off transient or a clean
-        // fiber cut — the recurrence is the evidence, so the flapped link
-        // itself is the culprit, not the overlap switch.
-        queries += 1;
-        let mut flapped: Vec<(LinkId, u32)> = snap
+    /// Physical layer first: recurrent up/down transitions on one link
+    /// (≥ 3 edges: a fail + restore is only 2) separate a *flapping* link
+    /// from a one-off transient or a clean fiber cut — the recurrence is
+    /// the evidence, so the flapped link itself is the culprit, not the
+    /// overlap switch.
+    fn flapping_link(&mut self) -> Option<LinkId> {
+        let (link, edges) = self
+            .snap
             .link_flaps
             .iter()
             .filter(|&(_, &edges)| edges >= FLAP_EDGES_MIN)
             .map(|(&l, &edges)| (l, edges))
-            .collect();
-        flapped.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        if let Some(&(link, edges)) = flapped.first() {
-            evidence.push(format!(
-                "physical layer: link {link} recorded {edges} up/down transitions — \
-                 recurrent flapping, not a one-off transient"
-            ));
-            return Diagnosis {
-                manifestation,
-                cause: CauseClass::NicOrLink,
-                culprit: Culprit::Link(link),
-                evidence,
-                queries,
-            };
-        }
+            .min_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)))?;
+        self.note(format!(
+            "physical layer: link {link} recorded {edges} up/down transitions — \
+             recurrent flapping, not a one-off transient"
+        ));
+        Some(link)
+    }
 
-        // Path overlap: intersect the *interior* nodes (switches).
-        let mut common: Vec<NodeId> = paths[0][1..paths[0].len() - 1].to_vec();
+    /// Where the failed paths meet: a switch interior to all of them, else
+    /// the host behind an endpoint NIC they all share, else the host behind
+    /// the first path's source NIC.
+    fn failure_point(&mut self, paths: &[&[NodeId]]) -> Culprit {
+        let interior = |p: &[NodeId]| p[1..p.len() - 1].to_vec();
+        let mut common = interior(paths[0]);
         for p in &paths[1..] {
-            let interior: std::collections::HashSet<NodeId> =
-                p[1..p.len() - 1].iter().copied().collect();
-            common.retain(|n| interior.contains(n));
+            let nodes: std::collections::HashSet<NodeId> = interior(p).into_iter().collect();
+            common.retain(|n| nodes.contains(n));
         }
-
-        // Also check the shared endpoint case (all failures touch one NIC).
-        let first_src = paths[0].first().copied();
-        let first_dst = paths[0].last().copied();
-        let all_same_src = paths.iter().all(|p| p.first().copied() == first_src);
-        let all_same_dst = paths.iter().all(|p| p.last().copied() == first_dst);
-
         if !common.is_empty() && paths.len() > 1 {
             let node = common[0];
-            evidence.push(format!(
+            self.note(format!(
                 "network layer: {} failed paths overlap at {node}; flap counter consulted",
                 paths.len()
             ));
-            queries += 1;
-            return Diagnosis {
-                manifestation,
-                cause: CauseClass::NicOrLink,
-                culprit: Culprit::Switch(node),
-                evidence,
-                queries,
-            };
+            self.queries += 1;
+            return Culprit::Switch(node);
         }
-        if all_same_src || all_same_dst {
-            let nic = if all_same_dst { first_dst } else { first_src }.expect("non-empty path");
-            // The registry maps the NIC back to its host.
-            let host = snap
-                .qp_registry
-                .iter()
-                .find(|r| r.src_nic == nic || r.dst_nic == nic)
-                .and_then(|r| {
-                    if r.src_nic == nic {
-                        r.ctx.src_gpu
-                    } else {
-                        r.ctx.dst_gpu
-                    }
-                });
-            evidence.push(format!(
-                "network layer: all failed paths share endpoint {nic} — NIC or its links"
-            ));
-            let culprit = host
-                .map(|_g| Culprit::Host(endpoint_host(snap, nic).unwrap_or(HostId(0))))
-                .or_else(|| endpoint_host(snap, nic).map(Culprit::Host))
-                .unwrap_or(Culprit::Unknown);
-            return Diagnosis {
-                manifestation,
-                cause: CauseClass::NicOrLink,
-                culprit,
-                evidence,
-                queries,
-            };
-        }
-        // Single failed path: blame its first fabric link (the NIC uplink).
-        evidence.push("network layer: single failed path; NIC uplink suspected".into());
-        Diagnosis {
-            manifestation,
-            cause: CauseClass::NicOrLink,
-            culprit: endpoint_host(snap, paths[0][0])
-                .map(Culprit::Host)
-                .unwrap_or(Culprit::Unknown),
-            evidence,
-            queries,
-        }
+        let (src, dst) = (paths[0][0], paths[0][paths[0].len() - 1]);
+        let nic = if paths.iter().all(|p| p[p.len() - 1] == dst) {
+            dst
+        } else if paths.iter().all(|p| p[0] == src) {
+            src
+        } else {
+            self.note("network layer: single failed path; NIC uplink suspected");
+            return endpoint_host(self.snap, src).map_or(Culprit::Unknown, Culprit::Host);
+        };
+        self.note(format!(
+            "network layer: all failed paths share endpoint {nic} — NIC or its links"
+        ));
+        endpoint_host(self.snap, nic).map_or(Culprit::Unknown, Culprit::Host)
     }
 
-    /// Branch #2b: slow QPs — INT drill-down to the congested hop, then the
-    /// switch's PFC counters and the drain host's PCIe state.
-    fn branch_comm_slow(
-        &self,
-        snap: &Snapshot,
-        prober: &dyn IntProber,
-        manifestation: Manifestation,
-        slow_qps: Vec<(astral_net::QpId, f64)>,
-        mut evidence: Vec<String>,
-        mut queries: u32,
-    ) -> Diagnosis {
-        evidence.push(format!(
+    /// Branch #2b, slow QPs: when some QP runs below `SLOW_QP_FRAC` of its
+    /// port and the job is slow or some host's comm time stands out, INT
+    /// probes walk the four slowest paths hop by hop to the congested hop.
+    fn slow_qps(&mut self, prober: &dyn IntProber, comm_outliers: &[HostId]) -> Option<Finding> {
+        let snap = self.snap;
+        let mut slow: Vec<(QpId, f64)> = snap
+            .qp_rate_frac
+            .iter()
+            .filter(|&(_, &f)| f < SLOW_QP_FRAC)
+            .map(|(&qp, &f)| (qp, f))
+            .collect();
+        self.queries += 1;
+        let slow_job = self.manifestation == Manifestation::FailSlow || !comm_outliers.is_empty();
+        if slow.is_empty() || !slow_job {
+            return None;
+        }
+        self.note(format!(
             "transport layer: {} QPs below {:.0}% of link rate",
-            slow_qps.len(),
+            slow.len(),
             SLOW_QP_FRAC * 100.0
         ));
-
-        // Probe the slowest QP's path hop by hop.
-        let mut slowest = slow_qps.clone();
-        slowest.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite fractions"));
-        for (qp, frac) in slowest.into_iter().take(4) {
+        // QP ids break ties, so which tied QP is probed first does not
+        // follow `HashMap` order.
+        slow.sort_by(|a, b| {
+            let frac = a.1.partial_cmp(&b.1).expect("finite fractions");
+            frac.then(a.0.cmp(&b.0))
+        });
+        for (qp, frac) in slow.into_iter().take(4) {
             let Some(rec) = snap.qp(qp) else { continue };
             let probe = prober.probe(rec.src_nic, rec.dst_nic, rec.tuple.src_port);
-            queries += 1;
+            self.queries += 1;
             let Some(worst) = probe.hops.iter().max_by_key(|h| h.delay) else {
                 continue;
             };
@@ -548,7 +355,7 @@ impl Analyzer {
             if worst_us < HOP_DELAY_THRESHOLD_US {
                 continue;
             }
-            evidence.push(format!(
+            self.note(format!(
                 "network layer: INT on {} ({:.0}% rate) shows {:.0}µs at hop {} (link {})",
                 rec.tuple,
                 frac * 100.0,
@@ -556,67 +363,147 @@ impl Analyzer {
                 worst.node,
                 worst.link
             ));
+            return Some(self.congested_hop(worst.link));
+        }
+        self.note("INT probes found no congested hop");
+        Some((CauseClass::Unknown, Culprit::Unknown))
+    }
 
-            // Physical layer: PFC counters at and below the congested hop.
-            queries += 1;
-            let pfc_here = snap.link_pfc.get(&worst.link).copied().unwrap_or(0);
-            let pfc_anywhere: u64 = snap.link_pfc.values().sum();
-            if pfc_here > 0 || pfc_anywhere > 0 {
-                evidence.push(format!(
-                    "physical layer: PFC pause counters elevated ({} ns total)",
-                    pfc_anywhere
-                ));
-                // Is a drain host's PCIe degraded? That is the §5 incident.
-                queries += snap.health.len() as u32;
-                if let Some(h) = snap.health.iter().find(|h| h.pcie_degraded) {
-                    evidence.push(format!(
-                        "physical layer: PCIe trained below rated width on {} — drain bottleneck triggering PFC storm",
-                        h.host
-                    ));
-                    return Diagnosis {
-                        manifestation,
-                        cause: CauseClass::PcieBottleneck,
-                        culprit: Culprit::Host(h.host),
-                        evidence,
-                        queries,
-                    };
-                }
-                evidence
-                    .push("no degraded host found; pauses attributed to fabric-side fault".into());
-                return Diagnosis {
-                    manifestation,
-                    cause: CauseClass::SwitchOrFabric,
-                    culprit: Culprit::Link(worst.link),
-                    evidence,
-                    queries,
-                };
-            }
-            // No PFC: persistent ECMP congestion; recommend sport
-            // reassignment (the paper's global routing optimization).
-            evidence.push(
-                "physical layer: no PFC; persistent ECMP congestion — reassigning UDP source ports"
-                    .into(),
+    /// The physical layer under a congested hop: PFC pauses with a
+    /// PCIe-degraded drain host are the §5 incident; pauses without one are
+    /// a fabric-side fault; no pauses at all is persistent ECMP congestion
+    /// (the paper's fix: reassign UDP source ports).
+    fn congested_hop(&mut self, link: LinkId) -> Finding {
+        let snap = self.snap;
+        self.queries += 1;
+        let pfc: u64 = snap.link_pfc.values().sum();
+        if pfc == 0 {
+            self.note(
+                "physical layer: no PFC; persistent ECMP congestion — reassigning UDP source ports",
             );
-            return Diagnosis {
-                manifestation,
-                cause: CauseClass::Congestion,
-                culprit: Culprit::Link(worst.link),
-                evidence,
-                queries,
-            };
+            return (CauseClass::Congestion, Culprit::Link(link));
         }
-        evidence.push("INT probes found no congested hop".into());
-        Diagnosis {
-            manifestation,
-            cause: CauseClass::Unknown,
-            culprit: Culprit::Unknown,
-            evidence,
-            queries,
+        self.note(format!(
+            "physical layer: PFC pause counters elevated ({pfc} ns total)"
+        ));
+        self.queries += snap.health.len() as u32;
+        if let Some(h) = snap.health.iter().find(|h| h.pcie_degraded) {
+            self.note(format!(
+                "physical layer: PCIe trained below rated width on {} — drain bottleneck triggering PFC storm",
+                h.host
+            ));
+            return (CauseClass::PcieBottleneck, Culprit::Host(h.host));
         }
+        self.note("no degraded host found; pauses attributed to fabric-side fault");
+        (CauseClass::SwitchOrFabric, Culprit::Link(link))
+    }
+
+    /// Branch #1, computation anomalies: one focus host is correlated with
+    /// its physical logs; several at once point at software.
+    fn compute(&mut self, focus: &[HostId]) -> Finding {
+        match *focus {
+            [host] => self.single_host(host),
+            [] => self.no_outlier(),
+            ref many => {
+                self.note(format!(
+                    "app layer: {} hosts anomalous simultaneously — software/user code suspected; raising alarm",
+                    many.len()
+                ));
+                (CauseClass::SoftwareOrUserCode, Culprit::Software)
+            }
+        }
+    }
+
+    fn single_host(&mut self, host: HostId) -> Finding {
+        self.note(format!(
+            "app layer: host {host} deviates from the fleet; descending to its physical logs"
+        ));
+        self.queries += 1;
+        let log = self.snap.health_of(host).and_then(|h| {
+            if let Some(xid) = h.gpu_xid {
+                Some((
+                    CauseClass::GpuHardware,
+                    format!("physical layer: fatal GPU Xid {xid} on {host}"),
+                ))
+            } else if h.ecc_errors > 0 {
+                Some((
+                    CauseClass::GpuHardware,
+                    format!("physical layer: {} ECC errors on {host}", h.ecc_errors),
+                ))
+            } else if !h.env_ok {
+                Some((
+                    CauseClass::HostEnvironment,
+                    format!("physical layer: environment check failed on {host}"),
+                ))
+            } else {
+                None
+            }
+        });
+        let (cause, line) = log.unwrap_or_else(|| {
+            let line = "physical layer: no fatal log matched; isolating host";
+            (CauseClass::Unknown, line.to_string())
+        });
+        self.note(line);
+        (cause, Culprit::Host(host))
+    }
+
+    /// No outlier host: a globally broken job may still show a failed
+    /// environment check on some host; otherwise nothing is localized.
+    fn no_outlier(&mut self) -> Finding {
+        let health = &self.snap.health;
+        if let Some(h) = health.iter().find(|h| !h.env_ok) {
+            self.note(format!(
+                "physical layer: environment check failed on {}",
+                h.host
+            ));
+            self.queries += health.len() as u32;
+            return (CauseClass::HostEnvironment, Culprit::Host(h.host));
+        }
+        self.note("no outlier host and no device-level log matched");
+        (CauseClass::Unknown, Culprit::Unknown)
     }
 }
 
-/// Host owning a NIC endpoint, resolved through the QP registry contexts.
+/// The application-layer manifestation of a snapshot, with its evidence.
+fn manifestation(snap: &Snapshot) -> (Manifestation, String) {
+    let errored = snap.ranks.iter().filter(|r| r.error_log.is_some()).count();
+    let max_iters = snap.ranks.iter().map(|r| r.iters_done).max().unwrap_or(0);
+    let min_iters = snap.ranks.iter().map(|r| r.iters_done).min().unwrap_or(0);
+    let expected = snap.job.as_ref().map(|j| j.expected_iters).unwrap_or(0);
+    let expected_t = snap.job.as_ref().map(|j| j.expected_iter_s).unwrap_or(0.0);
+
+    if errored > 0 && max_iters == 0 {
+        let line = "app layer: error logs with zero completed iterations";
+        return (Manifestation::FailOnStart, line.into());
+    }
+    if errored > 0 {
+        let line = format!("app layer: {errored} ranks logged fatal errors");
+        return (Manifestation::FailStop, line);
+    }
+    if expected > 0 && min_iters < expected {
+        let line = format!(
+            "app layer: progress stagnant at iteration {min_iters}/{expected} with no error logs"
+        );
+        return (Manifestation::FailHang, line);
+    }
+    let slowest_iter = snap
+        .ranks
+        .iter()
+        .map(|r| r.comp_time_s + r.comm_time_s)
+        .fold(0.0f64, f64::max);
+    if expected_t > 0.0 && slowest_iter > expected_t * SLOW_ITER_FACTOR {
+        let line = format!(
+            "app layer: iteration {slowest_iter:.3}s exceeds Seer expectation {expected_t:.3}s"
+        );
+        return (Manifestation::FailSlow, line);
+    }
+    let line = "app layer: progress within Seer thresholds";
+    (Manifestation::FailSlow, line.into())
+}
+
+/// The host owning a NIC endpoint: the first QP registry record with a
+/// GPU behind that NIC, resolved to the rank on that GPU. `None` when no
+/// record names a GPU there or no rank runs on it.
 fn endpoint_host(snap: &Snapshot, nic: NodeId) -> Option<HostId> {
     for r in &snap.qp_registry {
         if r.src_nic == nic {
@@ -634,8 +521,8 @@ fn endpoint_host(snap: &Snapshot, nic: NodeId) -> Option<HostId> {
 }
 
 /// Robust per-host outlier detection: hosts whose mean metric deviates by
-/// more than `z` robust z-scores from the fleet.
-fn outliers<I: Iterator<Item = (HostId, f64)>>(samples: I, z: f64) -> Vec<HostId> {
+/// more than `OUTLIER_Z` robust z-scores from the fleet.
+fn outliers<I: Iterator<Item = (HostId, f64)>>(samples: I) -> Vec<HostId> {
     let mut per_host: std::collections::HashMap<HostId, (f64, u32)> =
         std::collections::HashMap::new();
     for (h, v) in samples {
@@ -656,7 +543,7 @@ fn outliers<I: Iterator<Item = (HostId, f64)>>(samples: I, z: f64) -> Vec<HostId
         .into_iter()
         .filter(|&(_, v)| {
             if mad > f64::EPSILON {
-                summary.robust_zscore(v).is_some_and(|s| s > z)
+                summary.robust_zscore(v).is_some_and(|s| s > OUTLIER_Z)
             } else {
                 // Degenerate fleet (all identical): any host that moved by
                 // a large relative margin is the outlier.
@@ -673,8 +560,12 @@ fn outliers<I: Iterator<Item = (HostId, f64)>>(samples: I, z: f64) -> Vec<HostId
 mod tests {
     use super::*;
     use crate::snapshot::{CannedProber, HostHealth, JobDesc, RankProgress};
-    use astral_net::{FiveTuple, QpContext, QpId, QpRecord};
+    use astral_net::{FiveTuple, QpContext, QpRecord};
     use astral_topo::GpuId;
+
+    fn run(snap: &Snapshot) -> Diagnosis {
+        diagnose(snap, &CannedProber::default(), &CorrelationPrior::default())
+    }
 
     fn base_snapshot(hosts: u32) -> Snapshot {
         let mut s = Snapshot {
@@ -704,7 +595,7 @@ mod tests {
     #[test]
     fn healthy_job_yields_no_culprit() {
         let snap = base_snapshot(16);
-        let d = Analyzer::new().diagnose(&snap, &CannedProber::default());
+        let d = run(&snap);
         assert_eq!(d.culprit, Culprit::Unknown);
     }
 
@@ -713,7 +604,7 @@ mod tests {
         let mut snap = base_snapshot(16);
         snap.ranks[5].comp_time_s = 4.0;
         snap.health[5].gpu_xid = Some(79);
-        let d = Analyzer::new().diagnose(&snap, &CannedProber::default());
+        let d = run(&snap);
         assert_eq!(d.cause, CauseClass::GpuHardware);
         assert_eq!(d.culprit, Culprit::Host(HostId(5)));
         assert!(d.evidence.iter().any(|e| e.contains("Xid 79")));
@@ -725,7 +616,7 @@ mod tests {
         for i in [1usize, 4, 9, 12] {
             snap.ranks[i].comp_time_s = 5.0;
         }
-        let d = Analyzer::new().diagnose(&snap, &CannedProber::default());
+        let d = run(&snap);
         assert_eq!(d.cause, CauseClass::SoftwareOrUserCode);
         assert_eq!(d.culprit, Culprit::Software);
     }
@@ -736,7 +627,7 @@ mod tests {
         for r in &mut snap.ranks {
             r.iters_done = 3;
         }
-        let d = Analyzer::new().diagnose(&snap, &CannedProber::default());
+        let d = run(&snap);
         assert_eq!(d.manifestation, Manifestation::FailHang);
     }
 
@@ -767,10 +658,44 @@ mod tests {
             snap.sflow
                 .insert(qp, vec![src, NodeId(50 + i as u32), NodeId(100), dst]);
         }
-        let d = Analyzer::new().diagnose(&snap, &CannedProber::default());
+        let d = run(&snap);
         assert_eq!(d.manifestation, Manifestation::FailStop);
         assert_eq!(d.cause, CauseClass::NicOrLink);
         assert_eq!(d.culprit, Culprit::Switch(NodeId(100)));
+    }
+
+    #[test]
+    fn shared_endpoint_without_a_rank_is_not_pinned_on_host_zero() {
+        let mut snap = base_snapshot(8);
+        for r in &mut snap.ranks {
+            r.error_log = Some("NCCL remote error".into());
+        }
+        // Two failed QPs into NIC n2 over disjoint interiors; the registry
+        // names GPU 99 behind that NIC, and no rank runs there.
+        for (i, src) in [NodeId(1), NodeId(3)].into_iter().enumerate() {
+            let qp = QpId(i as u64 + 1);
+            snap.qp_registry.push(QpRecord {
+                qp,
+                tuple: FiveTuple::roce(10, 20, 50_000),
+                src_nic: src,
+                dst_nic: NodeId(2),
+                ctx: QpContext::for_job(0, 0, GpuId(4 * i as u32), GpuId(99)),
+            });
+            snap.err_cqe.push(astral_net::ErrCqe {
+                time: astral_sim::SimTime::from_millis(5),
+                qp,
+                tuple: FiveTuple::roce(10, 20, 50_000),
+            });
+            snap.sflow
+                .insert(qp, vec![src, NodeId(50 + i as u32), NodeId(2)]);
+        }
+        let d = run(&snap);
+        assert_eq!(d.cause, CauseClass::NicOrLink);
+        assert!(d.evidence.iter().any(|e| e.contains("share endpoint n2")));
+        assert_eq!(d.culprit, Culprit::Unknown);
+        // With a rank on that GPU the endpoint resolves to the rank's host.
+        snap.ranks[5].gpu = GpuId(99);
+        assert_eq!(run(&snap).culprit, Culprit::Host(HostId(5)));
     }
 
     #[test]
@@ -796,11 +721,11 @@ mod tests {
             .insert(qp, vec![NodeId(1), NodeId(100), NodeId(2)]);
         // A fail + restore is 2 edges — below the flap threshold.
         snap.link_flaps.insert(LinkId(7), 2);
-        let d = Analyzer::new().diagnose(&snap, &CannedProber::default());
+        let d = run(&snap);
         assert_ne!(d.culprit, Culprit::Link(LinkId(7)));
         // Three cycles = 6 edges: recurrent, the link itself is blamed.
         snap.link_flaps.insert(LinkId(7), 6);
-        let d = Analyzer::new().diagnose(&snap, &CannedProber::default());
+        let d = run(&snap);
         assert_eq!(d.cause, CauseClass::NicOrLink);
         assert_eq!(d.culprit, Culprit::Link(LinkId(7)));
         assert!(d.evidence.iter().any(|e| e.contains("recurrent flapping")));
@@ -817,7 +742,7 @@ mod tests {
             snap.health[i].inlet_temp_c = 38.0 + i as f64;
             snap.health[i].thermal_throttle = true;
         }
-        let d = Analyzer::new().diagnose(&snap, &CannedProber::default());
+        let d = run(&snap);
         assert_eq!(d.cause, CauseClass::Cooling);
         assert_eq!(d.culprit, Culprit::Host(HostId(7)), "hottest inlet wins");
         assert!(d.evidence.iter().any(|e| e.contains("cooling substrate")));
@@ -830,7 +755,7 @@ mod tests {
             snap.ranks[i].comp_time_s = 1.6;
             snap.health[i].power_cap_frac = 0.7 - 0.01 * (i % 4) as f64;
         }
-        let d = Analyzer::new().diagnose(&snap, &CannedProber::default());
+        let d = run(&snap);
         assert_eq!(d.cause, CauseClass::PowerDelivery);
         assert_eq!(d.culprit, Culprit::Host(HostId(3)), "deepest cap wins");
         assert!(d.evidence.iter().any(|e| e.contains("ride-through")));
@@ -844,7 +769,7 @@ mod tests {
             snap.health[i].thermal_throttle = true;
         }
         snap.health[10].power_cap_frac = 0.5;
-        let d = Analyzer::new().diagnose(&snap, &CannedProber::default());
+        let d = run(&snap);
         assert_eq!(d.cause, CauseClass::Cooling, "6 hot hosts > 1 capped host");
     }
 }

@@ -1,7 +1,7 @@
 //! Correlation mining over structured traces: pairwise co-occurrence of
 //! anomaly signals (flow aborts, link faults, substrate onsets) across
 //! sliding time windows, distilled into a [`CorrelationPrior`] the
-//! [`crate::Analyzer`] uses to order its drill-down.
+//! [`crate::diagnose`] uses to order its drill-down.
 //!
 //! The problem the prior solves is a real mis-ranking in the baseline
 //! analyzer: errCQE telemetry is cumulative, so a link fault early in a

@@ -7,10 +7,11 @@
 //! manifestation down to its root cause.
 //!
 //! * [`Snapshot`] — one observation window of all four monitoring layers.
-//! * [`Analyzer`] — the §3.3 algorithm: manifestation detection,
-//!   threshold-agnostic cross-host comparison, Branch #1 (computation →
-//!   physical logs) and Branch #2 (communication → QP → path overlap /
-//!   INT hop delays → switch counters).
+//! * [`diagnose`] — the §3.3 algorithm as one drill-down: manifestation
+//!   detection, threshold-agnostic cross-host comparison, Branch #1
+//!   (computation → physical logs) and Branch #2 (communication → QP →
+//!   path overlap / INT hop delays → switch counters), ending in one
+//!   [`Diagnosis`] whose [`Culprit`] says where the fault sits.
 //! * [`OnlineDetector`] — incremental per-iteration anomaly detection,
 //!   the entry point the closed-loop recovery engine polls mid-training.
 //! * [`GrayDetector`] — suspicion-scored classification of partial and
@@ -21,8 +22,12 @@
 //!   distilled into the [`CorrelationPrior`] that orders the analyzer's
 //!   drill-down (substrate-first when substrate onsets are independent
 //!   of comm faults).
-//! * [`run_fault_scenario`] — failure injection campaigns over the
-//!   flow-level simulator, standing in for production incidents.
+//! * [`run_fault_scenario`] — failure injection over the flow-level
+//!   simulator, standing in for production incidents: one step per phase
+//!   (fabric faults, the training window with mid-window link faults, the
+//!   INT probe window, the snapshot harvest, per-rank symptoms), with the
+//!   ground truth as a [`Culprit`] that [`Culprit::localizes`] scores a
+//!   verdict against.
 //! * [`mttlf`] — the Figure 10 time-to-locate model (manual bisection vs
 //!   analyzer drill-down), priced by the paper-calibrated `MANUAL_*` and
 //!   `ANALYZER_*` constants.
@@ -45,11 +50,11 @@ mod scenario;
 mod snapshot;
 mod taxonomy;
 
-pub use analyzer::{Analyzer, Culprit, Diagnosis, FLAP_EDGES_MIN};
+pub use analyzer::{diagnose, Culprit, Diagnosis, FLAP_EDGES_MIN};
 pub use correlate::{CorrelationMatrix, CorrelationMiner, CorrelationPrior, Signal, SIGNALS};
 pub use gray::{GrayDetector, GrayEdge, GrayEvent, GrayPattern, GraySample, GrayVerdict};
 pub use online::{OnlineAlarm, OnlineDetector};
-pub use scenario::{run_fault_scenario, Fault, ScenarioConfig, ScenarioOutcome, TruthCulprit};
+pub use scenario::{run_fault_scenario, Fault, ScenarioConfig, ScenarioOutcome};
 pub use snapshot::{CannedProber, HostHealth, IntProber, JobDesc, RankProgress, Snapshot};
 pub use taxonomy::{
     manifestation_distribution, root_cause_distribution, CauseClass, Manifestation, RootCause,

@@ -1,7 +1,7 @@
 //! Online (in-training) anomaly detection: the incremental entry point the
 //! failure-lifecycle engine calls once per iteration.
 //!
-//! The offline [`crate::Analyzer`] digests a whole observation window; a
+//! The offline [`crate::diagnose`] digests a whole observation window; a
 //! recovery controller cannot wait for one. [`OnlineDetector`] keeps a
 //! rolling baseline of healthy iteration durations and raises an alarm the
 //! moment an iteration either (a) reports flow aborts (errCQE — a

@@ -19,7 +19,7 @@
 use astral::core::{
     try_run_training, FaultScript, InjectedFault, MitigationAction, RecoveryPolicy, TrainingJobSpec,
 };
-use astral::monitor::{run_fault_scenario, Analyzer, Fault, ScenarioConfig};
+use astral::monitor::{diagnose, run_fault_scenario, CorrelationPrior, Fault, ScenarioConfig};
 use astral::topo::{build_astral, AstralParams, HostId};
 
 fn main() {
@@ -66,13 +66,14 @@ fn main() {
 
     println!("\n--- (c/d) PFC pause counters (top links) ---");
     let mut pfc: Vec<_> = snap.link_pfc.iter().collect();
-    pfc.sort_by_key(|&(_, ns)| std::cmp::Reverse(*ns));
+    // Link ids break ties, so the listing does not follow `HashMap` order.
+    pfc.sort_by_key(|&(l, ns)| (std::cmp::Reverse(*ns), *l));
     for (l, ns) in pfc.iter().take(4) {
         println!("  link {l}: {:.3} ms of pause", **ns as f64 / 1e6);
     }
 
     println!("\n=== hierarchical analyzer ===\n");
-    let diagnosis = Analyzer::new().diagnose(snap, &outcome.prober);
+    let diagnosis = diagnose(snap, &outcome.prober, &CorrelationPrior::default());
     println!("manifestation : {}", diagnosis.manifestation);
     println!("cause         : {}", diagnosis.cause);
     println!("culprit       : {:?}", diagnosis.culprit);

@@ -3,7 +3,7 @@
 
 use astral::core::{AstralInfrastructure, PlacementPolicy};
 use astral::model::{DpSync, GroupKind, ModelConfig, ParallelismConfig};
-use astral::monitor::{Analyzer, Fault, ScenarioConfig};
+use astral::monitor::{Fault, ScenarioConfig};
 use astral::seer::{GpuSpec, NetworkSpec, Seer, SeerConfig};
 use astral::topo::{build_astral, AstralParams, HostId};
 
@@ -264,8 +264,9 @@ fn controller_drains_persistent_collisions() {
 /// The analyzer never panics on an arbitrary (empty/degenerate) snapshot.
 #[test]
 fn analyzer_is_total_on_degenerate_input() {
-    use astral::monitor::{CannedProber, Snapshot};
-    let d = Analyzer::new().diagnose(&Snapshot::default(), &CannedProber::default());
+    use astral::monitor::{diagnose, CannedProber, CorrelationPrior, Snapshot};
+    let prior = CorrelationPrior::default();
+    let d = diagnose(&Snapshot::default(), &CannedProber::default(), &prior);
     assert_eq!(d.culprit, astral::monitor::Culprit::Unknown);
 }
 
