@@ -1,118 +1,145 @@
 //! # astral-bench — the figure/table regeneration harness
 //!
-//! One binary per figure and table of the paper's evaluation. Each binary
-//! drives a [`Scenario`]: it prints the same human-readable tables and
-//! `paper vs measured` footer the harness always emitted, *and* writes a
-//! machine-readable `BENCH_<id>.json` report next to it — claim, measured
-//! series, scalar metrics, wall-clock, and the rate-solver work counters —
-//! so CI can diff reproduction quality run over run. Run them all with:
+//! Every figure and table of the paper's evaluation is a function in
+//! [`FIGURES`]. Each drives a [`Scenario`]: it prints the human-readable
+//! tables and `paper vs measured` footer and returns a machine-readable
+//! [`Report`] — claim, measured series, scalar metrics, wall-clock, and
+//! the rate-solver work counters — so CI can diff reproduction quality
+//! run over run. The `astral-bench` binary runs one figure, several, or
+//! all of them, writing `BENCH_<id>.json` for each:
 //!
 //! ```sh
-//! for f in fig02_alltoall_fragmentation fig03_architecture_scale \
-//!          fig04_hvdc_power fig05_cooling_airflow fig06_pue_evolution \
-//!          fig07_anomaly_taxonomy fig09_anomaly_localization \
-//!          fig10_goodput_recovery fig10_mttlf fig12_seer_accuracy \
-//!          fig13_crossdc_efficiency fig14_intrahost_scale \
-//!          fig15_power_iterations fig16_power_tidal \
-//!          fig17_ecmp_reassignment fig18_crossdc_pp_oversub \
-//!          fig19_scaling_efficiency fig_cascade_ablation \
-//!          fig_gray_failure fig_trace_correlation fig_fleet_campaign \
-//!          ablation_hash_salt ablation_rail_design \
-//!          appa_ecmp_rationale appc_monitor_overhead \
-//!          table1_llama3_operators perf_parallel_campaigns \
-//!          perf_frontier perf_seer_qps; do
-//!   cargo run --release -p astral-bench --bin $f ;
-//! done
+//! cargo run --release -p astral-bench                  # every figure
+//! cargo run --release -p astral-bench -- fig02 fig10_goodput
+//! cargo run --release -p astral-bench -- validate bench-reports
+//! cargo run --release -p astral-bench -- compare bench-reports bench-baselines
 //! ```
 //!
 //! Reports land in `$ASTRAL_BENCH_DIR` (default: the working directory).
 //! Scenarios that record `astral-trace` timelines additionally dump them
 //! as JSON-lines under `$ASTRAL_TRACE_DIR` when it is set (see
 //! [`dump_trace_artifact`]) — CI uploads those on failure so a diverging
-//! run can be diagnosed record by record.
-//! `validate_bench` checks every emitted report for the required schema
-//! and that its id is a known one, lists the canonical smoke/determinism
-//! binaries (`--list-smoke`, `--list-determinism`), and gates metric
-//! regressions against committed baselines (`--compare`);
-//! `perf_frontier` records the pod-grouped-vs-joint frontier speedup at
-//! 8K–512K GPUs, `perf_parallel_campaigns` records the serial-vs-parallel
-//! campaign-battery speedup, and `perf_seer_qps` records the what-if
-//! service's query throughput, cache hit rate, and warm-over-cold
-//! speedup — each together with the byte-identical determinism check
-//! (`ASTRAL_THREADS` sets the width).
-//! The end-to-end and per-layer performance benchmark is the separate
-//! `perfbench` package at the repository root.
+//! run can be diagnosed record by record. `validate` checks every report
+//! for the required schema and a known id ([`validate`]); `compare` gates
+//! metric regressions against committed baselines ([`compare_reports`]),
+//! the same check `tests/figures.rs` applies in-process to every fast
+//! figure under debug assertions. `perf_frontier` records the
+//! pod-grouped-vs-joint frontier speedup at 8K–512K GPUs and
+//! `perf_seer_qps` the what-if service's query throughput, cache hit rate
+//! and warm-over-cold speedup; with `appc`'s trace-overhead budget they
+//! are the three figures carrying wall-clock gates. Sweeping figures fan
+//! out on the `ASTRAL_THREADS`-sized pool and emit byte-identical reports
+//! at any width. The end-to-end and per-layer performance benchmark is
+//! the separate `perfbench` package at the repository root.
+
+#![warn(clippy::too_many_lines)]
 
 use astral_net::SolverCounters;
 use serde::{Serialize, Value};
 use std::path::PathBuf;
 use std::time::Instant;
 
-/// The canonical bench-smoke binary list, in execution order — the single
-/// source of truth both CI jobs consume via `validate_bench --list-smoke`
-/// (hand-maintained copies in the workflow file drifted before; now the
-/// workflow asks the binary).
-pub const SMOKE_BINS: [&str; 14] = [
-    "fig02_alltoall_fragmentation",
-    "fig07_anomaly_taxonomy",
-    "fig09_anomaly_localization",
-    "fig10_mttlf",
-    "fig10_goodput_recovery",
-    "fig_cascade_ablation",
-    "fig_gray_failure",
-    "fig_trace_correlation",
-    "perf_parallel_campaigns",
-    "fig_fleet_campaign",
-    "perf_frontier",
-    "fig12_seer_accuracy",
-    "perf_seer_qps",
-    // Last: carries the <2% trace-recording wall-clock gate, which wants
-    // a machine no longer paying first-run page-cache costs.
-    "appc_monitor_overhead",
-];
-
-/// The subset of [`SMOKE_BINS`] the CI parallel-determinism gate re-runs
-/// at 1 vs 2 threads (`validate_bench --list-determinism`): every binary
-/// whose scenario sweeps on the pool, so a width-dependent divergence
-/// would show up as a report diff.
-pub const DETERMINISM_BINS: [&str; 8] = [
-    "fig10_goodput_recovery",
-    "fig_cascade_ablation",
-    "fig_gray_failure",
-    "fig_trace_correlation",
-    "perf_parallel_campaigns",
-    "fig_fleet_campaign",
-    "fig12_seer_accuracy",
-    "perf_seer_qps",
-];
-
-/// The Figure-10 job: 30 iterations of 1 s compute, hit by one transient
-/// mid-fabric flap, one optical dual-ToR outage and one hard host death.
-/// `fig10_goodput_recovery` sweeps recovery policies over it and
-/// `appc_monitor_overhead` times it traced and untraced.
-pub fn fig10_job() -> (astral_core::TrainingJobSpec, astral_core::FaultScript) {
-    use astral_core::InjectedFault;
-    let spec = astral_core::TrainingJobSpec {
-        iters: 30,
-        comp_s: 1.0,
-        ..Default::default()
-    };
-    let faults = vec![
-        InjectedFault::TransientLink {
-            at_iter: 3,
-            heal_after: astral_sim::SimDuration::from_millis(30),
-        },
-        InjectedFault::OpticalUplink {
-            at_iter: 12,
-            host_index: 5,
-        },
-        InjectedFault::HostFailure {
-            at_iter: 21,
-            host_index: 2,
-        },
-    ];
-    (spec, astral_core::FaultScript { faults })
+mod check;
+mod figures {
+    pub(crate) mod ablation_hash_salt;
+    pub(crate) mod ablation_rail_design;
+    pub(crate) mod appa;
+    pub(crate) mod appc;
+    pub(crate) mod cascade_ablation;
+    pub(crate) mod fig02;
+    pub(crate) mod fig03;
+    pub(crate) mod fig04;
+    pub(crate) mod fig05;
+    pub(crate) mod fig06;
+    pub(crate) mod fig07;
+    pub(crate) mod fig09;
+    pub(crate) mod fig10_goodput;
+    pub(crate) mod fig10_mttlf;
+    pub(crate) mod fig12;
+    pub(crate) mod fig13;
+    pub(crate) mod fig14;
+    pub(crate) mod fig15;
+    pub(crate) mod fig16;
+    pub(crate) mod fig17;
+    pub(crate) mod fig18;
+    pub(crate) mod fig19;
+    pub(crate) mod fig_gray_failure;
+    pub(crate) mod fig_trace_correlation;
+    pub(crate) mod fleet_campaign;
+    pub(crate) mod perf_frontier;
+    pub(crate) mod perf_seer_qps;
+    pub(crate) mod table1;
 }
+
+pub use check::{compare_reports, validate};
+
+/// One figure or table of the evaluation: its report id, the function
+/// that reproduces it, and whether the in-process test runs it.
+#[derive(Debug, Clone, Copy)]
+pub struct Figure {
+    /// Report id: names `BENCH_<id>.json` and is what `astral-bench <id>`
+    /// runs.
+    pub id: &'static str,
+    /// Runs the scenario, printing its tables and footer, and returns the
+    /// report without writing it.
+    pub run: fn() -> Report,
+    /// False for the figures with wall-clock gates, which want a release
+    /// build on a quiet machine; the in-process test runs every other one.
+    pub fast: bool,
+}
+
+const fn fast(id: &'static str, run: fn() -> Report) -> Figure {
+    Figure {
+        id,
+        run,
+        fast: true,
+    }
+}
+
+const fn timed(id: &'static str, run: fn() -> Report) -> Figure {
+    Figure {
+        id,
+        run,
+        fast: false,
+    }
+}
+
+/// Every figure the harness reproduces, in the order `astral-bench` runs
+/// them. `appc` is last: its <2% trace-recording gate wants a machine no
+/// longer paying first-run page-cache costs.
+pub const FIGURES: [Figure; 28] = {
+    use figures::*;
+    [
+        fast("fig02", fig02::run),
+        fast("fig03", fig03::run),
+        fast("fig04", fig04::run),
+        fast("fig05", fig05::run),
+        fast("fig06", fig06::run),
+        fast("fig07", fig07::run),
+        fast("fig09", fig09::run),
+        fast("fig10_goodput", fig10_goodput::run),
+        fast("fig10_mttlf", fig10_mttlf::run),
+        fast("fig12", fig12::run),
+        fast("fig13", fig13::run),
+        fast("fig14", fig14::run),
+        fast("fig15", fig15::run),
+        fast("fig16", fig16::run),
+        fast("fig17", fig17::run),
+        fast("fig18", fig18::run),
+        fast("fig19", fig19::run),
+        fast("cascade_ablation", cascade_ablation::run),
+        fast("fig_gray_failure", fig_gray_failure::run),
+        fast("fig_trace_correlation", fig_trace_correlation::run),
+        fast("fleet_campaign", fleet_campaign::run),
+        fast("ablation_hash_salt", ablation_hash_salt::run),
+        fast("ablation_rail_design", ablation_rail_design::run),
+        fast("appa", appa::run),
+        fast("table1", table1::run),
+        timed("perf_frontier", perf_frontier::run),
+        timed("perf_seer_qps", perf_seer_qps::run),
+        timed("appc", appc::run),
+    ]
+};
 
 /// Dump a recorded trace as JSON-lines under
 /// `$ASTRAL_TRACE_DIR/<name>.trace.jsonl`, for CI to upload as a
@@ -166,7 +193,7 @@ pub struct Report {
 }
 
 impl Report {
-    /// Field names every report must carry — shared with `validate_bench`.
+    /// Field names every report must carry.
     pub const REQUIRED_FIELDS: [&'static str; 8] = [
         "id",
         "title",
@@ -176,42 +203,6 @@ impl Report {
         "metrics",
         "paper_vs_measured",
         "solver",
-    ];
-
-    /// Every report id the harness can emit — `validate_bench` rejects
-    /// reports whose id is not on this list (a typo'd or stale id would
-    /// otherwise silently pass schema validation). Keep in sync with the
-    /// `Scenario::new` call of each bin.
-    pub const KNOWN_IDS: [&'static str; 29] = [
-        "ablation_hash_salt",
-        "ablation_rail_design",
-        "appa",
-        "appc",
-        "cascade_ablation",
-        "fig02",
-        "fig03",
-        "fig04",
-        "fig05",
-        "fig06",
-        "fig07",
-        "fig09",
-        "fig10_goodput",
-        "fig10_mttlf",
-        "fig12",
-        "fig13",
-        "fig14",
-        "fig15",
-        "fig16",
-        "fig17",
-        "fig18",
-        "fig19",
-        "fig_gray_failure",
-        "fig_trace_correlation",
-        "fleet_campaign",
-        "perf_frontier",
-        "perf_parallel_campaigns",
-        "perf_seer_qps",
-        "table1",
     ];
 
     /// The report as a JSON value (string-keyed maps throughout).
@@ -260,7 +251,7 @@ impl Report {
 
 /// One figure/table reproduction in flight: prints the banner on creation,
 /// accumulates measured data, and on [`finish`](Scenario::finish) prints
-/// the classic footer and emits the JSON report.
+/// the classic footer and returns the [`Report`].
 pub struct Scenario {
     report: Report,
     started: Instant,
@@ -346,10 +337,9 @@ impl Scenario {
         &self.report
     }
 
-    /// Print the paper-vs-measured footer, stamp the wall clock, write
-    /// `BENCH_<id>.json`, and return the report (for tests / callers that
-    /// post-process). A report that cannot be written ends the process
-    /// with status 1: a bench run that leaves no report has failed.
+    /// Print the paper-vs-measured footer, stamp the wall clock, and
+    /// return the report. Writing it is the caller's job (see
+    /// [`Report::write`]).
     pub fn finish(mut self, rows: &[(&str, String)]) -> Report {
         println!("\n--- paper vs reproduction ---");
         for (k, v) in rows {
@@ -359,16 +349,6 @@ impl Scenario {
                 .push((k.to_string(), v.clone()));
         }
         self.report.wall_clock_secs = self.started.elapsed().as_secs_f64();
-        match self.report.write() {
-            Ok(path) => println!("\nreport: {}", path.display()),
-            Err(e) => {
-                eprintln!(
-                    "error: could not write {}: {e}",
-                    self.report.path().display()
-                );
-                std::process::exit(1);
-            }
-        }
         self.report
     }
 }
@@ -425,43 +405,6 @@ mod tests {
             .find(|(k, _)| k.as_str() == Some("id"))
             .map(|(_, v)| v.clone());
         assert_eq!(id, Some(Value::Str("rt".into())));
-    }
-
-    #[test]
-    fn determinism_bins_are_a_subset_of_the_smoke_list() {
-        for bin in DETERMINISM_BINS {
-            assert!(
-                SMOKE_BINS.contains(&bin),
-                "determinism bin `{bin}` is not in SMOKE_BINS — the CI \
-                 determinism gate would re-run a binary the smoke job \
-                 never built"
-            );
-        }
-    }
-
-    #[test]
-    fn every_smoke_bin_has_a_source_file() {
-        let bins = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin");
-        for bin in SMOKE_BINS {
-            assert!(
-                bins.join(format!("{bin}.rs")).is_file(),
-                "smoke bin `{bin}` has no src/bin/{bin}.rs — CI would try \
-                 to run a binary that no longer exists"
-            );
-        }
-    }
-
-    #[test]
-    fn known_ids_are_sorted_and_unique() {
-        for w in Report::KNOWN_IDS.windows(2) {
-            assert!(
-                w[0] < w[1],
-                "KNOWN_IDS out of order or duplicated at `{}` / `{}`",
-                w[0],
-                w[1]
-            );
-        }
-        assert!(Report::KNOWN_IDS.contains(&"fig_trace_correlation"));
     }
 
     #[test]

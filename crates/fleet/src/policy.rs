@@ -1,5 +1,5 @@
 //! Fleet scheduling policy: the placement × spare-pool × preemption axis
-//! the `fig_fleet_campaign` sweep explores, with typed validation
+//! the `fleet_campaign` sweep explores, with typed validation
 //! mirroring [`RecoveryPolicy::validate`].
 
 use astral_core::{PolicyError, RecoveryPolicy};

@@ -1,6 +1,6 @@
 //! Campaign outcome accounting: per-tenant outcomes plus the cluster-level
 //! goodput / queueing / fairness / stranded-capacity metrics the
-//! `fig_fleet_campaign` bench reports.
+//! `fleet_campaign` bench reports.
 
 use astral_core::AbortReason;
 

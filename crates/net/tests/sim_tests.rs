@@ -76,6 +76,32 @@ fn two_flows_on_one_port_share_fairly() {
 }
 
 #[test]
+fn stale_completion_notices_do_not_advance_the_clock() {
+    // When the 100 MB flow finishes, the 400 MB flow speeds up and its
+    // earlier completion notice goes stale. Dropping that notice must not
+    // move the clock past the last real event.
+    let topo = fixture();
+    let mut sim = NetworkSim::new(&topo, NetConfig::default());
+    let src = topo.gpu_nic(GpuId(0));
+    let qp1 = sim.register_qp(src, topo.gpu_nic(GpuId(32)), 50_000, QpContext::anonymous());
+    let qp2 = sim.register_qp(src, topo.gpu_nic(GpuId(36)), 50_000, QpContext::anonymous());
+    let stats = sim.run_flows(&[
+        FlowSpec {
+            qp: qp1,
+            bytes: 100_000_000,
+            weight: 1.0,
+        },
+        FlowSpec {
+            qp: qp2,
+            bytes: 400_000_000,
+            weight: 1.0,
+        },
+    ]);
+    let last = stats.iter().map(|s| s.finish.expect("done")).max();
+    assert_eq!(Some(sim.now()), last);
+}
+
+#[test]
 fn incast_shares_receiver_port() {
     let topo = fixture();
     let mut sim = NetworkSim::new(&topo, NetConfig::default());

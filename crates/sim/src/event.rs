@@ -114,6 +114,26 @@ impl<E> EventQueue<E> {
         Some((s.time, s.payload))
     }
 
+    /// Remove and return the next event due at or before `until` that
+    /// `live` accepts, advancing the clock to it. Events `live` rejects
+    /// (superseded notices) are dropped without touching the clock, so
+    /// discarding them never moves time past the last real event.
+    pub fn pop_live(
+        &mut self,
+        until: SimTime,
+        mut live: impl FnMut(&E) -> bool,
+    ) -> Option<(SimTime, E)> {
+        while self.heap.peek().is_some_and(|s| s.time <= until) {
+            let s = self.heap.pop().expect("peeked");
+            if live(&s.payload) {
+                debug_assert!(s.time >= self.now, "event queue went back in time");
+                self.now = s.time;
+                return Some((s.time, s.payload));
+            }
+        }
+        None
+    }
+
     /// Drop every pending event (the clock is preserved).
     pub fn clear(&mut self) {
         self.heap.clear();
@@ -180,6 +200,28 @@ mod tests {
         }
         assert_eq!(seen, vec![1, 2, 3, 4, 5]);
         assert_eq!(q.now(), SimTime::from_nanos(9));
+    }
+
+    #[test]
+    fn rejected_events_leave_the_clock_alone() {
+        let mut q = EventQueue::new();
+        for (t, live) in [(3, true), (5, false), (7, true), (9, false)] {
+            q.schedule(SimTime::from_nanos(t), live);
+        }
+        let until = SimTime::from_nanos(6);
+        assert_eq!(
+            q.pop_live(until, |&l| l).map(|(t, _)| t.as_nanos()),
+            Some(3)
+        );
+        assert_eq!(q.pop_live(until, |&l| l), None);
+        assert_eq!(q.now(), SimTime::from_nanos(3));
+        assert_eq!(
+            q.pop_live(SimTime::MAX, |&l| l).map(|(t, _)| t.as_nanos()),
+            Some(7)
+        );
+        assert_eq!(q.pop_live(SimTime::MAX, |&l| l), None);
+        assert_eq!(q.now(), SimTime::from_nanos(7));
+        assert!(q.is_empty());
     }
 
     #[test]

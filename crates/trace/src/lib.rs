@@ -11,7 +11,7 @@
 //! 1. **Low overhead while recording.** A record is one 40-byte POD value
 //!    ([`TraceRecord`]) pushed into a fixed-capacity ring buffer
 //!    ([`TraceRing`]) — no allocation, no formatting, no branching beyond
-//!    the ring index. Overhead is pinned by `appc_monitor_overhead`
+//!    the ring index. Overhead is pinned by `appc`
 //!    (< 2% wall-clock on the Figure-10 recovery scenario).
 //! 2. **Replayable.** Records carry raw integer payloads (ids, counts,
 //!    `f64::to_bits` where a float is unavoidable), so a recorded
