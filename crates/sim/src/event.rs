@@ -5,47 +5,59 @@
 //! essential: the Astral figures are regenerated from seeded runs, and a heap
 //! that reorders same-timestamp events between runs (or between platforms)
 //! would produce irreproducible timelines.
+//!
+//! Simulated events crowd onto few timestamps: a collective step injects
+//! all of its flows at one start time, and one rate recompute schedules
+//! most of its completions at one finish time. So the queue orders
+//! *distinct pending times*, not events. Each pending time owns one FIFO
+//! chain of its events, linked through a slab. A push at a time already
+//! pending appends to that time's chain, found through a hash map or, for
+//! back-to-back pushes at one time, through a cache of the last push. A
+//! pop takes the head of the earliest time's chain. The pop order is
+//! exactly `(time, push order)`, as from a heap of `(time, seq, payload)`
+//! entries, but the heap is paid once per distinct time rather than once
+//! per event. Slab slots, chains and map entries are recycled, so once a
+//! simulation has warmed up, repeating a pattern of pushes and pops
+//! allocates nothing.
 
+use crate::hash::MulHashMap;
 use crate::time::SimTime;
-use std::cmp::Ordering;
+use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
 use std::collections::BinaryHeap;
 
-/// A scheduled entry: fires at `time`, carrying `payload`.
+/// End of a chain or of a free list.
+const NIL: u32 = u32::MAX;
+
+/// A slab slot: a pending event and the next one at its time, or (when
+/// free) empty and linked to the next free slot.
 #[derive(Debug)]
-struct Scheduled<E> {
-    time: SimTime,
-    seq: u64,
-    payload: E,
+struct Slot<E> {
+    payload: Option<E>,
+    next: u32,
 }
 
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for Scheduled<E> {}
-
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
+/// The FIFO chain of one pending time's events, as slab indices. A free
+/// chain links to the next free chain through `head`.
+#[derive(Debug)]
+struct Chain {
+    head: u32,
+    tail: u32,
 }
 
-impl<E> Ord for Scheduled<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops first.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// A min-heap of timestamped events with FIFO tie-breaking.
+/// A min-queue of timestamped events with FIFO tie-breaking.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Scheduled<E>>,
-    next_seq: u64,
+    slots: Vec<Slot<E>>,
+    free_slot: u32,
+    chains: Vec<Chain>,
+    free_chain: u32,
+    /// Every pending time once, with its chain; never an empty chain.
+    times: BinaryHeap<Reverse<(SimTime, u32)>>,
+    chain_at: MulHashMap<SimTime, u32>,
+    /// The time and chain of the last push, while that chain is pending.
+    last_push: Option<(SimTime, u32)>,
+    len: usize,
     now: SimTime,
 }
 
@@ -59,8 +71,14 @@ impl<E> EventQueue<E> {
     /// An empty queue with the clock at zero.
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
+            slots: Vec::new(),
+            free_slot: NIL,
+            chains: Vec::new(),
+            free_chain: NIL,
+            times: BinaryHeap::new(),
+            chain_at: MulHashMap::default(),
+            last_push: None,
+            len: 0,
             now: SimTime::ZERO,
         }
     }
@@ -73,12 +91,12 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.len
     }
 
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len == 0
     }
 
     /// Schedule `payload` to fire at absolute time `at`.
@@ -92,26 +110,36 @@ impl<E> EventQueue<E> {
             self.now
         );
         let at = at.max(self.now);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Scheduled {
-            time: at,
-            seq,
-            payload,
-        });
+        let slot = self.alloc_slot(payload);
+        let chain = match self.last_push {
+            Some((t, c)) if t == at => c,
+            _ => {
+                let c = self.chain_for(at);
+                self.last_push = Some((at, c));
+                c
+            }
+        };
+        let ch = &mut self.chains[chain as usize];
+        if ch.head == NIL {
+            ch.head = slot;
+        } else {
+            self.slots[ch.tail as usize].next = slot;
+        }
+        ch.tail = slot;
+        self.len += 1;
     }
 
     /// Timestamp of the next event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.time)
+        self.times.peek().map(|&Reverse((t, _))| t)
     }
 
     /// Remove and return the next `(time, payload)`, advancing the clock.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let s = self.heap.pop()?;
-        debug_assert!(s.time >= self.now, "event queue went back in time");
-        self.now = s.time;
-        Some((s.time, s.payload))
+        let (t, payload) = self.pop_front()?;
+        debug_assert!(t >= self.now, "event queue went back in time");
+        self.now = t;
+        Some((t, payload))
     }
 
     /// Remove and return the next event due at or before `until` that
@@ -123,20 +151,86 @@ impl<E> EventQueue<E> {
         until: SimTime,
         mut live: impl FnMut(&E) -> bool,
     ) -> Option<(SimTime, E)> {
-        while self.heap.peek().is_some_and(|s| s.time <= until) {
-            let s = self.heap.pop().expect("peeked");
-            if live(&s.payload) {
-                debug_assert!(s.time >= self.now, "event queue went back in time");
-                self.now = s.time;
-                return Some((s.time, s.payload));
+        while self.peek_time().is_some_and(|t| t <= until) {
+            let (t, payload) = self.pop_front().expect("peeked");
+            if live(&payload) {
+                debug_assert!(t >= self.now, "event queue went back in time");
+                self.now = t;
+                return Some((t, payload));
             }
         }
         None
     }
 
-    /// Drop every pending event (the clock is preserved).
-    pub fn clear(&mut self) {
-        self.heap.clear();
+    /// Put `payload` in a free slab slot, unlinked.
+    fn alloc_slot(&mut self, payload: E) -> u32 {
+        if self.free_slot == NIL {
+            let i = u32::try_from(self.slots.len())
+                .ok()
+                .filter(|&i| i != NIL)
+                .expect("event queue slab is full");
+            self.slots.push(Slot {
+                payload: Some(payload),
+                next: NIL,
+            });
+            return i;
+        }
+        let i = self.free_slot;
+        let s = &mut self.slots[i as usize];
+        self.free_slot = s.next;
+        s.payload = Some(payload);
+        s.next = NIL;
+        i
+    }
+
+    /// The chain of pending time `at`, opening an empty one if `at` is
+    /// not pending.
+    fn chain_for(&mut self, at: SimTime) -> u32 {
+        match self.chain_at.entry(at) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                let empty = Chain {
+                    head: NIL,
+                    tail: NIL,
+                };
+                let c = if self.free_chain == NIL {
+                    self.chains.push(empty);
+                    (self.chains.len() - 1) as u32
+                } else {
+                    let c = self.free_chain;
+                    self.free_chain = self.chains[c as usize].head;
+                    self.chains[c as usize] = empty;
+                    c
+                };
+                e.insert(c);
+                self.times.push(Reverse((at, c)));
+                c
+            }
+        }
+    }
+
+    /// Unlink the first event of the earliest pending time, closing that
+    /// time when its chain empties. Leaves the clock alone.
+    fn pop_front(&mut self) -> Option<(SimTime, E)> {
+        let &Reverse((t, c)) = self.times.peek()?;
+        let ch = &mut self.chains[c as usize];
+        let i = ch.head;
+        let s = &mut self.slots[i as usize];
+        let payload = s.payload.take().expect("chained slot holds an event");
+        ch.head = s.next;
+        s.next = self.free_slot;
+        self.free_slot = i;
+        self.len -= 1;
+        if ch.head == NIL {
+            ch.head = self.free_chain;
+            self.free_chain = c;
+            self.times.pop();
+            self.chain_at.remove(&t);
+            if self.last_push.is_some_and(|(lt, _)| lt == t) {
+                self.last_push = None;
+            }
+        }
+        Some((t, payload))
     }
 }
 
@@ -164,6 +258,23 @@ mod tests {
         }
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         assert_eq!(order, (0..100).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn push_at_now_joins_the_batch_being_popped() {
+        let mut q = EventQueue::new();
+        let t = SimTime::from_nanos(4);
+        q.schedule(t, 'a');
+        q.schedule(t, 'b');
+        assert_eq!(q.pop(), Some((t, 'a')));
+        q.schedule(t, 'c');
+        assert_eq!(q.pop(), Some((t, 'b')));
+        assert_eq!(q.pop(), Some((t, 'c')));
+        // The time's chain closed with its last pop; a new push reopens it.
+        q.schedule(t, 'd');
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop(), Some((t, 'd')));
+        assert!(q.is_empty());
     }
 
     #[test]
@@ -222,16 +333,5 @@ mod tests {
         assert_eq!(q.pop_live(SimTime::MAX, |&l| l), None);
         assert_eq!(q.now(), SimTime::from_nanos(7));
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn clear_preserves_clock() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_nanos(4), ());
-        q.pop();
-        q.schedule(SimTime::from_nanos(8), ());
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.now(), SimTime::from_nanos(4));
     }
 }

@@ -4,7 +4,9 @@
 //! workspace builds on the primitives defined here:
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution simulated clocks.
-//! * [`EventQueue`] — a deterministic (FIFO tie-broken) discrete-event queue.
+//! * [`EventQueue`] — a deterministic (FIFO tie-broken) discrete-event queue:
+//!   a heap over distinct pending times, each with one FIFO chain of its
+//!   events in a recycled slab.
 //! * [`SimRng`] — a seeded, splittable random number generator so that every
 //!   figure in the paper regenerates bit-identically from a seed.
 //! * statistics: [`OnlineStats`], [`Summary`], [`TimeSeries`], and the

@@ -4,6 +4,8 @@
 use astral_sim::{polyfit, EventQueue, OnlineStats, SimDuration, SimRng, SimTime, Summary};
 use proptest::prelude::*;
 use rand::RngCore;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 proptest! {
     /// Events always pop in nondecreasing time order, regardless of the
@@ -122,5 +124,136 @@ proptest! {
             prop_assert!((fitted.eval(x) - y).abs() < 1e-6,
                 "at x={x}: fitted {} vs true {y}", fitted.eval(x));
         }
+    }
+}
+
+/// The event queue this crate shipped before its pending-time chains: a
+/// binary heap of `(time, seq, payload)` entries, popped earliest
+/// `(time, seq)` first. Kept as the oracle [`EventQueue`] must match
+/// call for call.
+struct HeapQueue<E> {
+    heap: BinaryHeap<Scheduled<E>>,
+    next_seq: u64,
+    now: SimTime,
+}
+
+struct Scheduled<E> {
+    time: SimTime,
+    seq: u64,
+    payload: E,
+}
+
+impl<E> PartialEq for Scheduled<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.time == other.time && self.seq == other.seq
+    }
+}
+impl<E> Eq for Scheduled<E> {}
+
+impl<E> PartialOrd for Scheduled<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> Ord for Scheduled<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops first.
+        other
+            .time
+            .cmp(&self.time)
+            .then_with(|| other.seq.cmp(&self.seq))
+    }
+}
+
+impl<E> HeapQueue<E> {
+    fn new() -> Self {
+        HeapQueue {
+            heap: BinaryHeap::new(),
+            next_seq: 0,
+            now: SimTime::ZERO,
+        }
+    }
+
+    fn schedule(&mut self, at: SimTime, payload: E) {
+        let at = at.max(self.now);
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.heap.push(Scheduled {
+            time: at,
+            seq,
+            payload,
+        });
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|s| s.time)
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, E)> {
+        let s = self.heap.pop()?;
+        self.now = s.time;
+        Some((s.time, s.payload))
+    }
+
+    fn pop_live(
+        &mut self,
+        until: SimTime,
+        mut live: impl FnMut(&E) -> bool,
+    ) -> Option<(SimTime, E)> {
+        while self.heap.peek().is_some_and(|s| s.time <= until) {
+            let s = self.heap.pop().expect("peeked");
+            if live(&s.payload) {
+                self.now = s.time;
+                return Some((s.time, s.payload));
+            }
+        }
+        None
+    }
+}
+
+proptest! {
+    /// The queue matches the binary-heap oracle on random call sequences:
+    /// pushes at a few offsets from `now` (so ties and pushes into the
+    /// time being popped are common), pops, `pop_live` with a random
+    /// horizon and a random rejecting predicate, and peeks. Every result,
+    /// the length and the clock agree after every call.
+    #[test]
+    fn event_queue_matches_heap_oracle(
+        calls in prop::collection::vec((0u8..6, 0u64..6, 0u64..4), 0..400),
+    ) {
+        let mut q = EventQueue::new();
+        let mut oracle = HeapQueue::new();
+        let mut next_id = 0u32;
+        for (op, dt, k) in calls {
+            let now = q.now();
+            match op {
+                0..=2 => {
+                    let at = SimTime::from_nanos(now.as_nanos() + dt * (op as u64 + 1));
+                    q.schedule(at, next_id);
+                    oracle.schedule(at, next_id);
+                    next_id += 1;
+                }
+                3 => prop_assert_eq!(q.pop(), oracle.pop()),
+                4 => {
+                    let until = if k == 0 {
+                        SimTime::MAX
+                    } else {
+                        SimTime::from_nanos(now.as_nanos() + dt * k)
+                    };
+                    let live = |&id: &u32| !(id as u64 + dt).is_multiple_of(k + 2);
+                    prop_assert_eq!(q.pop_live(until, live), oracle.pop_live(until, live));
+                }
+                _ => prop_assert_eq!(q.peek_time(), oracle.peek_time()),
+            }
+            prop_assert_eq!(q.len(), oracle.heap.len());
+            prop_assert_eq!(q.is_empty(), oracle.heap.is_empty());
+            prop_assert_eq!(q.now(), oracle.now);
+        }
+        while let Some(ev) = q.pop() {
+            prop_assert_eq!(Some(ev), oracle.pop());
+        }
+        prop_assert!(oracle.heap.is_empty());
+        prop_assert_eq!(q.now(), oracle.now);
     }
 }
