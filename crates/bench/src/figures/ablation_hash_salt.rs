@@ -34,7 +34,7 @@ fn run_round(
     let ecn: u64 = sim.telemetry().link.iter().map(|c| c.ecn_marks).sum();
     let fct = ids
         .iter()
-        .map(|&id| sim.stats(id).fct().expect("done").as_secs_f64())
+        .map(|&id| sim.stats(id).unwrap().fct().expect("done").as_secs_f64())
         .fold(0.0f64, f64::max);
     (ecn, fct)
 }

@@ -54,7 +54,7 @@ pub(crate) fn run() -> Report {
         }
         // Fail one ToR→Agg uplink shortly after start.
         sim.run_until(SimTime::from_micros(5));
-        let victim_link = sim.stats(groups[0][0]).path[1];
+        let victim_link = sim.stats(groups[0][0]).unwrap().path[1];
         sim.fail_link_at(SimTime::from_micros(10), victim_link);
         sim.run_until_idle();
 
@@ -62,7 +62,7 @@ pub(crate) fn run() -> Report {
             .iter()
             .filter(|ids| {
                 ids.iter()
-                    .any(|&id| sim.stats(id).state == astral_net::FlowState::Failed)
+                    .any(|&id| sim.stats(id).unwrap().state == astral_net::FlowState::Failed)
             })
             .count();
         println!(

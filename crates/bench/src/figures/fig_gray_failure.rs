@@ -183,6 +183,23 @@ fn check_determinism(topo: &Topology, script: &CascadeScript, want: &[String; 3]
     }
 }
 
+/// The runner configuration of the traced runs: defaults, trace ring on.
+fn traced_cfg() -> RunnerConfig {
+    let mut cfg = RunnerConfig::default();
+    cfg.net.trace = true;
+    cfg
+}
+
+/// The trace of the gray-aware campaign on `sim_small`: the recording
+/// `fig_gray_failure` replays and dumps as its
+/// `fig_gray_failure_gray_aware` artifact.
+pub fn gray_aware_trace() -> Vec<astral_trace::TraceRecord> {
+    let topo = build_astral(&AstralParams::sim_small());
+    let policy = RecoveryPolicy::gray_aware();
+    let recorded = simulate(&topo, &policy, &campaign_script(), traced_cfg());
+    recorded.trace.clone()
+}
+
 /// Trace + replay: re-run the gray-aware campaign with the structured
 /// trace ring on, re-drive the recorded timeline through the replayer,
 /// and hard-assert report and timeline reproduce byte for byte. The
@@ -190,8 +207,7 @@ fn check_determinism(topo: &Topology, script: &CascadeScript, want: &[String; 3]
 /// exact timeline that diverged as an artifact. Returns the number of
 /// records.
 fn replay_traced(topo: &Topology, script: &CascadeScript, gray: &RecoveryReport) -> u64 {
-    let mut traced_cfg = RunnerConfig::default();
-    traced_cfg.net.trace = true;
+    let traced_cfg = traced_cfg();
     let recorded = simulate(topo, &RecoveryPolicy::gray_aware(), script, traced_cfg);
     assert_eq!(
         recorded.fingerprint(),

@@ -153,7 +153,7 @@ fn run_incast(topo: &Topology, router: &Arc<Router>, f: &Frontier, sharded: bool
     let wall = start.elapsed().as_secs_f64();
     let sim_secs = t_end.saturating_since(t0).as_secs_f64();
 
-    let delivered: f64 = ids.iter().map(|&id| sim.stats(id).delivered).sum();
+    let delivered: f64 = ids.iter().map(|&id| sim.stats(id).unwrap().delivered).sum();
     let counters = sim.solver_counters();
     IncastOut {
         wall,
@@ -208,7 +208,7 @@ fn run_crosspod(
             .collect();
         sim.run_until_idle();
         let secs = sim.now().saturating_since(t0).as_secs_f64();
-        let delivered: f64 = ids.iter().map(|&id| sim.stats(id).delivered).sum();
+        let delivered: f64 = ids.iter().map(|&id| sim.stats(id).unwrap().delivered).sum();
         (secs, delivered)
     };
     run(&mut sim, 1 << 20); // warm-up: distance fields toward new roots

@@ -72,6 +72,7 @@ mod figures {
 }
 
 pub use check::{compare_reports, validate};
+pub use figures::fig_gray_failure::gray_aware_trace;
 
 /// One figure or table of the evaluation: its report id, the function
 /// that reproduces it, and whether the in-process test runs it.

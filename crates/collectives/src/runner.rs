@@ -314,9 +314,9 @@ impl<'a> CollectiveRunner<'a> {
                             weight: 1.0,
                         },
                     )
-                    .unwrap_or_else(|| {
+                    .unwrap_or_else(|e| {
                         panic!(
-                            "no route {sg}→{dg} even with PXN on {}",
+                            "{sg}→{dg} even with PXN on {}: {e}",
                             self.sim.topology().arch()
                         )
                     });
@@ -331,7 +331,8 @@ impl<'a> CollectiveRunner<'a> {
                 flow_ids
                     .iter()
                     .map(|&id| {
-                        let (state, finish) = self.sim.flow_outcome(id);
+                        let (state, finish) =
+                            self.sim.flow_outcome(id).expect("retired mid-collective");
                         if state == FlowState::Failed {
                             failed += 1;
                         }
@@ -616,12 +617,12 @@ mod tests {
                 .fail_link_at(SimTime::ZERO + SimDuration::from_micros(1), up);
         }
         let res = r.all_reduce_flat(&group, 64 << 20);
-        let aborted_at: HashMap<u32, SimTime> = r
+        let aborted_at: HashMap<astral_net::FlowId, SimTime> = r
             .sim_mut()
             .drain_flow_events()
             .into_iter()
             .filter_map(|e| match e {
-                astral_net::FlowEvent::Aborted { flow, at, .. } => Some((flow.0, at)),
+                astral_net::FlowEvent::Aborted { flow, at, .. } => Some((flow, at)),
                 astral_net::FlowEvent::Requeued { .. } => None,
             })
             .collect();
@@ -636,7 +637,7 @@ mod tests {
                 .count()
         );
         for s in &stats {
-            assert_eq!(sim.flow_outcome(s.id), (s.state, s.finish));
+            assert_eq!(sim.flow_outcome(s.id), Ok((s.state, s.finish)));
         }
 
         // Flows of one step share its start time; a step ends when its
@@ -646,7 +647,7 @@ mod tests {
         for s in &stats {
             let end = match s.state {
                 FlowState::Done => s.finish.unwrap(),
-                FlowState::Failed => aborted_at[&s.id.0],
+                FlowState::Failed => aborted_at[&s.id],
                 other => panic!("flow {:?} left {other:?}", s.id),
             };
             let e = end_of_step.entry(s.start).or_insert(end);
@@ -657,6 +658,43 @@ mod tests {
             .map(|(&start, &end)| end.saturating_since(start) + STEP_OVERHEAD)
             .collect();
         assert_eq!(res.step_durations, want);
+    }
+
+    /// The recovery engine's pattern — one collective per iteration, then
+    /// `retire_finished` — keeps the flow table one iteration deep. Rank
+    /// 0's uplinks fail in iteration 10 and come back in 15, so its flows
+    /// fail, stay `Failed` across retires and are requeued. The table's
+    /// peak over 30 iterations equals its peak over 300.
+    #[test]
+    fn retiring_each_iteration_bounds_the_flow_table() {
+        let t = topo();
+        let group = rail0_group(&t, 4);
+        let uplinks = t.out_links(t.gpu_nic(group[0]));
+        let peak = |iters: u32| {
+            let mut r = CollectiveRunner::new(&t, RunnerConfig::default());
+            let (mut peak, mut failed_kept) = (0, 0);
+            for it in 0..iters {
+                let now = r.sim().now();
+                for &up in uplinks {
+                    match it {
+                        10 => r
+                            .sim_mut()
+                            .fail_link_at(now + SimDuration::from_micros(1), up),
+                        15 => r.sim_mut().restore_link_at(now, up),
+                        _ => {}
+                    }
+                }
+                r.all_reduce_flat(&group, 16 << 20);
+                peak = peak.max(r.sim().all_stats().len());
+                r.sim_mut().retire_finished();
+                let kept = r.sim().all_stats();
+                assert!(kept.iter().all(|s| s.state == FlowState::Failed));
+                failed_kept = failed_kept.max(kept.len());
+            }
+            assert!(failed_kept > 0, "no flow stayed failed across a retire");
+            peak
+        };
+        assert_eq!(peak(30), peak(300));
     }
 
     /// A step's NVLink time is set by its busiest GPU port, counting sent

@@ -130,6 +130,9 @@ impl Engine<'_> {
                 FlowEvent::Requeued { .. } => None,
             })
             .collect();
+        // The step's outcomes are read: free its finished flows' slots, so
+        // the flow table holds one iteration's flows, not the run's.
+        self.runner.sim_mut().retire_finished();
         let iter_s = comp_eff + res.duration.as_secs_f64();
         self.last_iter_s = iter_s;
         // Compute slowed past nominal is straggler tax, not useful time.

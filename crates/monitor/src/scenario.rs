@@ -11,8 +11,8 @@ use crate::analyzer::Culprit;
 use crate::snapshot::{CannedProber, HostHealth, JobDesc, RankProgress, Snapshot};
 use crate::taxonomy::RootCause;
 use astral_collectives::{CollectiveRunner, RunnerConfig};
-use astral_net::{FlowSpec, NetworkSim, QpId, SolverCounters};
-use astral_sim::{SimDuration, SimRng, SimTime, TimeSeries};
+use astral_net::{FlowSpec, NetworkSim, QpId, QpTally, SolverCounters};
+use astral_sim::{SimDuration, SimRng, SimTime};
 use astral_topo::{GpuId, HostId, LinkId, NodeId, NodeKind, Topology};
 use std::collections::HashSet;
 
@@ -315,7 +315,8 @@ fn probe_window(sim: &mut NetworkSim<'_>) -> CannedProber {
             bytes: 32 << 20,
             weight: 1.0,
         };
-        sim.inject_at(now, step);
+        // A QP the fabric cannot route sends nothing.
+        let _ = sim.inject_at(now, step);
     }
     sim.run_until(now + SimDuration::from_micros(200));
     let mut prober = CannedProber::default();
@@ -346,8 +347,8 @@ fn harvest(sim: &NetworkSim<'_>, topo: &Topology, job: &Job, window: &Window) ->
         .qp_registry
         .iter()
         .filter_map(|rec| {
-            let series = snap.qp_series.get(&rec.qp)?;
-            Some((rec.qp, rate_frac(series, port_bps(topo, rec.src_nic)?)?))
+            let tally = snap.qp_bytes.get(&rec.qp)?;
+            Some((rec.qp, rate_frac(tally, port_bps(topo, rec.src_nic)?)?))
         })
         .collect();
     snap
@@ -359,14 +360,12 @@ fn port_bps(topo: &Topology, nic: NodeId) -> Option<f64> {
     Some(topo.link(up).bandwidth_bps)
 }
 
-/// The rate an ms-level byte series shows as a fraction of `port_bps`:
-/// all its bytes over its time span, capped at 1. `None` when the series
-/// spans no time.
-fn rate_frac(series: &TimeSeries, port_bps: f64) -> Option<f64> {
-    let pts = series.points();
-    let span = pts.last()?.0.saturating_since(pts[0].0).as_secs_f64();
-    let bytes: f64 = pts.iter().map(|&(_, v)| v).sum();
-    (span > 0.0).then(|| (bytes * 8.0 / span / port_bps).min(1.0))
+/// The rate a QP's byte tally shows as a fraction of `port_bps`: all its
+/// bytes over its time span, capped at 1. `None` when the tally spans no
+/// time.
+fn rate_frac(tally: &QpTally, port_bps: f64) -> Option<f64> {
+    let span = tally.last.saturating_since(tally.first).as_secs_f64();
+    (span > 0.0).then(|| (tally.bytes * 8.0 / span / port_bps).min(1.0))
 }
 
 /// Step 5, per-rank symptoms: each job rank's progress, logs and host
@@ -483,6 +482,7 @@ mod tests {
     use crate::analyzer::{diagnose, Diagnosis};
     use crate::correlate::CorrelationPrior;
     use crate::taxonomy::{CauseClass, Manifestation};
+    use astral_net::Telemetry;
     use astral_topo::{build_astral, AstralParams};
 
     fn topo() -> Topology {
@@ -613,16 +613,20 @@ mod tests {
             let nic = t.host(HostId(0)).nics[0];
             let port = port_bps(&t, nic).expect("a NIC has an uplink");
             assert_eq!(port, gbps * 1e9);
-            // One second of series carrying exactly one port-second of
+            // One second of tally carrying exactly one port-second of
             // bytes, in two samples.
-            let mut series = TimeSeries::new();
-            let half = port / 8.0 / 2.0;
-            series.push(SimTime::ZERO, half);
-            series.push(SimTime::from_secs(1), half);
-            assert_eq!(rate_frac(&series, port), Some(1.0), "{gbps} G");
-            let mut idle = TimeSeries::new();
-            idle.push(SimTime::ZERO, half);
-            assert_eq!(rate_frac(&idle, port), None, "no span, no rate");
+            let mut t = Telemetry::new(0);
+            let (qp, half) = (QpId(1), port / 8.0 / 2.0);
+            t.sample_qp(qp, SimTime::ZERO, half);
+            t.sample_qp(qp, SimTime::from_secs(1), half);
+            assert_eq!(rate_frac(&t.qp_bytes[qp], port), Some(1.0), "{gbps} G");
+            let mut idle = Telemetry::new(0);
+            idle.sample_qp(qp, SimTime::ZERO, half);
+            assert_eq!(
+                rate_frac(&idle.qp_bytes[qp], port),
+                None,
+                "no span, no rate"
+            );
         }
     }
 }

@@ -2,13 +2,12 @@
 //!
 //! A [`Snapshot`] gathers one observation window of every monitoring layer
 //! (paper Figure 8): application-layer NCCL progress, transport-layer QP
-//! registry + ms-rate + errCQE, network-layer sFlow paths, and
+//! registry + per-QP byte tally + errCQE, network-layer sFlow paths, and
 //! physical-layer per-host health and per-link counters. The analyzer is a
 //! pure function of a snapshot (plus an on-demand INT prober), so diagnosis
 //! is testable with both synthetic and simulation-produced data.
 
-use astral_net::{ErrCqe, IntProbe, NetworkSim, QpId, QpRecord};
-use astral_sim::TimeSeries;
+use astral_net::{ErrCqe, IntProbe, NetworkSim, QpId, QpRecord, QpTally};
 use astral_topo::{GpuId, HostId, LinkId, NodeId};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -104,8 +103,9 @@ pub struct Snapshot {
     pub ranks: Vec<RankProgress>,
     /// Transport layer: QP registry (five-tuple ↔ app context).
     pub qp_registry: Vec<QpRecord>,
-    /// Transport layer: ms-level per-QP byte samples.
-    pub qp_series: HashMap<QpId, TimeSeries>,
+    /// Transport layer: bytes each QP delivered, with the span it
+    /// delivered them over.
+    pub qp_bytes: HashMap<QpId, QpTally>,
     /// Transport layer: observed rate as a fraction of the designated link
     /// bandwidth, per QP.
     pub qp_rate_frac: HashMap<QpId, f64>,
@@ -128,7 +128,7 @@ impl Snapshot {
     pub fn harvest_network(&mut self, sim: &NetworkSim<'_>) {
         let t = sim.telemetry();
         self.qp_registry = sim.qp_records().collect();
-        self.qp_series = t.qp_bytes.iter().map(|(q, s)| (q, s.clone())).collect();
+        self.qp_bytes = t.qp_bytes.iter().map(|(q, &b)| (q, b)).collect();
         self.err_cqe = t.err_cqe.clone();
         self.sflow = self
             .qp_registry
@@ -213,7 +213,7 @@ mod tests {
         assert_eq!(snap.qp_registry.len(), 1);
         assert_eq!(snap.qp_registry[0].ctx.job, Some(7));
         assert!(snap.sflow.contains_key(&qp));
-        assert!(!snap.qp_series.is_empty());
+        assert!(snap.qp_bytes[&qp].bytes > 0.0);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! * **Failure injection** — dead links (errCQE after RTO) and degraded
 //!   drains (PCIe-limited hosts) that trigger PFC pauses and head-of-line
 //!   victims (§5's incidents).
-//! * **Telemetry taps** ([`Telemetry`]) — ms-level QP byte samples and
+//! * **Telemetry taps** ([`Telemetry`]) — per-QP delivered-byte tallies and
 //!   ECN/PFC counters, plus the QP registry, sFlow paths and INT per-hop
 //!   probes read straight off the simulator's QP table, feeding the
 //!   `astral-monitor` analyzer.
@@ -51,9 +51,9 @@ pub use fairness::{check_bottleneck_property, max_min_rates};
 pub use fivetuple::{ip_of_nic, FiveTuple, QpContext, QpId, EPHEMERAL_BASE, ROCE_PORT};
 pub use hash::{sport_layer, EcmpHasher, SaltMode};
 pub use sim::{
-    FlowEvent, FlowId, FlowSpec, FlowState, FlowStats, IntHop, IntProbe, NetConfig, NetworkSim,
-    BASE_QUEUE_DELAY, DEFAULT_TRACE_CAPACITY, ECN_UTIL_THRESHOLD, MAX_QUEUE_DELAY, PFC_HOL_FACTOR,
-    RTO,
+    FlowEvent, FlowId, FlowSpec, FlowState, FlowStats, IntHop, IntProbe, NetConfig, NetError,
+    NetworkSim, BASE_QUEUE_DELAY, DEFAULT_TRACE_CAPACITY, ECN_UTIL_THRESHOLD, MAX_QUEUE_DELAY,
+    PFC_HOL_FACTOR, RTO,
 };
 pub use solver::SolverCounters;
-pub use telemetry::{ErrCqe, LinkCounters, QpRecord, QpTable, Telemetry};
+pub use telemetry::{ErrCqe, LinkCounters, QpRecord, QpTable, QpTally, Telemetry};

@@ -59,6 +59,22 @@ use std::collections::BTreeMap;
 /// Sentinel for "not in the active set".
 const NONE: u32 = u32::MAX;
 
+/// A flow's path in the solver's hop arena: `len` hops from `off`, in a
+/// region of `cap` hops that a later flow in the same slot may reuse.
+#[derive(Debug, Clone, Copy, Default)]
+struct Span {
+    off: u32,
+    len: u16,
+    cap: u16,
+}
+
+impl Span {
+    /// The arena index range of the path.
+    fn range(self) -> std::ops::Range<usize> {
+        self.off as usize..self.off as usize + self.len as usize
+    }
+}
+
 /// Load below which a link is treated as carrying no unfrozen weight.
 const LOAD_EPS: f64 = 1e-12;
 
@@ -321,10 +337,11 @@ fn bucket(
 
 /// Incremental water-filling engine over a fixed link set.
 ///
-/// Flows are identified by the simulator's dense flow indices; per-flow
-/// state grows monotonically as flows are registered and is reused across
-/// requeues. The solver owns the authoritative per-link `used`/`nflows`
-/// aggregates the simulator's telemetry reads.
+/// Flows are identified by the simulator's flow-table slots; per-flow
+/// state grows with the slot count and is reused across requeues and by a
+/// later flow in a reused slot. The solver owns the authoritative per-flow
+/// weights and rates and the per-link `used`/`nflows` aggregates the
+/// simulator's telemetry reads.
 #[derive(Debug)]
 pub(crate) struct FairShareSolver {
     nl: usize,
@@ -334,10 +351,11 @@ pub(crate) struct FairShareSolver {
     active: Vec<u32>,
     /// flow id → index in `active`, or `NONE`.
     slot_of: Vec<u32>,
-    /// flow id → `(off, len)` span of its path in `hops`/`hop_pos` (set
-    /// when the flow first starts; kept across requeues).
-    span: Vec<(u32, u32)>,
-    /// Append-only arena of every started flow's links, in path order.
+    /// flow id → span of its path in `hops`/`hop_pos` (set when the flow
+    /// starts; kept across requeues, and rewritten in place by a later
+    /// flow in the same slot whose path fits).
+    span: Vec<Span>,
+    /// Arena of started flows' links, in path order: one span per slot.
     hops: Vec<u32>,
     /// Parallel to `hops`: the position of hop `k`'s entry in
     /// `link_flows[hops[k]]` while its flow is active.
@@ -460,9 +478,15 @@ impl FairShareSolver {
         (flow as usize) < self.slot_of.len() && self.slot_of[flow as usize] != NONE
     }
 
-    /// Last solved rate of `flow` (0 until first solved).
+    /// Last solved rate of `flow`: 0 until first solved, and 0 for a flow
+    /// with no links (its fill level is unbounded).
     pub(crate) fn rate_of(&self, flow: u32) -> f64 {
-        self.rate.get(flow as usize).copied().unwrap_or(0.0)
+        let rate = self.rate.get(flow as usize).copied().unwrap_or(0.0);
+        if rate.is_finite() {
+            rate
+        } else {
+            0.0
+        }
     }
 
     /// Per-link allocated rate at the last solve.
@@ -490,7 +514,7 @@ impl FairShareSolver {
         let want = flow as usize + 1;
         if self.slot_of.len() < want {
             self.slot_of.resize(want, NONE);
-            self.span.resize(want, (0, 0));
+            self.span.resize(want, Span::default());
             self.weight.resize(want, 1.0);
             self.rate.resize(want, 0.0);
             self.flow_mark.resize(want, 0);
@@ -507,8 +531,7 @@ impl FairShareSolver {
 
     /// The arena index range of `flow`'s path.
     fn hop_range(&self, flow: u32) -> std::ops::Range<usize> {
-        let (off, len) = self.span[flow as usize];
-        off as usize..(off + len) as usize
+        self.span[flow as usize].range()
     }
 
     /// Attach `flow` to the active set and every link on its stored path.
@@ -526,17 +549,34 @@ impl FairShareSolver {
         }
     }
 
-    /// A flow entered the active set with the given path and weight. The
-    /// path is appended to the hop arena once; requeues reuse the span.
-    pub(crate) fn flow_started(&mut self, flow: u32, path: &[u32], weight: f64) {
-        self.counters.events += 1;
+    /// A flow was injected into slot `flow` with max-min weight `weight`.
+    pub(crate) fn flow_injected(&mut self, flow: u32, weight: f64) {
         self.ensure_flow(flow);
-        let off = self.hops.len();
-        assert!(off + path.len() <= NONE as usize, "hop arena exceeds u32");
-        self.span[flow as usize] = (off as u32, path.len() as u32);
-        self.hops.extend_from_slice(path);
-        self.hop_pos.resize(self.hops.len(), 0);
         self.weight[flow as usize] = weight;
+    }
+
+    /// The flow in slot `flow` entered the active set on `path`. The path
+    /// goes into the slot's hop span when it fits (the slot held an
+    /// earlier flow), else onto the end of the hop arena; requeues reuse
+    /// the span.
+    pub(crate) fn flow_started(&mut self, flow: u32, path: &[u32]) {
+        self.counters.events += 1;
+        let len = u16::try_from(path.len()).expect("path longer than u16::MAX hops");
+        let span = &mut self.span[flow as usize];
+        if len <= span.cap {
+            span.len = len;
+            self.hops[span.range()].copy_from_slice(path);
+        } else {
+            let off = self.hops.len();
+            assert!(off + path.len() <= NONE as usize, "hop arena exceeds u32");
+            *span = Span {
+                off: off as u32,
+                len,
+                cap: len,
+            };
+            self.hops.extend_from_slice(path);
+            self.hop_pos.resize(self.hops.len(), 0);
+        }
         self.attach(flow);
     }
 
@@ -544,7 +584,6 @@ impl FairShareSolver {
     /// active set on its original path.
     pub(crate) fn flow_requeued(&mut self, flow: u32) {
         self.counters.events += 1;
-        self.ensure_flow(flow);
         self.attach(flow);
     }
 
@@ -645,8 +684,7 @@ impl FairShareSolver {
         if let Some(p) = pods.as_mut() {
             let (hops, span) = (&self.hops, &self.span);
             p.split(self.epoch, &self.comp_links, &self.comp_flows, |f| {
-                let (off, len) = span[f as usize];
-                &hops[off as usize..(off + len) as usize]
+                &hops[span[f as usize].range()]
             });
         }
         match &pods {
@@ -797,7 +835,7 @@ impl FairShareSolver {
         }
         for &f in flows {
             let fi = f as usize;
-            if self.span[fi].1 == 0 {
+            if self.span[fi].len == 0 {
                 self.rate[fi] = f64::INFINITY;
                 self.frozen[fi] = self.epoch; // nothing to fill
                 continue;
@@ -907,10 +945,7 @@ impl FairShareSolver {
             &self.link_used,
             &mut self.load,
             flows.len(),
-            |i| {
-                let (off, len) = span[flows[i] as usize];
-                &hops[off as usize..(off + len) as usize]
-            },
+            |i| &hops[span[flows[i] as usize].range()],
             |i| rate[flows[i] as usize] / weight[flows[i] as usize],
         );
         if let Some(i) = violation {
@@ -961,11 +996,17 @@ mod tests {
 
     /// Start `f` on `path`, or requeue it on its stored path when it has
     /// run before.
+    /// Inject flow `f` with `weight` and start it on `path`.
+    fn start(s: &mut FairShareSolver, f: u32, path: &[u32], weight: f64) {
+        s.flow_injected(f, weight);
+        s.flow_started(f, path);
+    }
+
     fn start_or_requeue(s: &mut FairShareSolver, f: u32, path: &[u32], weight: f64) {
-        if (f as usize) < s.span.len() && s.span[f as usize].1 > 0 {
+        if (f as usize) < s.span.len() && s.span[f as usize].len > 0 {
             s.flow_requeued(f);
         } else {
-            s.flow_started(f, path, weight);
+            start(s, f, path, weight);
         }
     }
 
@@ -1031,7 +1072,7 @@ mod tests {
         let paths: Vec<Vec<u32>> = vec![vec![0, 2], vec![1], vec![0, 1], vec![2]];
         let mut s = FairShareSolver::new(cap.len());
         for (f, p) in paths.iter().enumerate() {
-            s.flow_started(f as u32, p, 1.0);
+            start(&mut s, f as u32, p, 1.0);
         }
         s.request_full();
         s.solve_full(&cap);
@@ -1047,14 +1088,14 @@ mod tests {
         // Two disjoint components: flows {0} on link 0, {1} on link 1.
         let cap = vec![7.0, 3.0];
         let mut s = FairShareSolver::new(2);
-        s.flow_started(0, &[0], 1.0);
-        s.flow_started(1, &[1], 1.0);
+        start(&mut s, 0, &[0], 1.0);
+        start(&mut s, 1, &[1], 1.0);
         s.solve_dirty(&cap);
         assert_eq!(s.rate_of(0), 7.0);
         assert_eq!(s.rate_of(1), 3.0);
 
         // Adding a second flow on link 1 must not touch flow 0.
-        s.flow_started(2, &[1], 1.0);
+        start(&mut s, 2, &[1], 1.0);
         s.solve_dirty(&cap);
         assert!(!s.changed_flows().contains(&0));
         assert_eq!(s.rate_of(0), 7.0);
@@ -1094,7 +1135,7 @@ mod tests {
         let cap = vec![100.0, 50.0, 70.0];
         let mut s = FairShareSolver::new(cap.len());
         for f in 0..16u32 {
-            s.flow_started(f, &churn_path(f), 1.0);
+            start(&mut s, f, &churn_path(f), 1.0);
         }
         s.solve_dirty(&cap);
         // Removed in arbitrary order; their spans stay at the arena front.
@@ -1109,7 +1150,7 @@ mod tests {
         // Thousands of later starts and removes, a sliding window of ~24
         // live flows, removed out of start order.
         for f in 16..4016u32 {
-            s.flow_started(f, &churn_path(f), 1.0);
+            start(&mut s, f, &churn_path(f), 1.0);
             if f >= 40 {
                 let victim = f - 24 + (f * 7) % 5;
                 if s.is_active(victim) {
@@ -1144,7 +1185,7 @@ mod tests {
     fn counters_accumulate_and_merge() {
         let cap = vec![1.0];
         let mut s = FairShareSolver::new(1);
-        s.flow_started(0, &[0], 1.0);
+        start(&mut s, 0, &[0], 1.0);
         s.solve_dirty(&cap);
         let a = s.counters();
         assert_eq!(a.events, 1);
@@ -1243,7 +1284,7 @@ mod tests {
         let mut grouped = FairShareSolver::with_pod_key(vec![0, 0, 2, 1, 1]);
         for s in [&mut joint, &mut grouped] {
             for (f, p) in paths.iter().enumerate() {
-                s.flow_started(f as u32, p, 1.0);
+                start(s, f as u32, p, 1.0);
             }
             s.request_full();
             s.solve_full(&cap);
@@ -1299,7 +1340,7 @@ mod tests {
         let early = [2u32, 4, 0, 11, 5];
         for s in [&mut joint, &mut grouped] {
             for f in 0..12u32 {
-                s.flow_started(f, &pod_churn_path(f), 1.0);
+                start(s, f, &pod_churn_path(f), 1.0);
             }
             for f in early {
                 s.flow_removed(f);
@@ -1310,7 +1351,7 @@ mod tests {
 
         for f in 12..3012u32 {
             for s in [&mut joint, &mut grouped] {
-                s.flow_started(f, &pod_churn_path(f), 1.0);
+                start(s, f, &pod_churn_path(f), 1.0);
                 if f >= 30 {
                     let victim = f - 18 + (f * 5) % 4;
                     if s.is_active(victim) {
@@ -1350,7 +1391,7 @@ mod tests {
         let mut grouped = FairShareSolver::with_pod_key(vec![0, 0, 1, 1, 2]);
         for s in [&mut joint, &mut grouped] {
             for (f, p) in paths.iter().enumerate() {
-                s.flow_started(f as u32, p, weights[f]);
+                start(s, f as u32, p, weights[f]);
             }
             s.solve_dirty(&cap);
         }
@@ -1369,7 +1410,7 @@ mod tests {
         // The changed set keeps the joint fill's order.
         assert_eq!(grouped.changed_flows(), joint.changed_flows());
 
-        grouped.flow_started(6, &[1, 4, 2], 1.0);
+        start(&mut grouped, 6, &[1, 4, 2], 1.0);
         grouped.solve_dirty(&cap);
         assert_eq!(grouped.pods.as_ref().map(|p| p.groups), Some(1));
         assert_eq!(grouped.changed_flows().len(), 7);
@@ -1390,8 +1431,8 @@ mod tests {
     fn certificate_rejects_an_unbottlenecked_flow() {
         let cap = vec![10.0];
         let mut s = FairShareSolver::new(1);
-        s.flow_started(0, &[0], 1.0);
-        s.flow_started(1, &[0], 1.0);
+        start(&mut s, 0, &[0], 1.0);
+        start(&mut s, 1, &[0], 1.0);
         s.solve_dirty(&cap);
         // Halve one flow's rate behind the solver's back.
         s.rate[0] = 2.5;

@@ -5,8 +5,10 @@
 //! crate consumes them exactly as the production analyzer consumes its
 //! collectors:
 //!
-//! * **Transport layer** — millisecond-resolution per-QP byte samples (the
-//!   ACL-mirrored RETH DMA-length trick) and `errCQE` events.
+//! * **Transport layer** — a per-QP tally of delivered bytes over the span
+//!   the QP carried traffic (what the ACL-mirrored RETH DMA-length trick
+//!   measures, reduced to the one rate the analyzer reads) and `errCQE`
+//!   events.
 //! * **Physical layer** — per-link cumulative ECN mark, PFC pause, and byte
 //!   counters, utilization EWMA, and link flap counts.
 //!
@@ -19,7 +21,7 @@
 //! ([`crate::NetworkSim::int_probe`]).
 
 use crate::fivetuple::{FiveTuple, QpContext, QpId};
-use astral_sim::{SimTime, TimeSeries};
+use astral_sim::SimTime;
 use astral_topo::{LinkId, NodeId};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -48,13 +50,25 @@ pub struct LinkCounters {
     pub util_ewma: f64,
 }
 
+/// The bytes one QP delivered: the first and last fluid step in which its
+/// flows moved bytes, and the bytes moved, summed in step order from 0.
+/// Its size does not grow with the run.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct QpTally {
+    /// End of the first fluid step that delivered bytes.
+    pub first: SimTime,
+    /// End of the last fluid step that delivered bytes.
+    pub last: SimTime,
+    /// Bytes delivered.
+    pub bytes: f64,
+}
+
 /// All telemetry captured by one simulation.
 #[derive(Debug, Default)]
 pub struct Telemetry {
-    /// Millisecond-level byte samples per QP (time, bytes delivered since
-    /// the previous sample). The simulator appends to it for every active
+    /// Delivered bytes per QP. The simulator adds to it for every active
     /// flow on every fluid step.
-    pub qp_bytes: QpTable<TimeSeries>,
+    pub qp_bytes: QpTable<QpTally>,
     /// CQE error events, in time order.
     pub err_cqe: Vec<ErrCqe>,
     /// Per-link counters, indexed by `LinkId`.
@@ -149,11 +163,16 @@ impl Telemetry {
         }
     }
 
-    /// Record a QP byte sample.
+    /// Add `bytes` that `qp` delivered in the fluid step ending at `t`.
     pub fn sample_qp(&mut self, qp: QpId, t: SimTime, bytes: f64) {
-        self.qp_bytes
-            .get_or_insert_with(qp, TimeSeries::default)
-            .push(t, bytes);
+        let tally = self.qp_bytes.get_or_insert_with(qp, || QpTally {
+            first: t,
+            last: t,
+            bytes: 0.0,
+        });
+        debug_assert!(t >= tally.last, "QP byte samples must be time-ordered");
+        tally.last = t;
+        tally.bytes += bytes;
     }
 
     /// Links ordered by ECN marks, hottest first.
@@ -179,24 +198,6 @@ impl Telemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use astral_sim::SimDuration;
-
-    #[test]
-    fn qp_rate_series_resamples_to_ms() {
-        let mut t = Telemetry::new(0);
-        for ms in 0..10u64 {
-            t.sample_qp(QpId(7), SimTime::from_millis(ms), 125_000.0); // 1 Gbps
-        }
-        let series = &t.qp_bytes[QpId(7)];
-        let rates = series.rate_bps(
-            SimTime::ZERO,
-            SimTime::from_millis(10),
-            SimDuration::from_millis(1),
-        );
-        for (_, r) in rates {
-            assert!((r - 1e9).abs() / 1e9 < 0.01);
-        }
-    }
 
     #[test]
     fn hottest_links_sorted_desc() {

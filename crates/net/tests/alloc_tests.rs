@@ -1,8 +1,10 @@
 //! Heap allocations on the flow lifecycle, counted by a wrapping global
 //! allocator. Once a simulator has carried a traffic pattern, repeating it
 //! allocates only when an append-only store (flow records, hop arenas,
-//! solver per-flow vectors) doubles, so allocations per flow tend to zero.
-//! Opening a new QP on a warmed router is held to the same standard.
+//! solver per-flow vectors) doubles, so allocations per flow tend to zero;
+//! a simulator that retires its finished flows reuses those stores and
+//! allocates nothing. Opening a new QP on a warmed router is held to the
+//! same standard.
 
 use astral_net::{FlowSpec, FlowState, NetConfig, NetworkSim, QpContext, QpId};
 use astral_topo::{build_astral, AstralParams, GpuId, Router};
@@ -54,8 +56,8 @@ static COUNTING: Counting = Counting;
 
 /// Allocations per flow over `rounds` repeats of one step of traffic
 /// (cross-block and cross-pod pairs on `sim_small`), after four warm-up
-/// rounds.
-fn allocs_per_flow(cfg: NetConfig, rounds: usize) -> f64 {
+/// rounds; with `retire`, every round ends with `retire_finished`.
+fn allocs_per_flow(cfg: NetConfig, rounds: usize, retire: bool) -> f64 {
     let topo = build_astral(&AstralParams::sim_small());
     let mut sim = NetworkSim::new(&topo, cfg);
     let qps: Vec<QpId> = (0..32u32)
@@ -80,9 +82,12 @@ fn allocs_per_flow(cfg: NetConfig, rounds: usize) -> f64 {
         }
         sim.run_until_idle();
         for &id in &ids {
-            assert_eq!(sim.flow_outcome(id).0, FlowState::Done);
+            assert_eq!(sim.flow_outcome(id).unwrap().0, FlowState::Done);
         }
         ids.clear();
+        if retire {
+            assert_eq!(sim.retire_finished(), qps.len());
+        }
     };
     for _ in 0..4 {
         round(&mut sim);
@@ -96,8 +101,7 @@ fn allocs_per_flow(cfg: NetConfig, rounds: usize) -> f64 {
 
 /// Both solvers start and finish flows without allocating: what is left
 /// is amortized doubling of append-only stores, well under one allocation
-/// per ten flows. That includes the QP byte samples, one per active flow
-/// per fluid step, whose per-QP series grow by doubling too.
+/// per ten flows.
 #[test]
 fn flow_lifecycle_allocates_only_amortized_store_growth() {
     for sharded in [false, true] {
@@ -105,11 +109,26 @@ fn flow_lifecycle_allocates_only_amortized_store_growth() {
             sharded_solver: sharded,
             ..NetConfig::default()
         };
-        let per_flow = allocs_per_flow(cfg, 64);
+        let per_flow = allocs_per_flow(cfg, 64, false);
         assert!(
             per_flow < 0.1,
             "sharded={sharded}: {per_flow} allocations per flow"
         );
+    }
+}
+
+/// Retiring each round's flows hands their table slots, solver entries
+/// and hop spans to the next round's, so warmed rounds of inject → run →
+/// retire allocate nothing at all, on both solvers.
+#[test]
+fn retiring_rounds_allocate_nothing_after_warm_up() {
+    for sharded in [false, true] {
+        let cfg = NetConfig {
+            sharded_solver: sharded,
+            ..NetConfig::default()
+        };
+        let per_flow = allocs_per_flow(cfg, 64, true);
+        assert_eq!(per_flow, 0.0, "sharded={sharded}");
     }
 }
 

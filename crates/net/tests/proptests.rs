@@ -134,7 +134,7 @@ proptest! {
         sim.run_until(SimTime::from_micros(5));
         // A mid-fabric link on the first flow's path (shared fabric, so
         // cycles may hit several flows at once).
-        let victim = sim.stats(ids[0]).path[1];
+        let victim = sim.stats(ids[0]).unwrap().path[1];
         for c in 0..cycles {
             let t0 = SimTime::from_micros(fail_us + c as u64 * 20_000);
             sim.fail_link_at(t0, victim);
@@ -142,7 +142,7 @@ proptest! {
         }
         sim.run_until_idle();
         for &id in &ids {
-            let st = sim.stats(id);
+            let st = sim.stats(id).unwrap();
             prop_assert_eq!(st.state, FlowState::Done, "flow {:?} not done", id);
             prop_assert!(
                 (st.delivered - bytes as f64).abs() < 1.0,
@@ -186,7 +186,7 @@ proptest! {
         sim.run_until(SimTime::from_micros(5));
         // Either a mid-fabric link on the first flow's path or the first
         // destination host's whole ingress (every rail's last hop).
-        let victim = sim.stats(ids[0]).path[1];
+        let victim = sim.stats(ids[0]).unwrap().path[1];
         let host = topo.hosts()[8].id;
         let frac = frac_pct as f64 / 100.0;
         let on_host = on_host_sel == 1;
@@ -207,7 +207,7 @@ proptest! {
             "restore must clear every degradation"
         );
         for &id in &ids {
-            let st = sim.stats(id);
+            let st = sim.stats(id).unwrap();
             prop_assert_eq!(st.state, FlowState::Done, "flow {:?} not done", id);
             // Degrade cycles multiply the rate-change boundaries a flow
             // integrates across, so allow float accumulation at 1 ppm
@@ -291,7 +291,7 @@ fn apply_churn(
                     topo.gpu_nic(GpuId(dst)),
                     QpContext::anonymous(),
                 );
-                if let Some(id) = sim.inject_at(
+                if let Ok(id) = sim.inject_at(
                     now,
                     FlowSpec {
                         qp,
@@ -311,7 +311,7 @@ fn apply_churn(
                 if ids.is_empty() {
                     continue;
                 }
-                let st = sim.stats(ids[pick % ids.len()]);
+                let st = sim.stats(ids[pick % ids.len()]).unwrap();
                 if let Some(&l) = st.path.first() {
                     sim.fail_link_at(now, l);
                     caps[l.index()] = 0.0;
@@ -322,7 +322,7 @@ fn apply_churn(
                 if !allow_degrade || ids.is_empty() {
                     continue;
                 }
-                let st = sim.stats(ids[pick % ids.len()]);
+                let st = sim.stats(ids[pick % ids.len()]).unwrap();
                 // Mid-path fabric link, away from the NIC drains.
                 if let Some(&l) = st.path.get(1) {
                     sim.degrade_link_at(now, l, pct as f64 / 100.0);
@@ -357,7 +357,7 @@ proptest! {
             let (live, paths) = active_paths(sim, ids);
             let want = max_min_rates(caps, &paths, None);
             for (i, &id) in live.iter().enumerate() {
-                let got = sim.current_rate(id);
+                let got = sim.current_rate(id).unwrap();
                 let expect = if want[i].is_finite() { want[i] } else { 0.0 };
                 assert!(
                     (got - expect).abs() <= 1e-9 * expect.abs().max(1.0),
@@ -382,7 +382,7 @@ proptest! {
             let (live, paths) = active_paths(sim, ids);
             let (rates, pause) = dense_pfc_fixpoint(&topo, caps, &orig, PFC_HOL_FACTOR, &paths);
             for (i, &id) in live.iter().enumerate() {
-                let got = sim.current_rate(id);
+                let got = sim.current_rate(id).unwrap();
                 let expect = if rates[i].is_finite() { rates[i] } else { 0.0 };
                 assert!(
                     (got - expect).abs() <= 1e-9 * expect.abs().max(1.0),
@@ -413,7 +413,7 @@ fn active_paths(
 ) -> (Vec<astral_net::FlowId>, Vec<Vec<u32>>) {
     use astral_net::FlowState;
     ids.iter()
-        .map(|&id| sim.stats(id))
+        .map(|&id| sim.stats(id).unwrap())
         .filter(|st| st.state == FlowState::Active)
         .map(|st| (st.id, st.path.iter().map(|l| l.0).collect()))
         .unzip()
@@ -503,7 +503,7 @@ proptest! {
             let (live, paths) = active_paths(sim, ids);
             let want = max_min_rates(caps, &paths, None);
             for (i, &id) in live.iter().enumerate() {
-                let got = sim.current_rate(id);
+                let got = sim.current_rate(id).unwrap();
                 let expect = if want[i].is_finite() { want[i] } else { 0.0 };
                 assert!(
                     (got - expect).abs() <= 1e-9 * expect.abs().max(1.0),
@@ -522,7 +522,7 @@ proptest! {
         use astral_net::{FlowState, NetConfig, NetworkSim};
 
         let snapshot = |sim: &NetworkSim<'_>, ids: &[astral_net::FlowId]| -> Vec<f64> {
-            ids.iter().map(|&id| sim.current_rate(id)).collect()
+            ids.iter().map(|&id| sim.current_rate(id).unwrap()).collect()
         };
 
         let topo = build_astral(&AstralParams::sim_small());
@@ -556,7 +556,7 @@ proptest! {
             }
         }
         for (&a, &b) in ids_g.iter().zip(&ids_s) {
-            let (sa, sb) = (global.stats(a), sharded.stats(b));
+            let (sa, sb) = (global.stats(a).unwrap(), sharded.stats(b).unwrap());
             prop_assert_eq!(sa.state, sb.state, "flow {:?} state diverged", a);
             prop_assert!(
                 (sa.delivered - sb.delivered).abs() <= 1e-6 * sb.delivered.max(1.0),
@@ -742,7 +742,7 @@ fn drive_qp_churn(
                 };
                 let route = sim.route(model[i].src, model[i].dst, &model[i].tuple());
                 let id = sim.inject_at(now, spec);
-                assert_eq!(id.is_some(), route.is_some());
+                assert_eq!(id.is_ok(), route.is_some());
                 if route.is_some() {
                     model[i].last_routed = route;
                 }
@@ -817,5 +817,183 @@ proptest! {
         let (a, b) = (viewed.take_trace(), twin.take_trace());
         prop_assert_eq!(a.len(), b.len());
         prop_assert_eq!(astral_trace::fingerprint(&a), astral_trace::fingerprint(&b));
+    }
+}
+
+// ---------------------------------------------------------------------
+// Retiring finished flows changes nothing a caller can observe
+// ---------------------------------------------------------------------
+
+/// One step of a retire script.
+#[derive(Debug, Clone, Copy)]
+enum RetireOp {
+    /// Inject a flow on one of the script's QPs at the script clock.
+    Inject { qp: usize, mb: u64 },
+    /// Advance the script clock and run to it.
+    Advance { us: u64 },
+    /// Run until no events remain.
+    Idle,
+    /// Retire finished flows (the retiring sim only).
+    Retire,
+    /// Hard-fail a fabric link on some injected flow's path.
+    Fail { pick: usize },
+    /// Restore the most recently failed link.
+    Restore,
+}
+
+fn retire_script() -> impl Strategy<Value = Vec<RetireOp>> {
+    let op =
+        (0u32..12, 0usize..64, 1u64..32, 100u64..3_000).prop_map(
+            |(kind, pick, mb, us)| match kind {
+                0..=3 => RetireOp::Inject { qp: pick, mb },
+                4 | 5 => RetireOp::Advance { us },
+                6 => RetireOp::Idle,
+                7 | 8 => RetireOp::Retire,
+                9 | 10 => RetireOp::Fail { pick },
+                _ => RetireOp::Restore,
+            },
+        );
+    prop::collection::vec(op, 4..40)
+}
+
+/// A flow event keyed by the flow's sequence number, which the retiring
+/// sim and its twin share (their slots differ).
+fn event_key(e: astral_net::FlowEvent) -> (bool, u32, astral_net::QpId, astral_sim::SimTime) {
+    match e {
+        astral_net::FlowEvent::Aborted { flow, qp, at } => (true, flow.seq(), qp, at),
+        astral_net::FlowEvent::Requeued { flow, qp, at } => (false, flow.seq(), qp, at),
+    }
+}
+
+proptest! {
+    /// A simulator that retires finished flows runs exactly like a twin
+    /// that never does. Scripts inject onto eight shared QPs, run, fail
+    /// and restore fabric links — so `Failed` flows live across retires
+    /// and are requeued later, into a table with reused slots — and
+    /// retire at random points. After every step both report the same
+    /// flow events, and every flow is either retired in the retiring sim
+    /// (a typed error from every query, and `Done` in the twin) or has
+    /// the same stats and rate in both. At the end both hold the same
+    /// trace, telemetry and solver counters.
+    #[test]
+    fn retiring_sim_matches_a_twin_that_never_retires(script in retire_script()) {
+        use astral_net::{FlowSpec, FlowState, NetConfig, NetError, NetworkSim, QpContext};
+        use astral_sim::{SimDuration, SimTime};
+        use std::collections::HashSet;
+
+        let topo = build_astral(&AstralParams::sim_small());
+        let cfg = NetConfig {
+            trace: true,
+            ..NetConfig::default()
+        };
+        let mut ret = NetworkSim::new(&topo, cfg);
+        let mut twin = NetworkSim::new(&topo, cfg);
+        let mut qps = Vec::new();
+        for i in 0..8u32 {
+            let dst = if i < 4 { (8 + i) * 4 } else { 128 + i * 4 };
+            let (s, d) = (topo.gpu_nic(GpuId(i * 4)), topo.gpu_nic(GpuId(dst)));
+            qps.push(ret.register_qp_auto(s, d, QpContext::anonymous()));
+            prop_assert_eq!(twin.register_qp_auto(s, d, QpContext::anonymous()), qps[i as usize]);
+        }
+        let mut flows = Vec::new();
+        let mut retired: HashSet<u32> = HashSet::new();
+        let mut failed = Vec::new();
+        let mut now = SimTime::ZERO;
+        let last = script.len();
+        for (step, &op) in script.iter().enumerate() {
+            match op {
+                RetireOp::Inject { qp, mb } => {
+                    let spec = FlowSpec {
+                        qp: qps[qp % qps.len()],
+                        bytes: mb * 1_000_000,
+                        weight: 1.0,
+                    };
+                    let (r, t) = (ret.inject_at(now, spec), twin.inject_at(now, spec));
+                    let (r, t) = (r.expect("routed"), t.expect("routed"));
+                    prop_assert_eq!(r.seq(), t.seq());
+                    flows.push((r, t));
+                }
+                RetireOp::Advance { us } => {
+                    now += SimDuration::from_micros(us);
+                    ret.run_until(now);
+                    twin.run_until(now);
+                }
+                RetireOp::Idle => {
+                    ret.run_until_idle();
+                    twin.run_until_idle();
+                    now = now.max(twin.now());
+                }
+                RetireOp::Retire => {
+                    let done: Vec<u32> = flows
+                        .iter()
+                        .filter(|&&(_, t)| twin.flow_outcome(t).unwrap().0 == FlowState::Done)
+                        .map(|&(_, t)| t.seq())
+                        .filter(|s| !retired.contains(s))
+                        .collect();
+                    prop_assert_eq!(ret.retire_finished(), done.len());
+                    retired.extend(done);
+                }
+                RetireOp::Fail { pick } if !flows.is_empty() => {
+                    let t = flows[pick % flows.len()].1;
+                    if let Some(&l) = twin.stats(t).unwrap().path.get(1) {
+                        ret.fail_link_at(now, l);
+                        twin.fail_link_at(now, l);
+                        failed.push(l);
+                    }
+                }
+                RetireOp::Fail { .. } => {}
+                RetireOp::Restore => {
+                    if let Some(l) = failed.pop() {
+                        ret.restore_link_at(now, l);
+                        twin.restore_link_at(now, l);
+                    }
+                }
+            }
+            if step + 1 == last {
+                ret.run_until_idle();
+                twin.run_until_idle();
+            }
+            let (er, et) = (ret.drain_flow_events(), twin.drain_flow_events());
+            prop_assert_eq!(
+                er.into_iter().map(event_key).collect::<Vec<_>>(),
+                et.into_iter().map(event_key).collect::<Vec<_>>()
+            );
+            for &(r, t) in &flows {
+                let want = twin.stats(t).unwrap();
+                if retired.contains(&t.seq()) {
+                    prop_assert_eq!(want.state, FlowState::Done);
+                    let gone = NetError::RetiredFlow(r);
+                    prop_assert_eq!(ret.stats(r).err(), Some(gone));
+                    prop_assert_eq!(ret.flow_outcome(r).err(), Some(gone));
+                    prop_assert_eq!(ret.current_rate(r).err(), Some(gone));
+                    continue;
+                }
+                let got = ret.stats(r).unwrap();
+                prop_assert_eq!(
+                    (got.qp, got.bytes, got.delivered.to_bits(), got.start, got.finish),
+                    (want.qp, want.bytes, want.delivered.to_bits(), want.start, want.finish)
+                );
+                prop_assert_eq!((got.state, got.path), (want.state, want.path));
+                prop_assert_eq!(
+                    ret.current_rate(r).unwrap().to_bits(),
+                    twin.current_rate(t).unwrap().to_bits()
+                );
+            }
+            let live: Vec<u32> = ret.all_stats().iter().map(|s| s.id.seq()).collect();
+            let want: Vec<u32> = flows
+                .iter()
+                .map(|&(_, t)| t.seq())
+                .filter(|s| !retired.contains(s))
+                .collect();
+            prop_assert_eq!(live, want);
+        }
+        prop_assert_eq!(ret.now(), twin.now());
+        prop_assert_eq!(ret.take_trace(), twin.take_trace());
+        prop_assert_eq!(ret.solver_counters(), twin.solver_counters());
+        let (a, b) = (ret.telemetry(), twin.telemetry());
+        prop_assert!(a.qp_bytes.iter().eq(b.qp_bytes.iter()));
+        prop_assert_eq!(&a.err_cqe, &b.err_cqe);
+        prop_assert_eq!(&a.link_flaps, &b.link_flaps);
+        prop_assert_eq!(format!("{:?}", a.link), format!("{:?}", b.link));
     }
 }

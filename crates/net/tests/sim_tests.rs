@@ -1,11 +1,13 @@
 //! End-to-end tests of the flow-level network simulator.
 
 use astral_net::{
-    ip_of_nic, EcmpController, FiveTuple, FlowSpec, FlowState, NetConfig, NetworkSim, PlannedFlow,
-    QpContext, QpId, PFC_HOL_FACTOR, RTO,
+    ip_of_nic, EcmpController, FiveTuple, FlowSpec, FlowState, NetConfig, NetError, NetworkSim,
+    PlannedFlow, QpContext, QpId, PFC_HOL_FACTOR, RTO,
 };
 use astral_sim::{SimDuration, SimTime};
-use astral_topo::{build_astral, AstralParams, GpuId, HostId, LinkId, NodeId, Topology};
+use astral_topo::{
+    build_astral, build_rail_only, AstralParams, GpuId, HostId, LinkId, NodeId, Topology,
+};
 
 fn fixture() -> Topology {
     build_astral(&AstralParams::sim_small())
@@ -141,11 +143,11 @@ fn link_failure_raises_err_cqe_and_aborts() {
         .unwrap();
     // Fail the flow's first link shortly after start.
     sim.run_until(SimTime::from_micros(10));
-    let first_link = sim.stats(id).path[0];
+    let first_link = sim.stats(id).unwrap().path[0];
     sim.fail_link_at(SimTime::from_micros(20), first_link);
     sim.run_until_idle();
 
-    let st = sim.stats(id);
+    let st = sim.stats(id).unwrap();
     assert_eq!(st.state, FlowState::Failed);
     let errs = sim.telemetry().err_cqe.clone();
     assert_eq!(errs.len(), 1);
@@ -191,7 +193,7 @@ fn restore_readmits_aborted_flows() {
         })
         .unwrap();
     sim.run_until(SimTime::from_micros(10));
-    let first_link = sim.stats(id).path[0];
+    let first_link = sim.stats(id).unwrap().path[0];
 
     // The blast radius of the scheduled failure is exactly our QP.
     sim.fail_link_at(SimTime::from_micros(20), first_link);
@@ -200,7 +202,7 @@ fn restore_readmits_aborted_flows() {
     // Let the abort land (one RTO after the failure), then restore the
     // link mid-run.
     sim.run_until(SimTime::from_millis(5));
-    assert_eq!(sim.stats(id).state, FlowState::Failed);
+    assert_eq!(sim.stats(id).unwrap().state, FlowState::Failed);
     let events = sim.drain_flow_events();
     assert!(matches!(
         events.as_slice(),
@@ -211,7 +213,7 @@ fn restore_readmits_aborted_flows() {
     sim.run_until_idle();
 
     // The flow was re-admitted and ran to completion.
-    let st = sim.stats(id);
+    let st = sim.stats(id).unwrap();
     assert_eq!(st.state, FlowState::Done);
     assert!((st.delivered - bytes as f64).abs() < 1.0);
     let events = sim.drain_flow_events();
@@ -282,7 +284,7 @@ fn degraded_host_triggers_pfc_and_slows_victims() {
 
     // The victim must have been slowed below its clean-network rate at some
     // point (head-of-line loss), visible in its completion.
-    let v = sim.stats(victim);
+    let v = sim.stats(victim).unwrap();
     assert_eq!(v.state, FlowState::Done);
     let rate = v.avg_rate_bps().unwrap();
     assert!(
@@ -333,8 +335,7 @@ fn qp_ms_rate_sampling_works() {
         bytes: 25_000_000,
         weight: 1.0,
     }]);
-    let series = &sim.telemetry().qp_bytes[qp];
-    let total: f64 = series.points().iter().map(|&(_, v)| v).sum();
+    let total = sim.telemetry().qp_bytes[qp].bytes;
     assert!((total - 25_000_000.0).abs() < 1.0, "sampled {total}");
 }
 
@@ -445,7 +446,7 @@ fn weighted_flows_split_proportionally() {
         .unwrap();
     sim.run_until_idle();
     // With a 1:3 split both should finish at the same moment.
-    let (fs, fb) = (sim.stats(small), sim.stats(big));
+    let (fs, fb) = (sim.stats(small).unwrap(), sim.stats(big).unwrap());
     let (ts, tb) = (
         fs.finish.unwrap().as_nanos() as f64,
         fb.finish.unwrap().as_nanos() as f64,
@@ -512,7 +513,7 @@ fn dual_tor_failover_halves_bandwidth_but_completes() {
     let idb = sim.inject(mk(qb)).unwrap();
     sim.run_until_idle();
     for id in [ida, idb] {
-        let st = sim.stats(id);
+        let st = sim.stats(id).unwrap();
         assert_eq!(st.state, FlowState::Done, "flow must survive failover");
         let rate = st.avg_rate_bps().unwrap();
         assert!(
@@ -766,8 +767,8 @@ fn sport_reassignment_reroutes_next_flow_and_sflow_record() {
             })
             .unwrap();
         sim.run_until_idle();
-        assert_eq!(sim.stats(id).state, FlowState::Done);
-        sim.stats(id).path
+        assert_eq!(sim.stats(id).unwrap().state, FlowState::Done);
+        sim.stats(id).unwrap().path
     };
 
     // Repeated flows on an unchanged QP take one path, and the record is
@@ -800,28 +801,123 @@ fn sport_reassignment_reroutes_next_flow_and_sflow_record() {
     assert_eq!(flow_path(&mut sim), second);
 }
 
+/// Each refused injection — an unregistered QP (an id past the end, and
+/// id 0), a start before the clock, a QP the fabric cannot route — returns
+/// its typed error and leaves the simulator as it was: a twin that never
+/// saw the bad calls then runs the same flow to the same stats, trace and
+/// telemetry, so no refusal took a sequence number, a slot or an event.
 #[test]
-#[should_panic(expected = "unregistered QP")]
-fn inject_on_unregistered_qp_panics() {
-    let topo = fixture();
-    let mut sim = NetworkSim::new(&topo, NetConfig::default());
-    qp_between(&mut sim, &topo, 0, 32);
-    sim.inject(FlowSpec {
-        qp: QpId(2),
-        bytes: 1,
-        weight: 1.0,
+fn refused_injections_are_typed_and_leave_the_sim_unchanged() {
+    let topo = build_rail_only(&AstralParams {
+        pods: 1,
+        ..AstralParams::sim_small()
     });
+    let (src, dst) = (GpuId(0), GpuId(32));
+    let cross = GpuId(33);
+    assert_eq!(topo.gpu_rail(src), topo.gpu_rail(dst));
+    assert_ne!(topo.gpu_rail(src), topo.gpu_rail(cross));
+    let cfg = NetConfig {
+        trace: true,
+        ..NetConfig::default()
+    };
+    let spec = |qp| FlowSpec {
+        qp,
+        bytes: 1 << 20,
+        weight: 1.0,
+    };
+    let mut sims = [NetworkSim::new(&topo, cfg), NetworkSim::new(&topo, cfg)];
+    for (i, sim) in sims.iter_mut().enumerate() {
+        let qp = qp_between(sim, &topo, src.0, dst.0);
+        let unroutable = qp_between(sim, &topo, src.0, cross.0);
+        sim.run_flows(&[spec(qp)]);
+        let now = sim.now();
+        assert!(now > SimTime::ZERO);
+        if i == 0 {
+            for bad in [QpId(3), QpId(0)] {
+                assert_eq!(sim.inject(spec(bad)), Err(NetError::UnknownQp(bad)));
+            }
+            let past = sim.inject_at(SimTime::ZERO, spec(qp));
+            let at = SimTime::ZERO;
+            assert_eq!(past, Err(NetError::PastStart { at, now }));
+            let no_route = sim.inject(spec(unroutable));
+            assert_eq!(no_route, Err(NetError::NoRoute(unroutable)));
+        }
+        let id = sim.inject(spec(qp)).expect("routed");
+        assert_eq!(id.seq(), 1);
+        sim.run_until_idle();
+    }
+    let [a, b] = &mut sims;
+    assert_eq!(
+        format!("{:?}", a.all_stats()),
+        format!("{:?}", b.all_stats())
+    );
+    assert_eq!(a.now(), b.now());
+    assert_eq!(a.take_trace(), b.take_trace());
+    let (ta, tb) = (a.telemetry(), b.telemetry());
+    assert!(ta.qp_bytes.iter().eq(tb.qp_bytes.iter()));
+    assert_eq!(format!("{:?}", ta.link), format!("{:?}", tb.link));
+    assert_eq!(
+        format!("{:?}", a.solver_counters()),
+        format!("{:?}", b.solver_counters())
+    );
 }
 
+/// Queued events of a retired flow leave the next flow in its slot
+/// alone, in two cases. A superseded completion notice: A sped up when C
+/// finished, so A's first notice is still queued when A is retired, and
+/// B, in A's slot, reaches the same completion epoch. An abort timer: D's
+/// link healed within the RTO, so D finished with its timer queued, and
+/// E, in D's slot, starts on the same link, failed again. B finishes and
+/// E aborts exactly when they do in a twin that never retires.
 #[test]
-#[should_panic(expected = "unregistered QP")]
-fn inject_on_qp_zero_panics() {
+fn stale_events_of_a_retired_flow_leave_the_next_flow_alone() {
     let topo = fixture();
-    let mut sim = NetworkSim::new(&topo, NetConfig::default());
-    qp_between(&mut sim, &topo, 0, 32);
-    sim.inject(FlowSpec {
-        qp: QpId(0),
-        bytes: 1,
-        weight: 1.0,
-    });
+    let run = |retire: bool| {
+        let mut sim = NetworkSim::new(&topo, NetConfig::default());
+        let qp = qp_between(&mut sim, &topo, 0, 32);
+        let spec = |mb: u64| FlowSpec {
+            qp,
+            bytes: mb * 1_000_000,
+            weight: 1.0,
+        };
+        let retire_done = |sim: &mut NetworkSim, n: usize| {
+            if retire {
+                assert_eq!(sim.retire_finished(), n);
+            }
+        };
+        let a = sim.inject(spec(25)).unwrap();
+        sim.inject(spec(2)).unwrap();
+        let t = SimTime::from_micros(1_500);
+        sim.run_until(t);
+        assert_eq!(sim.flow_outcome(a).unwrap().0, FlowState::Done);
+        retire_done(&mut sim, 2);
+        let b = sim.inject_at(t, spec(25)).unwrap();
+        sim.run_until_idle();
+        let b = sim.stats(b).unwrap();
+        retire_done(&mut sim, 1);
+
+        let t0 = sim.now();
+        let d = sim.inject_at(t0, spec(1)).unwrap();
+        let link = sim.stats(d).unwrap().path[1];
+        sim.fail_link_at(t0 + SimDuration::from_micros(10), link);
+        sim.restore_link_at(t0 + SimDuration::from_millis(1), link);
+        sim.run_until(t0 + SimDuration::from_millis(2));
+        assert_eq!(sim.flow_outcome(d).unwrap().0, FlowState::Done);
+        retire_done(&mut sim, 1);
+        let t1 = t0 + SimDuration::from_millis(2);
+        sim.fail_link_at(t1, link);
+        let e = sim.inject_at(t1, spec(1)).unwrap();
+        sim.run_until_idle();
+        let aborts: Vec<(u32, SimTime)> = sim
+            .drain_flow_events()
+            .into_iter()
+            .filter_map(|ev| match ev {
+                astral_net::FlowEvent::Aborted { flow, at, .. } => Some((flow.seq(), at)),
+                astral_net::FlowEvent::Requeued { .. } => None,
+            })
+            .collect();
+        assert_eq!(aborts, [(e.seq(), t1 + RTO)]);
+        (b.finish, b.delivered.to_bits(), aborts)
+    };
+    assert_eq!(run(true), run(false));
 }

@@ -99,6 +99,11 @@ impl<E> EventQueue<E> {
         self.len == 0
     }
 
+    /// Every pending payload, in no particular order.
+    pub fn pending(&self) -> impl Iterator<Item = &E> + '_ {
+        self.slots.iter().filter_map(|s| s.payload.as_ref())
+    }
+
     /// Schedule `payload` to fire at absolute time `at`.
     ///
     /// Scheduling in the past is a logic error in a causal simulation;

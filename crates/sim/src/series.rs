@@ -1,9 +1,9 @@
 //! Timestamped series of samples.
 //!
-//! Telemetry in the monitoring system (QP rates, ECN counters, power draw,
-//! temperatures) is recorded as a [`TimeSeries`]: `(SimTime, f64)` points in
-//! nondecreasing time order, with window queries and fixed-interval resampling
-//! used by the ms-level rate monitor (paper §3.2, Figure 9b).
+//! Sampled traces (power draw, for one) are recorded as a [`TimeSeries`]:
+//! `(SimTime, f64)` points in nondecreasing time order, with window queries
+//! and fixed-interval resampling, the millisecond- versus second-level rate
+//! views of paper §3.2 and Figure 9b.
 
 use crate::stats::Summary;
 use crate::time::{SimDuration, SimTime};
@@ -65,9 +65,9 @@ impl TimeSeries {
     /// Resample by bucketing into fixed `interval` bins starting at `start`,
     /// aggregating each bin with `agg`. Empty bins yield `None` entries.
     ///
-    /// This is how the transport monitor turns per-message byte samples into
-    /// both millisecond-level and second-level rate views — the contrast the
-    /// paper draws in Figure 9b.
+    /// Resampling per-message byte samples at 1 ms and at 1 s gives the
+    /// millisecond- and second-level rate views the paper contrasts in
+    /// Figure 9b.
     pub fn resample<F>(
         &self,
         start: SimTime,

@@ -148,13 +148,13 @@ fn dual_tor_survives_optical_failure() {
         let mut any_ok = false;
         for sport in 49152..49152 + 16 {
             let qp = sim.register_qp(src, dst, sport, QpContext::anonymous());
-            if let Some(id) = sim.inject(FlowSpec {
+            if let Ok(id) = sim.inject(FlowSpec {
                 qp,
                 bytes: 1 << 20,
                 weight: 1.0,
             }) {
                 sim.run_until_idle();
-                if sim.stats(id).state == astral::net::FlowState::Done {
+                if sim.stats(id).unwrap().state == astral::net::FlowState::Done {
                     any_ok = true;
                 }
             }
