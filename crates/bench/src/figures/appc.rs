@@ -219,7 +219,7 @@ pub(crate) fn run() -> Report {
         "\ntrace recording tax (fig10 scenario): {overhead_pct:.2}% of the \
          median untraced run — {} records, ring lifecycle {:.0} us, run \
          {:.1} ms; end-to-end paired delta {e2e_delta_pct:+.2}% \
-         (informational: rides shared-runner noise)",
+         (informational: rides shared-runner noise) [wall_clock]",
         records.len(),
         lifecycle * 1e6,
         plain * 1e3,

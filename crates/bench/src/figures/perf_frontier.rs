@@ -258,7 +258,8 @@ fn frontier_point(sc: &mut Scenario, f: &Frontier) -> (String, Option<f64>) {
     let router = Arc::new(Router::new());
     let gpus = topo.gpu_count();
     println!(
-        "[{}] fabric: {} GPUs, {} links (built in {:.1}s); {} pods × {} roots × {} waves",
+        "[{}] fabric: {} GPUs, {} links (built in {:.1}s); {} pods × {} roots × {} waves \
+         [wall_clock]",
         f.label,
         gpus,
         topo.links().len(),
@@ -273,7 +274,8 @@ fn frontier_point(sc: &mut Scenario, f: &Frontier) -> (String, Option<f64>) {
 
     let gpu_s_per_wall = s1.sim_secs * gpus as f64 / s1.wall.max(1e-12);
     println!(
-        "[{}] sharded: {:.3}s wall, {:.3}s simulated, {} flows, {} solves, {} links scanned",
+        "[{}] sharded: {:.3}s wall, {:.3}s simulated, {} flows, {} solves, {} links scanned \
+         [wall_clock]",
         f.label, s1.wall, s1.sim_secs, s1.flows, s1.solves, s1.links_scanned
     );
     sc.metric(&format!("gpus_{}", f.label), gpus);
@@ -339,7 +341,8 @@ fn joint_fill(
     );
     let speedup = g.wall / s1.wall.max(1e-12);
     println!(
-        "[{}] global:  {:.3}s wall, {} solves, {} links scanned → sharded speedup {:.2}x",
+        "[{}] global:  {:.3}s wall, {} solves, {} links scanned → sharded speedup {:.2}x \
+         [wall_clock]",
         f.label, g.wall, g.solves, g.links_scanned, speedup
     );
     sc.metric(

@@ -261,7 +261,7 @@ pub(crate) fn run() -> Report {
     let hit_rate = cold_stats.hit_rate();
     println!(
         "cold: {:.0} qps ({:.1}ms), warm: {:.0} qps ({:.1}ms) -> {:.1}x; \
-         hit rate {:.4} ({} hits / {} misses), op memo {} hits / {} misses",
+         hit rate {:.4} ({} hits / {} misses), op memo {} hits / {} misses [wall_clock]",
         qps_cold,
         wall_cold * 1e3,
         qps_warm,

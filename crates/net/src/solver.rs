@@ -37,12 +37,22 @@
 //! lands in one group with the pods it touches. Without a key the joint
 //! fill runs unchanged.
 //!
+//! **Solver ids.** The simulator names a flow by its flow-table slot, and
+//! a simulator that never retires flows grows that table with every flow
+//! it injects. The solver names an active flow by its own dense *solver
+//! id*: `flow_started` takes one from a free list (or a new one) and
+//! `flow_removed` gives it back. Every per-flow array, the hop arenas
+//! (`hops`, `hop_pos`: a fixed stride of the longest path started so far
+//! per id) and the per-link flow lists are indexed by solver id, so they
+//! are bounded by peak live flows, not by the flow table. Per slot the
+//! solver keeps only the slot's solver id and its injected weight. No
+//! order depends on id values: component flows come in link-list order,
+//! the full-solve seed follows the active list, and only links are sorted.
+//!
 //! All scratch (remaining capacity, per-link load, component membership,
 //! frozen marks, pod groups) is held in reusable buffers with epoch stamps,
-//! so a solve allocates nothing in steady state. Flow paths live in two
-//! append-only flat arenas (`hops`, `hop_pos`) addressed by a per-flow
-//! span, so starting or removing a flow allocates nothing either (amortized
-//! arena growth aside).
+//! so a solve allocates nothing in steady state, and starting or removing a
+//! flow allocates nothing either once its solver id exists.
 //!
 //! Debug builds check a max-min certificate after every solve
 //! ([`certificate_violation`](crate::fairness::certificate_violation)):
@@ -56,24 +66,8 @@ use astral_topo::{NodeId, NodeKind, Topology};
 use serde::Serialize;
 use std::collections::BTreeMap;
 
-/// Sentinel for "not in the active set".
+/// Sentinel for "no solver id" and "not in the active list".
 const NONE: u32 = u32::MAX;
-
-/// A flow's path in the solver's hop arena: `len` hops from `off`, in a
-/// region of `cap` hops that a later flow in the same slot may reuse.
-#[derive(Debug, Clone, Copy, Default)]
-struct Span {
-    off: u32,
-    len: u16,
-    cap: u16,
-}
-
-impl Span {
-    /// The arena index range of the path.
-    fn range(self) -> std::ops::Range<usize> {
-        self.off as usize..self.off as usize + self.len as usize
-    }
-}
 
 /// Load below which a link is treated as carrying no unfrozen weight.
 const LOAD_EPS: f64 = 1e-12;
@@ -337,42 +331,49 @@ fn bucket(
 
 /// Incremental water-filling engine over a fixed link set.
 ///
-/// Flows are identified by the simulator's flow-table slots; per-flow
-/// state grows with the slot count and is reused across requeues and by a
-/// later flow in a reused slot. The solver owns the authoritative per-flow
-/// weights and rates and the per-link `used`/`nflows` aggregates the
-/// simulator's telemetry reads.
+/// The simulator names flows by flow-table slot; the solver maps each
+/// active flow to a dense solver id (module doc) and indexes all per-flow
+/// state by it. The solver owns the authoritative per-flow weights and
+/// rates and the per-link `used` aggregate the simulator's telemetry reads.
 #[derive(Debug)]
 pub(crate) struct FairShareSolver {
     nl: usize,
 
-    // --- persistent active-set state ---
-    /// Active flow ids, swap-remove order.
+    // --- per flow-table slot ---
+    /// slot → solver id of its active flow, or `NONE`.
+    sid_of: Vec<u32>,
+    /// slot → max-min weight its flow was injected with.
+    slot_weight: Vec<f64>,
+
+    // --- persistent active-set state, per solver id ---
+    /// Active solver ids, swap-remove order.
     active: Vec<u32>,
-    /// flow id → index in `active`, or `NONE`.
-    slot_of: Vec<u32>,
-    /// flow id → span of its path in `hops`/`hop_pos` (set when the flow
-    /// starts; kept across requeues, and rewritten in place by a later
-    /// flow in the same slot whose path fits).
-    span: Vec<Span>,
-    /// Arena of started flows' links, in path order: one span per slot.
+    /// Solver ids not in use, last freed on top.
+    free_ids: Vec<u32>,
+    /// id → index in `active`, or `NONE` while the id is free.
+    active_pos: Vec<u32>,
+    /// id → slot of the flow holding it (stale while the id is free).
+    slot_of_sid: Vec<u32>,
+    /// id → hop count of its path, which is `hops[id * stride..][..len]`.
+    hop_len: Vec<u16>,
+    /// Arena hops per id: the longest path started so far.
+    stride: usize,
+    /// Arena of the ids' links, in path order: `stride` hops per id.
     hops: Vec<u32>,
     /// Parallel to `hops`: the position of hop `k`'s entry in
-    /// `link_flows[hops[k]]` while its flow is active.
+    /// `link_flows[hops[k]]` while its id is active.
     hop_pos: Vec<u32>,
-    /// flow id → max-min weight.
+    /// id → max-min weight.
     weight: Vec<f64>,
-    /// flow id → last solved rate (authoritative allocation).
+    /// id → last solved rate (authoritative allocation).
     rate: Vec<f64>,
-    /// link → `(flow, arena index of the hop)` for each active flow
-    /// crossing it. The second element makes detach O(1) per hop: when an
-    /// entry is swap-removed, the moved entry's `hop_pos` back-pointer is
-    /// repaired without scanning.
+    /// link → `(id, arena index of the hop)` for each active flow crossing
+    /// it. The second element makes detach O(1) per hop: when an entry is
+    /// swap-removed, the moved entry's `hop_pos` back-pointer is repaired
+    /// without scanning.
     link_flows: Vec<Vec<(u32, u32)>>,
     /// link → allocated rate at the last solve.
     link_used: Vec<f64>,
-    /// link → active flow count (maintained incrementally).
-    link_nflows: Vec<u32>,
     /// Links whose `link_used` may be nonzero (every link a solve wrote
     /// since the last full rebuild), so a full rebuild zeroes only these
     /// instead of every link.
@@ -393,10 +394,12 @@ pub(crate) struct FairShareSolver {
     frozen: Vec<u32>,
     epoch: u32,
     comp_links: Vec<u32>,
+    /// Solver ids of the component's flows.
     comp_flows: Vec<u32>,
     /// BFS frontier position within `comp_links` (stepwise expansion).
     comp_head: usize,
     loaded: Vec<u32>,
+    /// Solver ids of the flows the last solve assigned a rate.
     changed: Vec<u32>,
     /// Per-link saturation threshold for the current fill (from capacity).
     sat_thresh: Vec<f64>,
@@ -409,21 +412,41 @@ pub(crate) struct FairShareSolver {
     counters: SolverCounters,
 }
 
+/// The arena index range of a path of `len` hops held by solver id `sid`.
+fn arena_range(stride: usize, sid: u32, len: u16) -> std::ops::Range<usize> {
+    let off = sid as usize * stride;
+    off..off + len as usize
+}
+
+/// A solved rate as the simulator sees it: a flow with no links has an
+/// unbounded fill level and reads 0.
+fn finite_or_zero(rate: f64) -> f64 {
+    if rate.is_finite() {
+        rate
+    } else {
+        0.0
+    }
+}
+
 impl FairShareSolver {
     /// New solver over `nl` links that fills each dirty component jointly.
     pub(crate) fn new(nl: usize) -> Self {
         FairShareSolver {
             nl,
+            sid_of: Vec::new(),
+            slot_weight: Vec::new(),
             active: Vec::new(),
-            slot_of: Vec::new(),
-            span: Vec::new(),
+            free_ids: Vec::new(),
+            active_pos: Vec::new(),
+            slot_of_sid: Vec::new(),
+            hop_len: Vec::new(),
+            stride: 0,
             hops: Vec::new(),
             hop_pos: Vec::new(),
             weight: Vec::new(),
             rate: Vec::new(),
             link_flows: vec![Vec::new(); nl],
             link_used: vec![0.0; nl],
-            link_nflows: vec![0; nl],
             used_links: LinkSet::new(nl),
             dirty_links: Vec::new(),
             link_dirty: vec![false; nl],
@@ -467,25 +490,38 @@ impl FairShareSolver {
         self.counters
     }
 
-    /// Flow ids currently active.
-    pub(crate) fn active_flows(&self) -> &[u32] {
-        &self.active
+    /// `(slot, rate)` of each of `sids`; the rate reads as
+    /// [`Self::rate_of`] does.
+    fn slots_and_rates<'s>(
+        &'s self,
+        sids: &'s [u32],
+    ) -> impl ExactSizeIterator<Item = (u32, f64)> + 's {
+        sids.iter().map(|&sid| {
+            let si = sid as usize;
+            (self.slot_of_sid[si], finite_or_zero(self.rate[si]))
+        })
     }
 
-    /// Whether `flow` is in the active set.
+    /// `(slot, rate)` of each active flow, in active-list order.
+    pub(crate) fn active_flows(&self) -> impl ExactSizeIterator<Item = (u32, f64)> + '_ {
+        self.slots_and_rates(&self.active)
+    }
+
+    /// Whether the flow in `slot` is in the active set.
     #[cfg(test)]
-    pub(crate) fn is_active(&self, flow: u32) -> bool {
-        (flow as usize) < self.slot_of.len() && self.slot_of[flow as usize] != NONE
+    pub(crate) fn is_active(&self, slot: u32) -> bool {
+        self.sid_of
+            .get(slot as usize)
+            .is_some_and(|&sid| sid != NONE)
     }
 
-    /// Last solved rate of `flow`: 0 until first solved, and 0 for a flow
-    /// with no links (its fill level is unbounded).
-    pub(crate) fn rate_of(&self, flow: u32) -> f64 {
-        let rate = self.rate.get(flow as usize).copied().unwrap_or(0.0);
-        if rate.is_finite() {
-            rate
-        } else {
-            0.0
+    /// Last solved rate of the flow in `slot`: 0 until first solved, 0
+    /// once it leaves the active set, and 0 for a flow with no links (its
+    /// fill level is unbounded).
+    pub(crate) fn rate_of(&self, slot: u32) -> f64 {
+        match self.sid_of.get(slot as usize) {
+            Some(&sid) if sid != NONE => finite_or_zero(self.rate[sid as usize]),
+            _ => 0.0,
         }
     }
 
@@ -494,32 +530,21 @@ impl FairShareSolver {
         &self.link_used
     }
 
-    /// Per-link active-flow counts.
-    pub(crate) fn link_nflows(&self) -> &[u32] {
-        &self.link_nflows
+    /// Number of active flows crossing `link`.
+    pub(crate) fn link_flow_count(&self, link: usize) -> usize {
+        self.link_flows[link].len()
     }
 
-    /// Flows whose rate was (re)assigned by the last solve. The simulator
-    /// bumps completion epochs and reschedules only these.
-    pub(crate) fn changed_flows(&self) -> &[u32] {
-        &self.changed
+    /// `(slot, rate)` of each flow whose rate the last solve (re)assigned,
+    /// in component order; valid until the next start or removal. The
+    /// simulator bumps completion epochs and reschedules only these.
+    pub(crate) fn changed_flows(&self) -> impl ExactSizeIterator<Item = (u32, f64)> + '_ {
+        self.slots_and_rates(&self.changed)
     }
 
     /// True when a full (non-component) solve has been requested.
     pub(crate) fn needs_full(&self) -> bool {
         self.needs_full
-    }
-
-    fn ensure_flow(&mut self, flow: u32) {
-        let want = flow as usize + 1;
-        if self.slot_of.len() < want {
-            self.slot_of.resize(want, NONE);
-            self.span.resize(want, Span::default());
-            self.weight.resize(want, 1.0);
-            self.rate.resize(want, 0.0);
-            self.flow_mark.resize(want, 0);
-            self.frozen.resize(want, 0);
-        }
     }
 
     fn mark_dirty(&mut self, link: u32) {
@@ -529,83 +554,109 @@ impl FairShareSolver {
         }
     }
 
-    /// The arena index range of `flow`'s path.
-    fn hop_range(&self, flow: u32) -> std::ops::Range<usize> {
-        self.span[flow as usize].range()
+    /// The arena index range of solver id `sid`'s path.
+    fn hop_range(&self, sid: u32) -> std::ops::Range<usize> {
+        arena_range(self.stride, sid, self.hop_len[sid as usize])
     }
 
-    /// Attach `flow` to the active set and every link on its stored path.
-    fn attach(&mut self, flow: u32) {
-        let fi = flow as usize;
-        debug_assert_eq!(self.slot_of[fi], NONE, "flow already active");
-        self.slot_of[fi] = self.active.len() as u32;
-        self.active.push(flow);
-        for k in self.hop_range(flow) {
-            let l = self.hops[k] as usize;
-            self.hop_pos[k] = self.link_flows[l].len() as u32;
-            self.link_flows[l].push((flow, k as u32));
-            self.link_nflows[l] += 1;
-            self.mark_dirty(l as u32);
+    /// A flow was injected into `slot` with max-min weight `weight`.
+    pub(crate) fn flow_injected(&mut self, slot: u32, weight: f64) {
+        let want = slot as usize + 1;
+        if self.sid_of.len() < want {
+            self.sid_of.resize(want, NONE);
+            self.slot_weight.resize(want, 1.0);
         }
+        self.slot_weight[slot as usize] = weight;
     }
 
-    /// A flow was injected into slot `flow` with max-min weight `weight`.
-    pub(crate) fn flow_injected(&mut self, flow: u32, weight: f64) {
-        self.ensure_flow(flow);
-        self.weight[flow as usize] = weight;
-    }
-
-    /// The flow in slot `flow` entered the active set on `path`. The path
-    /// goes into the slot's hop span when it fits (the slot held an
-    /// earlier flow), else onto the end of the hop arena; requeues reuse
-    /// the span.
-    pub(crate) fn flow_started(&mut self, flow: u32, path: &[u32]) {
+    /// The flow in `slot` entered the active set on `path`: a new start, or
+    /// a requeue of an aborted flow on its original path. It takes a free
+    /// solver id (or a new one), writes its path into the id's arena span
+    /// and attaches to every link on it.
+    pub(crate) fn flow_started(&mut self, slot: u32, path: &[u32]) {
         self.counters.events += 1;
         let len = u16::try_from(path.len()).expect("path longer than u16::MAX hops");
-        let span = &mut self.span[flow as usize];
-        if len <= span.cap {
-            span.len = len;
-            self.hops[span.range()].copy_from_slice(path);
-        } else {
-            let off = self.hops.len();
-            assert!(off + path.len() <= NONE as usize, "hop arena exceeds u32");
-            *span = Span {
-                off: off as u32,
-                len,
-                cap: len,
-            };
-            self.hops.extend_from_slice(path);
-            self.hop_pos.resize(self.hops.len(), 0);
+        if path.len() > self.stride {
+            self.restride(path.len());
         }
-        self.attach(flow);
+        let sid = self.take_id();
+        let si = sid as usize;
+        debug_assert_eq!(self.sid_of[slot as usize], NONE, "flow already active");
+        self.sid_of[slot as usize] = sid;
+        self.slot_of_sid[si] = slot;
+        self.weight[si] = self.slot_weight[slot as usize];
+        self.rate[si] = 0.0;
+        self.hop_len[si] = len;
+        self.active_pos[si] = self.active.len() as u32;
+        self.active.push(sid);
+        let span = self.hop_range(sid);
+        self.hops[span.clone()].copy_from_slice(path);
+        for (k, &l) in span.zip(path) {
+            let list = &mut self.link_flows[l as usize];
+            self.hop_pos[k] = list.len() as u32;
+            list.push((sid, k as u32));
+            self.mark_dirty(l);
+        }
     }
 
-    /// A previously-seen flow (aborted on a failed path) re-entered the
-    /// active set on its original path.
-    pub(crate) fn flow_requeued(&mut self, flow: u32) {
-        self.counters.events += 1;
-        self.attach(flow);
+    /// A free solver id, or a new one with a `stride`-hop arena span.
+    fn take_id(&mut self) -> u32 {
+        if let Some(sid) = self.free_ids.pop() {
+            return sid;
+        }
+        let sid = self.hop_len.len() as u32;
+        let end = self.hops.len() + self.stride;
+        assert!(end <= NONE as usize, "hop arena exceeds u32");
+        self.hops.resize(end, 0);
+        self.hop_pos.resize(end, 0);
+        self.active_pos.push(NONE);
+        self.slot_of_sid.push(NONE);
+        self.hop_len.push(0);
+        self.weight.push(1.0);
+        self.rate.push(0.0);
+        self.flow_mark.push(0);
+        self.frozen.push(0);
+        sid
     }
 
-    /// A flow left the active set (completed or aborted). O(hops):
-    /// swap-remove from the active list and from every per-link flow list,
-    /// repairing the moved entries' back-pointers.
-    pub(crate) fn flow_removed(&mut self, flow: u32) {
-        self.counters.events += 1;
-        let fi = flow as usize;
-        let slot = self.slot_of[fi];
-        debug_assert_ne!(slot, NONE, "flow not active");
-        self.active.swap_remove(slot as usize);
-        if (slot as usize) < self.active.len() {
-            self.slot_of[self.active[slot as usize] as usize] = slot;
+    /// Widen every id's arena span to `stride` hops: spans move back to
+    /// front (each to an offset at or past its old one), then the active
+    /// flows' link-list entries are pointed at their hops' new indices.
+    fn restride(&mut self, stride: usize) {
+        let (old, ids) = (self.stride, self.hop_len.len());
+        assert!(ids * stride <= NONE as usize, "hop arena exceeds u32");
+        self.hops.resize(ids * stride, 0);
+        self.hop_pos.resize(ids * stride, 0);
+        for sid in (0..ids as u32).rev() {
+            let from = arena_range(old, sid, self.hop_len[sid as usize]);
+            let to = sid as usize * stride;
+            self.hops.copy_within(from.clone(), to);
+            self.hop_pos.copy_within(from, to);
         }
-        self.slot_of[fi] = NONE;
-        let old_rate = if self.rate[fi].is_finite() {
-            self.rate[fi]
-        } else {
-            0.0
-        };
-        for k in self.hop_range(flow) {
+        self.stride = stride;
+        for i in 0..self.active.len() {
+            for k in self.hop_range(self.active[i]) {
+                let (l, p) = (self.hops[k] as usize, self.hop_pos[k] as usize);
+                self.link_flows[l][p].1 = k as u32;
+            }
+        }
+    }
+
+    /// The flow in `slot` left the active set (completed or aborted).
+    /// O(hops): swap-remove from the active list and from every per-link
+    /// flow list, repairing the moved entries' back-pointers, then free its
+    /// solver id. Its links go dirty, so the next solve re-derives their
+    /// `link_used`.
+    pub(crate) fn flow_removed(&mut self, slot: u32) {
+        self.counters.events += 1;
+        let sid = std::mem::replace(&mut self.sid_of[slot as usize], NONE);
+        debug_assert_ne!(sid, NONE, "flow not active");
+        let pos = std::mem::replace(&mut self.active_pos[sid as usize], NONE) as usize;
+        self.active.swap_remove(pos);
+        if pos < self.active.len() {
+            self.active_pos[self.active[pos] as usize] = pos as u32;
+        }
+        for k in self.hop_range(sid) {
             let l = self.hops[k] as usize;
             let p = self.hop_pos[k] as usize;
             self.link_flows[l].swap_remove(p);
@@ -613,13 +664,9 @@ impl FairShareSolver {
                 let (_, moved_hop) = self.link_flows[l][p];
                 self.hop_pos[moved_hop as usize] = p as u32;
             }
-            self.link_nflows[l] -= 1;
-            // Keep the aggregate roughly consistent until the next solve
-            // re-derives it for the component.
-            self.link_used[l] = (self.link_used[l] - old_rate).max(0.0);
             self.mark_dirty(l as u32);
         }
-        self.rate[fi] = 0.0;
+        self.free_ids.push(sid);
     }
 
     /// A link's capacity changed (failure or restore on a healthy fabric);
@@ -658,7 +705,7 @@ impl FairShareSolver {
         self.changed.extend_from_slice(&self.comp_flows);
         self.rebuild_link_used_full();
         #[cfg(debug_assertions)]
-        self.check_certificate(cap);
+        self.check_solved(cap);
     }
 
     /// Component-local solve: gather the connected component(s) of the
@@ -682,9 +729,9 @@ impl FairShareSolver {
         self.clear_dirty();
         let mut pods = self.pods.take();
         if let Some(p) = pods.as_mut() {
-            let (hops, span) = (&self.hops, &self.span);
+            let (hops, len, stride) = (&self.hops, &self.hop_len, self.stride);
             p.split(self.epoch, &self.comp_links, &self.comp_flows, |f| {
-                &hops[span[f as usize].range()]
+                &hops[arena_range(stride, f, len[f as usize])]
             });
         }
         match &pods {
@@ -698,7 +745,7 @@ impl FairShareSolver {
         self.pods = pods;
         self.fill_finish();
         #[cfg(debug_assertions)]
-        self.check_certificate(cap);
+        self.check_solved(cap);
     }
 
     /// Re-derive `link_used` from the active set's rates. Only tracked
@@ -835,7 +882,7 @@ impl FairShareSolver {
         }
         for &f in flows {
             let fi = f as usize;
-            if self.span[fi].len == 0 {
+            if self.hop_len[fi] == 0 {
                 self.rate[fi] = f64::INFINITY;
                 self.frozen[fi] = self.epoch; // nothing to fill
                 continue;
@@ -932,40 +979,72 @@ impl FairShareSolver {
         self.changed.extend_from_slice(&self.comp_flows);
     }
 
+    /// Debug checks after a solve: the max-min certificate and the id map.
+    #[cfg(debug_assertions)]
+    fn check_solved(&mut self, cap: &[f64]) {
+        self.check_certificate(cap);
+        self.check_ids();
+    }
+
     /// Debug check of the max-min certificate over the component just
     /// solved, against the capacities it was solved for. The fill's `load`
     /// scratch is dead once the fill ends, so it holds the per-link
     /// largest rate per weight here and the check allocates nothing.
     #[cfg(debug_assertions)]
     fn check_certificate(&mut self, cap: &[f64]) {
-        let (hops, span, flows) = (&self.hops, &self.span, &self.comp_flows);
-        let (rate, weight) = (&self.rate, &self.weight);
+        let (hops, len, stride) = (&self.hops, &self.hop_len, self.stride);
+        let (flows, rate, weight) = (&self.comp_flows, &self.rate, &self.weight);
         let violation = certificate_violation(
             cap,
             &self.link_used,
             &mut self.load,
             flows.len(),
-            |i| &hops[span[flows[i] as usize].range()],
+            |i| &hops[arena_range(stride, flows[i], len[flows[i] as usize])],
             |i| rate[flows[i] as usize] / weight[flows[i] as usize],
         );
         if let Some(i) = violation {
             let what = flows
                 .get(i)
-                .map_or("a link over capacity".to_string(), |f| {
+                .map_or("a link over capacity".to_string(), |&f| {
                     format!(
-                        "flow {f} at rate {} without a bottleneck",
-                        rate[*f as usize]
+                        "flow in slot {} at rate {} without a bottleneck",
+                        self.slot_of_sid[f as usize], rate[f as usize]
                     )
                 });
             panic!("max-min certificate failed after a solve: {what}");
         }
     }
 
-    /// Test hook: every active flow's hop `k` on link `l` satisfies
-    /// `link_flows[l][hop_pos[k]] == (flow, k)`, and the per-link lists hold
+    /// Debug check of the id map: each active id and its slot name each
+    /// other, no free id is active, and every id is active or free.
+    #[cfg(debug_assertions)]
+    fn check_ids(&self) {
+        for (i, &sid) in self.active.iter().enumerate() {
+            let si = sid as usize;
+            assert_eq!(self.active_pos[si] as usize, i, "active list out of sync");
+            let slot = self.slot_of_sid[si] as usize;
+            assert_eq!(self.sid_of[slot], sid, "slot {slot} lost its id {sid}");
+        }
+        for &sid in &self.free_ids {
+            assert_eq!(
+                self.active_pos[sid as usize], NONE,
+                "free id {sid} is active"
+            );
+        }
+        assert_eq!(
+            self.active.len() + self.free_ids.len(),
+            self.hop_len.len(),
+            "solver ids leaked"
+        );
+    }
+
+    /// Test hook: every active id's hop `k` on link `l` satisfies
+    /// `link_flows[l][hop_pos[k]] == (id, k)`, and the per-link lists hold
     /// nothing else.
     #[cfg(test)]
     fn check_incidence(&self) {
+        #[cfg(debug_assertions)]
+        self.check_ids();
         let mut entries = 0;
         for &f in &self.active {
             for k in self.hop_range(f) {
@@ -977,9 +1056,6 @@ impl FairShareSolver {
                 );
                 entries += 1;
             }
-        }
-        for (l, list) in self.link_flows.iter().enumerate() {
-            assert_eq!(list.len(), self.link_nflows[l] as usize, "link {l}");
         }
         assert_eq!(entries, self.link_flows.iter().map(Vec::len).sum::<usize>());
     }
@@ -994,17 +1070,18 @@ mod tests {
         max_min_rates(cap, paths, Some(weights))
     }
 
-    /// Start `f` on `path`, or requeue it on its stored path when it has
-    /// run before.
     /// Inject flow `f` with `weight` and start it on `path`.
     fn start(s: &mut FairShareSolver, f: u32, path: &[u32], weight: f64) {
         s.flow_injected(f, weight);
         s.flow_started(f, path);
     }
 
-    fn start_or_requeue(s: &mut FairShareSolver, f: u32, path: &[u32], weight: f64) {
-        if (f as usize) < s.span.len() && s.span[f as usize].len > 0 {
-            s.flow_requeued(f);
+    /// Start flow `f` on `path`, injected with `weight` unless it `ran`
+    /// before: a requeued flow re-enters through `flow_started` alone and
+    /// keeps the weight it was injected with.
+    fn start_or_requeue(s: &mut FairShareSolver, ran: bool, f: u32, path: &[u32], weight: f64) {
+        if ran {
+            s.flow_started(f, path);
         } else {
             start(s, f, path, weight);
         }
@@ -1027,6 +1104,7 @@ mod tests {
 
         let mut s = FairShareSolver::new(cap.len());
         let mut live: Vec<usize> = Vec::new();
+        let mut ran = [false; 6];
         let script: &[(bool, usize)] = &[
             (true, 0),
             (true, 2),
@@ -1044,7 +1122,8 @@ mod tests {
                 if s.is_active(f as u32) {
                     continue;
                 }
-                start_or_requeue(&mut s, f as u32, &paths[f], weights[f]);
+                start_or_requeue(&mut s, ran[f], f as u32, &paths[f], weights[f]);
+                ran[f] = true;
                 live.push(f);
             } else {
                 s.flow_removed(f as u32);
@@ -1097,7 +1176,7 @@ mod tests {
         // Adding a second flow on link 1 must not touch flow 0.
         start(&mut s, 2, &[1], 1.0);
         s.solve_dirty(&cap);
-        assert!(!s.changed_flows().contains(&0));
+        assert!(s.changed_flows().all(|(f, _)| f != 0));
         assert_eq!(s.rate_of(0), 7.0);
         assert!((s.rate_of(1) - 1.5).abs() < 1e-12);
         assert!((s.rate_of(2) - 1.5).abs() < 1e-12);
@@ -1114,18 +1193,17 @@ mod tests {
         }
     }
 
-    /// Rates of the active flows against the oracle, with flow `f` on
-    /// `path(f)` at weight 1.
+    /// Rates of the active flows against the oracle, with the flow in slot
+    /// `f` on `path(f)` at weight 1.
     fn assert_matches_oracle(s: &FairShareSolver, cap: &[f64], path: fn(u32) -> Vec<u32>) {
-        let live: Vec<u32> = s.active_flows().to_vec();
-        let paths: Vec<Vec<u32>> = live.iter().map(|&f| path(f)).collect();
+        let live: Vec<(u32, f64)> = s.active_flows().collect();
+        let paths: Vec<Vec<u32>> = live.iter().map(|&(f, _)| path(f)).collect();
         let want = max_min_rates(cap, &paths, None);
-        for (i, &f) in live.iter().enumerate() {
+        for (&(f, got), want) in live.iter().zip(want) {
+            assert_eq!(got, s.rate_of(f), "flow {f}");
             assert!(
-                (s.rate_of(f) - want[i]).abs() <= 1e-9 * want[i].max(1.0),
-                "flow {f}: got {}, oracle {}",
-                s.rate_of(f),
-                want[i]
+                (got - want).abs() <= 1e-9 * want.max(1.0),
+                "flow {f}: got {got}, oracle {want}"
             );
         }
     }
@@ -1138,7 +1216,7 @@ mod tests {
             start(&mut s, f, &churn_path(f), 1.0);
         }
         s.solve_dirty(&cap);
-        // Removed in arbitrary order; their spans stay at the arena front.
+        // Removed in arbitrary order; their solver ids go to later flows.
         let early = [3u32, 0, 15, 7, 8, 1];
         for f in early {
             s.flow_removed(f);
@@ -1166,19 +1244,86 @@ mod tests {
         }
         // Requeue the early flows onto links now crowded with late ones.
         for f in early {
-            s.flow_requeued(f);
+            s.flow_started(f, &churn_path(f));
             s.check_incidence();
         }
         s.solve_dirty(&cap);
         s.check_incidence();
         assert_matches_oracle(&s, &cap, churn_path);
         for f in early {
-            assert_eq!(&s.hops[s.hop_range(f)], churn_path(f).as_slice());
+            let sid = s.sid_of[f as usize];
+            assert_eq!(&s.hops[s.hop_range(sid)], churn_path(f).as_slice());
             s.flow_removed(f);
         }
         s.solve_dirty(&cap);
         s.check_incidence();
         assert_matches_oracle(&s, &cap, churn_path);
+    }
+
+    /// Thousands of churned flows, never more than a few dozen live at
+    /// once, leave the solver with no more ids than the peak live count
+    /// and a hop arena of at most that many longest paths, while every
+    /// checkpoint's rates match the oracle.
+    #[test]
+    fn solver_ids_and_hop_arena_stay_bounded_by_peak_live_flows() {
+        let cap = vec![100.0, 50.0, 70.0];
+        let mut s = FairShareSolver::new(cap.len());
+        let mut peak = 0;
+        for f in 0..4000u32 {
+            start(&mut s, f, &churn_path(f), 1.0);
+            peak = peak.max(s.active_flows().len());
+            if f >= 20 {
+                let victim = f - 20 + (f * 7) % 5;
+                if s.is_active(victim) {
+                    s.flow_removed(victim);
+                }
+            }
+            if f % 3 == 0 {
+                s.solve_dirty(&cap);
+            }
+            if f % 250 == 0 {
+                s.solve_dirty(&cap);
+                s.check_incidence();
+                assert_matches_oracle(&s, &cap, churn_path);
+            }
+        }
+        assert!(peak <= 24, "{peak} flows live at once");
+        let ids = s.hop_len.len();
+        assert!(ids <= peak, "{ids} solver ids for {peak} live flows");
+        assert!(s.hops.len() <= peak * 3, "{} arena hops", s.hops.len());
+        assert_eq!(s.hop_pos.len(), s.hops.len());
+        assert_eq!(s.weight.len(), ids);
+        assert_eq!(
+            s.counters().events,
+            4000 + (4000 - s.active_flows().len() as u64)
+        );
+    }
+
+    /// A path longer than every earlier one re-strides the hop arena while
+    /// a dozen flows are active: each keeps its path and its link-list
+    /// back-pointers.
+    #[test]
+    fn a_longer_path_restrides_the_arena_under_live_flows() {
+        fn path(f: u32) -> Vec<u32> {
+            match f {
+                12 => vec![3, 2, 1, 0],
+                _ if f.is_multiple_of(2) => vec![f % 4],
+                _ => vec![f % 4, (f + 1) % 4],
+            }
+        }
+        let cap = vec![10.0, 20.0, 30.0, 40.0];
+        let mut s = FairShareSolver::new(cap.len());
+        for f in 0..13u32 {
+            start(&mut s, f, &path(f), 1.0);
+        }
+        assert_eq!(s.stride, 4);
+        s.check_incidence();
+        for f in 0..13u32 {
+            let sid = s.sid_of[f as usize];
+            assert_eq!(&s.hops[s.hop_range(sid)], path(f).as_slice(), "flow {f}");
+        }
+        s.solve_dirty(&cap);
+        assert_matches_oracle(&s, &cap, path);
     }
 
     #[test]
@@ -1229,16 +1374,18 @@ mod tests {
             (false, 3),
         ];
         let mut live: Vec<usize> = Vec::new();
+        let mut ran = [false; 5];
         for &(add, f) in script {
             for s in [&mut joint, &mut grouped] {
                 if add {
-                    start_or_requeue(s, f as u32, &paths[f], weights[f]);
+                    start_or_requeue(s, ran[f], f as u32, &paths[f], weights[f]);
                 } else {
                     s.flow_removed(f as u32);
                 }
                 s.solve_dirty(&cap);
             }
             if add {
+                ran[f] = true;
                 live.push(f);
             } else {
                 live.retain(|&x| x != f);
@@ -1258,7 +1405,11 @@ mod tests {
                 );
             }
             for l in 0..cap.len() {
-                assert_eq!(grouped.link_nflows()[l], joint.link_nflows()[l], "link {l}");
+                assert_eq!(
+                    grouped.link_flow_count(l),
+                    joint.link_flow_count(l),
+                    "link {l}"
+                );
                 assert!(
                     (grouped.link_used()[l] - joint.link_used()[l]).abs() <= 1e-9,
                     "link_used mismatch on link {l}"
@@ -1302,7 +1453,7 @@ mod tests {
                 "link {l}"
             );
         }
-        assert_eq!(grouped.changed_flows(), joint.changed_flows());
+        assert!(grouped.changed_flows().eq(joint.changed_flows()));
     }
 
     /// Path of pod churn flow `f`: pod-local in pod 0 (links 0, 1) or pod
@@ -1319,9 +1470,8 @@ mod tests {
         }
     }
 
-    /// Requeue flows whose spans sit at the arena front after thousands of
-    /// later starts and removes, in lockstep on a joint and a pod-grouped
-    /// solver.
+    /// Requeue flows removed early, after thousands of later starts and
+    /// removes, in lockstep on a joint and a pod-grouped solver.
     #[test]
     fn pod_grouped_bookkeeping_survives_requeue_after_heavy_churn() {
         let cap = vec![10.0, 4.0, 6.0, 8.0, 3.0, 5.0, 7.0];
@@ -1330,10 +1480,11 @@ mod tests {
         let check = |joint: &FairShareSolver, grouped: &FairShareSolver| {
             joint.check_incidence();
             grouped.check_incidence();
-            assert_eq!(grouped.active_flows(), joint.active_flows());
+            let slots = |s: &FairShareSolver| s.active_flows().map(|(f, _)| f).collect::<Vec<_>>();
+            assert_eq!(slots(grouped), slots(joint));
             assert_matches_oracle(grouped, &cap, pod_churn_path);
-            for &f in grouped.active_flows() {
-                let (g, j) = (grouped.rate_of(f), joint.rate_of(f));
+            for (f, g) in grouped.active_flows() {
+                let j = joint.rate_of(f);
                 assert!((g - j).abs() <= 1e-12 * j.max(1.0), "flow {f}: {g} vs {j}");
             }
         };
@@ -1368,7 +1519,7 @@ mod tests {
         }
         for s in [&mut joint, &mut grouped] {
             for f in early {
-                s.flow_requeued(f);
+                s.flow_started(f, &pod_churn_path(f));
                 s.check_incidence();
             }
             s.solve_dirty(&cap);
@@ -1408,7 +1559,7 @@ mod tests {
             assert!((g - w).abs() <= 1e-9 * w.max(1.0), "flow {f}: {g} vs {w}");
         }
         // The changed set keeps the joint fill's order.
-        assert_eq!(grouped.changed_flows(), joint.changed_flows());
+        assert!(grouped.changed_flows().eq(joint.changed_flows()));
 
         start(&mut grouped, 6, &[1, 4, 2], 1.0);
         grouped.solve_dirty(&cap);
@@ -1435,7 +1586,7 @@ mod tests {
         start(&mut s, 1, &[0], 1.0);
         s.solve_dirty(&cap);
         // Halve one flow's rate behind the solver's back.
-        s.rate[0] = 2.5;
+        s.rate[s.sid_of[0] as usize] = 2.5;
         s.fill_finish();
         s.check_certificate(&cap);
     }

@@ -1,10 +1,12 @@
 //! Heap allocations on the flow lifecycle, counted by a wrapping global
 //! allocator. Once a simulator has carried a traffic pattern, repeating it
-//! allocates only when an append-only store (flow records, hop arenas,
-//! solver per-flow vectors) doubles, so allocations per flow tend to zero;
-//! a simulator that retires its finished flows reuses those stores and
-//! allocates nothing. Opening a new QP on a warmed router is held to the
-//! same standard.
+//! allocates only when the flow table (flow records, and the solver's id
+//! and weight per slot) doubles, so allocations per flow tend to zero: the
+//! solver's per-flow vectors and hop arenas are indexed by solver ids,
+//! which follow live flows and are reused by every later round. A
+//! simulator that retires its finished flows reuses its table slots too
+//! and allocates nothing. Opening a new QP on a warmed router is held to
+//! the same standard.
 
 use astral_net::{FlowSpec, FlowState, NetConfig, NetworkSim, QpContext, QpId};
 use astral_topo::{build_astral, AstralParams, GpuId, Router};
@@ -117,9 +119,10 @@ fn flow_lifecycle_allocates_only_amortized_store_growth() {
     }
 }
 
-/// Retiring each round's flows hands their table slots, solver entries
-/// and hop spans to the next round's, so warmed rounds of inject → run →
-/// retire allocate nothing at all, on both solvers.
+/// Retiring each round's flows hands their table slots to the next
+/// round's (solver ids and hop spans are reused either way), so warmed
+/// rounds of inject → run → retire allocate nothing at all, on both
+/// solvers.
 #[test]
 fn retiring_rounds_allocate_nothing_after_warm_up() {
     for sharded in [false, true] {
