@@ -5,7 +5,7 @@
 //! and Output Layer, typed Mem. / Comp. / Comm. / Mem.+Comp.
 
 use crate::{Report, Scenario};
-use astral_model::{build_training_iteration, ModelConfig, ParallelismConfig};
+use astral_model::{build_training_iteration, ModelConfig, ParallelismConfig, TABLE1};
 
 pub(crate) fn run() -> Report {
     let mut sc = Scenario::new(
@@ -20,34 +20,6 @@ pub(crate) fn run() -> Report {
     par.microbatches = 8;
     let graph = build_training_iteration(&model, &par);
 
-    // Forward-pass inventory, grouped as the paper's table groups it.
-    let forward_ops = [
-        (
-            "Input Embedding",
-            vec!["LoadWeight", "EmbeddingComputation"],
-        ),
-        (
-            "Transformer Layer",
-            vec![
-                "PPRecv",
-                "RMSNormLoadWeight",
-                "RMSNormComputation",
-                "GQAQKVLoadWeight",
-                "GQAQKVComputation",
-                "GQACoreAttn",
-                "GQAAttnProjLoadWeight",
-                "GQAAttnProjComputation",
-                "AttnTPAllReduce",
-                "SwiMLPUpProj",
-                "SwiMLPGateProj",
-                "SwiMLPDownProj",
-                "MLPTPAllReduce",
-                "PPSend",
-            ],
-        ),
-        ("Output Layer", vec!["Logit"]),
-    ];
-
     let inventory = graph.operator_inventory();
     let type_of = |name: &str| -> &'static str {
         inventory
@@ -58,18 +30,17 @@ pub(crate) fn run() -> Report {
     };
 
     println!("{:<20}{:<28}{:>14}", "section", "operator", "type");
-    let mut total = 0;
     let mut missing = 0;
-    for (section, ops) in &forward_ops {
-        for op in ops {
-            let t = type_of(op);
-            println!("{:<20}{:<28}{:>14}", section, op, t);
-            total += 1;
-            if t == "MISSING" {
-                missing += 1;
-            }
+    for row in &TABLE1 {
+        let t = type_of(row.name);
+        println!("{:<20}{:<28}{:>14}", row.section, row.name, t);
+        if t == "MISSING" {
+            missing += 1;
+        } else {
+            assert_eq!(t, row.label, "{} is typed unlike the paper", row.name);
         }
     }
+    let total = TABLE1.len();
 
     println!(
         "\n(graph also contains the backward-pass and DP-sync operators: {} \

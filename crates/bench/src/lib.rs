@@ -32,8 +32,6 @@
 //! at any width. The end-to-end and per-layer performance benchmark is
 //! the separate `perfbench` package at the repository root.
 
-#![warn(clippy::too_many_lines)]
-
 use astral_net::SolverCounters;
 use serde::{Serialize, Value};
 use std::path::PathBuf;

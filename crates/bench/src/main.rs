@@ -13,8 +13,6 @@
 //! reads `$ASTRAL_BENCH_DIR` when no directory is named. `compare` walks
 //! the baseline side, so a committed baseline with no fresh report fails.
 
-#![warn(clippy::too_many_lines)]
-
 use astral_bench::{compare_reports, validate, Figure, FIGURES};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;

@@ -617,6 +617,15 @@ impl SubstrateState {
         job_hosts: &[HostId],
     ) -> SubstrateTick {
         let mut tick = SubstrateTick::default();
+        self.inject_due(it, job_hosts, &mut tick);
+        self.tick_sags(it, last_iter_s, job_hosts);
+        self.tick_thermals(it, job_hosts, &mut tick);
+        tick
+    }
+
+    /// Inject the scripted faults due at iteration `it`; an optics burst
+    /// adds its victims to `tick`.
+    fn inject_due(&mut self, it: u32, job_hosts: &[HostId], tick: &mut SubstrateTick) {
         for i in 0..self.script.len() {
             if self.injected[i] || self.script[i].at_iter() != it {
                 continue;
@@ -669,10 +678,12 @@ impl SubstrateState {
                 }
             }
         }
+    }
 
-        // Tick the sag clocks. The power cascade only *manifests* (and
-        // becomes attributable) once the battery is spent and the cap
-        // engages; a sag ridden out entirely leaves no trace.
+    /// Tick the sag clocks. The power cascade only *manifests* (and
+    /// becomes attributable) once the battery is spent and the cap
+    /// engages; a sag ridden out entirely leaves no trace.
+    fn tick_sags(&mut self, it: u32, last_iter_s: f64, job_hosts: &[HostId]) {
         for ri in 0..self.rows.len() {
             let mut expired = false;
             let mut cap_onset = false;
@@ -693,8 +704,12 @@ impl SubstrateState {
                 self.rows[ri].sag = None;
             }
         }
+    }
 
-        // Tick the thermal lags, then look for criticals.
+    /// Tick the thermal lags, then look for criticals: the hottest job
+    /// host at or past [`CRITICAL_C`] is cordoned in `tick` and its row's
+    /// pump repaired.
+    fn tick_thermals(&mut self, it: u32, job_hosts: &[HostId], tick: &mut SubstrateTick) {
         let mut hottest: Option<(HostId, f64)> = None;
         let mut max_temp = f64::NEG_INFINITY;
         for row in &mut self.rows {
@@ -722,7 +737,6 @@ impl SubstrateState {
             self.rows[ri].repair_pump();
             self.temp_hazard.reset();
         }
-        tick
     }
 
     fn blast_of(&self, row: usize, job_hosts: &[HostId]) -> usize {

@@ -6,6 +6,14 @@
 //! across stages through PPSend/PPRecv pairs, and closed by the DP gradient
 //! synchronization dictated by the ZeRO mode. Inference builders produce
 //! prefill (compute-bound) and decode (memory-bound, KV-cache) graphs.
+//!
+//! Table 1's forward rows are data, [`TABLE1`]: each row carries the
+//! formula of the op it emits, and a forward layer is a loop over the
+//! layer rows. Ops the table does not list (the backward pass, decode's
+//! KV-cache read, a non-gated or MoE FFN, DP sync) keep their formulas
+//! here.
+
+use std::ops::Range;
 
 use crate::config::ModelConfig;
 use crate::ops::{Collective, GroupKind, OpId, OpKind, OperatorGraph};
@@ -26,6 +34,109 @@ pub enum InferencePhase {
     },
 }
 
+/// One forward row of the paper's Table 1 (LLaMA-3 operators in Seer).
+#[derive(Debug, Clone, Copy)]
+pub struct Table1Row {
+    /// Table section: `"Input Embedding"`, `"Transformer Layer"` or
+    /// `"Output Layer"`.
+    pub section: &'static str,
+    /// Operator family; every op the row emits is named `{name}@…`.
+    pub name: &'static str,
+    /// The paper's type label, spelled as [`OpKind::type_label`] spells it.
+    pub label: &'static str,
+    /// The op the row emits in a forward or inference pass, or `None` where
+    /// the layout or model has no such op (a TP collective at `tp == 1`, the
+    /// SwiGLU rows of a non-gated or MoE FFN).
+    kind: fn(&Pass<'_>) -> Option<OpKind>,
+}
+
+const fn row(
+    section: &'static str,
+    name: &'static str,
+    label: &'static str,
+    kind: fn(&Pass<'_>) -> Option<OpKind>,
+) -> Table1Row {
+    Table1Row {
+        section,
+        name,
+        label,
+        kind,
+    }
+}
+
+const EMBED: &str = "Input Embedding";
+const LAYER: &str = "Transformer Layer";
+const OUTPUT: &str = "Output Layer";
+
+/// Table 1's 17 forward rows, in the paper's order. Stage 0 opens a
+/// forward pass with the embedding rows, every stage runs the layer rows
+/// once per layer, the last stage closes with `Logit`, and `PPRecv` and
+/// `PPSend` cross the stage boundaries.
+pub const TABLE1: [Table1Row; 17] = [
+    row(EMBED, "LoadWeight", "Mem.", |p| {
+        mem(p.model.embedding_params() * p.dt / p.tp)
+    }),
+    row(EMBED, "EmbeddingComputation", "Comp.", |p| {
+        comp(p.tokens as f64 * p.h as f64)
+    }),
+    row(LAYER, "PPRecv", "Comm.", |p| p.boundary(Collective::Recv)),
+    row(LAYER, "RMSNormLoadWeight", "Mem.", |p| mem(p.h * p.dt)),
+    row(LAYER, "RMSNormComputation", "Comp.", |p| {
+        comp(4.0 * p.tokens as f64 * p.h as f64)
+    }),
+    row(LAYER, "GQAQKVLoadWeight", "Mem.", |p| {
+        mem(p.h * (p.h + 2 * p.kv) * p.dt / p.tp)
+    }),
+    row(LAYER, "GQAQKVComputation", "Comp.", |p| {
+        comp(p.tokens as f64 * 2.0 * (p.h * (p.h + 2 * p.kv)) as f64 / p.tp as f64)
+    }),
+    row(LAYER, "GQACoreAttn", "Comp.", |p| {
+        comp(p.tokens as f64 * 4.0 * p.attn_ctx as f64 * p.h as f64 / p.tp as f64)
+    }),
+    row(LAYER, "GQAAttnProjLoadWeight", "Mem.", |p| {
+        mem(p.h * p.h * p.dt / p.tp)
+    }),
+    row(LAYER, "GQAAttnProjComputation", "Comp.", |p| {
+        comp(p.tokens as f64 * 2.0 * (p.h * p.h) as f64 / p.tp as f64)
+    }),
+    row(LAYER, "AttnTPAllReduce", "Comm.", |p| p.tp_all_reduce()),
+    row(LAYER, "SwiMLPUpProj", "Mem. + Comp.", |p| p.swiglu_proj()),
+    row(LAYER, "SwiMLPGateProj", "Mem. + Comp.", |p| p.swiglu_proj()),
+    row(LAYER, "SwiMLPDownProj", "Mem. + Comp.", |p| p.swiglu_proj()),
+    row(LAYER, "MLPTPAllReduce", "Comm.", |p| p.tp_all_reduce()),
+    row(LAYER, "PPSend", "Comm.", |p| p.boundary(Collective::Send)),
+    row(OUTPUT, "Logit", "Mem. + Comp.", |p| {
+        Some(OpKind::Fused {
+            flops: p.logit_flops(),
+            bytes: p.logit_bytes(),
+        })
+    }),
+];
+
+/// Where each kind of row sits in [`TABLE1`].
+const EMBED_ROWS: Range<usize> = 0..2;
+const PP_RECV: usize = 2;
+const LAYER_ROWS: Range<usize> = 3..15;
+const PP_SEND: usize = 15;
+const LOGIT: usize = 16;
+
+fn mem(bytes: u64) -> Option<OpKind> {
+    Some(OpKind::Memory { bytes })
+}
+
+fn comp(flops: f64) -> Option<OpKind> {
+    Some(OpKind::Compute { flops })
+}
+
+fn comm(coll: Collective, group: GroupKind, group_size: u32, bytes: u64) -> OpKind {
+    OpKind::Comm {
+        coll,
+        group,
+        group_size,
+        bytes,
+    }
+}
+
 /// Ids bracketing one (stage, microbatch, direction) op group.
 #[derive(Debug, Clone, Copy)]
 struct GroupEnds {
@@ -39,6 +150,8 @@ struct GroupEnds {
 /// supplied, so the checks surface as values rather than panics.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BuildError {
+    /// The model has no attention heads, so its KV width is undefined.
+    NoAttentionHeads,
     /// `ParallelismConfig::validate` failed (zero degrees, ep ∤ dp, …).
     InvalidParallelism(String),
     /// The layer count does not divide evenly into pipeline stages.
@@ -53,6 +166,7 @@ pub enum BuildError {
 impl std::fmt::Display for BuildError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            BuildError::NoAttentionHeads => write!(f, "model has no attention heads"),
             BuildError::InvalidParallelism(why) => {
                 write!(f, "invalid parallelism config: {why}")
             }
@@ -66,6 +180,9 @@ impl std::fmt::Display for BuildError {
 impl std::error::Error for BuildError {}
 
 fn check_configs(model: &ModelConfig, par: &ParallelismConfig) -> Result<(), BuildError> {
+    if model.heads == 0 {
+        return Err(BuildError::NoAttentionHeads);
+    }
     par.validate().map_err(BuildError::InvalidParallelism)?;
     if !model.layers.is_multiple_of(par.pp) {
         return Err(BuildError::LayersNotDivisible {
@@ -96,36 +213,36 @@ pub fn try_build_training_iteration(
     par: &ParallelismConfig,
 ) -> Result<OperatorGraph, BuildError> {
     check_configs(model, par)?;
-    let pp = par.pp;
-    let m = par.microbatches as usize;
-    let mut g = OperatorGraph::new(pp);
+    let (pp, m) = (par.pp as usize, par.microbatches as usize);
+    let mut g = OperatorGraph::new(par.pp);
 
     // Per-(stage, mb) groups, generated independently, then wired.
-    let mut fwd = vec![vec![None; m]; pp as usize];
-    let mut bwd = vec![vec![None; m]; pp as usize];
-    for s in 0..pp {
-        for k in 0..m {
-            fwd[s as usize][k] = Some(emit_forward(&mut g, model, par, s, k));
-            bwd[s as usize][k] = Some(emit_backward(&mut g, model, par, s, k));
-        }
-    }
+    let mut pass = |s: u32, k: usize, kind: PassKind| {
+        let dir = if kind == PassKind::Forward {
+            "fwd"
+        } else {
+            "bwd"
+        };
+        Pass::new(&mut g, model, par, s, kind).emit(&format!("@s{s}.mb{k}.{dir}"))
+    };
+    let (fwd, bwd): (Vec<Vec<GroupEnds>>, Vec<Vec<GroupEnds>>) = (0..par.pp)
+        .map(|s| {
+            (0..m)
+                .map(|k| {
+                    (
+                        pass(s, k, PassKind::Forward),
+                        pass(s, k, PassKind::Backward),
+                    )
+                })
+                .unzip()
+        })
+        .unzip();
 
     // Cross-stage wiring: recv ← matching send.
-    for s in 0..pp {
+    for s in 1..pp {
         for k in 0..m {
-            if s > 0 {
-                if let (Some(r), Some(snd)) = (
-                    fwd[s as usize][k].as_ref().unwrap().recv,
-                    fwd[s as usize - 1][k].as_ref().unwrap().send,
-                ) {
-                    g.add_dep(r, snd);
-                }
-            }
-            if s + 1 < pp {
-                if let (Some(r), Some(snd)) = (
-                    bwd[s as usize][k].as_ref().unwrap().recv,
-                    bwd[s as usize + 1][k].as_ref().unwrap().send,
-                ) {
+            for (to, from) in [(fwd[s][k], fwd[s - 1][k]), (bwd[s - 1][k], bwd[s][k])] {
+                if let (Some(r), Some(snd)) = (to.recv, from.send) {
                     g.add_dep(r, snd);
                 }
             }
@@ -134,32 +251,27 @@ pub fn try_build_training_iteration(
 
     // 1F1B sequencing per stage: chain group k's first op after group k-1's
     // last op in schedule order.
-    for s in 0..pp {
-        let warmup = ((pp - s - 1) as usize).min(m);
-        let mut order: Vec<GroupEnds> = Vec::with_capacity(2 * m);
-        for f in fwd[s as usize].iter().take(warmup) {
-            order.push(f.unwrap());
-        }
-        for i in 0..(m - warmup) {
-            order.push(fwd[s as usize][warmup + i].unwrap());
-            order.push(bwd[s as usize][i].unwrap());
-        }
-        for b in bwd[s as usize].iter().take(m).skip(m - warmup) {
-            order.push(b.unwrap());
-        }
-        for w in order.windows(2) {
-            g.add_dep(w[1].first, w[0].last);
-        }
+    for (s, (f, b)) in fwd.iter().zip(&bwd).enumerate() {
+        let warmup = (pp - s - 1).min(m);
+        let steady = f[warmup..].iter().zip(&b[..m - warmup]);
+        let tail = f[..warmup]
+            .iter()
+            .chain(steady.flat_map(|(f, b)| [f, b]))
+            .chain(&b[m - warmup..])
+            .reduce(|prev, next| {
+                g.add_dep(next.first, prev.last);
+                next
+            })
+            .expect("a stage runs at least one microbatch");
         // DP gradient synchronization: with overlap it launches alongside
         // the final backward group (bucketed grad reduce); without, it
         // waits for the backward to finish.
-        let tail = order.last().unwrap();
         let anchor = if par.overlap_grad_sync {
             tail.first
         } else {
             tail.last
         };
-        emit_dp_sync(&mut g, model, par, s, anchor);
+        emit_dp_sync(&mut g, model, par, s as u32, anchor);
     }
 
     debug_assert_eq!(g.validate(), Ok(()));
@@ -189,9 +301,14 @@ pub fn try_build_inference(
 ) -> Result<OperatorGraph, BuildError> {
     check_configs(model, par)?;
     let mut g = OperatorGraph::new(par.pp);
+    let phase_name = match phase {
+        InferencePhase::Prefill { .. } => "prefill",
+        InferencePhase::Decode { .. } => "decode",
+    };
     let mut prev_send: Option<OpId> = None;
     for s in 0..par.pp {
-        let ends = emit_inference_stage(&mut g, model, par, s, batch, phase);
+        let kind = PassKind::Inference { batch, phase };
+        let ends = Pass::new(&mut g, model, par, s, kind).emit(&format!("@s{s}.{phase_name}"));
         if let (Some(r), Some(snd)) = (ends.recv, prev_send) {
             g.add_dep(r, snd);
         }
@@ -201,448 +318,197 @@ pub fn try_build_inference(
     Ok(g)
 }
 
-// ---------------------------------------------------------------------
-// Emission helpers
-// ---------------------------------------------------------------------
-
-/// Activation bytes crossing a pipeline boundary (one microbatch). The
-/// boundary tensor is sharded across the TP group (sequence parallelism),
-/// matching the paper's Eq. 5: `T_pp = b·s·h·f / tp / net_bw`.
-fn act_bytes(model: &ModelConfig, par: &ParallelismConfig, tokens: u64) -> u64 {
-    tokens * model.hidden * model.dtype_bytes as u64 / par.tp as u64
-}
-
-fn emit_forward(
-    g: &mut OperatorGraph,
-    model: &ModelConfig,
-    par: &ParallelismConfig,
-    s: u32,
-    k: usize,
-) -> GroupEnds {
-    let tokens = par.micro_batch_size as u64 * model.seq_len;
-    let tag = format!("@s{s}.mb{k}.fwd");
-    emit_pass(
-        g,
-        model,
-        par,
-        s,
-        &tag,
-        tokens,
-        model.seq_len,
-        PassKind::Forward,
-    )
-}
-
-fn emit_backward(
-    g: &mut OperatorGraph,
-    model: &ModelConfig,
-    par: &ParallelismConfig,
-    s: u32,
-    k: usize,
-) -> GroupEnds {
-    let tokens = par.micro_batch_size as u64 * model.seq_len;
-    let tag = format!("@s{s}.mb{k}.bwd");
-    emit_pass(
-        g,
-        model,
-        par,
-        s,
-        &tag,
-        tokens,
-        model.seq_len,
-        PassKind::Backward,
-    )
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum PassKind {
     Forward,
     Backward,
-    Inference,
+    Inference { batch: u64, phase: InferencePhase },
 }
 
-/// Emit one pass over the stage's layers as a linear chain. Returns the
-/// group's bracketing ops.
-#[allow(clippy::too_many_arguments)]
-fn emit_pass(
-    g: &mut OperatorGraph,
-    model: &ModelConfig,
-    par: &ParallelismConfig,
-    s: u32,
-    tag: &str,
+/// One pass over one pipeline stage, emitted as a linear chain of ops: the
+/// shapes every operator formula reads, and the chain's ends so far.
+struct Pass<'a> {
+    g: &'a mut OperatorGraph,
+    model: &'a ModelConfig,
+    par: &'a ParallelismConfig,
+    kind: PassKind,
+    stage: u32,
     tokens: u64,
+    /// Attention context length.
     attn_ctx: u64,
-    pass: PassKind,
-) -> GroupEnds {
-    let pp = par.pp;
-    let tp = par.tp as u64;
-    let dt = model.dtype_bytes as u64;
-    let h = model.hidden;
-    let layers_per_stage = (model.layers / pp) as usize;
-    // Backward flops are ~2× forward (input grads + weight grads).
-    let fmul = if pass == PassKind::Backward { 2.0 } else { 1.0 };
-    // PP boundary tensors are TP-sharded (Eq. 5); TP collectives move the
-    // full activation (Eq. 4).
-    let boundary = act_bytes(model, par, tokens);
-    let tp_bytes = tokens * h * dt;
-
-    let mut state = ChainState {
-        chain: None,
-        first: None,
-        device: s,
-    };
-    let mut push =
-        |g: &mut OperatorGraph, name: String, kind: OpKind| -> OpId { state.push(g, name, kind) };
-
-    // Boundary receive.
-    let needs_recv = match pass {
-        PassKind::Forward | PassKind::Inference => s > 0,
-        PassKind::Backward => s + 1 < pp,
-    };
-    let logit_flops = |t: u64| t as f64 * 2.0 * h as f64 * model.vocab as f64 / tp as f64;
-    let recv = needs_recv.then(|| {
-        push(
-            g,
-            format!("PPRecv{tag}"),
-            OpKind::Comm {
-                coll: Collective::Recv,
-                group: GroupKind::Pp,
-                group_size: 2,
-                bytes: boundary,
-            },
-        )
-    });
-
-    // Backward starts at the loss: the last stage differentiates the
-    // logit projection first.
-    if s == pp - 1 && pass == PassKind::Backward {
-        push(
-            g,
-            format!("BwdLogit{tag}"),
-            OpKind::Fused {
-                flops: 2.0 * logit_flops(tokens),
-                bytes: h * model.vocab * dt / tp,
-            },
-        );
-    }
-
-    // Embedding on the first stage (forward/inference only).
-    if s == 0 && pass != PassKind::Backward {
-        push(
-            g,
-            format!("LoadWeight{tag}"),
-            OpKind::Memory {
-                bytes: model.embedding_params() * dt / tp,
-            },
-        );
-        push(
-            g,
-            format!("EmbeddingComputation{tag}"),
-            OpKind::Compute {
-                flops: tokens as f64 * h as f64,
-            },
-        );
-    }
-
-    for l in 0..layers_per_stage {
-        let ltag = format!("{tag}.L{l}");
-        // ZeRO-3 gathers the layer's parameter shard before using it.
-        if par.zero == DpSync::Zero3 && pass != PassKind::Inference && par.dp > 1 {
-            push(
-                g,
-                format!("Zero3ParamAllGather{ltag}"),
-                OpKind::Comm {
-                    coll: Collective::AllGather,
-                    group: GroupKind::Dp,
-                    group_size: par.dp,
-                    bytes: stage_sync_params(model, par, s) * dt / (model.layers / pp) as u64,
-                },
-            );
-        }
-
-        match pass {
-            PassKind::Forward | PassKind::Inference => {
-                emit_layer_forward(g, model, par, tokens, attn_ctx, &ltag, &mut push, pass);
-            }
-            PassKind::Backward => {
-                let f = model.fwd_flops_per_token_layer(attn_ctx) / tp as f64;
-                let wbytes = model.active_params_per_layer() * dt / tp;
-                push(
-                    g,
-                    format!("BwdAttn{ltag}"),
-                    OpKind::Fused {
-                        flops: fmul * f * 0.4 * tokens as f64,
-                        bytes: wbytes / 2,
-                    },
-                );
-                if par.tp > 1 {
-                    push(
-                        g,
-                        format!("BwdAttnTPAllReduce{ltag}"),
-                        OpKind::Comm {
-                            coll: Collective::AllReduce,
-                            group: GroupKind::Tp,
-                            group_size: par.tp,
-                            bytes: tp_bytes,
-                        },
-                    );
-                }
-                if let Some(moe) = model.moe {
-                    if par.ep > 1 {
-                        push(
-                            g,
-                            format!("BwdEPCombineAllToAll{ltag}"),
-                            OpKind::Comm {
-                                coll: Collective::AllToAll,
-                                group: GroupKind::Ep,
-                                group_size: par.ep,
-                                bytes: tokens * moe.top_k as u64 * h * dt / tp,
-                            },
-                        );
-                    }
-                }
-                push(
-                    g,
-                    format!("BwdMLP{ltag}"),
-                    OpKind::Fused {
-                        flops: fmul * f * 0.6 * tokens as f64,
-                        bytes: wbytes / 2,
-                    },
-                );
-                if let Some(moe) = model.moe {
-                    if par.ep > 1 {
-                        push(
-                            g,
-                            format!("BwdEPDispatchAllToAll{ltag}"),
-                            OpKind::Comm {
-                                coll: Collective::AllToAll,
-                                group: GroupKind::Ep,
-                                group_size: par.ep,
-                                bytes: tokens * moe.top_k as u64 * h * dt / tp,
-                            },
-                        );
-                    }
-                }
-                if par.tp > 1 {
-                    push(
-                        g,
-                        format!("BwdMLPTPAllReduce{ltag}"),
-                        OpKind::Comm {
-                            coll: Collective::AllReduce,
-                            group: GroupKind::Tp,
-                            group_size: par.tp,
-                            bytes: tp_bytes,
-                        },
-                    );
-                }
-            }
-        }
-    }
-
-    // Logit on the last stage (forward/inference only); the embedding
-    // gradient write closes the backward pass on stage 0.
-    if s == pp - 1 && pass != PassKind::Backward {
-        push(
-            g,
-            format!("Logit{tag}"),
-            OpKind::Fused {
-                flops: logit_flops(tokens),
-                bytes: h * model.vocab * dt / tp,
-            },
-        );
-    }
-    if s == 0 && pass == PassKind::Backward {
-        push(
-            g,
-            format!("BwdEmbeddingGrad{tag}"),
-            OpKind::Memory {
-                bytes: tokens * h * dt,
-            },
-        );
-    }
-
-    // Boundary send. The send is asynchronous: it depends on the group's
-    // last compute op, but the next group chains off the compute op, not
-    // the send (Megatron issues isend and moves on).
-    let last_compute = state.chain.expect("pass emitted no ops");
-    let mut push =
-        |g: &mut OperatorGraph, name: String, kind: OpKind| -> OpId { state.push(g, name, kind) };
-    let needs_send = match pass {
-        PassKind::Forward | PassKind::Inference => s + 1 < pp,
-        PassKind::Backward => s > 0,
-    };
-    let send = needs_send.then(|| {
-        push(
-            g,
-            format!("PPSend{tag}"),
-            OpKind::Comm {
-                coll: Collective::Send,
-                group: GroupKind::Pp,
-                group_size: 2,
-                bytes: boundary,
-            },
-        )
-    });
-
-    GroupEnds {
-        first: state.first.expect("pass emitted no ops"),
-        last: last_compute,
-        send,
-        recv,
-    }
-}
-
-/// Linear-chain emission state shared by the pass emitters.
-struct ChainState {
-    chain: Option<OpId>,
+    tp: u64,
+    dt: u64,
+    h: u64,
+    kv: u64,
     first: Option<OpId>,
-    device: u32,
+    last: Option<OpId>,
 }
 
-impl ChainState {
-    fn push(&mut self, g: &mut OperatorGraph, name: String, kind: OpKind) -> OpId {
-        let deps = self.chain.map(|c| vec![c]).unwrap_or_default();
-        let id = g.push(name, self.device, kind, deps);
-        self.chain = Some(id);
-        if self.first.is_none() {
-            self.first = Some(id);
+impl<'a> Pass<'a> {
+    fn new(
+        g: &'a mut OperatorGraph,
+        model: &'a ModelConfig,
+        par: &'a ParallelismConfig,
+        stage: u32,
+        kind: PassKind,
+    ) -> Self {
+        let (tokens, attn_ctx) = match kind {
+            PassKind::Forward | PassKind::Backward => {
+                (par.micro_batch_size as u64 * model.seq_len, model.seq_len)
+            }
+            PassKind::Inference { batch, phase } => match phase {
+                InferencePhase::Prefill { prompt_len } => (batch * prompt_len, prompt_len),
+                InferencePhase::Decode { context_len } => (batch, context_len),
+            },
+        };
+        Pass {
+            g,
+            model,
+            par,
+            kind,
+            stage,
+            tokens,
+            attn_ctx,
+            tp: par.tp as u64,
+            dt: model.dtype_bytes as u64,
+            h: model.hidden,
+            kv: model.kv_dim(),
+            first: None,
+            last: None,
         }
-        id
-    }
-}
-
-/// Emit the Table-1 forward operators of one transformer layer.
-#[allow(clippy::too_many_arguments)]
-fn emit_layer_forward(
-    g: &mut OperatorGraph,
-    model: &ModelConfig,
-    par: &ParallelismConfig,
-    tokens: u64,
-    attn_ctx: u64,
-    ltag: &str,
-    push: &mut impl FnMut(&mut OperatorGraph, String, OpKind) -> OpId,
-    pass: PassKind,
-) {
-    let tp = par.tp as u64;
-    let dt = model.dtype_bytes as u64;
-    let h = model.hidden;
-    let kv = model.kv_dim();
-    let boundary = tokens * h * dt;
-
-    push(
-        g,
-        format!("RMSNormLoadWeight{ltag}"),
-        OpKind::Memory { bytes: h * dt },
-    );
-    push(
-        g,
-        format!("RMSNormComputation{ltag}"),
-        OpKind::Compute {
-            flops: 4.0 * tokens as f64 * h as f64,
-        },
-    );
-    push(
-        g,
-        format!("GQAQKVLoadWeight{ltag}"),
-        OpKind::Memory {
-            bytes: h * (h + 2 * kv) * dt / tp,
-        },
-    );
-    push(
-        g,
-        format!("GQAQKVComputation{ltag}"),
-        OpKind::Compute {
-            flops: tokens as f64 * 2.0 * (h * (h + 2 * kv)) as f64 / tp as f64,
-        },
-    );
-    if pass == PassKind::Inference && attn_ctx > tokens {
-        // Decode reads the KV cache from HBM — the memory-bound core.
-        push(
-            g,
-            format!("KVCacheLoad{ltag}"),
-            OpKind::Memory {
-                bytes: tokens * 2 * attn_ctx * kv * dt / tp,
-            },
-        );
-    }
-    push(
-        g,
-        format!("GQACoreAttn{ltag}"),
-        OpKind::Compute {
-            flops: tokens as f64 * 4.0 * attn_ctx as f64 * h as f64 / tp as f64,
-        },
-    );
-    push(
-        g,
-        format!("GQAAttnProjLoadWeight{ltag}"),
-        OpKind::Memory {
-            bytes: h * h * dt / tp,
-        },
-    );
-    push(
-        g,
-        format!("GQAAttnProjComputation{ltag}"),
-        OpKind::Compute {
-            flops: tokens as f64 * 2.0 * (h * h) as f64 / tp as f64,
-        },
-    );
-    if par.tp > 1 {
-        push(
-            g,
-            format!("AttnTPAllReduce{ltag}"),
-            OpKind::Comm {
-                coll: Collective::AllReduce,
-                group: GroupKind::Tp,
-                group_size: par.tp,
-                bytes: boundary,
-            },
-        );
     }
 
-    match model.moe {
-        None => {
-            let ffn = model.ffn_hidden;
-            let names: &[&str] = if model.gated_ffn {
-                &["SwiMLPUpProj", "SwiMLPGateProj", "SwiMLPDownProj"]
-            } else {
-                &["MLPUpProj", "MLPDownProj"]
-            };
-            for name in names {
-                push(
-                    g,
-                    format!("{name}{ltag}"),
-                    OpKind::Fused {
-                        flops: tokens as f64 * 2.0 * (h * ffn) as f64 / tp as f64,
-                        bytes: h * ffn * dt / tp,
-                    },
-                );
+    /// Emit the pass in its stage phases: boundary receive, stage head,
+    /// layers, stage tail, boundary send. Every op name ends in `tag`.
+    /// Returns the group's bracketing ops.
+    fn emit(mut self, tag: &str) -> GroupEnds {
+        let (s, pp) = (self.stage, self.par.pp);
+        // Forward and inference flow from stage 0 to the last; backward
+        // flows back.
+        let (needs_recv, needs_send) = if self.kind == PassKind::Backward {
+            (s + 1 < pp, s > 0)
+        } else {
+            (s > 0, s + 1 < pp)
+        };
+        let recv = if needs_recv {
+            self.row(&TABLE1[PP_RECV], tag)
+        } else {
+            None
+        };
+        self.stage_head(tag);
+        for l in 0..self.model.layers / pp {
+            self.layer(tag, l);
+        }
+        self.stage_tail(tag);
+        // The send is asynchronous: it depends on the group's last compute
+        // op, but the next group chains off the compute op, not the send
+        // (Megatron issues isend and moves on).
+        let last = self.last.expect("pass emitted no ops");
+        let send = if needs_send {
+            self.row(&TABLE1[PP_SEND], tag)
+        } else {
+            None
+        };
+        GroupEnds {
+            first: self.first.expect("pass emitted no ops"),
+            last,
+            send,
+            recv,
+        }
+    }
+
+    /// Backward starts at the loss: the last stage differentiates the
+    /// logit projection first. Forward and inference start with the
+    /// embedding on stage 0.
+    fn stage_head(&mut self, tag: &str) {
+        if self.kind == PassKind::Backward {
+            if self.stage == self.par.pp - 1 {
+                let kind = OpKind::Fused {
+                    flops: 2.0 * self.logit_flops(),
+                    bytes: self.logit_bytes(),
+                };
+                self.push("BwdLogit", tag, kind);
+            }
+        } else if self.stage == 0 {
+            for row in &TABLE1[EMBED_ROWS] {
+                self.row(row, tag);
             }
         }
-        Some(moe) => {
-            push(
-                g,
-                format!("MoERouter{ltag}"),
-                OpKind::Compute {
-                    flops: tokens as f64 * 2.0 * h as f64 * moe.experts as f64,
-                },
-            );
-            let a2a_bytes = tokens * moe.top_k as u64 * h * dt / tp;
-            if par.ep > 1 {
-                push(
-                    g,
-                    format!("EPDispatchAllToAll{ltag}"),
-                    OpKind::Comm {
-                        coll: Collective::AllToAll,
-                        group: GroupKind::Ep,
-                        group_size: par.ep,
-                        bytes: a2a_bytes,
-                    },
-                );
+    }
+
+    /// Forward and inference end with the logit on the last stage; the
+    /// embedding gradient write closes the backward pass on stage 0.
+    fn stage_tail(&mut self, tag: &str) {
+        if self.kind == PassKind::Backward {
+            if self.stage == 0 {
+                let bytes = self.tokens * self.h * self.dt;
+                self.push("BwdEmbeddingGrad", tag, OpKind::Memory { bytes });
             }
-            push(
-                g,
-                format!("ExpertFFN{ltag}"),
-                OpKind::Fused {
+        } else if self.stage == self.par.pp - 1 {
+            self.row(&TABLE1[LOGIT], tag);
+        }
+    }
+
+    fn layer(&mut self, tag: &str, l: u32) {
+        let ltag = format!("{tag}.L{l}");
+        let (model, par) = (self.model, self.par);
+        // ZeRO-3 gathers the layer's parameter shard before using it.
+        let training = !matches!(self.kind, PassKind::Inference { .. });
+        if par.zero == DpSync::Zero3 && training && par.dp > 1 {
+            let bytes = stage_sync_params(model, par, self.stage) * self.dt
+                / (model.layers / par.pp) as u64;
+            let kind = comm(Collective::AllGather, GroupKind::Dp, par.dp, bytes);
+            self.push("Zero3ParamAllGather", &ltag, kind);
+        }
+        if self.kind == PassKind::Backward {
+            self.layer_backward(&ltag);
+        } else {
+            self.layer_forward(&ltag);
+        }
+    }
+
+    /// Table 1's layer rows in order, with the ops the table does not list
+    /// slotted in: decode's KV-cache read before the core attention, and a
+    /// non-gated or MoE FFN before the MLP's TP AllReduce.
+    fn layer_forward(&mut self, ltag: &str) {
+        for row in &TABLE1[LAYER_ROWS] {
+            match row.name {
+                "GQACoreAttn" => self.kv_cache_load(ltag),
+                "MLPTPAllReduce" => self.ffn_outside_table(ltag),
+                _ => {}
+            }
+            self.row(row, ltag);
+        }
+    }
+
+    /// Decode reads the KV cache from HBM — the memory-bound core.
+    fn kv_cache_load(&mut self, ltag: &str) {
+        let inference = matches!(self.kind, PassKind::Inference { .. });
+        if inference && self.attn_ctx > self.tokens {
+            let bytes = self.tokens * 2 * self.attn_ctx * self.kv * self.dt / self.tp;
+            self.push("KVCacheLoad", ltag, OpKind::Memory { bytes });
+        }
+    }
+
+    /// The FFNs Table 1 does not list: a classic two-matrix MLP, or a MoE
+    /// layer's router, EP dispatch, experts and EP combine. A gated dense
+    /// FFN is the table's SwiMLP rows.
+    fn ffn_outside_table(&mut self, ltag: &str) {
+        let (model, par) = (self.model, self.par);
+        let (tokens, h, dt, tp) = (self.tokens, self.h, self.dt, self.tp);
+        match model.moe {
+            None if model.gated_ffn => {}
+            None => {
+                for name in ["MLPUpProj", "MLPDownProj"] {
+                    let kind = self.dense_ffn_proj();
+                    self.push(name, ltag, kind);
+                }
+            }
+            Some(moe) => {
+                let flops = tokens as f64 * 2.0 * h as f64 * moe.experts as f64;
+                self.push("MoERouter", ltag, OpKind::Compute { flops });
+                self.push_some("EPDispatchAllToAll", ltag, self.ep_all_to_all());
+                let kind = OpKind::Fused {
                     flops: tokens as f64
                         * moe.top_k as f64
                         * 2.0
@@ -651,33 +517,98 @@ fn emit_layer_forward(
                         / tp as f64,
                     bytes: model.ffn_matrices() * h * moe.expert_ffn_hidden * dt / tp
                         * (moe.experts as u64 / par.ep as u64).max(1),
-                },
-            );
-            if par.ep > 1 {
-                push(
-                    g,
-                    format!("EPCombineAllToAll{ltag}"),
-                    OpKind::Comm {
-                        coll: Collective::AllToAll,
-                        group: GroupKind::Ep,
-                        group_size: par.ep,
-                        bytes: a2a_bytes,
-                    },
-                );
+                };
+                self.push("ExpertFFN", ltag, kind);
+                self.push_some("EPCombineAllToAll", ltag, self.ep_all_to_all());
             }
         }
     }
-    if par.tp > 1 {
-        push(
-            g,
-            format!("MLPTPAllReduce{ltag}"),
-            OpKind::Comm {
-                coll: Collective::AllReduce,
-                group: GroupKind::Tp,
-                group_size: par.tp,
-                bytes: boundary,
-            },
-        );
+
+    /// The backward of one layer: attention, then MLP gradients, each with
+    /// its TP and EP collectives. Backward flops are ~2× forward (input
+    /// grads + weight grads).
+    fn layer_backward(&mut self, ltag: &str) {
+        let f = self.model.fwd_flops_per_token_layer(self.attn_ctx) / self.tp as f64;
+        let wbytes = self.model.active_params_per_layer() * self.dt / self.tp;
+        let tokens = self.tokens as f64;
+        let attn = OpKind::Fused {
+            flops: 2.0 * f * 0.4 * tokens,
+            bytes: wbytes / 2,
+        };
+        self.push("BwdAttn", ltag, attn);
+        self.push_some("BwdAttnTPAllReduce", ltag, self.tp_all_reduce());
+        self.push_some("BwdEPCombineAllToAll", ltag, self.ep_all_to_all());
+        let mlp = OpKind::Fused {
+            flops: 2.0 * f * 0.6 * tokens,
+            bytes: wbytes / 2,
+        };
+        self.push("BwdMLP", ltag, mlp);
+        self.push_some("BwdEPDispatchAllToAll", ltag, self.ep_all_to_all());
+        self.push_some("BwdMLPTPAllReduce", ltag, self.tp_all_reduce());
+    }
+
+    /// Append `{name}{suffix}` to the chain.
+    fn push(&mut self, name: &str, suffix: &str, kind: OpKind) -> OpId {
+        let deps = self.last.map(|c| vec![c]).unwrap_or_default();
+        let id = self.g.push([name, suffix].concat(), self.stage, kind, deps);
+        self.last = Some(id);
+        self.first.get_or_insert(id);
+        id
+    }
+
+    fn push_some(&mut self, name: &str, suffix: &str, kind: Option<OpKind>) -> Option<OpId> {
+        kind.map(|kind| self.push(name, suffix, kind))
+    }
+
+    fn row(&mut self, row: &Table1Row, suffix: &str) -> Option<OpId> {
+        self.push_some(row.name, suffix, (row.kind)(self))
+    }
+
+    /// A pipeline-boundary transfer. The boundary tensor is sharded across
+    /// the TP group (sequence parallelism), matching the paper's Eq. 5:
+    /// `T_pp = b·s·h·f / tp / net_bw`.
+    fn boundary(&self, coll: Collective) -> Option<OpKind> {
+        let bytes = self.tokens * self.h * self.dt / self.tp;
+        Some(comm(coll, GroupKind::Pp, 2, bytes))
+    }
+
+    /// A TP AllReduce of the full activation (Eq. 4), where `tp > 1`.
+    fn tp_all_reduce(&self) -> Option<OpKind> {
+        let bytes = self.tokens * self.h * self.dt;
+        (self.par.tp > 1).then(|| comm(Collective::AllReduce, GroupKind::Tp, self.par.tp, bytes))
+    }
+
+    /// An EP all-to-all of the routed tokens, on a MoE model with `ep > 1`.
+    fn ep_all_to_all(&self) -> Option<OpKind> {
+        let moe = self.model.moe.filter(|_| self.par.ep > 1)?;
+        let bytes = self.tokens * moe.top_k as u64 * self.h * self.dt / self.tp;
+        Some(comm(
+            Collective::AllToAll,
+            GroupKind::Ep,
+            self.par.ep,
+            bytes,
+        ))
+    }
+
+    /// One SwiGLU projection, on a gated dense model.
+    fn swiglu_proj(&self) -> Option<OpKind> {
+        (self.model.moe.is_none() && self.model.gated_ffn).then(|| self.dense_ffn_proj())
+    }
+
+    fn dense_ffn_proj(&self) -> OpKind {
+        let ffn = self.model.ffn_hidden;
+        OpKind::Fused {
+            flops: self.tokens as f64 * 2.0 * (self.h * ffn) as f64 / self.tp as f64,
+            bytes: self.h * ffn * self.dt / self.tp,
+        }
+    }
+
+    fn logit_flops(&self) -> f64 {
+        self.tokens as f64 * 2.0 * self.h as f64 * self.model.vocab as f64 / self.tp as f64
+    }
+
+    fn logit_bytes(&self) -> u64 {
+        self.h * self.model.vocab * self.dt / self.tp
     }
 }
 
@@ -705,17 +636,13 @@ fn emit_dp_sync(
         return;
     }
     let bytes = stage_sync_params(model, par, s) * model.dtype_bytes as u64;
+    let dp = |coll| comm(coll, GroupKind::Dp, par.dp, bytes);
     match par.zero {
         DpSync::AllReduce => {
             g.push(
                 format!("DPGradAllReduce@s{s}"),
                 s,
-                OpKind::Comm {
-                    coll: Collective::AllReduce,
-                    group: GroupKind::Dp,
-                    group_size: par.dp,
-                    bytes,
-                },
+                dp(Collective::AllReduce),
                 vec![after],
             );
         }
@@ -723,23 +650,13 @@ fn emit_dp_sync(
             let rs = g.push(
                 format!("ZeroGradReduceScatter@s{s}"),
                 s,
-                OpKind::Comm {
-                    coll: Collective::ReduceScatter,
-                    group: GroupKind::Dp,
-                    group_size: par.dp,
-                    bytes,
-                },
+                dp(Collective::ReduceScatter),
                 vec![after],
             );
             g.push(
                 format!("ZeroParamAllGather@s{s}"),
                 s,
-                OpKind::Comm {
-                    coll: Collective::AllGather,
-                    group: GroupKind::Dp,
-                    group_size: par.dp,
-                    bytes,
-                },
+                dp(Collective::AllGather),
                 vec![rs],
             );
         }
@@ -749,35 +666,11 @@ fn emit_dp_sync(
             g.push(
                 format!("ZeroGradReduceScatter@s{s}"),
                 s,
-                OpKind::Comm {
-                    coll: Collective::ReduceScatter,
-                    group: GroupKind::Dp,
-                    group_size: par.dp,
-                    bytes,
-                },
+                dp(Collective::ReduceScatter),
                 vec![after],
             );
         }
     }
-}
-
-fn emit_inference_stage(
-    g: &mut OperatorGraph,
-    model: &ModelConfig,
-    par: &ParallelismConfig,
-    s: u32,
-    batch: u64,
-    phase: InferencePhase,
-) -> GroupEnds {
-    let (tokens, ctx) = match phase {
-        InferencePhase::Prefill { prompt_len } => (batch * prompt_len, prompt_len),
-        InferencePhase::Decode { context_len } => (batch, context_len),
-    };
-    let tag = match phase {
-        InferencePhase::Prefill { .. } => format!("@s{s}.prefill"),
-        InferencePhase::Decode { .. } => format!("@s{s}.decode"),
-    };
-    emit_pass(g, model, par, s, &tag, tokens, ctx, PassKind::Inference)
 }
 
 #[cfg(test)]
@@ -803,6 +696,17 @@ mod tests {
             try_build_training_iteration(&m, &zero),
             Err(BuildError::InvalidParallelism(_))
         ));
+        // No heads: checked before anything divides by the head count.
+        let headless = ModelConfig { heads: 0, ..m };
+        assert_eq!(
+            try_build_training_iteration(&headless, &par).err(),
+            Some(BuildError::NoAttentionHeads)
+        );
+        let prefill = InferencePhase::Prefill { prompt_len: 128 };
+        assert_eq!(
+            try_build_inference(&headless, &par, 8, prefill).err(),
+            Some(BuildError::NoAttentionHeads)
+        );
     }
 
     fn small_model() -> ModelConfig {
@@ -836,36 +740,20 @@ mod tests {
 
     #[test]
     fn table1_operator_inventory_for_llama3() {
-        // The LLaMA-3 dense graph must contain exactly the Table-1 operator
-        // families with the right type labels.
+        // The LLaMA-3 dense graph must contain every Table-1 row, typed
+        // with the paper's label.
         let m = ModelConfig::llama3_70b();
         let mut par = ParallelismConfig::new(8, 8, 1);
         par.microbatches = 8;
         let g = build_training_iteration(&m, &par);
         let inv = g.operator_inventory();
-        let lookup = |n: &str| -> &'static str {
-            inv.iter()
-                .find(|(name, _)| name == n)
-                .unwrap_or_else(|| panic!("operator {n} missing"))
-                .1
-        };
-        assert_eq!(lookup("LoadWeight"), "Mem.");
-        assert_eq!(lookup("EmbeddingComputation"), "Comp.");
-        assert_eq!(lookup("PPRecv"), "Comm.");
-        assert_eq!(lookup("RMSNormLoadWeight"), "Mem.");
-        assert_eq!(lookup("RMSNormComputation"), "Comp.");
-        assert_eq!(lookup("GQAQKVLoadWeight"), "Mem.");
-        assert_eq!(lookup("GQAQKVComputation"), "Comp.");
-        assert_eq!(lookup("GQACoreAttn"), "Comp.");
-        assert_eq!(lookup("GQAAttnProjLoadWeight"), "Mem.");
-        assert_eq!(lookup("GQAAttnProjComputation"), "Comp.");
-        assert_eq!(lookup("AttnTPAllReduce"), "Comm.");
-        assert_eq!(lookup("SwiMLPUpProj"), "Mem. + Comp.");
-        assert_eq!(lookup("SwiMLPGateProj"), "Mem. + Comp.");
-        assert_eq!(lookup("SwiMLPDownProj"), "Mem. + Comp.");
-        assert_eq!(lookup("MLPTPAllReduce"), "Comm.");
-        assert_eq!(lookup("PPSend"), "Comm.");
-        assert_eq!(lookup("Logit"), "Mem. + Comp.");
+        for row in &TABLE1 {
+            let (_, label) = inv
+                .iter()
+                .find(|(name, _)| name == row.name)
+                .unwrap_or_else(|| panic!("operator {} missing", row.name));
+            assert_eq!(*label, row.label, "{}", row.name);
+        }
     }
 
     #[test]

@@ -10,6 +10,9 @@
 //! * [`OperatorGraph`] + [`build_training_iteration`] /
 //!   [`build_inference`] — Table-1-faithful operator DAGs with 1F1B
 //!   pipeline sequencing, the unit Seer forecasts.
+//! * [`TABLE1`] — the paper's Table 1 as data: its 17 forward rows, each
+//!   with its section, name and type label, and the formula of the op the
+//!   builder emits for it.
 //! * [`chakra`] — Chakra-like JSON trace interchange (profiler import and
 //!   handcraft templates).
 //!
@@ -33,7 +36,7 @@ mod parallel;
 
 pub use builder::{
     build_inference, build_training_iteration, try_build_inference, try_build_training_iteration,
-    BuildError, InferencePhase,
+    BuildError, InferencePhase, Table1Row, TABLE1,
 };
 pub use config::{ModelConfig, MoeConfig};
 pub use ops::{Collective, GroupKind, OpId, OpKind, Operator, OperatorGraph};

@@ -193,13 +193,42 @@ impl<'a> Testbed<'a> {
             })
             .collect();
 
-        // Network: sweep each (scope, collective family) the pricer will
-        // consult and compare measured durations against the α–β ideal to
-        // get achieved-bandwidth fractions.
         let mut comm = HashMap::new();
+        for (scope, ckind, coll, gkind, size) in self.comm_sweeps(par) {
+            if let Some(fit) = self.sweep_collective(par, scope, coll, gkind, size) {
+                comm.insert((scope, ckind), fit);
+            }
+        }
+        // Scopes without a measurable group keep a conservative prior.
+        for scope in [
+            CommScope::Nvlink,
+            CommScope::Rail,
+            CommScope::CrossRail,
+            CommScope::CrossDc,
+        ] {
+            comm.entry((scope, CommKind::Ring))
+                .or_insert_with(|| CommCalibration {
+                    alpha_s: 10e-6,
+                    eff: crate::calibrate::EfficiencyCurve::constant(0.75),
+                });
+        }
+        Calibration {
+            compute: fit_curve(&compute_samples, 5),
+            memory: fit_curve(&memory_samples, 5),
+            comm,
+        }
+    }
+
+    /// The (scope, collective family) pairs the pricer will consult, each
+    /// with the collective and communicator that measure it.
+    fn comm_sweeps(
+        &self,
+        par: &ParallelismConfig,
+    ) -> [(CommScope, CommKind, Collective, GroupKind, u32); 5] {
         let hb = self.topo.hb_domain().gpus_per_domain.min(par.world());
         let rails = self.topo.rails() as u32;
-        let sweeps: Vec<(CommScope, CommKind, Collective, GroupKind, u32)> = vec![
+        let dp = 8.min(par.dp.max(2));
+        [
             (
                 CommScope::Nvlink,
                 CommKind::Ring,
@@ -212,7 +241,7 @@ impl<'a> Testbed<'a> {
                 CommKind::Ring,
                 Collective::AllReduce,
                 GroupKind::Dp,
-                8.min(par.dp.max(2)),
+                dp,
             ),
             (
                 CommScope::Rail,
@@ -233,91 +262,77 @@ impl<'a> Testbed<'a> {
                 CommKind::AllToAll,
                 Collective::AllToAll,
                 GroupKind::Dp,
-                8.min(par.dp.max(2)),
+                dp,
             ),
-        ];
-        for (scope, ckind, coll, gkind, size) in sweeps {
-            if size < 2 {
-                continue;
-            }
-            let gpus = self.group_gpus(par, gkind, size);
-            if self.scope_of_group(&gpus) != scope {
-                continue;
-            }
-            let n = size as usize;
-            // Steps and per-rank wire volume factor of the swept collective.
-            let (steps, vol_factor) = match coll {
-                Collective::AllReduce => (2.0 * (n - 1) as f64, 2.0 * (n - 1) as f64 / n as f64),
-                Collective::AllToAll => ((n - 1) as f64, (n - 1) as f64 / n as f64),
-                Collective::Send => (1.0, 1.0),
-                _ => unreachable!("calibration sweeps are fixed above"),
-            };
-            let bw = match scope {
-                CommScope::Nvlink => self.topo.hb_domain().bandwidth_bps,
-                _ => 400e9,
-            };
+        ]
+    }
 
-            // Measure, then split α from the bandwidth term: the smallest
-            // sizes are overhead-dominated, so α̂ comes from a least-squares
-            // intercept of measured-time vs wire volume.
-            let mut pts: Vec<(f64, f64)> = Vec::new(); // (wire_bits, secs)
-            for i in 16..=28 {
-                let bytes = 1u64 << i;
-                let measured = self.measure_collective(par, coll, gkind, size, bytes);
-                pts.push((vol_factor * bytes as f64 * 8.0, measured));
-            }
-            // α̂ from the smallest (overhead-dominated) sample, after
-            // subtracting its (near-negligible) ideal wire time.
-            let (min_wire_bits, min_secs) = pts[0];
-            let alpha_s = ((min_secs - min_wire_bits / bw) / steps).max(0.0);
-
-            // Residual bandwidth efficiency after removing the overhead;
-            // overhead-dominated samples carry no bandwidth signal, so only
-            // sizes where the wire term is substantial enter the fit.
-            let samples: Vec<(f64, f64)> = pts
-                .iter()
-                .enumerate()
-                .filter_map(|(k, &(wire_bits, secs))| {
-                    let bytes = 1u64 << (16 + k);
-                    let wire_secs = secs - steps * alpha_s;
-                    if wire_secs < 0.25 * secs {
-                        return None;
-                    }
-                    let eff = (wire_bits / bw / wire_secs).clamp(0.01, 1.0);
-                    Some((bytes as f64, eff))
-                })
-                .collect();
-            if samples.len() < 5 {
-                continue;
-            }
-            comm.insert(
-                (scope, ckind),
-                CommCalibration {
-                    alpha_s,
-                    eff: fit_curve(&samples, 4),
-                },
-            );
+    /// Sweep one collective over 64 KiB–256 MiB and compare measured
+    /// durations against the α–β ideal to get achieved-bandwidth
+    /// fractions. `None` when the group is too small, lands in another
+    /// scope, or gives too few bandwidth-bound samples to fit.
+    fn sweep_collective(
+        &self,
+        par: &ParallelismConfig,
+        scope: CommScope,
+        coll: Collective,
+        gkind: GroupKind,
+        size: u32,
+    ) -> Option<CommCalibration> {
+        if size < 2 {
+            return None;
         }
-        // Scopes without a measurable group keep a conservative prior.
-        let mut cal = Calibration {
-            compute: fit_curve(&compute_samples, 5),
-            memory: fit_curve(&memory_samples, 5),
-            comm,
+        let gpus = self.group_gpus(par, gkind, size);
+        if self.scope_of_group(&gpus) != scope {
+            return None;
+        }
+        let n = size as usize;
+        // Steps and per-rank wire volume factor of the swept collective.
+        let (steps, vol_factor) = match coll {
+            Collective::AllReduce => (2.0 * (n - 1) as f64, 2.0 * (n - 1) as f64 / n as f64),
+            Collective::AllToAll => ((n - 1) as f64, (n - 1) as f64 / n as f64),
+            Collective::Send => (1.0, 1.0),
+            _ => unreachable!("calibration sweeps are fixed in comm_sweeps"),
         };
-        for scope in [
-            CommScope::Nvlink,
-            CommScope::Rail,
-            CommScope::CrossRail,
-            CommScope::CrossDc,
-        ] {
-            cal.comm
-                .entry((scope, CommKind::Ring))
-                .or_insert_with(|| CommCalibration {
-                    alpha_s: 10e-6,
-                    eff: crate::calibrate::EfficiencyCurve::constant(0.75),
-                });
+        let bw = match scope {
+            CommScope::Nvlink => self.topo.hb_domain().bandwidth_bps,
+            _ => 400e9,
+        };
+
+        // Measure, then split α from the bandwidth term: the smallest
+        // sizes are overhead-dominated, so α̂ comes from a least-squares
+        // intercept of measured-time vs wire volume.
+        let mut pts: Vec<(f64, f64)> = Vec::new(); // (wire_bits, secs)
+        for i in 16..=28 {
+            let bytes = 1u64 << i;
+            let measured = self.measure_collective(par, coll, gkind, size, bytes);
+            pts.push((vol_factor * bytes as f64 * 8.0, measured));
         }
-        cal
+        // α̂ from the smallest (overhead-dominated) sample, after
+        // subtracting its (near-negligible) ideal wire time.
+        let (min_wire_bits, min_secs) = pts[0];
+        let alpha_s = ((min_secs - min_wire_bits / bw) / steps).max(0.0);
+
+        // Residual bandwidth efficiency after removing the overhead;
+        // overhead-dominated samples carry no bandwidth signal, so only
+        // sizes where the wire term is substantial enter the fit.
+        let samples: Vec<(f64, f64)> = pts
+            .iter()
+            .enumerate()
+            .filter_map(|(k, &(wire_bits, secs))| {
+                let bytes = 1u64 << (16 + k);
+                let wire_secs = secs - steps * alpha_s;
+                if wire_secs < 0.25 * secs {
+                    return None;
+                }
+                let eff = (wire_bits / bw / wire_secs).clamp(0.01, 1.0);
+                Some((bytes as f64, eff))
+            })
+            .collect();
+        (samples.len() >= 5).then(|| CommCalibration {
+            alpha_s,
+            eff: fit_curve(&samples, 4),
+        })
     }
 }
 

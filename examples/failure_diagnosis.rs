@@ -20,14 +20,20 @@ use astral::core::{
     try_run_training, FaultScript, InjectedFault, MitigationAction, RecoveryPolicy, TrainingJobSpec,
 };
 use astral::monitor::{diagnose, run_fault_scenario, CorrelationPrior, Fault, ScenarioConfig};
-use astral::topo::{build_astral, AstralParams, HostId};
+use astral::topo::{build_astral, AstralParams, HostId, Topology};
 
 fn main() {
     let topo = build_astral(&AstralParams::sim_small());
+    pcie_degradation(&topo);
+    flapping_link(&topo);
+}
 
+/// Act one: a PCIe link trained below its rated width, drilled down to
+/// the sick host by the hierarchical analyzer.
+fn pcie_degradation(topo: &Topology) {
     println!("=== injecting: PCIe degradation on host3 (drain at 20%) ===\n");
     let outcome = run_fault_scenario(
-        &topo,
+        topo,
         Fault::PcieDegrade {
             host: HostId(3),
             factor: 0.2,
@@ -92,10 +98,10 @@ fn main() {
         auto / 60.0,
         (manual / auto) as u64
     );
+}
 
-    // ------------------------------------------------------------------
-    // Act two: a gray failure — the link flaps instead of dying.
-    // ------------------------------------------------------------------
+/// Act two: a gray failure — the link flaps instead of dying.
+fn flapping_link(topo: &Topology) {
     println!("\n=== injecting: flapping link (3 down phases, period 3 iters) ===\n");
     let script = FaultScript {
         faults: vec![InjectedFault::FlappingLink {
@@ -111,7 +117,7 @@ fn main() {
         comp_s: 0.01,
         ..TrainingJobSpec::default()
     };
-    let report = try_run_training(&topo, &RecoveryPolicy::gray_aware(), &spec, &script)
+    let report = try_run_training(topo, &RecoveryPolicy::gray_aware(), &spec, &script)
         .expect("the gray-aware policy validates");
     println!("--- incident log ---");
     for inc in &report.incidents {
