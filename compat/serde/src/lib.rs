@@ -13,6 +13,10 @@
 //! variants are single-entry maps, and `#[serde(skip)]` fields are omitted
 //! and default-initialized on the way back in.
 
+// Like the crate it stands in for, this stub implements its traits for
+// std's hash maps, so the workspace's map rule (`clippy.toml`) is off here.
+#![allow(clippy::disallowed_types)]
+
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::hash::{BuildHasher, Hash};

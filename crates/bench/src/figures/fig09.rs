@@ -28,7 +28,7 @@ fn print_timeline(snap: &Snapshot) {
 fn print_pfc(snap: &Snapshot) {
     println!("\n(d) PFC pause counters (top 4 links):");
     let mut pfc: Vec<_> = snap.link_pfc.iter().collect();
-    pfc.sort_by_key(|&(l, ns)| (std::cmp::Reverse(*ns), *l));
+    pfc.sort_by_key(|&(_, ns)| std::cmp::Reverse(*ns));
     for (l, ns) in pfc.iter().take(4) {
         println!("    link {l}: {:>10.3} ms paused", **ns as f64 / 1e6);
     }
@@ -63,10 +63,8 @@ pub(crate) fn run() -> Report {
 
     // (b) QP ms-rates.
     println!("\n(b) QP ms-level rates (fraction of the 200G port):");
-    // Full keys, so neither the table nor the slow-QP pick below depends
-    // on `HashMap` order among tied values.
     let mut rates: Vec<_> = snap.qp_rate_frac.iter().collect();
-    rates.sort_by(|a, b| a.1.partial_cmp(b.1).expect("finite").then(a.0.cmp(b.0)));
+    rates.sort_by(|a, b| a.1.partial_cmp(b.1).expect("finite"));
     for (qp, frac) in rates.iter().take(6) {
         println!(
             "    {qp}: {:>5.1}%{}",

@@ -72,7 +72,7 @@ fn print_family_timeline(o: &GridOutcome) {
     let calibrated = &o.calibrated;
     println!("\nper-operator-family timeline comparison ({label}):");
     println!("{:<28}{:>12}{:>12}", "operator family", "testbed", "seer");
-    let seer_fam: std::collections::HashMap<String, f64> =
+    let seer_fam: astral_sim::MulHashMap<String, f64> =
         calibrated.by_operator_family().into_iter().collect();
     for (name, t) in reference.by_operator_family().into_iter().take(8) {
         println!(

@@ -44,7 +44,7 @@ pub(crate) fn run() -> Report {
         "{:<10}{:>14}{:>14}",
         "ratio", "iteration (s)", "degradation"
     );
-    let mut degr_at = std::collections::HashMap::new();
+    let mut degr_at = astral_sim::MulHashMap::default();
     let mut sweep: Vec<(f64, f64)> = Vec::new();
     for ratio in [1.0f64, 2.0, 4.0, 8.0, 16.0, 32.0] {
         let net = NetworkSpec::astral().with_crossdc(GroupKind::Pp, ratio, 300.0);

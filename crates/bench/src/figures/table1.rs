@@ -1,7 +1,7 @@
 //! Table 1 — the computation, memory-access, and communication operators
 //! Seer uses for LLaMA 3.
 //!
-//! Paper: 18 operator families across Input Embedding, Transformer Layer,
+//! Paper: 17 operator families across Input Embedding, Transformer Layer,
 //! and Output Layer, typed Mem. / Comp. / Comm. / Mem.+Comp.
 
 use crate::{Report, Scenario};
@@ -11,7 +11,7 @@ pub(crate) fn run() -> Report {
     let mut sc = Scenario::new(
         "table1",
         "Table 1: LLaMA-3 operators in Seer",
-        "18 operator families (Input Embedding / Transformer Layer / Output \
+        "17 operator families (Input Embedding / Transformer Layer / Output \
          Layer) typed Mem./Comp./Comm.",
     );
 

@@ -21,7 +21,7 @@ use crate::plan::{
 use astral_net::{FlowSpec, FlowState, NetConfig, NetworkSim, QpContext, QpId, SolverCounters};
 use astral_sim::{MulHashMap, SimDuration};
 use astral_topo::{GpuId, NodeId, Topology};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Per-step launch overhead (kernel + proxy scheduling), added to every
 /// schedule step's network/NVLink time.
@@ -405,13 +405,13 @@ impl<'a> CollectiveRunner<'a> {
     /// same number of ranks (required for the two-level algorithm).
     fn uniform_hb_domain_size(&self, group: &[GpuId]) -> Option<usize> {
         let topo = self.sim.topology();
-        let mut counts: HashMap<u32, usize> = HashMap::new();
+        let mut counts: BTreeMap<u32, usize> = BTreeMap::new();
         for &g in group {
             *counts.entry(topo.gpu_hb_domain(g)).or_insert(0) += 1;
         }
-        let mut sizes: Vec<usize> = counts.values().copied().collect();
-        sizes.dedup();
-        (sizes.len() == 1).then(|| sizes[0])
+        let mut sizes = counts.into_values();
+        let first = sizes.next()?;
+        sizes.all(|s| s == first).then_some(first)
     }
 }
 
@@ -617,7 +617,7 @@ mod tests {
                 .fail_link_at(SimTime::ZERO + SimDuration::from_micros(1), up);
         }
         let res = r.all_reduce_flat(&group, 64 << 20);
-        let aborted_at: HashMap<astral_net::FlowId, SimTime> = r
+        let aborted_at: MulHashMap<astral_net::FlowId, SimTime> = r
             .sim_mut()
             .drain_flow_events()
             .into_iter()

@@ -43,9 +43,9 @@ use astral_cooling::{Airflow, RackRow};
 use astral_monitor::{CauseClass, CorrelationPrior};
 use astral_power::{HvdcUnit, RackPower};
 use astral_seer::HazardForecaster;
-use astral_sim::SimRng;
+use astral_sim::{MulHashMap, SimRng};
 use astral_topo::{HostId, Router, Topology};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Rack inlet temperature at which GPUs begin thermally throttling, °C.
@@ -438,7 +438,7 @@ pub fn try_run_campaign_battery_with(
 /// One pass in host-id order: a row opens at its first host, so rows come
 /// out ordered by their lowest host id.
 pub fn rack_rows(topo: &Topology) -> Vec<Vec<HostId>> {
-    let mut row_of: HashMap<(u16, u16), usize> = HashMap::new();
+    let mut row_of: MulHashMap<(u16, u16), usize> = MulHashMap::default();
     let mut rows: Vec<Vec<HostId>> = Vec::new();
     for h in topo.hosts() {
         let r = *row_of.entry((h.pod, h.block)).or_insert_with(|| {
@@ -448,6 +448,18 @@ pub fn rack_rows(topo: &Topology) -> Vec<Vec<HostId>> {
         rows[r].push(h.id);
     }
     rows
+}
+
+/// Each host's `(row, position in its row)` within `rows`, the partition
+/// [`rack_rows`] returns, indexed by host id.
+pub fn rack_row_index(rows: &[Vec<HostId>]) -> Vec<(usize, usize)> {
+    let mut at = vec![(0, 0); rows.iter().map(Vec::len).sum()];
+    for (ri, row) in rows.iter().enumerate() {
+        for (hi, h) in row.iter().enumerate() {
+            at[h.index()] = (ri, hi);
+        }
+    }
+    at
 }
 
 // ---------------------------------------------------------------------------
@@ -574,7 +586,8 @@ impl RowState {
 /// The cascade driver the recovery engine consults once per iteration.
 pub(crate) struct SubstrateState {
     rows: Vec<RowState>,
-    host_row: HashMap<HostId, (usize, usize)>,
+    /// `(row, position in row)` per host id.
+    host_row: Vec<(usize, usize)>,
     script: Vec<SubstrateFault>,
     injected: Vec<bool>,
     rng: SimRng,
@@ -588,13 +601,9 @@ impl SubstrateState {
         // Rack row = one (pod, block) group, pod-major, matching the
         // physical deployment of a row of racks behind one HVDC unit and
         // one CDU loop (see [`rack_rows`]).
-        let rows: Vec<RowState> = rack_rows(topo).into_iter().map(RowState::new).collect();
-        let mut host_row = HashMap::new();
-        for (ri, row) in rows.iter().enumerate() {
-            for (hi, &h) in row.hosts.iter().enumerate() {
-                host_row.insert(h, (ri, hi));
-            }
-        }
+        let rows = rack_rows(topo);
+        let host_row = rack_row_index(&rows);
+        let rows: Vec<RowState> = rows.into_iter().map(RowState::new).collect();
         let injected = vec![false; script.faults.len()];
         SubstrateState {
             rows,
@@ -733,7 +742,7 @@ impl SubstrateState {
         }
         if let Some((victim, _)) = hottest {
             tick.forced_cordon.push(victim);
-            let (ri, _) = self.host_row[&victim];
+            let (ri, _) = self.host_row[victim.index()];
             self.rows[ri].repair_pump();
             self.temp_hazard.reset();
         }
@@ -776,7 +785,7 @@ impl SubstrateState {
 
     /// Substrate telemetry of one host, for the monitoring snapshot.
     pub(crate) fn telemetry(&self, host: HostId) -> HostSubstrate {
-        let (ri, hi) = self.host_row[&host];
+        let (ri, hi) = self.host_row[host.index()];
         let row = &self.rows[ri];
         let t = row.temps[hi];
         HostSubstrate {
@@ -789,7 +798,7 @@ impl SubstrateState {
     /// Compute-time multiplier of one host (1.0 = nominal). Every fabric
     /// host sits in a rack row.
     pub(crate) fn host_multiplier(&self, host: HostId) -> f64 {
-        let (ri, hi) = self.host_row[&host];
+        let (ri, hi) = self.host_row[host.index()];
         self.rows[ri].multiplier(hi)
     }
 
@@ -939,7 +948,7 @@ mod tests {
         assert_eq!(s.rows.len(), 8);
         assert!(s.rows.iter().all(|r| r.hosts.len() == 8));
         assert_eq!(s.rows[0].hosts[0], HostId(0));
-        assert_eq!(s.host_row[&HostId(9)], (1, 1));
+        assert_eq!(s.host_row[9], (1, 1));
     }
 
     #[test]
@@ -983,7 +992,7 @@ mod tests {
         }
         let (at, host) = cordoned.expect("an unmitigated pump fault must escalate");
         assert!(at >= 2, "the thermal lag gives detection a window, at={at}");
-        assert!(s.host_row[&host].0 == 0, "cordon lands inside the row");
+        assert_eq!(s.host_row[host.index()].0, 0, "cordon lands inside the row");
         // The cordon triggers the facilities repair.
         assert!(!s.rows[0].pump_active);
         assert!((s.rows[0].flow_frac - 1.0).abs() < 1e-12);

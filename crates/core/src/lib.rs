@@ -41,7 +41,7 @@ pub mod recovery;
 pub mod replay;
 
 pub use cascade::{
-    rack_rows, try_run_campaign_battery_with, try_run_cascade_placed, CampaignRun,
+    rack_row_index, rack_rows, try_run_campaign_battery_with, try_run_cascade_placed, CampaignRun,
     CascadeAttribution, CascadeClass, CascadeReport, CascadeScript, FaultCampaign, HazardRates,
     SubstrateFault,
 };

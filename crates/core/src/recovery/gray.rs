@@ -29,8 +29,7 @@ impl Engine<'_> {
         }
         let sim = self.runner.sim();
         let flaps = sim.telemetry().link_flaps.iter();
-        let mut flap_edges: Vec<(LinkId, u32)> = flaps.map(|(&l, &e)| (l, e)).collect();
-        flap_edges.sort_unstable();
+        let flap_edges = flaps.map(|(&l, &e)| (l, e)).collect();
         let edge = |(link, frac)| {
             let host_edge = self.host_edge_nic(link).is_some();
             GrayEdge {

@@ -340,7 +340,8 @@ mod tests {
     #[test]
     fn gray_campaign_trace_covers_all_layers() {
         let recorded = record(&RecoveryPolicy::gray_aware(), traced_cfg());
-        let kinds: std::collections::HashSet<u16> = recorded.trace.iter().map(|r| r.kind).collect();
+        let kinds: std::collections::BTreeSet<u16> =
+            recorded.trace.iter().map(|r| r.kind).collect();
         for kind in [
             TraceKind::FlowInject,
             TraceKind::FlowComplete,

@@ -6,7 +6,7 @@
 
 use crate::policy::PlacementStrategy;
 use astral_topo::{HostId, Topology};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// Rack rows chained per CDU loop: cooling domains are coarser than power
 /// domains (one pump failure starves two adjacent rows).
@@ -45,7 +45,8 @@ impl std::error::Error for PlacementError {}
 #[derive(Debug, Clone)]
 pub struct PlacementEngine {
     rows: Vec<Vec<HostId>>,
-    host_row: HashMap<HostId, usize>,
+    /// `(row, position in row)` per host id.
+    host_row: Vec<(usize, usize)>,
 }
 
 impl PlacementEngine {
@@ -53,12 +54,7 @@ impl PlacementEngine {
     /// engine's pod-major (pod, block) grouping.
     pub fn new(topo: &Topology) -> Self {
         let rows = astral_core::rack_rows(topo);
-        let mut host_row = HashMap::new();
-        for (ri, row) in rows.iter().enumerate() {
-            for &h in row {
-                host_row.insert(h, ri);
-            }
-        }
+        let host_row = astral_core::rack_row_index(&rows);
         PlacementEngine { rows, host_row }
     }
 
@@ -69,7 +65,7 @@ impl PlacementEngine {
 
     /// The row `host` lives in.
     pub fn row_of(&self, host: HostId) -> Option<usize> {
-        self.host_row.get(&host).copied()
+        self.host_row.get(host.index()).map(|&(row, _)| row)
     }
 
     /// Place a `need`-host tenant on the `free` set under `strategy`.

@@ -6,7 +6,7 @@
 //! the DAG with per-device compute and communication streams.
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// Operator identifier within a graph.
@@ -260,11 +260,11 @@ impl OperatorGraph {
     /// Distinct `(name, type)` rows in first-appearance order — the Table-1
     /// inventory view.
     pub fn operator_inventory(&self) -> Vec<(String, &'static str)> {
-        let mut seen = HashMap::new();
+        let mut seen = BTreeSet::new();
         let mut out = Vec::new();
         for op in &self.ops {
             let base = op.name.split('@').next().unwrap_or(&op.name).to_string();
-            if seen.insert(base.clone(), ()).is_none() {
+            if seen.insert(base.clone()) {
                 out.push((base, op.kind.type_label()));
             }
         }

@@ -16,18 +16,16 @@ fn small_model(layers: u32) -> ModelConfig {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
     /// Rank ↔ coordinate mapping is a bijection for arbitrary layouts.
     #[test]
     fn rank_mapping_bijective(tp in 1u32..5, pp in 1u32..5, dp in 1u32..5) {
         let c = ParallelismConfig::new(tp, pp, dp);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for r in 0..c.world() {
             let (p, d, t) = c.coords_of(r);
             prop_assert!(p < pp && d < dp && t < tp);
             prop_assert_eq!(c.rank_of(p, d, t), r);
-            prop_assert!(seen.insert(r));
+            prop_assert!(seen.insert((p, d, t)));
         }
     }
 

@@ -275,7 +275,7 @@ impl<'s> DrillDown<'s> {
             .iter()
             .filter(|&(_, &edges)| edges >= FLAP_EDGES_MIN)
             .map(|(&l, &edges)| (l, edges))
-            .min_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)))?;
+            .min_by_key(|&(_, edges)| std::cmp::Reverse(edges))?;
         self.note(format!(
             "physical layer: link {link} recorded {edges} up/down transitions — \
              recurrent flapping, not a one-off transient"
@@ -290,7 +290,7 @@ impl<'s> DrillDown<'s> {
         let interior = |p: &[NodeId]| p[1..p.len() - 1].to_vec();
         let mut common = interior(paths[0]);
         for p in &paths[1..] {
-            let nodes: std::collections::HashSet<NodeId> = interior(p).into_iter().collect();
+            let nodes = interior(p);
             common.retain(|n| nodes.contains(n));
         }
         if !common.is_empty() && paths.len() > 1 {
@@ -338,12 +338,7 @@ impl<'s> DrillDown<'s> {
             slow.len(),
             SLOW_QP_FRAC * 100.0
         ));
-        // QP ids break ties, so which tied QP is probed first does not
-        // follow `HashMap` order.
-        slow.sort_by(|a, b| {
-            let frac = a.1.partial_cmp(&b.1).expect("finite fractions");
-            frac.then(a.0.cmp(&b.0))
-        });
+        slow.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite fractions"));
         for (qp, frac) in slow.into_iter().take(4) {
             let Some(rec) = snap.qp(qp) else { continue };
             let probe = prober.probe(rec.src_nic, rec.dst_nic, rec.tuple.src_port);
@@ -523,8 +518,8 @@ fn endpoint_host(snap: &Snapshot, nic: NodeId) -> Option<HostId> {
 /// Robust per-host outlier detection: hosts whose mean metric deviates by
 /// more than `OUTLIER_Z` robust z-scores from the fleet.
 fn outliers<I: Iterator<Item = (HostId, f64)>>(samples: I) -> Vec<HostId> {
-    let mut per_host: std::collections::HashMap<HostId, (f64, u32)> =
-        std::collections::HashMap::new();
+    let mut per_host: std::collections::BTreeMap<HostId, (f64, u32)> =
+        std::collections::BTreeMap::new();
     for (h, v) in samples {
         let e = per_host.entry(h).or_insert((0.0, 0));
         e.0 += v;
@@ -539,7 +534,7 @@ fn outliers<I: Iterator<Item = (HostId, f64)>>(samples: I) -> Vec<HostId> {
         (Some(m), Some(d)) => (m, d),
         _ => return Vec::new(),
     };
-    let mut out: Vec<HostId> = means
+    means
         .into_iter()
         .filter(|&(_, v)| {
             if mad > f64::EPSILON {
@@ -551,9 +546,7 @@ fn outliers<I: Iterator<Item = (HostId, f64)>>(samples: I) -> Vec<HostId> {
             }
         })
         .map(|(h, _)| h)
-        .collect();
-    out.sort_unstable();
-    out
+        .collect()
 }
 
 #[cfg(test)]

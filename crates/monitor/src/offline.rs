@@ -15,7 +15,6 @@ pub use astral_topo::{verify_wiring, CablePlan, WiringMistake};
 use crate::snapshot::HostHealth;
 use astral_topo::HostId;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Host software/transport configuration, as collected by the offline
 /// checker.
@@ -68,16 +67,20 @@ pub struct ConfigDeviation {
 
 /// Compare every host's configuration against the majority value of each
 /// field; returns all deviations (majority voting is threshold-agnostic,
-/// like the cross-host analyzer).
+/// like the cross-host analyzer). On a tied count the value of the
+/// earliest host in `configs` is the majority.
 pub fn check_config_consistency(configs: &[HostConfig]) -> Vec<ConfigDeviation> {
-    fn majority<T: Eq + std::hash::Hash + Clone>(values: impl Iterator<Item = T>) -> T {
-        let mut counts: HashMap<T, usize> = HashMap::new();
+    fn majority<T: PartialEq>(values: impl Iterator<Item = T>) -> T {
+        let mut counts: Vec<(T, usize)> = Vec::new();
         for v in values {
-            *counts.entry(v).or_insert(0) += 1;
+            match counts.iter_mut().find(|(u, _)| *u == v) {
+                Some((_, c)) => *c += 1,
+                None => counts.push((v, 1)),
+            }
         }
         counts
             .into_iter()
-            .max_by_key(|&(_, c)| c)
+            .reduce(|best, e| if e.1 > best.1 { e } else { best })
             .expect("non-empty fleet")
             .0
     }
@@ -159,6 +162,20 @@ pub fn gpu_burn(health: &HostHealth) -> StressResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn tied_majority_goes_to_the_earliest_host() {
+        let mut odd = HostConfig::standard(HostId(1));
+        odd.nccl_version = "2.18.1".into();
+        let configs = [HostConfig::standard(HostId(0)), odd];
+        for _ in 0..64 {
+            let devs = check_config_consistency(&configs);
+            assert_eq!(devs.len(), 1);
+            assert_eq!(devs[0].host, HostId(1));
+            assert_eq!(devs[0].value, "2.18.1");
+            assert_eq!(devs[0].expected, configs[0].nccl_version);
+        }
+    }
 
     #[test]
     fn consistent_fleet_passes() {

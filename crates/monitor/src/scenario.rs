@@ -14,7 +14,7 @@ use astral_collectives::{CollectiveRunner, RunnerConfig};
 use astral_net::{FlowSpec, NetworkSim, QpId, QpTally, SolverCounters};
 use astral_sim::{SimDuration, SimRng, SimTime};
 use astral_topo::{GpuId, HostId, LinkId, NodeId, NodeKind, Topology};
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 /// An injectable fault with its ground-truth localization.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -380,8 +380,8 @@ fn push_rank_symptoms(
     rng: &mut SimRng,
 ) -> Option<Culprit> {
     // Hosts touched by errCQE QPs (for error-log attribution).
-    let errored_qps: HashSet<QpId> = snap.err_cqe.iter().map(|e| e.qp).collect();
-    let errored_hosts: HashSet<HostId> = snap
+    let errored_qps: BTreeSet<QpId> = snap.err_cqe.iter().map(|e| e.qp).collect();
+    let errored_hosts: BTreeSet<HostId> = snap
         .qp_registry
         .iter()
         .filter(|r| errored_qps.contains(&r.qp))

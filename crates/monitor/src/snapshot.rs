@@ -8,9 +8,10 @@
 //! is testable with both synthetic and simulation-produced data.
 
 use astral_net::{ErrCqe, IntProbe, NetworkSim, QpId, QpRecord, QpTally};
+use astral_sim::MulHashMap;
 use astral_topo::{GpuId, HostId, LinkId, NodeId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// The job under observation.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -105,20 +106,20 @@ pub struct Snapshot {
     pub qp_registry: Vec<QpRecord>,
     /// Transport layer: bytes each QP delivered, with the span it
     /// delivered them over.
-    pub qp_bytes: HashMap<QpId, QpTally>,
+    pub qp_bytes: BTreeMap<QpId, QpTally>,
     /// Transport layer: observed rate as a fraction of the designated link
     /// bandwidth, per QP.
-    pub qp_rate_frac: HashMap<QpId, f64>,
+    pub qp_rate_frac: BTreeMap<QpId, f64>,
     /// Transport layer: completion-queue errors.
     pub err_cqe: Vec<ErrCqe>,
     /// Network layer: sFlow-reconstructed node path per QP.
-    pub sflow: HashMap<QpId, Vec<NodeId>>,
+    pub sflow: BTreeMap<QpId, Vec<NodeId>>,
     /// Physical layer: per-link PFC pause nanoseconds.
-    pub link_pfc: HashMap<LinkId, u64>,
+    pub link_pfc: BTreeMap<LinkId, u64>,
     /// Physical layer: per-link ECN marks.
-    pub link_ecn: HashMap<LinkId, u64>,
+    pub link_ecn: BTreeMap<LinkId, u64>,
     /// Physical layer: link up/down flap counts.
-    pub link_flaps: HashMap<LinkId, u32>,
+    pub link_flaps: BTreeMap<LinkId, u32>,
     /// Physical layer: per-host health.
     pub health: Vec<HostHealth>,
 }
@@ -143,9 +144,7 @@ impl Snapshot {
                 self.link_ecn.insert(LinkId(i as u32), c.ecn_marks);
             }
         }
-        for (&l, &edges) in &t.link_flaps {
-            self.link_flaps.insert(l, edges);
-        }
+        self.link_flaps.extend(&t.link_flaps);
     }
 
     /// Health record of a host, if present.
@@ -176,7 +175,7 @@ impl IntProber for NetworkSim<'_> {
 #[derive(Default)]
 pub struct CannedProber {
     /// Keyed by (src, dst); sport-insensitive.
-    pub probes: HashMap<(NodeId, NodeId), IntProbe>,
+    pub probes: MulHashMap<(NodeId, NodeId), IntProbe>,
 }
 
 impl IntProber for CannedProber {

@@ -84,8 +84,7 @@ fn every_fault_keeps_its_snapshot_and_verdict() {
                     d.write_str(e);
                 }
             }
-            let mut fracs: Vec<_> = out.snapshot.qp_rate_frac.iter().collect();
-            fracs.sort_by_key(|&(qp, _)| *qp);
+            let fracs = &out.snapshot.qp_rate_frac;
             d.write_u64(fracs.len() as u64);
             for (qp, f) in fracs {
                 d.write_u64(qp.0);

@@ -15,7 +15,7 @@ use crate::fivetuple::{ip_of_nic, FiveTuple, EPHEMERAL_BASE};
 use crate::hash::EcmpHasher;
 use crate::sim::NetworkSim;
 use astral_topo::{LinkId, NodeId, Router, Topology};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A flow as the controller sees it: endpoints, volume, and the source port
 /// it currently owns.
@@ -68,8 +68,8 @@ impl EcmpController {
         router: &Router,
         hasher: &EcmpHasher,
         flows: &[PlannedFlow],
-    ) -> HashMap<LinkId, u64> {
-        let mut load = HashMap::new();
+    ) -> BTreeMap<LinkId, u64> {
+        let mut load = BTreeMap::new();
         for f in flows {
             if let Some(path) = simulate_route(topo, router, hasher, f.src, f.dst, f.sport) {
                 for l in path {
@@ -95,7 +95,7 @@ impl EcmpController {
             return 0;
         }
         let mut load = self.project_load(topo, router, hasher, flows);
-        let hot: std::collections::HashSet<LinkId> = hot_links.iter().copied().collect();
+        let hot: BTreeSet<LinkId> = hot_links.iter().copied().collect();
 
         // Victims: flows whose current path crosses a hot link, heaviest
         // first so the biggest contributors move first.
@@ -125,7 +125,7 @@ impl EcmpController {
             for l in &cur_path {
                 *load.get_mut(l).expect("path was projected") -= f.bytes;
             }
-            let score = |path: &[LinkId], load: &HashMap<LinkId, u64>| -> u64 {
+            let score = |path: &[LinkId], load: &BTreeMap<LinkId, u64>| -> u64 {
                 path.iter()
                     .map(|l| load.get(l).copied().unwrap_or(0) + f.bytes)
                     .max()

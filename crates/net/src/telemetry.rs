@@ -24,7 +24,7 @@ use crate::fivetuple::{FiveTuple, QpContext, QpId};
 use astral_sim::SimTime;
 use astral_topo::{LinkId, NodeId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// An RDMA completion-queue error event, as the transport monitor records it.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -77,7 +77,7 @@ pub struct Telemetry {
     /// edges). A hard fail counts one edge, a restore of a hard-failed
     /// link another; capacity degrades are not transitions and do not
     /// count. A healthy fabric leaves this empty.
-    pub link_flaps: HashMap<LinkId, u32>,
+    pub link_flaps: BTreeMap<LinkId, u32>,
 }
 
 /// A per-QP table indexed by the ids [`crate::NetworkSim`] hands out

@@ -879,7 +879,7 @@ proptest! {
     fn retiring_sim_matches_a_twin_that_never_retires(script in retire_script()) {
         use astral_net::{FlowSpec, FlowState, NetConfig, NetError, NetworkSim, QpContext};
         use astral_sim::{SimDuration, SimTime};
-        use std::collections::HashSet;
+        use std::collections::BTreeSet;
 
         let topo = build_astral(&AstralParams::sim_small());
         let cfg = NetConfig {
@@ -896,7 +896,7 @@ proptest! {
             prop_assert_eq!(twin.register_qp_auto(s, d, QpContext::anonymous()), qps[i as usize]);
         }
         let mut flows = Vec::new();
-        let mut retired: HashSet<u32> = HashSet::new();
+        let mut retired: BTreeSet<u32> = BTreeSet::new();
         let mut failed = Vec::new();
         let mut now = SimTime::ZERO;
         let last = script.len();

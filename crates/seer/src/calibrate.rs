@@ -16,12 +16,12 @@
 
 use astral_sim::{polyfit, Polynomial};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// The algorithmic family of a collective — ring-based collectives, the
 /// pairwise all-to-all, and point-to-point sends have different overhead
 /// structures and therefore separate calibration curves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum CommKind {
     /// Ring-family collectives (AllReduce, ReduceScatter, AllGather,
     /// Broadcast).
@@ -34,7 +34,7 @@ pub enum CommKind {
 
 /// Keys into the communication-efficiency table: what kind of communicator
 /// the collective ran on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum CommScope {
     /// Inside an NVLink domain.
     Nvlink,
@@ -130,7 +130,7 @@ pub struct Calibration {
     /// HBM efficiency vs measured throughput: `eff(log₂ bytes)`.
     pub memory: EfficiencyCurve,
     /// Network calibration per (scope, collective family).
-    pub comm: HashMap<(CommScope, CommKind), CommCalibration>,
+    pub comm: BTreeMap<(CommScope, CommKind), CommCalibration>,
 }
 
 impl Calibration {
@@ -141,7 +141,7 @@ impl Calibration {
         Calibration {
             compute: EfficiencyCurve::ideal(),
             memory: EfficiencyCurve::ideal(),
-            comm: HashMap::new(),
+            comm: BTreeMap::new(),
         }
     }
 

@@ -40,10 +40,10 @@ use astral_model::{
     build_training_iteration, Collective, DpSync, GroupKind, ModelConfig, OpKind, Operator,
     ParallelismConfig,
 };
-use astral_sim::Digest;
+use astral_sim::{Digest, MulHashMap};
 use serde::{Deserialize, Serialize};
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 fn group_tag(g: GroupKind) -> u8 {
     match g {
@@ -158,13 +158,10 @@ fn feed_net(d: &mut Digest, n: &NetworkSpec) {
     }
 }
 
+/// `cal.comm` iterates in `(scope, kind)` order, which is also tag order.
 fn feed_comm_cal(d: &mut Digest, cal: &Calibration) {
-    // HashMap iteration order is not deterministic: canonicalize by
-    // sorting on the (scope, kind) tags before feeding.
-    let mut entries: Vec<_> = cal.comm.iter().collect();
-    entries.sort_by_key(|((s, k), _)| (scope_tag(*s), kind_tag(*k)));
-    d.write_u64(entries.len() as u64);
-    for ((s, k), c) in entries {
+    d.write_u64(cal.comm.len() as u64);
+    for ((s, k), c) in &cal.comm {
         d.write_u8(scope_tag(*s));
         d.write_u8(kind_tag(*k));
         d.write_f64(c.alpha_s);
@@ -470,8 +467,8 @@ fn op_shape_key(op: &Operator) -> u64 {
 struct MemoPricer<'a> {
     base: ModelPricer<'a>,
     dep: [u64; OpClass::COUNT],
-    frozen: &'a HashMap<OpKey, f64>,
-    fresh_index: RefCell<HashMap<OpKey, usize>>,
+    frozen: &'a MulHashMap<OpKey, f64>,
+    fresh_index: RefCell<MulHashMap<OpKey, usize>>,
     fresh: RefCell<Vec<(OpKey, f64)>>,
     hits: Cell<u64>,
     misses: Cell<u64>,
@@ -481,13 +478,13 @@ impl<'a> MemoPricer<'a> {
     fn new(
         cfg: &'a SeerConfig,
         dep: [u64; OpClass::COUNT],
-        frozen: &'a HashMap<OpKey, f64>,
+        frozen: &'a MulHashMap<OpKey, f64>,
     ) -> Self {
         MemoPricer {
             base: ModelPricer { cfg },
             dep,
             frozen,
-            fresh_index: RefCell::new(HashMap::new()),
+            fresh_index: RefCell::default(),
             fresh: RefCell::new(Vec::new()),
             hits: Cell::new(0),
             misses: Cell::new(0),
@@ -555,7 +552,7 @@ fn summarize(spec: &ScenarioSpec, timeline: &Timeline) -> CachedForecast {
 /// memoizing pricer, and summarize. Pure — identical inputs produce
 /// bitwise-identical outputs — which is what lets cache misses fan out on
 /// the pool without affecting the answers.
-fn price_scenario(spec: &ScenarioSpec, frozen: &HashMap<OpKey, f64>) -> Priced {
+fn price_scenario(spec: &ScenarioSpec, frozen: &MulHashMap<OpKey, f64>) -> Priced {
     let graph = build_training_iteration(&spec.model, &spec.par);
     let pricer = MemoPricer::new(&spec.cfg, class_dep_digests(spec), frozen);
     let timeline = schedule(&graph, &spec.par, &pricer);
@@ -581,9 +578,9 @@ pub struct SeerService {
     base: ScenarioSpec,
     forecast_capacity: usize,
     op_capacity: usize,
-    forecasts: HashMap<u64, CachedForecast>,
+    forecasts: MulHashMap<u64, CachedForecast>,
     forecast_order: VecDeque<u64>,
-    op_memo: HashMap<OpKey, f64>,
+    op_memo: MulHashMap<OpKey, f64>,
     op_order: VecDeque<OpKey>,
     stats: CacheStats,
 }
@@ -596,9 +593,9 @@ impl SeerService {
             base,
             forecast_capacity: DEFAULT_FORECAST_CAPACITY,
             op_capacity: DEFAULT_OP_CAPACITY,
-            forecasts: HashMap::new(),
+            forecasts: MulHashMap::default(),
             forecast_order: VecDeque::new(),
-            op_memo: HashMap::new(),
+            op_memo: MulHashMap::default(),
             op_order: VecDeque::new(),
             stats: CacheStats::default(),
         }
@@ -654,7 +651,7 @@ impl SeerService {
             cached: Option<CachedForecast>,
         }
         let mut pending: Vec<Pending> = Vec::with_capacity(queries.len());
-        let mut in_flight: HashMap<u64, usize> = HashMap::new();
+        let mut in_flight: MulHashMap<u64, usize> = MulHashMap::default();
         let mut misses: Vec<(u64, ScenarioSpec)> = Vec::new();
         for query in queries {
             let spec = self.resolve(query);
@@ -719,7 +716,7 @@ impl SeerService {
                 None => break,
             }
         }
-        let mut computed: HashMap<u64, CachedForecast> = HashMap::with_capacity(priced.len());
+        let mut computed: MulHashMap<u64, CachedForecast> = MulHashMap::default();
         for ((digest, _), p) in misses.iter().zip(&priced) {
             computed.insert(*digest, p.forecast);
             self.forecasts.insert(*digest, p.forecast);
@@ -749,7 +746,7 @@ impl SeerService {
     /// read or written). The bitwise-equality oracle for the cached
     /// serving path.
     pub fn forecast_uncached(&self, query: &WhatIfQuery) -> CachedForecast {
-        let empty = HashMap::new();
+        let empty = MulHashMap::default();
         price_scenario(&self.resolve(query), &empty).forecast
     }
 }

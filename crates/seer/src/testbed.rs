@@ -16,10 +16,10 @@ use crate::timeline::{schedule, OpPricer, Timeline};
 use crate::truth::GroundTruth;
 use astral_collectives::{CollectiveRunner, RunnerConfig, STEP_OVERHEAD};
 use astral_model::{Collective, GroupKind, OpKind, Operator, OperatorGraph, ParallelismConfig};
-use astral_sim::SimRng;
+use astral_sim::{MulHashMap, SimRng};
 use astral_topo::{GpuId, Topology};
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Key for the collective-measurement cache.
 type CommKey = (Collective, GroupKind, u32, u64);
@@ -30,7 +30,7 @@ pub struct Testbed<'a> {
     truth: GroundTruth,
     /// Rank → GPU mapping; identity (rank r → GPU r) by default.
     placement: Option<Vec<GpuId>>,
-    comm_cache: RefCell<HashMap<CommKey, f64>>,
+    comm_cache: RefCell<MulHashMap<CommKey, f64>>,
 }
 
 impl<'a> Testbed<'a> {
@@ -40,7 +40,7 @@ impl<'a> Testbed<'a> {
             topo,
             truth: GroundTruth::for_gpu(gpu),
             placement: None,
-            comm_cache: RefCell::new(HashMap::new()),
+            comm_cache: RefCell::default(),
         }
     }
 
@@ -52,7 +52,7 @@ impl<'a> Testbed<'a> {
             topo,
             truth,
             placement: None,
-            comm_cache: RefCell::new(HashMap::new()),
+            comm_cache: RefCell::default(),
         }
     }
 
@@ -193,7 +193,7 @@ impl<'a> Testbed<'a> {
             })
             .collect();
 
-        let mut comm = HashMap::new();
+        let mut comm = BTreeMap::new();
         for (scope, ckind, coll, gkind, size) in self.comm_sweeps(par) {
             if let Some(fit) = self.sweep_collective(par, scope, coll, gkind, size) {
                 comm.insert((scope, ckind), fit);

@@ -123,13 +123,13 @@ impl Timeline {
     /// Per-operator-family total durations (for timeline comparisons like
     /// Figure 12): `(base name, seconds)` sorted by descending time.
     pub fn by_operator_family(&self) -> Vec<(String, f64)> {
-        let mut acc: std::collections::HashMap<String, f64> = std::collections::HashMap::new();
+        let mut acc: std::collections::BTreeMap<String, f64> = std::collections::BTreeMap::new();
         for e in &self.entries {
             let base = e.name.split('@').next().unwrap_or(&e.name).to_string();
             *acc.entry(base).or_insert(0.0) += e.end.saturating_since(e.start).as_secs_f64();
         }
         let mut v: Vec<(String, f64)> = acc.into_iter().collect();
-        v.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite").then(a.0.cmp(&b.0)));
+        v.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite"));
         v
     }
 }

@@ -7,7 +7,6 @@
 //! and multiply per word (the Fx scheme) is enough, and the fixed start
 //! state makes iteration order reproducible across runs.
 
-use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Fx's odd multiplier (the hasher rustc and Firefox use).
@@ -72,8 +71,10 @@ impl Hasher for MulHasher {
     }
 }
 
-/// A `HashMap` hashed with [`MulHasher`].
-pub type MulHashMap<K, V> = HashMap<K, V, BuildHasherDefault<MulHasher>>;
+/// A `HashMap` hashed with [`MulHasher`]: the one std hash map the root
+/// `clippy.toml` allows, since every run iterates it in the same order.
+#[allow(clippy::disallowed_types)]
+pub type MulHashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<MulHasher>>;
 
 #[cfg(test)]
 mod tests {

@@ -7,9 +7,8 @@
 //! between Agg and ToR.
 
 use crate::ids::{DcId, GpuId, HostId, LinkId, NodeId, NodeKind};
-use astral_sim::{Digest, SimDuration};
+use astral_sim::{Digest, MulHashMap, SimDuration};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Gigabits per second, as bits/s.
 pub const GBPS: f64 = 1e9;
@@ -93,7 +92,7 @@ pub struct Topology {
     in_adj: Vec<Vec<LinkId>>,
     /// `(src, dst) -> link` for fast bidirectional lookups.
     #[serde(skip)]
-    link_index: HashMap<(NodeId, NodeId), LinkId>,
+    link_index: MulHashMap<(NodeId, NodeId), LinkId>,
     /// Rails (NICs, and GPUs) per host.
     rails: u8,
     /// Intra-host interconnect description.
@@ -119,7 +118,7 @@ impl Topology {
             hosts: Vec::new(),
             out_adj: Vec::new(),
             in_adj: Vec::new(),
-            link_index: HashMap::new(),
+            link_index: MulHashMap::default(),
             rails,
             hb,
             arch: arch.into(),

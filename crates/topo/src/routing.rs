@@ -28,8 +28,8 @@
 
 use crate::graph::Topology;
 use crate::ids::{LinkId, NodeId, NodeKind};
+use astral_sim::MulHashMap;
 use std::cell::Cell;
-use std::collections::HashMap;
 use std::sync::OnceLock;
 
 const INF: u16 = u16::MAX;
@@ -448,7 +448,7 @@ impl Router {
             return 1;
         }
         let field = b.field(topo, dst_nic);
-        let mut memo: HashMap<(NodeId, Phase), u64> = HashMap::new();
+        let mut memo = MulHashMap::default();
         count_paths(topo, &b.adj, field, src_nic, Phase::Up, &mut memo)
     }
 }
@@ -459,7 +459,7 @@ fn count_paths(
     field: &DistField,
     cur: NodeId,
     phase: Phase,
-    memo: &mut HashMap<(NodeId, Phase), u64>,
+    memo: &mut MulHashMap<(NodeId, Phase), u64>,
 ) -> u64 {
     if cur == field.dst {
         return 1;

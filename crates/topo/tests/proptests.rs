@@ -62,7 +62,7 @@ proptest! {
 
         let mut cur = a;
         let mut went_down = false;
-        let mut visited = std::collections::HashSet::new();
+        let mut visited = std::collections::BTreeSet::new();
         for &l in &path {
             let link = t.link(l);
             prop_assert_eq!(link.src, cur);
@@ -126,7 +126,7 @@ proptest! {
     #[test]
     fn gpu_nic_mapping_is_bijective(p in params_strategy()) {
         let t = build_astral(&p);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for g in 0..t.gpu_count() {
             let nic = t.gpu_nic(GpuId(g));
             let is_nic = matches!(t.node(nic).kind, NodeKind::Nic { .. });

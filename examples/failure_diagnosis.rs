@@ -56,13 +56,11 @@ fn pcie_degradation(topo: &Topology) {
     }
 
     println!("\n--- (b) QP ms-level rates (fraction of 200G port) ---");
-    let mut rates: Vec<_> = snap.qp_rate_frac.iter().collect();
-    rates.sort_by_key(|&(qp, _)| *qp);
-    for (qp, frac) in rates.iter().take(8) {
+    for (qp, frac) in snap.qp_rate_frac.iter().take(8) {
         println!(
             "  {qp}: {:5.1}%{}",
-            **frac * 100.0,
-            if **frac < 0.5 {
+            *frac * 100.0,
+            if *frac < 0.5 {
                 "   <-- below 50% threshold"
             } else {
                 ""
@@ -72,8 +70,7 @@ fn pcie_degradation(topo: &Topology) {
 
     println!("\n--- (c/d) PFC pause counters (top links) ---");
     let mut pfc: Vec<_> = snap.link_pfc.iter().collect();
-    // Link ids break ties, so the listing does not follow `HashMap` order.
-    pfc.sort_by_key(|&(l, ns)| (std::cmp::Reverse(*ns), *l));
+    pfc.sort_by_key(|&(_, ns)| std::cmp::Reverse(*ns));
     for (l, ns) in pfc.iter().take(4) {
         println!("  link {l}: {:.3} ms of pause", **ns as f64 / 1e6);
     }

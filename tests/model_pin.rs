@@ -8,7 +8,10 @@
 //! Two small models with odd sizes run at a `tp` that is not a power of
 //! two, so that reordering the operands of a flops product changes its
 //! bits: the templates' power-of-two sizes keep most such products exact.
-//! So a change to op order, naming, arithmetic or wiring changes the digest.
+//! One more case, pinned on its own, is chosen so that `0.4 * tokens` in
+//! the backward attention flops rounds, and regrouping that product moves
+//! the result's last bit. So a change to op order, naming, arithmetic or
+//! wiring changes a digest.
 
 use astral::model::{
     build_inference, build_training_iteration, DpSync, InferencePhase, ModelConfig, MoeConfig,
@@ -19,6 +22,9 @@ use astral::sim::Digest;
 /// Digest of every case's graph. A refactor of the builder must leave it
 /// unchanged; a deliberate change of the graphs re-records it and says why.
 const MODEL_GRAPH_DIGEST: u64 = 0x4d0f_3520_7796_49e2;
+
+/// Digest of [`backward_rounding_case`]'s graph.
+const BACKWARD_ROUNDING_DIGEST: u64 = 0xadef_f17c_1e95_fac1;
 
 fn layout(tp: u32, pp: u32, dp: u32, ep: u32, zero: DpSync, overlap: bool) -> ParallelismConfig {
     let mut par = ParallelismConfig::new(tp, pp, dp);
@@ -94,6 +100,14 @@ fn training_cases() -> Vec<(ModelConfig, ParallelismConfig)> {
         (odd_model(None), micro(layout(3, 2, 3, 1, Zero3, true), 2)),
         (odd_moe(), layout(7, 2, 3, 3, AllReduce, false)),
     ]
+}
+
+/// The odd dense model at `tp` 7 with three sequences per microbatch:
+/// per-layer backward flops `f` and `tokens` for which
+/// `2.0 * f * 0.4 * tokens` and `2.0 * f * (0.4 * tokens)` differ.
+fn backward_rounding_case() -> (ModelConfig, ParallelismConfig) {
+    let par = micro(layout(7, 1, 1, 1, DpSync::AllReduce, false), 3);
+    (odd_model(None), par)
 }
 
 /// Inference cases: (model, layout, batch, phase).
@@ -205,6 +219,21 @@ fn every_template_keeps_its_operator_graph() {
         d.finish(),
         MODEL_GRAPH_DIGEST,
         "operator graphs changed ({ops} ops): got {:#018x}",
+        d.finish()
+    );
+}
+
+#[test]
+fn backward_flops_keep_their_grouping() {
+    let (model, par) = backward_rounding_case();
+    let g = build_training_iteration(&model, &par);
+    let mut d = Digest::new();
+    fold_graph(&mut d, &g);
+    assert_eq!(
+        d.finish(),
+        BACKWARD_ROUNDING_DIGEST,
+        "operator graph changed ({} ops): got {:#018x}",
+        g.len(),
         d.finish()
     );
 }
