@@ -23,6 +23,8 @@ use astral_sim::{MulHashMap, SimDuration};
 use astral_topo::{GpuId, NodeId, Topology};
 use std::collections::BTreeMap;
 
+mod memo;
+
 /// Per-step launch overhead (kernel + proxy scheduling), added to every
 /// schedule step's network/NVLink time.
 pub const STEP_OVERHEAD: SimDuration = SimDuration::from_micros(8);
@@ -37,7 +39,7 @@ pub struct RunnerConfig {
 }
 
 /// Outcome of one collective execution.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CollectiveResult {
     /// Wall-clock duration of the whole collective.
     pub duration: SimDuration,
@@ -73,6 +75,7 @@ pub struct CollectiveRunner<'a> {
     qp_cache: MulHashMap<(NodeId, NodeId), QpId>,
     group_ctr: u32,
     nvlink: NvlinkTally,
+    memo: memo::Memo,
 }
 
 /// One step's NVLink bytes per GPU port, dense over the fabric's GPUs,
@@ -130,6 +133,7 @@ impl<'a> CollectiveRunner<'a> {
                 bytes: vec![(0, 0); topo.gpu_count() as usize],
                 touched: Vec::new(),
             },
+            memo: memo::Memo::default(),
         }
     }
 
@@ -141,6 +145,13 @@ impl<'a> CollectiveRunner<'a> {
     /// Mutable access (failure injection between collectives).
     pub fn sim_mut(&mut self) -> &mut NetworkSim<'a> {
         &mut self.sim
+    }
+
+    /// Calls of [`CollectiveRunner::run_schedule`] (and the collectives
+    /// built on it) answered by re-applying a recorded repeat of the same
+    /// call instead of simulating it (see [`NetworkSim::apply_segment`]).
+    pub fn reapplied_calls(&self) -> u64 {
+        self.memo.reapplied
     }
 
     /// Ring AllReduce over `group`, hierarchical when HB domains allow.
@@ -235,10 +246,19 @@ impl<'a> CollectiveRunner<'a> {
         self.run_schedule(group, &phase1)
     }
 
-    /// Execute a rank-level schedule on `group`. Thin driver over
+    /// Execute a rank-level schedule on `group`. A call that matches a
+    /// recorded repeat on a quiet simulator whose generation has not moved
+    /// since re-applies the recorded outcome instead of simulating, with
+    /// the same result and the same simulator state (see
+    /// [`CollectiveRunner::reapplied_calls`]).
+    pub fn run_schedule(&mut self, group: &[GpuId], schedule: &Schedule) -> CollectiveResult {
+        self.run_memoized(group, schedule)
+    }
+
+    /// Simulate a rank-level schedule on `group`. Thin driver over
     /// [`CollectiveRunner::run_stream`]: each step is copied into the
     /// reused step buffer.
-    pub fn run_schedule(&mut self, group: &[GpuId], schedule: &Schedule) -> CollectiveResult {
+    fn run_steps(&mut self, group: &[GpuId], schedule: &Schedule) -> CollectiveResult {
         self.run_stream(group, |k, buf| {
             let Some(step) = schedule.steps.get(k) else {
                 return false;

@@ -2,9 +2,71 @@
 
 use astral_collectives::{
     cost, halving_doubling_all_reduce, pairwise_all_to_all, ring_all_gather, ring_all_reduce,
-    ring_broadcast, ring_reduce_scatter,
+    ring_broadcast, ring_reduce_scatter, send_recv, CollectiveRunner, RunnerConfig, Schedule,
 };
+use astral_net::QpId;
+use astral_topo::{build_astral, AstralParams, GpuId, LinkId, Topology};
 use proptest::prelude::*;
+use std::sync::OnceLock;
+
+/// The small Astral fabric the runner properties share (256 GPUs).
+fn small_fabric() -> &'static Topology {
+    static TOPO: OnceLock<Topology> = OnceLock::new();
+    TOPO.get_or_init(|| build_astral(&AstralParams::sim_small()))
+}
+
+/// The (network, NVLink) bytes a runner must report for `schedule` on
+/// `group`: a transfer inside an HB domain rides NVLink; any other crosses
+/// the network, plus an NVLink relay hop at the source when the rails
+/// differ (PXN).
+fn expected_bytes(topo: &Topology, group: &[GpuId], schedule: &Schedule) -> (u64, u64) {
+    let (mut net, mut nvlink) = (0, 0);
+    for t in schedule.steps.iter().flatten() {
+        if t.bytes == 0 || t.src == t.dst {
+            continue;
+        }
+        let (s, d) = (group[t.src], group[t.dst]);
+        if topo.same_hb_domain(s, d) {
+            nvlink += t.bytes;
+        } else {
+            net += t.bytes;
+            if topo.gpu_rail(s) != topo.gpu_rail(d) {
+                nvlink += t.bytes;
+            }
+        }
+    }
+    (net, nvlink)
+}
+
+/// Change the simulator between two calls, as `kind` says: degrade a link,
+/// fail and restore one, or move a QP to another source port. Link events
+/// are run before returning, so the next call starts on a quiet simulator
+/// and only the generation tells it that something changed. Returns
+/// whether anything changed (a port move needs a registered QP).
+fn mutate(runner: &mut CollectiveRunner<'_>, kind: u8, pick: u64) -> bool {
+    let sim = runner.sim_mut();
+    let now = sim.now();
+    let link = LinkId((pick % sim.topology().links().len() as u64) as u32);
+    match kind {
+        1 => sim.degrade_link_at(now, link, 0.5),
+        2 => {
+            sim.fail_link_at(now, link);
+            sim.restore_link_at(now, link);
+        }
+        3 => {
+            let qps = sim.qp_records().count() as u64;
+            if qps == 0 {
+                return false;
+            }
+            let qp = QpId(pick % qps + 1);
+            let port = sim.qp_record(qp).expect("registered").tuple.src_port;
+            sim.reassign_sport(qp, port.wrapping_add(2) | 0xc000);
+        }
+        _ => return false,
+    }
+    sim.run_until_idle();
+    true
+}
 
 proptest! {
     /// Ring AllReduce volume matches the α–β model exactly:
@@ -85,5 +147,59 @@ proptest! {
         let flat = cost::all_reduce(n, bytes, 400e9, 5e-6);
         let hier = cost::hierarchical_all_reduce(n, local, bytes, 400e9, 1800e9, 5e-6);
         prop_assert!(hier <= flat * 1.001, "hier {hier} flat {flat}");
+    }
+
+    /// The runner's memo of a repeated call. Random scripts of ring
+    /// all-reduce, all-to-all and send on the small fabric, each call
+    /// repeated 1–5 times, with a link degrade, a fail then restore, or a
+    /// source-port move landing before one of the repeats. Every call
+    /// moves exactly its schedule's network and NVLink bytes; three
+    /// identical calls in a row re-apply at least once; and a repeat right
+    /// after a change is always simulated. Debug builds check every
+    /// re-apply against a real simulation of the call, trace records
+    /// included when the case traces.
+    #[test]
+    fn runner_reapplies_only_unchanged_repeats(
+        script in prop::collection::vec(
+            (
+                (0u8..3, prop::collection::btree_set(0u32..256, 2..6), 1u64..5, 1u32..6),
+                (0u8..4, 0u32..5, any::<u64>()),
+            ),
+            1..5,
+        ),
+        traced in any::<bool>(),
+    ) {
+        let topo = small_fabric();
+        let mut cfg = RunnerConfig::default();
+        cfg.net.trace = traced;
+        let mut runner = CollectiveRunner::new(topo, cfg);
+        for ((op, ranks, chunks, repeats), (change, change_at, pick)) in script {
+            let group: Vec<GpuId> = ranks.into_iter().map(GpuId).collect();
+            let n = group.len();
+            let bytes = chunks * n as u64 * (64 << 10);
+            let (group, schedule) = match op {
+                0 => (group, ring_all_reduce(n, bytes)),
+                1 => (group, pairwise_all_to_all(n, bytes)),
+                _ => (group[..2].to_vec(), send_recv(bytes)),
+            };
+            let want = expected_bytes(topo, &group, &schedule);
+            // Calls since the last change or the entry's start, and the
+            // re-applies among them.
+            let (mut since, mut reapplied) = (0, 0);
+            for call in 0..repeats {
+                if call == change_at % repeats && mutate(&mut runner, change, pick) {
+                    (since, reapplied) = (0, 0);
+                }
+                let before = runner.reapplied_calls();
+                let res = runner.run_schedule(&group, &schedule);
+                let this = runner.reapplied_calls() - before;
+                prop_assert_eq!((res.network_bytes, res.nvlink_bytes), want);
+                prop_assert_eq!(res.failed_flows, 0);
+                prop_assert!(!(since == 0 && call > 0 && this > 0), "re-applied right after a change");
+                reapplied += this;
+                prop_assert!(since != 2 || reapplied > 0, "three identical calls, none re-applied");
+                since += 1;
+            }
+        }
     }
 }

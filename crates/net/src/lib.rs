@@ -52,8 +52,8 @@ pub use fivetuple::{ip_of_nic, FiveTuple, QpContext, QpId, EPHEMERAL_BASE, ROCE_
 pub use hash::{sport_layer, EcmpHasher, SaltMode};
 pub use sim::{
     FlowEvent, FlowId, FlowSpec, FlowState, FlowStats, IntHop, IntProbe, NetConfig, NetError,
-    NetworkSim, BASE_QUEUE_DELAY, DEFAULT_TRACE_CAPACITY, ECN_UTIL_THRESHOLD, MAX_QUEUE_DELAY,
-    PFC_HOL_FACTOR, RTO,
+    NetworkSim, Segment, BASE_QUEUE_DELAY, DEFAULT_TRACE_CAPACITY, ECN_UTIL_THRESHOLD,
+    MAX_QUEUE_DELAY, PFC_HOL_FACTOR, RTO,
 };
 pub use solver::SolverCounters;
 pub use telemetry::{ErrCqe, LinkCounters, QpRecord, QpTable, QpTally, Telemetry};

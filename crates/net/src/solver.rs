@@ -173,7 +173,7 @@ pub(crate) fn pod_key(topo: &Topology) -> Option<Vec<u16>> {
 /// A link → pod key and the per-solve scratch that splits a gathered
 /// component into pod groups: a union-find over the keys its flows cross,
 /// then a stable bucket of its links and flows by group.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct PodGroups {
     /// link → pod key.
     key: Vec<u16>,
@@ -335,7 +335,7 @@ fn bucket(
 /// active flow to a dense solver id (module doc) and indexes all per-flow
 /// state by it. The solver owns the authoritative per-flow weights and
 /// rates and the per-link `used` aggregate the simulator's telemetry reads.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct FairShareSolver {
     nl: usize,
 
@@ -488,6 +488,19 @@ impl FairShareSolver {
     /// Counter snapshot.
     pub(crate) fn counters(&self) -> SolverCounters {
         self.counters
+    }
+
+    /// Count `work` as done, as when a recorded stretch is written instead
+    /// of solved. Every counter but the arena peak adds.
+    pub(crate) fn add_work(&mut self, work: &SolverCounters) {
+        let peak = self.counters.peak_arena_bytes;
+        self.counters.merge(work);
+        self.counters.peak_arena_bytes = peak;
+    }
+
+    /// The max-min weight the flow in `slot` was injected with.
+    pub(crate) fn slot_weight(&self, slot: u32) -> f64 {
+        self.slot_weight[slot as usize]
     }
 
     /// `(slot, rate)` of each of `sids`; the rate reads as

@@ -9,8 +9,8 @@
 //!   the QP carried traffic (what the ACL-mirrored RETH DMA-length trick
 //!   measures, reduced to the one rate the analyzer reads) and `errCQE`
 //!   events.
-//! * **Physical layer** — per-link cumulative ECN mark, PFC pause, and byte
-//!   counters, utilization EWMA, and link flap counts.
+//! * **Physical layer** — per-link cumulative ECN mark, PFC pause and byte
+//!   counters, and link flap counts.
 //!
 //! Per-QP identity is not copied here. The simulator's QP table is the one
 //! record of each queue pair, and it answers the rest of the transport and
@@ -46,8 +46,6 @@ pub struct LinkCounters {
     pub pfc_pause_ns: u64,
     /// Cumulative bytes carried.
     pub bytes: u64,
-    /// Exponentially weighted utilization (0..1+) at the last recompute.
-    pub util_ewma: f64,
 }
 
 /// The bytes one QP delivered: the first and last fluid step in which its
@@ -64,7 +62,7 @@ pub struct QpTally {
 }
 
 /// All telemetry captured by one simulation.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Telemetry {
     /// Delivered bytes per QP. The simulator adds to it for every active
     /// flow on every fluid step.

@@ -31,7 +31,7 @@ const NIL: u32 = u32::MAX;
 
 /// A slab slot: a pending event and the next one at its time, or (when
 /// free) empty and linked to the next free slot.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Slot<E> {
     payload: Option<E>,
     next: u32,
@@ -39,14 +39,14 @@ struct Slot<E> {
 
 /// The FIFO chain of one pending time's events, as slab indices. A free
 /// chain links to the next free chain through `head`.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Chain {
     head: u32,
     tail: u32,
 }
 
 /// A min-queue of timestamped events with FIFO tie-breaking.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct EventQueue<E> {
     slots: Vec<Slot<E>>,
     free_slot: u32,
@@ -165,6 +165,18 @@ impl<E> EventQueue<E> {
             }
         }
         None
+    }
+
+    /// Move the clock forward to `t` without popping anything: the clock
+    /// an event at `t` would leave. `t` may not be before the clock or
+    /// after the next pending event.
+    pub fn advance_to(&mut self, t: SimTime) {
+        assert!(t >= self.now, "clock moved back: to={t} now={}", self.now);
+        assert!(
+            self.peek_time().is_none_or(|next| t <= next),
+            "clock moved past a pending event"
+        );
+        self.now = t;
     }
 
     /// Put `payload` in a free slab slot, unlinked.
@@ -292,6 +304,22 @@ mod tests {
         assert_eq!(q.now(), SimTime::from_nanos(3));
         q.pop();
         assert_eq!(q.now(), SimTime::from_nanos(7));
+    }
+
+    #[test]
+    fn advance_to_moves_the_clock_up_to_the_next_event() {
+        let mut q = EventQueue::new();
+        q.advance_to(SimTime::from_nanos(4));
+        assert_eq!(q.now(), SimTime::from_nanos(4));
+        q.schedule(SimTime::from_nanos(9), ());
+        q.advance_to(SimTime::from_nanos(9));
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(9), ())));
+        let late = std::panic::catch_unwind(move || {
+            let mut q = EventQueue::new();
+            q.schedule(SimTime::from_nanos(5), ());
+            q.advance_to(SimTime::from_nanos(6));
+        });
+        assert!(late.is_err(), "the clock passed a pending event");
     }
 
     #[test]

@@ -367,6 +367,25 @@ impl TraceRing {
         }
     }
 
+    /// Retained plus dropped records: one more after every push.
+    pub fn pushed(&self) -> u64 {
+        self.buf.len() as u64 + self.dropped
+    }
+
+    /// The last `k` records pushed, oldest first; `None` when fewer than
+    /// `k` are retained.
+    pub fn last(&self, k: usize) -> Option<Vec<TraceRecord>> {
+        let n = self.buf.len();
+        if k > n {
+            return None;
+        }
+        // `head` is the oldest retained record, so the newest `k` start
+        // `k` records before it, cyclically (a ring still filling has
+        // `head` 0 and `n` records).
+        let from = (self.head + n - k) % n.max(1);
+        Some((0..k).map(|i| self.buf[(from + i) % n]).collect())
+    }
+
     /// Drain the ring: returns the retained records oldest-first and
     /// resets the ring (capacity and drop counter preserved). In the
     /// common un-wrapped case this is a pointer swap, not a copy — the
@@ -523,6 +542,21 @@ mod tests {
         ring.push(rec(3));
         assert_eq!(ring.dropped(), 1);
         assert_eq!(ring.to_vec(), (1..4).map(rec).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn last_reads_the_newest_records_before_and_after_a_wrap() {
+        let mut ring = TraceRing::with_capacity(4);
+        for i in 0..10 {
+            ring.push(rec(i));
+            let n = ring.len();
+            assert_eq!(ring.pushed(), i + 1);
+            for k in 0..=n {
+                let want: Vec<_> = (i + 1 - k as u64..=i).map(rec).collect();
+                assert_eq!(ring.last(k), Some(want), "{k} of {n} after push {i}");
+            }
+            assert_eq!(ring.last(n + 1), None);
+        }
     }
 
     #[test]
