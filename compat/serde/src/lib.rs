@@ -427,6 +427,8 @@ tuple_impl! {
     (0 A, 1 B, 2 C, 3 D)
     (0 A, 1 B, 2 C, 3 D, 4 E)
     (0 A, 1 B, 2 C, 3 D, 4 E, 5 F)
+    (0 A, 1 B, 2 C, 3 D, 4 E, 5 F, 6 G)
+    (0 A, 1 B, 2 C, 3 D, 4 E, 5 F, 6 G, 7 H)
 }
 
 #[cfg(test)]

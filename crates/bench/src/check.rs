@@ -1,61 +1,74 @@
 //! Report checks: the schema every `BENCH_<id>.json` must follow, and
-//! the baseline comparison that gates metric regressions.
+//! the baseline comparison that gates metric, series and table-cell
+//! regressions.
 
+use crate::render::{entries, get, is_timing};
 use crate::{Report, FIGURES};
 use serde::Value;
 
-fn field<'a>(pairs: &'a [(Value, Value)], name: &str) -> Option<&'a Value> {
-    pairs
-        .iter()
-        .find(|(k, _)| k.as_str() == Some(name))
-        .map(|(_, v)| v)
-}
-
 /// Check one report against the schema: every required field in its
-/// shape, integer solver counters, and an id [`FIGURES`] lists. Returns
-/// the id.
+/// shape, integer solver counters, tables whose rows each hold one number
+/// or string per column, and an id [`FIGURES`] lists. Returns the id.
 pub fn validate(text: &str) -> Result<String, String> {
-    let value: Value = serde_json::from_str(text).map_err(|e| format!("parse error: {e}"))?;
-    let Value::Map(pairs) = &value else {
-        return Err("top level is not an object".into());
-    };
+    let report: Value = serde_json::from_str(text).map_err(|e| format!("parse error: {e}"))?;
     for name in Report::REQUIRED_FIELDS {
-        let Some(v) = field(pairs, name) else {
-            return Err(format!("missing required field `{name}`"));
-        };
-        let ok = match name {
-            "id" | "title" | "claim" => matches!(v, Value::Str(_)),
-            "wall_clock_secs" => matches!(v, Value::F64(_) | Value::U64(_) | Value::I64(_)),
-            "series" | "metrics" | "paper_vs_measured" | "solver" => matches!(v, Value::Map(_)),
-            _ => true,
+        let ok = match (name, get(&report, name)) {
+            (_, Value::Null) => return Err(format!("missing required field `{name}`")),
+            ("id" | "title" | "claim", v) => matches!(v, Value::Str(_)),
+            ("wall_clock_secs", v) => numeric(v).is_some(),
+            (_, v) => matches!(v, Value::Map(_)),
         };
         if !ok {
             return Err(format!("field `{name}` has the wrong shape"));
         }
     }
-    let Some(Value::Map(solver)) = field(pairs, "solver") else {
-        unreachable!("checked above");
-    };
     for counter in [
         "events",
         "full_solves",
         "incremental_solves",
         "flows_resolved",
     ] {
-        match field(solver, counter) {
-            Some(Value::U64(_)) => {}
-            Some(_) => return Err(format!("solver counter `{counter}` is not an integer")),
-            None => return Err(format!("solver counters missing `{counter}`")),
+        match get(get(&report, "solver"), counter) {
+            Value::U64(_) => {}
+            Value::Null => return Err(format!("solver counters missing `{counter}`")),
+            _ => return Err(format!("solver counter `{counter}` is not an integer")),
         }
     }
-    let id = field(pairs, "id")
-        .and_then(|v| v.as_str())
-        .unwrap_or("?")
-        .to_string();
+    for (name, table) in entries(get(&report, "tables")) {
+        check_table(table).map_err(|e| format!("table `{name}` {e}"))?;
+    }
+    let id = get(&report, "id").as_str().unwrap_or_default();
     if !FIGURES.iter().any(|f| f.id == id) {
         return Err(format!("unknown report id `{id}` (not in FIGURES)"));
     }
-    Ok(id)
+    Ok(id.to_string())
+}
+
+/// A table is `{"columns": [names], "rows": [[cells]]}` with one number
+/// or string cell per column in every row.
+fn check_table(table: &Value) -> Result<(), String> {
+    let (Value::Seq(columns), Value::Seq(rows)) = (get(table, "columns"), get(table, "rows"))
+    else {
+        return Err("is not an object of `columns` and `rows` lists".into());
+    };
+    if !columns.iter().all(|c| matches!(c, Value::Str(_))) {
+        return Err("has a column name that is not a string".into());
+    }
+    let n = columns.len();
+    for (i, row) in rows.iter().enumerate() {
+        if !matches!(row, Value::Seq(c) if c.len() == n && c.iter().all(is_cell)) {
+            return Err(format!("row {i} is not {n} numbers or strings"));
+        }
+    }
+    Ok(())
+}
+
+/// A table cell: a number or a string.
+fn is_cell(v: &Value) -> bool {
+    matches!(
+        v,
+        Value::U64(_) | Value::I64(_) | Value::F64(_) | Value::Str(_)
+    )
 }
 
 /// Relative tolerance of the `compare` gate on metrics and series.
@@ -66,16 +79,14 @@ const COMPARE_REL_TOL: f64 = 1e-6;
 /// The report sections the `compare` gate checks: the noun its
 /// complaints use, and whether values must match exactly (work counters
 /// are integers that no libm call touches) or within [`COMPARE_REL_TOL`].
-const COMPARED: [(&str, &str, bool); 3] = [
+/// Table cells are compared like series points: strings exactly, numbers
+/// within the tolerance, and row counts must agree.
+const COMPARED: [(&str, &str, bool); 4] = [
     ("metrics", "metric", false),
     ("series", "series", false),
+    ("tables", "table", false),
     ("solver", "solver counter", true),
 ];
-
-/// Timing-derived keys the `compare` gate must not pin.
-fn compare_exempt(key: &str) -> bool {
-    key.starts_with("wall_clock")
-}
 
 fn numeric(v: &Value) -> Option<f64> {
     match *v {
@@ -88,15 +99,11 @@ fn numeric(v: &Value) -> Option<f64> {
 
 /// Flatten one top-level map of a report to `(key, value)` pairs.
 fn section_of(report: &Value, name: &str) -> Result<Vec<(String, Value)>, String> {
-    let Value::Map(pairs) = report else {
-        return Err("top level is not an object".into());
-    };
-    let Some(Value::Map(entries)) = field(pairs, name) else {
+    let Value::Map(_) = get(report, name) else {
         return Err(format!("missing `{name}` object"));
     };
-    Ok(entries
-        .iter()
-        .filter_map(|(k, v)| k.as_str().map(|k| (k.to_string(), v.clone())))
+    Ok(entries(get(report, name))
+        .map(|(k, v)| (k.to_string(), v.clone()))
         .collect())
 }
 
@@ -105,7 +112,12 @@ fn section_of(report: &Value, name: &str) -> Result<Vec<(String, Value)>, String
 /// within [`COMPARE_REL_TOL`] unless `exact`.
 fn drift(want: &Value, got: &Value, exact: bool) -> Option<String> {
     match (want, got) {
-        (Value::Seq(w), Value::Seq(g)) if w.len() == g.len() => w
+        (Value::Seq(w), Value::Seq(g)) if w.len() != g.len() => Some(format!(
+            ": baseline has {} entries, fresh {}",
+            w.len(),
+            g.len()
+        )),
+        (Value::Seq(w), Value::Seq(g)) => w
             .iter()
             .zip(g)
             .enumerate()
@@ -129,10 +141,11 @@ fn drift(want: &Value, got: &Value, exact: bool) -> Option<String> {
 }
 
 /// One baseline report vs its fresh counterpart. Returns the list of
-/// complaints (empty = pass): drifted or missing baseline metrics, series
-/// and solver counters, and fresh ones the baseline does not pin. Metrics
-/// and series match within relative 1e-6, counters exactly, and keys
-/// prefixed `wall_clock` are timing, exempt both ways.
+/// complaints (empty = pass): drifted or missing baseline metrics, series,
+/// tables and solver counters, and fresh ones the baseline does not pin.
+/// Metrics, series and table cells match within relative 1e-6 (strings
+/// exactly), counters exactly, and keys and table names prefixed
+/// `wall_clock` are timing, exempt both ways.
 pub fn compare_reports(fresh: &str, baseline: &str) -> Result<Vec<String>, String> {
     let parse = |text| serde_json::from_str(text).map_err(|e| format!("parse error: {e}"));
     let (fresh, baseline): (Value, Value) = (parse(fresh)?, parse(baseline)?);
@@ -141,7 +154,7 @@ pub fn compare_reports(fresh: &str, baseline: &str) -> Result<Vec<String>, Strin
         let fresh = section_of(&fresh, name)?;
         let baseline = section_of(&baseline, name)?;
         for (key, want) in &baseline {
-            if compare_exempt(key) {
+            if is_timing(key) {
                 continue;
             }
             match fresh.iter().find(|(k, _)| k == key) {
@@ -154,7 +167,7 @@ pub fn compare_reports(fresh: &str, baseline: &str) -> Result<Vec<String>, Strin
             }
         }
         for (key, _) in &fresh {
-            if !compare_exempt(key) && !baseline.iter().any(|(k, _)| k == key) {
+            if !is_timing(key) && !baseline.iter().any(|(k, _)| k == key) {
                 complaints.push(format!("{noun} `{key}` has no baseline value"));
             }
         }
@@ -164,16 +177,30 @@ pub fn compare_reports(fresh: &str, baseline: &str) -> Result<Vec<String>, Strin
 
 #[cfg(test)]
 mod tests {
-    use super::compare_reports;
+    use super::{compare_reports, validate};
+    use crate::{render, Report, Scenario};
+    use serde::Value;
 
     fn report(metrics: &str) -> String {
         full(metrics, r#""s": [[1, 0.5], [2, 0.25]]"#, r#""events": 7"#)
     }
 
     fn full(metrics: &str, series: &str, solver: &str) -> String {
+        with_tables(metrics, series, solver, "")
+    }
+
+    fn with_tables(metrics: &str, series: &str, solver: &str, tables: &str) -> String {
         format!(
-            "{{\"metrics\": {{{metrics}}}, \"series\": {{{series}}}, \"solver\": {{{solver}}}}}"
+            "{{\"metrics\": {{{metrics}}}, \"series\": {{{series}}}, \
+             \"tables\": {{{tables}}}, \"solver\": {{{solver}}}}}"
         )
+    }
+
+    /// A report of a known figure with one table, `t`.
+    fn table_report() -> Report {
+        let mut sc = Scenario::new("fig02", "title", "claim");
+        sc.table("t", "name | x", &[("a", 1.5), ("b", 2.0)]);
+        sc.finish(&[])
     }
 
     #[test]
@@ -235,5 +262,96 @@ mod tests {
         );
         let uncounted = full(metrics, series, "");
         assert_eq!(compare_reports(&uncounted, &base).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn validate_requires_tables_with_full_rows() {
+        let mut report = table_report();
+        assert_eq!(validate(&report.json()), Ok("fig02".to_string()));
+        let Value::Map(mut fields) = report.to_value() else {
+            panic!("report is an object")
+        };
+        fields.retain(|(k, _)| k.as_str() != Some("tables"));
+        let untabled = serde_json::to_string(&Value::Map(fields)).unwrap();
+        assert_eq!(
+            validate(&untabled),
+            Err("missing required field `tables`".to_string())
+        );
+        let Value::Map(table) = &mut report.tables[0].1 else {
+            panic!("a table is an object")
+        };
+        let Value::Seq(rows) = &mut table[1].1 else {
+            panic!("rows are a list")
+        };
+        rows[1] = Value::Seq(vec![Value::Str("b".into())]);
+        assert_eq!(
+            validate(&report.json()),
+            Err("table `t` row 1 is not 2 numbers or strings".to_string())
+        );
+    }
+
+    #[test]
+    fn compare_gates_table_cells_and_rows() {
+        let (metrics, series, solver) = (r#""a": 1.0"#, "", r#""events": 7"#);
+        let tables = |t: &str| with_tables(metrics, series, solver, t);
+        let base = tables(r#""t": {"columns": ["n", "x"], "rows": [["a", 1.5], ["b", 2]]}"#);
+        let timing = r#""wall_clock_t": {"columns": ["s"], "rows": [[0.1]]}"#;
+        let same = tables(&format!(
+            r#""t": {{"columns": ["n", "x"], "rows": [["a", 1.5], ["b", 2.0]]}}, {timing}"#
+        ));
+        assert_eq!(compare_reports(&same, &base).unwrap(), Vec::<String>::new());
+        let cell = tables(r#""t": {"columns": ["n", "x"], "rows": [["a", 1.5], ["c", 2]]}"#);
+        assert_eq!(
+            compare_reports(&cell, &base).unwrap(),
+            [r#"table `t` drifted.rows[1][0]: baseline Str("b"), fresh Str("c")"#]
+        );
+        let number = tables(r#""t": {"columns": ["n", "x"], "rows": [["a", 1.6], ["b", 2]]}"#);
+        assert_eq!(
+            compare_reports(&number, &base).unwrap(),
+            ["table `t` drifted.rows[0][1]: baseline 1.5, fresh 1.6"]
+        );
+        let dropped = tables(r#""t": {"columns": ["n", "x"], "rows": [["a", 1.5]]}"#);
+        assert_eq!(
+            compare_reports(&dropped, &base).unwrap(),
+            ["table `t` drifted.rows: baseline has 2 entries, fresh 1"]
+        );
+        assert_eq!(
+            compare_reports(&tables(timing), &base).unwrap(),
+            ["table `t` missing from the fresh report"]
+        );
+    }
+
+    #[test]
+    fn render_sends_timing_to_stderr_only() {
+        let mut sc = Scenario::new("t", "title", "claim");
+        sc.metric("wall_clock_secret_metric", 7.25);
+        sc.table("rates", "kind | rate", &[("a", 0.5), ("bb", 12.0)]);
+        sc.table("wall_clock_timings", "step | ms", &[("solve", 3.5)]);
+        let report = sc.finish(&[
+            ("kept", "paper 1 | measured 1".to_string()),
+            ("wall_clock_run", "took 3.5 ms".to_string()),
+        ]);
+        let (mut out, mut err) = (Vec::new(), Vec::new());
+        render(&report.to_value(), &mut out, &mut err).unwrap();
+        let (out, err) = (
+            String::from_utf8(out).unwrap(),
+            String::from_utf8(err).unwrap(),
+        );
+        let rule = "=".repeat(64);
+        assert_eq!(
+            out,
+            format!(
+                "{rule}\ntitle\npaper claim: claim\n{rule}\n\nrates\n  kind    rate\n  \
+                 a     0.5000\n  bb        12\n\n--- paper vs reproduction ---\n  \
+                 kept: paper 1 | measured 1\n"
+            )
+        );
+        for timing in ["wall_clock", "secret", "7.25", "solve", "3.5"] {
+            assert!(!out.contains(timing), "stdout shows {timing}:\n{out}");
+        }
+        assert_eq!(
+            err,
+            "\nwall_clock_timings\n  step      ms\n  solve  3.500\n  wall_clock_run: took 3.5 ms\n"
+        );
     }
 }

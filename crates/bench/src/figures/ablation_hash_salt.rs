@@ -61,12 +61,9 @@ pub(crate) fn run() -> Report {
             .collect()
     };
 
-    println!(
-        "{:<26}{:>14}{:>16}",
-        "hashing", "ECN marks", "worst FCT (ms)"
-    );
     let ctl = EcmpController;
     let mut results = Vec::new();
+    let mut rows = Vec::new();
     for (label, salt) in [
         ("uniform fleet", SaltMode::Uniform),
         ("per-switch salt", SaltMode::PerSwitch),
@@ -77,7 +74,6 @@ pub(crate) fn run() -> Report {
         };
         let mut flows = mk_flows();
         let (ecn0, fct0) = run_round(&topo, hasher, &flows);
-        println!("{:<26}{:>14}{:>16.3}", label, ecn0, fct0 * 1e3);
 
         // One controller round on top.
         let cfg = NetConfig {
@@ -96,14 +92,15 @@ pub(crate) fn run() -> Report {
         };
         let moved = ctl.rebalance(&topo, sim.router(), &hasher, &mut flows, &hot);
         let (ecn1, fct1) = run_round(&topo, hasher, &flows);
-        println!(
-            "{:<26}{:>14}{:>16.3}   (after 1 controller round, {moved} moved)",
-            "",
-            ecn1,
-            fct1 * 1e3
-        );
+        rows.push((label, 0, 0, ecn0, fct0 * 1e3));
+        rows.push((label, 1, moved, ecn1, fct1 * 1e3));
         results.push((label, ecn0, ecn1));
     }
+    sc.table(
+        "collision_pressure",
+        "hashing | controller rounds | flows moved | ECN marks | worst FCT (ms)",
+        &rows,
+    );
 
     sc.metric("uniform_ecn_before", results[0].1);
     sc.metric("uniform_ecn_after", results[0].2);

@@ -56,10 +56,6 @@ pub(crate) fn run() -> Report {
     let ar_bytes = 128u64 << 20;
     let a2a_bytes = 32u64 << 20;
 
-    println!(
-        "{:<16}{:>22}{:>18}{:>18}",
-        "fabric", "same-rail AR (ms)", "a2a 64 (ms)", "a2a NVLink bytes"
-    );
     let mut rows = Vec::new();
     for (name, topo) in [
         ("astral", &astral),
@@ -68,7 +64,6 @@ pub(crate) fn run() -> Report {
     ] {
         let ar = same_rail_allreduce_ms(topo, 16, ar_bytes);
         let (a2a, nv) = mixed_alltoall_ms(topo, 64, a2a_bytes);
-        println!("{:<16}{:>22.3}{:>18.3}{:>18}", name, ar, a2a, nv);
         rows.push((name, ar, a2a, nv));
     }
 
@@ -76,6 +71,11 @@ pub(crate) fn run() -> Report {
         .iter()
         .map(|&(n, ar, a2a, nv)| (n.to_string(), ar, a2a, nv))
         .collect();
+    sc.table(
+        "fabrics",
+        "fabric | same-rail AR (ms) | a2a 64 GPUs (ms) | a2a NVLink bytes",
+        &fabric_rows,
+    );
     sc.series("fabric_ar_ms_a2a_ms_nvlink_bytes", &fabric_rows);
     sc.metric("astral_same_rail_ar_ms", rows[0].1);
     sc.metric("rail_optimized_same_rail_ar_ms", rows[1].1);

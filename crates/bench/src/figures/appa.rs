@@ -65,14 +65,12 @@ pub(crate) fn run() -> Report {
                     .any(|&id| sim.stats(id).unwrap().state == astral_net::FlowState::Failed)
             })
             .count();
-        println!(
-            "{:<24} {:>2}/{} logical transfers damaged by one link failure",
-            label, damaged, transfers
-        );
         sc.solver(&sim.solver_counters());
-        results.push((label, damaged));
+        results.push((label, damaged, transfers));
     }
 
+    let columns = "scheme | damaged | transfers";
+    sc.table("transfers_damaged_by_one_link_failure", columns, &results);
     sc.metric("transfers", transfers as u64);
     sc.metric("per_flow_damaged", results[0].1 as u64);
     sc.metric("sprayed_damaged", results[1].1 as u64);

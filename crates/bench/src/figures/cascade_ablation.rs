@@ -81,18 +81,20 @@ fn class_script(class: CascadeClass, rng: &mut SimRng) -> CascadeScript {
     }
 }
 
-fn row(name: &str, r: &CascadeReport) {
-    println!(
-        "{:>18} {:>9} {:>9.3} {:>10.2} {:>10.2} {:>10.2} {:>9.3} {:>10}",
+type PolicyRow<'a> = (&'a str, &'a str, f64, f64, f64, f64, f64, usize);
+
+fn row<'a>(name: &'a str, r: &CascadeReport) -> PolicyRow<'a> {
+    let r = &r.recovery;
+    (
         name,
-        if r.recovery.completed { "yes" } else { "ABORT" },
-        r.recovery.goodput(),
-        r.recovery.useful_s,
-        r.recovery.degraded_s,
-        r.recovery.lost_rollback_s,
-        r.recovery.mttr_s().unwrap_or(0.0),
-        r.recovery.incidents.len(),
-    );
+        if r.completed { "yes" } else { "ABORT" },
+        r.goodput(),
+        r.useful_s,
+        r.degraded_s,
+        r.lost_rollback_s,
+        r.mttr_s().unwrap_or(0.0),
+        r.incidents.len(),
+    )
 }
 
 /// A campaign battery on the `ASTRAL_THREADS` pool with the baseline
@@ -118,10 +120,6 @@ fn policy_ablation(sc: &mut Scenario, topo: &Topology) -> (f64, f64) {
     };
     let full = base_policy();
 
-    println!(
-        "{:>18} {:>9} {:>9} {:>10} {:>10} {:>10} {:>9} {:>10}",
-        "policy", "done", "goodput", "useful_s", "degrade_s", "lost_s", "mttr_s", "incidents"
-    );
     let policies: [(&str, RecoveryPolicy); 3] = [
         ("reactive", reactive),
         ("graceful", graceful_no_seer),
@@ -135,14 +133,20 @@ fn policy_ablation(sc: &mut Scenario, topo: &Topology) -> (f64, f64) {
         .collect();
     let ablation = battery(topo, &ablation_runs);
     let mut goodputs: Vec<(String, f64)> = Vec::new();
+    let mut rows = Vec::new();
     for ((name, _), r) in policies.iter().zip(&ablation) {
-        row(name, r);
+        rows.push(row(name, r));
         sc.solver(&r.recovery.solver);
         sc.metric(&format!("{name}_goodput"), r.recovery.goodput());
         sc.metric(&format!("{name}_lost_s"), r.recovery.lost_rollback_s);
         sc.metric(&format!("{name}_degraded_s"), r.recovery.degraded_s);
         goodputs.push((name.to_string(), r.recovery.goodput()));
     }
+    sc.table(
+        "cooling_pump_cascade_by_policy",
+        "policy | done | goodput | useful (s) | degraded (s) | lost (s) | MTTR (s) | incidents",
+        &rows,
+    );
     sc.series("policy_vs_goodput", &goodputs);
     (goodputs[0].1, goodputs[1].1)
 }
@@ -178,6 +182,7 @@ fn attribution(sc: &mut Scenario, topo: &Topology) -> (f64, usize) {
     let mut correct = 0usize;
     let mut blast_total = 0usize;
     let mut per_class: Vec<(String, f64)> = Vec::new();
+    let mut rows = Vec::new();
     for (ci, class) in classes.iter().enumerate() {
         let mut class_correct = 0usize;
         let mut class_total = 0usize;
@@ -199,10 +204,7 @@ fn attribution(sc: &mut Scenario, topo: &Topology) -> (f64, usize) {
             1.0
         };
         per_class.push((class.to_string(), acc));
-        println!(
-            "\nattribution[{class}]: {class_correct}/{class_total} correct ({:.0} %)",
-            acc * 100.0
-        );
+        rows.push((class.to_string(), class_correct, class_total, acc * 100.0));
     }
     let accuracy = if attributed > 0 {
         correct as f64 / attributed as f64
@@ -214,10 +216,11 @@ fn attribution(sc: &mut Scenario, topo: &Topology) -> (f64, usize) {
     } else {
         0.0
     };
-    println!(
-        "\noverall attribution: {correct}/{attributed} correct ({:.0} %), mean blast {:.1} hosts",
-        accuracy * 100.0,
-        mean_blast
+    rows.push(("overall".into(), correct, attributed, accuracy * 100.0));
+    sc.table(
+        "attribution",
+        "class | correct | manifested | accuracy (%)",
+        &rows,
     );
     sc.series("attribution_by_class", &per_class);
     sc.metric("attribution_accuracy", accuracy);

@@ -47,14 +47,13 @@ pub(crate) fn run() -> Report {
     sc.solver(&c_frag);
     let frag_loss = (1.0 - t_frag / t_dense) * 100.0;
 
-    println!("{:<34}{:>14}{:>12}", "deployment", "a2a algbw", "vs dense");
-    println!(
-        "{:<34}{:>11.1} Gb{:>12}",
-        "astral, dense (1 pod)", t_dense, "-"
-    );
-    println!(
-        "{:<34}{:>11.1} Gb{:>11.1}%",
-        "astral, fragmented (2 pods)", t_frag, -frag_loss
+    sc.table(
+        "fragmentation",
+        "deployment | a2a algbw (Gb/s) | vs dense (%)",
+        &[
+            ("astral, dense (1 pod)", t_dense, 0.0),
+            ("astral, fragmented (2 pods)", t_frag, -frag_loss),
+        ],
     );
 
     // --- Oversubscription axis: a cluster-wide all-to-all (every GPU of a
@@ -80,14 +79,15 @@ pub(crate) fn run() -> Report {
         oversub_rows.push((ratio, t));
     }
     let flat = oversub_rows[0].1;
-    for &(ratio, t) in &oversub_rows {
-        println!(
-            "{:<34}{:>11.1} Gb{:>11.1}%",
-            format!("clos {ratio:.0}:1, cluster-wide a2a"),
-            t,
-            (t / flat - 1.0) * 100.0
-        );
-    }
+    let oversub_table: Vec<_> = oversub_rows
+        .iter()
+        .map(|&(ratio, t)| (ratio, t, (t / flat - 1.0) * 100.0))
+        .collect();
+    sc.table(
+        "clos_cluster_wide_a2a",
+        "tier-3 oversub (x:1) | a2a algbw (Gb/s) | vs 1:1 (%)",
+        &oversub_table,
+    );
     let a2a_oversub_loss = (1.0 - oversub_rows.last().unwrap().1 / flat) * 100.0;
 
     // --- Training impact: the a2a loss scaled by the exposed-comm share

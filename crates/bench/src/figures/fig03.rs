@@ -17,37 +17,24 @@ pub(crate) fn run() -> Report {
 
     let paper = AstralParams::paper_scale();
     let s = paper.scale();
-    println!("paper-scale arithmetic (not instantiated):");
-    println!("  GPUs per block              {:>10}", s.gpus_per_block);
-    println!("  GPUs per Pod                {:>10}", s.gpus_per_pod);
-    println!("  GPUs per cluster            {:>10}", s.gpus_total);
-    println!(
-        "  same-rail GPUs per Pod      {:>10}",
-        s.same_rail_gpus_per_pod
-    );
-    println!("  ToR switches per block      {:>10}", s.tors_per_block);
-    println!("  Agg switches per Pod        {:>10}", s.aggs_per_pod);
-    println!("  Core switches total         {:>10}", s.cores_total);
-    println!(
-        "  ToR capacity                {:>8.1} T",
-        s.tor_capacity_gbps / 1000.0
-    );
-    println!(
-        "  Agg capacity                {:>8.1} T",
-        s.agg_capacity_gbps / 1000.0
-    );
-    println!(
-        "  Core capacity               {:>8.1} T",
-        s.core_capacity_gbps / 1000.0
-    );
-    println!(
-        "  Agg group size              {:>10}",
-        paper.aggs_per_group()
-    );
-    println!(
-        "  Core groups × cores/group   {:>7} × {}",
-        paper.core_groups(),
-        paper.cores_per_group()
+    sc.table(
+        "paper_scale_arithmetic",
+        "quantity (not instantiated) | value",
+        &[
+            ("GPUs per block", s.gpus_per_block as f64),
+            ("GPUs per Pod", s.gpus_per_pod as f64),
+            ("GPUs per cluster", s.gpus_total as f64),
+            ("same-rail GPUs per Pod", s.same_rail_gpus_per_pod as f64),
+            ("ToR switches per block", s.tors_per_block as f64),
+            ("Agg switches per Pod", s.aggs_per_pod as f64),
+            ("Core switches total", s.cores_total as f64),
+            ("ToR capacity (Tbit/s)", s.tor_capacity_gbps / 1000.0),
+            ("Agg capacity (Tbit/s)", s.agg_capacity_gbps / 1000.0),
+            ("Core capacity (Tbit/s)", s.core_capacity_gbps / 1000.0),
+            ("Agg group size", f64::from(paper.aggs_per_group())),
+            ("Core groups", f64::from(paper.core_groups())),
+            ("cores per group", f64::from(paper.cores_per_group())),
+        ],
     );
 
     // Structural validation on a buildable instance: the same wiring rules
@@ -57,13 +44,17 @@ pub(crate) fn run() -> Report {
     let t01 = topo.tier_bandwidth(0, 1);
     let t12 = topo.tier_bandwidth(1, 2);
     let t23 = topo.tier_bandwidth(2, 3);
-    println!(
-        "\nbuilt instance ({} GPUs): tier bandwidths",
-        topo.gpu_count()
+    let tiers = [t01 / 1e12, t12 / 1e12, t23 / 1e12];
+    sc.table(
+        "built_instance",
+        "quantity | value",
+        &[
+            ("GPUs", topo.gpu_count() as f64),
+            ("NIC→ToR (Tbit/s)", tiers[0]),
+            ("ToR→Agg (Tbit/s)", tiers[1]),
+            ("Agg→Core (Tbit/s)", tiers[2]),
+        ],
     );
-    println!("  NIC→ToR {:>8.1} T", t01 / 1e12);
-    println!("  ToR→Agg {:>8.1} T", t12 / 1e12);
-    println!("  Agg→Core{:>8.1} T", t23 / 1e12);
     assert!((t01 - t12).abs() / t01 < 1e-9 && (t12 - t23).abs() / t12 < 1e-9);
     topo.validate().expect("built fabric is structurally valid");
 
@@ -71,7 +62,7 @@ pub(crate) fn run() -> Report {
     sc.metric("gpus_per_pod", s.gpus_per_pod);
     sc.metric("gpus_total", s.gpus_total);
     sc.metric("same_rail_gpus_per_pod", s.same_rail_gpus_per_pod);
-    sc.series("tier_bandwidth_tbps", &[t01 / 1e12, t12 / 1e12, t23 / 1e12]);
+    sc.series("tier_bandwidth_tbps", &tiers);
     sc.finish(&[
         (
             "block size",

@@ -18,44 +18,39 @@ pub(crate) fn run() -> Report {
     // Delivery-chain efficiencies.
     let ac = PowerChain::traditional_ac();
     let dc = PowerChain::hvdc();
-    println!("delivery chains:");
-    for chain in [&ac, &dc] {
-        let stages: Vec<String> = chain
-            .stages
-            .iter()
-            .map(|(n, e)| format!("{n} ({:.1}%)", e * 100.0))
-            .collect();
-        println!(
-            "  {:<58} → {:.1}% end-to-end",
-            stages.join(" → "),
-            chain.efficiency() * 100.0
+    let mut stages = Vec::new();
+    for (chain, name) in [(&ac, "AC/UPS"), (&dc, "HVDC")] {
+        stages.extend(
+            chain
+                .stages
+                .iter()
+                .map(|(n, e)| (name, n.to_string(), e * 100.0)),
         );
+        stages.push((name, "end-to-end".to_string(), chain.efficiency() * 100.0));
     }
+    sc.table("delivery_chains", "chain | stage | efficiency (%)", &stages);
 
     // One row of eight 40 kW racks.
     let unit = HvdcUnit::for_row(vec![RackPower { tdp_w: 40_000.0 }; 8], 200_000.0);
-    println!(
-        "\nrow of 8 racks @ 40 kW TDP: shared budget {:.0} kW",
-        unit.shared_budget_w() / 1e3
-    );
 
     // One rack bursting during backward compute.
     let mut demand = vec![34_000.0; 8];
     demand[2] = 52_000.0;
     let alloc = unit.allocate(&demand);
-    println!("\nper-rack allocation (rack 2 bursting to 1.3×TDP):");
-    for (i, (&d, &a)) in demand.iter().zip(&alloc).enumerate() {
-        println!(
-            "  rack {i}: demand {:>6.1} kW → allocated {:>6.1} kW{}",
-            d / 1e3,
-            a / 1e3,
-            if a > 40_000.0 {
-                "  (elastic, above TDP)"
-            } else {
-                ""
-            }
-        );
-    }
+    let allocation: Vec<_> = demand
+        .iter()
+        .zip(&alloc)
+        .enumerate()
+        .map(|(i, (&d, &a))| {
+            let elastic = if a > 40_000.0 { "above TDP" } else { "" };
+            (i as u64, d / 1e3, a / 1e3, elastic)
+        })
+        .collect();
+    sc.table(
+        "rack_2_bursting_to_1.3x_tdp",
+        "rack | demand (kW) | allocated (kW) | elastic",
+        &allocation,
+    );
 
     // Battery compensation of iteration-scale swings.
     let demand: Vec<f64> = (0..240)
@@ -68,11 +63,15 @@ pub(crate) fn run() -> Report {
         })
         .collect();
     let (_, before, after) = unit.smooth(&demand, 1.0);
-    println!(
-        "\ntraining load fluctuation: ±{:.1}% at the racks → ±{:.1}% at the \
-         grid after battery compensation",
-        before * 100.0,
-        after * 100.0
+    sc.table(
+        "row_of_8_racks",
+        "quantity | value",
+        &[
+            ("rack TDP (kW)", 40.0),
+            ("shared row budget (kW)", unit.shared_budget_w() / 1e3),
+            ("load fluctuation at the racks (±%)", before * 100.0),
+            ("at the grid, after the battery (±%)", after * 100.0),
+        ],
     );
 
     sc.metric("ac_chain_efficiency", ac.efficiency());
@@ -82,7 +81,7 @@ pub(crate) fn run() -> Report {
     sc.metric("fluctuation_after_pct", after * 100.0);
     sc.series(
         "rack_allocation_kw",
-        &alloc.iter().map(|a| a / 1e3).collect::<Vec<f64>>(),
+        &allocation.iter().map(|r| r.2).collect::<Vec<f64>>(),
     );
     sc.finish(&[
         (

@@ -14,23 +14,26 @@ pub(crate) fn run() -> Report {
     );
 
     let row = paper_row();
-    println!(
-        "{:<8}{:>16}{:>16}",
-        "rack", "side intake °C", "bottom-up °C"
-    );
     let side = row.temperatures(Airflow::SideIntake);
     let bottom = row.temperatures(Airflow::BottomUp);
-    for (i, (s, b)) in side.iter().zip(&bottom).enumerate() {
-        println!("{:<8}{:>16.2}{:>16.2}", i, s, b);
-    }
-
     let spread_side = row.temperature_spread(Airflow::SideIntake);
     let spread_bottom = row.temperature_spread(Airflow::BottomUp);
-    println!("\nspread: side {spread_side:.2} °C | bottom-up {spread_bottom:.2} °C");
-    println!(
-        "mean:   side {:.2} °C | bottom-up {:.2} °C",
+    let mut temps: Vec<_> = side
+        .iter()
+        .zip(&bottom)
+        .enumerate()
+        .map(|(i, (&s, &b))| (i.to_string(), s, b))
+        .collect();
+    temps.push(("spread".into(), spread_side, spread_bottom));
+    temps.push((
+        "mean".into(),
         row.mean_temperature(Airflow::SideIntake),
-        row.mean_temperature(Airflow::BottomUp)
+        row.mean_temperature(Airflow::BottomUp),
+    ));
+    sc.table(
+        "rack_temperatures",
+        "rack | side intake (°C) | bottom-up (°C)",
+        &temps,
     );
 
     sc.series("side_intake_temps_c", &side);

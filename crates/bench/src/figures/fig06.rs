@@ -14,19 +14,15 @@ pub(crate) fn run() -> Report {
     );
 
     let evo = pue_evolution(18);
-    println!(
-        "{:<8}{:>14}{:>16}{:>14}",
-        "month", "astral PUE", "traditional", "improvement"
+    let months: Vec<_> = evo
+        .iter()
+        .map(|&(m, astral, trad)| (m, astral, trad, (trad - astral) / trad * 100.0))
+        .collect();
+    sc.table(
+        "pue_by_month",
+        "month | astral PUE | traditional PUE | improvement (%)",
+        &months,
     );
-    for &(m, astral, trad) in &evo {
-        println!(
-            "{:<8}{:>14.3}{:>16.3}{:>13.1}%",
-            m,
-            astral,
-            trad,
-            (trad - astral) / trad * 100.0
-        );
-    }
 
     let mean = mean_pue_improvement(&evo) * 100.0;
     let steady = (FacilityConfig::traditional().pue() - FacilityConfig::astral().pue())

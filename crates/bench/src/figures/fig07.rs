@@ -59,14 +59,16 @@ pub(crate) fn run() -> Report {
     );
 
     // The published distributions themselves.
-    println!("production manifestation shares (paper):");
-    for (m, p) in manifestation_distribution() {
-        println!("  {m:<14} {:>5.0}%", p * 100.0);
-    }
-    println!("\nproduction root-cause shares (paper):");
-    for (c, p) in root_cause_distribution() {
-        println!("  {:<16} {:>5.0}%", c.to_string(), p * 100.0);
-    }
+    sc.table(
+        "paper_manifestation_shares",
+        "manifestation | share (%)",
+        &manifestation_distribution().map(|(m, p)| (m.to_string(), p * 100.0)),
+    );
+    sc.table(
+        "paper_root_cause_shares",
+        "root cause | share (%)",
+        &root_cause_distribution().map(|(c, p)| (c.to_string(), p * 100.0)),
+    );
 
     // Injection campaign: sample causes from the production distribution,
     // run each as a full scenario, diagnose, and score.
@@ -112,26 +114,21 @@ pub(crate) fn run() -> Report {
         }
     }
 
-    println!("\ninjection campaign ({trials} sampled incidents):");
-    println!("observed manifestations:");
-    let mut rows: Vec<_> = by_manifestation.iter().collect();
-    rows.sort_by_key(|(_, &c)| std::cmp::Reverse(c));
-    for (m, c) in rows {
-        println!("  {m:<14} {:>5.0}%", *c as f64 / trials as f64 * 100.0);
-    }
-    println!(
-        "\nanalyzer localization rate : {:.0}% ({localized}/{trials})",
-        localized as f64 / trials as f64 * 100.0
-    );
-    println!(
-        "cause-class accuracy       : {:.0}% ({class_correct}/{trials})",
-        class_correct as f64 / trials as f64 * 100.0
-    );
-
     let manifest_rows: Vec<(String, f64)> = by_manifestation
         .iter()
         .map(|(m, &c)| (m.clone(), c as f64 / trials as f64 * 100.0))
         .collect();
+    sc.table(
+        "observed_manifestations",
+        "manifestation | share (%)",
+        &manifest_rows,
+    );
+    sc.table(
+        "analyzer_scores",
+        "score | rate (%) | hits | trials",
+        &[("localization", localized), ("cause class", class_correct)]
+            .map(|(score, hits)| (score, hits as f64 / trials as f64 * 100.0, hits, trials)),
+    );
     sc.series("observed_manifestation_pct", &manifest_rows);
     sc.metric("trials", trials as u64);
     sc.metric(

@@ -8,30 +8,45 @@
 
 use crate::{Report, Scenario};
 use astral_monitor::{
-    diagnose, run_fault_scenario, CorrelationPrior, Fault, IntProber, ScenarioConfig, Snapshot,
+    diagnose, run_fault_scenario, CorrelationPrior, Diagnosis, Fault, IntProber, ScenarioConfig,
+    Snapshot,
 };
 use astral_topo::{build_astral, AstralParams, HostId};
 
 /// (a) The NCCL timeline: per-rank communication time against Seer's
 /// expectation.
-fn print_timeline(snap: &Snapshot) {
-    println!(
-        "(a) NCCL timeline (per-rank comm time, Seer expectation {:.3}s):",
-        snap.job.as_ref().unwrap().expected_iter_s - 0.5
-    );
-    for r in snap.ranks.iter().take(8) {
-        println!("    {}: comm {:.3} s", r.host, r.comm_time_s);
-    }
+fn timeline_table(sc: &mut Scenario, snap: &Snapshot) {
+    let expected = snap.job.as_ref().unwrap().expected_iter_s - 0.5;
+    let ranks = snap.ranks.iter().take(8);
+    let rows: Vec<_> = ranks
+        .map(|r| (r.host.to_string(), r.comm_time_s, expected))
+        .collect();
+    let columns = "rank host | comm (s) | seer expectation (s)";
+    sc.table("a_nccl_timeline", columns, &rows);
 }
 
 /// (d) The four links with the most PFC pause time.
-fn print_pfc(snap: &Snapshot) {
-    println!("\n(d) PFC pause counters (top 4 links):");
+fn pfc_table(sc: &mut Scenario, snap: &Snapshot) {
     let mut pfc: Vec<_> = snap.link_pfc.iter().collect();
     pfc.sort_by_key(|&(_, ns)| std::cmp::Reverse(*ns));
-    for (l, ns) in pfc.iter().take(4) {
-        println!("    link {l}: {:>10.3} ms paused", **ns as f64 / 1e6);
+    let top = pfc.iter().take(4);
+    let rows: Vec<_> = top
+        .map(|(l, ns)| (l.to_string(), **ns as f64 / 1e6))
+        .collect();
+    sc.table("d_pfc_pause_top_links", "link | paused (ms)", &rows);
+}
+
+/// The analyzer's verdict, then its evidence one line per row.
+fn verdict_table(sc: &mut Scenario, d: &Diagnosis) {
+    let mut rows = vec![
+        ("manifestation".to_string(), d.manifestation.to_string()),
+        ("cause".to_string(), d.cause.to_string()),
+        ("culprit".to_string(), format!("{:?}", d.culprit)),
+    ];
+    for (i, e) in d.evidence.iter().enumerate() {
+        rows.push((format!("evidence {}", i + 1), e.to_string()));
     }
+    sc.table("analyzer_verdict", "field | value", &rows);
 }
 
 pub(crate) fn run() -> Report {
@@ -59,19 +74,24 @@ pub(crate) fn run() -> Report {
     sc.solver(&outcome.solver);
     let snap = &outcome.snapshot;
 
-    print_timeline(snap);
+    timeline_table(&mut sc, snap);
 
     // (b) QP ms-rates.
-    println!("\n(b) QP ms-level rates (fraction of the 200G port):");
     let mut rates: Vec<_> = snap.qp_rate_frac.iter().collect();
     rates.sort_by(|a, b| a.1.partial_cmp(b.1).expect("finite"));
-    for (qp, frac) in rates.iter().take(6) {
-        println!(
-            "    {qp}: {:>5.1}%{}",
-            **frac * 100.0,
-            if **frac < 0.5 { "   <-- below 50%" } else { "" }
-        );
-    }
+    let rate_rows: Vec<_> = rates
+        .iter()
+        .take(6)
+        .map(|(qp, frac)| {
+            let flag = if **frac < 0.5 { "below 50%" } else { "" };
+            (qp.to_string(), **frac * 100.0, flag)
+        })
+        .collect();
+    sc.table(
+        "b_qp_ms_rates",
+        "QP | rate (% of 200G port) | flag",
+        &rate_rows,
+    );
 
     // (c) INT per-hop delays along a slow QP with a multi-hop path.
     let (slow_qp, _) = rates
@@ -91,33 +111,27 @@ pub(crate) fn run() -> Report {
     let probe = outcome
         .prober
         .probe(rec.src_nic, rec.dst_nic, rec.tuple.src_port);
-    println!("\n(c) INT per-hop delay on the slowest QP's path:");
-    for h in &probe.hops {
-        println!(
-            "    {} --{}--> : {:>9.1} µs",
-            h.node,
-            h.link,
-            h.delay.as_nanos() as f64 / 1e3
-        );
-    }
+    let hops: Vec<_> = probe
+        .hops
+        .iter()
+        .map(|h| {
+            let delay_us = h.delay.as_nanos() as f64 / 1e3;
+            (h.node.to_string(), h.link.to_string(), delay_us)
+        })
+        .collect();
+    sc.table(
+        "c_int_hop_delay_slowest_qp",
+        "node | out link | delay (us)",
+        &hops,
+    );
 
-    print_pfc(snap);
+    pfc_table(&mut sc, snap);
 
     // The verdict.
     let d = diagnose(snap, &outcome.prober, &CorrelationPrior::default());
-    println!(
-        "\nanalyzer verdict: {} / {} / {:?}",
-        d.manifestation, d.cause, d.culprit
-    );
-    for (i, e) in d.evidence.iter().enumerate() {
-        println!("  {}. {e}", i + 1);
-    }
+    verdict_table(&mut sc, &d);
 
-    let hop_delays_us: Vec<f64> = probe
-        .hops
-        .iter()
-        .map(|h| h.delay.as_nanos() as f64 / 1e3)
-        .collect();
+    let hop_delays_us: Vec<f64> = hops.iter().map(|h| h.2).collect();
     let max_hop_us = hop_delays_us.iter().copied().fold(0.0f64, f64::max);
     let min_hop_us = hop_delays_us.iter().copied().fold(f64::INFINITY, f64::min);
     sc.series("int_hop_delays_us", &hop_delays_us);

@@ -8,7 +8,9 @@
 //! and over-frequent checkpointing trades goodput for smaller rollbacks.
 
 use crate::{Report, Scenario};
-use astral_core::{try_run_training, FaultScript, InjectedFault, RecoveryPolicy, TrainingJobSpec};
+use astral_core::{
+    try_run_training, FaultScript, InjectedFault, RecoveryPolicy, RecoveryReport, TrainingJobSpec,
+};
 use astral_sim::SimDuration;
 use astral_topo::{build_astral, AstralParams};
 
@@ -50,10 +52,6 @@ pub(crate) fn run() -> Report {
     let topo = build_astral(&AstralParams::sim_small());
     let (spec, script) = job();
 
-    println!(
-        "{:>10} {:>9} {:>9} {:>10} {:>10} {:>9} {:>9} {:>10}",
-        "ckpt-iters", "done", "goodput", "useful_s", "lost_s", "down_s", "mttr_s", "incidents"
-    );
     // The interval sweep points are independent simulations: fan them out
     // on the ASTRAL_THREADS pool (results and counters merge in point
     // order, so the report is identical to the old serial loop).
@@ -67,12 +65,19 @@ pub(crate) fn run() -> Report {
         let counters = r.solver;
         (r, counters)
     });
-    let mut sweep: Vec<(f64, f64)> = Vec::new();
-    for (&interval, r) in intervals.iter().zip(&reports) {
-        sweep.push((interval as f64, r.goodput()));
-        println!(
-            "{:>10} {:>9} {:>9.3} {:>10.2} {:>10.2} {:>9.2} {:>9.3} {:>10}",
-            interval,
+    let sweep: Vec<(f64, f64)> = intervals
+        .iter()
+        .zip(&reports)
+        .map(|(&interval, r)| (interval as f64, r.goodput()))
+        .collect();
+
+    // Ablation: the same script with recovery switched off.
+    let r =
+        try_run_training(&topo, &RecoveryPolicy::disabled(), &spec, &script).expect("valid policy");
+    sc.solver(&r.solver);
+    let row = |label: String, r: &RecoveryReport| {
+        (
+            label,
             if r.completed { "yes" } else { "ABORT" },
             r.goodput(),
             r.useful_s,
@@ -80,24 +85,19 @@ pub(crate) fn run() -> Report {
             r.downtime_s,
             r.mttr_s().unwrap_or(0.0),
             r.incidents.len(),
-        );
-    }
-
-    // Ablation: the same script with recovery switched off.
-    let r =
-        try_run_training(&topo, &RecoveryPolicy::disabled(), &spec, &script).expect("valid policy");
-    println!(
-        "{:>10} {:>9} {:>9.3} {:>10.2} {:>10.2} {:>9.2} {:>9.3} {:>10}",
-        "disabled",
-        if r.completed { "yes" } else { "ABORT" },
-        r.goodput(),
-        r.useful_s,
-        r.lost_rollback_s,
-        r.downtime_s,
-        r.mttr_s().unwrap_or(0.0),
-        r.incidents.len(),
+        )
+    };
+    let mut rows: Vec<_> = intervals
+        .iter()
+        .zip(&reports)
+        .map(|(interval, r)| row(interval.to_string(), r))
+        .collect();
+    rows.push(row("disabled".into(), &r));
+    sc.table(
+        "checkpoint_interval_sweep",
+        "ckpt-iters | done | goodput | useful (s) | lost (s) | down (s) | MTTR (s) | incidents",
+        &rows,
     );
-    sc.solver(&r.solver);
 
     sc.series("ckpt_interval_vs_goodput", &sweep);
     sc.metric("disabled_goodput", r.goodput());

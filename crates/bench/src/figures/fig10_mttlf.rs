@@ -46,11 +46,7 @@ pub(crate) fn run() -> Report {
         ),
     ];
 
-    println!(
-        "{:<12}{:>16}{:>16}{:>12}",
-        "fault", "manual (h)", "analyzer (min)", "speedup"
-    );
-    let mut results = Vec::new();
+    let mut rows = Vec::new();
     for (label, fault, manifestation) in cases {
         let outcome = run_fault_scenario(&topo, fault, &ScenarioConfig::default());
         sc.solver(&outcome.solver);
@@ -59,33 +55,31 @@ pub(crate) fn run() -> Report {
         let t_manual = manual_locate_time_s(manifestation, fleet_hosts);
         let t_auto = analyzer_locate_time_s(&d);
         let speedup = t_manual / t_auto;
-        println!(
-            "{:<12}{:>16.1}{:>16.1}{:>11.0}x",
-            label,
-            t_manual / 3600.0,
-            t_auto / 60.0,
-            speedup
-        );
-        results.push((label, speedup));
+        rows.push((label, t_manual / 3600.0, t_auto / 60.0, speedup));
     }
+    sc.table(
+        "locate_time",
+        "fault | manual (h) | analyzer (min) | speedup (x)",
+        &rows,
+    );
 
-    let speedups: Vec<(String, f64)> = results.iter().map(|&(l, s)| (l.to_string(), s)).collect();
+    let speedups: Vec<(String, f64)> = rows.iter().map(|r| (r.0.to_string(), r.3)).collect();
     sc.series("mttlf_speedup_by_class", &speedups);
-    sc.metric("fail_stop_speedup", results[0].1);
-    sc.metric("fail_hang_speedup", results[1].1);
-    sc.metric("fail_slow_speedup", results[2].1);
+    sc.metric("fail_stop_speedup", rows[0].3);
+    sc.metric("fail_hang_speedup", rows[1].3);
+    sc.metric("fail_slow_speedup", rows[2].3);
     sc.finish(&[
         (
             "fail-stop reduction",
-            format!("paper up to 12x | measured {:.0}x", results[0].1),
+            format!("paper up to 12x | measured {:.0}x", rows[0].3),
         ),
         (
             "fail-hang reduction",
-            format!("paper up to 25x | measured {:.0}x", results[1].1),
+            format!("paper up to 25x | measured {:.0}x", rows[1].3),
         ),
         (
             "fail-slow reduction",
-            format!("paper ~5x | measured {:.0}x", results[2].1),
+            format!("paper ~5x | measured {:.0}x", rows[2].3),
         ),
         (
             "absolute",

@@ -66,22 +66,21 @@ fn models() -> Vec<(&'static str, ModelConfig)> {
 
 /// Timeline overlay for one model: its top operator families, testbed
 /// against Seer.
-fn print_family_timeline(o: &GridOutcome) {
-    let label = &o.label;
-    let reference = &o.testbed;
-    let calibrated = &o.calibrated;
-    println!("\nper-operator-family timeline comparison ({label}):");
-    println!("{:<28}{:>12}{:>12}", "operator family", "testbed", "seer");
+fn family_timeline_table(sc: &mut Scenario, o: &GridOutcome) {
     let seer_fam: astral_sim::MulHashMap<String, f64> =
-        calibrated.by_operator_family().into_iter().collect();
-    for (name, t) in reference.by_operator_family().into_iter().take(8) {
-        println!(
-            "{:<28}{:>10.2}ms{:>10.2}ms",
-            name,
-            t * 1e3,
-            seer_fam.get(&name).copied().unwrap_or(0.0) * 1e3
-        );
-    }
+        o.calibrated.by_operator_family().into_iter().collect();
+    let rows: Vec<_> = o
+        .testbed
+        .by_operator_family()
+        .into_iter()
+        .take(8)
+        .map(|(name, t)| {
+            let seer = seer_fam.get(&name).copied().unwrap_or(0.0);
+            (name, t * 1e3, seer * 1e3)
+        })
+        .collect();
+    let columns = format!("operator family ({}) | testbed (ms) | seer (ms)", o.label);
+    sc.table("operator_family_timeline", &columns, &rows);
 }
 
 pub(crate) fn run() -> Report {
@@ -103,10 +102,6 @@ pub(crate) fn run() -> Report {
 
     let models = models();
 
-    println!(
-        "{:<24}{:>14}{:>14}{:>12}{:>12}",
-        "model", "testbed (s)", "seer (s)", "basic dev", "calib dev"
-    );
     // The four model points are independent (testbed execution + two
     // forecasts each): fan them out as a grid on the ASTRAL_THREADS pool.
     let points: Vec<GridPoint> = models
@@ -131,22 +126,26 @@ pub(crate) fn run() -> Report {
         &cal,
         &points,
     );
-    let mut rows = Vec::new();
-    for o in &outcomes {
-        let dev_b = o.basic_dev * 100.0;
-        let dev_c = o.calibrated_dev * 100.0;
-        println!(
-            "{:<24}{:>14.4}{:>14.4}{:>11.1}%{:>11.1}%",
-            o.label,
-            o.testbed.total.as_secs_f64(),
-            o.calibrated.total.as_secs_f64(),
-            dev_b,
-            dev_c
-        );
-        rows.push((o.label.clone(), dev_c));
-    }
+    let table: Vec<_> = outcomes
+        .iter()
+        .map(|o| {
+            (
+                o.label.clone(),
+                o.testbed.total.as_secs_f64(),
+                o.calibrated.total.as_secs_f64(),
+                o.basic_dev * 100.0,
+                o.calibrated_dev * 100.0,
+            )
+        })
+        .collect();
+    sc.table(
+        "forecast_vs_testbed",
+        "model | testbed (s) | seer (s) | basic dev (%) | calib dev (%)",
+        &table,
+    );
+    let rows: Vec<(String, f64)> = table.iter().map(|r| (r.0.clone(), r.4)).collect();
 
-    print_family_timeline(&outcomes[0]);
+    family_timeline_table(&mut sc, &outcomes[0]);
 
     sc.series("calibrated_deviation_pct_by_model", &rows);
     sc.metric("llama2_deviation_pct", rows[1].1);

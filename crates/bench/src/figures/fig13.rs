@@ -7,8 +7,8 @@
 
 use crate::{Report, Scenario};
 use astral_model::{DpSync, GroupKind, ModelConfig, ParallelismConfig};
-use astral_seer::{GpuSpec, NetworkSpec, Seer, SeerConfig, Testbed};
-use astral_topo::{build_astral, AstralParams};
+use astral_seer::NetworkSpec;
+use serde::Serialize;
 
 pub(crate) fn run() -> Report {
     let mut sc = Scenario::new(
@@ -19,41 +19,31 @@ pub(crate) fn run() -> Report {
     );
 
     // Calibrated Seer (the tool the paper uses for this case study).
-    let topo = build_astral(&AstralParams::sim_small());
-    let testbed = Testbed::new(&topo, GpuSpec::h100());
-    let mut calib_par = ParallelismConfig::new(4, 2, 4);
-    calib_par.microbatches = 4;
-    let cal = testbed.calibrate(&calib_par, 42);
+    let seer = super::calibrated_seer();
 
     // A 1K-GPU job: tp=8, pp=8, dp=16.
     let mut model = ModelConfig::llama3_70b();
     model.layers = 64;
     let mut par = ParallelismConfig::new(8, 8, 16);
     par.microbatches = 16;
-    println!(
-        "job: {} on {} GPUs (tp8 × pp8 × dp16), 300 km between DCs\n",
-        model.name,
-        par.world()
-    );
 
     let forecast = |net: NetworkSpec, par: &ParallelismConfig| -> f64 {
-        Seer::new(SeerConfig {
-            gpu: GpuSpec::h100(),
-            net,
-            calibration: cal.clone(),
-        })
-        .forecast_training(&model, par)
-        .iteration_s
+        seer(net).forecast_training(&model, par).iteration_s
     };
 
     let base = forecast(NetworkSpec::astral(), &par);
-    println!("single-DC iteration: {base:.3} s\n");
-
-    println!("--- traffic class crossing DCs (efficiency vs single-DC) ---");
-    println!(
-        "{:<12}{:>8}{:>8}{:>8}{:>8}",
-        "class", "4:1", "8:1", "16:1", "32:1"
+    sc.table(
+        "job",
+        "quantity | value",
+        &[
+            ("model", model.name.to_value()),
+            ("GPUs", par.world().to_value()),
+            ("layout", "tp8 × pp8 × dp16".to_value()),
+            ("distance between DCs (km)", 300u64.to_value()),
+            ("single-DC iteration (s)", base.to_value()),
+        ],
     );
+
     let mut table: Vec<(&str, Vec<f64>)> = Vec::new();
     for (label, group, zero) in [
         ("TP", GroupKind::Tp, DpSync::AllReduce),
@@ -70,10 +60,6 @@ pub(crate) fn run() -> Report {
             let t = forecast(net, &p);
             effs.push(own_base / t * 100.0);
         }
-        println!(
-            "{:<12}{:>7.1}%{:>7.1}%{:>7.1}%{:>7.1}%",
-            label, effs[0], effs[1], effs[2], effs[3]
-        );
         table.push((label, effs));
     }
 
@@ -84,6 +70,15 @@ pub(crate) fn run() -> Report {
         .iter()
         .map(|(l, e)| (l.to_string(), e.clone()))
         .collect();
+    let cells: Vec<_> = table
+        .iter()
+        .map(|(l, e)| (*l, e[0], e[1], e[2], e[3]))
+        .collect();
+    sc.table(
+        "efficiency_vs_single_dc_by_crossing_class",
+        "class | 4:1 (%) | 8:1 (%) | 16:1 (%) | 32:1 (%)",
+        &cells,
+    );
     sc.series("efficiency_pct_by_class_4_8_16_32", &eff_rows);
     sc.metric("single_dc_iteration_s", base);
     sc.metric("dp_16to1_pct", dp16);

@@ -7,8 +7,7 @@
 
 use crate::{Report, Scenario};
 use astral_model::{InferencePhase, ModelConfig, ParallelismConfig};
-use astral_seer::{GpuSpec, NetworkSpec, Seer, SeerConfig, Testbed};
-use astral_topo::{build_astral, AstralParams};
+use astral_seer::NetworkSpec;
 
 pub(crate) fn run() -> Report {
     let mut sc = Scenario::new(
@@ -18,20 +17,12 @@ pub(crate) fn run() -> Report {
          inference gains in both prefill and decoding",
     );
 
-    let topo = build_astral(&AstralParams::sim_small());
-    let testbed = Testbed::new(&topo, GpuSpec::h100());
-    let mut calib_par = ParallelismConfig::new(4, 2, 4);
-    calib_par.microbatches = 4;
-    let cal = testbed.calibrate(&calib_par, 42);
+    let seer = super::calibrated_seer();
 
     let seer_for = |hb: u32| {
         let mut net = NetworkSpec::astral_with_hb_domain(hb);
         net.rails = 8;
-        Seer::new(SeerConfig {
-            gpu: GpuSpec::h100(),
-            net,
-            calibration: cal.clone(),
-        })
+        seer(net)
     };
     let domains = [8u32, 16, 32, 64];
 
@@ -48,9 +39,9 @@ pub(crate) fn run() -> Report {
     moe_par.ep = 16;
     moe_par.microbatches = 8;
 
-    println!("normalized training throughput (HB domain = 8 → 1.00):");
-    println!("{:<24}{:>8}{:>8}{:>8}{:>8}", "model", "8", "16", "32", "64");
+    let columns = |first| format!("{first} | HB 8 | HB 16 | HB 32 | HB 64");
     let mut gains = Vec::new();
+    let mut rows = Vec::new();
     for (label, m, p) in [
         ("GPT-3-175B", &gpt3, &gpt_par),
         ("MoE (Hunyuan-like)", &moe, &moe_par),
@@ -61,19 +52,16 @@ pub(crate) fn run() -> Report {
             let t = seer_for(hb).forecast_training(m, p).iteration_s;
             row.push(base / t);
         }
-        println!(
-            "{:<24}{:>8.2}{:>8.2}{:>8.2}{:>8.2}",
-            label, row[0], row[1], row[2], row[3]
-        );
+        rows.push((label, row[0], row[1], row[2], row[3]));
         gains.push((label, row[3]));
     }
+    sc.table("normalized_training_throughput", &columns("model"), &rows);
 
     // (c,d) MoE inference prefill and decoding (tp8, ep within node).
     let mut inf_par = ParallelismConfig::new(4, 1, 16);
     inf_par.ep = 16;
-    println!("\nnormalized MoE inference throughput:");
-    println!("{:<24}{:>8}{:>8}{:>8}{:>8}", "phase", "8", "16", "32", "64");
     let mut inf_gains = Vec::new();
+    let mut rows = Vec::new();
     for (label, phase) in [
         ("prefill", InferencePhase::Prefill { prompt_len: 2048 }),
         ("decoding", InferencePhase::Decode { context_len: 2048 }),
@@ -88,12 +76,14 @@ pub(crate) fn run() -> Report {
                 .iteration_s;
             row.push(base / t);
         }
-        println!(
-            "{:<24}{:>8.2}{:>8.2}{:>8.2}{:>8.2}",
-            label, row[0], row[1], row[2], row[3]
-        );
+        rows.push((label, row[0], row[1], row[2], row[3]));
         inf_gains.push((label, row[3]));
     }
+    sc.table(
+        "normalized_moe_inference_throughput",
+        &columns("phase"),
+        &rows,
+    );
 
     sc.metric("gpt3_hb64_gain", gains[0].1);
     sc.metric("moe_hb64_gain", gains[1].1);

@@ -10,22 +10,19 @@ use astral_power::{peak_over_tdp, power_trace};
 use astral_seer::{GpuSpec, Seer, SeerConfig};
 use astral_sim::{SimDuration, SimTime, TimeSeries};
 
-/// One iteration's power trace as a 20-step bar chart over `total`.
-fn print_trace(trace: &TimeSeries, total: SimDuration, gpu: &GpuSpec) {
-    for k in 0..20 {
-        let t = SimDuration::from_secs_f64(total.as_secs_f64() * k as f64 / 20.0);
-        let w = trace
-            .at(SimTime::ZERO + t)
-            .map(|(_, w)| w)
-            .unwrap_or(gpu.idle_w);
-        let bars = ((w / gpu.tdp_w) * 40.0) as usize;
-        println!(
-            "  t={:>7.1}ms {:>6.0} W |{}",
-            t.as_secs_f64() * 1e3,
-            w,
-            "#".repeat(bars)
-        );
-    }
+/// One iteration's power trace sampled at 20 even steps over `total`:
+/// time (ms), power (W) and power as a multiple of TDP.
+fn trace_steps(trace: &TimeSeries, total: SimDuration, gpu: &GpuSpec) -> Vec<(f64, f64, f64)> {
+    (0..20)
+        .map(|k| {
+            let t = SimDuration::from_secs_f64(total.as_secs_f64() * k as f64 / 20.0);
+            let w = trace
+                .at(SimTime::ZERO + t)
+                .map(|(_, w)| w)
+                .unwrap_or(gpu.idle_w);
+            (t.as_secs_f64() * 1e3, w, w / gpu.tdp_w)
+        })
+        .collect()
 }
 
 pub(crate) fn run() -> Report {
@@ -55,14 +52,10 @@ pub(crate) fn run() -> Report {
         .iter()
         .map(|&(_, w)| w)
         .fold(f64::INFINITY, f64::min);
-    println!("(a) training trace (device 0, one iteration):");
-    print_trace(&trace, train.total, &gpu);
-    println!(
-        "  peak {:.0} W ({:.2}×TDP), min {:.0} W ({:.2}×TDP)",
-        peak * gpu.tdp_w,
-        peak,
-        min_w,
-        min_w / gpu.tdp_w
+    sc.table(
+        "a_training_trace_device_0",
+        "t (ms) | power (W) | x TDP",
+        &trace_steps(&trace, train.total, &gpu),
     );
 
     // (b) Inference: prefill vs decode power.
@@ -89,18 +82,13 @@ pub(crate) fn run() -> Report {
         |t: &TimeSeries| t.points().iter().map(|&(_, w)| w).sum::<f64>() / t.points().len() as f64;
     let prefill_peak = peak_over_tdp(&p_trace, &gpu);
     let decode_mean = mean(&d_trace);
-    println!("\n(b) inference power:");
-    println!(
-        "  prefill : peak {:.2}×TDP, mean {:.0} W",
-        prefill_peak,
-        mean(&p_trace)
-    );
-    println!(
-        "  decoding: peak {:.2}×TDP, mean {:.0} W ({:.0}% of TDP)",
-        peak_over_tdp(&d_trace, &gpu),
-        decode_mean,
-        decode_mean / gpu.tdp_w * 100.0
-    );
+    let phases = [
+        ("training", &trace),
+        ("inference prefill", &p_trace),
+        ("inference decoding", &d_trace),
+    ];
+    let rows = phases.map(|(phase, t)| (phase, peak_over_tdp(t, &gpu), mean(t)));
+    sc.table("b_power_by_phase", "phase | peak (x TDP) | mean (W)", &rows);
 
     sc.metric("training_peak_x_tdp", peak);
     sc.metric("training_floor_pct_tdp", min_w / gpu.tdp_w * 100.0);

@@ -22,33 +22,24 @@ pub(crate) fn run() -> Report {
     };
     let flat = DailyLoadModel::default();
 
-    println!(
-        "{:<6}{:>14}{:>14}{:>14}",
-        "hour", "inference MW", "training MW", "total MW"
-    );
-    for (h, inf, train, total) in flat.day_profile() {
-        let bars = (total / flat.capacity_w * 30.0) as usize;
-        println!(
-            "{:<6}{:>14.1}{:>14.1}{:>14.1}  |{}",
-            format!("{h:02}:00"),
-            inf / 1e6,
-            train / 1e6,
-            total / 1e6,
-            "#".repeat(bars)
-        );
-    }
-
-    println!(
-        "\npeak:trough ratio — inference only {:.2}, with night training {:.2}",
-        tidal.tidal_ratio(),
-        flat.tidal_ratio()
-    );
-
     let profile: Vec<(u64, f64, f64, f64)> = flat
         .day_profile()
         .into_iter()
         .map(|(h, i, t, tot)| (h as u64, i / 1e6, t / 1e6, tot / 1e6))
         .collect();
+    sc.table(
+        "day_profile",
+        "hour | inference (MW) | training (MW) | total (MW)",
+        &profile,
+    );
+    sc.table(
+        "peak_to_trough",
+        "load | ratio",
+        &[
+            ("inference only", tidal.tidal_ratio()),
+            ("with night training", flat.tidal_ratio()),
+        ],
+    );
     sc.series("hour_inference_training_total_mw", &profile);
     sc.metric("inference_only_tidal_ratio", tidal.tidal_ratio());
     sc.metric("flattened_tidal_ratio", flat.tidal_ratio());

@@ -33,11 +33,8 @@ pub(crate) fn run() -> Report {
         })
         .collect();
 
-    println!(
-        "{:<8}{:>16}{:>14}{:>14}{:>12}",
-        "round", "ECN marks", "hot links", "max util", "reassigned"
-    );
     let mut series = Vec::new();
+    let mut rows = Vec::new();
     for round in 0..8 {
         let mut sim = NetworkSim::new(&topo, NetConfig::default());
         for f in &flows {
@@ -64,16 +61,15 @@ pub(crate) fn run() -> Report {
         // simulator's ECN counters and reassign around them.
         let moved = ctl.rebalance_from_sim(&sim, &mut flows, 8);
         sc.solver(&sim.solver_counters());
-        println!(
-            "{:<8}{:>16}{:>14}{:>11.1} Gb{:>12}",
-            round,
-            ecn,
-            hot.len(),
-            max_load as f64 * 8.0 / 1e9,
-            moved
-        );
+        let max_gb = max_load as f64 * 8.0 / 1e9;
+        rows.push((round, ecn, hot.len(), max_gb, moved));
         series.push(ecn);
     }
+    sc.table(
+        "controller_rounds",
+        "round | ECN marks | hot links | max link load (Gb) | reassigned",
+        &rows,
+    );
 
     let first = series[0] as f64;
     let last = *series.last().unwrap() as f64;

@@ -7,8 +7,7 @@
 
 use crate::{Report, Scenario};
 use astral_model::{GroupKind, ModelConfig, ParallelismConfig};
-use astral_seer::{GpuSpec, NetworkSpec, Seer, SeerConfig, Testbed};
-use astral_topo::{build_astral, AstralParams};
+use astral_seer::NetworkSpec;
 
 pub(crate) fn run() -> Report {
     let mut sc = Scenario::new(
@@ -17,51 +16,31 @@ pub(crate) fn run() -> Report {
         "8:1 oversubscription is free; 32:1 costs ~4.6%",
     );
 
-    let topo = build_astral(&AstralParams::sim_small());
-    let testbed = Testbed::new(&topo, GpuSpec::h100());
-    let mut calib_par = ParallelismConfig::new(4, 2, 4);
-    calib_par.microbatches = 4;
-    let cal = testbed.calibrate(&calib_par, 42);
+    let seer = super::calibrated_seer();
 
     let mut model = ModelConfig::llama3_70b();
     model.layers = 64;
     let mut par = ParallelismConfig::new(8, 8, 16);
     par.microbatches = 16;
 
-    let forecast = |net: NetworkSpec| {
-        Seer::new(SeerConfig {
-            gpu: GpuSpec::h100(),
-            net,
-            calibration: cal.clone(),
-        })
-        .forecast_training(&model, &par)
-        .iteration_s
-    };
+    let forecast = |net: NetworkSpec| seer(net).forecast_training(&model, &par).iteration_s;
 
     let base = forecast(NetworkSpec::astral());
-    println!("single-DC iteration: {base:.3} s (PP stage boundary crosses 300 km)\n");
-    println!(
-        "{:<10}{:>14}{:>14}",
-        "ratio", "iteration (s)", "degradation"
-    );
     let mut degr_at = astral_sim::MulHashMap::default();
+    let mut rows = vec![("single DC".to_string(), base, 0.0)];
     let mut sweep: Vec<(f64, f64)> = Vec::new();
     for ratio in [1.0f64, 2.0, 4.0, 8.0, 16.0, 32.0] {
         let net = NetworkSpec::astral().with_crossdc(GroupKind::Pp, ratio, 300.0);
         let t = forecast(net);
         let d = (t / base - 1.0) * 100.0;
-        println!("{:<10}{:>14.3}{:>13.2}%", format!("{ratio:.0}:1"), t, d);
         degr_at.insert(ratio as u64, d);
+        rows.push((format!("{ratio:.0}:1"), t, d));
         sweep.push((ratio, d));
     }
-
-    // The economics the paper quotes.
-    let km = 300.0;
-    let monthly = km * 70.0;
-    println!(
-        "\nfiber economics: {km:.0} km × 70 $/km·month = {monthly:.0} $/month per pair \
-         (≈{:.0}K$/year, the paper's 250K$ figure)",
-        monthly * 12.0 / 1000.0
+    sc.table(
+        "pp_boundary_across_300_km",
+        "oversubscription | iteration (s) | degradation (%)",
+        &rows,
     );
 
     sc.series("oversub_ratio_vs_degradation_pct", &sweep);

@@ -6,8 +6,6 @@
 
 use crate::{Report, Scenario};
 use astral_model::{ModelConfig, ParallelismConfig};
-use astral_seer::{GpuSpec, Seer, SeerConfig, Testbed};
-use astral_topo::{build_astral, AstralParams};
 
 pub(crate) fn run() -> Report {
     let mut sc = Scenario::new(
@@ -17,11 +15,7 @@ pub(crate) fn run() -> Report {
          loss at 8K GPUs",
     );
 
-    let topo = build_astral(&AstralParams::sim_small());
-    let testbed = Testbed::new(&topo, GpuSpec::h100());
-    let mut calib_par = ParallelismConfig::new(4, 2, 4);
-    calib_par.microbatches = 4;
-    let cal = testbed.calibrate(&calib_par, 42);
+    let seer = super::calibrated_seer();
 
     // Hunyuan-like MoE; weak scaling: grow DP (and the global batch with
     // it), keep per-replica work constant.
@@ -30,21 +24,11 @@ pub(crate) fn run() -> Report {
     let infra_seer = |par: &ParallelismConfig| {
         let mut net = astral_seer::NetworkSpec::astral();
         net.rails = 8;
-        Seer::new(SeerConfig {
-            gpu: GpuSpec::h100(),
-            net,
-            calibration: cal.clone(),
-        })
-        .forecast_training(&model, par)
+        seer(net).forecast_training(&model, par)
     };
 
-    println!(
-        "{:<10}{:>10}{:>16}{:>18}{:>12}",
-        "GPUs", "dp", "iteration (s)", "tokens/s/GPU", "efficiency"
-    );
     let mut base_per_gpu = 0.0;
-    let mut last_eff = 0.0;
-    let mut sweep: Vec<(u64, f64)> = Vec::new();
+    let mut rows = Vec::new();
     for (i, dp) in [4u32, 8, 16, 32, 64, 128, 256].into_iter().enumerate() {
         let mut par = ParallelismConfig::new(8, 4, dp);
         par.ep = 4.min(dp);
@@ -55,18 +39,16 @@ pub(crate) fn run() -> Report {
             base_per_gpu = per_gpu;
         }
         let eff = per_gpu / base_per_gpu * 100.0;
-        last_eff = eff;
-        sweep.push((par.world() as u64, eff));
-        println!(
-            "{:<10}{:>10}{:>16.3}{:>18.0}{:>11.2}%",
-            par.world(),
-            dp,
-            f.iteration_s,
-            per_gpu,
-            eff
-        );
+        rows.push((par.world() as u64, dp, f.iteration_s, per_gpu, eff));
     }
+    let last_eff = rows.last().expect("a sweep point").4;
 
+    sc.table(
+        "weak_scaling",
+        "GPUs | dp | iteration (s) | tokens/s/GPU | efficiency (%)",
+        &rows,
+    );
+    let sweep: Vec<(u64, f64)> = rows.iter().map(|r| (r.0, r.4)).collect();
     sc.series("gpus_vs_efficiency_pct", &sweep);
     sc.metric("loss_at_max_scale_pct", 100.0 - last_eff);
     sc.finish(&[

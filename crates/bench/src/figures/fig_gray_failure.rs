@@ -27,6 +27,7 @@ use astral_exec::Pool;
 use astral_monitor::CorrelationPrior;
 use astral_sim::SimDuration;
 use astral_topo::{build_astral, AstralParams, Topology};
+use serde::{Serialize, Value};
 
 /// The pinned mixed campaign: three gray faults interleaved with two
 /// fail-stop faults, on a communication-significant job so partial
@@ -110,35 +111,28 @@ fn simulate(
     .recovery
 }
 
-fn row(name: &str, r: &RecoveryReport) {
-    println!(
-        "{:>14} {:>8.3} {:>9.4} {:>9.4} {:>9.4} {:>7} {:>7} {:>7} {:>7}",
-        name,
-        r.goodput(),
-        r.mttlf_s().unwrap_or(0.0),
-        r.downtime_s,
-        r.degraded_s,
-        r.incidents.len(),
-        gray_actions(r),
-        r.quarantined.len(),
-        r.spares_claimed.len(),
-    );
-}
+/// The numbers each policy reports: the table's columns after `policy`,
+/// and its metrics as `<policy>/<column>`.
+const COLUMNS: &str = "policy | goodput | mttlf_s | downtime_s | degraded_s | incidents | gray_actions | quarantined | spares_claimed";
 
-/// One policy's metrics and solver work.
-fn record(sc: &mut Scenario, name: &str, r: &RecoveryReport) {
+/// One policy's metrics and solver work; returns its table row.
+fn record(sc: &mut Scenario, name: &str, r: &RecoveryReport) -> Vec<Value> {
     sc.solver(&r.solver);
-    sc.metric(&format!("{name}/goodput"), r.goodput());
-    sc.metric(&format!("{name}/mttlf_s"), r.mttlf_s().unwrap_or(0.0));
-    sc.metric(&format!("{name}/downtime_s"), r.downtime_s);
-    sc.metric(&format!("{name}/degraded_s"), r.degraded_s);
-    sc.metric(&format!("{name}/incidents"), r.incidents.len() as u64);
-    sc.metric(&format!("{name}/gray_actions"), gray_actions(r) as u64);
-    sc.metric(&format!("{name}/quarantined"), r.quarantined.len() as u64);
-    sc.metric(
-        &format!("{name}/spares_claimed"),
-        r.spares_claimed.len() as u64,
-    );
+    let row = vec![
+        name.to_value(),
+        r.goodput().to_value(),
+        r.mttlf_s().unwrap_or(0.0).to_value(),
+        r.downtime_s.to_value(),
+        r.degraded_s.to_value(),
+        (r.incidents.len() as u64).to_value(),
+        (gray_actions(r) as u64).to_value(),
+        (r.quarantined.len() as u64).to_value(),
+        (r.spares_claimed.len() as u64).to_value(),
+    ];
+    for (column, value) in COLUMNS.split(" | ").zip(&row).skip(1) {
+        sc.metric(&format!("{name}/{column}"), value);
+    }
+    row
 }
 
 /// Determinism: the three runs (reactive-only and gray-aware on `script`,
@@ -281,11 +275,6 @@ pub(crate) fn run() -> Report {
     let script = campaign_script();
     let cfg = RunnerConfig::default();
 
-    println!(
-        "{:>14} {:>8} {:>9} {:>9} {:>9} {:>7} {:>7} {:>7} {:>7}",
-        "policy", "goodput", "mttlf_s", "down_s", "degr_s", "incid", "gray", "quar", "spares"
-    );
-
     let reactive = simulate(&topo, &RecoveryPolicy::reactive_only(), &script, cfg);
     let gray = simulate(&topo, &RecoveryPolicy::gray_aware(), &script, cfg);
     let gray_clean = simulate(
@@ -294,40 +283,23 @@ pub(crate) fn run() -> Report {
         &CascadeScript::default(),
         cfg,
     );
-    row("reactive_only", &reactive);
-    row("gray_aware", &gray);
-    row("gray/clean", &gray_clean);
-    record(&mut sc, "reactive_only", &reactive);
-    record(&mut sc, "gray_aware", &gray);
-    record(&mut sc, "gray_clean", &gray_clean);
-    sc.series(
-        "policy_vs_goodput",
-        &[
-            ("reactive_only".to_string(), reactive.goodput()),
-            ("gray_aware".to_string(), gray.goodput()),
-            ("gray_clean".to_string(), gray_clean.goodput()),
-        ],
-    );
+    let rows = [
+        record(&mut sc, "reactive_only", &reactive),
+        record(&mut sc, "gray_aware", &gray),
+        record(&mut sc, "gray_clean", &gray_clean),
+    ];
+    sc.table("policies", COLUMNS, &rows);
+    let goodputs: Vec<_> = rows.iter().map(|r| (&r[0], &r[1])).collect();
+    sc.series("policy_vs_goodput", &goodputs);
+    let mix = [
+        ("probation", MitigationAction::LinkProbation),
+        ("readmit", MitigationAction::ProbeReadmit),
+        ("proactive_failover", MitigationAction::ProactiveTorFailover),
+        ("quarantine", MitigationAction::Quarantine),
+    ];
     sc.series(
         "gray_action_mix",
-        &[
-            (
-                "probation".to_string(),
-                count(&gray, MitigationAction::LinkProbation),
-            ),
-            (
-                "readmit".to_string(),
-                count(&gray, MitigationAction::ProbeReadmit),
-            ),
-            (
-                "proactive_failover".to_string(),
-                count(&gray, MitigationAction::ProactiveTorFailover),
-            ),
-            (
-                "quarantine".to_string(),
-                count(&gray, MitigationAction::Quarantine),
-            ),
-        ],
+        &mix.map(|(name, a)| (name, count(&gray, a))),
     );
 
     let want = [&reactive, &gray, &gray_clean].map(RecoveryReport::fingerprint);

@@ -156,22 +156,12 @@ fn overall_accuracy(reports: &[CascadeReport]) -> f64 {
 
 /// Per-class correct/injected counts, baseline against with-prior.
 fn class_table(sc: &mut Scenario, baseline: &[CascadeReport], with_prior: &[CascadeReport]) {
-    println!(
-        "\n{:>10} {:>16} {:>16}",
-        "class", "baseline acc", "with-prior acc"
-    );
     let mut series = Vec::new();
+    let mut rows = Vec::new();
     for &class in &CLASSES {
         let (bc, bt) = class_accuracy(baseline, class);
         let (pc, pt) = class_accuracy(with_prior, class);
-        println!(
-            "{:>10} {:>13}/{:<2} {:>13}/{:<2}",
-            class.to_string(),
-            bc,
-            bt,
-            pc,
-            pt
-        );
+        rows.push((class.to_string(), bc, bt, pc, pt));
         sc.metric(&format!("{class}/baseline_correct"), bc as u64);
         sc.metric(&format!("{class}/prior_correct"), pc as u64);
         sc.metric(&format!("{class}/injected"), bt as u64);
@@ -180,6 +170,11 @@ fn class_table(sc: &mut Scenario, baseline: &[CascadeReport], with_prior: &[Casc
             (bc as f64 / bt.max(1) as f64, pc as f64 / pt.max(1) as f64),
         ));
     }
+    sc.table(
+        "attributions_by_class",
+        "class | baseline correct | baseline injected | with-prior correct | with-prior injected",
+        &rows,
+    );
     sc.series("accuracy_by_class", &series);
 }
 
@@ -279,12 +274,6 @@ pub(crate) fn run() -> Report {
     }
     let prior = miner.prior();
     let matrix = miner.matrix();
-    println!(
-        "mined prior: support {} substrate-onset window(s), independence {:.3} → substrate-first {}",
-        prior.support,
-        prior.independence,
-        prior.suggests_substrate_first(),
-    );
 
     // Pass 2 — the same seeds under the mined prior.
     let with_prior = batch(&pool, &topo, &runs, prior);
@@ -293,11 +282,13 @@ pub(crate) fn run() -> Report {
     let (acc_base, acc_prior) = (overall_accuracy(&baseline), overall_accuracy(&with_prior));
     let (mttlf_base, mttlf_prior) = (mttlf_from_traces(&baseline), mttlf_from_traces(&with_prior));
     let records_total: usize = baseline.iter().map(|r| r.recovery.trace.len()).sum();
-    println!(
-        "\noverall accuracy: {acc_base:.3} baseline → {acc_prior:.3} with prior\n\
-         substrate MTTLF:  {mttlf_base:.1}s baseline → {mttlf_prior:.1}s with prior\n\
-         trace volume:     {records_total} records across {} runs",
-        baseline.len()
+    sc.table(
+        "overall",
+        "measure | baseline | with prior",
+        &[
+            ("attribution accuracy", acc_base, acc_prior),
+            ("substrate MTTLF (s)", mttlf_base, mttlf_prior),
+        ],
     );
     sc.metric("accuracy_baseline", acc_base);
     sc.metric("accuracy_prior", acc_prior);

@@ -23,6 +23,7 @@ use astral_fleet::{
     FleetPolicy, FleetReport, PlacementStrategy, WorkloadConfig,
 };
 use astral_topo::{build_astral, AstralParams, Topology};
+use serde::{Serialize, Value};
 
 /// The pinned contrast scenario: 8-host tenants arriving onto a 64-host
 /// fleet while a degraded CDU pump keeps starving rack row 0 of flow —
@@ -99,38 +100,29 @@ fn simulate(
     .expect("fleet campaign failed")
 }
 
-fn row(name: &str, r: &FleetReport) {
-    println!(
-        "{:>18} {:>8.3} {:>8.3} {:>9.3} {:>8.3} {:>9.2} {:>9.2} {:>6} {:>7} {:>9} {:>9}",
-        name,
-        r.cluster_goodput,
-        r.utilization,
-        r.stranded_frac,
-        r.fairness,
-        r.queue_wait_p50_s,
-        r.queue_wait_p99_s,
-        r.completed,
-        r.stranded_tenants,
-        r.preemptions,
-        r.spare_claims,
-    );
-}
+/// The numbers each policy reports: the table's columns after `policy`,
+/// and its metrics as `<policy>/<column>`.
+const COLUMNS: &str = "policy | cluster_goodput | utilization | stranded_frac | fairness | queue_wait_p50_s | queue_wait_p99_s | completed | stranded_tenants | preemptions | spare_claims";
 
-/// One policy's metrics.
-fn record(sc: &mut Scenario, name: &str, r: &FleetReport) {
-    sc.metric(&format!("{name}/cluster_goodput"), r.cluster_goodput);
-    sc.metric(&format!("{name}/utilization"), r.utilization);
-    sc.metric(&format!("{name}/stranded_frac"), r.stranded_frac);
-    sc.metric(&format!("{name}/fairness"), r.fairness);
-    sc.metric(&format!("{name}/queue_wait_p50_s"), r.queue_wait_p50_s);
-    sc.metric(&format!("{name}/queue_wait_p99_s"), r.queue_wait_p99_s);
-    sc.metric(&format!("{name}/completed"), r.completed as u64);
-    sc.metric(
-        &format!("{name}/stranded_tenants"),
-        r.stranded_tenants as u64,
-    );
-    sc.metric(&format!("{name}/preemptions"), r.preemptions as u64);
-    sc.metric(&format!("{name}/spare_claims"), r.spare_claims as u64);
+/// One policy's metrics; returns its table row.
+fn record(sc: &mut Scenario, name: &str, r: &FleetReport) -> Vec<Value> {
+    let row = vec![
+        name.to_value(),
+        r.cluster_goodput.to_value(),
+        r.utilization.to_value(),
+        r.stranded_frac.to_value(),
+        r.fairness.to_value(),
+        r.queue_wait_p50_s.to_value(),
+        r.queue_wait_p99_s.to_value(),
+        (r.completed as u64).to_value(),
+        (r.stranded_tenants as u64).to_value(),
+        (r.preemptions as u64).to_value(),
+        (r.spare_claims as u64).to_value(),
+    ];
+    for (column, value) in COLUMNS.split(" | ").zip(&row).skip(1) {
+        sc.metric(&format!("{name}/{column}"), value);
+    }
+    row
 }
 
 /// Acceptance criteria: the full stack beats naive packing on cluster
@@ -187,25 +179,11 @@ pub(crate) fn run() -> Report {
     let topo: Topology = build_astral(&AstralParams::sim_small());
     let campaign = cascade_campaign();
 
-    println!(
-        "{:>18} {:>8} {:>8} {:>9} {:>8} {:>9} {:>9} {:>6} {:>7} {:>9} {:>9}",
-        "policy",
-        "goodput",
-        "util",
-        "stranded",
-        "jain",
-        "p50_wait",
-        "p99_wait",
-        "done",
-        "strand",
-        "preempt",
-        "claims"
-    );
-
     let mut goodputs: Vec<(String, f64)> = Vec::new();
     let mut stranded: Vec<(String, f64)> = Vec::new();
     let mut frontier: Vec<(String, f64)> = Vec::new();
     let mut reports: Vec<(&str, FleetReport)> = Vec::new();
+    let mut rows = Vec::new();
     for (name, policy) in policies() {
         let r = simulate(&topo, &policy, &campaign, 2);
         // Determinism is part of the headline claim: the same campaign on
@@ -216,8 +194,7 @@ pub(crate) fn run() -> Report {
             r.fingerprint(),
             "{name}: fleet fingerprint diverged between 1- and 2-thread pools"
         );
-        row(name, &r);
-        record(&mut sc, name, &r);
+        rows.push(record(&mut sc, name, &r));
         goodputs.push((name.to_string(), r.cluster_goodput));
         stranded.push((name.to_string(), r.stranded_tenants as f64));
         // One frontier point per policy: how much fairness the policy buys
@@ -225,6 +202,7 @@ pub(crate) fn run() -> Report {
         frontier.push((format!("{name}@util={:.3}", r.utilization), r.fairness));
         reports.push((name, r));
     }
+    sc.table("policy_points", COLUMNS, &rows);
     sc.series("policy_vs_goodput", &goodputs);
     sc.series("policy_vs_stranded_tenants", &stranded);
     sc.series("fairness_vs_utilization", &frontier);

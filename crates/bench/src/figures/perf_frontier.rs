@@ -21,9 +21,10 @@
 //! Hard gates: at 128K GPUs the pod-grouped run must complete the incast
 //! campaign ≥ 3× faster than the joint fill, deliver the same bytes, and
 //! the cross-pod phase must be bitwise identical in both modes. All
-//! wall-clock-derived metrics carry the `wall_clock` prefix so CI's
-//! determinism diff (`grep -v wall_clock`) skips them; every other metric
-//! and the `solver` counters are gated exactly by
+//! wall-clock-derived metrics, tables and footer rows carry the
+//! `wall_clock` prefix, so CI's determinism diff skips them and the
+//! renderer prints them to stderr; every other metric, table cell and
+//! the `solver` counters are gated by
 //! `bench-baselines/BENCH_perf_frontier.json`.
 //!
 //! The 512K point runs pod-grouped only (the joint fill is the quadratic
@@ -217,6 +218,15 @@ fn run_crosspod(
     (start.elapsed().as_secs_f64(), secs, delivered)
 }
 
+/// The rows of the sweep's tables, filled point by point: the incast
+/// campaign, the solver work of each fill, and the wall-clock timings.
+#[derive(Default)]
+struct Tables {
+    campaign: Vec<(&'static str, u32, usize, usize, f64)>,
+    work: Vec<(&'static str, &'static str, u64, u64)>,
+    wall_clock: Vec<(&'static str, &'static str, f64)>,
+}
+
 /// The sweep: 8K and 128K GPUs with the joint-fill oracle, and 512K
 /// pod-grouped only with a reduced set of active pods.
 fn points() -> [Frontier; 3] {
@@ -250,34 +260,26 @@ fn points() -> [Frontier; 3] {
 
 /// One frontier point: the incast campaign pod-grouped, the joint fill
 /// it must agree with (when the point runs it), then the cross-pod phase.
-/// Records the point's metrics and returns its footer fragment and the
-/// pod-grouped speedup over the joint fill.
-fn frontier_point(sc: &mut Scenario, f: &Frontier) -> (String, Option<f64>) {
+/// Records the point's metrics and table rows, and returns its footer
+/// fragment and the pod-grouped speedup over the joint fill.
+fn frontier_point(sc: &mut Scenario, t: &mut Tables, f: &Frontier) -> (String, Option<f64>) {
     let build_start = Instant::now();
     let topo = build_astral(&f.params);
     let router = Arc::new(Router::new());
     let gpus = topo.gpu_count();
-    println!(
-        "[{}] fabric: {} GPUs, {} links (built in {:.1}s); {} pods × {} roots × {} waves \
-         [wall_clock]",
-        f.label,
-        gpus,
-        topo.links().len(),
-        build_start.elapsed().as_secs_f64(),
-        f.pods_active,
-        f.roots,
-        f.waves,
-    );
+    let build_s = build_start.elapsed().as_secs_f64();
 
     let s1 = run_incast(&topo, &router, f, true);
     sc.solver(&s1.counters);
 
     let gpu_s_per_wall = s1.sim_secs * gpus as f64 / s1.wall.max(1e-12);
-    println!(
-        "[{}] sharded: {:.3}s wall, {:.3}s simulated, {} flows, {} solves, {} links scanned \
-         [wall_clock]",
-        f.label, s1.wall, s1.sim_secs, s1.flows, s1.solves, s1.links_scanned
-    );
+    let links = topo.links().len();
+    t.campaign
+        .push((f.label, gpus, links, s1.flows, s1.sim_secs));
+    let pod_grouped = (f.label, "pod-grouped", s1.solves, s1.links_scanned);
+    t.work.push(pod_grouped);
+    t.wall_clock.push((f.label, "build (s)", build_s));
+    t.wall_clock.push((f.label, "pod-grouped (s)", s1.wall));
     sc.metric(&format!("gpus_{}", f.label), gpus);
     sc.metric(&format!("incast_flows_{}", f.label), s1.flows as u64);
     sc.metric(&format!("sim_secs_{}", f.label), s1.sim_secs);
@@ -299,18 +301,13 @@ fn frontier_point(sc: &mut Scenario, f: &Frontier) -> (String, Option<f64>) {
         "{}: {} GPUs, {:.0} simulated-GPU-seconds per wall-second sharded",
         f.label, gpus, gpu_s_per_wall
     );
-    let speedup = if f.run_global {
-        let speedup = joint_fill(sc, &topo, &router, f, &s1);
+    // Past 128K the joint fill is skipped: its fleet-synchronized
+    // O(pods²) cost is what this point demonstrates removing.
+    let speedup = f.run_global.then(|| {
+        let speedup = joint_fill(sc, t, &topo, &router, f, &s1);
         row.push_str(&format!(", {speedup:.1}x over global"));
-        Some(speedup)
-    } else {
-        println!(
-            "[{}] global incremental skipped: the fleet-synchronized joint \
-             fill is the O(pods²) cost this point demonstrates removing",
-            f.label
-        );
-        None
-    };
+        speedup
+    });
     crosspod(sc, &topo, &router, f);
     (row, speedup)
 }
@@ -320,6 +317,7 @@ fn frontier_point(sc: &mut Scenario, f: &Frontier) -> (String, Option<f64>) {
 /// 128K GPUs the pod-grouped run must be ≥3× faster. Returns the speedup.
 fn joint_fill(
     sc: &mut Scenario,
+    t: &mut Tables,
     topo: &Topology,
     router: &Arc<Router>,
     f: &Frontier,
@@ -340,11 +338,9 @@ fn joint_fill(
         f.label
     );
     let speedup = g.wall / s1.wall.max(1e-12);
-    println!(
-        "[{}] global:  {:.3}s wall, {} solves, {} links scanned → sharded speedup {:.2}x \
-         [wall_clock]",
-        f.label, g.wall, g.solves, g.links_scanned, speedup
-    );
+    t.work.push((f.label, "joint", g.solves, g.links_scanned));
+    t.wall_clock.push((f.label, "joint (s)", g.wall));
+    t.wall_clock.push((f.label, "speedup (x)", speedup));
     sc.metric(
         &format!("global_links_scanned_{}", f.label),
         g.links_scanned,
@@ -414,10 +410,12 @@ fn streamed_ring(sc: &mut Scenario, params: &AstralParams) {
     sc.solver(&ring_s.solver);
     let resident = n as u64;
     let materialized = 2 * (n as u64 - 1) * n as u64;
-    println!(
-        "\nstreamed ring AllReduce: {n} ranks across 8 pods, {:.3}ms simulated; \
-         {resident} transfers resident vs {materialized} materialized",
-        ring_s.duration.as_secs_f64() * 1e3,
+    let ring_ms = ring_s.duration.as_secs_f64() * 1e3;
+    let columns = "ranks | simulated (ms) | transfers resident | transfers materialized";
+    sc.table(
+        "streamed_ring_allreduce",
+        columns,
+        &[(n, ring_ms, resident, materialized)],
     );
     sc.metric("ring_ranks", n as u64);
     sc.metric("ring_sim_secs", ring_s.duration.as_secs_f64());
@@ -439,13 +437,19 @@ pub(crate) fn run() -> Report {
     let points = points();
     let mut speedup_128k = 0.0f64;
     let mut frontier_rows = Vec::new();
+    let mut t = Tables::default();
     for f in &points {
-        let (row, speedup) = frontier_point(&mut sc, f);
+        let (row, speedup) = frontier_point(&mut sc, &mut t, f);
         if let (Some(speedup), "128k") = (speedup, f.label) {
             speedup_128k = speedup;
         }
         frontier_rows.push(row);
     }
+    let campaign = "point | GPUs | links | flows | simulated (s)";
+    sc.table("incast_campaign", campaign, &t.campaign);
+    let work = "point | fill | solves | links scanned";
+    sc.table("incast_solver_work", work, &t.work);
+    sc.table("wall_clock_frontier", "point | step | value", &t.wall_clock);
     streamed_ring(&mut sc, &points[0].params);
 
     // Footer rows carrying wall-clock-derived numbers keep the wall_clock

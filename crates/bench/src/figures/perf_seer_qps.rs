@@ -17,8 +17,9 @@
 //! widths 1, 2 and 8; every distinct query's cached answer is bitwise
 //! equal to a from-scratch uncached forecast; and a DP-degree sweep must
 //! reuse memoized compute/TP-comm entries (the dirty-subgraph
-//! invalidation this service exists for). All wall-clock-derived metrics
-//! carry the `wall_clock` prefix so CI's determinism diff skips them.
+//! invalidation this service exists for). All wall-clock-derived metrics,
+//! tables and footer rows carry the `wall_clock` prefix, so CI's
+//! determinism diff skips them and the renderer prints them to stderr.
 
 use crate::{Report, Scenario};
 use astral_exec::Pool;
@@ -207,8 +208,9 @@ fn headline(pool: &Pool, queries: &[WhatIfQuery], fp: u64) -> (f64, f64, CacheSt
 
 /// Hard gate 4: dirty-subgraph memoization. A DP-degree sweep on a fresh
 /// service must reuse compute/TP-comm entries across points — only the
-/// DP/PP-comm subgraphs re-price. Returns the sweep's op-memo reuse.
-fn dp_sweep_reuse() -> f64 {
+/// DP/PP-comm subgraphs re-price. Records the sweep's op-memo table and
+/// returns its reuse.
+fn dp_sweep_reuse(sc: &mut Scenario) -> f64 {
     let mut sweep_svc = SeerService::new(baseline());
     sweep_svc.answer(&WhatIfQuery::baseline());
     let before = sweep_svc.stats();
@@ -219,10 +221,10 @@ fn dp_sweep_reuse() -> f64 {
     let sweep_hits = after.op_hits - before.op_hits;
     let sweep_misses = after.op_misses - before.op_misses;
     let sweep_reuse = sweep_hits as f64 / (sweep_hits + sweep_misses).max(1) as f64;
-    println!(
-        "dp sweep x2/x4/x8: {sweep_hits} op-memo hits, {sweep_misses} re-priced \
-         ({:.1}% reuse)",
-        sweep_reuse * 100.0
+    sc.table(
+        "dp_sweep_x2_x4_x8",
+        "op-memo hits | re-priced | reuse (%)",
+        &[(sweep_hits, sweep_misses, sweep_reuse * 100.0)],
     );
     assert!(
         sweep_hits > 0 && sweep_misses > 0,
@@ -244,11 +246,10 @@ pub(crate) fn run() -> Report {
 
     let mix = query_mix();
     let queries = stream(&mix);
-    println!(
-        "stream: {} queries over {} distinct what-ifs, batches of {}",
-        queries.len(),
-        mix.len(),
-        BATCH
+    sc.table(
+        "stream",
+        "queries | distinct what-ifs | batch",
+        &[(queries.len(), mix.len(), BATCH)],
     );
 
     let fp_cold = width_gate(&mut sc, &queries);
@@ -259,19 +260,14 @@ pub(crate) fn run() -> Report {
     let qps_warm = queries.len() as f64 / wall_warm.max(1e-12);
     let speedup = wall_cold / wall_warm.max(1e-12);
     let hit_rate = cold_stats.hit_rate();
-    println!(
-        "cold: {:.0} qps ({:.1}ms), warm: {:.0} qps ({:.1}ms) -> {:.1}x; \
-         hit rate {:.4} ({} hits / {} misses), op memo {} hits / {} misses [wall_clock]",
-        qps_cold,
-        wall_cold * 1e3,
-        qps_warm,
-        wall_warm * 1e3,
-        speedup,
-        hit_rate,
-        cold_stats.forecast_hits,
-        cold_stats.forecast_misses,
-        cold_stats.op_hits,
-        cold_stats.op_misses,
+    let s = &cold_stats;
+    sc.table(
+        "cold_pass_caches",
+        "cache | hits | misses | hit rate",
+        &[
+            ("forecast", s.forecast_hits, s.forecast_misses, hit_rate),
+            ("operator memo", s.op_hits, s.op_misses, s.op_hit_rate()),
+        ],
     );
 
     // Hard gate 3: cache effectiveness.
@@ -283,7 +279,7 @@ pub(crate) fn run() -> Report {
         hit_rate >= 0.8,
         "cold-pass hit rate {hit_rate:.3} below the 0.8 gate"
     );
-    let sweep_reuse = dp_sweep_reuse();
+    let sweep_reuse = dp_sweep_reuse(&mut sc);
 
     sc.metric("queries_total", queries.len() as u64);
     sc.metric("distinct_whatifs", mix.len() as u64);

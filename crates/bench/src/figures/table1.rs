@@ -29,11 +29,11 @@ pub(crate) fn run() -> Report {
             .unwrap_or("MISSING")
     };
 
-    println!("{:<20}{:<28}{:>14}", "section", "operator", "type");
     let mut missing = 0;
+    let mut rows = Vec::new();
     for row in &TABLE1 {
         let t = type_of(row.name);
-        println!("{:<20}{:<28}{:>14}", row.section, row.name, t);
+        rows.push((row.section, row.name, t));
         if t == "MISSING" {
             missing += 1;
         } else {
@@ -41,12 +41,7 @@ pub(crate) fn run() -> Report {
         }
     }
     let total = TABLE1.len();
-
-    println!(
-        "\n(graph also contains the backward-pass and DP-sync operators: {} \
-         distinct families in total)",
-        inventory.len()
-    );
+    sc.table("operators", "section | operator | type", &rows);
 
     sc.metric("forward_rows", total as u64);
     sc.metric("missing_rows", missing as u64);

@@ -1,12 +1,12 @@
 //! # astral-bench — the figure/table regeneration harness
 //!
 //! Every figure and table of the paper's evaluation is a function in
-//! [`FIGURES`]. Each drives a [`Scenario`]: it prints the human-readable
-//! tables and `paper vs measured` footer and returns a machine-readable
-//! [`Report`] — claim, measured series, scalar metrics, wall-clock, and
-//! the rate-solver work counters — so CI can diff reproduction quality
-//! run over run. The `astral-bench` binary runs one figure, several, or
-//! all of them, writing `BENCH_<id>.json` for each:
+//! [`FIGURES`]. Each drives a [`Scenario`] and returns a machine-readable
+//! [`Report`] — claim, the tables it shows, measured series, scalar
+//! metrics, the `paper vs measured` footer, wall-clock, and the
+//! rate-solver work counters — so CI can diff reproduction quality run
+//! over run. Figures print nothing: the `astral-bench` binary prints each
+//! report with [`render`] and writes it as `BENCH_<id>.json`:
 //!
 //! ```sh
 //! cargo run --release -p astral-bench                  # every figure
@@ -18,19 +18,16 @@
 //! Reports land in `$ASTRAL_BENCH_DIR` (default: the working directory).
 //! Scenarios that record `astral-trace` timelines additionally dump them
 //! as JSON-lines under `$ASTRAL_TRACE_DIR` when it is set (see
-//! [`dump_trace_artifact`]) — CI uploads those on failure so a diverging
-//! run can be diagnosed record by record. `validate` checks every report
-//! for the required schema and a known id ([`validate`]); `compare` gates
-//! metric regressions against committed baselines ([`compare_reports`]),
-//! the same check `tests/figures.rs` applies in-process to every fast
-//! figure under debug assertions. `perf_frontier` records the
-//! pod-grouped-vs-joint frontier speedup at 8K–512K GPUs and
-//! `perf_seer_qps` the what-if service's query throughput, cache hit rate
-//! and warm-over-cold speedup; with `appc`'s trace-overhead budget they
-//! are the three figures carrying wall-clock gates. Sweeping figures fan
-//! out on the `ASTRAL_THREADS`-sized pool and emit byte-identical reports
-//! at any width. The end-to-end and per-layer performance benchmark is
-//! the separate `perfbench` package at the repository root.
+//! [`dump_trace_artifact`]). `validate` checks every report for the
+//! required schema and a known id ([`validate`]); `compare` gates metric,
+//! series and table-cell regressions against committed baselines
+//! ([`compare_reports`]), the same check `tests/figures.rs` applies
+//! in-process to every fast figure. Keys and tables named `wall_clock*`
+//! are timing: `compare` exempts them and [`render`] prints them to
+//! stderr. `perf_frontier`, `perf_seer_qps` and `appc` carry wall-clock
+//! gates. Sweeping figures fan out on the `ASTRAL_THREADS`-sized pool and
+//! emit byte-identical reports at any width. The end-to-end and
+//! per-layer performance benchmark is the separate `perfbench` package.
 
 use astral_net::SolverCounters;
 use serde::{Serialize, Value};
@@ -38,6 +35,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 mod check;
+mod render;
 mod figures {
     pub(crate) mod ablation_hash_salt;
     pub(crate) mod ablation_rail_design;
@@ -67,10 +65,30 @@ mod figures {
     pub(crate) mod perf_frontier;
     pub(crate) mod perf_seer_qps;
     pub(crate) mod table1;
+
+    /// Seer on H100s for a given network, calibrated on the `sim_small`
+    /// testbed at TP4×PP2×DP4: how fig13, fig14, fig18 and fig19 price
+    /// their what-ifs.
+    fn calibrated_seer() -> impl Fn(astral_seer::NetworkSpec) -> astral_seer::Seer {
+        use astral_seer::{GpuSpec, Seer, SeerConfig, Testbed};
+        let topo = astral_topo::build_astral(&astral_topo::AstralParams::sim_small());
+        let mut par = astral_model::ParallelismConfig::new(4, 2, 4);
+        par.microbatches = 4;
+        let calibration = Testbed::new(&topo, GpuSpec::h100()).calibrate(&par, 42);
+        move |net| {
+            let calibration = calibration.clone();
+            Seer::new(SeerConfig {
+                gpu: GpuSpec::h100(),
+                net,
+                calibration,
+            })
+        }
+    }
 }
 
 pub use check::{compare_reports, validate};
 pub use figures::fig_gray_failure::gray_aware_trace;
+pub use render::render;
 
 /// One figure or table of the evaluation: its report id, the function
 /// that reproduces it, and whether the in-process test runs it.
@@ -79,8 +97,8 @@ pub struct Figure {
     /// Report id: names `BENCH_<id>.json` and is what `astral-bench <id>`
     /// runs.
     pub id: &'static str,
-    /// Runs the scenario, printing its tables and footer, and returns the
-    /// report without writing it.
+    /// Runs the scenario and returns the report, printing nothing and
+    /// writing nothing ([`render`] prints it, [`Report::write`] saves it).
     pub run: fn() -> Report,
     /// False for the figures with wall-clock gates, which want a release
     /// build on a quiet machine; the in-process test runs every other one.
@@ -154,7 +172,7 @@ pub fn dump_trace_artifact(name: &str, records: &[astral_trace::TraceRecord]) ->
     let path = dir.join(format!("{name}.trace.jsonl"));
     match std::fs::write(&path, astral_trace::to_jsonl(records)) {
         Ok(()) => {
-            println!(
+            eprintln!(
                 "trace artifact: {} ({} records)",
                 path.display(),
                 records.len()
@@ -169,7 +187,7 @@ pub fn dump_trace_artifact(name: &str, records: &[astral_trace::TraceRecord]) ->
 }
 
 /// The machine-readable outcome of one bench scenario — everything the
-/// text output reports, as data.
+/// text output shows, as data.
 #[derive(Debug, Clone)]
 pub struct Report {
     /// Short stable id (`fig02`, `table1`, `ablation_hash_salt`, …); names
@@ -185,6 +203,9 @@ pub struct Report {
     pub series: Vec<(String, Value)>,
     /// Named scalar results.
     pub metrics: Vec<(String, Value)>,
+    /// Named tables the figure shows, each `{"columns": [names], "rows":
+    /// [[cells]]}` with one number or string cell per column.
+    pub tables: Vec<(String, Value)>,
     /// The footer rows: claim vs what this run measured.
     pub paper_vs_measured: Vec<(String, String)>,
     /// Aggregate rate-solver work across every simulation the scenario ran.
@@ -193,19 +214,21 @@ pub struct Report {
 
 impl Report {
     /// Field names every report must carry.
-    pub const REQUIRED_FIELDS: [&'static str; 8] = [
+    pub const REQUIRED_FIELDS: [&'static str; 9] = [
         "id",
         "title",
         "claim",
         "wall_clock_secs",
         "series",
         "metrics",
+        "tables",
         "paper_vs_measured",
         "solver",
     ];
 
-    /// The report as a JSON value (string-keyed maps throughout).
-    fn to_value(&self) -> Value {
+    /// The report as a JSON value (string-keyed maps throughout), the
+    /// input of [`render`].
+    pub fn to_value(&self) -> Value {
         fn obj(pairs: Vec<(String, Value)>) -> Value {
             Value::Map(pairs.into_iter().map(|(k, v)| (Value::Str(k), v)).collect())
         }
@@ -216,6 +239,7 @@ impl Report {
             ("wall_clock_secs".into(), Value::F64(self.wall_clock_secs)),
             ("series".into(), obj(self.series.clone())),
             ("metrics".into(), obj(self.metrics.clone())),
+            ("tables".into(), obj(self.tables.clone())),
             (
                 "paper_vs_measured".into(),
                 obj(self
@@ -248,21 +272,17 @@ impl Report {
     }
 }
 
-/// One figure/table reproduction in flight: prints the banner on creation,
-/// accumulates measured data, and on [`finish`](Scenario::finish) prints
-/// the classic footer and returns the [`Report`].
+/// One figure/table reproduction in flight: accumulates measured data,
+/// and on [`finish`](Scenario::finish) records the footer and returns the
+/// [`Report`]. It prints nothing.
 pub struct Scenario {
     report: Report,
     started: Instant,
 }
 
 impl Scenario {
-    /// Start a scenario: prints the banner (title + paper claim).
+    /// Start a scenario with the banner's title and paper claim.
     pub fn new(id: &str, title: &str, claim: &str) -> Self {
-        println!("================================================================");
-        println!("{title}");
-        println!("paper claim: {claim}");
-        println!("================================================================\n");
         Scenario {
             report: Report {
                 id: id.to_string(),
@@ -271,6 +291,7 @@ impl Scenario {
                 wall_clock_secs: 0.0,
                 series: Vec::new(),
                 metrics: Vec::new(),
+                tables: Vec::new(),
                 paper_vs_measured: Vec::new(),
                 solver: SolverCounters::default(),
             },
@@ -291,6 +312,19 @@ impl Scenario {
         self.report
             .metrics
             .push((name.to_string(), value.to_value()));
+    }
+
+    /// Record a named table. `columns` names its columns, separated by
+    /// `|` as in a markdown table header. Each row serializes to a sequence
+    /// (a tuple, an array, a `Vec`) of one number or string per column,
+    /// which [`validate`] checks.
+    pub fn table<R: Serialize>(&mut self, name: &str, columns: &str, rows: &[R]) {
+        let columns: Vec<&str> = columns.split('|').map(str::trim).collect();
+        let table = [("columns", columns.to_value()), ("rows", rows.to_value())];
+        let table = table.map(|(k, v)| (Value::Str(k.into()), v));
+        self.report
+            .tables
+            .push((name.to_string(), Value::Map(table.into())));
     }
 
     /// Fold in rate-solver counters from a simulation this scenario ran
@@ -336,13 +370,11 @@ impl Scenario {
         &self.report
     }
 
-    /// Print the paper-vs-measured footer, stamp the wall clock, and
-    /// return the report. Writing it is the caller's job (see
-    /// [`Report::write`]).
+    /// Record the paper-vs-measured footer, stamp the wall clock, and
+    /// return the report. Printing and writing it are the caller's job
+    /// (see [`render`] and [`Report::write`]).
     pub fn finish(mut self, rows: &[(&str, String)]) -> Report {
-        println!("\n--- paper vs reproduction ---");
         for (k, v) in rows {
-            println!("  {k}: {v}");
             self.report
                 .paper_vs_measured
                 .push((k.to_string(), v.clone()));
@@ -365,6 +397,7 @@ mod tests {
             wall_clock_secs: 1.5,
             series: vec![("xs".into(), vec![1.0f64, 2.0].to_value())],
             metrics: vec![("m".into(), 3.0f64.to_value())],
+            tables: Vec::new(),
             paper_vs_measured: vec![("k".into(), "v".into())],
             solver: SolverCounters::default(),
         };
@@ -392,6 +425,7 @@ mod tests {
             wall_clock_secs: 0.25,
             series: vec![("pts".into(), vec![(1.0f64, 2.0f64)].to_value())],
             metrics: Vec::new(),
+            tables: Vec::new(),
             paper_vs_measured: Vec::new(),
             solver: SolverCounters::default(),
         };

@@ -7,13 +7,16 @@
 //! astral-bench compare <fresh-dir> <baseline-dir> gate fresh reports on baselines
 //! ```
 //!
-//! Each figure prints its tables and `paper vs reproduction` footer and
-//! writes `BENCH_<id>.json` to `$ASTRAL_BENCH_DIR` (default: the working
-//! directory); a report that cannot be written fails the run. `validate`
+//! After each figure runs, [`render`] prints its report — the banner, its
+//! tables and the `paper vs reproduction` footer, with every `wall_clock*`
+//! table and footer row on stderr — and the report is written to
+//! `$ASTRAL_BENCH_DIR/BENCH_<id>.json` (default: the working directory),
+//! followed by a `report:` line naming the file. Stdout holds nothing
+//! else; a report that cannot be written fails the run. `validate`
 //! reads `$ASTRAL_BENCH_DIR` when no directory is named. `compare` walks
 //! the baseline side, so a committed baseline with no fresh report fails.
 
-use astral_bench::{compare_reports, validate, Figure, FIGURES};
+use astral_bench::{compare_reports, render, validate, Figure, FIGURES};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -32,8 +35,8 @@ fn main() -> ExitCode {
     }
 }
 
-/// Run the figures named by `ids` (every figure when empty), writing each
-/// report as it finishes.
+/// Run the figures named by `ids` (every figure when empty), printing and
+/// writing each report as it finishes.
 fn run_figures(ids: &[String]) -> ExitCode {
     let mut figures: Vec<&Figure> = FIGURES.iter().collect();
     if !ids.is_empty() {
@@ -46,6 +49,15 @@ fn run_figures(ids: &[String]) -> ExitCode {
     }
     for figure in figures {
         let report = (figure.run)();
+        let printed = render(
+            &report.to_value(),
+            &mut std::io::stdout().lock(),
+            &mut std::io::stderr().lock(),
+        );
+        if let Err(e) = printed {
+            eprintln!("error: could not print {}: {e}", report.id);
+            return ExitCode::FAILURE;
+        }
         match report.write() {
             Ok(path) => println!("\nreport: {}", path.display()),
             Err(e) => {
@@ -58,8 +70,10 @@ fn run_figures(ids: &[String]) -> ExitCode {
 }
 
 /// The `BENCH_*.json` files in `dir`, sorted by name.
-fn bench_files(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
-    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)?
+fn bench_files(dir: &Path) -> Result<Vec<PathBuf>, String> {
+    let entries =
+        std::fs::read_dir(dir).map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
+    let mut files: Vec<PathBuf> = entries
         .filter_map(|e| e.ok())
         .map(|e| e.path())
         .filter(|p| {
@@ -72,88 +86,61 @@ fn bench_files(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
     Ok(files)
 }
 
+/// Run `check` on every file, printing `ok` or each of its complaints,
+/// then a count. Fails if any file fails, and with 2 if there is none.
+fn check_files(
+    files: Result<Vec<PathBuf>, String>,
+    check: impl Fn(&Path) -> Result<Vec<String>, String>,
+) -> ExitCode {
+    let files = match files {
+        Ok(files) if !files.is_empty() => files,
+        other => {
+            let e = other
+                .err()
+                .unwrap_or_else(|| "no BENCH_*.json reports found".into());
+            eprintln!("{e}");
+            return ExitCode::from(2);
+        }
+    };
+    let mut failed = 0usize;
+    for path in &files {
+        let complaints = check(path).unwrap_or_else(|e| vec![e]);
+        if complaints.is_empty() {
+            println!("ok   {}", path.display());
+        }
+        for c in &complaints {
+            eprintln!("FAIL {}: {c}", path.display());
+        }
+        failed += usize::from(!complaints.is_empty());
+    }
+    println!("\n{} report(s) checked, {failed} failure(s)", files.len());
+    ExitCode::from(u8::from(failed > 0))
+}
+
+fn read(path: &Path) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))
+}
+
 /// Check every report in `dirs` (`$ASTRAL_BENCH_DIR` or `.` when none is
-/// named) against the schema. Fails if any is malformed or none is found.
+/// named) against the schema.
 fn validate_dirs(dirs: &[String]) -> ExitCode {
     let default = [std::env::var("ASTRAL_BENCH_DIR").unwrap_or_else(|_| ".".into())];
     let dirs = if dirs.is_empty() { &default[..] } else { dirs };
-    let (mut checked, mut failed) = (0usize, 0usize);
-    for dir in dirs {
-        let files = match bench_files(Path::new(dir)) {
-            Ok(files) => files,
-            Err(e) => {
-                eprintln!("cannot read {dir}: {e}");
-                failed += 1;
-                continue;
-            }
-        };
-        for path in files {
-            checked += 1;
-            let checked = std::fs::read_to_string(&path)
-                .map_err(|e| e.to_string())
-                .and_then(|text| validate(&text));
-            match checked {
-                Ok(id) => println!("ok   {} (id={id})", path.display()),
-                Err(e) => {
-                    eprintln!("FAIL {}: {e}", path.display());
-                    failed += 1;
-                }
-            }
-        }
-    }
-    println!("\n{checked} report(s) checked, {failed} failure(s)");
-    if checked == 0 {
-        eprintln!("no BENCH_*.json reports found in {dirs:?}");
-        return ExitCode::from(2);
-    }
-    ExitCode::from(u8::from(failed > 0))
+    let files = dirs
+        .iter()
+        .map(|d| bench_files(Path::new(d)))
+        .collect::<Result<Vec<_>, _>>();
+    check_files(files.map(|f| f.concat()), |path| {
+        validate(&read(path)?).map(|_| Vec::new())
+    })
 }
 
 /// The baseline gate: every `BENCH_*.json` in `baseline_dir` needs a fresh
 /// counterpart in `fresh_dir` that [`compare_reports`] passes. A fresh
 /// report with no baseline is fine.
 fn compare_dirs(fresh_dir: &Path, baseline_dir: &Path) -> ExitCode {
-    let baselines = match bench_files(baseline_dir) {
-        Ok(files) if !files.is_empty() => files,
-        Ok(_) => {
-            eprintln!("no BENCH_*.json baselines in {}", baseline_dir.display());
-            return ExitCode::from(2);
-        }
-        Err(e) => {
-            eprintln!("cannot read baseline dir {}: {e}", baseline_dir.display());
-            return ExitCode::from(2);
-        }
-    };
-    let mut failed = 0usize;
-    for base_path in &baselines {
-        let name = base_path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or("?");
-        let read = |path: &Path, what: &str| {
-            std::fs::read_to_string(path).map_err(|e| format!("cannot read {what}: {e}"))
-        };
-        let complaints = read(base_path, "baseline").and_then(|baseline| {
-            let fresh = read(&fresh_dir.join(name), "fresh report")?;
-            compare_reports(&fresh, &baseline)
-        });
-        match complaints {
-            Ok(complaints) if complaints.is_empty() => println!("ok   {name}"),
-            Ok(complaints) => {
-                for c in &complaints {
-                    eprintln!("FAIL {name}: {c}");
-                }
-                failed += 1;
-            }
-            Err(e) => {
-                eprintln!("FAIL {name}: {e}");
-                failed += 1;
-            }
-        }
-    }
-    println!(
-        "\n{} baseline(s) compared, {failed} regression(s)",
-        baselines.len()
-    );
-    ExitCode::from(u8::from(failed > 0))
+    check_files(bench_files(baseline_dir), |baseline| {
+        let fresh = fresh_dir.join(baseline.file_name().unwrap_or_default());
+        compare_reports(&read(&fresh)?, &read(baseline)?)
+    })
 }

@@ -1,7 +1,8 @@
 //! Pool-width invariance of the bench harness: a [`Scenario::sweep_with`]
 //! over independent training simulations must produce a byte-identical
 //! `Report` — series, metrics, and merged solver counters — at any thread
-//! count, because results and counters are folded in submission order.
+//! count, because results and counters are folded in submission order. A
+//! `Scenario` prints nothing, so these runs leave stdout untouched.
 
 use astral_bench::Scenario;
 use astral_core::{try_run_training, FaultScript, RecoveryPolicy, TrainingJobSpec};
@@ -14,8 +15,8 @@ fn topo() -> Topology {
 }
 
 /// Run the fig10-style interval sweep on an explicit pool and return the
-/// report JSON (wall clock is still zero — `finish` is never called, so
-/// nothing is printed or written to disk beyond the banner).
+/// report JSON (wall clock is still zero — `finish` is never called, and
+/// nothing is written to disk).
 fn sweep_report_json(pool: &Pool, seed: u64) -> String {
     let topo = topo();
     let mut sc = Scenario::new("test_sweep", "pool-width invariance", "claim");
