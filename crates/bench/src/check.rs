@@ -1,6 +1,6 @@
 //! Report checks: the schema every `BENCH_<id>.json` must follow, and
-//! the baseline comparison that gates metric, series and table-cell
-//! regressions.
+//! the baseline comparison that gates metric, series, table-cell, solver
+//! counter and report text regressions.
 
 use crate::render::{entries, get, is_timing};
 use crate::{Report, FIGURES};
@@ -80,13 +80,19 @@ const COMPARE_REL_TOL: f64 = 1e-6;
 /// complaints use, and whether values must match exactly (work counters
 /// are integers that no libm call touches) or within [`COMPARE_REL_TOL`].
 /// Table cells are compared like series points: strings exactly, numbers
-/// within the tolerance, and row counts must agree.
-const COMPARED: [(&str, &str, bool); 4] = [
+/// within the tolerance, and row counts must agree. Footer rows are
+/// strings, compared exactly.
+const COMPARED: [(&str, &str, bool); 5] = [
     ("metrics", "metric", false),
     ("series", "series", false),
     ("tables", "table", false),
     ("solver", "solver counter", true),
+    (FOOTER, "footer row", true),
 ];
+
+/// The footer section: its key set is gated whole, `wall_clock` rows
+/// included, and only those rows' text is exempt.
+const FOOTER: &str = "paper_vs_measured";
 
 fn numeric(v: &Value) -> Option<f64> {
     match *v {
@@ -141,24 +147,30 @@ fn drift(want: &Value, got: &Value, exact: bool) -> Option<String> {
 }
 
 /// One baseline report vs its fresh counterpart. Returns the list of
-/// complaints (empty = pass): drifted or missing baseline metrics, series,
-/// tables and solver counters, and fresh ones the baseline does not pin.
-/// Metrics, series and table cells match within relative 1e-6 (strings
-/// exactly), counters exactly, and keys and table names prefixed
-/// `wall_clock` are timing, exempt both ways.
+/// complaints (empty = pass): a drifted title or claim; drifted or missing
+/// baseline metrics, series, tables, solver counters and footer rows; and
+/// fresh ones the baseline does not pin. Metrics, series and table cells
+/// match within relative 1e-6 (strings exactly), counters, title, claim
+/// and footer rows exactly. Keys and table names prefixed `wall_clock`
+/// are timing, exempt both ways, except in the footer, where a
+/// `wall_clock` row's text is exempt but its key is gated like any other.
 pub fn compare_reports(fresh: &str, baseline: &str) -> Result<Vec<String>, String> {
     let parse = |text| serde_json::from_str(text).map_err(|e| format!("parse error: {e}"));
     let (fresh, baseline): (Value, Value) = (parse(fresh)?, parse(baseline)?);
     let mut complaints = Vec::new();
+    for field in ["title", "claim"] {
+        if let Some(d) = drift(get(&baseline, field), get(&fresh, field), true) {
+            complaints.push(format!("{field} drifted{d}"));
+        }
+    }
     for (name, noun, exact) in COMPARED {
+        let gated = |key: &str| name == FOOTER || !is_timing(key);
         let fresh = section_of(&fresh, name)?;
         let baseline = section_of(&baseline, name)?;
-        for (key, want) in &baseline {
-            if is_timing(key) {
-                continue;
-            }
+        for (key, want) in baseline.iter().filter(|(k, _)| gated(k)) {
             match fresh.iter().find(|(k, _)| k == key) {
                 None => complaints.push(format!("{noun} `{key}` missing from the fresh report")),
+                Some(_) if is_timing(key) => {}
                 Some((_, got)) => {
                     if let Some(d) = drift(want, got, exact) {
                         complaints.push(format!("{noun} `{key}` drifted{d}"));
@@ -167,7 +179,7 @@ pub fn compare_reports(fresh: &str, baseline: &str) -> Result<Vec<String>, Strin
             }
         }
         for (key, _) in &fresh {
-            if !is_timing(key) && !baseline.iter().any(|(k, _)| k == key) {
+            if gated(key) && !baseline.iter().any(|(k, _)| k == key) {
                 complaints.push(format!("{noun} `{key}` has no baseline value"));
             }
         }
@@ -190,9 +202,20 @@ mod tests {
     }
 
     fn with_tables(metrics: &str, series: &str, solver: &str, tables: &str) -> String {
+        with_text(
+            metrics,
+            series,
+            solver,
+            tables,
+            r#""claim": "c", "paper_vs_measured": {"k": "v"}"#,
+        )
+    }
+
+    /// A report with `text` (claim and footer fields) beside the sections.
+    fn with_text(metrics: &str, series: &str, solver: &str, tables: &str, text: &str) -> String {
         format!(
             "{{\"metrics\": {{{metrics}}}, \"series\": {{{series}}}, \
-             \"tables\": {{{tables}}}, \"solver\": {{{solver}}}}}"
+             \"tables\": {{{tables}}}, \"solver\": {{{solver}}}, {text}}}"
         )
     }
 
@@ -262,6 +285,49 @@ mod tests {
         );
         let uncounted = full(metrics, series, "");
         assert_eq!(compare_reports(&uncounted, &base).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn compare_gates_claim_and_footer_text() {
+        let text = |t: &str| with_text(r#""a": 1.0"#, "", r#""events": 7"#, "", t);
+        let footer =
+            |rows: &str| text(&format!(r#""claim": "c", "paper_vs_measured": {{{rows}}}"#));
+        let base = footer(r#""k": "v", "wall_clock_run": "took 3 ms""#);
+        // A timing row's text is exempt; its key is not.
+        let timing = footer(r#""k": "v", "wall_clock_run": "took 9 ms""#);
+        assert_eq!(
+            compare_reports(&timing, &base).unwrap(),
+            Vec::<String>::new()
+        );
+        assert_eq!(
+            compare_reports(&footer(r#""k": "v""#), &base).unwrap(),
+            ["footer row `wall_clock_run` missing from the fresh report"]
+        );
+        let renamed = footer(r#""k2": "v", "wall_clock_run": "took 3 ms""#);
+        assert_eq!(
+            compare_reports(&renamed, &base).unwrap(),
+            [
+                "footer row `k` missing from the fresh report",
+                "footer row `k2` has no baseline value"
+            ]
+        );
+        let row = footer(r#""k": "w", "wall_clock_run": "took 3 ms""#);
+        assert_eq!(
+            compare_reports(&row, &base).unwrap(),
+            [r#"footer row `k` drifted: baseline Str("v"), fresh Str("w")"#]
+        );
+        let claim = text(r#""claim": "d", "paper_vs_measured": {"k": "v", "wall_clock_run": "x"}"#);
+        assert_eq!(
+            compare_reports(&claim, &base).unwrap(),
+            [r#"claim drifted: baseline Str("c"), fresh Str("d")"#]
+        );
+        let titled = text(
+            r#""title": "t", "claim": "c", "paper_vs_measured": {"k": "v", "wall_clock_run": "x"}"#,
+        );
+        assert_eq!(
+            compare_reports(&titled, &base).unwrap(),
+            ["title drifted: baseline Null, fresh Str(\"t\")"]
+        );
     }
 
     #[test]

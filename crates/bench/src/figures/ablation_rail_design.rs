@@ -39,9 +39,10 @@ pub(crate) fn run() -> Report {
     let mut sc = Scenario::new(
         "ablation_rail_design",
         "Ablation: tier-2 design (P1) — same-rail vs full interconnect vs rail-only",
-        "same-rail aggregation maximizes rail scale; rail-only forces \
-         cross-rail traffic through NVLink; full interconnect splits rail \
-         capacity",
+        "same-rail aggregation maximizes rail scale; at 16 hosts the \
+         same-rail AllReduce is NIC-bound on every fabric and PXN relays the \
+         same cross-rail bytes over NVLink on each, so the mixed all-to-all \
+         separates them, fastest on astral",
     );
 
     let mut params = AstralParams::sim_small();
@@ -84,18 +85,17 @@ pub(crate) fn run() -> Report {
         (
             "same-rail collectives",
             format!(
-                "astral {:.2} ms vs rail-optimized {:.2} ms — full tier-2 \
-                 interconnect splits each ToR's uplink capacity across all \
-                 rails",
-                rows[0].1, rows[1].1
+                "astral {:.2} ms, rail-optimized {:.2} ms, rail-only {:.2} ms \
+                 — NIC-bound at 16 hosts, so the tier-2 design leaves it alone",
+                rows[0].1, rows[1].1, rows[2].1
             ),
         ),
         (
             "cross-rail all-to-all",
             format!(
-                "rail-only relays {} NVLink bytes (no Core tier) vs astral's \
-                 {} — the paper's MoE scalability objection to rail-only",
-                rows[2].3, rows[0].3
+                "astral {:.2} ms vs rail-optimized {:.2} ms and rail-only \
+                 {:.2} ms; PXN relays {}, {} and {} NVLink bytes",
+                rows[0].2, rows[1].2, rows[2].2, rows[0].3, rows[1].3, rows[2].3
             ),
         ),
     ])

@@ -18,8 +18,10 @@ use crate::plan::{
     pairwise_all_to_all, ring_all_gather, ring_all_reduce, ring_broadcast, ring_reduce_scatter,
     send_recv, Schedule, Transfer,
 };
-use astral_net::{FlowSpec, FlowState, NetConfig, NetworkSim, QpContext, QpId, SolverCounters};
-use astral_sim::{MulHashMap, SimDuration};
+use astral_net::{
+    FlowId, FlowSpec, FlowState, NetConfig, NetworkSim, QpContext, QpId, SolverCounters,
+};
+use astral_sim::{MulHashMap, SimDuration, SimTime};
 use astral_topo::{GpuId, NodeId, Topology};
 use std::collections::BTreeMap;
 
@@ -66,6 +68,27 @@ impl CollectiveResult {
             bytes_per_rank as f64 * 8.0 / secs
         }
     }
+}
+
+/// What one step did: its duration, the bytes it moved over the network
+/// and over NVLink, and its failed flows.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct StepOutcome {
+    duration: SimDuration,
+    network_bytes: u64,
+    nvlink_bytes: u64,
+    failed_flows: usize,
+}
+
+/// The state one [`CollectiveRunner::run_stream`] call keeps across its
+/// steps.
+struct Stream {
+    /// Group id recorded in the QP contexts the call registers.
+    group_id: u32,
+    /// Scratch: the flow ids of the step being simulated.
+    flow_ids: Vec<FlowId>,
+    /// The recording of the current run of equal steps, if any.
+    recorded: Option<memo::RecordedStep>,
 }
 
 /// Drives collective schedules over a borrowed topology.
@@ -152,6 +175,15 @@ impl<'a> CollectiveRunner<'a> {
     /// call instead of simulating it (see [`NetworkSim::apply_segment`]).
     pub fn reapplied_calls(&self) -> u64 {
         self.memo.reapplied
+    }
+
+    /// Steps of [`CollectiveRunner::run_stream`] (and so of every
+    /// collective) answered by re-applying the recorded step before them
+    /// instead of simulating: a step equal to its predecessor, on a quiet
+    /// simulator whose generation has not moved since the recording, with
+    /// the same gap from the simulator's clock to the step's start.
+    pub fn reapplied_steps(&self) -> u64 {
+        self.memo.reapplied_steps
     }
 
     /// Ring AllReduce over `group`, hierarchical when HB domains allow.
@@ -275,14 +307,14 @@ impl<'a> CollectiveRunner<'a> {
     /// is the frontier-scale entry point — a 512K-rank AllReduce streams
     /// one step of transfers at a time into the simulator's solver domains
     /// instead of materializing the cluster-wide `Vec<Vec<Transfer>>`
-    /// (see [`crate::plan::ring_all_reduce_step_into`]).
+    /// (see [`crate::plan::ring_all_reduce_step_into`]). A step that
+    /// repeats its predecessor may re-apply a recorded step instead of
+    /// simulating (see [`CollectiveRunner::reapplied_steps`]).
     pub fn run_stream(
         &mut self,
         group: &[GpuId],
         mut next_step: impl FnMut(usize, &mut Vec<Transfer>) -> bool,
     ) -> CollectiveResult {
-        let topo = self.sim.topology();
-        let hb = topo.hb_domain();
         let group_id = self.group_ctr;
         self.group_ctr += 1;
 
@@ -294,86 +326,27 @@ impl<'a> CollectiveRunner<'a> {
         let mut nvlink_bytes = 0u64;
         let mut failed = 0usize;
 
-        // Reused across steps: one step's transfers and its flow ids.
+        // Reused across steps: this step's transfers and the previous
+        // step's.
         let mut step_buf: Vec<Transfer> = Vec::new();
-        let mut flow_ids: Vec<astral_net::FlowId> = Vec::new();
+        let mut prev_buf: Vec<Transfer> = Vec::new();
+        let mut stream = Stream {
+            group_id,
+            flow_ids: Vec::new(),
+            recorded: None,
+        };
 
         let mut k = 0usize;
         while next_step(k, &mut step_buf) {
+            let repeat = k > 0 && step_buf == prev_buf;
             k += 1;
-            let step_start = virtual_now;
-            flow_ids.clear();
-
-            for &Transfer { src, dst, bytes } in &step_buf {
-                if bytes == 0 || src == dst {
-                    continue;
-                }
-                let (sg, dg) = (group[src], group[dst]);
-                let topo = self.sim.topology();
-                if topo.same_hb_domain(sg, dg) {
-                    self.nvlink.add(sg, bytes, 0);
-                    self.nvlink.add(dg, 0, bytes);
-                    nvlink_bytes += bytes;
-                    continue;
-                }
-                // Network transfer: pick injection NIC.
-                let (src_nic, dst_nic, relay_nvlink) = self.plan_nics(sg, dg);
-                if relay_nvlink {
-                    // PXN forwarding consumes NVLink at the source.
-                    self.nvlink.add(sg, bytes, 0);
-                    nvlink_bytes += bytes;
-                }
-                let qp = self.qp_for(src_nic, dst_nic, group_id, sg, dg);
-                let id = self
-                    .sim
-                    .inject_at(
-                        step_start,
-                        FlowSpec {
-                            qp,
-                            bytes,
-                            weight: 1.0,
-                        },
-                    )
-                    .unwrap_or_else(|e| {
-                        panic!(
-                            "{sg}→{dg} even with PXN on {}: {e}",
-                            self.sim.topology().arch()
-                        )
-                    });
-                network_bytes += bytes;
-                flow_ids.push(id);
-            }
-
-            self.sim.run_until_idle();
-            let net_end = if flow_ids.is_empty() {
-                step_start
-            } else {
-                flow_ids
-                    .iter()
-                    .map(|&id| {
-                        let (state, finish) =
-                            self.sim.flow_outcome(id).expect("retired mid-collective");
-                        if state == FlowState::Failed {
-                            failed += 1;
-                        }
-                        finish.unwrap_or(self.sim.now())
-                    })
-                    .max()
-                    .unwrap()
-            };
-
-            // NVLink time: the busiest GPU's port serializes its bytes.
-            let nv_worst = self.nvlink.take_worst();
-            let nv_time = if nv_worst > 0 {
-                SimDuration::from_secs_f64(nv_worst as f64 * 8.0 / hb.bandwidth_bps) + hb.latency
-            } else {
-                SimDuration::ZERO
-            };
-
-            let net_time = net_end.saturating_since(step_start);
-            let step_dur = net_time.max(nv_time) + STEP_OVERHEAD;
-            step_durations.push(step_dur);
-            virtual_now = step_start + step_dur;
+            let step = self.run_step(group, &step_buf, virtual_now, repeat, &mut stream);
+            network_bytes += step.network_bytes;
+            nvlink_bytes += step.nvlink_bytes;
+            failed += step.failed_flows;
+            step_durations.push(step.duration);
+            virtual_now += step.duration;
+            std::mem::swap(&mut step_buf, &mut prev_buf);
         }
 
         CollectiveResult {
@@ -383,6 +356,81 @@ impl<'a> CollectiveRunner<'a> {
             nvlink_bytes,
             failed_flows: failed,
             solver: self.sim.solver_counters().since(&solver_before),
+        }
+    }
+
+    /// Simulate one step starting at `step_start`: inject its network
+    /// transfers, run the simulator until idle, and time the step by its
+    /// slower of network and NVLink, plus [`STEP_OVERHEAD`].
+    fn simulate_step(
+        &mut self,
+        group: &[GpuId],
+        step: &[Transfer],
+        step_start: SimTime,
+        stream: &mut Stream,
+    ) -> StepOutcome {
+        let hb = self.sim.topology().hb_domain();
+        let (mut network_bytes, mut nvlink_bytes) = (0u64, 0u64);
+        let flow_ids = &mut stream.flow_ids;
+        flow_ids.clear();
+        for &Transfer { src, dst, bytes } in step {
+            if bytes == 0 || src == dst {
+                continue;
+            }
+            let (sg, dg) = (group[src], group[dst]);
+            if self.sim.topology().same_hb_domain(sg, dg) {
+                self.nvlink.add(sg, bytes, 0);
+                self.nvlink.add(dg, 0, bytes);
+                nvlink_bytes += bytes;
+                continue;
+            }
+            // Network transfer: pick injection NIC.
+            let (src_nic, dst_nic, relay_nvlink) = self.plan_nics(sg, dg);
+            if relay_nvlink {
+                // PXN forwarding consumes NVLink at the source.
+                self.nvlink.add(sg, bytes, 0);
+                nvlink_bytes += bytes;
+            }
+            let qp = self.qp_for(src_nic, dst_nic, stream.group_id, sg, dg);
+            let spec = FlowSpec {
+                qp,
+                bytes,
+                weight: 1.0,
+            };
+            let id = self.sim.inject_at(step_start, spec).unwrap_or_else(|e| {
+                panic!(
+                    "{sg}→{dg} even with PXN on {}: {e}",
+                    self.sim.topology().arch()
+                )
+            });
+            network_bytes += bytes;
+            flow_ids.push(id);
+        }
+
+        self.sim.run_until_idle();
+        let mut failed_flows = 0;
+        let mut net_end = step_start;
+        for &id in flow_ids.iter() {
+            let (state, finish) = self.sim.flow_outcome(id).expect("retired mid-collective");
+            if state == FlowState::Failed {
+                failed_flows += 1;
+            }
+            net_end = net_end.max(finish.unwrap_or(self.sim.now()));
+        }
+
+        // NVLink time: the busiest GPU's port serializes its bytes.
+        let nv_worst = self.nvlink.take_worst();
+        let nv_time = if nv_worst > 0 {
+            SimDuration::from_secs_f64(nv_worst as f64 * 8.0 / hb.bandwidth_bps) + hb.latency
+        } else {
+            SimDuration::ZERO
+        };
+        let net_time = net_end.saturating_since(step_start);
+        StepOutcome {
+            duration: net_time.max(nv_time) + STEP_OVERHEAD,
+            network_bytes,
+            nvlink_bytes,
+            failed_flows,
         }
     }
 
@@ -458,7 +506,6 @@ pub fn merge_parallel(parts: Vec<(Schedule, Vec<usize>)>) -> Schedule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use astral_sim::SimTime;
     use astral_topo::{build_astral, build_rail_only, AstralParams};
 
     fn topo() -> Topology {

@@ -1,4 +1,4 @@
-//! The runner's one-entry memo of a repeated collective.
+//! The runner's memos of a repeated collective and of a repeated step.
 //!
 //! A training job runs the same gradient collective every iteration, and
 //! between faults nothing the simulator reads changes: the collective
@@ -12,14 +12,26 @@
 //! applying the recording instead of simulating. A runner that never
 //! repeats a call records nothing.
 //!
-//! Debug builds check every apply against a real simulation of the call on
-//! a fork of the simulator: flow records, telemetry, solver counters,
-//! clock, sequence numbers, trace records and the result must be equal.
+//! Inside one call, a ring's steps repeat the same way: each of its
+//! 2(n−1) steps is the same transfer list, and each starts on a quiet
+//! simulator. [`CollectiveRunner::run_stream`] keeps the previous step's
+//! transfers; a step equal to them is simulated while the simulator
+//! records it, and a later equal step whose start lies as far past the
+//! simulator's clock as the recorded one's did, at the generation the
+//! recording ended at, is answered by applying the recording. So a ring
+//! simulates its first step, records its second and applies the rest. The
+//! simulator holds one recording at a time, so the step memo neither
+//! records nor applies while a call is being recorded.
+//!
+//! Debug builds check every apply against a real simulation of the call
+//! or step on a fork of the simulator: flow records, telemetry, solver
+//! counters, clock, sequence numbers, trace records and the result must
+//! be equal.
 
-use super::{CollectiveResult, CollectiveRunner};
-use crate::plan::Schedule;
+use super::{CollectiveResult, CollectiveRunner, StepOutcome, Stream};
+use crate::plan::{Schedule, Transfer};
 use astral_net::Segment;
-use astral_sim::Digest;
+use astral_sim::{Digest, SimDuration, SimTime};
 use astral_topo::GpuId;
 
 /// The last call's key and the recorded call, if any.
@@ -30,6 +42,19 @@ pub(super) struct Memo {
     recorded: Option<Recorded>,
     /// Calls answered from the recording.
     pub(super) reapplied: u64,
+    /// Steps answered from a recorded step.
+    pub(super) reapplied_steps: u64,
+}
+
+/// One recorded step of a [`CollectiveRunner::run_stream`] call: how far
+/// past the simulator's clock it started, the generation it ended at, and
+/// what it did.
+#[derive(Debug)]
+pub(super) struct RecordedStep {
+    gap: SimDuration,
+    generation: u64,
+    segment: Segment,
+    outcome: StepOutcome,
 }
 
 /// One recorded call: what it ran, where the simulator stood when it
@@ -141,11 +166,96 @@ impl<'a> CollectiveRunner<'a> {
         group: &[GpuId],
         schedule: &Schedule,
     ) -> (astral_net::NetworkSim<'a>, CollectiveResult) {
+        let group_ctr = self.group_ctr;
+        let fork = self.on_fork(|r| r.run_steps(group, schedule));
+        self.group_ctr = group_ctr;
+        fork
+    }
+
+    /// Debug: run `f` on a fork of the simulator; returns the fork and
+    /// what `f` returned. `f` must register no QP: the QP cache is the
+    /// runner's, not the fork's.
+    #[cfg(debug_assertions)]
+    fn on_fork<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> (astral_net::NetworkSim<'a>, R) {
         let fork = self.sim.clone();
         let kept = std::mem::replace(&mut self.sim, fork);
-        let group_ctr = self.group_ctr;
-        let result = self.run_steps(group, schedule);
-        self.group_ctr = group_ctr;
-        (std::mem::replace(&mut self.sim, kept), result)
+        let qps = self.qp_cache.len();
+        let out = f(self);
+        assert_eq!(self.qp_cache.len(), qps, "a fork registered a QP");
+        (std::mem::replace(&mut self.sim, kept), out)
+    }
+
+    /// One step of a [`CollectiveRunner::run_stream`] call through the
+    /// step memo: apply the recorded step when this one repeats it, else
+    /// simulate, recording the step when it repeats its predecessor.
+    /// Nothing is recorded or applied while a call is being recorded, and
+    /// a step that moved no network bytes is not kept.
+    pub(super) fn run_step(
+        &mut self,
+        group: &[GpuId],
+        step: &[Transfer],
+        step_start: SimTime,
+        repeat: bool,
+        stream: &mut Stream,
+    ) -> StepOutcome {
+        if !repeat {
+            stream.recorded = None;
+        }
+        if !repeat || self.sim.recording() {
+            return self.simulate_step(group, step, step_start, stream);
+        }
+        let gap = step_start.saturating_since(self.sim.now());
+        let matches = |r: &&RecordedStep| {
+            r.gap == gap && r.generation == self.sim.generation() && self.sim.is_quiet()
+        };
+        if let Some(rec) = stream.recorded.as_ref().filter(matches) {
+            return self.reapply_step(group, step, step_start, stream.group_id, rec);
+        }
+        // A busy simulator records nothing, and then finishing returns None.
+        self.sim.record_segment();
+        let outcome = self.simulate_step(group, step, step_start, stream);
+        let segment = self.sim.finish_segment();
+        if let Some(segment) = segment.filter(|_| outcome.network_bytes > 0) {
+            stream.recorded = Some(RecordedStep {
+                gap,
+                generation: self.sim.generation(),
+                segment,
+                outcome,
+            });
+        }
+        outcome
+    }
+
+    /// Answer a step that matches the recording by applying it.
+    fn reapply_step(
+        &mut self,
+        group: &[GpuId],
+        step: &[Transfer],
+        step_start: SimTime,
+        group_id: u32,
+        rec: &RecordedStep,
+    ) -> StepOutcome {
+        #[cfg(debug_assertions)]
+        let (real_sim, real) = self.on_fork(|r| {
+            let mut scratch = Stream {
+                group_id,
+                flow_ids: Vec::new(),
+                recorded: None,
+            };
+            r.simulate_step(group, step, step_start, &mut scratch)
+        });
+        #[cfg(not(debug_assertions))]
+        let _ = (group, step, step_start, group_id);
+        self.sim.apply_segment(&rec.segment);
+        self.memo.reapplied_steps += 1;
+        #[cfg(debug_assertions)]
+        {
+            self.sim.assert_same_outcome(&real_sim);
+            assert_eq!(
+                rec.outcome, real,
+                "re-applied step differs from the real step"
+            );
+        }
+        rec.outcome
     }
 }

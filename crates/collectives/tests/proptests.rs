@@ -1,10 +1,12 @@
 //! Property-based tests for collective schedules and cost models.
 
 use astral_collectives::{
-    cost, halving_doubling_all_reduce, pairwise_all_to_all, ring_all_gather, ring_all_reduce,
-    ring_broadcast, ring_reduce_scatter, send_recv, CollectiveRunner, RunnerConfig, Schedule,
+    cost, halving_doubling_all_reduce, merge_parallel, pairwise_all_to_all, ring_all_gather,
+    ring_all_reduce, ring_all_reduce_step_into, ring_broadcast, ring_reduce_scatter, send_recv,
+    CollectiveResult, CollectiveRunner, RunnerConfig, Schedule, STEP_OVERHEAD,
 };
 use astral_net::QpId;
+use astral_sim::{SimDuration, SimTime};
 use astral_topo::{build_astral, AstralParams, GpuId, LinkId, Topology};
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -66,6 +68,106 @@ fn mutate(runner: &mut CollectiveRunner<'_>, kind: u8, pick: u64) -> bool {
     }
     sim.run_until_idle();
     true
+}
+
+/// Steps a run of `len` equal steps re-applies: the first is simulated,
+/// the second recorded, the rest applied.
+fn run_reapplies(len: usize) -> u64 {
+    len.saturating_sub(2) as u64
+}
+
+/// The GPUs of `hosts`, host-major, on the small fabric (4 per host, one
+/// HB domain each).
+fn host_gpus(hosts: &[u32]) -> Vec<GpuId> {
+    hosts
+        .iter()
+        .flat_map(|&h| (0..4).map(move |i| GpuId(h * 4 + i)))
+        .collect()
+}
+
+/// Run `op` on a fresh runner: 0–2 ring ReduceScatter, AllGather and
+/// AllReduce on `gpus`; 3 the hierarchical AllReduce over `hosts`' GPUs;
+/// 4 a streamed ring AllReduce on `gpus` whose step `odd` sends one byte
+/// more on its first transfer. Returns the group, the schedule that ran,
+/// the result, and the steps a quiet, idle fabric must re-apply.
+fn run_step_op(
+    op: u8,
+    gpus: Vec<GpuId>,
+    hosts: &[u32],
+    bytes: u64,
+    odd: u64,
+    traced: bool,
+) -> (Vec<GpuId>, Schedule, CollectiveResult, u64, u64) {
+    let mut cfg = RunnerConfig::default();
+    cfg.net.trace = traced;
+    let mut runner = CollectiveRunner::new(small_fabric(), cfg);
+    let n = gpus.len();
+    let (group, schedule, want) = match op {
+        0 => (gpus, ring_reduce_scatter(n, bytes), run_reapplies(n - 1)),
+        1 => (gpus, ring_all_gather(n, bytes), run_reapplies(n - 1)),
+        2 => (gpus, ring_all_reduce(n, bytes), run_reapplies(2 * n - 2)),
+        3 => {
+            let (local, d) = (4, hosts.len());
+            // Each phase runs one ring per domain or per local index, all
+            // at once; only the inter-domain rings cross the network.
+            let intra = |ring: Schedule| {
+                merge_parallel(
+                    (0..d)
+                        .map(|h| (ring.clone(), (0..local).map(|i| h * local + i).collect()))
+                        .collect(),
+                )
+            };
+            let inter = merge_parallel(
+                (0..local)
+                    .map(|i| {
+                        (
+                            ring_all_reduce(d, bytes / local as u64),
+                            (0..d).map(|h| h * local + i).collect(),
+                        )
+                    })
+                    .collect(),
+            );
+            let schedule = intra(ring_reduce_scatter(local, bytes))
+                .then(inter)
+                .then(intra(ring_all_gather(local, bytes)));
+            (host_gpus(hosts), schedule, run_reapplies(2 * d - 2))
+        }
+        _ => {
+            let len = 2 * n - 2;
+            let j = (odd % len as u64) as usize;
+            let mut steps = ring_all_reduce(n, bytes).steps;
+            steps[j][0].bytes += 1;
+            let want = run_reapplies(j) + run_reapplies(len - 1 - j);
+            (gpus, Schedule { steps }, want)
+        }
+    };
+    let odd = (odd % (2 * n as u64 - 2)) as usize;
+    let res = match op {
+        0 => runner.reduce_scatter(&group, bytes),
+        1 => runner.all_gather(&group, bytes),
+        2 => runner.all_reduce_flat(&group, bytes),
+        3 => runner.all_reduce(&group, bytes),
+        _ => runner.run_stream(&group, |k, buf| {
+            let more = ring_all_reduce_step_into(n, bytes, k, buf);
+            if more && k == odd {
+                buf[0].bytes += 1;
+            }
+            more
+        }),
+    };
+    let reapplied = runner.reapplied_steps();
+    (group, schedule, res, want, reapplied)
+}
+
+/// Schedule `kind` of link event on `link` at `at`: 0 a degrade, 1 a
+/// fail, 2 a restore of the link degraded before the call.
+fn schedule_event(runner: &mut CollectiveRunner<'_>, kind: u8, link: LinkId, at: SimTime) {
+    let sim = runner.sim_mut();
+    match kind {
+        0 => sim.degrade_link_at(at, link, 0.5),
+        1 => sim.fail_link_at(at, link),
+        _ => sim.restore_link_at(at, link),
+    }
 }
 
 proptest! {
@@ -200,6 +302,89 @@ proptest! {
                 prop_assert!(since != 2 || reapplied > 0, "three identical calls, none re-applied");
                 since += 1;
             }
+        }
+    }
+    /// The runner's memo of a repeated step. Ring ReduceScatter,
+    /// AllGather and AllReduce, the hierarchical AllReduce and a streamed
+    /// ring AllReduce with one odd-bytes step, each on a fresh runner over
+    /// an idle fabric, traced or not. Every call moves exactly its
+    /// schedule's bytes, and each run of equal steps that crosses the
+    /// network re-applies all its steps but the first two: an n-rank ring
+    /// AllReduce re-applies 2n − 4. Debug builds check every re-applied
+    /// step against a real simulation of it on a fork.
+    #[test]
+    fn runner_reapplies_repeated_steps(
+        op in 0u8..5,
+        gpus in prop::collection::btree_set(0u32..256, 2..8),
+        hosts in prop::collection::btree_set(0u32..64, 2..6),
+        chunks in 1u64..5,
+        odd in any::<u64>(),
+        traced in any::<bool>(),
+    ) {
+        let gpus: Vec<GpuId> = gpus.into_iter().map(GpuId).collect();
+        let hosts: Vec<u32> = hosts.into_iter().collect();
+        let bytes = chunks * 32 * (64 << 10);
+        let (group, schedule, res, want, reapplied) =
+            run_step_op(op, gpus, &hosts, bytes, odd, traced);
+        prop_assert_eq!(
+            (res.network_bytes, res.nvlink_bytes),
+            expected_bytes(small_fabric(), &group, &schedule)
+        );
+        prop_assert_eq!(res.failed_flows, 0);
+        prop_assert_eq!(res.step_durations.len(), schedule.steps.len());
+        let want = if res.network_bytes > 0 { want } else { 0 };
+        prop_assert_eq!(reapplied, want);
+    }
+
+    /// A link degrade, fail or restore scheduled inside a ring AllReduce,
+    /// at a point of its first step or of the gap after it. Nothing is
+    /// re-applied before the event fires (the simulator is not quiet), and
+    /// it moves the generation, so the step after it is recorded afresh.
+    /// When it fired after the step's last flow finished, the next step
+    /// starts closer to the clock than the steps after it, so the step
+    /// after that is recorded again: 2n − 4 re-applies, one fewer in that
+    /// case, and none counted on when a flow failed. Debug builds check
+    /// every re-applied step against a real simulation of it.
+    #[test]
+    fn scheduled_event_defers_step_reapplies(
+        hosts in prop::collection::btree_set(0u32..64, 3..7),
+        kind in 0u8..3,
+        at in 0.0f64..1.0,
+        pick in any::<u64>(),
+        traced in any::<bool>(),
+    ) {
+        let topo = small_fabric();
+        let group: Vec<GpuId> = hosts.into_iter().map(|h| GpuId(h * 4)).collect();
+        let n = group.len();
+        let uplinks: Vec<LinkId> =
+            group.iter().flat_map(|&g| topo.out_links(topo.gpu_nic(g)).to_vec()).collect();
+        let link = uplinks[(pick % uplinks.len() as u64) as usize];
+        let bytes = 16u64 << 20;
+        let runner = || {
+            let mut cfg = RunnerConfig::default();
+            cfg.net.trace = traced;
+            let mut r = CollectiveRunner::new(topo, cfg);
+            if kind == 2 {
+                r.sim_mut().degrade_link_at(SimTime::ZERO, link, 0.5);
+                r.sim_mut().run_until_idle();
+            }
+            r
+        };
+        // The same call undisturbed places the event inside its first
+        // step or the gap after it.
+        let first = runner().all_reduce_flat(&group, bytes).step_durations[0];
+        let mut r = runner();
+        let start = r.sim().now();
+        let fire = start + SimDuration::from_nanos((first.as_nanos() as f64 * at) as u64);
+        schedule_event(&mut r, kind, link, fire);
+        let res = r.all_reduce_flat(&group, bytes);
+        let full = 2 * n as u64 - 4;
+        if res.failed_flows == 0 {
+            let flows_end = start + (res.step_durations[0] - STEP_OVERHEAD);
+            let want = full - u64::from(fire > flows_end);
+            prop_assert_eq!(r.reapplied_steps(), want);
+        } else {
+            prop_assert!(r.reapplied_steps() <= full);
         }
     }
 }

@@ -342,6 +342,9 @@ pub struct NetworkSim<'a> {
     generation: u64,
     /// The segment being recorded, if any (see [`Segment`]).
     segment: Option<Box<segment::SegmentLog>>,
+    /// Links whose counters the open recording has snapshotted: the links
+    /// it could write, so recording costs their number, not the fabric's.
+    segment_links: LinkSet,
     /// The incremental rate allocator: owns the active set, the persistent
     /// flow↔link incidence, and the per-link used aggregate.
     solver: FairShareSolver,
@@ -430,6 +433,7 @@ impl<'a> NetworkSim<'a> {
             next_seq: 0,
             generation: 0,
             segment: None,
+            segment_links: LinkSet::new(topo.links().len()),
             solver,
             link_cap: caps.clone(),
             eff_cap: caps.clone(),
@@ -731,6 +735,8 @@ impl<'a> NetworkSim<'a> {
         let slot = self.take_slot(rec);
         if let Some(log) = self.segment.as_deref_mut() {
             log.slots.push(slot);
+            let path = &self.path_arena[path_off as usize..][..path_len as usize];
+            log.note_links(&mut self.segment_links, path, &self.telemetry.link);
         }
         self.solver.flow_injected(slot, spec.weight);
         let id = FlowId { seq, slot };
@@ -1494,6 +1500,9 @@ impl<'a> NetworkSim<'a> {
                 self.paused_ingress[li] = p;
                 self.eff_cap[li] = self.link_cap[li] * (1.0 - p);
                 self.paused.insert(l);
+            }
+            if let Some(log) = self.segment.as_deref_mut() {
+                log.note_links(&mut self.segment_links, &touched, &self.telemetry.link);
             }
             self.pfc_touched = touched;
             if converged {

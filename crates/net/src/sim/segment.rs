@@ -24,6 +24,7 @@
 
 use super::{FlowRec, FlowState, NetworkSim};
 use crate::fivetuple::QpId;
+use crate::linkset::LinkSet;
 use crate::solver::SolverCounters;
 use crate::telemetry::LinkCounters;
 use astral_sim::{SimDuration, SimTime};
@@ -83,11 +84,37 @@ pub(super) struct SegmentLog {
     solver: SolverCounters,
     trace_last: SolverCounters,
     trace_pushed: u64,
-    links: Vec<LinkCounters>,
+    /// Each link the recording could write, with its counters when it was
+    /// first seen, in the order seen.
+    links: Vec<(u32, [u64; 3])>,
+    /// Every link's counters at the start, to check the sparse deltas
+    /// against the full diff.
+    #[cfg(debug_assertions)]
+    all_links: Vec<LinkCounters>,
     /// Slots of the flows injected while recording, in injection order.
     pub(super) slots: Vec<u32>,
     /// Per-QP byte samples at absolute times, in fluid-step order.
     pub(super) qp_samples: Vec<(QpId, SimTime, f64)>,
+}
+
+/// A link's three integer counters.
+fn ints(c: &LinkCounters) -> [u64; 3] {
+    [c.bytes, c.ecn_marks, c.pfc_pause_ns]
+}
+
+impl SegmentLog {
+    /// Snapshot the counters of each of `links` not in `seen`, and add it
+    /// there. The simulator calls this wherever a recording first could
+    /// write a link: on a recorded flow's path when it is injected, and on
+    /// a link the PFC fixpoint pauses.
+    pub(super) fn note_links(&mut self, seen: &mut LinkSet, links: &[u32], now: &[LinkCounters]) {
+        for &l in links {
+            if !seen.contains(l) {
+                seen.insert(l);
+                self.links.push((l, ints(&now[l as usize])));
+            }
+        }
+    }
 }
 
 /// Whether a trace record of `kind` names a flow by its sequence number in
@@ -117,12 +144,20 @@ impl NetworkSim<'_> {
             && (!self.cfg.trace || self.trace_last_counters == self.solver_counters())
     }
 
+    /// Whether a segment is being recorded: the simulator holds one
+    /// recording at a time, so a caller with its own recording to make
+    /// waits until this one is finished.
+    pub fn recording(&self) -> bool {
+        self.segment.is_some()
+    }
+
     /// Start recording a segment. False, and nothing recorded, unless the
     /// simulator is quiet.
     pub fn record_segment(&mut self) -> bool {
         if !self.is_quiet() {
             return false;
         }
+        self.segment_links.clear();
         self.segment = Some(Box::new(SegmentLog {
             start: self.now(),
             seq: self.next_seq,
@@ -131,7 +166,9 @@ impl NetworkSim<'_> {
             solver: self.solver_counters(),
             trace_last: self.trace_last_counters,
             trace_pushed: self.trace.pushed(),
-            links: self.telemetry.link.clone(),
+            links: Vec::new(),
+            #[cfg(debug_assertions)]
+            all_links: self.telemetry.link.clone(),
             slots: Vec::new(),
             qp_samples: Vec::new(),
         }));
@@ -147,6 +184,7 @@ impl NetworkSim<'_> {
     /// capacity write, so a returned segment has none.
     pub fn finish_segment(&mut self) -> Option<Segment> {
         let log = self.segment.take()?;
+        self.segment_links.clear();
         let unchanged = self.is_quiet()
             && self.generation == log.generation
             && self.path_arena.len() == log.arena;
@@ -172,6 +210,7 @@ impl NetworkSim<'_> {
         // Quiet, so a traced run's snapshot is the current counters.
         let counters = self.solver_counters();
         let traced_recompute = self.trace_last_counters != log.trace_last;
+        let links = self.link_deltas(&log);
         let start = log.start;
         Some(Segment {
             span: self.now().saturating_since(start),
@@ -181,7 +220,7 @@ impl NetworkSim<'_> {
                 .iter()
                 .map(|&s| self.segment_flow(s, start))
                 .collect(),
-            links: link_deltas(&log.links, &self.telemetry.link),
+            links,
             qp_samples: log
                 .qp_samples
                 .iter()
@@ -191,6 +230,29 @@ impl NetworkSim<'_> {
             solver: counters.since(&log.solver),
             traced_recompute,
         })
+    }
+
+    /// The nonzero counter deltas since the recording started, links
+    /// ascending. Only the links `log` noted can have moved, so only they
+    /// are diffed; debug builds check the result against every link.
+    fn link_deltas(&self, log: &SegmentLog) -> Vec<(u32, [u64; 3])> {
+        let mut deltas: Vec<(u32, [u64; 3])> = log
+            .links
+            .iter()
+            .filter_map(|&(l, b)| {
+                let a = ints(&self.telemetry.link[l as usize]);
+                let d = [a[0] - b[0], a[1] - b[1], a[2] - b[2]];
+                (d != [0; 3]).then_some((l, d))
+            })
+            .collect();
+        deltas.sort_unstable_by_key(|&(l, _)| l);
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            deltas,
+            full_link_deltas(&log.all_links, &self.telemetry.link),
+            "a recording wrote a link it had not noted"
+        );
+        deltas
     }
 
     /// The finished flow in `slot` as a segment flow starting at `start`.
@@ -287,7 +349,6 @@ impl NetworkSim<'_> {
         assert_eq!(self.generation, real.generation, "generation");
         assert_eq!(self.path_arena.len(), real.path_arena.len(), "path arena");
         let (tel, real_tel) = (&self.telemetry, &real.telemetry);
-        let ints = |c: &LinkCounters| [c.bytes, c.ecn_marks, c.pfc_pause_ns];
         for (l, (a, b)) in tel.link.iter().zip(&real_tel.link).enumerate() {
             assert_eq!(ints(a), ints(b), "counters of link {l}");
         }
@@ -319,8 +380,10 @@ impl NetworkSim<'_> {
     }
 }
 
-/// The nonzero per-link counter deltas from `before` to `after`.
-fn link_deltas(before: &[LinkCounters], after: &[LinkCounters]) -> Vec<(u32, [u64; 3])> {
+/// The nonzero per-link counter deltas from `before` to `after`, over
+/// every link.
+#[cfg(debug_assertions)]
+fn full_link_deltas(before: &[LinkCounters], after: &[LinkCounters]) -> Vec<(u32, [u64; 3])> {
     before
         .iter()
         .zip(after)
